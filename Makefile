@@ -1,8 +1,6 @@
 GO ?= go
-BENCHOUT ?= bench-records
-STAMP ?= $(shell date -u +%Y-%m-%dT%H:%M:%SZ)
 
-.PHONY: build test race vet fmt verify bench bench-go bench-compare alloc obs-overhead propagation-smoke serve-smoke alert-smoke rca-smoke
+.PHONY: build test race vet fmt verify bench bench-go alloc obs-overhead propagation-smoke alert-smoke rca-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -29,14 +27,14 @@ fmt:
 # benchmark — the disabled-path numbers back the "off by default costs
 # nothing" claim — plus the distributed-tracing propagation smoke test
 # (collector + model server in-process, one scored request, one joined
-# trace through the dogfood loop) and the serve-latency smoke test (the
-# micro-batched /score path must beat the legacy per-request path at p99
-# under concurrent load), and the watchdog alert smoke (a synthetic p99
-# regression must fire the stock burn-rate rule, link a resolvable
-# exemplar trace and resolve after recovery), and the rca-smoke gate (the
+# trace through the dogfood loop), the watchdog alert smoke (a synthetic
+# p99 regression must fire the stock burn-rate rule, link a resolvable
+# exemplar trace and resolve after recovery), the rca-smoke gate (the
 # default-on candidate pruning must predict root-cause sets identical to
-# the unpruned loop on the fixed seed suite).
-verify: fmt vet build race alloc obs-overhead propagation-smoke serve-smoke alert-smoke rca-smoke
+# the unpruned loop on the fixed seed suite), and bench-smoke (the
+# benchmark module's own tests). Latency itself is gated by the benchmark
+# (`bash benchmark/run.sh`), not here.
+verify: fmt vet build race alloc obs-overhead propagation-smoke alert-smoke rca-smoke bench-smoke
 
 # alloc runs the allocation-regression guards without the race detector:
 # the steady-state training step must allocate (essentially) nothing, the
@@ -53,26 +51,15 @@ verify: fmt vet build race alloc obs-overhead propagation-smoke serve-smoke aler
 alloc:
 	$(GO) test -run 'SteadyStateAllocs' -count=1 ./internal/tensor ./internal/core ./internal/obs ./internal/obs/alert ./internal/cluster ./internal/ingest ./internal/modelserver ./internal/rca
 
-# bench runs the paper's evaluation harness and leaves a machine-readable
-# BENCH_<name>.json per experiment in $(BENCHOUT), stamped with $(STAMP) so
-# records accumulate comparably across commits.
+# bench regenerates every table and figure of the paper's evaluation.
 bench:
-	mkdir -p $(BENCHOUT)
-	$(GO) run ./cmd/benchrunner -exp all -benchout $(BENCHOUT) -stamp $(STAMP)
+	$(GO) run ./cmd/benchrunner -exp all
 
 # bench-go runs the in-tree Go micro/macro benchmarks (training scaling,
-# inference batching, obs overhead).
+# inference batching, localisation, obs overhead); they take -cpuprofile.
+# Stage- and incident-level numbers come from `bash benchmark/run.sh`.
 bench-go:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
-
-# bench-compare re-measures the hot paths (training step, pairwise distance
-# matrix, batched inference, HDBSCAN clustering pipeline, streaming ingest,
-# closed-loop serving) and prints ns/op, B/op and allocs/op deltas against
-# the committed baselines in $(BENCHOUT) — the regression gate for the
-# zero-allocation training work, the scale-out clustering engine, and the
-# micro-batched serving path.
-bench-compare:
-	$(GO) run ./cmd/benchrunner -exp hot -baseline $(BENCHOUT)
 
 obs-overhead:
 	$(GO) test -bench='BenchmarkObsOverhead|BenchmarkSeriesAppend|BenchmarkTracePropagation' -benchtime=10000x -run=^$$ ./internal/obs
@@ -82,12 +69,6 @@ obs-overhead:
 # from every component, ingested and re-scored by the pipeline itself.
 propagation-smoke:
 	$(GO) test -run 'TestPropagationSmoke' -count=1 .
-
-# serve-smoke is the online-serving latency gate: 8 concurrent clients
-# against the micro-batched /score server must see a better p99 than
-# against the legacy per-request path (disk model load + double forward).
-serve-smoke:
-	$(GO) test -run 'TestServeLatencySmoke' -count=1 ./internal/modelserver
 
 # alert-smoke is the self-watchdog end-to-end gate: a synthetic score-p99
 # regression fires the stock modelserver burn-rate rule within two ticks,
@@ -103,3 +84,10 @@ alert-smoke:
 # — pruning buys latency, never accuracy.
 rca-smoke:
 	$(GO) test -run 'TestRCASmokeEquivalence' -count=1 ./internal/rca
+
+# bench-smoke runs the benchmark module's own tests (≈ 2 s): a smoke run of
+# every workload, seed repeatability, BENCHMARK.json staying in sync with
+# the metric tables, and the refusal to start with any SLEUTH_*
+# variable set.
+bench-smoke:
+	$(GO) -C benchmark test -count=1 .

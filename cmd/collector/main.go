@@ -46,13 +46,13 @@ func main() {
 			"watchdog evaluation interval (SLEUTH_OBS_ALERT_TICK overrides the default)")
 
 		ingestWorkers = flag.Int("ingest-workers", defaults.Workers,
-			"concentrator/sampler/writer shards (SLEUTH_INGEST_WORKERS overrides the default)")
+			"concentrator/sampler/writer shards")
 		ingestSample = flag.Float64("ingest-sample", defaults.SampleRate,
-			"tail-sampling keep rate for healthy traces, 0..1 (SLEUTH_INGEST_SAMPLE overrides the default; error and latency-outlier traces are always kept)")
+			"tail-sampling keep rate for healthy traces, 0..1 (error and latency-outlier traces are always kept)")
 		ingestTTL = flag.Duration("ingest-ttl", defaults.TraceTTL,
-			"how long a trace window stays open after its last span (SLEUTH_INGEST_TTL overrides the default)")
+			"how long a trace window stays open after its last span")
 		ingestTailPct = flag.Float64("ingest-tail-pct", defaults.TailPercentile,
-			"OpSummaries percentile above which a root duration is a kept outlier (SLEUTH_INGEST_TAIL_PCT overrides the default)")
+			"OpSummaries percentile above which a root duration is a kept outlier")
 	)
 	flag.Parse()
 

@@ -52,11 +52,11 @@ func main() {
 		selfpost = flag.String("selfpost", os.Getenv("SLEUTH_OBS_SELFPOST"),
 			"mirror sampled self-traces to this collector URL for the dogfood loop (SLEUTH_OBS_SELFPOST overrides the default)")
 		serveBatch = flag.Int("serve-batch", 0,
-			"max traces coalesced into one shared /score inference (0 = SLEUTH_SERVE_BATCH or 32; <=1 disables micro-batching)")
+			"max traces coalesced into one shared /score inference (0 = 32; 1 disables coalescing)")
 		serveWait = flag.Duration("serve-wait", 0,
-			"max time a queued /score request waits for co-batched company (0 = SLEUTH_SERVE_WAIT or 2ms)")
+			"max time a queued /score request waits for co-batched company (0 = 2ms)")
 		predictWorkers = flag.Int("predict-workers", 0,
-			"inference workers per shared score call (0 = SLEUTH_PREDICT_WORKERS or GOMAXPROCS)")
+			"inference workers per shared score call (0 = GOMAXPROCS)")
 		clusterStream = flag.Bool("cluster", false,
 			"enable the streaming clustering endpoints (/cluster/add, /cluster/stats, /cluster/rebuild)")
 		watchdog = flag.Bool("watchdog", true,

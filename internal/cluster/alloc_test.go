@@ -1,6 +1,10 @@
 package cluster
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/sleuth-rca/sleuth/internal/testenv"
+)
 
 // TestClusterSteadyStateAllocs gates the clustering engine's steady-state
 // kernels (`make alloc`): the Eq. 1 merge, the bounded-heap row selection,
@@ -8,7 +12,7 @@ import "testing"
 // incident scale these run billions of times per batch, and any per-call
 // allocation would put the GC back on the clustering critical path.
 func TestClusterSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("race detector instrumentation allocates")
 	}
 	sets := randomSets(64, 1)

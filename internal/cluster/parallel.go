@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"math"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"time"
 
@@ -18,28 +16,11 @@ import (
 // comparison so ties resolve to the lowest index exactly as a serial
 // left-to-right scan would.
 
-// clusterWorkersEnv reads the SLEUTH_CLUSTER_WORKERS override once; 0 (or
-// unset, or garbage) defers to GOMAXPROCS.
-var clusterWorkersEnv = sync.OnceValue(func() int {
-	v := os.Getenv("SLEUTH_CLUSTER_WORKERS")
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
-})
-
 // clusterWorkers returns the worker count for a kernel with the given
-// number of independent work items: SLEUTH_CLUSTER_WORKERS when set,
-// GOMAXPROCS otherwise, never more than the items available.
+// number of independent work items: GOMAXPROCS, never more than the items
+// available.
 func clusterWorkers(items int) int {
-	w := clusterWorkersEnv()
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
+	w := runtime.GOMAXPROCS(0)
 	if w > items {
 		w = items
 	}

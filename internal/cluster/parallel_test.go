@@ -251,9 +251,6 @@ func TestHDBSCANMatchesSerialReference(t *testing.T) {
 // distance matrices, labels, and medoids at GOMAXPROCS 1, 2 and 8 — the
 // serial fallback and every parallel split agree exactly.
 func TestHDBSCANDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	if clusterWorkersEnv() != 0 {
-		t.Skip("SLEUTH_CLUSTER_WORKERS pins the worker count; GOMAXPROCS sweep is moot")
-	}
 	n := 300
 	sets := randomSets(n, 42)
 	opts := Options{MinClusterSize: 10, MinSamples: 5, SelectionEpsilon: 0.05}

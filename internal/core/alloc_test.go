@@ -6,6 +6,7 @@ import (
 	"github.com/sleuth-rca/sleuth/internal/nn"
 	"github.com/sleuth-rca/sleuth/internal/synth"
 	"github.com/sleuth-rca/sleuth/internal/tensor"
+	"github.com/sleuth-rca/sleuth/internal/testenv"
 )
 
 // These are the allocation-regression guards for the zero-allocation
@@ -18,7 +19,7 @@ import (
 // essentially nothing: the tape, all intermediates and all non-leaf
 // gradients recycle through the arena.
 func TestTrainStepSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("race detector instrumentation allocates")
 	}
 	app := synth.Synthetic(16, 21)
@@ -50,12 +51,12 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 }
 
 // TestPredictSteadyStateAllocs bounds the per-trace allocation count of the
-// PredictBatch hot path. predictOn re-encodes the trace and copies the two
-// result rows out, so the bound is a small constant independent of span
-// count — not zero, but nowhere near the per-op tape allocations the arena
+// scoring kernel. scoreOn re-encodes the trace and copies the two result
+// rows out, so the bound is a small constant independent of span count —
+// not zero, but nowhere near the per-op tape allocations the arena
 // eliminated.
 func TestPredictSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("race detector instrumentation allocates")
 	}
 	app := synth.Synthetic(16, 22)
@@ -65,7 +66,7 @@ func TestPredictSteadyStateAllocs(t *testing.T) {
 	ar := tensor.NewArena()
 	i := 0
 	step := func() {
-		_, _ = m.predictOn(traces[i%len(traces)], ar)
+		_, _, _ = m.scoreOn(traces[i%len(traces)], ar)
 		ar.Reset()
 		i++
 	}
@@ -83,7 +84,7 @@ func TestPredictSteadyStateAllocs(t *testing.T) {
 // per call. The pooled worker arenas arrive pre-grown, so the only per-call
 // heap traffic is the result slices and the per-trace prediction copies.
 func TestServeSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("race detector instrumentation allocates")
 	}
 	app := synth.Synthetic(16, 23)

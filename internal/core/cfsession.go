@@ -13,11 +13,10 @@ import (
 // CounterfactualSession amortises the fixed cost of counterfactual queries
 // against one trace. The localisation loop (§3.5) asks up to
 // MaxCandidates+1 counterfactual questions about the same trace with
-// growing restoration sets; the per-call path pays for the encoding, the
-// graph, n normal-state map lookups, two full feature copies and a depth
-// sort on every question. A session computes all of that once at
-// construction and, because consecutive restoration sets are nested,
-// applies or undoes only the delta rows between calls.
+// growing restoration sets. A session computes the encoding, the graph,
+// the n normal-state lookups, the two feature copies and the depth order
+// once at construction and, because consecutive restoration sets are
+// nested, applies or undoes only the delta rows between calls.
 //
 // For the default GIN aggregator the session is fully incremental after
 // the first query: the convolution is row-local given the sibling-group
@@ -26,10 +25,9 @@ import (
 // revisits only the dirty ancestor cone — O(branching × depth) work per
 // query instead of O(n) MLP rows plus O(n) node recomputations.
 //
-// Results are bit-identical to Model.Counterfactual — the session reuses
-// the same recompute pass and the arena-vs-heap op equality established by
-// the tensor arena engine — which TestCounterfactualSessionEquivalence
-// gates.
+// An incremental answer is bit-identical to the full recomputation a
+// fresh session gives for the same restoration set (Model.Counterfactual),
+// which TestCounterfactualSessionEquivalence gates.
 //
 // A session is not safe for concurrent use; concurrent localisations each
 // open their own session. Close returns the arena to the shared pool.
@@ -104,7 +102,7 @@ func (m *Model) NewCounterfactualSession(tr *trace.Trace) *CounterfactualSession
 	return s
 }
 
-// Counterfactual answers the same query as Model.Counterfactual for the
+// Counterfactual answers the §3.5 query (see Model.Counterfactual) for the
 // session's trace. Only rows whose restoration state changed since the
 // previous call are touched: newly restored rows are intervened to the
 // normal state, rows no longer in the set are undone from the pristine
@@ -168,8 +166,7 @@ func (s *CounterfactualSession) Counterfactual(restored map[int]bool) Counterfac
 }
 
 // RowsUpdated reports how many feature-row toggles the session has applied
-// across all Counterfactual calls — the delta work actually done, versus
-// n rows per call on the per-call path.
+// across all Counterfactual calls — the delta work actually done.
 func (s *CounterfactualSession) RowsUpdated() int64 { return s.rowsUpdated }
 
 // Close returns the session's arena to the shared pool. The session must

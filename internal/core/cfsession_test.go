@@ -6,15 +6,30 @@ import (
 	"github.com/sleuth-rca/sleuth/internal/synth"
 )
 
+// forVariants runs fn against both aggregators: GIN answers through the
+// row-incremental kernels, GCN through a full forward per question.
+func forVariants(t *testing.T, fn func(t *testing.T, v Variant)) {
+	for _, v := range []Variant{VariantGIN, VariantGCN} {
+		t.Run(string(v), func(t *testing.T) { fn(t, v) })
+	}
+}
+
 // TestCounterfactualSessionEquivalence is the equivalence gate for the
-// incremental engine: across a nested sequence of restoration sets (the
+// long-lived session: across a nested sequence of restoration sets (the
 // exact access pattern of the §3.5 localisation loop) plus a shrink back
 // to a disjoint set (exercising row undo), every session result must be
-// bit-identical to the per-call Model.Counterfactual on the same inputs.
+// bit-identical to Model.Counterfactual — a fresh session's full
+// recomputation — on the same inputs.
 func TestCounterfactualSessionEquivalence(t *testing.T) {
+	forVariants(t, testCounterfactualSessionEquivalence)
+}
+
+func testCounterfactualSessionEquivalence(t *testing.T, v Variant) {
 	app := synth.Synthetic(24, 7)
 	traces := simTraces(t, app, 7, 60)
-	m := NewModel(smallConfig(7))
+	cfg := smallConfig(7)
+	cfg.Variant = v
+	m := NewModel(cfg)
 	if _, err := m.Train(traces, TrainOptions{Epochs: 2, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +60,7 @@ func TestCounterfactualSessionEquivalence(t *testing.T) {
 			got := s.Counterfactual(set)
 			want := m.Counterfactual(tr, set)
 			if got != want {
-				t.Fatalf("trace %d set %d: session %+v != per-call %+v", ti, si, got, want)
+				t.Fatalf("trace %d set %d: session %+v != fresh %+v", ti, si, got, want)
 			}
 		}
 		if s.RowsUpdated() == 0 && n > 1 {
@@ -59,9 +74,15 @@ func TestCounterfactualSessionEquivalence(t *testing.T) {
 // nested restoration sets must cost only the delta rows, not n rows per
 // call.
 func TestCounterfactualSessionDeltaRows(t *testing.T) {
+	forVariants(t, testCounterfactualSessionDeltaRows)
+}
+
+func testCounterfactualSessionDeltaRows(t *testing.T, v Variant) {
 	app := synth.Synthetic(24, 9)
 	traces := simTraces(t, app, 9, 30)
-	m := NewModel(smallConfig(9))
+	cfg := smallConfig(9)
+	cfg.Variant = v
+	m := NewModel(cfg)
 	if _, err := m.Train(traces, TrainOptions{Epochs: 2, Seed: 4}); err != nil {
 		t.Fatal(err)
 	}

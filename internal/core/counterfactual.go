@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"github.com/sleuth-rca/sleuth/internal/features"
 	"github.com/sleuth-rca/sleuth/internal/tensor"
@@ -27,49 +26,23 @@ type CounterfactualResult struct {
 // errors are recomputed bottom-up with Eq. 2 and Eq. 3, so a restoration
 // deep in the trace propagates through every ancestor rather than only one
 // level.
+//
+// A single question is a fresh session asked once: the session's first
+// answer is always one full aggregation pass plus the full bottom-up
+// recompute, never the incremental kernels — which is what makes this the
+// independent reference TestCounterfactualSessionEquivalence holds a
+// long-lived session's incremental answers against.
 func (m *Model) Counterfactual(tr *trace.Trace, restored map[int]bool) CounterfactualResult {
-	enc := m.Encode(tr)
-	n := tr.Len()
-
-	// Intervene on the feature copies.
-	x := tensor.FromRows(enc.X)
-	xStar := tensor.FromRows(enc.XStar)
-	normalDur := make([]float64, n)  // µs restoration targets
-	normalExcl := make([]float64, n) // µs
-	for i := range tr.Spans {
-		norm := m.Normal(tr.Spans[i].OpKey())
-		normalDur[i] = math.Max(norm.MedianDuration, 1)
-		normalExcl[i] = math.Max(norm.MedianExclusiveDuration, 1)
-		if restored[i] {
-			x.Set(i, 0, features.ScaleDuration(int64(normalDur[i])))
-			x.Set(i, 1, 0)
-			xStar.Set(i, 0, features.ScaleDuration(int64(normalExcl[i])))
-			xStar.Set(i, 1, 0)
-		}
-	}
-
-	g := enc.Graph()
-	h := m.agg.Forward(g, xStar, x) // [n, headDim]
-
-	// Bottom-up ancestral recomputation, deepest spans first.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return tr.Depth(order[a]) > tr.Depth(order[b]) })
-
-	dur := make([]float64, n) // µs
-	errp := make([]float64, n)
-	return m.counterfactualRecompute(tr, func(i int) bool { return restored[i] },
-		normalDur, normalExcl, h, order, dur, errp)
+	s := m.NewCounterfactualSession(tr)
+	defer s.Close()
+	return s.Counterfactual(restored)
 }
 
 // counterfactualRecompute is the shared bottom-up ancestral pass of a
 // counterfactual query (Eq. 2 / Eq. 3 over recomputed child values,
-// deepest spans first). Both the per-call Counterfactual and the
-// incremental CounterfactualSession delegate here so the two paths cannot
-// drift numerically; the scratch slices dur/errp must each have length
-// tr.Len() and are overwritten.
+// deepest spans first) — a session's first answer, and every answer of an
+// aggregator without a row-exact kernel. The scratch slices dur/errp must
+// each have length tr.Len() and are overwritten.
 func (m *Model) counterfactualRecompute(tr *trace.Trace, restored func(int) bool,
 	normalDur, normalExcl []float64, h *tensor.Tensor, order []int, dur, errp []float64) CounterfactualResult {
 	for _, i := range order {
@@ -116,7 +89,7 @@ func (m *Model) counterfactualRecomputeDirty(tr *trace.Trace, restored func(int)
 
 // cfNode computes one node's Eq. 2 / Eq. 3 values from its children's
 // already-recomputed dur/errp entries — the single source of the
-// counterfactual math for the full, incremental and per-call paths.
+// counterfactual math for the full and the dirty-cone pass.
 func (m *Model) cfNode(tr *trace.Trace, restored func(int) bool,
 	normalDur, normalExcl []float64, h *tensor.Tensor, dur, errp []float64, i int) (float64, float64) {
 	kids := tr.Children(i)

@@ -24,10 +24,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -253,87 +251,53 @@ func inputs(enc *features.Encoded, ar *tensor.Arena) (x, xStar *tensor.Tensor) {
 	return x, xStar
 }
 
+// forwardLoss is the one inference kernel: a single forward pass over enc
+// plus the Eq. 5 loss built on the same tape, all drawn from ar (nil =
+// heap). Training backpropagates through the returned loss; scoring reads
+// the predictions and the loss value off it.
+func (m *Model) forwardLoss(enc *features.Encoded, ar *tensor.Arena) (prediction, *tensor.Tensor) {
+	x, xStar := inputs(enc, ar)
+	pred := m.forward(enc, x, xStar)
+	dTarget := tensor.SliceCols(x, 0, 1)
+	eTarget := tensor.SliceCols(x, 1, 2)
+	return pred, tensor.Add(tensor.MSE(pred.durScaled, dTarget), tensor.BCE(pred.errProb, eTarget))
+}
+
 // Loss computes the Eq. 5 objective for one trace.
 func (m *Model) Loss(enc *features.Encoded) *tensor.Tensor { return m.lossOn(enc, nil) }
 
 // lossOn is Loss with the whole tape drawn from ar (nil = heap). Callers
 // owning an arena must copy the loss value out (Item) before Reset.
 func (m *Model) lossOn(enc *features.Encoded, ar *tensor.Arena) *tensor.Tensor {
-	x, xStar := inputs(enc, ar)
-	pred := m.forward(enc, x, xStar)
-	dTarget := tensor.SliceCols(x, 0, 1)
-	eTarget := tensor.SliceCols(x, 1, 2)
-	return tensor.Add(tensor.MSE(pred.durScaled, dTarget), tensor.BCE(pred.errProb, eTarget))
+	_, loss := m.forwardLoss(enc, ar)
+	return loss
 }
 
 // Predict runs the model on a trace and returns the predicted scaled
 // duration and error probability per span.
 func (m *Model) Predict(tr *trace.Trace) (durScaled, errProb []float64) {
-	return m.predictOn(tr, nil)
-}
-
-// predictOn is Predict over an optional arena: the forward tape recycles
-// through ar while the returned slices are fresh heap copies, so callers
-// may Reset immediately after.
-func (m *Model) predictOn(tr *trace.Trace, ar *tensor.Arena) (durScaled, errProb []float64) {
-	enc := m.Encode(tr)
-	x, xStar := inputs(enc, ar)
-	pred := m.forward(enc, x, xStar)
-	return append([]float64(nil), pred.durScaled.Data...),
-		append([]float64(nil), pred.errProb.Data...)
-}
-
-// PredictBatch scores many traces concurrently, returning the per-span
-// predictions of Predict for each trace in order. workers ≤ 0 defers to the
-// SLEUTH_PREDICT_WORKERS environment knob, then GOMAXPROCS. The forward pass
-// only reads the shared weights, so any number of scoring goroutines can
-// share one model (see tensor.Backward's concurrency contract).
-func (m *Model) PredictBatch(traces []*trace.Trace, workers int) (durScaled, errProb [][]float64) {
-	perTrace := obs.H("core.predict.trace_us")
-	batchTimer := obs.H("core.predict.batch_us").Start()
-	obs.C("core.predict.traces").Add(int64(len(traces)))
-	durScaled = make([][]float64, len(traces))
-	errProb = make([][]float64, len(traces))
-	workers = resolveWorkers(len(traces), workers)
-	arenas := acquireArenas(workers)
-	parallelFor(len(traces), workers, func(w, i int) {
-		t := perTrace.Start()
-		ar := arenas[w]
-		durScaled[i], errProb[i] = m.predictOn(traces[i], ar)
-		ar.Reset()
-		t.Stop()
-	})
-	releaseArenas(arenas)
-	batchTimer.Stop()
+	durScaled, errProb, _ = m.scoreOn(tr, nil)
 	return durScaled, errProb
 }
 
-// scoreOn runs ONE forward pass over a trace and derives both products from
-// its tape: the per-span predictions of Predict (fresh heap copies) and the
-// Eq. 5 loss of Loss. The loss reduction reuses the forward tape's
-// prediction tensors, so the values are bit-identical to separate
-// Predict/Loss calls while the GNN runs exactly once.
+// scoreOn scores one trace over an optional arena: the per-span
+// predictions (fresh heap copies, so callers may Reset immediately after)
+// and the Eq. 5 loss value, both from one forward pass.
 func (m *Model) scoreOn(tr *trace.Trace, ar *tensor.Arena) (durScaled, errProb []float64, loss float64) {
-	enc := m.Encode(tr)
-	x, xStar := inputs(enc, ar)
-	pred := m.forward(enc, x, xStar)
-	dTarget := tensor.SliceCols(x, 0, 1)
-	eTarget := tensor.SliceCols(x, 1, 2)
-	l := tensor.Add(tensor.MSE(pred.durScaled, dTarget), tensor.BCE(pred.errProb, eTarget))
+	pred, l := m.forwardLoss(m.Encode(tr), ar)
 	return append([]float64(nil), pred.durScaled.Data...),
 		append([]float64(nil), pred.errProb.Data...),
 		l.Item()
 }
 
-// ScoreBatch is the online-serving entry point: per-span predictions AND the
-// per-trace Eq. 5 losses from a single forward pass per trace. It exists
-// because the serving path needs both signals — PredictBatch followed by
-// MeanLoss runs the GNN twice per trace. Results are ordered like the input;
-// losses[i] equals Loss(Encode(traces[i])).Item() bit-for-bit, so
-// Σlosses/len is exactly MeanLoss. workers ≤ 0 defers to
-// SLEUTH_PREDICT_WORKERS, then GOMAXPROCS. Worker arenas come from the warm
-// process-wide pool, so steady-state serving does not re-grow tape slabs on
-// every call.
+// ScoreBatch is the batch scoring entry point: per-span predictions AND the
+// per-trace Eq. 5 losses from a single forward pass per trace. Results are
+// ordered like the input; losses[i] equals Loss(Encode(traces[i])).Item()
+// bit-for-bit. workers ≤ 0 selects GOMAXPROCS. The forward pass only reads
+// the shared weights, so any number of scoring goroutines can share one
+// model (see tensor.Backward's concurrency contract). Worker arenas come
+// from the warm process-wide pool, so steady-state serving does not re-grow
+// tape slabs on every call.
 func (m *Model) ScoreBatch(traces []*trace.Trace, workers int) (durScaled, errProb [][]float64, losses []float64) {
 	perTrace := obs.H("core.score.trace_us")
 	batchTimer := obs.H("core.score.batch_us").Start()
@@ -355,33 +319,9 @@ func (m *Model) ScoreBatch(traces []*trace.Trace, workers int) (durScaled, errPr
 	return durScaled, errProb, losses
 }
 
-// predictWorkersEnv reads the SLEUTH_PREDICT_WORKERS override once,
-// mirroring the SLEUTH_CLUSTER_WORKERS convention of the clustering engine;
-// 0 (or unset, or garbage) defers to GOMAXPROCS.
-var predictWorkersEnv = sync.OnceValue(func() int {
-	return parsePredictWorkers(os.Getenv("SLEUTH_PREDICT_WORKERS"))
-})
-
-// parsePredictWorkers parses a worker-count environment value: empty,
-// non-numeric or negative values mean "no override".
-func parsePredictWorkers(v string) int {
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
-}
-
-// resolveWorkers normalises a worker-count option: ≤ 0 selects the
-// SLEUTH_PREDICT_WORKERS override when set, GOMAXPROCS otherwise, capped at
-// n (one item per worker at most).
+// resolveWorkers normalises a worker-count option: ≤ 0 selects GOMAXPROCS,
+// capped at n (one item per worker at most).
 func resolveWorkers(n, workers int) int {
-	if workers <= 0 {
-		workers = predictWorkersEnv()
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -403,9 +343,9 @@ func newArenas(workers int) []*tensor.Arena {
 	return arenas
 }
 
-// arenaPool keeps inference arenas warm across PredictBatch/ScoreBatch/
-// MeanLoss calls. A fresh arena re-grows its float/int/tensor slabs from
-// nothing on every forward pass until it reaches steady state; under online
+// arenaPool keeps inference arenas warm across ScoreBatch calls and
+// counterfactual sessions. A fresh arena re-grows its float/int/tensor slabs
+// from nothing on every forward pass until it reaches steady state; under online
 // serving (many small batches per second) that cold-start cost recurs per
 // request. Pooled arenas arrive pre-grown, so steady-state serving allocates
 // nothing for tape storage across requests, not just within one batch.
@@ -827,23 +767,14 @@ func (m *Model) Normal(opKey string) NormalStats {
 // NormalsSize returns the number of distinct operations with statistics.
 func (m *Model) NormalsSize() int { return len(m.normals) }
 
-// MeanLoss evaluates the Eq. 5 objective over traces without training.
-// Traces are scored in parallel (forward passes only share read access to
-// the weights); the per-trace losses are summed in trace order so the
-// result is deterministic regardless of scheduling.
+// MeanLoss evaluates the Eq. 5 objective over traces without training:
+// the ScoreBatch losses summed in trace order, so the result is
+// deterministic regardless of scheduling.
 func (m *Model) MeanLoss(traces []*trace.Trace) float64 {
 	if len(traces) == 0 {
 		return 0
 	}
-	losses := make([]float64, len(traces))
-	workers := resolveWorkers(len(traces), 0)
-	arenas := acquireArenas(workers)
-	parallelFor(len(traces), workers, func(w, i int) {
-		ar := arenas[w]
-		losses[i] = m.lossOn(m.Encode(traces[i]), ar).Item()
-		ar.Reset()
-	})
-	releaseArenas(arenas)
+	_, _, losses := m.ScoreBatch(traces, 0)
 	total := 0.0
 	for _, l := range losses {
 		total += l

@@ -6,46 +6,38 @@ import (
 	"github.com/sleuth-rca/sleuth/internal/synth"
 )
 
-// TestScoreBatchMatchesPredictAndLoss is the single-pass correctness
-// contract: ScoreBatch's predictions must be bit-identical to PredictBatch
-// and its per-trace losses bit-identical to Loss, with the mean of the
-// losses equal to MeanLoss exactly — same op order, same FP results.
+// TestScoreBatchMatchesPredictAndLoss is the batched-scoring correctness
+// contract: ScoreBatch (pooled arenas, parallel workers) must be
+// bit-identical, trace by trace, to solo heap scoring — Predict for the
+// per-span predictions, Loss(Encode(tr)) for the loss.
 func TestScoreBatchMatchesPredictAndLoss(t *testing.T) {
 	app := synth.Synthetic(16, 31)
 	traces := simTraces(t, app, 31, 24)
 	m := NewModel(smallConfig(31))
 	m.SetNormals(traces)
 
-	wantDur, wantErr := m.PredictBatch(traces, 0)
 	gotDur, gotErr, losses := m.ScoreBatch(traces, 0)
 
 	if len(gotDur) != len(traces) || len(gotErr) != len(traces) || len(losses) != len(traces) {
 		t.Fatalf("result lengths %d/%d/%d, want %d", len(gotDur), len(gotErr), len(losses), len(traces))
 	}
-	for i := range traces {
-		if len(gotDur[i]) != len(wantDur[i]) {
-			t.Fatalf("trace %d: %d durations, want %d", i, len(gotDur[i]), len(wantDur[i]))
+	for i, tr := range traces {
+		wantDur, wantErr := m.Predict(tr)
+		if len(gotDur[i]) != tr.Len() || len(wantDur) != tr.Len() {
+			t.Fatalf("trace %d: %d/%d durations for %d spans", i, len(gotDur[i]), len(wantDur), tr.Len())
 		}
-		for j := range gotDur[i] {
-			if gotDur[i][j] != wantDur[i][j] {
-				t.Fatalf("trace %d span %d: durScaled %v != PredictBatch %v", i, j, gotDur[i][j], wantDur[i][j])
+		for j := range wantDur {
+			if gotDur[i][j] != wantDur[j] {
+				t.Fatalf("trace %d span %d: durScaled %v != Predict %v", i, j, gotDur[i][j], wantDur[j])
 			}
-			if gotErr[i][j] != wantErr[i][j] {
-				t.Fatalf("trace %d span %d: errProb %v != PredictBatch %v", i, j, gotErr[i][j], wantErr[i][j])
+			if gotErr[i][j] != wantErr[j] {
+				t.Fatalf("trace %d span %d: errProb %v != Predict %v", i, j, gotErr[i][j], wantErr[j])
 			}
 		}
-		want := m.Loss(m.Encode(traces[i])).Item()
+		want := m.Loss(m.Encode(tr)).Item()
 		if losses[i] != want {
 			t.Fatalf("trace %d: loss %v != Loss %v", i, losses[i], want)
 		}
-	}
-
-	sum := 0.0
-	for _, l := range losses {
-		sum += l
-	}
-	if mean := sum / float64(len(losses)); mean != m.MeanLoss(traces) {
-		t.Fatalf("mean of ScoreBatch losses %v != MeanLoss %v", mean, m.MeanLoss(traces))
 	}
 }
 
@@ -69,28 +61,6 @@ func TestScoreBatchWorkerDeterminism(t *testing.T) {
 					t.Fatalf("workers=%d trace %d span %d: prediction differs from workers=1", workers, i, j)
 				}
 			}
-		}
-	}
-}
-
-// TestParsePredictWorkers covers the SLEUTH_PREDICT_WORKERS parse rules:
-// empty, garbage and negative values mean "no override".
-func TestParsePredictWorkers(t *testing.T) {
-	cases := []struct {
-		in   string
-		want int
-	}{
-		{"", 0},
-		{"0", 0},
-		{"4", 4},
-		{"16", 16},
-		{"-3", 0},
-		{"two", 0},
-		{"4.5", 0},
-	}
-	for _, c := range cases {
-		if got := parsePredictWorkers(c.in); got != c.want {
-			t.Errorf("parsePredictWorkers(%q) = %d, want %d", c.in, got, c.want)
 		}
 	}
 }

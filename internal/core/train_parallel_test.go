@@ -77,31 +77,6 @@ func TestBatchSizeOneMatchesLegacySGD(t *testing.T) {
 	}
 }
 
-func TestPredictBatchMatchesPredict(t *testing.T) {
-	app := synth.Synthetic(16, 32)
-	traces := simTraces(t, app, 32, 12)
-	m := NewModel(smallConfig(32))
-	if _, err := m.Train(traces, TrainOptions{Epochs: 1, Seed: 3}); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		durs, errs := m.PredictBatch(traces, workers)
-		for i, tr := range traces {
-			d, e := m.Predict(tr)
-			if len(durs[i]) != tr.Len() {
-				t.Fatalf("workers=%d trace %d: %d predictions for %d spans",
-					workers, i, len(durs[i]), tr.Len())
-			}
-			for j := range d {
-				if durs[i][j] != d[j] || errs[i][j] != e[j] {
-					t.Fatalf("workers=%d trace %d span %d: batch prediction differs",
-						workers, i, j)
-				}
-			}
-		}
-	}
-}
-
 // TestGradClipSemantics: 0 selects the default (5), negative disables.
 func TestGradClipSemantics(t *testing.T) {
 	if got := (TrainOptions{}).withDefaults().GradClip; got != 5 {
@@ -152,18 +127,30 @@ func TestBatchSizeClamped(t *testing.T) {
 	}
 }
 
+// TestMeanLossParallelDeterministic: MeanLoss is Σ ScoreBatch losses / n
+// exactly, whatever the worker count, and equals the sequential per-trace
+// Loss reference summed in the same index order.
 func TestMeanLossParallelDeterministic(t *testing.T) {
 	app := synth.Synthetic(16, 35)
 	traces := simTraces(t, app, 35, 10)
 	m := NewModel(smallConfig(35))
 	m.SetNormals(traces)
 	ref := m.MeanLoss(traces)
-	// Sequential reference computed by hand in the same index order.
 	total := 0.0
 	for _, tr := range traces {
 		total += m.Loss(m.Encode(tr)).Item()
 	}
 	if want := total / float64(len(traces)); ref != want {
 		t.Fatalf("MeanLoss = %v, sequential reference = %v", ref, want)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		_, _, losses := m.ScoreBatch(traces, workers)
+		sum := 0.0
+		for _, l := range losses {
+			sum += l
+		}
+		if got := sum / float64(len(losses)); got != ref {
+			t.Fatalf("workers=%d: mean of ScoreBatch losses %v != MeanLoss %v", workers, got, ref)
+		}
 	}
 }

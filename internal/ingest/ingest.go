@@ -27,9 +27,7 @@
 package ingest
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,23 +40,22 @@ import (
 // Config sizes the pipeline. Zero values select the defaults.
 type Config struct {
 	// Workers is the number of concentrator shards, each owned by one
-	// goroutine (default GOMAXPROCS; knob SLEUTH_INGEST_WORKERS).
+	// goroutine (default GOMAXPROCS).
 	Workers int
 	// QueueSize bounds each worker's batch queue (default 256 batches).
 	// A full queue drops the batch and counts it — backpressure sheds at
 	// the door instead of stalling receivers.
 	QueueSize int
 	// SampleRate is the keep probability for healthy traces in (0,1]
-	// (default 1 = lossless; knob SLEUTH_INGEST_SAMPLE). Zero means the
-	// default; a negative rate sheds every healthy trace (tests).
+	// (default 1 = lossless). Zero means the default; a negative rate
+	// sheds every healthy trace.
 	SampleRate float64
 	// TailPercentile selects the OpSummaries percentile above which a root
-	// duration marks a latency outlier (default 99; knob
-	// SLEUTH_INGEST_TAIL_PCT).
+	// duration marks a latency outlier (default 99).
 	TailPercentile float64
 	// TraceTTL is how long a trace stays open in the concentrator after
-	// its last span arrived (default 500ms; knob SLEUTH_INGEST_TTL).
-	// Zero and below flushes after every batch (useful in tests).
+	// its last span arrived (default 500ms). Zero and below flushes after
+	// every batch (useful in tests).
 	TraceTTL time.Duration
 	// BaselineRefresh is the interval at which the sampler's latency
 	// baseline is recomputed from store.OpSummaries (default 30s; ≤ 0
@@ -69,11 +66,9 @@ type Config struct {
 	MaxOpenTraces int
 }
 
-// DefaultConfig returns the production defaults with environment knobs
-// (SLEUTH_INGEST_WORKERS, SLEUTH_INGEST_SAMPLE, SLEUTH_INGEST_TTL,
-// SLEUTH_INGEST_TAIL_PCT) applied.
+// DefaultConfig returns the production defaults.
 func DefaultConfig() Config {
-	cfg := Config{
+	return Config{
 		Workers:         runtime.GOMAXPROCS(0),
 		QueueSize:       256,
 		SampleRate:      1,
@@ -82,30 +77,6 @@ func DefaultConfig() Config {
 		BaselineRefresh: 30 * time.Second,
 		MaxOpenTraces:   1 << 17,
 	}
-	if raw := os.Getenv("SLEUTH_INGEST_WORKERS"); raw != "" {
-		if n, err := strconv.Atoi(raw); err == nil && n > 0 {
-			cfg.Workers = n
-		}
-	}
-	if raw := os.Getenv("SLEUTH_INGEST_SAMPLE"); raw != "" {
-		if f, err := strconv.ParseFloat(raw, 64); err == nil && f >= 0 {
-			if f == 0 {
-				f = -1 // explicit 0 sheds every healthy trace
-			}
-			cfg.SampleRate = f
-		}
-	}
-	if raw := os.Getenv("SLEUTH_INGEST_TTL"); raw != "" {
-		if d, err := time.ParseDuration(raw); err == nil {
-			cfg.TraceTTL = d
-		}
-	}
-	if raw := os.Getenv("SLEUTH_INGEST_TAIL_PCT"); raw != "" {
-		if f, err := strconv.ParseFloat(raw, 64); err == nil && f > 0 && f < 100 {
-			cfg.TailPercentile = f
-		}
-	}
-	return cfg
 }
 
 // withDefaults fills zero fields.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/sleuth-rca/sleuth/internal/store"
+	"github.com/sleuth-rca/sleuth/internal/testenv"
 	"github.com/sleuth-rca/sleuth/internal/trace"
 )
 
@@ -300,28 +301,12 @@ func TestRefreshBaselineFromStore(t *testing.T) {
 	}
 }
 
-func TestDefaultConfigEnvKnobs(t *testing.T) {
-	t.Setenv("SLEUTH_INGEST_WORKERS", "7")
-	t.Setenv("SLEUTH_INGEST_SAMPLE", "0.25")
-	t.Setenv("SLEUTH_INGEST_TTL", "250ms")
-	t.Setenv("SLEUTH_INGEST_TAIL_PCT", "95")
-	cfg := DefaultConfig()
-	if cfg.Workers != 7 || cfg.SampleRate != 0.25 ||
-		cfg.TraceTTL != 250*time.Millisecond || cfg.TailPercentile != 95 {
-		t.Fatalf("env knobs ignored: %+v", cfg)
-	}
-	t.Setenv("SLEUTH_INGEST_SAMPLE", "0")
-	if cfg = DefaultConfig(); cfg.SampleRate >= 0 {
-		t.Fatalf("SAMPLE=0 should shed all healthy traces, got rate %v", cfg.SampleRate)
-	}
-}
-
 // TestIngestSamplerSteadyStateAllocs gates the per-trace decision path
 // (`make alloc`): at 1M spans/sec the sampler verdict runs for every closed
 // window, and a single allocation per decision would put the GC on the
 // ingest critical path.
 func TestIngestSamplerSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("race detector instrumentation allocates")
 	}
 	s := NewSampler(0.1, 99)

@@ -3,6 +3,8 @@ package modelserver
 import (
 	"testing"
 	"time"
+
+	"github.com/sleuth-rca/sleuth/internal/testenv"
 )
 
 // TestServingSteadyStateAllocs is the steady-state-serving allocation gate:
@@ -12,7 +14,7 @@ import (
 // tape re-growth. A regression on any of those shows up as hundreds to
 // thousands of extra allocations and fails the bound at once.
 func TestServingSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("race detector instrumentation allocates")
 	}
 	_, m, query := servingFixture(t, 37, 4)

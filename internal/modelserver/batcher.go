@@ -1,8 +1,6 @@
 package modelserver
 
 import (
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,21 +11,18 @@ import (
 )
 
 // ServeConfig tunes the /score serving path. The zero value selects the
-// SLEUTH_SERVE_BATCH / SLEUTH_SERVE_WAIT / SLEUTH_PREDICT_WORKERS
-// environment knobs (with built-in defaults behind those), so embedding a
-// Server with no explicit config gets micro-batching out of the box.
+// built-in defaults, so embedding a Server with no explicit config gets
+// micro-batching out of the box.
 type ServeConfig struct {
 	// Batch is the flush threshold in traces: a shared inference call
-	// launches as soon as the pending queue holds this many. 0 = default
-	// (SLEUTH_SERVE_BATCH, else 32); values ≤ 1 disable coalescing — every
-	// request runs its own ScoreBatch.
+	// launches as soon as the pending queue holds this many. 0 = 32; at 1
+	// nothing coalesces — every queued request crosses the threshold on
+	// arrival and flushes itself.
 	Batch int
 	// Wait is the flush deadline: the oldest queued request never waits
-	// longer than this for co-batched company. 0 = default
-	// (SLEUTH_SERVE_WAIT, else 2ms).
+	// longer than this for co-batched company. 0 = 2ms.
 	Wait time.Duration
-	// Workers is passed to core's ScoreBatch per flush; 0 defers to
-	// SLEUTH_PREDICT_WORKERS, then GOMAXPROCS.
+	// Workers is passed to core's ScoreBatch per flush; 0 = GOMAXPROCS.
 	Workers int
 
 	// noSolo disables the lone-request fast path, forcing every request
@@ -41,40 +36,13 @@ const (
 	defaultServeWait  = 2 * time.Millisecond
 )
 
-// serveBatchEnv reads SLEUTH_SERVE_BATCH once; unset/garbage → default.
-var serveBatchEnv = sync.OnceValue(func() int {
-	v := os.Getenv("SLEUTH_SERVE_BATCH")
-	if v == "" {
-		return defaultServeBatch
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return defaultServeBatch
-	}
-	return n
-})
-
-// serveWaitEnv reads SLEUTH_SERVE_WAIT once (a Go duration, e.g. "500us",
-// "2ms"); unset/garbage/non-positive → default.
-var serveWaitEnv = sync.OnceValue(func() time.Duration {
-	v := os.Getenv("SLEUTH_SERVE_WAIT")
-	if v == "" {
-		return defaultServeWait
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil || d <= 0 {
-		return defaultServeWait
-	}
-	return d
-})
-
-// withDefaults resolves zero fields against the environment knobs.
+// withDefaults resolves zero fields to the built-in defaults.
 func (c ServeConfig) withDefaults() ServeConfig {
 	if c.Batch == 0 {
-		c.Batch = serveBatchEnv()
+		c.Batch = defaultServeBatch
 	}
 	if c.Wait == 0 {
-		c.Wait = serveWaitEnv()
+		c.Wait = defaultServeWait
 	}
 	return c
 }
@@ -127,10 +95,6 @@ func newBatcher(m *core.Model, cfg ServeConfig) *batcher {
 // Score runs the request's traces through the shared serving path and
 // returns their predictions and per-trace Eq. 5 losses, in input order.
 func (b *batcher) Score(traces []*trace.Trace) (durs, errs [][]float64, losses []float64) {
-	if b.cfg.Batch <= 1 {
-		obs.C("modelserver.batch.flush_disabled").Inc()
-		return b.m.ScoreBatch(traces, b.cfg.Workers)
-	}
 	n := b.inflight.Add(1)
 	defer b.inflight.Add(-1)
 	if n == 1 && !b.cfg.noSolo {

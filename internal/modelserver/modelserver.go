@@ -343,8 +343,8 @@ type Server struct {
 	// (method, path, status, duration, request ID). The request ID is
 	// echoed in the X-Request-ID response header either way.
 	AccessLog *log.Logger
-	// Serve tunes the /score micro-batcher; the zero value resolves the
-	// SLEUTH_SERVE_BATCH / SLEUTH_SERVE_WAIT environment knobs.
+	// Serve tunes the /score micro-batcher; the zero value selects the
+	// built-in defaults (32 traces, 2ms).
 	Serve ServeConfig
 	// Cluster, when non-nil, enables the streaming clustering endpoints
 	// (/cluster/add, /cluster/stats, /cluster/rebuild).
@@ -545,11 +545,9 @@ type ScoreResponse struct {
 
 // score runs batched inference with the requested model version: spans are
 // assembled into traces and pushed through the per-version micro-batcher,
-// which coalesces concurrent requests into shared single-pass ScoreBatch
-// calls (one forward per trace yields predictions AND loss — the old
-// PredictBatch-then-MeanLoss path ran the GNN twice per request). The model
-// itself comes from the registry's in-memory cache instead of a per-request
-// gob load.
+// which coalesces concurrent requests into shared ScoreBatch calls (one
+// forward per trace yields predictions AND loss). The model itself comes
+// from the registry's in-memory cache, not a per-request gob load.
 func (s *Server) score(w http.ResponseWriter, req *http.Request, name, versionStr string) {
 	start := time.Now()
 	// The score latency histogram carries the request's self-trace ID as its

@@ -194,10 +194,27 @@ func TestBatcherSizeFlush(t *testing.T) {
 	}
 }
 
-// TestScoreSinglePass is the op-count gate for the double-forward fix: one
-// /score request over n traces must run the score kernel exactly n times
-// and the predict kernel zero times (the old path ran predict n times AND
-// loss n times — two forwards per trace).
+// TestBatcherBatchOne: with Batch 1 a queued request (solo bypass off)
+// crosses the size threshold on arrival and flushes itself — it never waits
+// for the deadline.
+func TestBatcherBatchOne(t *testing.T) {
+	obs.Disable()
+	obs.Enable()
+	t.Cleanup(obs.Disable)
+	_, m, query := servingFixture(t, 18, 1)
+
+	b := newBatcher(m, ServeConfig{Batch: 1, Wait: time.Hour, noSolo: true})
+	if durs, _, _ := b.Score(query); len(durs) != 1 {
+		t.Fatalf("%d results, want 1", len(durs))
+	}
+	if n := obs.C("modelserver.batch.flush_size").Value(); n != 1 {
+		t.Fatalf("size flushes = %d, want 1", n)
+	}
+}
+
+// TestScoreSinglePass is the op-count gate for serving: one /score request
+// over n traces must run the score kernel exactly n times — one forward
+// per trace yields both the predictions and the loss.
 func TestScoreSinglePass(t *testing.T) {
 	obs.Disable()
 	obs.Enable()
@@ -209,9 +226,6 @@ func TestScoreSinglePass(t *testing.T) {
 	scoreVia(t, srv.URL, query)
 	if got := obs.C("core.score.traces").Value(); got != int64(len(query)) {
 		t.Fatalf("score kernel ran %d traces, want %d", got, len(query))
-	}
-	if got := obs.C("core.predict.traces").Value(); got != 0 {
-		t.Fatalf("predict kernel ran %d traces, want 0 (double forward is back)", got)
 	}
 }
 
@@ -310,90 +324,5 @@ func TestClusterEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("disabled cluster status = %d", resp.StatusCode)
-	}
-}
-
-// TestServeLatencySmoke is the make-verify gate for the serving rework:
-// under 8 concurrent clients the batched server's p99 must beat the
-// pre-batcher path (per-request disk model load + PredictBatch + separate
-// MeanLoss), reproduced here as a legacy handler over the same registry.
-func TestServeLatencySmoke(t *testing.T) {
-	reg, _, query := servingFixture(t, 31, 16)
-	batched := httptest.NewServer((&Server{
-		Registry: reg,
-		Serve:    ServeConfig{Batch: 16, Wait: time.Millisecond},
-	}).Handler())
-	defer batched.Close()
-
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		// The pre-PR serving path, inlined: load the gob from disk, run the
-		// GNN once for predictions and AGAIN for the loss.
-		m, _, err := reg.Latest("prod")
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		var body ScoreRequest
-		if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		traces, skipped := trace.AssembleAll(body.Spans)
-		sort.Slice(traces, func(i, j int) bool { return traces[i].TraceID < traces[j].TraceID })
-		resp := ScoreResponse{Results: make([]ScoreResult, len(traces)), Skipped: skipped}
-		durs, errs := m.PredictBatch(traces, 0)
-		for i, tr := range traces {
-			resp.Results[i] = ScoreResult{TraceID: tr.TraceID, DurScaled: durs[i], ErrProb: errs[i]}
-		}
-		resp.MeanLoss = m.MeanLoss(traces)
-		writeJSON(w, resp)
-	}))
-	defer legacy.Close()
-
-	const clients, rounds = 8, 6
-	run := func(url string) []time.Duration {
-		lat := make([]time.Duration, 0, clients*rounds)
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				slice := query[(c*2)%len(query) : (c*2)%len(query)+2]
-				var body ScoreRequest
-				for _, tr := range slice {
-					body.Spans = append(body.Spans, tr.Spans...)
-				}
-				payload, _ := json.Marshal(body)
-				for r := 0; r < rounds; r++ {
-					start := time.Now()
-					resp, err := http.Post(url+"/models/prod/latest/score", "application/json", bytes.NewReader(payload))
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					resp.Body.Close()
-					d := time.Since(start)
-					mu.Lock()
-					lat = append(lat, d)
-					mu.Unlock()
-				}
-			}(c)
-		}
-		wg.Wait()
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		return lat
-	}
-
-	// Warm both servers (connections, caches) before measuring.
-	run(batched.URL)
-	run(legacy.URL)
-	batchedLat := run(batched.URL)
-	legacyLat := run(legacy.URL)
-	p99 := func(lat []time.Duration) time.Duration { return lat[len(lat)*99/100] }
-	bp, lp := p99(batchedLat), p99(legacyLat)
-	t.Logf("p99 batched=%v legacy=%v", bp, lp)
-	if bp >= lp {
-		t.Fatalf("batched p99 %v does not beat legacy p99 %v", bp, lp)
 	}
 }

@@ -3,6 +3,8 @@ package alert
 import (
 	"testing"
 	"time"
+
+	"github.com/sleuth-rca/sleuth/internal/testenv"
 )
 
 // TestAlertSteadyStateAllocs gates the watchdog's hot paths for `make
@@ -10,7 +12,7 @@ import (
 // steady-state tick — threshold, both burn-rate modes and a frozen drift
 // rule all evaluating — allocates nothing once warm.
 func TestAlertSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 

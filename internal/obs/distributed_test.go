@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/sleuth-rca/sleuth/internal/otel"
+	"github.com/sleuth-rca/sleuth/internal/testenv"
 	"github.com/sleuth-rca/sleuth/internal/trace"
 )
 
@@ -285,7 +286,7 @@ func TestConcurrentRequestTracing(t *testing.T) {
 // bounded allocation per call (the exemplar record itself), and the
 // disabled path stays at zero.
 func TestExemplarSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	h := newHistogram("x_us")

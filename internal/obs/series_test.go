@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/sleuth-rca/sleuth/internal/testenv"
 )
 
 func TestSeriesAppendAndWrap(t *testing.T) {
@@ -242,7 +244,7 @@ func TestEnvSampleInterval(t *testing.T) {
 // telemetry hot paths: ring appends and the sampler's steady-state sweep
 // (including the runtime-gauge collector) must not allocate.
 func TestSeriesSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	s := newSeries("x", 256)

@@ -2,6 +2,8 @@ package rca
 
 import (
 	"testing"
+
+	"github.com/sleuth-rca/sleuth/internal/testenv"
 )
 
 // TestLocalizeSteadyStateAllocs is the allocation-regression guard for the
@@ -13,7 +15,7 @@ import (
 // to catch a lost cache or an accidental per-iteration re-encode, which
 // shows up as an order-of-magnitude jump, not a few extra slices.
 func TestLocalizeSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("race detector instrumentation allocates")
 	}
 	f := newFixture(t, 17)

@@ -71,10 +71,8 @@ func widePlan(app *synth.App) *chaos.Plan {
 	return chaos.NewPlan(app, faults...)
 }
 
-// BenchmarkLocalize measures one localisation query across engines and app
-// scales: "reference" is the pre-session per-call counterfactual loop,
-// "unpruned" the session engine with pruning off, "pruned" the shipped
-// default (session + candidate pruning).
+// BenchmarkLocalize measures one localisation query across app scales:
+// "unpruned" is the loop with pruning off, "pruned" the shipped default.
 func BenchmarkLocalize(b *testing.B) {
 	for _, rpcs := range []int{64, 256} {
 		f := newFixtureSized(b, 31, rpcs)
@@ -87,9 +85,6 @@ func BenchmarkLocalize(b *testing.B) {
 			name     string
 			localize func(tr *trace.Trace) []string
 		}{
-			{"reference", func(tr *trace.Trace) []string {
-				return NewLocalizer(f.model, unprunedOpts).LocalizeReference(tr, f.slo).Services
-			}},
 			{"unpruned", func(tr *trace.Trace) []string {
 				return NewLocalizer(f.model, unprunedOpts).Localize(tr, f.slo)
 			}},
@@ -109,7 +104,8 @@ func BenchmarkLocalize(b *testing.B) {
 }
 
 // BenchmarkCounterfactualSession isolates the engine cost: a 6-iteration
-// nested restoration sequence per op, session-cached vs per-call.
+// nested restoration sequence per op, one session for the sequence vs a
+// fresh session per question.
 func BenchmarkCounterfactualSession(b *testing.B) {
 	f := newFixtureSized(b, 32, 256)
 	queries := benchQueries(b, f, 2)
@@ -124,7 +120,7 @@ func BenchmarkCounterfactualSession(b *testing.B) {
 		}
 		sets = append(sets, cp)
 	}
-	b.Run("per-call", func(b *testing.B) {
+	b.Run("fresh-session-per-question", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, set := range sets {

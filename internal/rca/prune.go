@@ -2,9 +2,6 @@ package rca
 
 import (
 	"math"
-	"os"
-	"strconv"
-	"strings"
 
 	"github.com/sleuth-rca/sleuth/internal/trace"
 )
@@ -54,28 +51,6 @@ type PruneDecision struct {
 	Statistic float64
 	// Threshold is the value Statistic was compared against.
 	Threshold float64
-}
-
-// applyPruneEnv folds the SLEUTH_RCA_PRUNE environment knob into opts:
-// "off"/"0"/"false" disables pruning, "on"/"1"/"true" enables it with the
-// default threshold, and a bare number enables it with that z threshold.
-func applyPruneEnv(opts *Options) {
-	v, ok := os.LookupEnv("SLEUTH_RCA_PRUNE")
-	if !ok {
-		return
-	}
-	switch strings.ToLower(strings.TrimSpace(v)) {
-	case "0", "false", "off", "no":
-		opts.Prune = false
-		return
-	case "", "1", "true", "on", "yes":
-		opts.Prune = true
-		return
-	}
-	if z, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err == nil && z > 0 {
-		opts.Prune = true
-		opts.PruneZ = z
-	}
 }
 
 // syncReachable marks spans on an all-synchronous path from a root: a

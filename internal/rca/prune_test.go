@@ -1,7 +1,6 @@
 package rca
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -227,32 +226,6 @@ func TestRCASmokeEquivalence(t *testing.T) {
 	t.Logf("rca-smoke: %d queries, identical sets, true-root hits %d", compared, trueRootPruned)
 }
 
-// TestLocalizeReferenceMatchesUnpruned: the benchmark baseline must be a
-// faithful reproduction of the production path modulo engine — the
-// session-backed loop with pruning off predicts exactly what the per-call
-// reference loop predicts, on every query.
-func TestLocalizeReferenceMatchesUnpruned(t *testing.T) {
-	f := newFixture(t, 18)
-	opts := f.loc.Opts
-	opts.Prune = false
-	unpruned := NewLocalizer(f.model, opts)
-	svc := f.app.ServiceAtCallDepth(1)
-	name := f.app.Services[svc].Name
-	plan := slowPlan(f.app, name, 60)
-	for id := 0; id < 25; id++ {
-		sample, err := f.sim.SimulateWithTruth(id, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := sample.Result.Trace
-		got := unpruned.LocalizeDetailed(tr, f.slo)
-		want := unpruned.LocalizeReference(tr, f.slo)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trace %d: session loop %+v != reference loop %+v", id, got, want)
-		}
-	}
-}
-
 // TestLocalizeBatchDeterministicWithPruning checks batch localisation with
 // pruning on returns identical predictions for workers 1, 2 and 8.
 func TestLocalizeBatchDeterministicWithPruning(t *testing.T) {
@@ -306,27 +279,35 @@ func TestResultDoesNotMutateCallerSlice(t *testing.T) {
 	}
 }
 
-// TestPruneEnvKnob checks SLEUTH_RCA_PRUNE is honoured by DefaultOptions.
-func TestPruneEnvKnob(t *testing.T) {
+// TestNewLocalizerMergesOptions: NewLocalizer fills zero numeric fields
+// from DefaultOptions one by one and never rewrites what the caller set —
+// booleans included.
+func TestNewLocalizerMergesOptions(t *testing.T) {
+	def := DefaultOptions()
 	cases := []struct {
-		val   string
-		prune bool
-		z     float64
+		name     string
+		in, want Options
 	}{
-		{"off", false, defaultPruneZ},
-		{"0", false, defaultPruneZ},
-		{"on", true, defaultPruneZ},
-		{"1", true, defaultPruneZ},
-		{"2.5", true, 2.5},
-		{"bogus", true, defaultPruneZ},
+		{"zero value keeps booleans off", Options{},
+			Options{MaxCandidates: def.MaxCandidates, ErrThreshold: def.ErrThreshold,
+				ErrScoreWeight: def.ErrScoreWeight, PruneZ: def.PruneZ}},
+		{"explain only", Options{Explain: true},
+			Options{MaxCandidates: def.MaxCandidates, ErrThreshold: def.ErrThreshold,
+				ErrScoreWeight: def.ErrScoreWeight, PruneZ: def.PruneZ, Explain: true}},
+		{"unpruned with threshold", Options{Prune: false, ErrThreshold: 0.3},
+			Options{MaxCandidates: def.MaxCandidates, ErrThreshold: 0.3,
+				ErrScoreWeight: def.ErrScoreWeight, PruneZ: def.PruneZ}},
+		{"prune without z", Options{MaxCandidates: 3, Prune: true},
+			Options{MaxCandidates: 3, ErrThreshold: def.ErrThreshold,
+				ErrScoreWeight: def.ErrScoreWeight, Prune: true, PruneZ: def.PruneZ}},
+		{"fully specified", Options{MaxCandidates: 2, ErrThreshold: 0.7, ErrScoreWeight: 1, Prune: true, PruneZ: 2.5, Explain: true},
+			Options{MaxCandidates: 2, ErrThreshold: 0.7, ErrScoreWeight: 1, Prune: true, PruneZ: 2.5, Explain: true}},
+		{"defaults pass through", def, def},
 	}
 	for _, c := range cases {
-		t.Run(fmt.Sprintf("%s", c.val), func(t *testing.T) {
-			t.Setenv("SLEUTH_RCA_PRUNE", c.val)
-			opts := DefaultOptions()
-			if opts.Prune != c.prune || opts.PruneZ != c.z {
-				t.Fatalf("SLEUTH_RCA_PRUNE=%q: got Prune=%v PruneZ=%v, want %v/%v",
-					c.val, opts.Prune, opts.PruneZ, c.prune, c.z)
+		t.Run(c.name, func(t *testing.T) {
+			if got := NewLocalizer(nil, c.in).Opts; got != c.want {
+				t.Fatalf("NewLocalizer(%+v).Opts = %+v, want %+v", c.in, got, c.want)
 			}
 		})
 	}

@@ -55,9 +55,7 @@ type Options struct {
 	// Prune enables the adaptive candidate-pruning stage: candidates with
 	// no cheap statistical evidence (no exclusive error, no sync-reachable
 	// span PruneZ robust sigmas above its normal median) are cut before
-	// any counterfactual forward pass. The SLEUTH_RCA_PRUNE environment
-	// variable overrides the default ("off" disables, a number replaces
-	// PruneZ).
+	// any counterfactual forward pass.
 	Prune bool
 	// PruneZ is the robust exclusive-duration z-score at or above which
 	// the duration rule keeps a candidate.
@@ -76,18 +74,15 @@ type Options struct {
 // traces that only normalise once marginal candidates are restored.
 const defaultPruneZ = 1
 
-// DefaultOptions returns the shipped localiser configuration, with the
-// SLEUTH_RCA_PRUNE environment override applied.
+// DefaultOptions returns the shipped localiser configuration.
 func DefaultOptions() Options {
-	opts := Options{
+	return Options{
 		MaxCandidates:  5,
 		ErrThreshold:   0.5,
 		ErrScoreWeight: 3,
 		Prune:          true,
 		PruneZ:         defaultPruneZ,
 	}
-	applyPruneEnv(&opts)
-	return opts
 }
 
 // Localizer is Sleuth's counterfactual root-cause analyser.
@@ -96,13 +91,22 @@ type Localizer struct {
 	Opts  Options
 }
 
-// NewLocalizer wraps a trained model.
+// NewLocalizer wraps a trained model. Numeric options left at zero (or
+// below) take their DefaultOptions value one by one; the booleans are used
+// as given.
 func NewLocalizer(m *core.Model, opts Options) *Localizer {
+	def := DefaultOptions()
 	if opts.MaxCandidates <= 0 {
-		opts = DefaultOptions()
+		opts.MaxCandidates = def.MaxCandidates
 	}
-	if opts.Prune && opts.PruneZ <= 0 {
-		opts.PruneZ = defaultPruneZ
+	if opts.ErrThreshold <= 0 {
+		opts.ErrThreshold = def.ErrThreshold
+	}
+	if opts.ErrScoreWeight <= 0 {
+		opts.ErrScoreWeight = def.ErrScoreWeight
+	}
+	if opts.PruneZ <= 0 {
+		opts.PruneZ = def.PruneZ
 	}
 	return &Localizer{Model: m, Opts: opts}
 }
@@ -276,29 +280,23 @@ func (l *Localizer) LocalizeBatch(traces []*trace.Trace, sloMicros []float64, wo
 }
 
 // LocalizeDetailed runs the full §3.5 loop and returns instance mappings.
-// The wrapper records per-query telemetry series (wall-clock latency and
-// candidate-set size); the histogram in the inner loop keeps its quantiles.
+// One clock read feeds both the rca.localize_us histogram and the
+// per-query rca.localize.latency_us series.
 func (l *Localizer) LocalizeDetailed(tr *trace.Trace, sloMicros float64) Result {
-	latSeries := obs.S("rca.localize.latency_us")
-	var start time.Time
-	if latSeries != nil {
-		start = time.Now()
+	if hist := obs.H("rca.localize_us"); hist != nil {
+		latSeries := obs.S("rca.localize.latency_us")
+		start := time.Now()
+		defer func() {
+			d := time.Since(start)
+			hist.ObserveDuration(d)
+			latSeries.Append(float64(d.Microseconds()))
+		}()
 	}
-	res := l.localizeDetailed(tr, sloMicros)
-	if latSeries != nil {
-		latSeries.Append(float64(time.Since(start).Microseconds()))
-	}
-	return res
-}
-
-func (l *Localizer) localizeDetailed(tr *trace.Trace, sloMicros float64) Result {
-	timer := obs.H("rca.localize_us").Start()
 	obs.C("rca.localizations").Inc()
 	cfCtr := obs.C("rca.counterfactuals")
 	cands := l.Candidates(tr)
 	obs.S("rca.localize.candidates").Append(float64(len(cands)))
 	if len(cands) == 0 {
-		timer.Stop()
 		return Result{}
 	}
 	// Pruning stage: cut candidates no cheap statistic can implicate
@@ -347,7 +345,6 @@ func (l *Localizer) localizeDetailed(tr *trace.Trace, sloMicros float64) Result 
 		cfCtr.Inc()
 		if cf.RootDurationMicros <= sloMicros && cf.RootErrorProb < l.Opts.ErrThreshold {
 			obs.C("rca.normalized").Inc()
-			timer.Stop()
 			return finish(l.result(tr, used, true, cf.RootDurationMicros))
 		}
 	}
@@ -356,41 +353,7 @@ func (l *Localizer) localizeDetailed(tr *trace.Trace, sloMicros float64) Result 
 	// would only cost precision.
 	cf := sess.Counterfactual(spanSet(cands[0].spans))
 	cfCtr.Inc()
-	timer.Stop()
 	return finish(l.result(tr, []string{cands[0].service}, false, cf.RootDurationMicros))
-}
-
-// LocalizeReference runs the pre-session, unpruned localisation loop: one
-// full per-call Model.Counterfactual per restoration step — re-encoding
-// the trace, rebuilding feature copies and re-sorting the depth order
-// every iteration — with no pruning stage. It is the measurement baseline
-// for `benchrunner -exp rca` and BenchmarkLocalize, and a behavioural
-// reference: its predictions are identical to Localize with pruning off
-// (the session engine is bit-equivalent to the per-call path). It records
-// no telemetry.
-func (l *Localizer) LocalizeReference(tr *trace.Trace, sloMicros float64) Result {
-	cands := l.Candidates(tr)
-	if len(cands) == 0 {
-		return Result{}
-	}
-	max := l.Opts.MaxCandidates
-	if max > len(cands) {
-		max = len(cands)
-	}
-	restored := make(map[int]bool)
-	var used []string
-	for k := 0; k < max; k++ {
-		for _, si := range cands[k].spans {
-			restored[si] = true
-		}
-		used = append(used, cands[k].service)
-		cf := l.Model.Counterfactual(tr, restored)
-		if cf.RootDurationMicros <= sloMicros && cf.RootErrorProb < l.Opts.ErrThreshold {
-			return l.result(tr, used, true, cf.RootDurationMicros)
-		}
-	}
-	cf := l.Model.Counterfactual(tr, spanSet(cands[0].spans))
-	return l.result(tr, []string{cands[0].service}, false, cf.RootDurationMicros)
 }
 
 func spanSet(idx []int) map[int]bool {

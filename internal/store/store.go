@@ -5,8 +5,7 @@
 // operators — exclusive durations, medians, percentiles), and JSONL
 // persistence.
 //
-// The store is sharded by trace-ID hash (default GOMAXPROCS shards,
-// SLEUTH_STORE_SHARDS overrides): writers touching different traces lock
+// The store is sharded by trace-ID hash (default GOMAXPROCS shards): writers touching different traces lock
 // different shards, predicate scans run one goroutine per shard, and a
 // Limit query stops each shard's scan as soon as it has enough matches —
 // the abnormal-trace fetch stays flat as the corpus grows instead of
@@ -22,7 +21,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 
 	"github.com/sleuth-rca/sleuth/internal/stats"
@@ -56,16 +54,8 @@ type Store struct {
 	shards []*shard
 }
 
-// DefaultShards returns the shard count used by New: SLEUTH_STORE_SHARDS
-// when set to a positive integer, GOMAXPROCS otherwise.
-func DefaultShards() int {
-	if raw := os.Getenv("SLEUTH_STORE_SHARDS"); raw != "" {
-		if n, err := strconv.Atoi(raw); err == nil && n > 0 {
-			return n
-		}
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// DefaultShards returns the shard count used by New: GOMAXPROCS.
+func DefaultShards() int { return runtime.GOMAXPROCS(0) }
 
 // New creates an empty Store with DefaultShards shards.
 func New() *Store { return NewSharded(DefaultShards()) }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/sleuth-rca/sleuth/internal/testenv"
 	"github.com/sleuth-rca/sleuth/internal/xrand"
 )
 
@@ -172,7 +173,7 @@ func TestArenaReusesOversizedBuffers(t *testing.T) {
 // TestArenaSteadyStateAllocs asserts the headline property: after warm-up a
 // forward+backward+Reset cycle allocates nothing from the heap.
 func TestArenaSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("race detector instrumentation allocates")
 	}
 	rng := xrand.New(16)
