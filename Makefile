@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt verify bench bench-go alloc obs-overhead propagation-smoke alert-smoke rca-smoke bench-smoke
+.PHONY: build test race vet fmt verify bench bench-go alloc obs-overhead propagation-smoke alert-smoke rca-smoke bench-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -31,10 +31,11 @@ fmt:
 # p99 regression must fire the stock burn-rate rule, link a resolvable
 # exemplar trace and resolve after recovery), the rca-smoke gate (the
 # default-on candidate pruning must predict root-cause sets identical to
-# the unpruned loop on the fixed seed suite), and bench-smoke (the
-# benchmark module's own tests). Latency itself is gated by the benchmark
-# (`bash benchmark/run.sh`), not here.
-verify: fmt vet build race alloc obs-overhead propagation-smoke alert-smoke rca-smoke bench-smoke
+# the unpruned loop on the fixed seed suite), bench-smoke (the
+# benchmark module's own tests), and fuzz-smoke (five seconds of each span
+# decoder against its reflection oracle). Latency itself is gated by the
+# benchmark (`bash benchmark/run.sh`), not here.
+verify: fmt vet build race alloc obs-overhead propagation-smoke alert-smoke rca-smoke bench-smoke fuzz-smoke
 
 # alloc runs the allocation-regression guards without the race detector:
 # the steady-state training step must allocate (essentially) nothing, the
@@ -44,19 +45,22 @@ verify: fmt vet build race alloc obs-overhead propagation-smoke alert-smoke rca-
 # sampler's per-trace verdict must allocate nothing, a warm serving
 # request through the batcher must cost only the score kernel's per-trace
 # constants, the watchdog tick — disabled AND enabled steady state —
-# must allocate nothing, and a warm localisation query must stay inside
+# must allocate nothing, a warm localisation query must stay inside
 # its per-query budget (a lost session cache re-encodes per counterfactual
-# and blows through it). These tests auto-skip under -race, so `make race`
-# alone would never exercise them.
+# and blows through it), the span decoders must stay at ≤ 4 allocations
+# per span on every dialect, and a warm collector POST with obs disabled
+# must cost that plus a constant. These tests auto-skip under -race, so
+# `make race` alone would never exercise them.
 alloc:
-	$(GO) test -run 'SteadyStateAllocs' -count=1 ./internal/tensor ./internal/core ./internal/obs ./internal/obs/alert ./internal/cluster ./internal/ingest ./internal/modelserver ./internal/rca
+	$(GO) test -run 'SteadyStateAllocs' -count=1 ./internal/tensor ./internal/core ./internal/obs ./internal/obs/alert ./internal/cluster ./internal/ingest ./internal/modelserver ./internal/rca ./internal/otel ./internal/collector
 
 # bench regenerates every table and figure of the paper's evaluation.
 bench:
 	$(GO) run ./cmd/benchrunner -exp all
 
 # bench-go runs the in-tree Go micro/macro benchmarks (training scaling,
-# inference batching, localisation, obs overhead); they take -cpuprofile.
+# inference batching, localisation, span decoding, obs overhead); they take
+# -cpuprofile.
 # Stage- and incident-level numbers come from `bash benchmark/run.sh`.
 bench-go:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
@@ -91,3 +95,11 @@ rca-smoke:
 # variable set.
 bench-smoke:
 	$(GO) -C benchmark test -count=1 .
+
+# fuzz-smoke runs each span decoder's fuzz target for five seconds from the
+# committed corpus (internal/otel/testdata/fuzz): no panic, an error iff the
+# encoding/json oracle errors, equal spans otherwise. A failing input is
+# written under testdata/fuzz; commit it with the fix.
+fuzz-smoke:
+	@for target in FuzzDecodeOTLP FuzzDecodeZipkin FuzzDecodeJaeger FuzzDecodeSpans; do \
+		$(GO) test -run=^$$ -fuzz="^$$target$$" -fuzztime=5s ./internal/otel || exit 1; done

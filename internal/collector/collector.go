@@ -17,12 +17,13 @@
 package collector
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
+	"strconv"
 
 	"github.com/sleuth-rca/sleuth/internal/ingest"
 	"github.com/sleuth-rca/sleuth/internal/obs"
@@ -128,6 +129,7 @@ func (c *Collector) Handler() http.Handler {
 func (c *Collector) ingest(proto string, decode func([]byte) ([]*trace.Span, error)) http.HandlerFunc {
 	protoDecodeErrors := "collector.decode_errors." + proto
 	protoSpansAccepted := "collector.spans_accepted." + proto
+	decodeStage := "decode." + proto
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -137,7 +139,7 @@ func (c *Collector) ingest(proto string, decode func([]byte) ([]*trace.Span, err
 		// MaxBytesReader errors out past the limit instead of silently
 		// truncating the payload mid-span (which would surface as a
 		// nonsensical decode error and miscount the client's data).
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.MaxBodyBytes))
+		body, err := readBody(w, r, c.MaxBodyBytes)
 		if err != nil {
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
@@ -151,11 +153,15 @@ func (c *Collector) ingest(proto string, decode func([]byte) ([]*trace.Span, err
 			http.Error(w, "read error", http.StatusBadRequest)
 			return
 		}
-		dsp := obs.SpanFrom(r.Context()).Child("decode." + proto)
+		// The self-trace spans are nil with obs disabled; their annotations
+		// are formatted only when there is a span to carry them.
+		dsp := obs.SpanFrom(r.Context()).Child(decodeStage)
 		dt := obs.H("ingest.decode_us").Start()
 		spans, err := decode(body)
 		dt.Stop()
-		dsp.Annotate("http.body_bytes", fmt.Sprint(len(body)))
+		if dsp != nil {
+			dsp.Annotate("http.body_bytes", strconv.Itoa(len(body)))
+		}
 		dsp.End()
 		if err != nil {
 			dsp.SetError(true)
@@ -172,7 +178,9 @@ func (c *Collector) ingest(proto string, decode func([]byte) ([]*trace.Span, err
 		}
 		ssp := obs.SpanFrom(r.Context()).Child("pipeline.submit")
 		accepted, rejected, dropped := c.Ingest.Submit(spans)
-		ssp.Annotate("spans.accepted", fmt.Sprint(accepted))
+		if ssp != nil {
+			ssp.Annotate("spans.accepted", strconv.Itoa(accepted))
+		}
 		ssp.End()
 		obs.C("collector.spans_accepted").Add(int64(accepted))
 		obs.C(protoSpansAccepted).Add(int64(accepted))
@@ -187,4 +195,15 @@ func (c *Collector) ingest(proto string, decode func([]byte) ([]*trace.Span, err
 		}
 		fmt.Fprintf(w, `{"accepted":%d,"rejected":%d,"dropped":%d}`+"\n", accepted, rejected, dropped)
 	}
+}
+
+// readBody reads a request body of at most limit bytes (past it the error
+// is an *http.MaxBytesError) into one buffer sized from Content-Length. The
+// header is a hint, absent on a chunked body and free for a client to
+// inflate, so it reserves at most 1 MiB; a larger body grows the buffer.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	size := max(0, min(r.ContentLength, limit, 1<<20))
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return buf.Bytes(), err
 }

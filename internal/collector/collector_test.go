@@ -16,6 +16,7 @@ import (
 	"github.com/sleuth-rca/sleuth/internal/sim"
 	"github.com/sleuth-rca/sleuth/internal/store"
 	"github.com/sleuth-rca/sleuth/internal/synth"
+	"github.com/sleuth-rca/sleuth/internal/testenv"
 	"github.com/sleuth-rca/sleuth/internal/trace"
 )
 
@@ -343,5 +344,46 @@ func TestBackpressureDropsCounted(t *testing.T) {
 	col.Ingest.Flush()
 	if st.SpanCount() == 0 {
 		t.Fatal("first payload never drained into the store")
+	}
+}
+
+// TestIngestHandlerSteadyStateAllocs is the receiver's allocation gate
+// (`make alloc`): with obs disabled, a warm OTLP POST through Handler() costs
+// the decoder's per-span allocations (≤ 4, gated in internal/otel) plus a
+// constant for the recorder, the body buffer, the pipeline hand-off and the
+// response — no self-trace names or annotations formatted for a span that
+// does not exist, no body re-grown chunk by chunk.
+func TestIngestHandlerSteadyStateAllocs(t *testing.T) {
+	if testenv.Race {
+		t.Skip("race detector instrumentation allocates")
+	}
+	obs.Disable()
+	cfg := ingest.DefaultConfig()
+	cfg.SampleRate, cfg.TraceTTL = -1, 0 // shed and flush per batch: nothing accumulates
+	col := NewWithPipeline(nil, ingest.NewPipeline(nil, cfg))
+	t.Cleanup(col.Close)
+	h := col.Handler()
+	spans := sampleSpans(t)
+	body, err := otel.EncodeOTLP(spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/traces", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		col.Ingest.Flush()
+	}
+	for i := 0; i < 3; i++ {
+		post()
+	}
+	// Measured: 85 for the 7 spans, ~60 of them the recorder, the request and
+	// the access-log middleware; the reflection decoder alone took it to 173.
+	budget := float64(4*len(spans) + 80)
+	if avg := testing.AllocsPerRun(50, post); avg > budget {
+		t.Fatalf("warm OTLP POST of %d spans allocates %.1f times, want <= %.0f", len(spans), avg, budget)
 	}
 }

@@ -1,8 +1,6 @@
 package modelserver
 
 import (
-	"encoding/json"
-	"errors"
 	"net/http"
 	"sort"
 	"sync"
@@ -91,22 +89,11 @@ func (s *Server) handleCluster(w http.ResponseWriter, req *http.Request) {
 func (s *Server) clusterAdd(w http.ResponseWriter, req *http.Request) {
 	timer := obs.H("modelserver.cluster.add_us").Start()
 	defer timer.Stop()
-	var body ScoreRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, 256<<20)).Decode(&body); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			obs.C("modelserver.body_too_large").Inc()
-			http.Error(w, "cluster request exceeds size limit", http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "bad cluster request: "+err.Error(), http.StatusBadRequest)
+	spans, ok := readSpans(w, req, "cluster")
+	if !ok {
 		return
 	}
-	if len(body.Spans) == 0 {
-		http.Error(w, "no spans", http.StatusBadRequest)
-		return
-	}
-	traces, skipped := trace.AssembleAll(body.Spans)
+	traces, skipped := trace.AssembleAll(spans)
 	sort.Slice(traces, func(i, j int) bool { return traces[i].TraceID < traces[j].TraceID })
 	resp := ClusterAddResponse{Results: make([]ClusterAddResult, len(traces)), Skipped: skipped}
 	for i, tr := range traces {

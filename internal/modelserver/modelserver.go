@@ -8,6 +8,7 @@
 package modelserver
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,6 +25,7 @@ import (
 
 	"github.com/sleuth-rca/sleuth/internal/core"
 	"github.com/sleuth-rca/sleuth/internal/obs"
+	"github.com/sleuth-rca/sleuth/internal/otel"
 	"github.com/sleuth-rca/sleuth/internal/trace"
 )
 
@@ -583,26 +585,15 @@ func (s *Server) score(w http.ResponseWriter, req *http.Request, name, versionSt
 		http.Error(w, err.Error(), status)
 		return
 	}
-	var body ScoreRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, 256<<20)).Decode(&body); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			obs.C("modelserver.body_too_large").Inc()
-			http.Error(w, "score request exceeds size limit", http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "bad score request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(body.Spans) == 0 {
-		http.Error(w, "no spans", http.StatusBadRequest)
+	spans, ok := readSpans(w, req, "score")
+	if !ok {
 		return
 	}
 	asp := reqSpan.Child("trace.assemble")
-	traces, skipped := trace.AssembleAll(body.Spans)
+	traces, skipped := trace.AssembleAll(spans)
 	asp.Annotate("traces", strconv.Itoa(len(traces)))
 	asp.End()
-	obs.C("modelserver.score.spans").Add(int64(len(body.Spans)))
+	obs.C("modelserver.score.spans").Add(int64(len(spans)))
 	obs.C("modelserver.score.traces").Add(int64(len(traces)))
 	obs.C("modelserver.score.skipped").Add(int64(skipped))
 	sort.Slice(traces, func(i, j int) bool { return traces[i].TraceID < traces[j].TraceID })
@@ -629,6 +620,33 @@ func (s *Server) score(w http.ResponseWriter, req *http.Request, name, versionSt
 		obs.S("modelserver.score.mean_loss").Append(resp.MeanLoss)
 	}
 	writeJSON(w, resp)
+}
+
+// readSpans reads and decodes the {"spans":[…]} body (a ScoreRequest) that
+// /score and /cluster/add share, into one buffer sized from Content-Length —
+// a hint a client can inflate, so it reserves at most 1 MiB. When it reports
+// false it has written the error response.
+func readSpans(w http.ResponseWriter, req *http.Request, what string) ([]*trace.Span, bool) {
+	size := max(0, min(req.ContentLength, 1<<20))
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, req.Body, 256<<20))
+	var spans []*trace.Span
+	if err == nil {
+		spans, err = otel.DecodeSpans(buf.Bytes())
+	}
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		obs.C("modelserver.body_too_large").Inc()
+		http.Error(w, what+" request exceeds size limit", http.StatusRequestEntityTooLarge)
+	case err != nil:
+		http.Error(w, "bad "+what+" request: "+err.Error(), http.StatusBadRequest)
+	case len(spans) == 0:
+		http.Error(w, "no spans", http.StatusBadRequest)
+	default:
+		return spans, true
+	}
+	return nil, false
 }
 
 func (s *Server) retire(w http.ResponseWriter, name, versionStr string) {

@@ -2,7 +2,33 @@
 // the three trace protocols the paper's collectors accept (§4): an
 // OpenTelemetry-style (OTLP/JSON) format, a Zipkin-style JSON array, and a
 // Jaeger-style JSON document. The collector multiplexes these into the
-// storage engine.
+// storage engine; the model server reads the canonical {"spans":[…]} body
+// of /score and /cluster/add through the fourth decoder, DecodeSpans.
+//
+// The encoders marshal mirror structs with encoding/json. The decoders do
+// not: each is a field-mapping walk over one strict single-pass scanner
+// (scan.go) that builds *trace.Span directly and shares the strings a
+// payload repeats (trace ID, service, operation, pod, node, attribute keys
+// and values) through a table that lives for one call. They accept and
+// reject what json.Unmarshal into those mirror structs does, with the same
+// result: unknown fields are validated and skipped, a repeated key's last
+// value wins, null leaves a field as it was, keys match a field exactly or
+// else case-insensitively, strings are unescaped in full with U+FFFD for an
+// unpaired surrogate or an invalid UTF-8 byte, nesting deeper than 10000
+// is an error, and a value of the wrong JSON type, a number that does not
+// fit its integer field, malformed JSON or bytes after the top-level value
+// reject the whole payload. The reflection decoders live on in the tests
+// as the oracle the fuzz targets compare against. Three deliberate
+// divergences, each excluded by name in checkAgainstOracle:
+//
+//   - A key repeated within one object with an array, an object or a null
+//     among its values. encoding/json decodes the repeat into what the
+//     first left behind (array elements merge index by index, a null
+//     empties the field); here each occurrence is one more run of elements
+//     or fields. No encoder emits such a document.
+//   - DecodeSpans rejects a null in place of a span. encoding/json yields a
+//     nil *trace.Span, which the server would go on to dereference.
+//   - A payload without spans decodes to a nil slice, never an empty one.
 package otel
 
 import (
@@ -157,57 +183,125 @@ func EncodeOTLP(spans []*trace.Span) ([]byte, error) {
 
 // DecodeOTLP parses an OTLP-style JSON document into canonical spans.
 func DecodeOTLP(data []byte) ([]*trace.Span, error) {
-	var doc otlpDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
+	s := scanner{data: data}
+	var out []*trace.Span
+	for s.open('{'); s.only("resourceSpans"); {
+		for s.open('['); s.more(']'); {
+			out = s.otlpResourceSpans(out)
+		}
+	}
+	if err := s.end(); err != nil {
 		return nil, fmt.Errorf("otel: parsing OTLP document: %w", err)
 	}
-	var out []*trace.Span
-	for _, rs := range doc.ResourceSpans {
-		service := ""
-		for _, kv := range rs.Resource.Attributes {
-			if kv.Key == "service.name" {
-				service = kv.Value.StringValue
-			}
-		}
-		for _, ss := range rs.ScopeSpans {
-			for _, o := range ss.Spans {
-				startNano, err := strconv.ParseInt(o.StartTimeUnixNano, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("otel: bad start time %q: %w", o.StartTimeUnixNano, err)
-				}
-				endNano, err := strconv.ParseInt(o.EndTimeUnixNano, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("otel: bad end time %q: %w", o.EndTimeUnixNano, err)
-				}
-				sp := &trace.Span{
-					TraceID:  o.TraceID,
-					SpanID:   o.SpanID,
-					ParentID: o.ParentSpanID,
-					Service:  service,
-					Name:     o.Name,
-					Kind:     kindFromOTLP(o.Kind),
-					Start:    startNano / 1000,
-					End:      endNano / 1000,
-					Error:    o.Status.Code == 2,
-				}
-				for _, kv := range o.Attributes {
-					switch kv.Key {
-					case "k8s.pod.name":
-						sp.Pod = kv.Value.StringValue
-					case "k8s.node.name":
-						sp.Node = kv.Value.StringValue
-					default:
-						if sp.Attrs == nil {
-							sp.Attrs = map[string]string{}
-						}
-						sp.Attrs[kv.Key] = kv.Value.StringValue
+	return out, nil
+}
+
+// otlpResourceSpans appends the spans of one resourceSpans block. The
+// resource may follow the spans it names, so the service is set at the end.
+func (s *scanner) otlpResourceSpans(out []*trace.Span) []*trace.Span {
+	mark, service := len(out), ""
+	for s.open('{'); s.more('}'); {
+		switch s.key("resource", "scopeSpans") {
+		case "resource":
+			for s.open('{'); s.only("attributes"); {
+				for s.open('['); s.more(']'); {
+					if k, v := s.otlpKV(); k == "service.name" {
+						service = v
 					}
 				}
-				out = append(out, sp)
 			}
+		case "scopeSpans":
+			for s.open('['); s.more(']'); {
+				for s.open('{'); s.only("spans"); {
+					for s.open('['); s.more(']'); {
+						out = append(out, s.otlpSpan())
+					}
+				}
+			}
+		default:
+			s.skip()
 		}
 	}
-	return out, nil
+	for _, sp := range out[mark:] {
+		sp.Service = service
+	}
+	return out
+}
+
+func (s *scanner) otlpSpan() *trace.Span {
+	sp := &trace.Span{}
+	var kind, code int64
+	var hasStart, hasEnd bool
+	for s.open('{'); s.more('}'); {
+		switch s.key("traceId", "spanId", "parentSpanId", "name", "kind",
+			"startTimeUnixNano", "endTimeUnixNano", "status", "attributes") {
+		case "traceId":
+			s.internTo(&sp.TraceID)
+		case "spanId":
+			s.strTo(&sp.SpanID)
+		case "parentSpanId":
+			s.strTo(&sp.ParentID)
+		case "name":
+			s.internTo(&sp.Name)
+		case "kind":
+			s.intTo(&kind)
+		case "startTimeUnixNano":
+			s.nanosTo(&sp.Start, &hasStart)
+		case "endTimeUnixNano":
+			s.nanosTo(&sp.End, &hasEnd)
+		case "status":
+			for s.open('{'); s.only("code"); {
+				s.intTo(&code)
+			}
+		case "attributes":
+			for s.open('['); s.more(']'); {
+				switch k, v := s.otlpKV(); k {
+				case "k8s.pod.name":
+					sp.Pod = v
+				case "k8s.node.name":
+					sp.Node = v
+				default:
+					if sp.Attrs == nil {
+						sp.Attrs = map[string]string{}
+					}
+					sp.Attrs[k] = v
+				}
+			}
+		default:
+			s.skip()
+		}
+	}
+	if !hasStart || !hasEnd {
+		s.fail("span without a decimal start and end time")
+	}
+	sp.Kind, sp.Error = kindFromOTLP(int(kind)), code == 2
+	return sp
+}
+
+// nanosTo reads a decimal string of nanoseconds into microseconds; ok tells
+// whether the last such string seen parsed, so a repeated key can mend it.
+func (s *scanner) nanosTo(us *int64, ok *bool) {
+	if b, isStr := s.text(); isStr {
+		ns, err := strconv.ParseInt(string(b), 10, 64)
+		*us, *ok = ns/1000, err == nil
+	}
+}
+
+// otlpKV reads one {"key":…,"value":{"stringValue":…}} attribute.
+func (s *scanner) otlpKV() (k, v string) {
+	for s.open('{'); s.more('}'); {
+		switch s.key("key", "value") {
+		case "key":
+			s.internTo(&k)
+		case "value":
+			for s.open('{'); s.only("stringValue"); {
+				s.internTo(&v)
+			}
+		default:
+			s.skip()
+		}
+	}
+	return k, v
 }
 
 // --- Zipkin-style representation -----------------------------------------
@@ -292,25 +386,59 @@ func EncodeZipkin(spans []*trace.Span) ([]byte, error) {
 
 // DecodeZipkin parses a Zipkin-style JSON array.
 func DecodeZipkin(data []byte) ([]*trace.Span, error) {
-	var zs []zipkinSpan
-	if err := json.Unmarshal(data, &zs); err != nil {
-		return nil, fmt.Errorf("otel: parsing Zipkin array: %w", err)
+	s := scanner{data: data}
+	var out []*trace.Span
+	for s.open('['); s.more(']'); {
+		sp := &trace.Span{}
+		var kind string
+		var duration int64
+		for s.open('{'); s.more('}'); {
+			switch s.key("traceId", "id", "parentId", "name", "kind", "timestamp", "duration", "localEndpoint", "tags") {
+			case "traceId":
+				s.internTo(&sp.TraceID)
+			case "id":
+				s.strTo(&sp.SpanID)
+			case "parentId":
+				s.strTo(&sp.ParentID)
+			case "name":
+				s.internTo(&sp.Name)
+			case "kind":
+				s.internTo(&kind)
+			case "timestamp":
+				s.intTo(&sp.Start)
+			case "duration":
+				s.intTo(&duration)
+			case "localEndpoint":
+				for s.open('{'); s.only("serviceName"); {
+					s.internTo(&sp.Service)
+				}
+			case "tags":
+				// A map, not a struct: keys match exactly and a null value
+				// stores "".
+				for s.open('{'); s.more('}'); {
+					switch string(s.rawKey()) {
+					case "error":
+						v, _ := s.text()
+						sp.Error = string(v) == "true"
+					case "pod":
+						sp.Pod = ""
+						s.internTo(&sp.Pod)
+					case "node":
+						sp.Node = ""
+						s.internTo(&sp.Node)
+					default:
+						s.text()
+					}
+				}
+			default:
+				s.skip()
+			}
+		}
+		sp.Kind, sp.End = kindFromZipkin(kind), sp.Start+duration
+		out = append(out, sp)
 	}
-	out := make([]*trace.Span, 0, len(zs))
-	for _, z := range zs {
-		out = append(out, &trace.Span{
-			TraceID:  z.TraceID,
-			SpanID:   z.ID,
-			ParentID: z.ParentID,
-			Service:  z.LocalEndpoint.ServiceName,
-			Name:     z.Name,
-			Kind:     kindFromZipkin(z.Kind),
-			Start:    z.Timestamp,
-			End:      z.Timestamp + z.Duration,
-			Error:    z.Tags["error"] == "true",
-			Pod:      z.Tags["pod"],
-			Node:     z.Tags["node"],
-		})
+	if err := s.end(); err != nil {
+		return nil, fmt.Errorf("otel: parsing Zipkin array: %w", err)
 	}
 	return out, nil
 }
@@ -354,11 +482,18 @@ type jaegerProcess struct {
 	ServiceName string `json:"serviceName"`
 }
 
-// EncodeJaeger renders spans grouped by trace as a Jaeger-style document.
+// EncodeJaeger renders spans grouped by trace as a Jaeger-style document,
+// the traces in the order their first spans appear.
 func EncodeJaeger(spans []*trace.Span) ([]byte, error) {
 	groups := trace.GroupByTraceID(spans)
 	var doc jaegerDoc
-	for tid, group := range groups {
+	for _, first := range spans {
+		tid := first.TraceID
+		group, ok := groups[tid]
+		if !ok {
+			continue
+		}
+		delete(groups, tid)
 		jt := jaegerTrace{TraceID: tid, Processes: map[string]jaegerProcess{}}
 		procOf := map[string]string{}
 		for _, s := range group {
@@ -400,52 +535,197 @@ func EncodeJaeger(spans []*trace.Span) ([]byte, error) {
 
 // DecodeJaeger parses a Jaeger-style document.
 func DecodeJaeger(data []byte) ([]*trace.Span, error) {
-	var doc jaegerDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("otel: parsing Jaeger document: %w", err)
-	}
+	s := scanner{data: data}
 	var out []*trace.Span
-	for _, jt := range doc.Data {
-		for _, js := range jt.Spans {
-			sp := &trace.Span{
-				TraceID: js.TraceID,
-				SpanID:  js.SpanID,
-				Name:    js.OperationName,
-				Kind:    trace.KindInternal,
-				Start:   js.StartTime,
-				End:     js.StartTime + js.Duration,
-				Service: jt.Processes[js.ProcessID].ServiceName,
-			}
-			for _, ref := range js.References {
-				if ref.RefType == "CHILD_OF" {
-					sp.ParentID = ref.SpanID
+	procs := map[string]string{} // process ID → service of the trace being read
+	for s.open('{'); s.only("data"); {
+		for s.open('['); s.more(']'); {
+			mark := len(out)
+			clear(procs)
+			for s.open('{'); s.more('}'); {
+				switch s.key("traceID", "spans", "processes") {
+				case "traceID":
+					s.text()
+				case "spans":
+					for s.open('['); s.more(']'); {
+						out = append(out, s.jaegerSpan())
+					}
+				case "processes":
+					for s.open('{'); s.more('}'); {
+						pid, service := s.intern(s.rawKey()), ""
+						for s.open('{'); s.only("serviceName"); {
+							s.internTo(&service)
+						}
+						procs[pid] = service
+					}
+				default:
+					s.skip()
 				}
 			}
-			for _, tag := range js.Tags {
-				switch tag.Key {
-				case "span.kind":
-					if s, ok := tag.Value.(string); ok {
-						k := trace.Kind(s)
-						if k.Valid() {
-							sp.Kind = k
-						}
+			// processes may follow spans: jaegerSpan left the process ID in
+			// Service for this lookup.
+			for _, sp := range out[mark:] {
+				sp.Service = procs[sp.Service]
+			}
+		}
+	}
+	if err := s.end(); err != nil {
+		return nil, fmt.Errorf("otel: parsing Jaeger document: %w", err)
+	}
+	return out, nil
+}
+
+// jaegerSpan reads one span, leaving its process ID in Service.
+func (s *scanner) jaegerSpan() *trace.Span {
+	sp := &trace.Span{Kind: trace.KindInternal}
+	var duration int64
+	for s.open('{'); s.more('}'); {
+		switch s.key("traceID", "spanID", "operationName", "references", "startTime", "duration", "tags", "processID") {
+		case "traceID":
+			s.internTo(&sp.TraceID)
+		case "spanID":
+			s.strTo(&sp.SpanID)
+		case "operationName":
+			s.internTo(&sp.Name)
+		case "references":
+			for s.open('['); s.more(']'); {
+				var refType, spanID string
+				for s.open('{'); s.more('}'); {
+					switch s.key("refType", "traceID", "spanID") {
+					case "refType":
+						s.internTo(&refType)
+					case "traceID":
+						s.text()
+					case "spanID":
+						s.strTo(&spanID)
+					default:
+						s.skip()
 					}
+				}
+				if refType == "CHILD_OF" {
+					sp.ParentID = spanID
+				}
+			}
+		case "startTime":
+			s.intTo(&sp.Start)
+		case "duration":
+			s.intTo(&duration)
+		case "tags":
+			for s.open('['); s.more(']'); {
+				s.jaegerTag(sp)
+			}
+		case "processID":
+			s.internTo(&sp.Service)
+		default:
+			s.skip()
+		}
+	}
+	sp.End = sp.Start + duration
+	return sp
+}
+
+// jaegerTag applies one {"key":…,"type":…,"value":…} tag to sp. The value
+// is untyped: only a string or a bool is ever used, anything else is just
+// validated.
+func (s *scanner) jaegerTag(sp *trace.Span) {
+	var key, str string
+	var isStr, isTrue bool
+	for s.open('{'); s.more('}'); {
+		switch s.key("key", "type", "value") {
+		case "key":
+			s.internTo(&key)
+		case "type":
+			s.text()
+		case "value":
+			s.ws()
+			isStr, isTrue = s.peek() == '"', false
+			switch {
+			case isStr:
+				s.internTo(&str)
+			case s.peek() == 't':
+				s.boolTo(&isTrue)
+			default:
+				s.floats = true
+				s.skip()
+				s.floats = false
+			}
+		default:
+			s.skip()
+		}
+	}
+	switch {
+	case key == "error" && isTrue:
+		sp.Error = true
+	case !isStr: // the other tags count only as strings
+	case key == "span.kind" && trace.Kind(str).Valid():
+		sp.Kind = trace.Kind(str)
+	case key == "pod":
+		sp.Pod = str
+	case key == "node":
+		sp.Node = str
+	}
+}
+
+// --- Canonical representation --------------------------------------------
+
+// DecodeSpans parses the canonical {"spans":[…]} body of the model server's
+// /score and /cluster/add: trace.Span in its own JSON form.
+func DecodeSpans(data []byte) ([]*trace.Span, error) {
+	s := scanner{data: data}
+	var out []*trace.Span
+	for s.open('{'); s.only("spans"); {
+		for s.open('['); s.more(']'); {
+			if s.null() {
+				s.fail("null in place of a span")
+			}
+			sp := &trace.Span{}
+			for s.open('{'); s.more('}'); {
+				switch s.key("traceId", "spanId", "parentSpanId", "service", "name", "kind",
+					"start", "end", "error", "pod", "node", "attrs") {
+				case "traceId":
+					s.internTo(&sp.TraceID)
+				case "spanId":
+					s.strTo(&sp.SpanID)
+				case "parentSpanId":
+					s.strTo(&sp.ParentID)
+				case "service":
+					s.internTo(&sp.Service)
+				case "name":
+					s.internTo(&sp.Name)
+				case "kind":
+					s.internTo((*string)(&sp.Kind))
+				case "start":
+					s.intTo(&sp.Start)
+				case "end":
+					s.intTo(&sp.End)
 				case "error":
-					if b, ok := tag.Value.(bool); ok && b {
-						sp.Error = true
-					}
+					s.boolTo(&sp.Error)
 				case "pod":
-					if s, ok := tag.Value.(string); ok {
-						sp.Pod = s
-					}
+					s.internTo(&sp.Pod)
 				case "node":
-					if s, ok := tag.Value.(string); ok {
-						sp.Node = s
+					s.internTo(&sp.Node)
+				case "attrs":
+					// null leaves the map nil; {} makes an empty one.
+					if s.null() {
+						break
 					}
+					if sp.Attrs == nil {
+						sp.Attrs = map[string]string{}
+					}
+					for s.open('{'); s.more('}'); {
+						k, v := s.intern(s.rawKey()), ""
+						s.strTo(&v)
+						sp.Attrs[k] = v
+					}
+				default:
+					s.skip()
 				}
 			}
 			out = append(out, sp)
 		}
+	}
+	if err := s.end(); err != nil {
+		return nil, fmt.Errorf("otel: parsing spans body: %w", err)
 	}
 	return out, nil
 }

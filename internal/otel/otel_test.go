@@ -8,7 +8,7 @@ import (
 	"github.com/sleuth-rca/sleuth/internal/trace"
 )
 
-func sampleSpans(t *testing.T) []*trace.Span {
+func sampleSpans(t testing.TB) []*trace.Span {
 	t.Helper()
 	s := sim.New(synth.Synthetic(16, 1), sim.DefaultOptions(1))
 	res, err := s.SimulateRequest(0, nil)
