@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt verify bench bench-go alloc obs-overhead propagation-smoke alert-smoke rca-smoke bench-smoke fuzz-smoke
+.PHONY: build test race vet fmt budget verify bench bench-go alloc obs-overhead propagation-smoke alert-smoke rca-smoke bench-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -19,23 +19,37 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# verify is the pre-merge gate: static checks, a clean build, the full
-# suite under the race detector (the data-parallel trainer and the batched
-# inference paths are only trustworthy race-clean), the allocation-
-# regression tests (which the race detector's instrumentation skips, so
-# they need a non-race pass), and a smoke run of the observability-overhead
-# benchmark — the disabled-path numbers back the "off by default costs
-# nothing" claim — plus the distributed-tracing propagation smoke test
-# (collector + model server in-process, one scored request, one joined
-# trace through the dogfood loop), the watchdog alert smoke (a synthetic
-# p99 regression must fire the stock burn-rate rule, link a resolvable
-# exemplar trace and resolve after recovery), the rca-smoke gate (the
+# budget is the size-and-knob gate: no non-test Go file outside benchmark/
+# may mention a SLEUTH_ environment variable (flags and struct fields are the
+# only knobs), and internal/obs/... must stay within 3950 non-test lines (it
+# ships a signal only if a CLI view, a default-pack rule, a gate or a scraper
+# reads it). Prints the per-package non-test line table ROADMAP quotes.
+budget:
+	@hits=$$(grep -rn 'SLEUTH_' --include='*.go' . | grep -v -e '^\./benchmark/' -e '^\./\.bench_build/' -e '_test\.go:'); \
+	if [ -n "$$hits" ]; then echo "SLEUTH_ in non-test Go outside benchmark/:"; echo "$$hits"; exit 1; fi
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -exec wc -l {} + | \
+	awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; all += $$1; if (d ~ /^\.\/internal\/obs/) obs += $$1 } \
+	END { for (d in n) printf "%6d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
+	printf "%6d  non-test Go outside benchmark/\n%6d  internal/obs/... (budget 3950)\n", all, obs; exit obs > 3950 }'
+
+# verify is the pre-merge gate: static checks, a clean build, the budget
+# gate, the full suite under the race detector (the data-parallel trainer
+# and the batched inference paths are only trustworthy race-clean), the
+# allocation-regression tests (which the race detector's instrumentation
+# skips, so they need a non-race pass), and a smoke run of the
+# observability-overhead benchmark — the disabled-path numbers back the
+# "off by default costs nothing" claim — plus the distributed-tracing
+# propagation smoke test (collector + model server in-process, one scored
+# request, one joined trace whose ring half re-ingests through the
+# collector), the watchdog alert smoke (a synthetic p99 regression must
+# fire the stock burn-rate rule, link a resolvable exemplar trace and
+# resolve after recovery), the rca-smoke gate (the
 # default-on candidate pruning must predict root-cause sets identical to
 # the unpruned loop on the fixed seed suite), bench-smoke (the
 # benchmark module's own tests), and fuzz-smoke (five seconds of each span
 # decoder against its reflection oracle). Latency itself is gated by the
 # benchmark (`bash benchmark/run.sh`), not here.
-verify: fmt vet build race alloc obs-overhead propagation-smoke alert-smoke rca-smoke bench-smoke fuzz-smoke
+verify: fmt vet build budget race alloc obs-overhead propagation-smoke alert-smoke rca-smoke bench-smoke fuzz-smoke
 
 # alloc runs the allocation-regression guards without the race detector:
 # the steady-state training step must allocate (essentially) nothing, the
@@ -68,9 +82,10 @@ bench-go:
 obs-overhead:
 	$(GO) test -bench='BenchmarkObsOverhead|BenchmarkSeriesAppend|BenchmarkTracePropagation' -benchtime=10000x -run=^$$ ./internal/obs
 
-# propagation-smoke drives one scored request through in-process collector +
-# model server and asserts a single joined distributed self-trace with spans
-# from every component, ingested and re-scored by the pipeline itself.
+# propagation-smoke drives one scored request under a caller's traceparent
+# into an in-process model server and asserts a single joined distributed
+# self-trace, its exemplar, and that the ring-resident spans re-ingest
+# through an in-process collector and are re-scored by the pipeline itself.
 propagation-smoke:
 	$(GO) test -run 'TestPropagationSmoke' -count=1 .
 

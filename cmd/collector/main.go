@@ -31,19 +31,14 @@ func main() {
 		out       = flag.String("out", "spans.jsonl", "spans JSONL written on shutdown")
 		enableObs = flag.Bool("obs", true, "enable the metrics registry and /debug endpoints")
 		accessLog = flag.Bool("access-log", false, "log one structured line per request")
-		sample    = flag.Duration("sample", obs.EnvSampleInterval(10*time.Second),
-			"metric sampling interval for /debug/series (0 disables; SLEUTH_OBS_SAMPLE overrides the default)")
-		flushFile = flag.String("flush-file", "", "append JSONL metric snapshots to this file")
-		flushURL  = flag.String("flush-url", "", "POST JSONL metric snapshots to this URL")
-		flushIvl  = flag.Duration("flush-interval", 10*time.Second, "metric flush interval")
-		selfpost  = flag.String("selfpost", os.Getenv("SLEUTH_OBS_SELFPOST"),
-			"mirror sampled self-traces to this collector URL for the dogfood loop (SLEUTH_OBS_SELFPOST overrides the default; may point at this process)")
+		sample    = flag.Duration("sample", 10*time.Second,
+			"metric sampling interval for /debug/series (0 disables)")
 		watchdog = flag.Bool("watchdog", true,
 			"run the self-watchdog alert engine over the metrics registry (needs -obs)")
-		alertRules = flag.String("alert-rules", os.Getenv("SLEUTH_OBS_ALERTS"),
-			"JSON watchdog rule file loaded on top of the default pack (SLEUTH_OBS_ALERTS overrides the default)")
-		alertTick = flag.Duration("alert-tick", alert.EnvTickInterval(15*time.Second),
-			"watchdog evaluation interval (SLEUTH_OBS_ALERT_TICK overrides the default)")
+		alertRules = flag.String("alert-rules", "",
+			"JSON watchdog rule file loaded on top of the default pack")
+		alertTick = flag.Duration("alert-tick", 15*time.Second,
+			"watchdog evaluation interval")
 
 		ingestWorkers = flag.Int("ingest-workers", defaults.Workers,
 			"concentrator/sampler/writer shards")
@@ -61,21 +56,6 @@ func main() {
 		if *sample > 0 {
 			obs.StartSampler(*sample)
 		}
-		if *selfpost != "" {
-			obs.EnableSelfPost(*selfpost)
-		}
-	}
-	var flusher *obs.Flusher
-	if *flushFile != "" || *flushURL != "" {
-		var err error
-		flusher, err = obs.NewFlusher(obs.Global(), obs.FlusherOptions{
-			Interval: *flushIvl, Path: *flushFile, URL: *flushURL,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "collector: %v\n", err)
-			os.Exit(1)
-		}
-		flusher.Start()
 	}
 	st := store.New()
 	cfg := defaults
@@ -136,9 +116,6 @@ func main() {
 	_ = srv.Shutdown(ctx)
 	engine.Stop()
 	col.Close() // drain open trace windows into the store
-	if flusher != nil {
-		flusher.Stop()
-	}
 	obs.StopSampler()
 	if err := st.SaveFile(*out); err != nil {
 		fmt.Fprintf(os.Stderr, "collector: saving spans: %v\n", err)

@@ -24,7 +24,7 @@
 //	GET  /debug/alerts                    watchdog alert states (JSON)
 //	GET  /debug/metrics                   metrics snapshot (JSON)
 //	GET  /debug/series                    time-series ring buffers (JSON)
-//	GET  /debug/traces                    tail-sampled self-trace ring (JSON)
+//	GET  /debug/traces                    recent request self-traces (JSON)
 //	GET  /debug/pprof/...                 runtime profiles
 package main
 
@@ -47,10 +47,8 @@ func main() {
 		dir       = flag.String("dir", "models", "registry directory")
 		enableObs = flag.Bool("obs", true, "enable the metrics registry and /debug endpoints")
 		accessLog = flag.Bool("access-log", true, "log one structured line per request")
-		sample    = flag.Duration("sample", obs.EnvSampleInterval(10*time.Second),
-			"metric sampling interval for /debug/series (0 disables; SLEUTH_OBS_SAMPLE overrides the default)")
-		selfpost = flag.String("selfpost", os.Getenv("SLEUTH_OBS_SELFPOST"),
-			"mirror sampled self-traces to this collector URL for the dogfood loop (SLEUTH_OBS_SELFPOST overrides the default)")
+		sample    = flag.Duration("sample", 10*time.Second,
+			"metric sampling interval for /debug/series (0 disables)")
 		serveBatch = flag.Int("serve-batch", 0,
 			"max traces coalesced into one shared /score inference (0 = 32; 1 disables coalescing)")
 		serveWait = flag.Duration("serve-wait", 0,
@@ -61,19 +59,16 @@ func main() {
 			"enable the streaming clustering endpoints (/cluster/add, /cluster/stats, /cluster/rebuild)")
 		watchdog = flag.Bool("watchdog", true,
 			"run the self-watchdog alert engine over the metrics registry (needs -obs)")
-		alertRules = flag.String("alert-rules", os.Getenv("SLEUTH_OBS_ALERTS"),
-			"JSON watchdog rule file loaded on top of the default pack (SLEUTH_OBS_ALERTS overrides the default)")
-		alertTick = flag.Duration("alert-tick", alert.EnvTickInterval(15*time.Second),
-			"watchdog evaluation interval (SLEUTH_OBS_ALERT_TICK overrides the default)")
+		alertRules = flag.String("alert-rules", "",
+			"JSON watchdog rule file loaded on top of the default pack")
+		alertTick = flag.Duration("alert-tick", 15*time.Second,
+			"watchdog evaluation interval")
 	)
 	flag.Parse()
 	if *enableObs {
 		obs.Enable()
 		if *sample > 0 {
 			obs.StartSampler(*sample)
-		}
-		if *selfpost != "" {
-			obs.EnableSelfPost(*selfpost)
 		}
 	}
 	reg, err := modelserver.Open(*dir)

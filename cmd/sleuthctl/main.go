@@ -136,11 +136,11 @@ func cmdTrain(args []string) error {
 	}
 	if *debugAddr != "" {
 		obs.Enable()
-		obs.StartSampler(obs.EnvSampleInterval(time.Second))
+		obs.StartSampler(time.Second)
 		// Watch the run itself: the training pack (loss spike, grad-norm
 		// blowup) evaluated on a short tick, surfaced on /debug/alerts
 		// and in the `sleuthctl watch` banner.
-		engine := alert.New(obs.Global(), alert.EnvTickInterval(5*time.Second))
+		engine := alert.New(obs.Global(), 5*time.Second)
 		if err := engine.Add(alert.TrainingRules()...); err != nil {
 			return err
 		}

@@ -1,4 +1,4 @@
-// sleuthctl trace / traces: query the tail-sampled self-trace rings that
+// sleuthctl trace / traces: query the self-trace rings that
 // every obs-enabled component serves at /debug/traces. `traces` lists what
 // the rings hold (newest or slowest first); `trace <id>` fetches one trace
 // from every listed component, merges the spans — each process only holds

@@ -1,15 +1,14 @@
 package sleuth
 
 // Propagation smoke test (wired into `make verify`): collector and model
-// server run in-process, one scored request is driven through the
-// instrumented client, and the result must be a single joined distributed
-// trace — driver, model-server and (via the SELFPOST dogfood mirror)
-// collector spans under one W3C trace ID — that the pipeline then ingests
-// and scores itself.
+// server run in-process, one scored request carries a driver-side
+// traceparent, and the result must be a single joined distributed trace —
+// driver and model-server spans under one W3C trace ID — whose ring-resident
+// half passes the collector's validation when re-ingested, so the pipeline
+// can store and score its own execution.
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +17,7 @@ import (
 	"github.com/sleuth-rca/sleuth/internal/collector"
 	"github.com/sleuth-rca/sleuth/internal/modelserver"
 	"github.com/sleuth-rca/sleuth/internal/obs"
+	"github.com/sleuth-rca/sleuth/internal/otel"
 	"github.com/sleuth-rca/sleuth/internal/store"
 	"github.com/sleuth-rca/sleuth/internal/trace"
 )
@@ -27,15 +27,12 @@ func TestPropagationSmoke(t *testing.T) {
 	obs.Enable()
 	t.Cleanup(obs.Disable)
 
-	// Collector: the ingest sink for application traces AND for the
-	// dogfood mirror.
+	// Collector: the ingest sink the ring-resident self-trace is re-posted to.
 	st := store.New()
 	col := collector.New(st)
 	defer col.Close()
 	colSrv := httptest.NewServer(col.Handler())
 	defer colSrv.Close()
-	obs.EnableSelfPost(colSrv.URL)
-	defer obs.StopSelfPost()
 
 	// Model server with one trained model.
 	app := NewSyntheticApp(8, 11)
@@ -58,21 +55,23 @@ func TestPropagationSmoke(t *testing.T) {
 	msSrv := httptest.NewServer((&modelserver.Server{Registry: reg}).Handler())
 	defer msSrv.Close()
 
-	// Driver: one scored request under a driver-side root span, through the
-	// instrumented client — the sleuthctl-shaped hop.
+	// Driver: one scored request under a driver-side root span whose
+	// traceparent is carried by hand, as any external caller would.
 	scoreBody, err := json.Marshal(modelserver.ScoreRequest{Spans: normal[0].Spans})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tracer := obs.NewTracer("driver", "")
 	root := tracer.Start("smoke", nil)
-	ctx := obs.ContextWithRequestID(obs.ContextWithSpan(context.Background(), root), "smoke-req-1")
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+	req, err := http.NewRequest(http.MethodPost,
 		msSrv.URL+"/models/prod/latest/score", bytes.NewReader(scoreBody))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := obs.NewClient(0).Do(req)
+	rootCtx := obs.SpanContext{TraceID: tracer.TraceID(), SpanID: tracer.Spans()[0].SpanID, Sampled: true}
+	req.Header.Set(obs.TraceparentHeader, rootCtx.Traceparent())
+	req.Header.Set(obs.RequestIDHeader, "smoke-req-1")
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,25 +123,28 @@ func TestPropagationSmoke(t *testing.T) {
 		t.Fatalf("no request_us exemplar carries trace %s", tid)
 	}
 
-	// Dogfood loop: the mirror POSTed the server-side trace to the
-	// collector; after a flush the pipeline has ingested Sleuth's own
-	// execution — and the collector's server span (continuing the mirrored
-	// root's context) joined the same trace in the shared ring.
-	obs.SelfPost().Flush()
-	col.Ingest.Flush()
-	stored := st.Traces(store.Query{TraceIDs: []string{tid}})
-	if len(stored) != 1 {
-		t.Fatalf("collector store holds %d traces for %s, want 1 (dogfood mirror broken)", len(stored), tid)
-	}
-	if !hasService(stored[0], "modelserver") {
-		t.Fatalf("ingested self-trace lost its spans: %v", stored[0].Services())
-	}
-	ringTrace, err := trace.Assemble(obs.Ring().Get(tid))
+	// Re-ingest: the ring-resident server-side spans, re-encoded through the
+	// OTLP codec and POSTed to the collector, pass its validation — the
+	// pipeline stores Sleuth's own execution once, model-server spans intact.
+	otlp, err := otel.EncodeOTLP(obs.Ring().Get(tid))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hasService(ringTrace, "collector") {
-		t.Fatalf("collector's mirror-ingest span did not join trace %s (ring has %v)", tid, ringTrace.Services())
+	ingestResp, err := http.Post(colSrv.URL+"/v1/traces", "application/json", bytes.NewReader(otlp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestResp.Body.Close()
+	if ingestResp.StatusCode != http.StatusAccepted {
+		t.Fatalf("collector answered %d to the re-posted self-trace, want 202", ingestResp.StatusCode)
+	}
+	col.Ingest.Flush()
+	stored := st.Traces(store.Query{TraceIDs: []string{tid}})
+	if len(stored) != 1 {
+		t.Fatalf("collector store holds %d traces for %s, want 1", len(stored), tid)
+	}
+	if !hasService(stored[0], "modelserver") {
+		t.Fatalf("ingested self-trace lost its spans: %v", stored[0].Services())
 	}
 
 	// Close the loop: the pipeline scores its own ingested trace.

@@ -53,7 +53,7 @@ type Collector struct {
 const readyQueueSaturation = 0.9
 
 // New creates a Collector feeding the given store through a pipeline with
-// the default (environment-tunable) configuration.
+// the default configuration.
 func New(st *store.Store) *Collector {
 	return NewWithPipeline(st, ingest.NewPipeline(st, ingest.DefaultConfig()))
 }
@@ -86,7 +86,7 @@ type statsResponse struct {
 //	GET  /metrics        — Prometheus text exposition
 //	GET  /debug/metrics  — metrics registry snapshot (JSON)
 //	GET  /debug/series   — time-series ring buffers (JSON)
-//	GET  /debug/traces   — tail-sampled self-trace ring (JSON)
+//	GET  /debug/traces   — recent request self-traces (JSON)
 //	GET  /debug/pprof/…  — runtime profiles
 //
 // Every request flows through the obs access-log middleware, which assigns
@@ -170,7 +170,6 @@ func (c *Collector) ingest(proto string, decode func([]byte) ([]*trace.Span, err
 			// error so lossy clients can see drops, not just 400s.
 			obs.C("collector.decode_errors").Inc()
 			obs.C(protoDecodeErrors).Inc()
-			obs.S(protoDecodeErrors).Append(1)
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusBadRequest)
 			fmt.Fprintf(w, `{"accepted":0,"decodeErrors":1,"error":%q}`+"\n", err.Error())

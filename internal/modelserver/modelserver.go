@@ -337,7 +337,7 @@ func (r *Registry) Lineage(name string, version int) ([]ModelInfo, error) {
 //	GET  /metrics                          Prometheus text exposition
 //	GET  /debug/metrics                    metrics registry snapshot (JSON)
 //	GET  /debug/series                     time-series ring buffers (JSON)
-//	GET  /debug/traces                     tail-sampled self-trace ring (JSON)
+//	GET  /debug/traces                     recent request self-traces (JSON)
 //	GET  /debug/pprof/...                  runtime profiles
 type Server struct {
 	Registry *Registry

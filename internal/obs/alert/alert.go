@@ -18,12 +18,12 @@
 //     (population stability index) and the KS statistic.
 //
 // Rules are declarative values — loadable from JSON (the -alert-rules
-// flag / SLEUTH_OBS_ALERTS knob) or built in Go (the default packs in
-// packs.go) — and evaluated by an Engine on a background tick. Every
-// alert walks a pending → firing → resolved state machine and, when the
-// watched series is a histogram projection (<hist>.p99 …), carries the
-// worst exemplar trace ID out of the backing histogram, so a firing
-// alert links straight to a self-trace in the ring (`sleuthctl trace`).
+// flag) or built in Go (the default packs in packs.go) — and evaluated by
+// an Engine on a background tick. Every alert walks a pending → firing →
+// resolved state machine and, when the watched series is a histogram
+// projection (<hist>.p99 …), carries the worst exemplar trace ID out of
+// the backing histogram, so a firing alert links straight to a self-trace
+// in the ring (`sleuthctl trace`).
 //
 // Like the rest of internal/obs, the disabled path is free: a nil
 // *Engine is inert, every method on it is a nil-safe no-op, and an
@@ -311,20 +311,4 @@ func LoadRulesFile(path string) ([]Rule, error) {
 		return nil, err
 	}
 	return ParseRules(data)
-}
-
-// EnvTickInterval reads the SLEUTH_OBS_ALERT_TICK knob: a Go duration or
-// bare seconds; unset/invalid returns def.
-func EnvTickInterval(def time.Duration) time.Duration {
-	raw := os.Getenv("SLEUTH_OBS_ALERT_TICK")
-	if raw == "" {
-		return def
-	}
-	if d, err := time.ParseDuration(raw); err == nil && d > 0 {
-		return d
-	}
-	if sec, err := strconv.ParseFloat(raw, 64); err == nil && sec > 0 {
-		return time.Duration(sec * float64(time.Second))
-	}
-	return def
 }

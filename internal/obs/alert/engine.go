@@ -14,7 +14,6 @@ package alert
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -579,7 +578,7 @@ func (e *Engine) attachExemplar(rs *ruleState) {
 		return
 	}
 	if rs.hist == nil {
-		rs.hist = e.reg.LookupHistogram(histBase(name))
+		rs.hist = e.reg.LookupHistogram(obs.HistogramSeriesBase(name))
 		if rs.hist == nil {
 			return
 		}
@@ -597,18 +596,6 @@ func (e *Engine) attachExemplar(rs *ruleState) {
 			seen = true
 		}
 	}
-}
-
-// histBase strips the sampler's histogram-projection suffix from a series
-// name ("x.p99" → "x"); other names pass through (and simply won't
-// resolve to a histogram).
-func histBase(name string) string {
-	for _, suffix := range []string{".p50", ".p99", ".count"} {
-		if strings.HasSuffix(name, suffix) {
-			return strings.TrimSuffix(name, suffix)
-		}
-	}
-	return name
 }
 
 // Alerts returns a snapshot of every rule's current alert state.

@@ -7,8 +7,8 @@ package alert
 
 import "time"
 
-// CollectorRules watches the ingest path: queue saturation, drop storms,
-// malformed-payload bursts and exporter backpressure.
+// CollectorRules watches the ingest path: queue saturation, drop storms
+// and malformed-payload bursts.
 func CollectorRules() []Rule {
 	return []Rule{
 		{
@@ -48,7 +48,6 @@ func CollectorRules() []Rule {
 			Value:     192, // 75% of the default 256-slot queue
 			For:       Duration(1 * time.Minute),
 		},
-		flushBackpressureRule("collector"),
 	}
 }
 
@@ -109,7 +108,6 @@ func ModelServerRules() []Rule {
 			MaxKS:     0.30,
 			For:       Duration(1 * time.Minute),
 		},
-		flushBackpressureRule("modelserver"),
 	}
 }
 
@@ -141,21 +139,5 @@ func TrainingRules() []Rule {
 			Value:     10,
 			MinCount:  3,
 		},
-	}
-}
-
-// flushBackpressureRule alerts when the telemetry exporter itself drops
-// batches (obs.flush.drops is a per-event series: each drop appends 1).
-func flushBackpressureRule(component string) Rule {
-	return Rule{
-		Name:      component + "_obs_flush_backpressure",
-		Kind:      KindThreshold,
-		Series:    "obs.flush.drops",
-		Severity:  "warning",
-		Component: component,
-		Window:    Duration(5 * time.Minute),
-		Agg:       AggSum,
-		Op:        OpGT,
-		Value:     0,
 	}
 }

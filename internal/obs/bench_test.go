@@ -92,8 +92,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 
 // BenchmarkTracePropagation measures the per-request cost of the W3C
 // propagation primitives: parsing an incoming traceparent (the hostile-
-// header-hardened path every traced request takes), rendering an outgoing
-// one, and the ring's keep/shed verdict.
+// header-hardened path every traced request takes) and rendering one.
 func BenchmarkTracePropagation(b *testing.B) {
 	sc := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID(), Sampled: true}
 	header := sc.Traceparent()
@@ -114,14 +113,6 @@ func BenchmarkTracePropagation(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_ = sc.Traceparent()
-		}
-	})
-	b.Run("ring-shed-verdict", func(b *testing.B) {
-		r := NewTraceRing(64, 0) // rate 0: every healthy trace takes the shed path
-		spans := mkTrace(NewTraceID(), 100, false)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r.Add(spans)
 		}
 	})
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"log"
 	"net/http"
@@ -94,7 +93,7 @@ func TestAccessLogHostileTraceparent(t *testing.T) {
 
 	parent := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID(), Sampled: true}
 	req := httptest.NewRequest(http.MethodGet, "/x", nil)
-	parent.Inject(req.Header)
+	req.Header.Set(TraceparentHeader, parent.Traceparent())
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if got := rec.Header().Get("X-Trace-ID"); got != parent.TraceID {
@@ -122,14 +121,30 @@ func TestAccessLogSkipsScrapePaths(t *testing.T) {
 	}
 }
 
+// callTraced issues a GET under a client span of parent, carrying the span's
+// traceparent and the request ID by hand — what any caller outside Sleuth
+// does to have its request joined into its own trace.
+func callTraced(parent *StageSpan, url, reqID string) (*http.Response, error) {
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	sp := parent.Child("GET " + req.URL.Path)
+	sp.SetKind(trace.KindClient)
+	defer sp.End()
+	sc := SpanContext{TraceID: sp.TraceID(), SpanID: sp.sp.SpanID, Sampled: true}
+	req.Header.Set(TraceparentHeader, sc.Traceparent())
+	req.Header.Set(RequestIDHeader, reqID)
+	return http.DefaultClient.Do(req)
+}
+
 // TestDistributedJoin drives a two-hop request — driver → frontend →
-// backend, each hop through the instrumented client and AccessLog — and
+// backend, each hop carrying traceparent by hand into AccessLog — and
 // asserts one joined span tree with cross-process parent/child links, then
-// round-trips the joined trace through the OTLP codec to confirm the new
+// round-trips the joined trace through the OTLP codec to confirm the
 // span fields (cross-process ParentID, kinds, correlation attrs) survive.
 func TestDistributedJoin(t *testing.T) {
 	freshRegistry(t)
-	client := NewClient(0)
 
 	backend := httptest.NewServer(AccessLog("backend", nil,
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -140,8 +155,7 @@ func TestDistributedJoin(t *testing.T) {
 
 	frontend := httptest.NewServer(AccessLog("frontend", nil,
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			req, _ := http.NewRequestWithContext(r.Context(), http.MethodGet, backend.URL+"/leaf", nil)
-			resp, err := client.Do(req)
+			resp, err := callTraced(SpanFrom(r.Context()), backend.URL+"/leaf", r.Header.Get(RequestIDHeader))
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadGateway)
 				return
@@ -154,10 +168,7 @@ func TestDistributedJoin(t *testing.T) {
 	// Driver: its own tracer, as sleuthctl would run.
 	tracer := NewTracer("driver", "")
 	root := tracer.Start("drive", nil)
-	req, _ := http.NewRequestWithContext(
-		ContextWithRequestID(ContextWithSpan(context.Background(), root), "req-dist-1"),
-		http.MethodGet, frontend.URL+"/entry", nil)
-	resp, err := client.Do(req)
+	resp, err := callTraced(root, frontend.URL+"/entry", "req-dist-1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,10 +28,7 @@ import (
 // probe-safe whether or not observability is enabled.
 func MetricsHandler(reg *Registry) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(reg.Snapshot())
+		WriteJSON(w, reg.Snapshot())
 	}
 }
 
@@ -40,7 +37,7 @@ func MetricsHandler(reg *Registry) http.HandlerFunc {
 //	GET /metrics              Prometheus text exposition (v0.0.4)
 //	GET /debug/metrics        registry snapshot (JSON)
 //	GET /debug/series         ring-buffer time series (JSON)
-//	GET /debug/traces         tail-sampled self-trace ring (JSON)
+//	GET /debug/traces         recent request self-traces (JSON)
 //	GET /debug/alerts         watchdog alert states (JSON)
 //	GET /debug/pprof/...      net/http/pprof profiles
 //
@@ -108,7 +105,6 @@ type SeriesQueryResponse struct {
 // serves empty responses, so the endpoint is probe-safe when disabled.
 func SeriesHandler(reg *Registry) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
 		names := r.URL.Query().Get("name")
 		if names == "" {
 			resp := SeriesListResponse{Series: []SeriesInfo{}}
@@ -120,7 +116,7 @@ func SeriesHandler(reg *Registry) http.HandlerFunc {
 				}
 				resp.Series = append(resp.Series, info)
 			}
-			writeJSON(w, resp)
+			WriteJSON(w, resp)
 			return
 		}
 		var window time.Duration
@@ -140,38 +136,24 @@ func SeriesHandler(reg *Registry) http.HandlerFunc {
 			if data.Samples == nil {
 				data.Samples = []Sample{}
 			}
-			if h := reg.LookupHistogram(histSeriesBase(name)); h != nil {
+			if h := reg.LookupHistogram(HistogramSeriesBase(name)); h != nil {
 				data.Exemplars = h.Exemplars()
 			}
 			resp.Series[name] = data
 		}
-		writeJSON(w, resp)
+		WriteJSON(w, resp)
 	}
 }
 
-// histSeriesBase strips the sampler's histogram-projection suffix from a
-// series name ("x.p99" → "x"); names without one come back unchanged (and
-// simply won't resolve to a histogram).
-func histSeriesBase(name string) string {
-	for _, suffix := range []string{".p50", ".p99", ".count"} {
-		if strings.HasSuffix(name, suffix) {
-			return strings.TrimSuffix(name, suffix)
-		}
-	}
-	return name
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
+// WriteJSON renders v as indented JSON with the right content type — the
+// one encoder of every debug surface, in this package and outside it (the
+// watchdog's /debug/alerts).
+func WriteJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
 }
-
-// WriteJSON renders v as indented JSON with the right content type — the
-// shared encoder for debug surfaces living outside this package (the
-// watchdog's /debug/alerts).
-func WriteJSON(w http.ResponseWriter, v any) { writeJSON(w, v) }
 
 // --- Watchdog extension hooks ----------------------------------------------
 
@@ -198,7 +180,7 @@ func serveAlerts(w http.ResponseWriter, r *http.Request) {
 		(*h)(w, r)
 		return
 	}
-	writeJSON(w, map[string]any{"enabled": false, "alerts": []any{}})
+	WriteJSON(w, map[string]any{"enabled": false, "alerts": []any{}})
 }
 
 // --- Health ----------------------------------------------------------------
@@ -240,7 +222,7 @@ type Health struct {
 // health checker) needs to tell which build answered.
 func HealthHandler(component string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, Health{
+		WriteJSON(w, Health{
 			Status:    "ok",
 			Component: component,
 			Version:   Version,
@@ -295,9 +277,13 @@ func ReadyHandler(component string, checks ...ReadyCheck) http.HandlerFunc {
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}
 		G(component + ".ready").Set(ready)
-		writeJSON(w, st)
+		WriteJSON(w, st)
 	}
 }
+
+// RequestIDHeader is the request-correlation header the access log reads
+// and echoes.
+const RequestIDHeader = "X-Request-ID"
 
 // reqSeq numbers generated request IDs; reqEpoch makes IDs unique across
 // process restarts.
@@ -349,20 +335,16 @@ func traceablePath(p string) bool {
 // AccessLog wraps next with request observability for one component:
 //
 //   - a request ID taken from the X-Request-ID header (or generated),
-//     echoed back in the X-Request-ID response header, attached to the
-//     request context (RequestIDFrom) and to the root span — the join key
-//     shared by log lines and self-trace spans;
+//     echoed back in the X-Request-ID response header and attached to the
+//     root span — the join key shared by log lines and self-trace spans;
 //   - a per-request distributed self-trace (when the registry is enabled
 //     and the path is not a scrape/debug surface): an incoming W3C
 //     traceparent is parsed — with fallback to a fresh root on any
 //     malformed value — and a server root span opens under the remote
 //     parent; handlers reach it via obs.SpanFrom(r.Context()) to add child
 //     spans, and the trace ID is echoed in the X-Trace-ID response header;
-//   - on completion the trace is offered to the process trace ring (tail
-//     policy: errors and latency outliers always kept, healthy traces
-//     hash-shed) and — when the SLEUTH_OBS_SELFPOST mirror is active and
-//     the request was not itself a mirror POST — enqueued for ingestion by
-//     the collector, closing the dogfood loop;
+//   - on completion the trace is stored in the process trace ring, where
+//     /debug/traces, exemplars and alert trace links resolve it;
 //   - one structured log line per request — method, path, status, duration,
 //     request ID and trace ID — when logger is non-nil;
 //   - request counters (<component>.http.requests, per-status-class
@@ -370,6 +352,15 @@ func traceablePath(p string) bool {
 //     (<component>.http.request_us) in the process registry, with the trace
 //     ID recorded as the histogram bucket's exemplar.
 func AccessLog(component string, logger *log.Logger, next http.Handler) http.Handler {
+	// Metric names are built once per middleware, not per request: handles
+	// are still resolved per request (the registry may be enabled later), but
+	// a disabled process formats nothing.
+	requests := component + ".http.requests"
+	requestUS := component + ".http.request_us"
+	var statusClass [6]string // [1]..[5]: <component>.http.status_Nxx
+	for i := 1; i < len(statusClass); i++ {
+		statusClass[i] = fmt.Sprintf("%s.http.status_%dxx", component, i)
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		id := r.Header.Get(RequestIDHeader)
@@ -387,8 +378,7 @@ func AccessLog(component string, logger *log.Logger, next http.Handler) http.Han
 			root.SetKind(trace.KindServer)
 			root.Annotate("request.id", id)
 			w.Header().Set("X-Trace-ID", tracer.TraceID())
-			ctx := ContextWithRequestID(r.Context(), id)
-			r = r.WithContext(ContextWithSpan(ctx, root))
+			r = r.WithContext(ContextWithSpan(r.Context(), root))
 		}
 
 		sw := &statusWriter{ResponseWriter: w}
@@ -398,19 +388,23 @@ func AccessLog(component string, logger *log.Logger, next http.Handler) http.Han
 			status = http.StatusOK
 		}
 		dur := time.Since(start)
-		C(component + ".http.requests").Inc()
-		C(fmt.Sprintf("%s.http.status_%dxx", component, status/100)).Inc()
+		C(requests).Inc()
+		if class := status / 100; class >= 1 && class < len(statusClass) {
+			C(statusClass[class]).Inc()
+		} else {
+			C(fmt.Sprintf("%s.http.status_%dxx", component, class)).Inc()
+		}
 		if tracer != nil {
 			root.Annotate("http.status", strconv.Itoa(status))
 			if status >= 500 {
 				root.SetError(true)
 			}
 			root.End()
-			H(component+".http.request_us").ObserveExemplar(
+			H(requestUS).ObserveExemplar(
 				float64(dur)/float64(time.Microsecond), tracer.TraceID())
-			finishRequestTrace(tracer, root, r.Header.Get(SelfPostHeader) == "")
+			Ring().Add(tracer.Spans())
 		} else {
-			H(component + ".http.request_us").ObserveDuration(dur)
+			H(requestUS).ObserveDuration(dur)
 		}
 		if logger != nil {
 			traceField := ""
@@ -422,20 +416,6 @@ func AccessLog(component string, logger *log.Logger, next http.Handler) http.Han
 				r.URL.Path, status, float64(dur)/float64(time.Millisecond), id, traceField)
 		}
 	})
-}
-
-// finishRequestTrace publishes a completed request trace: always offered to
-// the process ring (which applies the tail-sampling keep/shed verdict), and
-// — when the trace was kept, the dogfood mirror is active and mirroring is
-// allowed (the request was not itself a mirror POST) — enqueued for
-// ingestion by the collector with the root span's context propagated, so
-// the collector's own server span joins the same distributed trace.
-func finishRequestTrace(tracer *Tracer, root *StageSpan, mirrorAllowed bool) {
-	spans := tracer.Spans()
-	kept := Ring().Add(spans)
-	if kept && mirrorAllowed {
-		SelfPost().Enqueue(spans, root.SpanContext())
-	}
 }
 
 // NewAccessLogger returns the default structured request logger (stderr, no

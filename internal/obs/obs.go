@@ -8,14 +8,13 @@
 // handle may be nil and every method on a nil handle is a no-op, so a
 // disabled process pays one atomic load per handle fetch and a nil check
 // per operation — nothing on the hot paths allocates or locks. Enable the
-// process-wide registry with Enable (or the SLEUTH_OBS environment
-// variable); components fetch handles through the package-level C/G/H
-// helpers and work unchanged whether observability is on or off.
+// process-wide registry with Enable (the binaries' -obs flag); components
+// fetch handles through the package-level C/G/H helpers and work unchanged
+// whether observability is on or off.
 package obs
 
 import (
 	"math"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -597,17 +596,10 @@ func (r *Registry) Snapshot() Snapshot {
 // (the default) and every handle fetched through C/G/H is nil.
 var global atomic.Pointer[Registry]
 
-func init() {
-	if os.Getenv("SLEUTH_OBS") != "" {
-		Enable()
-	}
-}
-
 // Enable installs (or returns the existing) process-wide registry. Call it
 // at process start, before instrumented components fetch their handles.
-// The fresh registry gets the runtime gauges auto-registered, and when the
-// SLEUTH_OBS_SAMPLE environment knob is set the process-wide sampler starts
-// at that interval.
+// The fresh registry gets the runtime gauges auto-registered and the
+// process trace ring is created alongside it; StartSampler adds history.
 func Enable() *Registry {
 	for {
 		if r := global.Load(); r != nil {
@@ -616,16 +608,7 @@ func Enable() *Registry {
 		r := NewRegistry()
 		if global.CompareAndSwap(nil, r) {
 			registerRuntimeGauges(r)
-			globalRing.CompareAndSwap(nil, newTraceRingFromEnv())
-			startSelfPostFromEnv()
-			if iv := EnvSampleInterval(0); iv > 0 {
-				samplerMu.Lock()
-				if globalSampler == nil {
-					globalSampler = NewSampler(r, iv)
-					globalSampler.Start()
-				}
-				samplerMu.Unlock()
-			}
+			globalRing.CompareAndSwap(nil, NewTraceRing(DefaultTraceRingSize))
 			return r
 		}
 	}
@@ -637,7 +620,6 @@ func Enable() *Registry {
 // toggling.
 func Disable() {
 	StopSampler()
-	StopSelfPost()
 	globalRing.Store(nil)
 	global.Store(nil)
 }

@@ -1,7 +1,7 @@
 // W3C Trace Context propagation: the traceparent header carries
 // (trace ID, parent span ID, sampled flag) across process boundaries, so a
-// request flowing sleuthctl → collector → model server produces one joined
-// span tree instead of per-process islands. The parser is deliberately
+// caller that sends one gets its request joined into its own span tree
+// instead of a per-process island. The parser is deliberately
 // paranoid — self-tracing must never let a hostile or malformed header
 // poison a trace, so every reject path falls back to a fresh root trace.
 
@@ -31,9 +31,10 @@ func (sc SpanContext) Valid() bool {
 		isLowerHex(sc.SpanID, 16) && !allZero(sc.SpanID)
 }
 
-// Traceparent renders the context as a version-00 traceparent value, or ""
-// when the context is not wire-encodable (internal trace IDs that are not
-// 128-bit hex stay process-local rather than emitting a corrupt header).
+// Traceparent renders the context as a version-00 traceparent value — the
+// round-trip partner of ParseTraceparent — or "" when the context is not
+// wire-encodable (internal trace IDs that are not 128-bit hex stay
+// process-local rather than emitting a corrupt header).
 func (sc SpanContext) Traceparent() string {
 	if !sc.Valid() {
 		return ""
@@ -49,14 +50,6 @@ func (sc SpanContext) Traceparent() string {
 		b = append(b, "-00"...)
 	}
 	return string(b)
-}
-
-// Inject writes the context into an outgoing header set. Invalid contexts
-// write nothing — the downstream component starts a fresh root trace.
-func (sc SpanContext) Inject(h http.Header) {
-	if tp := sc.Traceparent(); tp != "" {
-		h.Set(TraceparentHeader, tp)
-	}
 }
 
 // maxTraceparentLen bounds the header length scanned by ParseTraceparent:
@@ -182,21 +175,16 @@ func NewSpanID() string {
 
 // --- Context plumbing ------------------------------------------------------
 
-type ctxKey int
+// ctxKeySpan is the context key of the live stage span.
+type ctxKeySpan struct{}
 
-const (
-	ctxKeySpan ctxKey = iota
-	ctxKeyRequestID
-)
-
-// ContextWithSpan attaches a live stage span to a context; downstream code
-// (handlers, instrumented clients) retrieves it with SpanFrom to create
-// child spans and to propagate the trace across process boundaries.
+// ContextWithSpan attaches a live stage span to a context; handlers
+// retrieve it with SpanFrom to create child spans.
 func ContextWithSpan(ctx context.Context, sp *StageSpan) context.Context {
 	if sp == nil {
 		return ctx
 	}
-	return context.WithValue(ctx, ctxKeySpan, sp)
+	return context.WithValue(ctx, ctxKeySpan{}, sp)
 }
 
 // SpanFrom returns the stage span carried by ctx, or nil. All StageSpan
@@ -206,7 +194,7 @@ func SpanFrom(ctx context.Context) *StageSpan {
 	if ctx == nil {
 		return nil
 	}
-	sp, _ := ctx.Value(ctxKeySpan).(*StageSpan)
+	sp, _ := ctx.Value(ctxKeySpan{}).(*StageSpan)
 	return sp
 }
 
@@ -214,21 +202,4 @@ func SpanFrom(ctx context.Context) *StageSpan {
 // for exemplars and log lines.
 func TraceIDFrom(ctx context.Context) string {
 	return SpanFrom(ctx).TraceID()
-}
-
-// ContextWithRequestID attaches the X-Request-ID join key to a context.
-func ContextWithRequestID(ctx context.Context, id string) context.Context {
-	if id == "" {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKeyRequestID, id)
-}
-
-// RequestIDFrom returns the request ID carried by ctx, or "".
-func RequestIDFrom(ctx context.Context) string {
-	if ctx == nil {
-		return ""
-	}
-	id, _ := ctx.Value(ctxKeyRequestID).(string)
-	return id
 }

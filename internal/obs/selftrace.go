@@ -174,16 +174,6 @@ func (s *StageSpan) SetKind(k trace.Kind) {
 	s.t.mu.Unlock()
 }
 
-// SpanContext returns the span's wire identity for propagation: inject it
-// into an outgoing request so the downstream component's spans link under
-// this one. A nil span returns the zero (invalid) context.
-func (s *StageSpan) SpanContext() SpanContext {
-	if s == nil {
-		return SpanContext{}
-	}
-	return SpanContext{TraceID: s.t.traceID, SpanID: s.sp.SpanID, Sampled: true}
-}
-
 // TraceID returns the trace ID the span belongs to ("" on a nil span).
 func (s *StageSpan) TraceID() string {
 	if s == nil {

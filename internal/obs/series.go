@@ -13,9 +13,8 @@
 package obs
 
 import (
-	"os"
 	"sort"
-	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -324,6 +323,27 @@ type samplerBinding struct {
 	s    *Series
 }
 
+// The sampler projects each histogram into three series named by these
+// suffixes; HistogramSeriesBase is their inverse.
+const (
+	suffixP50   = ".p50"
+	suffixP99   = ".p99"
+	suffixCount = ".count"
+)
+
+// HistogramSeriesBase strips the sampler's histogram-projection suffix from
+// a series name ("x.p99" → "x") — the hop from a series back to the
+// histogram (and its exemplars) behind it. Names without a suffix come back
+// unchanged and simply won't resolve to a histogram.
+func HistogramSeriesBase(name string) string {
+	for _, suffix := range [...]string{suffixP50, suffixP99, suffixCount} {
+		if base, ok := strings.CutSuffix(name, suffix); ok {
+			return base
+		}
+	}
+	return name
+}
+
 // Sampler periodically snapshots every registered counter, gauge and
 // histogram quantile into same-named series: counters and gauges under the
 // metric name, histograms under <name>.p50 / <name>.p99 / <name>.count.
@@ -442,9 +462,9 @@ func (sp *Sampler) rebuild() {
 	}
 	for _, h := range hists {
 		bindings = append(bindings,
-			samplerBinding{kind: 'q', h: h, q: 0.50, s: r.Series(h.Name() + ".p50")},
-			samplerBinding{kind: 'q', h: h, q: 0.99, s: r.Series(h.Name() + ".p99")},
-			samplerBinding{kind: 'n', h: h, s: r.Series(h.Name() + ".count")},
+			samplerBinding{kind: 'q', h: h, q: 0.50, s: r.Series(h.Name() + suffixP50)},
+			samplerBinding{kind: 'q', h: h, q: 0.99, s: r.Series(h.Name() + suffixP99)},
+			samplerBinding{kind: 'n', h: h, s: r.Series(h.Name() + suffixCount)},
 		)
 	}
 	sp.bindings = bindings
@@ -481,21 +501,4 @@ func StopSampler() {
 	if sp != nil {
 		sp.Stop()
 	}
-}
-
-// EnvSampleInterval reads the SLEUTH_OBS_SAMPLE environment knob: a Go
-// duration ("5s", "500ms") or a bare number of seconds. Unset, zero or
-// unparsable values return def.
-func EnvSampleInterval(def time.Duration) time.Duration {
-	raw := os.Getenv("SLEUTH_OBS_SAMPLE")
-	if raw == "" {
-		return def
-	}
-	if d, err := time.ParseDuration(raw); err == nil && d > 0 {
-		return d
-	}
-	if sec, err := strconv.ParseFloat(raw, 64); err == nil && sec > 0 {
-		return time.Duration(sec * float64(time.Second))
-	}
-	return def
 }

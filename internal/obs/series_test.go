@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -167,6 +168,15 @@ func TestSamplerSnapshotsMetrics(t *testing.T) {
 		if last, _ := s.Last(); last.V != c.want || last.TS != 2000 {
 			t.Errorf("series %q last = %+v, want v=%g ts=2000", c.name, last, c.want)
 		}
+		// Every projection the sampler names maps back to its histogram;
+		// plain metric names pass through.
+		wantBase := c.name
+		if strings.HasPrefix(c.name, "h_us") {
+			wantBase = "h_us"
+		}
+		if got := HistogramSeriesBase(c.name); got != wantBase {
+			t.Errorf("HistogramSeriesBase(%q) = %q, want %q", c.name, got, wantBase)
+		}
 	}
 
 	// A metric registered after the first sweep is picked up by the next.
@@ -216,27 +226,6 @@ func TestGlobalSamplerLifecycle(t *testing.T) {
 	samplerMu.Unlock()
 	if running {
 		t.Error("Disable left the global sampler running")
-	}
-}
-
-func TestEnvSampleInterval(t *testing.T) {
-	cases := []struct {
-		raw  string
-		want time.Duration
-	}{
-		{"", 10 * time.Second},  // unset → default
-		{"5s", 5 * time.Second}, // duration form
-		{"500ms", 500 * time.Millisecond},
-		{"2", 2 * time.Second}, // bare seconds
-		{"0.5", 500 * time.Millisecond},
-		{"garbage", 10 * time.Second}, // unparsable → default
-		{"-3s", 10 * time.Second},     // non-positive → default
-	}
-	for _, c := range cases {
-		t.Setenv("SLEUTH_OBS_SAMPLE", c.raw)
-		if got := EnvSampleInterval(10 * time.Second); got != c.want {
-			t.Errorf("EnvSampleInterval(%q) = %v, want %v", c.raw, got, c.want)
-		}
 	}
 }
 

@@ -1,16 +1,13 @@
-// Always-on tail-sampled self-trace store: a fixed-size in-process ring of
-// recent request traces, applying the same policy as the ingest tier's tail
-// sampler (internal/ingest) — error and latency-outlier traces are always
-// kept, the healthy bulk is deterministically shed by salted trace-ID hash
-// — so the traces RCA exists to explain are the ones that survive. The ring
-// is served at /debug/traces (list + fetch by ID) and queried by
-// `sleuthctl trace <id>` / `sleuthctl traces -slowest`.
+// Self-trace store: a fixed-size in-process FIFO of the most recent request
+// traces, with spans of an already-resident trace merged into its entry. The
+// ring is served at /debug/traces (list + fetch by ID) and queried by
+// `sleuthctl trace <id>` / `sleuthctl traces -slowest`; histogram exemplars
+// and firing alerts carry trace IDs that resolve here.
 
 package obs
 
 import (
 	"net/http"
-	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -19,20 +16,9 @@ import (
 	"github.com/sleuth-rca/sleuth/internal/trace"
 )
 
-// DefaultTraceRingSize is the ring capacity when SLEUTH_OBS_TRACE_RING is
-// unset: enough recent traces to debug a spike without unbounded growth.
+// DefaultTraceRingSize is the capacity of the process ring: enough recent
+// traces to debug a spike without unbounded growth.
 const DefaultTraceRingSize = 256
-
-// outlier detection constants: an operation needs outlierMinCount completed
-// requests before its mean is trusted, after which a root duration more than
-// outlierFactor× the running mean is always kept. The per-operation table is
-// capped at outlierMaxOps entries to bound memory under name cardinality
-// explosions.
-const (
-	outlierMinCount = 8
-	outlierFactor   = 3.0
-	outlierMaxOps   = 512
-)
 
 // TraceSummary is one /debug/traces listing entry.
 type TraceSummary struct {
@@ -56,14 +42,9 @@ type ringEntry struct {
 	seq     uint64
 }
 
-// opStat is the running per-operation latency baseline for outlier keeps.
-type opStat struct {
-	count int64
-	mean  float64
-}
-
-// TraceRing is the fixed-capacity tail-sampled self-trace store. All
-// methods are safe for concurrent use and nil-safe (a nil ring is inert).
+// TraceRing is the fixed-capacity self-trace store: the last Cap request
+// traces, oldest evicted first. All methods are safe for concurrent use and
+// nil-safe (a nil ring is inert).
 type TraceRing struct {
 	mu      sync.Mutex
 	entries []ringEntry
@@ -71,53 +52,17 @@ type TraceRing struct {
 	head    int
 	n       int
 	seq     uint64
-
-	// keepAll/threshold implement the hash-shed verdict for healthy traces
-	// (same construction as the ingest tail sampler, differently salted).
-	keepAll   bool
-	threshold uint64
-
-	ops map[string]*opStat
 }
 
-// NewTraceRing creates a ring holding up to capacity traces, keeping
-// healthy (non-error, non-outlier) traces with probability rate.
-func NewTraceRing(capacity int, rate float64) *TraceRing {
+// NewTraceRing creates a ring holding up to capacity traces.
+func NewTraceRing(capacity int) *TraceRing {
 	if capacity <= 0 {
 		capacity = DefaultTraceRingSize
 	}
-	r := &TraceRing{
+	return &TraceRing{
 		entries: make([]ringEntry, capacity),
 		byID:    make(map[string]int, capacity),
-		ops:     make(map[string]*opStat),
 	}
-	if rate >= 1 {
-		r.keepAll = true
-	} else {
-		if rate < 0 {
-			rate = 0
-		}
-		r.threshold = uint64(rate * float64(^uint64(0)>>1) * 2)
-	}
-	return r
-}
-
-// ringHash64 is salted FNV-1a with a murmur-style finalizer over the trace
-// ID — the ingest tail sampler's construction with a different salt, so the
-// self-trace ring and the ingest pipeline shed decorrelated subsets.
-// (Duplicated rather than imported: internal/ingest depends on obs.)
-func ringHash64(id string) uint64 {
-	h := uint64(14695981039346656037) ^ 0xc3a5c85c97cb3127
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= 1099511628211
-	}
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
 }
 
 // ringRootSpan picks the entry span: the first parentless span, else the
@@ -138,53 +83,22 @@ func ringRootSpan(spans []*trace.Span) *trace.Span {
 	return earliest
 }
 
-// localRootSpan finds the span whose parent is not in the given set — the
-// process-local root even when it links to a remote parent.
-func localRootSpan(spans []*trace.Span) *trace.Span {
-	ids := make(map[string]bool, len(spans))
-	for _, sp := range spans {
-		ids[sp.SpanID] = true
-	}
-	for _, sp := range spans {
-		if !ids[sp.ParentID] {
-			return sp
-		}
-	}
-	return spans[0]
-}
-
-// Add offers a completed request trace to the ring and reports whether it
-// was kept. Error traces and latency outliers are always kept; healthy
-// traces pass the hash-shed verdict. Spans of a trace already resident
-// (another request of the same distributed trace hitting this process)
-// merge into the existing entry.
-func (r *TraceRing) Add(spans []*trace.Span) bool {
+// Add stores a completed request trace, evicting the oldest resident trace
+// once the ring is full. Spans of a trace already resident (another request
+// of the same distributed trace hitting this process) merge into the
+// existing entry, which keeps its slot.
+func (r *TraceRing) Add(spans []*trace.Span) {
 	if r == nil || len(spans) == 0 {
-		return false
+		return
 	}
 	traceID := spans[0].TraceID
-	hasError := false
-	for _, sp := range spans {
-		if sp.Error {
-			hasError = true
-			break
-		}
-	}
-	root := localRootSpan(spans)
-
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if slot, ok := r.byID[traceID]; ok {
 		r.mergeLocked(slot, spans)
 		C("obs.selftrace.merged").Inc()
-		return true
+		return
 	}
-	outlier := r.noteOutlierLocked(root)
-	if !hasError && !outlier && !r.keepAll && ringHash64(traceID) >= r.threshold {
-		C("obs.selftrace.shed").Inc()
-		return false
-	}
-	// Keep: claim the next slot, evicting its previous occupant.
 	e := &r.entries[r.head]
 	if e.traceID != "" {
 		delete(r.byID, e.traceID)
@@ -201,19 +115,10 @@ func (r *TraceRing) Add(spans []*trace.Span) bool {
 	if r.n < len(r.entries) {
 		r.n++
 	}
-	switch {
-	case hasError:
-		C("obs.selftrace.kept_error").Inc()
-	case outlier:
-		C("obs.selftrace.kept_latency").Inc()
-	default:
-		C("obs.selftrace.kept").Inc()
-	}
-	return true
 }
 
 // mergeLocked appends new spans into an existing entry, deduplicating by
-// span ID (a mirror POST can replay spans this process already holds).
+// span ID (a replayed trace can carry spans this process already holds).
 func (r *TraceRing) mergeLocked(slot int, spans []*trace.Span) {
 	e := &r.entries[slot]
 	seen := make(map[string]bool, len(e.spans))
@@ -226,27 +131,6 @@ func (r *TraceRing) mergeLocked(slot int, spans []*trace.Span) {
 			seen[sp.SpanID] = true
 		}
 	}
-}
-
-// noteOutlierLocked updates the per-operation latency baseline with the
-// root span and reports whether it is an outlier keep.
-func (r *TraceRing) noteOutlierLocked(root *trace.Span) bool {
-	if root == nil {
-		return false
-	}
-	dur := float64(root.Duration())
-	st := r.ops[root.Name]
-	if st == nil {
-		if len(r.ops) >= outlierMaxOps {
-			return false
-		}
-		st = &opStat{}
-		r.ops[root.Name] = st
-	}
-	outlier := st.count >= outlierMinCount && dur > outlierFactor*st.mean
-	st.count++
-	st.mean += (dur - st.mean) / float64(st.count)
-	return outlier
 }
 
 // Get returns copies of the stored spans of one trace (nil if absent).
@@ -358,25 +242,6 @@ var globalRing atomic.Pointer[TraceRing]
 // Ring returns the process self-trace ring, or nil when disabled.
 func Ring() *TraceRing { return globalRing.Load() }
 
-// newTraceRingFromEnv sizes the process ring from the environment:
-// SLEUTH_OBS_TRACE_RING (capacity, default 256) and
-// SLEUTH_OBS_TRACE_SAMPLE (healthy keep rate in [0,1], default 1).
-func newTraceRingFromEnv() *TraceRing {
-	capacity := DefaultTraceRingSize
-	if raw := os.Getenv("SLEUTH_OBS_TRACE_RING"); raw != "" {
-		if n, err := strconv.Atoi(raw); err == nil && n > 0 {
-			capacity = n
-		}
-	}
-	rate := 1.0
-	if raw := os.Getenv("SLEUTH_OBS_TRACE_SAMPLE"); raw != "" {
-		if f, err := strconv.ParseFloat(raw, 64); err == nil && f >= 0 && f <= 1 {
-			rate = f
-		}
-	}
-	return NewTraceRing(capacity, rate)
-}
-
 // TracesListResponse is the /debug/traces listing document.
 type TracesListResponse struct {
 	Traces []TraceSummary `json:"traces"`
@@ -398,7 +263,7 @@ func TracesHandler(ring *TraceRing) http.HandlerFunc {
 				http.Error(w, "trace not found", http.StatusNotFound)
 				return
 			}
-			writeJSON(w, spans)
+			WriteJSON(w, spans)
 			return
 		}
 		var sums []TraceSummary
@@ -415,6 +280,6 @@ func TracesHandler(ring *TraceRing) http.HandlerFunc {
 		if sums == nil {
 			sums = []TraceSummary{}
 		}
-		writeJSON(w, TracesListResponse{Traces: sums})
+		WriteJSON(w, TracesListResponse{Traces: sums})
 	}
 }
