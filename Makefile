@@ -62,11 +62,15 @@ verify: fmt vet build budget race alloc obs-overhead propagation-smoke alert-smo
 # must allocate nothing, a warm localisation query must stay inside
 # its per-query budget (a lost session cache re-encodes per counterfactual
 # and blows through it), the span decoders must stay at ≤ 4 allocations
-# per span on every dialect, and a warm collector POST with obs disabled
-# must cost that plus a constant. These tests auto-skip under -race, so
-# `make race` alone would never exercise them.
+# per span on every dialect, a warm collector POST with obs disabled
+# must cost that plus a constant, trace assembly must cost a constant
+# number of allocations whatever the span count, a warm store window fetch
+# must allocate for the traces it returns and not for the spans it holds,
+# and encoding a trace against a warm clustering vocabulary must cost its
+# two result slices. These tests auto-skip under -race, so `make race`
+# alone would never exercise them.
 alloc:
-	$(GO) test -run 'SteadyStateAllocs' -count=1 ./internal/tensor ./internal/core ./internal/obs ./internal/obs/alert ./internal/cluster ./internal/ingest ./internal/modelserver ./internal/rca ./internal/otel ./internal/collector
+	$(GO) test -run 'SteadyStateAllocs' -count=1 ./internal/tensor ./internal/core ./internal/obs ./internal/obs/alert ./internal/cluster ./internal/ingest ./internal/modelserver ./internal/rca ./internal/otel ./internal/collector ./internal/trace ./internal/store
 
 # bench regenerates every table and figure of the paper's evaluation.
 bench:

@@ -4,13 +4,16 @@ import (
 	"testing"
 
 	"github.com/sleuth-rca/sleuth/internal/testenv"
+	"github.com/sleuth-rca/sleuth/internal/xrand"
 )
 
 // TestClusterSteadyStateAllocs gates the clustering engine's steady-state
 // kernels (`make alloc`): the Eq. 1 merge, the bounded-heap row selection,
 // and packed-matrix access must not allocate per call — at 50k-trace
 // incident scale these run billions of times per batch, and any per-call
-// allocation would put the GC back on the clustering critical path.
+// allocation would put the GC back on the clustering critical path. Encoding
+// a trace against a vocabulary that already holds its identifiers costs the
+// two result slices, not a string per span.
 func TestClusterSteadyStateAllocs(t *testing.T) {
 	if testenv.Race {
 		t.Skip("race detector instrumentation allocates")
@@ -27,5 +30,11 @@ func TestClusterSteadyStateAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() { m.Set(3, 9, m.At(9, 3)) }); n != 0 {
 		t.Fatalf("Matrix At/Set allocate %.1f per call, want 0", n)
+	}
+	in := NewInterner()
+	tr := randomTraces(t, xrand.New(2), 1)[0]
+	TraceSet(in, tr, DefaultMaxAncestors)
+	if n := testing.AllocsPerRun(200, func() { _ = TraceSet(in, tr, DefaultMaxAncestors) }); n > 3 {
+		t.Fatalf("TraceSet on a warm interner allocates %.1f per %d-span trace, want ≤ 3", n, tr.Len())
 	}
 }

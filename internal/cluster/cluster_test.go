@@ -1,7 +1,11 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -96,6 +100,112 @@ func TestIdentifierIncludesCallPath(t *testing.T) {
 	}
 	if SpanIdentifier(t1, i1, 0) != SpanIdentifier(t2, i2, 0) {
 		t.Fatal("with d_max=0 the identifiers should collapse")
+	}
+}
+
+// randomTraces builds n traces over a small operation vocabulary with
+// random topologies (chains, fans, several roots), repeated operations under
+// one parent and zero-duration spans, so identifiers collide within and
+// across traces.
+func randomTraces(t *testing.T, r *xrand.Rand, n int) []*trace.Trace {
+	t.Helper()
+	out := make([]*trace.Trace, n)
+	for k := range out {
+		tid := fmt.Sprint("t", k)
+		spans := make([]*trace.Span, r.IntRange(1, 40))
+		for i := range spans {
+			parent := ""
+			if i > 0 && r.Bernoulli(0.95) {
+				parent = fmt.Sprint("s", r.Intn(i))
+			}
+			start := int64(r.Intn(50_000))
+			spans[i] = span(tid, fmt.Sprint("s", i), parent, fmt.Sprint("svc", r.Intn(4)), fmt.Sprint("op", r.Intn(6)),
+				trace.KindClient, start, start+int64(r.Intn(3))*int64(r.Intn(20_000)), r.Bernoulli(0.1))
+		}
+		out[k] = mkTrace(t, tid, spans...)
+	}
+	return out
+}
+
+// referenceIdentifier joins the §3.3.1 tuple from the Ancestors slice.
+func referenceIdentifier(tr *trace.Trace, i, dmax int) string {
+	sp := tr.Spans[i]
+	parts := []string{sp.Service, sp.Name, string(sp.Kind), "0"}
+	if sp.Error {
+		parts[3] = "1"
+	}
+	for _, a := range tr.Ancestors(i, dmax) {
+		parts = append(parts, tr.Spans[a].Name)
+	}
+	return strings.Join(parts, "\x1f")
+}
+
+// referenceTraceSet is the encoding TraceSet replaced: one identifier string
+// per span, interned in span order, weights summed in a per-trace map.
+func referenceTraceSet(in *Interner, tr *trace.Trace, dmax int) (ids []int32, w []float64, mass float64) {
+	m := map[int32]float64{}
+	for i, sp := range tr.Spans {
+		wt := float64(sp.Duration()) / 1000.0
+		if wt < 0.001 {
+			wt = 0.001
+		}
+		m[in.Intern(referenceIdentifier(tr, i, dmax))] += wt
+	}
+	for id := range m {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	for _, id := range ids {
+		w = append(w, m[id])
+		mass += m[id]
+	}
+	return ids, w, mass
+}
+
+// TestTraceSetsMatchReference: the allocation-free identifier path hands out
+// the same interner IDs in the same order and sums the same weights in the
+// same order as the string-per-span reference, so IDs, W and Mass are equal
+// bit for bit — through TraceSets on a fresh vocabulary and through TraceSet
+// on a pre-populated one.
+func TestTraceSetsMatchReference(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		for _, dmax := range []int{0, 1, 3} {
+			traces := randomTraces(t, xrand.New(seed), 40)
+			for k, tr := range traces {
+				for i := range tr.Spans {
+					if got, want := SpanIdentifier(tr, i, dmax), referenceIdentifier(tr, i, dmax); got != want {
+						t.Fatalf("seed %d dmax %d trace %d span %d: SpanIdentifier = %q, want %q", seed, dmax, k, i, got, want)
+					}
+				}
+			}
+			check := func(what string, got []WeightedSet, in *Interner) {
+				for k, tr := range traces {
+					ids, w, mass := referenceTraceSet(in, tr, dmax)
+					if !reflect.DeepEqual(got[k].IDs, ids) || !reflect.DeepEqual(got[k].W, w) || got[k].Mass() != mass {
+						t.Fatalf("seed %d dmax %d %s trace %d:\n got %v %v %v\nwant %v %v %v",
+							seed, dmax, what, k, got[k].IDs, got[k].W, got[k].Mass(), ids, w, mass)
+					}
+				}
+			}
+			check("TraceSets", TraceSets(traces, dmax), NewInterner())
+
+			// A vocabulary that already holds other identifiers, some of
+			// them this batch's: string order and ID order now disagree.
+			pre, ref := NewInterner(), NewInterner()
+			for _, in := range []*Interner{pre, ref} {
+				in.Intern("unrelated")
+				in.Intern(SpanIdentifier(traces[7], traces[7].Len()-1, dmax))
+				in.Intern(SpanIdentifier(traces[3], 0, dmax))
+			}
+			got := make([]WeightedSet, len(traces))
+			for k, tr := range traces {
+				got[k] = TraceSet(pre, tr, dmax)
+			}
+			check("TraceSet on a pre-populated interner", got, ref)
+			if pre.Size() != ref.Size() {
+				t.Fatalf("seed %d dmax %d: vocabulary size %d, want %d", seed, dmax, pre.Size(), ref.Size())
+			}
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -30,6 +31,13 @@ const DefaultMaxAncestors = 3
 type Interner struct {
 	mu  sync.Mutex
 	ids map[string]int32
+
+	// TraceSet's scratch, reused across traces under mu: the identifier
+	// being built, a weight accumulator indexed by ID (all zero between
+	// traces) and the IDs the current trace has touched.
+	buf     []byte
+	acc     []float64
+	touched []int32
 }
 
 // NewInterner creates an empty vocabulary.
@@ -130,48 +138,60 @@ func (s WeightedSet) Mass() float64 {
 // tuple of service name, span name, kind, error status and the names of
 // its ancestors within dmax hops.
 func SpanIdentifier(tr *trace.Trace, i, dmax int) string {
+	return string(appendIdentifier(nil, tr, i, dmax))
+}
+
+// appendIdentifier appends span i's identifier to buf.
+func appendIdentifier(buf []byte, tr *trace.Trace, i, dmax int) []byte {
 	sp := tr.Spans[i]
-	var b strings.Builder
-	b.WriteString(sp.Service)
-	b.WriteByte(0x1f)
-	b.WriteString(sp.Name)
-	b.WriteByte(0x1f)
-	b.WriteString(string(sp.Kind))
-	b.WriteByte(0x1f)
+	buf = append(buf, sp.Service...)
+	buf = append(buf, 0x1f)
+	buf = append(buf, sp.Name...)
+	buf = append(buf, 0x1f)
+	buf = append(buf, sp.Kind...)
 	if sp.Error {
-		b.WriteByte('1')
+		buf = append(buf, 0x1f, '1')
 	} else {
-		b.WriteByte('0')
+		buf = append(buf, 0x1f, '0')
 	}
-	for _, a := range tr.Ancestors(i, dmax) {
-		b.WriteByte(0x1f)
-		b.WriteString(tr.Spans[a].Name)
+	for p := tr.Parent(i); p >= 0 && dmax > 0; p, dmax = tr.Parent(p), dmax-1 {
+		buf = append(buf, 0x1f)
+		buf = append(buf, tr.Spans[p].Name...)
 	}
-	return b.String()
+	return buf
 }
 
 // TraceSet encodes a trace as a weighted span set over in's vocabulary.
-// Spans sharing an identifier merge with weights summed (§3.3.1). Durations
-// are weighted in milliseconds to keep masses in a numerically friendly
-// range.
+// Spans sharing an identifier merge with weights summed in span order
+// (§3.3.1). Durations are weighted in milliseconds to keep masses in a
+// numerically friendly range. Only the two result slices and the map key of
+// an identifier new to the vocabulary are allocated.
 func TraceSet(in *Interner, tr *trace.Trace, dmax int) WeightedSet {
-	m := make(map[int32]float64, tr.Len())
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	in.touched = in.touched[:0]
 	for i, sp := range tr.Spans {
-		id := in.Intern(SpanIdentifier(tr, i, dmax))
-		w := float64(sp.Duration()) / 1000.0
-		if w < 0.001 {
-			w = 0.001
+		in.buf = appendIdentifier(in.buf[:0], tr, i, dmax)
+		id, ok := in.ids[string(in.buf)]
+		if !ok {
+			id = int32(len(in.ids))
+			in.ids[string(in.buf)] = id
 		}
-		m[id] += w
+		for int(id) >= len(in.acc) {
+			in.acc = append(in.acc, 0)
+		}
+		// Weights are positive, so a zero cell is one this trace has not
+		// touched yet.
+		if in.acc[id] == 0 {
+			in.touched = append(in.touched, id)
+		}
+		in.acc[id] += max(float64(sp.Duration())/1000.0, 0.001)
 	}
-	ids := make([]int32, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	slices.Sort(in.touched)
+	ids := slices.Clone(in.touched)
 	w := make([]float64, len(ids))
 	for i, id := range ids {
-		w[i] = m[id]
+		w[i], in.acc[id] = in.acc[id], 0
 	}
 	return WeightedSet{IDs: ids, W: w, mass: sum(w), hasMass: true, vocab: in}
 }

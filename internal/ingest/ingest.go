@@ -198,21 +198,11 @@ func NewPipeline(st *store.Store, cfg Config) *Pipeline {
 // Sampler exposes the pipeline's tail sampler (tests pin baselines on it).
 func (p *Pipeline) Sampler() *Sampler { return p.sampler }
 
-// validSpan reports whether a decoded span carries the minimum structure
-// the pipeline needs — the normalize stage. Invalid spans are rejected
-// (and counted) rather than poisoning trace assembly downstream.
-func validSpan(s *trace.Span) bool {
-	return s != nil &&
-		s.TraceID != "" &&
-		s.SpanID != "" &&
-		s.Kind.Valid() &&
-		s.End >= s.Start
-}
-
 // Submit normalizes a decoded span batch and enqueues it shard-by-shard:
-// invalid spans are rejected, spans bound for a full queue are dropped and
-// counted, the rest are accepted into the concentrator stage. Safe for
-// concurrent use; never blocks.
+// invalid spans (trace.Span.Valid) are rejected and counted rather than
+// poisoning trace assembly downstream, spans bound for a full queue are
+// dropped and counted, the rest are accepted into the concentrator stage.
+// Safe for concurrent use; never blocks.
 func (p *Pipeline) Submit(spans []*trace.Span) (accepted, rejected, dropped int) {
 	if len(spans) == 0 {
 		return 0, 0, 0
@@ -223,7 +213,7 @@ func (p *Pipeline) Submit(spans []*trace.Span) (accepted, rejected, dropped int)
 	n := len(p.shards)
 	if p.closed {
 		for _, s := range spans {
-			if validSpan(s) {
+			if s.Valid() {
 				dropped++
 			} else {
 				rejected++
@@ -235,7 +225,7 @@ func (p *Pipeline) Submit(spans []*trace.Span) (accepted, rejected, dropped int)
 	}
 	buckets := make([][]*trace.Span, n)
 	for _, s := range spans {
-		if !validSpan(s) {
+		if !s.Valid() {
 			rejected++
 			continue
 		}

@@ -10,6 +10,12 @@
 // Limit query stops each shard's scan as soon as it has enough matches —
 // the abnormal-trace fetch stays flat as the corpus grows instead of
 // snapshotting the whole corpus under one big lock.
+//
+// Derived columns are computed store-side once per trace version: the first
+// query that reaches a trace assembles it (tree structure, exclusive
+// durations, the predicate row) and memoises the result; every later query
+// reads the memo, and the next write to that trace drops it. Nothing is
+// assembled at write time, so traces nobody reads cost one small entry.
 package store
 
 import (
@@ -32,8 +38,8 @@ import (
 type shard struct {
 	mu sync.RWMutex
 
-	// spans grouped by trace ID, insertion-ordered trace list.
-	byTrace map[string][]*trace.Span
+	// stored traces by ID, insertion-ordered trace list.
+	byTrace map[string]*entry
 	order   []string
 
 	// service index: service name → trace IDs containing it.
@@ -42,9 +48,25 @@ type shard struct {
 	spanCount int
 }
 
+// entry is one stored trace: its spans in arrival order (append-only, so
+// the length is the version) and the memoised assembly of that version.
+type entry struct {
+	spans []*trace.Span
+	memo  *memo // nil until the first read after a write
+}
+
+// memo is the immutable assembled form of one version of a trace plus the
+// row a query's predicates read; tr is nil when that version fails assembly
+// (duplicate span ID, parent cycle), which no query can then match.
+type memo struct {
+	tr                 *trace.Trace
+	rootStart, rootDur int64
+	hasError           bool
+}
+
 func newShard() *shard {
 	return &shard{
-		byTrace:   make(map[string][]*trace.Span),
+		byTrace:   make(map[string]*entry),
 		byService: make(map[string]map[string]struct{}),
 	}
 }
@@ -95,10 +117,13 @@ func (sh *shard) add(spans []*trace.Span) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for _, sp := range spans {
-		if _, ok := sh.byTrace[sp.TraceID]; !ok {
+		e := sh.byTrace[sp.TraceID]
+		if e == nil {
+			e = &entry{}
+			sh.byTrace[sp.TraceID] = e
 			sh.order = append(sh.order, sp.TraceID)
 		}
-		sh.byTrace[sp.TraceID] = append(sh.byTrace[sp.TraceID], sp)
+		e.spans, e.memo = append(e.spans, sp), nil
 		set, ok := sh.byService[sp.Service]
 		if !ok {
 			set = make(map[string]struct{})
@@ -186,25 +211,54 @@ type Query struct {
 	Limit int
 }
 
-// group copies the span list of one trace out of the shard under a short
-// read lock, so assembly (which sorts the slice in place) never runs while
-// the lock is held and never mutates the stored slice.
-func (sh *shard) group(id string) []*trace.Span {
+// match returns trace id if it satisfies q, nil otherwise. A trace with no
+// memo is assembled here from a copy of its spans, outside any lock, and the
+// memo published only if no span arrived meanwhile: racing readers may both
+// assemble one version, none can publish a stale one.
+func (sh *shard) match(id string, q Query) *trace.Trace {
 	sh.mu.RLock()
-	spans := sh.byTrace[id]
-	var cp []*trace.Span
-	if len(spans) > 0 {
-		cp = make([]*trace.Span, len(spans))
-		copy(cp, spans)
+	e := sh.byTrace[id]
+	if e != nil && q.Service != "" {
+		if _, touches := sh.byService[q.Service][id]; !touches {
+			e = nil
+		}
+	}
+	if e == nil {
+		sh.mu.RUnlock()
+		return nil
+	}
+	m := e.memo
+	var spans []*trace.Span
+	if m == nil {
+		spans = append(spans, e.spans...)
 	}
 	sh.mu.RUnlock()
-	return cp
+	if m == nil {
+		m = &memo{}
+		if tr, err := trace.Assemble(spans); err == nil {
+			root := tr.Spans[tr.Roots()[0]]
+			*m = memo{tr, root.Start, root.Duration(), tr.HasError()}
+		}
+		sh.mu.Lock()
+		if len(e.spans) == len(spans) {
+			e.memo = m
+		}
+		sh.mu.Unlock()
+	}
+	if m.tr == nil ||
+		(q.MinStart != 0 && m.rootStart < q.MinStart) ||
+		(q.MaxStart != 0 && m.rootStart > q.MaxStart) ||
+		(q.OnlyErrors && !m.hasError) ||
+		(q.MinRootDuration != 0 && m.rootDur < q.MinRootDuration) {
+		return nil
+	}
+	return m.tr
 }
 
 // candidates snapshots the shard's candidate trace IDs for a query: the
 // service index when the query names a service, insertion order otherwise.
-// Only the ID list is copied — span groups are fetched one at a time during
-// the scan, so a Limit query copies only as many groups as it inspects.
+// Only the ID list is copied — traces are looked up one at a time during the
+// scan, so a Limit query touches only as many as it inspects.
 func (sh *shard) candidates(q Query) []string {
 	sh.mu.RLock()
 	var ids []string
@@ -226,35 +280,31 @@ func (sh *shard) candidates(q Query) []string {
 	return ids
 }
 
-// scan assembles and filters this shard's candidates, stopping as soon as
-// q.Limit matches are found.
+// scan filters this shard's candidates, stopping as soon as q.Limit matches
+// are found.
 func (sh *shard) scan(q Query) []*trace.Trace {
-	ids := sh.candidates(q)
 	var out []*trace.Trace
-	for _, id := range ids {
-		group := sh.group(id)
-		if len(group) == 0 {
-			continue
-		}
-		tr, err := trace.Assemble(group)
-		if err != nil {
-			continue
-		}
-		if !matches(tr, q) {
-			continue
-		}
-		out = append(out, tr)
-		if q.Limit > 0 && len(out) >= q.Limit {
-			break
+	for _, id := range sh.candidates(q) {
+		if tr := sh.match(id, q); tr != nil {
+			out = append(out, tr)
+			if q.Limit > 0 && len(out) >= q.Limit {
+				break
+			}
 		}
 	}
 	return out
 }
 
-// Traces runs a query, assembling matching traces. Invalid span groups
-// (failed assembly) are skipped. Shards are scanned in parallel; each
-// shard's scan exits early once it alone could satisfy q.Limit, so small
-// limits touch a small prefix of the corpus instead of snapshotting it.
+// Traces runs a query. Traces whose spans fail assembly are skipped. Shards
+// are scanned in parallel; each shard's scan exits early once it alone could
+// satisfy q.Limit, so small limits touch a small prefix of the corpus
+// instead of snapshotting it.
+//
+// The returned traces are the store's memoised assemblies, shared with
+// every other query that matches them: callers must treat a trace, its
+// Spans slice and the spans themselves as read-only. A trace is a complete
+// snapshot of the spans stored when it was assembled and never changes; a
+// later span produces a new *trace.Trace on the next query.
 func (s *Store) Traces(q Query) []*trace.Trace {
 	if len(q.TraceIDs) > 0 {
 		return s.tracesByID(q)
@@ -293,43 +343,14 @@ func (s *Store) tracesByID(q Query) []*trace.Trace {
 			continue
 		}
 		seen[id] = struct{}{}
-		group := s.shardFor(id).group(id)
-		if len(group) == 0 {
-			continue
-		}
-		tr, err := trace.Assemble(group)
-		if err != nil {
-			continue
-		}
-		if !matches(tr, q) {
-			continue
-		}
-		out = append(out, tr)
-		if q.Limit > 0 && len(out) >= q.Limit {
-			break
+		if tr := s.shardFor(id).match(id, q); tr != nil {
+			out = append(out, tr)
+			if q.Limit > 0 && len(out) >= q.Limit {
+				break
+			}
 		}
 	}
 	return out
-}
-
-func matches(tr *trace.Trace, q Query) bool {
-	if len(tr.Roots()) == 0 {
-		return false
-	}
-	root := tr.Spans[tr.Roots()[0]]
-	if q.MinStart != 0 && root.Start < q.MinStart {
-		return false
-	}
-	if q.MaxStart != 0 && root.Start > q.MaxStart {
-		return false
-	}
-	if q.OnlyErrors && !tr.HasError() {
-		return false
-	}
-	if q.MinRootDuration != 0 && tr.RootDuration() < q.MinRootDuration {
-		return false
-	}
-	return true
 }
 
 // OpSummary is a derived per-operation statistics row (the "SQL-offloaded"
@@ -390,7 +411,7 @@ func (s *Store) SaveJSONL(w io.Writer) error {
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		for _, id := range sh.order {
-			for _, sp := range sh.byTrace[id] {
+			for _, sp := range sh.byTrace[id].spans {
 				if err := enc.Encode(sp); err != nil {
 					sh.mu.RUnlock()
 					return fmt.Errorf("store: encoding span: %w", err)
@@ -403,7 +424,8 @@ func (s *Store) SaveJSONL(w io.Writer) error {
 }
 
 // LoadJSONL ingests spans from a JSONL stream. Lines of any length are
-// accepted; malformed lines are skipped and counted (mirroring the
+// accepted; malformed lines and spans the ingest normalize stage would
+// reject (trace.Span.Valid) are skipped and counted (mirroring the
 // collector's skip-and-count policy) rather than aborting the load. It
 // returns the number of skipped lines; the error is non-nil only for I/O
 // failures on the underlying reader.
@@ -414,7 +436,7 @@ func (s *Store) LoadJSONL(r io.Reader) (skipped int, err error) {
 		line, rerr := br.ReadBytes('\n')
 		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
 			var sp trace.Span
-			if jerr := json.Unmarshal(trimmed, &sp); jerr != nil {
+			if jerr := json.Unmarshal(trimmed, &sp); jerr != nil || !sp.Valid() {
 				skipped++
 			} else {
 				cp := sp

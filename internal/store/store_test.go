@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -11,6 +13,7 @@ import (
 	"github.com/sleuth-rca/sleuth/internal/chaos"
 	"github.com/sleuth-rca/sleuth/internal/sim"
 	"github.com/sleuth-rca/sleuth/internal/synth"
+	"github.com/sleuth-rca/sleuth/internal/testenv"
 	"github.com/sleuth-rca/sleuth/internal/trace"
 )
 
@@ -91,6 +94,31 @@ func TestQueryByService(t *testing.T) {
 	}
 }
 
+// TestQueryByIDHonoursService: the service predicate applies to an
+// explicit-ID query too, not only to a scan.
+func TestQueryByIDHonoursService(t *testing.T) {
+	st := NewSharded(4)
+	st.AddSpans([]*trace.Span{
+		mkSpan("t1", "a", "", "front", 0, 10),
+		mkSpan("t1", "b", "a", "cart", 1, 5),
+		mkSpan("t2", "a", "", "front", 0, 10),
+	})
+	ids := []string{"t1", "t2"}
+	if got := traceIDs(st.Traces(Query{TraceIDs: ids, Service: "cart"})); !reflect.DeepEqual(got, []string{"t1"}) {
+		t.Fatalf("by-ID query for service cart = %v, want [t1]", got)
+	}
+	if got := traceIDs(st.Traces(Query{TraceIDs: ids, Service: "front"})); !reflect.DeepEqual(got, ids) {
+		t.Fatalf("by-ID query for service front = %v, want %v", got, ids)
+	}
+	if got := st.Traces(Query{TraceIDs: ids, Service: "absent"}); len(got) != 0 {
+		t.Fatalf("by-ID query for an unknown service returned %v", traceIDs(got))
+	}
+}
+
+func mkSpan(tid, id, parent, svc string, start, end int64) *trace.Span {
+	return &trace.Span{TraceID: tid, SpanID: id, ParentID: parent, Service: svc, Name: "op", Kind: trace.KindServer, Start: start, End: end}
+}
+
 func TestQueryTimeRange(t *testing.T) {
 	st, _ := populated(t, 20)
 	all := st.Traces(Query{})
@@ -154,6 +182,41 @@ func TestOpSummaries(t *testing.T) {
 	}
 }
 
+// TestOpSummariesColdWarmLate: the aggregate reads the memoised traces, so
+// its rows must not depend on whether the memo is cold, warm or was just
+// dropped by a late span.
+func TestOpSummariesColdWarmLate(t *testing.T) {
+	st, _ := populated(t, 40)
+	cold := st.OpSummaries()
+	if warm := st.OpSummaries(); !reflect.DeepEqual(cold, warm) {
+		t.Fatal("warm OpSummaries differ from cold")
+	}
+	root := st.Traces(Query{Limit: 1})[0]
+	rs := root.Spans[root.Roots()[0]]
+	late := mkSpan(root.TraceID, "late-span", rs.SpanID, "late-svc", rs.Start+1, rs.Start+2)
+	st.AddSpans([]*trace.Span{late})
+	got := st.OpSummaries()
+	fresh := NewSharded(1)
+	if err := copyStore(st, fresh); err != nil {
+		t.Fatal(err)
+	}
+	if want := fresh.OpSummaries(); !reflect.DeepEqual(got, want) {
+		t.Fatal("OpSummaries after a late span differ from a cold store holding the same spans")
+	}
+	if len(got) != len(cold)+1 {
+		t.Fatalf("late span's operation missing: %d rows, want %d", len(got), len(cold)+1)
+	}
+}
+
+func copyStore(from, to *Store) error {
+	var buf bytes.Buffer
+	if err := from.SaveJSONL(&buf); err != nil {
+		return err
+	}
+	_, err := to.LoadJSONL(&buf)
+	return err
+}
+
 func TestJSONLRoundTrip(t *testing.T) {
 	st, _ := populated(t, 15)
 	var buf bytes.Buffer
@@ -197,17 +260,26 @@ func TestLoadJSONLSkipsAndCounts(t *testing.T) {
 {broken
 not json at all
 {"traceId":"t2","spanId":"b","service":"s","name":"op","kind":"server","start":2,"end":6}
+{"traceId":"","spanId":"c","service":"s","name":"op","kind":"server","start":2,"end":6}
+{"traceId":"t2","spanId":"","service":"s","name":"op","kind":"server","start":2,"end":6}
+{"traceId":"t2","spanId":"d","service":"s","name":"op","kind":"bogus","start":2,"end":6}
+{"traceId":"t2","spanId":"e","service":"s","name":"op","kind":"server","start":6,"end":2}
 `
 	st := New()
 	skipped, err := st.LoadJSONL(bytes.NewBufferString(input))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if skipped != 2 {
-		t.Fatalf("skipped = %d, want 2", skipped)
+	// Two malformed lines plus the four spans the ingest normalize stage
+	// would reject: empty trace ID, empty span ID, invalid kind, End < Start.
+	if skipped != 6 {
+		t.Fatalf("skipped = %d, want 6", skipped)
 	}
 	if st.SpanCount() != 2 || st.TraceCount() != 2 {
 		t.Fatalf("loaded %d spans / %d traces, want 2/2", st.SpanCount(), st.TraceCount())
+	}
+	if got := len(st.Traces(Query{})); got != 2 {
+		t.Fatalf("%d of 2 loaded traces assemble", got)
 	}
 }
 
@@ -327,5 +399,183 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if st.TraceCount() != 50 {
 		t.Fatalf("TraceCount = %d after concurrent adds", st.TraceCount())
+	}
+}
+
+// TestLateSpanNewVersion: a span that arrives after a trace was read drops
+// the memo — the next read sees the new structure — and the trace handed
+// out before the write is left exactly as it was.
+func TestLateSpanNewVersion(t *testing.T) {
+	st := NewSharded(2)
+	st.AddSpans([]*trace.Span{mkSpan("t", "root", "", "front", 0, 100), mkSpan("t", "a", "root", "cart", 10, 30)})
+	before := st.Traces(Query{})[0]
+	if again := st.Traces(Query{TraceIDs: []string{"t"}})[0]; again != before {
+		t.Fatal("second read did not return the memoised trace")
+	}
+	if before.Len() != 2 || before.ExclusiveDuration(0) != 80 {
+		t.Fatalf("before: len=%d exclusive(root)=%d, want 2 / 80", before.Len(), before.ExclusiveDuration(0))
+	}
+	st.AddSpans([]*trace.Span{mkSpan("t", "b", "root", "db", 50, 90)})
+	after := st.Traces(Query{})[0]
+	if after == before || after.Len() != 3 {
+		t.Fatalf("after the late span: same trace=%v len=%d, want a new 3-span trace", after == before, after.Len())
+	}
+	if kids := after.Children(0); len(kids) != 2 || after.Spans[kids[1]].SpanID != "b" || after.Parent(kids[1]) != 0 {
+		t.Fatalf("late span not linked under the root: children=%v", kids)
+	}
+	if after.ExclusiveDuration(0) != 40 || after.ExclusiveDuration(2) != 40 {
+		t.Fatalf("after: exclusive(root)=%d exclusive(b)=%d, want 40 / 40", after.ExclusiveDuration(0), after.ExclusiveDuration(2))
+	}
+	if got := st.Traces(Query{Service: "db"}); len(got) != 1 || got[0] != after {
+		t.Fatal("service query does not see the late span's service")
+	}
+	if before.Len() != 2 || len(before.Children(0)) != 1 || before.ExclusiveDuration(0) != 80 {
+		t.Fatal("the trace returned before the write changed")
+	}
+}
+
+// TestFailedAssemblyMemoised: a trace that cannot be assembled (duplicate
+// span ID) is skipped by every query and assembled once per version, yet it
+// is still counted and still persisted.
+func TestFailedAssemblyMemoised(t *testing.T) {
+	st := NewSharded(1)
+	st.AddSpans([]*trace.Span{
+		mkSpan("bad", "x", "", "front", 0, 10), mkSpan("bad", "x", "", "front", 1, 5),
+		mkSpan("good", "r", "", "front", 0, 10),
+	})
+	e := st.shards[0].byTrace["bad"]
+	queries := []Query{{}, {Service: "front"}, {TraceIDs: []string{"bad", "good"}}, {MaxStart: 5}}
+	var failed *memo
+	for round := 0; round < 2; round++ {
+		for qi, q := range queries {
+			if got := traceIDs(st.Traces(q)); !reflect.DeepEqual(got, []string{"good"}) {
+				t.Fatalf("round %d query %d returned %v, want [good]", round, qi, got)
+			}
+			switch {
+			case e.memo == nil || e.memo.tr != nil:
+				t.Fatalf("round %d query %d: failed assembly not memoised", round, qi)
+			case failed == nil:
+				failed = e.memo
+			case e.memo != failed:
+				t.Fatalf("round %d query %d: version assembled again", round, qi)
+			}
+		}
+		// A later write clears the mark; the next read retries (and, the
+		// duplicate still being there, fails again) exactly once.
+		st.AddSpans([]*trace.Span{mkSpan("bad", fmt.Sprint("late", round), "x", "front", 2, 3)})
+		if e.memo != nil {
+			t.Fatal("write did not drop the failed mark")
+		}
+		failed = nil
+	}
+	if st.TraceCount() != 2 || st.SpanCount() != 5 {
+		t.Fatalf("counts = %d traces / %d spans, want 2 / 5", st.TraceCount(), st.SpanCount())
+	}
+	var buf bytes.Buffer
+	if err := st.SaveJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(buf.String(), `"traceId":"bad"`); got != 4 {
+		t.Fatalf("SaveJSONL wrote %d spans of the unassemblable trace, want 4", got)
+	}
+}
+
+// TestConcurrentSameTrace: writers append to the very traces readers are
+// fetching. Every returned trace must be a complete snapshot of some prefix
+// of that trace's writes — spans s0..s(k-1), chained, nothing missing.
+func TestConcurrentSameTrace(t *testing.T) {
+	const traces, spansPer, readers = 4, 60, 3
+	st := NewSharded(2)
+	id := func(k int) string { return fmt.Sprint("t", k) }
+	for k := 0; k < traces; k++ {
+		st.AddSpans([]*trace.Span{mkSpan(id(k), "s0", "", "svc", 0, 1000)})
+	}
+	var writers, wg sync.WaitGroup
+	done := make(chan struct{})
+	for k := 0; k < traces; k++ {
+		writers.Add(1)
+		go func(k int) {
+			defer writers.Done()
+			for i := 1; i < spansPer; i++ {
+				st.AddSpans([]*trace.Span{mkSpan(id(k), fmt.Sprint("s", i), fmt.Sprint("s", i-1), "svc", int64(i), 1000)})
+			}
+		}(k)
+	}
+	check := func(trs []*trace.Trace) {
+		for _, tr := range trs {
+			if tr.Len() < 1 || tr.Len() > spansPer || len(tr.Roots()) != 1 {
+				t.Errorf("trace %s: %d spans, %d roots", tr.TraceID, tr.Len(), len(tr.Roots()))
+				return
+			}
+			for i, sp := range tr.Spans {
+				if sp.SpanID != fmt.Sprint("s", i) || tr.Depth(i) != i {
+					t.Errorf("trace %s of %d spans is not the prefix s0..s%d: span %d is %s at depth %d",
+						tr.TraceID, tr.Len(), tr.Len()-1, i, sp.SpanID, tr.Depth(i))
+					return
+				}
+			}
+		}
+	}
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if g == 0 {
+					check(st.Traces(Query{TraceIDs: []string{id(0), id(1), id(2), id(3)}}))
+				} else {
+					check(st.Traces(Query{}))
+				}
+			}
+		}(g)
+	}
+	writers.Wait()
+	close(done)
+	wg.Wait()
+	final := st.Traces(Query{})
+	check(final)
+	for _, tr := range final {
+		if tr.Len() != spansPer {
+			t.Fatalf("trace %s settled at %d spans, want %d", tr.TraceID, tr.Len(), spansPer)
+		}
+	}
+}
+
+// TestStoreSteadyStateAllocs gates the warm read path (`make alloc`): a
+// window fetch over memoised traces allocates for what it returns — the
+// per-shard ID snapshots, result slices and scan goroutines — and nothing
+// per span or per rejected trace.
+func TestStoreSteadyStateAllocs(t *testing.T) {
+	if testenv.Race {
+		t.Skip("race detector instrumentation allocates")
+	}
+	st, _ := populated(t, 200)
+	all := st.Traces(Query{})
+	starts := make([]int64, len(all))
+	for i, tr := range all {
+		starts[i] = tr.Spans[tr.Roots()[0]].Start
+	}
+	sort.Slice(starts, func(a, b int) bool { return starts[a] < starts[b] })
+	window := Query{MinStart: starts[0], MaxStart: starts[9]}
+	k := len(st.Traces(window))
+	if k < 10 || k > 20 {
+		t.Fatalf("window returns %d traces, want about 10", k)
+	}
+	// Per shard: the ID snapshot, the scan goroutine and its closure, and
+	// the doubling steps of a small result; plus the merged result.
+	// Assembling a trace costs 15 allocations whatever its size, so
+	// re-assembling even the returned traces alone would cost several
+	// times this.
+	shards := float64(st.Shards())
+	if n := testing.AllocsPerRun(50, func() { _ = st.Traces(window) }); n > 6*shards+float64(k) {
+		t.Fatalf("warm window fetch of %d of %d memoised traces allocates %.0f per query, want ≤ %.0f", k, len(all), n, 6*shards+float64(k))
+	}
+	if n := testing.AllocsPerRun(50, func() { _ = st.Traces(Query{MinStart: starts[len(starts)-1] + 1}) }); n > 4*shards {
+		t.Fatalf("warm scan rejecting all %d traces allocates %.0f per query, want ≤ %.0f", len(all), n, 4*shards)
 	}
 }

@@ -12,8 +12,10 @@
 package trace
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -78,6 +80,14 @@ type Span struct {
 // Duration returns the span's wall-clock duration in microseconds.
 func (s *Span) Duration() int64 { return s.End - s.Start }
 
+// Valid reports whether a decoded span carries the minimum structure trace
+// assembly needs: both IDs, a defined kind and a non-negative duration.
+// Every entry into the store (the ingest normalize stage, LoadJSONL)
+// rejects and counts the rest rather than letting one poison its trace.
+func (s *Span) Valid() bool {
+	return s != nil && s.TraceID != "" && s.SpanID != "" && s.Kind.Valid() && s.End >= s.Start
+}
+
 // OpKey returns the semantic identifier of the operation: service, name and
 // kind. Spans sharing an OpKey are instances of the same RPC.
 func (s *Span) OpKey() string { return s.Service + "\x1f" + s.Name + "\x1f" + string(s.Kind) }
@@ -124,11 +134,11 @@ func Assemble(spans []*Span) (*Trace, error) {
 			return nil, fmt.Errorf("%w: %q and %q", ErrMixedTraces, tid, s.TraceID)
 		}
 	}
-	sort.SliceStable(spans, func(i, j int) bool {
-		if spans[i].Start != spans[j].Start {
-			return spans[i].Start < spans[j].Start
+	slices.SortStableFunc(spans, func(a, b *Span) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		return spans[i].SpanID < spans[j].SpanID
+		return cmp.Compare(a.SpanID, b.SpanID)
 	})
 	idx := make(map[string]int, len(spans))
 	for i, s := range spans {
@@ -144,6 +154,10 @@ func Assemble(spans []*Span) (*Trace, error) {
 		children: make([][]int, len(spans)),
 		depth:    make([]int, len(spans)),
 	}
+	// Count pass, then fill pass: every child list is cut, at its final
+	// capacity, from one backing array, so the appends never allocate.
+	counts := make([]int, len(spans))
+	nroots := 0
 	for i, s := range spans {
 		p := -1
 		if s.ParentID != "" {
@@ -155,6 +169,20 @@ func Assemble(spans []*Span) (*Trace, error) {
 			return nil, fmt.Errorf("%w: span %q is its own parent", ErrCycle, s.SpanID)
 		}
 		t.parent[i] = p
+		if p >= 0 {
+			counts[p]++
+		} else {
+			nroots++
+		}
+	}
+	t.roots = make([]int, 0, nroots)
+	backing := make([]int, len(spans)-nroots)
+	for i, n := range counts {
+		if n > 0 {
+			t.children[i], backing = backing[:0:n], backing[n:]
+		}
+	}
+	for i, p := range t.parent {
 		if p >= 0 {
 			t.children[p] = append(t.children[p], i)
 		} else {
@@ -211,42 +239,16 @@ func (t *Trace) computeExclusiveDurations() {
 			t.exclusiveDur[i] = s.Duration()
 			continue
 		}
-		// Clip child intervals to the parent window and merge them.
-		type iv struct{ lo, hi int64 }
-		ivs := make([]iv, 0, len(kids))
+		// Children are ordered by start time, so once a child is counted
+		// everything a later child covers before its end is counted already:
+		// clip each child to the parent window and to that running end.
+		covered, end := int64(0), s.Start
 		for _, c := range kids {
 			cs := t.Spans[c]
-			lo, hi := cs.Start, cs.End
-			if lo < s.Start {
-				lo = s.Start
+			if lo, hi := max(cs.Start, end), min(cs.End, s.End); hi > lo {
+				covered += hi - lo
+				end = hi
 			}
-			if hi > s.End {
-				hi = s.End
-			}
-			if hi > lo {
-				ivs = append(ivs, iv{lo, hi})
-			}
-		}
-		sort.Slice(ivs, func(a, b int) bool { return ivs[a].lo < ivs[b].lo })
-		covered := int64(0)
-		var curLo, curHi int64
-		started := false
-		for _, v := range ivs {
-			if !started {
-				curLo, curHi, started = v.lo, v.hi, true
-				continue
-			}
-			if v.lo <= curHi {
-				if v.hi > curHi {
-					curHi = v.hi
-				}
-			} else {
-				covered += curHi - curLo
-				curLo, curHi = v.lo, v.hi
-			}
-		}
-		if started {
-			covered += curHi - curLo
 		}
 		excl := s.Duration() - covered
 		if excl < 0 {

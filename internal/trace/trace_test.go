@@ -2,9 +2,11 @@ package trace
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"github.com/sleuth-rca/sleuth/internal/testenv"
 	"github.com/sleuth-rca/sleuth/internal/xrand"
 )
 
@@ -271,6 +273,30 @@ func TestKindHelpers(t *testing.T) {
 	}
 }
 
+// TestSpanValid pins the one admission rule shared by the ingest normalize
+// stage and LoadJSONL.
+func TestSpanValid(t *testing.T) {
+	ok := span("t", "s", "", "svc", "op", KindServer, 5, 5, false)
+	if !ok.Valid() {
+		t.Fatal("zero-duration span with IDs and a kind must be valid")
+	}
+	for name, mutate := range map[string]func(*Span){
+		"empty trace ID": func(s *Span) { s.TraceID = "" },
+		"empty span ID":  func(s *Span) { s.SpanID = "" },
+		"unknown kind":   func(s *Span) { s.Kind = "bogus" },
+		"End < Start":    func(s *Span) { s.End = s.Start - 1 },
+	} {
+		bad := *ok
+		mutate(&bad)
+		if bad.Valid() {
+			t.Errorf("%s: span reported valid", name)
+		}
+	}
+	if (*Span)(nil).Valid() {
+		t.Error("nil span reported valid")
+	}
+}
+
 func TestServicesAndGroupBy(t *testing.T) {
 	spans := []*Span{
 		span("t", "a", "", "svcB", "n", KindServer, 0, 10, false),
@@ -398,6 +424,80 @@ func TestDepthInvariant(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAssembleMatchesReference checks the derived columns against a naive
+// reference — children by a scan over parents, exclusive duration by
+// sorting and merging the clipped child intervals — on spans whose children
+// overlap each other and stick out of their parent on both sides.
+func TestAssembleMatchesReference(t *testing.T) {
+	r := xrand.New(5)
+	for round := 0; round < 200; round++ {
+		n := r.IntRange(1, 60)
+		spans := make([]*Span, n)
+		for i := range spans {
+			parent := ""
+			if i > 0 && r.Bernoulli(0.9) {
+				parent = fmt.Sprint("s", r.Intn(i))
+			}
+			start := int64(r.Intn(1000))
+			spans[i] = span("t", fmt.Sprint("s", i), parent, "svc", "op", KindClient, start, start+int64(r.Intn(400)), false)
+		}
+		tr, err := Assemble(spans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range tr.Spans {
+			var kids []int
+			type iv struct{ lo, hi int64 }
+			var ivs []iv
+			for c, cs := range tr.Spans {
+				if cs.ParentID == s.SpanID {
+					kids = append(kids, c)
+					if lo, hi := max(cs.Start, s.Start), min(cs.End, s.End); hi > lo {
+						ivs = append(ivs, iv{lo, hi})
+					}
+				}
+			}
+			if fmt.Sprint(kids) != fmt.Sprint(tr.Children(i)) {
+				t.Fatalf("round %d span %d: children %v, want %v", round, i, tr.Children(i), kids)
+			}
+			sort.Slice(ivs, func(a, b int) bool { return ivs[a].lo < ivs[b].lo })
+			covered, end := int64(0), s.Start
+			for _, v := range ivs {
+				if v.hi > end {
+					covered += v.hi - max(v.lo, end)
+					end = v.hi
+				}
+			}
+			if want := s.Duration() - covered; tr.ExclusiveDuration(i) != want {
+				t.Fatalf("round %d span %d: exclusive duration %d, want %d", round, i, tr.ExclusiveDuration(i), want)
+			}
+		}
+	}
+}
+
+// TestAssembleSteadyStateAllocs gates Assemble's allocation count (`make
+// alloc`): it runs once per stored trace version and once per /score
+// request trace, and must cost a constant number of allocations — the
+// struct, its columns, the ID index — not one per span or per parent.
+func TestAssembleSteadyStateAllocs(t *testing.T) {
+	if testenv.Race {
+		t.Skip("race detector instrumentation allocates")
+	}
+	for _, n := range []int{50, 200} {
+		spans := randomTree(xrand.New(3), n)
+		cp := make([]*Span, n)
+		allocs := testing.AllocsPerRun(50, func() {
+			copy(cp, spans)
+			if _, err := Assemble(cp); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 16 {
+			t.Fatalf("Assemble of %d spans allocates %.0f, want ≤ 16 at any size", n, allocs)
+		}
 	}
 }
 
