@@ -55,7 +55,8 @@ verify: fmt vet build budget race alloc obs-overhead propagation-smoke alert-smo
 # the steady-state training step must allocate (essentially) nothing, the
 # per-trace predict cost must stay a small constant, the clustering
 # engine's steady-state kernels (Eq. 1 merge, bounded-heap row selection,
-# packed-matrix access) must not allocate per call, the ingest tail
+# packed-matrix access) must not allocate per call and a whole Pairwise
+# call must cost the same few allocations at any n, the ingest tail
 # sampler's per-trace verdict must allocate nothing, a warm serving
 # request through the batcher must cost only the score kernel's per-trace
 # constants, the watchdog tick — disabled AND enabled steady state —

@@ -13,7 +13,8 @@ import (
 // incident scale these run billions of times per batch, and any per-call
 // allocation would put the GC back on the clustering critical path. Encoding
 // a trace against a vocabulary that already holds its identifiers costs the
-// two result slices, not a string per span.
+// two result slices, not a string per span, and a whole distance matrix costs
+// a constant number of allocations.
 func TestClusterSteadyStateAllocs(t *testing.T) {
 	if testenv.Race {
 		t.Skip("race detector instrumentation allocates")
@@ -22,6 +23,16 @@ func TestClusterSteadyStateAllocs(t *testing.T) {
 	a, b := sets[0], sets[1]
 	if n := testing.AllocsPerRun(200, func() { _ = Distance(a, b) }); n != 0 {
 		t.Fatalf("Distance allocates %.1f per call, want 0", n)
+	}
+	// Pairwise allocates its index (three arrays), the matrix and a few
+	// words of bookkeeping: a count that does not grow with n, so nothing
+	// per row or per pair. (AllocsPerRun measures on one core; every further
+	// worker adds its goroutine.)
+	for _, n := range []int{64, 256} {
+		batch := randomSets(n, 1)
+		if allocs := testing.AllocsPerRun(20, func() { _ = Pairwise(batch) }); allocs > 8 {
+			t.Fatalf("Pairwise allocates %.1f times at n=%d, want ≤ 8 at any n", allocs, n)
+		}
 	}
 	m := Pairwise(sets)
 	scratch := make([]float64, 0, 6)

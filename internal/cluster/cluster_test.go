@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -204,6 +205,32 @@ func TestTraceSetsMatchReference(t *testing.T) {
 			check("TraceSet on a pre-populated interner", got, ref)
 			if pre.Size() != ref.Size() {
 				t.Fatalf("seed %d dmax %d: vocabulary size %d, want %d", seed, dmax, pre.Size(), ref.Size())
+			}
+		}
+	}
+}
+
+// TestTraceSetsChunksMatchReference: however many chunks TraceSets encodes in
+// — one, two, eight with a short last one, or one because the batch is
+// smaller than a chunk — IDs, W, Mass and the vocabulary are the reference's.
+func TestTraceSetsChunksMatchReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	traces := randomTraces(t, xrand.New(11), 8*minEncodeChunk+7)
+	for _, dmax := range []int{0, DefaultMaxAncestors} {
+		for _, procs := range []int{1, 2, 8, 16} {
+			runtime.GOMAXPROCS(procs)
+			for _, n := range []int{len(traces), 3} {
+				got, ref := TraceSets(traces[:n], dmax), NewInterner()
+				for k, tr := range traces[:n] {
+					ids, w, mass := referenceTraceSet(ref, tr, dmax)
+					if !reflect.DeepEqual(got[k].IDs, ids) || !reflect.DeepEqual(got[k].W, w) || got[k].Mass() != mass || got[k].vocab != got[0].vocab {
+						t.Fatalf("dmax %d GOMAXPROCS %d, trace %d of %d:\n got %v %v %v\nwant %v %v %v",
+							dmax, procs, k, n, got[k].IDs, got[k].W, got[k].Mass(), ids, w, mass)
+					}
+				}
+				if got[0].vocab.Size() != ref.Size() {
+					t.Fatalf("dmax %d GOMAXPROCS %d, %d traces: vocabulary size %d, want %d", dmax, procs, n, got[0].vocab.Size(), ref.Size())
+				}
 			}
 		}
 	}

@@ -196,6 +196,10 @@ func TraceSet(in *Interner, tr *trace.Trace, dmax int) WeightedSet {
 	return WeightedSet{IDs: ids, W: w, mass: sum(w), hasMass: true, vocab: in}
 }
 
+// mixedVocabularies is the panic of comparing sets built against different
+// Interners, from Distance on a pair and from Pairwise on a batch.
+const mixedVocabularies = "cluster: Distance across sets from different Interner vocabularies"
+
 // Distance computes the extended weighted Jaccard distance of Eq. 1:
 //
 //	d(A,B) = 1 - Σ min(w_A, w_B) / Σ max(w_A, w_B)
@@ -220,7 +224,7 @@ func TraceSet(in *Interner, tr *trace.Trace, dmax int) WeightedSet {
 // take the classic full merge and the matrix stays exact either way.
 func Distance(a, b WeightedSet) float64 {
 	if a.vocab != b.vocab && a.vocab != nil && b.vocab != nil {
-		panic("cluster: Distance across sets from different Interner vocabularies")
+		panic(mixedVocabularies)
 	}
 	if !a.hasMass || !b.hasMass {
 		return distanceFull(a, b)
@@ -257,6 +261,13 @@ func Distance(a, b WeightedSet) float64 {
 			j++
 		}
 	}
+	return jaccard(ma, mb, interMin)
+}
+
+// jaccard finishes Eq. 1 from the two masses and the intersection term,
+// through the identity Σmax = |A| + |B| − Σmin; Distance and Pairwise share
+// it so their cells cannot drift apart.
+func jaccard(ma, mb, interMin float64) float64 {
 	union := ma + mb - interMin
 	if union <= 0 {
 		return 0
@@ -309,14 +320,23 @@ func distanceFull(a, b WeightedSet) float64 {
 	return 1 - interMin/unionMax
 }
 
-// Pairwise computes the full distance matrix over trace sets in parallel.
+// Pairwise computes the full distance matrix over trace sets in parallel,
+// every cell bit-identical to Distance(sets[i], sets[j]).
 //
-// Only the upper triangle is computed (and, with the packed Matrix layout,
-// stored), so row i costs n-i-1 distance calls: handing out bare rows would
-// leave the tail workers idle while whoever drew row 0 finishes (triangular
-// load imbalance). Work items therefore pair row i with its mirror row
-// n-1-i — every item costs ~n-1 calls, so per-item cost is near-uniform and
-// workers drain the queue evenly.
+// It does not merge pairs. One inverted index over the batch (buildPostings)
+// lists, per identifier, the sets that hold it; row i then visits only the
+// (identifier, j) matches it has with later sets, accumulating Σmin straight
+// into the packed matrix row, and a second pass over the row applies Eq. 1.
+// Cost follows matches, not |A|+|B| per pair — identifiers the two sets do
+// not share cost nothing — and degenerates to the merge's cost only when all
+// sets are identical. Sets built by hand (no cached mass) stay out of the
+// index and take Distance cell by cell; sets from different vocabularies
+// panic as Distance does.
+//
+// Only the upper triangle is computed and stored, so row i costs about
+// n-i-1 cells: handing out bare rows would leave the tail workers idle while
+// whoever drew row 0 finishes. Work items therefore pair row i with its
+// mirror row n-1-i, which makes per-item cost near-uniform.
 func Pairwise(sets []WeightedSet) *Matrix {
 	n := len(sets)
 	timer := obs.H("cluster.pairwise_us").Start()
@@ -334,50 +354,162 @@ func Pairwise(sets []WeightedSet) *Matrix {
 	}
 	m := NewMatrix(n)
 	obs.S("cluster.matrix_bytes").Append(float64(m.Bytes()))
-	fillRow := func(i int) {
-		for j := i + 1; j < n; j++ {
-			m.Set(i, j, Distance(sets[i], sets[j]))
+	ix := buildPostings(sets)
+	fanOut((n+1)/2, func(i int) {
+		ix.fillRow(sets, i, m.row(i))
+		if mirror := n - 1 - i; mirror != i {
+			ix.fillRow(sets, mirror, m.row(mirror))
 		}
-	}
-	nItems := (n + 1) / 2
-	workers := clusterWorkers(nItems)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fillRow(i)
-		}
-		return m
-	}
-	items := make(chan int, nItems)
-	for i := 0; i < nItems; i++ {
-		items <- i
-	}
-	close(items)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range items {
-				fillRow(i)
-				if mirror := n - 1 - i; mirror != i {
-					fillRow(mirror)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	return m
 }
 
-// TraceSets encodes every trace with the given ancestor window against one
-// shared vocabulary, built once for the batch. The serial loop fixes the
-// interning order, so the same trace slice always yields the same IDs.
-func TraceSets(traces []*trace.Trace, dmax int) []WeightedSet {
-	in := NewInterner()
-	out := make([]WeightedSet, len(traces))
-	for i, tr := range traces {
-		out[i] = TraceSet(in, tr, dmax)
+// postings is Pairwise's inverted index in CSR form: identifier id's entries
+// — one (set index, weight) per massed set holding id, ascending by set index
+// because sets are filed in order — end at end[id] and begin where id-1's end.
+type postings struct {
+	end []int32
+	set []int32
+	w   []float64
+}
+
+func buildPostings(sets []WeightedSet) postings {
+	var vocab *Interner
+	total, size := 0, 0
+	for _, s := range sets {
+		if s.vocab != nil {
+			if vocab != nil && s.vocab != vocab {
+				panic(mixedVocabularies)
+			}
+			vocab = s.vocab
+		}
+		if k := len(s.IDs); s.hasMass && k > 0 {
+			total += k
+			size = max(size, int(s.IDs[k-1])+1)
+		}
 	}
+	ix := postings{end: make([]int32, size), set: make([]int32, total), w: make([]float64, total)}
+	for _, s := range sets {
+		if s.hasMass {
+			for _, id := range s.IDs {
+				ix.end[id]++
+			}
+		}
+	}
+	run := int32(0)
+	for id, c := range ix.end {
+		ix.end[id], run = run, run+c
+	}
+	// end[id] is id's begin here and its fill cursor below, which leaves it
+	// one past id's last entry.
+	for i, s := range sets {
+		if s.hasMass {
+			for k, id := range s.IDs {
+				p := ix.end[id]
+				ix.set[p], ix.w[p] = int32(i), s.W[k]
+				ix.end[id] = p + 1
+			}
+		}
+	}
+	return ix
+}
+
+// fillRow computes cells (i, i+1..n-1) into row, which arrives zeroed. Set i
+// is walked in ascending ID order and each posting list back from its end to
+// set i's own entry, so a cell receives its min terms in ascending ID order —
+// the order Distance's merge adds them — and the sums agree bit for bit.
+func (ix postings) fillRow(sets []WeightedSet, i int, row []float64) {
+	a := sets[i]
+	if a.hasMass {
+		set, w := ix.set, ix.w
+		for k, id := range a.IDs {
+			wa := a.W[k]
+			for p := ix.end[id] - 1; ; p-- {
+				c := int(set[p]) - i - 1
+				if c < 0 {
+					break
+				}
+				// For the non-NaN weights every constructor stores, min
+				// picks the operand Distance's compare picks.
+				row[c] += min(wa, w[p])
+			}
+		}
+	}
+	for c := range row {
+		b := &sets[i+1+c]
+		switch {
+		case !a.hasMass || !b.hasMass:
+			row[c] = Distance(a, *b)
+		case a.mass == 0 && b.mass == 0:
+			row[c] = 0
+		case a.mass == 0 || b.mass == 0:
+			row[c] = 1
+		default:
+			row[c] = jaccard(a.mass, b.mass, row[c])
+		}
+	}
+}
+
+// minEncodeChunk is the fewest traces TraceSets gives a chunk. Every chunk
+// builds most of the batch's vocabulary over again, which a smaller chunk
+// does not win back: two chunks of 32 Synthetic-256 traces encode no faster
+// than one of 64, two of 16 a quarter slower than one of 32.
+const minEncodeChunk = 64
+
+// TraceSets encodes every trace with the given ancestor window against one
+// vocabulary built for the batch, in parallel chunks of consecutive traces,
+// with the IDs, weights and masses a serial TraceSet loop over one Interner
+// produces. The first chunk is that loop's own prefix and encodes against the
+// shared Interner; the others encode against private vocabularies, whose IDs
+// are their first-seen order. They then hand their identifiers to the shared
+// Interner in chunk order and local ID order — the order the serial loop
+// would have met the new ones — and each of their traces is renumbered,
+// re-sorted by shared ID (weights follow) and its mass summed in that order.
+func TraceSets(traces []*trace.Trace, dmax int) []WeightedSet {
+	out := make([]WeightedSet, len(traces))
+	if len(traces) == 0 {
+		return out
+	}
+	workers := clusterWorkers(len(traces))
+	size := max((len(traces)+workers-1)/workers, minEncodeChunk)
+	vocabs := make([]*Interner, (len(traces)+size-1)/size)
+	fanOut(len(vocabs), func(c int) {
+		vocabs[c] = NewInterner()
+		for i := c * size; i < min((c+1)*size, len(traces)); i++ {
+			out[i] = TraceSet(vocabs[c], traces[i], dmax)
+		}
+	})
+	in := vocabs[0]
+	shared := make([][]int32, len(vocabs))
+	for c := 1; c < len(vocabs); c++ {
+		names := make([]string, len(vocabs[c].ids))
+		for s, id := range vocabs[c].ids {
+			names[id] = s
+		}
+		shared[c] = make([]int32, len(names))
+		for id, s := range names {
+			shared[c][id] = in.Intern(s)
+		}
+	}
+	// The first chunk's traces are final; the rest are renumbered in blocks,
+	// one per worker, each with its own weight scratch indexed by shared ID.
+	width, rest := in.Size(), len(traces)-size
+	block := max((rest+workers-1)/workers, 1)
+	fanOut((rest+block-1)/block, func(b int) {
+		acc := make([]float64, width)
+		for i := size + b*block; i < min(size+(b+1)*block, len(traces)); i++ {
+			s, table := &out[i], shared[i/size]
+			for k, id := range s.IDs {
+				s.IDs[k] = table[id]
+				acc[s.IDs[k]] = s.W[k]
+			}
+			slices.Sort(s.IDs)
+			for k, id := range s.IDs {
+				s.W[k] = acc[id]
+			}
+			s.mass, s.vocab = sum(s.W), in
+		}
+	})
 	return out
 }
 

@@ -27,6 +27,12 @@ func (m *Matrix) tri(i, j int) int {
 	return i*(2*m.N-i-1)/2 + j - i - 1
 }
 
+// row returns the packed cells (i, i+1) … (i, n-1), which are contiguous.
+func (m *Matrix) row(i int) []float64 {
+	lo := m.tri(i, i+1)
+	return m.d[lo : lo+m.N-i-1]
+}
+
 // At returns the distance between i and j.
 func (m *Matrix) At(i, j int) float64 {
 	if i == j {

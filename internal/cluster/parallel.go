@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/sleuth-rca/sleuth/internal/obs"
@@ -28,6 +29,31 @@ func clusterWorkers(items int) int {
 		w = 1
 	}
 	return w
+}
+
+// fanOut runs fn(0) … fn(items-1) on clusterWorkers(items) goroutines, each
+// claiming the next index from a shared counter so uneven items spread
+// evenly, and returns when all are done. With one worker it runs inline.
+func fanOut(items int, fn func(i int)) {
+	workers := clusterWorkers(items)
+	if workers <= 1 {
+		for i := 0; i < items; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < items; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // stageTimer starts timing one clustering stage into both its histogram

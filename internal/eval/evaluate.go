@@ -6,6 +6,7 @@ import (
 
 	"github.com/sleuth-rca/sleuth/internal/cluster"
 	"github.com/sleuth-rca/sleuth/internal/rca"
+	"github.com/sleuth-rca/sleuth/internal/trace"
 )
 
 // Evaluate runs an algorithm over the dataset's queries after calibrating
@@ -96,12 +97,11 @@ func ClusteredEvaluate(algo rca.Algorithm, ds *Dataset, opts cluster.Options, me
 		if metric == MetricCustom && distances != nil {
 			m = distances.Submatrix(idx)
 		} else {
-			vocab := cluster.NewInterner()
-			sets := make([]cluster.WeightedSet, len(idx))
+			traces := make([]*trace.Trace, len(idx))
 			for a, qi := range idx {
-				sets[a] = cluster.TraceSet(vocab, ds.Queries[qi].Trace, cluster.DefaultMaxAncestors)
+				traces[a] = ds.Queries[qi].Trace
 			}
-			m = cluster.Pairwise(sets)
+			m = cluster.Pairwise(cluster.TraceSets(traces, cluster.DefaultMaxAncestors))
 		}
 		effOpts := scaleClusterOptions(opts, len(idx))
 		// Within one incident a single failure mode is the common case;

@@ -227,7 +227,8 @@ func TestRCASmokeEquivalence(t *testing.T) {
 }
 
 // TestLocalizeBatchDeterministicWithPruning checks batch localisation with
-// pruning on returns identical predictions for workers 1, 2 and 8.
+// pruning on returns identical predictions for workers 1, 2 and 8, for fewer
+// queries than workers, and the results of lone LocalizeDetailed calls.
 func TestLocalizeBatchDeterministicWithPruning(t *testing.T) {
 	f := newFixture(t, 15)
 	svc := f.app.ServiceAtCallDepth(1)
@@ -253,6 +254,19 @@ func TestLocalizeBatchDeterministicWithPruning(t *testing.T) {
 		got := f.loc.LocalizeBatch(qtraces, slos, workers)
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("workers=%d diverged from workers=1:\n%v\nvs\n%v", workers, got, ref)
+		}
+	}
+	// Fewer queries than workers, and none at all.
+	if got := f.loc.LocalizeBatch(qtraces[:3], slos[:3], 8); !reflect.DeepEqual(got, ref[:3]) {
+		t.Fatalf("3 queries on 8 workers: %v, want %v", got, ref[:3])
+	}
+	if got := f.loc.LocalizeBatch(nil, nil, 8); len(got) != 0 {
+		t.Fatalf("empty batch returned %v", got)
+	}
+	// The detailed batch is the lone call, query by query.
+	for i, res := range f.loc.LocalizeDetailedBatch(qtraces, slos, 0) {
+		if want := f.loc.LocalizeDetailed(qtraces[i], slos[i]); !reflect.DeepEqual(res, want) {
+			t.Fatalf("query %d: batch %+v, lone call %+v", i, res, want)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/sleuth-rca/sleuth/internal/core"
@@ -243,37 +244,50 @@ func (l *Localizer) Localize(tr *trace.Trace, sloMicros float64) []string {
 	return l.LocalizeDetailed(tr, sloMicros).Services
 }
 
-// LocalizeBatch implements BatchLocalizer: localisation only reads the
-// model (forward passes and normal-state lookups), so independent queries
-// fan out across workers. Results are returned in input order.
+// LocalizeBatch implements BatchLocalizer: the Services of
+// LocalizeDetailedBatch, in input order.
 func (l *Localizer) LocalizeBatch(traces []*trace.Trace, sloMicros []float64, workers int) [][]string {
+	out := make([][]string, len(traces))
+	for i, res := range l.LocalizeDetailedBatch(traces, sloMicros, workers) {
+		out[i] = res.Services
+	}
+	return out
+}
+
+// LocalizeDetailedBatch runs LocalizeDetailed(traces[i], sloMicros[i]) for
+// every i and returns the results in input order; workers ≤ 0 uses
+// GOMAXPROCS. Localisation only reads the model (forward passes and
+// normal-state lookups), so the queries are independent and each result is
+// what a lone call returns. Workers claim the next query from a shared
+// counter rather than a fixed stride: a query that normalises at its first
+// question costs a tenth of one that exhausts the loop.
+func (l *Localizer) LocalizeDetailedBatch(traces []*trace.Trace, sloMicros []float64, workers int) []Result {
 	if len(traces) != len(sloMicros) {
-		panic("rca: LocalizeBatch length mismatch")
+		panic("rca: LocalizeDetailedBatch length mismatch")
 	}
 	batchTimer := obs.H("rca.localize_batch_us").Start()
 	defer batchTimer.Stop()
-	out := make([][]string, len(traces))
+	out := make([]Result, len(traces))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(traces) {
-		workers = len(traces)
-	}
+	workers = min(workers, len(traces))
 	if workers <= 1 {
 		for i, tr := range traces {
-			out[i] = l.Localize(tr, sloMicros[i])
+			out[i] = l.LocalizeDetailed(tr, sloMicros[i])
 		}
 		return out
 	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for i := w; i < len(traces); i += workers {
-				out[i] = l.Localize(traces[i], sloMicros[i])
+			for i := int(next.Add(1)) - 1; i < len(traces); i = int(next.Add(1)) - 1 {
+				out[i] = l.LocalizeDetailed(traces[i], sloMicros[i])
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	return out

@@ -341,38 +341,37 @@ func (a *Analyzer) Analyze(anomalous []*Trace) *Report {
 		clusterIDs = append(clusterIDs, l)
 	}
 	sort.Ints(clusterIDs)
+	// One query per diagnosis, in report order: noise traces (label -1 sorts
+	// first) each on their own, then every cluster's medoid.
+	var queries []*Trace
 	for _, l := range clusterIDs {
 		if l < 0 {
-			// Noise traces: localise each individually.
 			for _, i := range members[l] {
-				tr := anomalous[i]
-				res := a.Localizer.LocalizeDetailed(tr, a.sloFor(tr))
-				report.Inferences++
-				report.Diagnoses = append(report.Diagnoses, Diagnosis{
-					ClusterID:        -1,
-					TraceIDs:         []string{tr.TraceID},
-					Services:         res.Services,
-					Pods:             res.Pods,
-					Nodes:            res.Nodes,
-					PrunedCandidates: res.PrunedCandidates,
-					Pruning:          res.Pruning,
-				})
+				queries = append(queries, anomalous[i])
+				report.Diagnoses = append(report.Diagnoses, Diagnosis{ClusterID: -1, TraceIDs: []string{anomalous[i].TraceID}})
 			}
 			continue
 		}
-		medoid := anomalous[medoids[l]]
-		res := a.Localizer.LocalizeDetailed(medoid, a.sloFor(medoid))
-		report.Inferences++
-		d := Diagnosis{
-			ClusterID: l, Services: res.Services, Pods: res.Pods, Nodes: res.Nodes,
-			PrunedCandidates: res.PrunedCandidates, Pruning: res.Pruning,
-		}
+		queries = append(queries, anomalous[medoids[l]])
+		d := Diagnosis{ClusterID: l}
 		for _, i := range members[l] {
 			d.TraceIDs = append(d.TraceIDs, anomalous[i].TraceID)
 		}
 		sort.Strings(d.TraceIDs)
 		report.Diagnoses = append(report.Diagnoses, d)
 	}
+	slos := make([]float64, len(queries))
+	for q, tr := range queries {
+		slos[q] = a.sloFor(tr)
+	}
+	// The queries are independent and differ widely in cost, so they run on
+	// GOMAXPROCS workers; results come back in query order.
+	for q, res := range a.Localizer.LocalizeDetailedBatch(queries, slos, 0) {
+		d := &report.Diagnoses[q]
+		d.Services, d.Pods, d.Nodes = res.Services, res.Pods, res.Nodes
+		d.PrunedCandidates, d.Pruning = res.PrunedCandidates, res.Pruning
+	}
+	report.Inferences = len(queries)
 	return report
 }
 

@@ -2,6 +2,8 @@ package sleuth
 
 import (
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/sleuth-rca/sleuth/internal/chaos"
@@ -136,6 +138,69 @@ func TestSLOs(t *testing.T) {
 		if v <= 0 {
 			t.Fatalf("SLO for %s is %v", op, v)
 		}
+	}
+}
+
+// TestAnalyzeDeterministicAcrossGOMAXPROCS: the chunked encoding, the indexed
+// distance matrix and the fanned-out localisation leave the report what one
+// core produces — noise traces first in batch order, then clusters by
+// ascending label, one inference per diagnosis, each noise diagnosis the
+// result of a lone query.
+func TestAnalyzeDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	world, _, analyzer, _ := endToEnd(t, 3)
+	var anomalous []*Trace
+	for seed := uint64(20); seed < 23; seed++ {
+		inc, err := world.SimulateIncident(nil, 60, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range inc.Traces {
+			if analyzer.IsAnomalous(tr) {
+				anomalous = append(anomalous, tr)
+			}
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	base := analyzer.Analyze(anomalous)
+	for _, procs := range []int{2, 8} {
+		runtime.GOMAXPROCS(procs)
+		if got := analyzer.Analyze(anomalous); !reflect.DeepEqual(got, base) {
+			t.Fatalf("GOMAXPROCS=%d: report differs from GOMAXPROCS=1:\n got %+v\nwant %+v", procs, got, base)
+		}
+	}
+
+	if base.Inferences != len(base.Diagnoses) || base.Inferences < 3 {
+		t.Fatalf("%d inferences for %d diagnoses; the test needs several queries to fan out", base.Inferences, len(base.Diagnoses))
+	}
+	byID := map[string]*Trace{}
+	var batchOrder, noiseOrder []string
+	for _, tr := range anomalous {
+		byID[tr.TraceID] = tr
+		batchOrder = append(batchOrder, tr.TraceID)
+	}
+	for i, d := range base.Diagnoses {
+		if i > 0 && d.ClusterID < base.Diagnoses[i-1].ClusterID {
+			t.Fatalf("diagnosis %d has cluster %d after cluster %d", i, d.ClusterID, base.Diagnoses[i-1].ClusterID)
+		}
+		if d.ClusterID >= 0 {
+			continue
+		}
+		noiseOrder = append(noiseOrder, d.TraceIDs[0])
+		if want := analyzer.Localize(byID[d.TraceIDs[0]]); !reflect.DeepEqual(d.Services, want) {
+			t.Fatalf("noise trace %s diagnosed %v, lone query says %v", d.TraceIDs[0], d.Services, want)
+		}
+	}
+	if len(noiseOrder) == 0 || len(noiseOrder) == len(base.Diagnoses) {
+		t.Fatalf("%d noise diagnoses of %d; the test needs both kinds", len(noiseOrder), len(base.Diagnoses))
+	}
+	k := 0
+	for _, id := range batchOrder {
+		if k < len(noiseOrder) && noiseOrder[k] == id {
+			k++
+		}
+	}
+	if k != len(noiseOrder) {
+		t.Fatalf("noise diagnoses %v are not in batch order", noiseOrder)
 	}
 }
 
