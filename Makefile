@@ -21,7 +21,7 @@ fmt:
 
 # budget is the size-and-knob gate: no non-test Go file outside benchmark/
 # may mention a SLEUTH_ environment variable (flags and struct fields are the
-# only knobs), and internal/obs/... must stay within 3950 non-test lines (it
+# only knobs), and internal/obs/... must stay within 3850 non-test lines (it
 # ships a signal only if a CLI view, a default-pack rule, a gate or a scraper
 # reads it). Prints the per-package non-test line table ROADMAP quotes.
 budget:
@@ -30,7 +30,7 @@ budget:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -exec wc -l {} + | \
 	awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; all += $$1; if (d ~ /^\.\/internal\/obs/) obs += $$1 } \
 	END { for (d in n) printf "%6d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
-	printf "%6d  non-test Go outside benchmark/\n%6d  internal/obs/... (budget 3950)\n", all, obs; exit obs > 3950 }'
+	printf "%6d  non-test Go outside benchmark/\n%6d  internal/obs/... (budget 3850)\n", all, obs; exit obs > 3850 }'
 
 # verify is the pre-merge gate: static checks, a clean build, the budget
 # gate, the full suite under the race detector (the data-parallel trainer

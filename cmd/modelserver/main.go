@@ -15,9 +15,6 @@
 //	GET  /models/{name}/{version}/lineage ancestry (JSON)
 //	POST /models/{name}/{version}/retire  retire a version
 //	POST /models/{name}/{version}/score   batched inference (JSON spans)
-//	POST /cluster/add                     stream spans into incremental clustering
-//	GET  /cluster/stats                   incremental clustering snapshot (JSON)
-//	POST /cluster/rebuild                 force a full recluster
 //	GET  /healthz                         liveness + build info (JSON)
 //	GET  /readyz                          readiness: cache warm + watchdog (JSON)
 //	GET  /metrics                         Prometheus text exposition (incl. ALERTS)
@@ -33,7 +30,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"github.com/sleuth-rca/sleuth/internal/modelserver"
@@ -55,8 +51,6 @@ func main() {
 			"max time a queued /score request waits for co-batched company (0 = 2ms)")
 		predictWorkers = flag.Int("predict-workers", 0,
 			"inference workers per shared score call (0 = GOMAXPROCS)")
-		clusterStream = flag.Bool("cluster", false,
-			"enable the streaming clustering endpoints (/cluster/add, /cluster/stats, /cluster/rebuild)")
 		watchdog = flag.Bool("watchdog", true,
 			"run the self-watchdog alert engine over the metrics registry (needs -obs)")
 		alertRules = flag.String("alert-rules", "",
@@ -84,9 +78,6 @@ func main() {
 			Workers: *predictWorkers,
 		},
 	}
-	if *clusterStream {
-		server.Cluster = modelserver.NewStreamCluster()
-	}
 	if *accessLog {
 		server.AccessLog = obs.NewAccessLogger()
 	}
@@ -96,9 +87,7 @@ func main() {
 	warmed := reg.WarmCache()
 
 	// Self-watchdog: default serving pack (p99 burn rate, error-rate burn,
-	// batcher queueing, score drift) plus any operator rule file. A score
-	// drift alert triggers a full recluster when streaming clustering is
-	// on — the drift hook the incremental engine consumes.
+	// batcher queueing, score drift) plus any operator rule file.
 	var engine *alert.Engine
 	if *watchdog {
 		engine = alert.New(obs.Global(), *alertTick)
@@ -115,23 +104,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "modelserver: %v\n", err)
 				os.Exit(1)
 			}
-		}
-		if cl := server.Cluster; cl != nil {
-			// The engine delivers drift events on its tick goroutine, so a
-			// full recluster must not run inline: it would stall every other
-			// rule and eventually trip the watchdog's own readiness check.
-			var rebuilding atomic.Bool
-			engine.OnDrift(func(ev alert.DriftEvent) {
-				if !rebuilding.CompareAndSwap(false, true) {
-					return // a rebuild is already in flight
-				}
-				fmt.Fprintf(os.Stderr, "modelserver: drift alert %s (psi=%.3f ks=%.3f) — reclustering\n",
-					ev.Rule, ev.PSI, ev.KS)
-				go func() {
-					defer rebuilding.Store(false)
-					cl.Rebuild()
-				}()
-			})
 		}
 		engine.Register()
 		engine.Start()

@@ -318,8 +318,6 @@ func cmdCluster(args []string) error {
 	eps := fs.Float64("epsilon", 0.1, "HDBSCAN selection epsilon")
 	dmax := fs.Int("dmax", cluster.DefaultMaxAncestors, "ancestor window of span identifiers")
 	timing := fs.Bool("timing", false, "print per-stage wall clock (pairwise / hdbscan / medoids)")
-	incremental := fs.Bool("incremental", false,
-		"stream traces one at a time through the online clustering engine (bounded per-insert work, drift-triggered full reclusters) instead of one batch run")
 	_ = fs.Parse(args)
 	if *tracesPath == "" {
 		return fmt.Errorf("cluster: -traces is required")
@@ -327,11 +325,6 @@ func cmdCluster(args []string) error {
 	traces, err := loadTraces(*tracesPath)
 	if err != nil {
 		return err
-	}
-	if *incremental {
-		return clusterIncremental(traces, cluster.Options{
-			MinClusterSize: *minSize, MinSamples: *minSamples, SelectionEpsilon: *eps,
-		}, *timing)
 	}
 	start := time.Now()
 	sets := cluster.TraceSets(traces, *dmax)
@@ -360,35 +353,6 @@ func cmdCluster(args []string) error {
 		fmt.Printf("  cluster %d representative: %s (%d spans, %dµs, errors=%v)\n",
 			l, rep.TraceID, rep.Len(), rep.RootDuration(), rep.HasError())
 	}
-	return nil
-}
-
-// clusterIncremental replays a trace file through the streaming engine as
-// the model server would see it arrive, reporting drift-triggered rebuilds
-// as they happen and the final shape.
-func clusterIncremental(traces []*trace.Trace, opts cluster.Options, timing bool) error {
-	inc := cluster.NewIncremental(opts, cluster.IncrementalOptions{})
-	start := time.Now()
-	var maxAdd time.Duration
-	for _, tr := range traces {
-		t0 := time.Now()
-		res := inc.Add(tr)
-		if d := time.Since(t0); d > maxAdd {
-			maxAdd = d
-		}
-		if res.Rebuilt {
-			st := inc.Stats()
-			fmt.Printf("  rebuild at %d traces: %d clusters, %d noise\n",
-				st.Points, st.Clusters, st.Noise)
-		}
-	}
-	st := inc.Stats()
-	if timing {
-		fmt.Printf("timing: stream=%s worst-insert=%s matrix=%dB\n",
-			time.Since(start).Round(time.Microsecond), maxAdd.Round(time.Microsecond), st.MatrixBytes)
-	}
-	fmt.Printf("streamed %d traces: %s (%d rebuilds, vocab %d)\n",
-		len(traces), cluster.Summary(inc.Labels()), st.Rebuilds, st.VocabSize)
 	return nil
 }
 

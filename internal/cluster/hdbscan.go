@@ -62,19 +62,6 @@ func DefaultOptions() Options {
 	return Options{MinClusterSize: 10, MinSamples: 5, SelectionEpsilon: 0.3}
 }
 
-// normalize clamps the options to the values every entry point enforces:
-// a cluster needs at least two members and core distances at least one
-// neighbour.
-func (o Options) normalize() Options {
-	if o.MinClusterSize < 2 {
-		o.MinClusterSize = 2
-	}
-	if o.MinSamples < 1 {
-		o.MinSamples = 1
-	}
-	return o
-}
-
 // HDBSCAN clusters points given their distance matrix and returns a label
 // per point; -1 marks noise. The implementation follows the standard
 // pipeline: core distances → mutual reachability → MST (Prim) → single-
@@ -87,65 +74,29 @@ func HDBSCAN(m *Matrix, opts Options) []int {
 	timer := obs.H("cluster.hdbscan_us").Start()
 	defer timer.Stop()
 	obs.C("cluster.hdbscan_calls").Inc()
-	opts = opts.normalize()
-	if labels, done := trivialLabels(m.N, opts); done {
-		return labels
-	}
-	labels := hdbscanPipeline(m, coreDistances(m, opts.MinSamples), opts)
-	emitClusterStats(labels)
-	return labels
-}
-
-// HDBSCANWithCore is HDBSCAN with the core distances supplied by the
-// caller, skipping the O(n·n log k) core-distance stage. The incremental
-// engine maintains exact core distances per insert (see Incremental), so
-// its drift-triggered rebuilds reuse them; the labels are bit-identical to
-// a full HDBSCAN run because kthNearest's result is an order statistic the
-// incremental heaps reproduce exactly. core must hold one distance per
-// point of m.
-func HDBSCANWithCore(m *Matrix, core []float64, opts Options) []int {
-	if len(core) != m.N {
-		panic("cluster: HDBSCANWithCore core length does not match matrix size")
-	}
-	timer := obs.H("cluster.hdbscan_us").Start()
-	defer timer.Stop()
-	obs.C("cluster.hdbscan_calls").Inc()
-	opts = opts.normalize()
-	if labels, done := trivialLabels(m.N, opts); done {
-		return labels
-	}
-	labels := hdbscanPipeline(m, core, opts)
-	emitClusterStats(labels)
-	return labels
-}
-
-// trivialLabels handles the degenerate sizes shared by both entry points:
-// n == 0 (empty label slice semantics: all -1 of length 0) and
-// n < MinClusterSize (everything is noise). done reports whether the
-// pipeline can be skipped.
-func trivialLabels(n int, opts Options) ([]int, bool) {
-	if n != 0 && n >= opts.MinClusterSize {
-		return nil, false
-	}
-	labels := make([]int, n)
-	for i := range labels {
-		labels[i] = -1
-	}
-	if n != 0 {
-		emitClusterStats(labels)
-	}
-	return labels, true
-}
-
-// hdbscanPipeline runs the shared MST → dendrogram → condense → select →
-// label stages given precomputed core distances.
-func hdbscanPipeline(m *Matrix, core []float64, opts Options) []int {
+	// A cluster needs at least two members and core distances at least
+	// one neighbour.
+	opts.MinClusterSize = max(opts.MinClusterSize, 2)
+	opts.MinSamples = max(opts.MinSamples, 1)
 	n := m.N
-	edges := mstEdges(m, core)
+	if n < opts.MinClusterSize {
+		// Too few points for one cluster: everything is noise.
+		labels := make([]int, n)
+		for i := range labels {
+			labels[i] = -1
+		}
+		if n != 0 {
+			emitClusterStats(labels)
+		}
+		return labels
+	}
+	edges := mstEdges(m, coreDistances(m, opts.MinSamples))
 	dendro := singleLinkage(edges, n)
 	condensed := condense(dendro, n, opts.MinClusterSize)
 	selected := selectClusters(condensed, opts)
-	return labelPoints(condensed, selected, n)
+	labels := labelPoints(condensed, selected, n)
+	emitClusterStats(labels)
+	return labels
 }
 
 type edge struct {

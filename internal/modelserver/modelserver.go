@@ -329,9 +329,6 @@ func (r *Registry) Lineage(name string, version int) ([]ModelInfo, error) {
 //	POST /models/{name}?trainedOn=...&parent={name}@{version}   publish blob
 //	POST /models/{name}/{version}/retire   retire
 //	POST /models/{name}/{version}/score    batched inference (JSON spans)
-//	POST /cluster/add                      stream spans into incremental clustering
-//	GET  /cluster/stats                    incremental clustering snapshot (JSON)
-//	POST /cluster/rebuild                  force a full recluster
 //	GET  /healthz                          liveness + build info (JSON)
 //	GET  /readyz                           readiness: cache warm + injected checks
 //	GET  /metrics                          Prometheus text exposition
@@ -348,9 +345,6 @@ type Server struct {
 	// Serve tunes the /score micro-batcher; the zero value selects the
 	// built-in defaults (32 traces, 2ms).
 	Serve ServeConfig
-	// Cluster, when non-nil, enables the streaming clustering endpoints
-	// (/cluster/add, /cluster/stats, /cluster/rebuild).
-	Cluster *StreamCluster
 	// Ready holds extra readiness checks served on /readyz alongside the
 	// built-in model-cache-warm check (a main adds the watchdog's
 	// ReadyCheck here).
@@ -392,7 +386,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/models", s.handleList)
 	mux.HandleFunc("/models/", s.handleModel)
-	mux.HandleFunc("/cluster/", s.handleCluster)
 	mux.HandleFunc("/healthz", obs.HealthHandler("modelserver"))
 	checks := append([]obs.ReadyCheck{{
 		Name: "model-cache",
@@ -585,7 +578,7 @@ func (s *Server) score(w http.ResponseWriter, req *http.Request, name, versionSt
 		http.Error(w, err.Error(), status)
 		return
 	}
-	spans, ok := readSpans(w, req, "score")
+	spans, ok := readSpans(w, req)
 	if !ok {
 		return
 	}
@@ -622,11 +615,11 @@ func (s *Server) score(w http.ResponseWriter, req *http.Request, name, versionSt
 	writeJSON(w, resp)
 }
 
-// readSpans reads and decodes the {"spans":[…]} body (a ScoreRequest) that
-// /score and /cluster/add share, into one buffer sized from Content-Length —
-// a hint a client can inflate, so it reserves at most 1 MiB. When it reports
-// false it has written the error response.
-func readSpans(w http.ResponseWriter, req *http.Request, what string) ([]*trace.Span, bool) {
+// readSpans reads and decodes the {"spans":[…]} body of /score (a
+// ScoreRequest) into one buffer sized from Content-Length — a hint a client
+// can inflate, so it reserves at most 1 MiB. When it reports false it has
+// written the error response.
+func readSpans(w http.ResponseWriter, req *http.Request) ([]*trace.Span, bool) {
 	size := max(0, min(req.ContentLength, 1<<20))
 	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, req.Body, 256<<20))
@@ -638,9 +631,9 @@ func readSpans(w http.ResponseWriter, req *http.Request, what string) ([]*trace.
 	switch {
 	case errors.As(err, &tooLarge):
 		obs.C("modelserver.body_too_large").Inc()
-		http.Error(w, what+" request exceeds size limit", http.StatusRequestEntityTooLarge)
+		http.Error(w, "score request exceeds size limit", http.StatusRequestEntityTooLarge)
 	case err != nil:
-		http.Error(w, "bad "+what+" request: "+err.Error(), http.StatusBadRequest)
+		http.Error(w, "bad score request: "+err.Error(), http.StatusBadRequest)
 	case len(spans) == 0:
 		http.Error(w, "no spans", http.StatusBadRequest)
 	default:

@@ -13,6 +13,7 @@ import (
 
 	"github.com/sleuth-rca/sleuth/internal/core"
 	"github.com/sleuth-rca/sleuth/internal/obs"
+	"github.com/sleuth-rca/sleuth/internal/obs/alert"
 	"github.com/sleuth-rca/sleuth/internal/sim"
 	"github.com/sleuth-rca/sleuth/internal/synth"
 	"github.com/sleuth-rca/sleuth/internal/trace"
@@ -229,6 +230,33 @@ func TestScoreSinglePass(t *testing.T) {
 	}
 }
 
+// TestScoreFeedsDefaultDriftRule pins the one consumer of the model-score
+// distribution: every drift rule of the default model-server pack watches
+// a series a scored request appends to.
+func TestScoreFeedsDefaultDriftRule(t *testing.T) {
+	obs.Disable()
+	reg := obs.Enable()
+	t.Cleanup(obs.Disable)
+	models, _, query := servingFixture(t, 20, 4)
+	srv := httptest.NewServer((&Server{Registry: models}).Handler())
+	defer srv.Close()
+
+	scoreVia(t, srv.URL, query)
+	drift := 0
+	for _, r := range alert.ModelServerRules() {
+		if r.Kind != alert.KindDrift {
+			continue
+		}
+		drift++
+		if s := reg.LookupSeries(r.Series); s == nil || s.Len() != 1 {
+			t.Errorf("drift rule %s watches %q, which one /score request did not append to once", r.Name, r.Series)
+		}
+	}
+	if drift == 0 {
+		t.Fatal("default model-server pack has no drift rule")
+	}
+}
+
 // TestConcurrentScoreStorm hammers one server from many goroutines with
 // batching enabled — run under -race this is the serving path's
 // thread-safety proof (shared cached model, shared batcher, demux).
@@ -254,75 +282,4 @@ func TestConcurrentScoreStorm(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-}
-
-// TestClusterEndpoints drives the streaming clustering API end to end:
-// adds, stats, forced rebuild, and the 404 when the engine is absent.
-func TestClusterEndpoints(t *testing.T) {
-	reg, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer((&Server{Registry: reg, Cluster: NewStreamCluster()}).Handler())
-	defer srv.Close()
-
-	app := synth.Synthetic(16, 29)
-	s := sim.New(app, sim.DefaultOptions(29))
-	res, err := s.Run(0, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var body ScoreRequest
-	for _, tr := range sim.Traces(res) {
-		body.Spans = append(body.Spans, tr.Spans...)
-	}
-	payload, _ := json.Marshal(body)
-	resp, err := http.Post(srv.URL+"/cluster/add", "application/json", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out ClusterAddResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(out.Results) != 30 || out.Stats.Points != 30 {
-		t.Fatalf("add response: %d results, stats %+v", len(out.Results), out.Stats)
-	}
-
-	resp, err = http.Get(srv.URL + "/cluster/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats struct {
-		Points int `json:"points"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if stats.Points != 30 {
-		t.Fatalf("stats points = %d", stats.Points)
-	}
-
-	resp, err = http.Post(srv.URL+"/cluster/rebuild", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("rebuild status = %d", resp.StatusCode)
-	}
-
-	// Engine absent → 404.
-	bare := httptest.NewServer((&Server{Registry: reg}).Handler())
-	defer bare.Close()
-	resp, err = http.Get(bare.URL + "/cluster/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("disabled cluster status = %d", resp.StatusCode)
-	}
 }

@@ -486,7 +486,6 @@ func TestNilEngineIsInert(t *testing.T) {
 	e.Start()
 	e.Tick(base)
 	e.Stop()
-	e.OnDrift(func(DriftEvent) {})
 	e.Register()
 	if e.Alerts() != nil || e.RuleCount() != 0 || e.Interval() != 0 {
 		t.Error("nil engine leaked state")

@@ -74,19 +74,6 @@ type Alert struct {
 	ResolvedAt   int64 `json:"resolvedAt,omitempty"`
 }
 
-// DriftEvent is delivered to OnDrift handlers when a drift rule
-// transitions into firing — the hook the incremental-clustering drift
-// detector consumes to trigger a rebuild.
-type DriftEvent struct {
-	Rule   string
-	Series string
-	PSI    float64
-	KS     float64
-	// RefCount and LiveCount are the sample sizes behind the statistics.
-	RefCount  int
-	LiveCount int
-}
-
 // ruleState is the engine-private evaluation state of one rule.
 type ruleState struct {
 	rule Rule
@@ -135,9 +122,6 @@ type Engine struct {
 
 	mu    sync.Mutex
 	rules []*ruleState
-
-	driftMu  sync.Mutex
-	driftFns []func(DriftEvent)
 
 	lastTick atomic.Int64 // Unix nanoseconds of the latest completed tick
 	started  atomic.Bool
@@ -231,17 +215,6 @@ func (e *Engine) RuleCount() int {
 	return len(e.rules)
 }
 
-// OnDrift installs fn to run (outside the engine lock) whenever a drift
-// rule transitions into firing.
-func (e *Engine) OnDrift(fn func(DriftEvent)) {
-	if e == nil || fn == nil {
-		return
-	}
-	e.driftMu.Lock()
-	e.driftFns = append(e.driftFns, fn)
-	e.driftMu.Unlock()
-}
-
 // Start launches the background tick loop (idempotent). The first tick
 // runs synchronously so ReadyCheck and /debug/alerts are meaningful
 // immediately after Start returns.
@@ -312,12 +285,10 @@ func (e *Engine) ReadyCheck() obs.ReadyCheck {
 
 // Tick evaluates every rule at the given clock. All window cutoffs derive
 // from now, so evaluation over pinned-timestamp series is deterministic.
-// Drift handlers fire after state updates, outside the engine lock.
 func (e *Engine) Tick(now time.Time) {
 	if e == nil {
 		return
 	}
-	var events []DriftEvent
 	e.mu.Lock()
 	firing, pending := 0, 0
 	for _, rs := range e.rules {
@@ -333,16 +304,6 @@ func (e *Engine) Tick(now time.Time) {
 				rs.state = StateFiring
 				rs.firedAt = now
 				e.attachExemplar(rs)
-				if rs.rule.Kind == KindDrift {
-					events = append(events, DriftEvent{
-						Rule:      rs.rule.Name,
-						Series:    rs.rule.Series,
-						PSI:       rs.psi,
-						KS:        rs.ks,
-						RefCount:  len(rs.ref.sorted),
-						LiveCount: len(rs.live),
-					})
-				}
 			}
 		} else {
 			switch rs.state {
@@ -377,17 +338,6 @@ func (e *Engine) Tick(now time.Time) {
 	e.pendingG.Set(float64(pending))
 	e.ticks.Inc()
 	e.lastTick.Store(now.UnixNano())
-	if len(events) == 0 {
-		return
-	}
-	e.driftMu.Lock()
-	fns := e.driftFns
-	e.driftMu.Unlock()
-	for _, fn := range fns {
-		for _, ev := range events {
-			fn(ev)
-		}
-	}
 }
 
 // evaluate computes whether rs's condition holds at now, refreshing

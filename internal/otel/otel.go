@@ -3,7 +3,7 @@
 // OpenTelemetry-style (OTLP/JSON) format, a Zipkin-style JSON array, and a
 // Jaeger-style JSON document. The collector multiplexes these into the
 // storage engine; the model server reads the canonical {"spans":[…]} body
-// of /score and /cluster/add through the fourth decoder, DecodeSpans.
+// of /score through the fourth decoder, DecodeSpans.
 //
 // The encoders marshal mirror structs with encoding/json. The decoders do
 // not: each is a field-mapping walk over one strict single-pass scanner
@@ -669,7 +669,7 @@ func (s *scanner) jaegerTag(sp *trace.Span) {
 // --- Canonical representation --------------------------------------------
 
 // DecodeSpans parses the canonical {"spans":[…]} body of the model server's
-// /score and /cluster/add: trace.Span in its own JSON form.
+// /score: trace.Span in its own JSON form.
 func DecodeSpans(data []byte) ([]*trace.Span, error) {
 	s := scanner{data: data}
 	var out []*trace.Span
