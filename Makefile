@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt budget verify bench bench-go alloc obs-overhead propagation-smoke alert-smoke rca-smoke bench-smoke fuzz-smoke
+.PHONY: build test race vet fmt budget cross-build verify bench bench-go alloc obs-overhead propagation-smoke alert-smoke rca-smoke bench-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -32,9 +32,18 @@ budget:
 	END { for (d in n) printf "%6d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
 	printf "%6d  non-test Go outside benchmark/\n%6d  internal/obs/... (budget 3850)\n", all, obs; exit obs > 3850 }'
 
-# verify is the pre-merge gate: static checks, a clean build, the budget
-# gate, the full suite under the race detector (the data-parallel trainer
-# and the batched inference paths are only trustworthy race-clean), the
+# cross-build keeps the non-amd64 build honest: internal/tensor carries an
+# amd64 assembly arm, and on every other architecture the scalar kernels
+# must build and vet on their own (`make vet` runs asmdecl on the amd64
+# .s files).
+cross-build:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor
+
+# verify is the pre-merge gate: static checks, a clean build, the arm64
+# cross-build, the budget gate, the full suite under the race detector
+# (the data-parallel trainer and the batched inference paths are only
+# trustworthy race-clean), the
 # allocation-regression tests (which the race detector's instrumentation
 # skips, so they need a non-race pass), and a smoke run of the
 # observability-overhead benchmark — the disabled-path numbers back the
@@ -47,9 +56,10 @@ budget:
 # default-on candidate pruning must predict root-cause sets identical to
 # the unpruned loop on the fixed seed suite), bench-smoke (the
 # benchmark module's own tests), and fuzz-smoke (five seconds of each span
-# decoder against its reflection oracle). Latency itself is gated by the
+# decoder against its reflection oracle, and of the AVX2 matmul kernel
+# against the scalar one). Latency itself is gated by the
 # benchmark (`bash benchmark/run.sh`), not here.
-verify: fmt vet build budget race alloc obs-overhead propagation-smoke alert-smoke rca-smoke bench-smoke fuzz-smoke
+verify: fmt vet build cross-build budget race alloc obs-overhead propagation-smoke alert-smoke rca-smoke bench-smoke fuzz-smoke
 
 # alloc runs the allocation-regression guards without the race detector:
 # the steady-state training step must allocate (essentially) nothing, the
@@ -118,8 +128,11 @@ bench-smoke:
 
 # fuzz-smoke runs each span decoder's fuzz target for five seconds from the
 # committed corpus (internal/otel/testdata/fuzz): no panic, an error iff the
-# encoding/json oracle errors, equal spans otherwise. A failing input is
-# written under testdata/fuzz; commit it with the fix.
+# encoding/json oracle errors, equal spans otherwise. FuzzMatmulAcc then
+# runs five seconds of random shapes and bit patterns through both matmul
+# arms (internal/tensor/testdata/fuzz): every cell bit-equal, NaN to NaN.
+# A failing input is written under testdata/fuzz; commit it with the fix.
 fuzz-smoke:
 	@for target in FuzzDecodeOTLP FuzzDecodeZipkin FuzzDecodeJaeger FuzzDecodeSpans; do \
 		$(GO) test -run=^$$ -fuzz="^$$target$$" -fuzztime=5s ./internal/otel || exit 1; done
+	$(GO) test -run=^$$ -fuzz='^FuzzMatmulAcc$$' -fuzztime=5s ./internal/tensor

@@ -12,9 +12,9 @@ import (
 
 // CounterfactualSession amortises the fixed cost of counterfactual queries
 // against one trace. The localisation loop (§3.5) asks up to
-// MaxCandidates+1 counterfactual questions about the same trace with
+// MaxCandidates counterfactual questions about the same trace with
 // growing restoration sets. A session computes the encoding, the graph,
-// the n normal-state lookups, the two feature copies and the depth order
+// the n normal-state lookups and the depth order
 // once at construction and, because consecutive restoration sets are
 // nested, applies or undoes only the delta rows between calls.
 //
@@ -36,10 +36,13 @@ type CounterfactualSession struct {
 	tr  *trace.Trace
 	enc *features.Encoded
 
-	// x/xStar are session-owned intervened feature copies; restored rows
-	// are toggled in place between calls and undone from enc's pristine
-	// rows.
+	// x/xStar view enc's own backings, which the session intervenes on in
+	// place: Encode made enc for this session alone. Restored rows are
+	// toggled between calls and undone from pristine, which keeps the two
+	// columns an intervention overwrites, x[i][0:2] then xStar[i][0:2] at
+	// 4i.
 	x, xStar *tensor.Tensor
+	pristine []float64
 
 	normalDur  []float64 // µs restoration targets
 	normalExcl []float64 // µs
@@ -68,12 +71,14 @@ type CounterfactualSession struct {
 func (m *Model) NewCounterfactualSession(tr *trace.Trace) *CounterfactualSession {
 	enc := m.Encode(tr)
 	n := tr.Len()
+	x, xStar := enc.Tensors()
 	s := &CounterfactualSession{
 		m:          m,
 		tr:         tr,
 		enc:        enc,
-		x:          tensor.FromRows(enc.X),
-		xStar:      tensor.FromRows(enc.XStar),
+		x:          x,
+		xStar:      xStar,
+		pristine:   make([]float64, 4*n),
 		normalDur:  make([]float64, n),
 		normalExcl: make([]float64, n),
 		order:      make([]int, n),
@@ -83,6 +88,8 @@ func (m *Model) NewCounterfactualSession(tr *trace.Trace) *CounterfactualSession
 		ar:         arenaPool.Get().(*tensor.Arena),
 	}
 	for i := range tr.Spans {
+		copy(s.pristine[4*i:], enc.X[i][:2])
+		copy(s.pristine[4*i+2:], enc.XStar[i][:2])
 		norm := m.Normal(tr.Spans[i].OpKey())
 		s.normalDur[i] = math.Max(norm.MedianDuration, 1)
 		s.normalExcl[i] = math.Max(norm.MedianExclusiveDuration, 1)
@@ -124,10 +131,10 @@ func (s *CounterfactualSession) Counterfactual(restored map[int]bool) Counterfac
 			s.xStar.Set(i, 0, features.ScaleDuration(int64(s.normalExcl[i])))
 			s.xStar.Set(i, 1, 0)
 		} else {
-			s.x.Set(i, 0, s.enc.X[i][0])
-			s.x.Set(i, 1, s.enc.X[i][1])
-			s.xStar.Set(i, 0, s.enc.XStar[i][0])
-			s.xStar.Set(i, 1, s.enc.XStar[i][1])
+			s.x.Set(i, 0, s.pristine[4*i])
+			s.x.Set(i, 1, s.pristine[4*i+1])
+			s.xStar.Set(i, 0, s.pristine[4*i+2])
+			s.xStar.Set(i, 1, s.pristine[4*i+3])
 		}
 	}
 	isRestored := func(i int) bool { return s.restored[i] }

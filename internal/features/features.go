@@ -246,8 +246,9 @@ type Encoded struct {
 	xFlat, xsFlat []float64
 
 	// Tensor views over the backings, built once on first use. Encodings
-	// are immutable after Encode, so the views are shared by every training
-	// epoch and scoring pass over this trace.
+	// are immutable after Encode (bar one a counterfactual session made for
+	// itself), so the views are shared by every training epoch and scoring
+	// pass over this trace.
 	tensorsOnce sync.Once
 	xT, xsT     *tensor.Tensor
 
@@ -266,9 +267,10 @@ func (e *Encoded) Graph() *gnn.Graph {
 }
 
 // Tensors returns cached [n, dim] tensor views of X and XStar, wrapping the
-// contiguous encoding without copying. The tensors are shared and must be
-// treated as read-only; counterfactual queries that mutate features must
-// copy (tensor.FromRows) instead.
+// contiguous encoding without copying. The tensors alias X and XStar and
+// are shared with every reader of this encoding, so they are read-only to
+// all but an encoding's sole owner: a counterfactual session intervenes
+// in place on the fresh encoding it made for itself.
 func (e *Encoded) Tensors() (x, xStar *tensor.Tensor) {
 	e.tensorsOnce.Do(func() {
 		n := len(e.X)

@@ -350,6 +350,7 @@ func (l *Localizer) LocalizeDetailed(tr *trace.Trace, sloMicros float64) Result 
 	}
 	restored := make(map[int]bool, spanBudget)
 	var used []string
+	var top core.CounterfactualResult // the answer for cands[0] alone
 	for k := 0; k < max; k++ {
 		for _, si := range cands[k].spans {
 			restored[si] = true
@@ -357,17 +358,24 @@ func (l *Localizer) LocalizeDetailed(tr *trace.Trace, sloMicros float64) Result 
 		used = append(used, cands[k].service)
 		cf := sess.Counterfactual(restored)
 		cfCtr.Inc()
+		if k == 0 {
+			top = cf
+		}
 		if cf.RootDurationMicros <= sloMicros && cf.RootErrorProb < l.Opts.ErrThreshold {
 			obs.C("rca.normalized").Inc()
 			return finish(l.result(tr, used, true, cf.RootDurationMicros))
 		}
 	}
+	if max == 0 {
+		top = sess.Counterfactual(spanSet(cands[0].spans))
+		cfCtr.Inc()
+	}
 	// Never normalised: report only the top candidate — the remaining
 	// excess is not explained by restorations, so piling on candidates
-	// would only cost precision.
-	cf := sess.Counterfactual(spanSet(cands[0].spans))
-	cfCtr.Inc()
-	return finish(l.result(tr, []string{cands[0].service}, false, cf.RootDurationMicros))
+	// would only cost precision. Its restoration set is the first
+	// question's, and an answer depends only on the set, so that answer
+	// stands without asking again.
+	return finish(l.result(tr, []string{cands[0].service}, false, top.RootDurationMicros))
 }
 
 func spanSet(idx []int) map[int]bool {

@@ -281,11 +281,28 @@ func Abs(a *Tensor) *Tensor { return unaryOp(a, fAbs, dAbs, 0, 0) }
 func Softplus(a *Tensor) *Tensor { return unaryOp(a, fSoftplus, dSoftplus, 0, 0) }
 
 // matmulAcc accumulates dst += a·b for row-major a [m,k], b [k,n],
-// dst [m,n]. The k-dimension is unrolled four ways so each pass over an
-// output row streams four b rows — fewer loop iterations and better
-// instruction-level parallelism than the naive saxpy loop — while the
-// zero-skip guard keeps sparse one-hot feature rows cheap.
+// dst [m,n]: the AVX2 arm when the CPU has it, else the scalar arm. Both
+// compute every cell with the same expression in the same order, so the
+// arm never changes a result.
 func matmulAcc(dst, a, b []float64, m, k, n int) {
+	if !useAVX2 || k == 0 || n == 0 {
+		matmulAccScalar(dst, a, b, m, k, n)
+		return
+	}
+	b = b[:k*n]
+	for i := 0; i < m; i++ {
+		matmulRowAVX2(dst[i*n:(i+1)*n], a[i*k:(i+1)*k], b)
+	}
+}
+
+// matmulAccScalar is the row-streaming saxpy behind matmulAcc. The
+// k-dimension is unrolled four ways: each pass over an output row streams
+// four b rows and adds (((a0·b0 + a1·b1) + a2·b2) + a3·b3) to each cell,
+// skipping chunks whose four a values are all zero (sparse one-hot feature
+// rows stay cheap); the k%4 tail adds one a·b term at a time with the same
+// skip. The AVX2 arm vectorises this across output columns without
+// reordering any cell's operations.
+func matmulAccScalar(dst, a, b []float64, m, k, n int) {
 	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
 		drow := dst[i*n : (i+1)*n]
@@ -342,8 +359,20 @@ func matmulNTAcc(dst, g, b []float64, m, n, k int) {
 
 // matmulTNAcc accumulates dst += aᵀ·g for a [m,k], g [m,n], dst [k,n] —
 // the dB term of matmul backward. Runs as m rank-1 updates with the same
-// zero-skip as the forward kernel (sparse input rows touch nothing).
+// zero-skip as the forward kernel (sparse input rows touch nothing); the
+// AVX2 arm vectorises each update's single-term axpy across columns.
 func matmulTNAcc(dst, a, g []float64, m, k, n int) {
+	if !useAVX2 || k == 0 || n == 0 {
+		matmulTNAccScalar(dst, a, g, m, k, n)
+		return
+	}
+	dst = dst[:k*n]
+	for i := 0; i < m; i++ {
+		matmulTNRowAVX2(dst, a[i*k:(i+1)*k], g[i*n:(i+1)*n])
+	}
+}
+
+func matmulTNAccScalar(dst, a, g []float64, m, k, n int) {
 	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
 		grow := g[i*n : (i+1)*n]
