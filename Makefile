@@ -70,9 +70,12 @@ verify: fmt vet build cross-build budget race alloc obs-overhead propagation-smo
 # sampler's per-trace verdict must allocate nothing, a warm serving
 # request through the batcher must cost only the score kernel's per-trace
 # constants, the watchdog tick — disabled AND enabled steady state —
-# must allocate nothing, a warm localisation query must stay inside
-# its per-query budget (a lost session cache re-encodes per counterfactual
-# and blows through it), the span decoders must stay at ≤ 4 allocations
+# must allocate nothing, a warm counterfactual session (open, six
+# questions, close) must allocate nothing but a pool drop's share, a warm
+# localisation query must stay within 48 allocations and, on the
+# Synthetic-256 benchmark queries, 21 000 bytes (a session buffer that
+# stops being recycled, or a re-encode per counterfactual, blows through
+# both), the span decoders must stay at ≤ 4 allocations
 # per span on every dialect, a warm collector POST with obs disabled
 # must cost that plus a constant, trace assembly must cost a constant
 # number of allocations whatever the span count, a warm store window fetch

@@ -105,3 +105,37 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state ScoreBatch allocates %.1f times per run, want <= 256", avg)
 	}
 }
+
+// TestSessionSteadyStateAllocs is the counterfactual session's allocation
+// gate: a warm open, the six questions of nestedSets and Close, on a
+// Synthetic-256 trace, must stay within a small constant. The pooled
+// session brings its encoding, graph, evaluator rows and per-span state
+// back and the normals are looked up without building key strings, so it
+// measures 0. The bound of 2 is what one pool drop by the GC costs over
+// the 50 runs (a whole session, ≈ 40 allocations); a buffer that stops
+// being recycled costs at least one allocation on every open and trips it.
+func TestSessionSteadyStateAllocs(t *testing.T) {
+	if testenv.Race {
+		t.Skip("race detector instrumentation allocates")
+	}
+	traces := simTraces(t, synth.Synthetic(256, 24), 24, 4)
+	m := NewModel(smallConfig(24))
+	m.SetNormals(traces)
+	tr := traces[1]
+	sets := nestedSets(tr)
+	step := func() {
+		s := m.NewCounterfactualSession(tr)
+		for _, set := range sets {
+			_ = s.Counterfactual(set)
+		}
+		s.Close()
+	}
+	for j := 0; j < 3; j++ {
+		step()
+	}
+	avg := testing.AllocsPerRun(50, step)
+	t.Logf("open + %d questions + Close on %d spans: %.1f allocs", len(sets), tr.Len(), avg)
+	if avg > 2 {
+		t.Fatalf("warm session allocates %.1f times per open + six questions + Close, want <= 2", avg)
+	}
+}

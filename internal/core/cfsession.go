@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"sync"
 
 	"github.com/sleuth-rca/sleuth/internal/features"
 	"github.com/sleuth-rca/sleuth/internal/gnn"
@@ -29,32 +29,36 @@ import (
 // fresh session gives for the same restoration set (Model.Counterfactual),
 // which TestCounterfactualSessionEquivalence gates.
 //
+// Sessions are pooled: every buffer a session owns — the encoding and its
+// graph, the GIN evaluator's rows and h, the per-span state below — is
+// recycled by the next session once Close returns it, so opening one
+// allocates nothing once the pool holds a session as large as the trace.
 // A session is not safe for concurrent use; concurrent localisations each
-// open their own session. Close returns the arena to the shared pool.
+// open their own session.
 type CounterfactualSession struct {
 	m   *Model
 	tr  *trace.Trace
 	enc *features.Encoded
 
 	// x/xStar view enc's own backings, which the session intervenes on in
-	// place: Encode made enc for this session alone. Restored rows are
-	// toggled between calls and undone from pristine, which keeps the two
-	// columns an intervention overwrites, x[i][0:2] then xStar[i][0:2] at
-	// 4i.
+	// place: the session encoded tr into a buffer only it holds. Restored
+	// rows are toggled between calls and undone from pristine, which keeps
+	// the two columns an intervention overwrites, x[i][0:2] then
+	// xStar[i][0:2] at 4i.
 	x, xStar *tensor.Tensor
 	pristine []float64
 
-	normalDur  []float64 // µs restoration targets
-	normalExcl []float64 // µs
-	order      []int     // depth order, deepest first
-	restored   []bool    // current intervention state per span
-	dur, errp  []float64 // recompute scratch
+	normal    []NormalStats // per span, looked up once at open
+	order     []int         // depth order, deepest first
+	depthPos  []int         // counting-pass cursor per depth
+	restored  []bool        // current intervention state per span
+	dur, errp []float64     // recompute scratch
 
 	// inc is the row-incremental GIN evaluator (nil for aggregators
-	// without a row-exact kernel, which fall back to full forwards). After
-	// the first call primes it, hT caches the forward output, dur/errp
-	// hold valid values for every node, and subsequent calls recompute
-	// only affected h rows plus the dirty ancestor chain.
+	// without a row-exact kernel, which fall back to full forwards on ar).
+	// After the first call primes it, hT caches the forward output,
+	// dur/errp hold valid values for every node, and subsequent calls
+	// recompute only affected h rows plus the dirty ancestor chain.
 	inc     *gnn.GINIncremental
 	hT      *tensor.Tensor
 	dirty   []bool
@@ -65,49 +69,78 @@ type CounterfactualSession struct {
 	rowsUpdated int64
 }
 
+// sessionPool recycles closed sessions with everything they own. A
+// session's buffers are sized by the traces it has seen, so the pool keeps
+// the localisation loop off the allocator and the GC; sync.Pool lets the
+// GC reclaim idle sessions under memory pressure.
+var sessionPool = sync.Pool{New: func() any { return new(CounterfactualSession) }}
+
 // NewCounterfactualSession pins tr's counterfactual state: encoding,
 // graph, per-span normal lookups, depth order and feature buffers are all
-// computed here, once, and reused by every Counterfactual call.
+// computed here, once, and reused by every Counterfactual call. tr must
+// have at least one span.
 func (m *Model) NewCounterfactualSession(tr *trace.Trace) *CounterfactualSession {
-	enc := m.Encode(tr)
-	n := tr.Len()
-	x, xStar := enc.Tensors()
-	s := &CounterfactualSession{
-		m:          m,
-		tr:         tr,
-		enc:        enc,
-		x:          x,
-		xStar:      xStar,
-		pristine:   make([]float64, 4*n),
-		normalDur:  make([]float64, n),
-		normalExcl: make([]float64, n),
-		order:      make([]int, n),
-		restored:   make([]bool, n),
-		dur:        make([]float64, n),
-		errp:       make([]float64, n),
-		ar:         arenaPool.Get().(*tensor.Arena),
-	}
-	for i := range tr.Spans {
-		copy(s.pristine[4*i:], enc.X[i][:2])
-		copy(s.pristine[4*i+2:], enc.XStar[i][:2])
-		norm := m.Normal(tr.Spans[i].OpKey())
-		s.normalDur[i] = math.Max(norm.MedianDuration, 1)
-		s.normalExcl[i] = math.Max(norm.MedianExclusiveDuration, 1)
-	}
-	for i := range s.order {
-		s.order[i] = i
-	}
-	sort.Slice(s.order, func(a, b int) bool { return tr.Depth(s.order[a]) > tr.Depth(s.order[b]) })
-	enc.Graph() // build (and cache) the adjacency now, outside the query loop
-	if gin, ok := m.agg.(*gnn.GINSiblingConv); ok {
-		s.inc = gin.NewIncremental(enc.Graph())
-		if s.inc != nil {
-			s.dirty = make([]bool, n)
-			s.changed = make([]int, 0, 8)
-		}
-	}
+	s := sessionPool.Get().(*CounterfactualSession)
+	s.open(m, tr)
 	return s
 }
+
+// open binds s to tr, resizing and overwriting every buffer it reuses.
+func (s *CounterfactualSession) open(m *Model, tr *trace.Trace) {
+	n := tr.Len()
+	s.m, s.tr = m, tr
+	s.enc = m.encoder.EncodeInto(tr, s.enc)
+	s.x, s.xStar = s.enc.Tensors()
+	s.pristine = resize(s.pristine, 4*n)
+	for i := 0; i < n; i++ {
+		copy(s.pristine[4*i:], s.enc.X[i][:2])
+		copy(s.pristine[4*i+2:], s.enc.XStar[i][:2])
+	}
+	s.normal = m.SpanNormals(tr, s.normal)
+	s.depthOrder()
+	s.restored = resize(s.restored, n)
+	clear(s.restored)
+	s.dur = resize(s.dur, n)
+	s.errp = resize(s.errp, n)
+	s.dirty = resize(s.dirty, n)
+	clear(s.dirty)
+	s.changed = s.changed[:0]
+	s.hT, s.primed, s.rowsUpdated = nil, false, 0
+	gin, ok := m.agg.(*gnn.GINSiblingConv)
+	if !ok {
+		s.inc = nil
+		return
+	}
+	s.inc = gin.ResetIncremental(s.inc, s.enc.Graph())
+}
+
+// depthOrder fills order deepest first with one counting pass over the
+// span depths. Any deepest-first order gives the same answers, because a
+// node's Eq. 2 / Eq. 3 values read only its children's.
+func (s *CounterfactualSession) depthOrder() {
+	tr := s.tr
+	n := tr.Len()
+	s.order = resize(s.order, n)
+	s.depthPos = resize(s.depthPos, tr.MaxDepth())
+	clear(s.depthPos)
+	for i := 0; i < n; i++ {
+		s.depthPos[tr.Depth(i)]++
+	}
+	next := 0
+	for d := len(s.depthPos) - 1; d >= 0; d-- {
+		next, s.depthPos[d] = next+s.depthPos[d], next
+	}
+	for i := 0; i < n; i++ {
+		d := tr.Depth(i)
+		s.order[s.depthPos[d]] = i
+		s.depthPos[d]++
+	}
+}
+
+// Normals returns the normal-state statistics of every span of the
+// session's trace, indexed like its Spans — the lookups the session made
+// at open. The slice is read-only and valid until Close.
+func (s *CounterfactualSession) Normals() []NormalStats { return s.normal }
 
 // Counterfactual answers the §3.5 query (see Model.Counterfactual) for the
 // session's trace. Only rows whose restoration state changed since the
@@ -126,9 +159,9 @@ func (s *CounterfactualSession) Counterfactual(restored map[int]bool) Counterfac
 		s.rowsUpdated++
 		s.changed = append(s.changed, i)
 		if want {
-			s.x.Set(i, 0, features.ScaleDuration(int64(s.normalDur[i])))
+			s.x.Set(i, 0, features.ScaleDuration(int64(s.normalDur(i))))
 			s.x.Set(i, 1, 0)
-			s.xStar.Set(i, 0, features.ScaleDuration(int64(s.normalExcl[i])))
+			s.xStar.Set(i, 0, features.ScaleDuration(int64(s.normalExcl(i))))
 			s.xStar.Set(i, 1, 0)
 		} else {
 			s.x.Set(i, 0, s.pristine[4*i])
@@ -137,24 +170,22 @@ func (s *CounterfactualSession) Counterfactual(restored map[int]bool) Counterfac
 			s.xStar.Set(i, 1, s.pristine[4*i+3])
 		}
 	}
-	isRestored := func(i int) bool { return s.restored[i] }
 	if s.inc == nil {
 		// No row-exact kernel for this aggregator: full forward per call.
+		if s.ar == nil {
+			s.ar = tensor.NewArena()
+		}
 		h := s.m.agg.Forward(s.enc.Graph(), s.ar.View(s.xStar), s.ar.View(s.x))
-		res := s.m.counterfactualRecompute(s.tr, isRestored,
-			s.normalDur, s.normalExcl, h, s.order, s.dur, s.errp)
+		res := s.recompute(h)
 		s.ar.Reset()
 		return res
 	}
 	if !s.primed {
-		// First query: one full forward primes the h and group-sum caches
-		// and a full bottom-up pass fills dur/errp for every node.
-		s.hT = s.inc.Prime(s.ar.View(s.xStar), s.ar.View(s.x))
-		res := s.m.counterfactualRecompute(s.tr, isRestored,
-			s.normalDur, s.normalExcl, s.hT, s.order, s.dur, s.errp)
-		s.ar.Reset()
+		// First query: one batched tape-free pass fills the h and group-sum
+		// caches and a full bottom-up pass fills dur/errp for every node.
+		s.hT = s.inc.Prime(s.xStar, s.x)
 		s.primed = true
-		return res
+		return s.recompute(s.hT)
 	}
 	// Incremental query: recompute only the h rows whose inputs changed,
 	// then revisit the dirty cone — toggled spans plus parents of changed
@@ -168,20 +199,29 @@ func (s *CounterfactualSession) Counterfactual(restored map[int]bool) Counterfac
 			s.dirty[p] = true
 		}
 	}
-	return s.m.counterfactualRecomputeDirty(s.tr, isRestored,
-		s.normalDur, s.normalExcl, s.hT, s.order, s.dur, s.errp, s.dirty)
+	return s.recomputeDirty()
+}
+
+// normalDur and normalExcl are span i's restoration targets in µs.
+func (s *CounterfactualSession) normalDur(i int) float64 {
+	return math.Max(s.normal[i].MedianDuration, 1)
+}
+
+func (s *CounterfactualSession) normalExcl(i int) float64 {
+	return math.Max(s.normal[i].MedianExclusiveDuration, 1)
 }
 
 // RowsUpdated reports how many feature-row toggles the session has applied
 // across all Counterfactual calls — the delta work actually done.
 func (s *CounterfactualSession) RowsUpdated() int64 { return s.rowsUpdated }
 
-// Close returns the session's arena to the shared pool. The session must
-// not be used afterwards.
+// Close returns the session, with every buffer it owns, to the pool for
+// the next session to reuse, and drops its reference to the trace. The
+// session must not be used afterwards; a second Close is a no-op.
 func (s *CounterfactualSession) Close() {
-	if s.ar != nil {
-		s.ar.Reset()
-		arenaPool.Put(s.ar)
-		s.ar = nil
+	if s.tr == nil {
+		return
 	}
+	s.m, s.tr, s.enc.Trace = nil, nil, nil
+	sessionPool.Put(s)
 }

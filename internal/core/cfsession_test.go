@@ -1,9 +1,11 @@
 package core
 
 import (
+	"maps"
 	"testing"
 
 	"github.com/sleuth-rca/sleuth/internal/synth"
+	"github.com/sleuth-rca/sleuth/internal/trace"
 )
 
 // forVariants runs fn against both aggregators: GIN answers through the
@@ -62,11 +64,132 @@ func testCounterfactualSessionEquivalence(t *testing.T, v Variant) {
 			if got != want {
 				t.Fatalf("trace %d set %d: session %+v != fresh %+v", ti, si, got, want)
 			}
+			if ref := tapeCounterfactual(m, tr, set); want != ref {
+				t.Fatalf("trace %d set %d: fresh session %+v != tape reference %+v", ti, si, want, ref)
+			}
 		}
 		if s.RowsUpdated() == 0 && n > 1 {
 			t.Fatalf("trace %d: session reported no row updates", ti)
 		}
 		s.Close()
+	}
+}
+
+// tapeCounterfactual answers one question on a session built outside the
+// pool with the incremental evaluator switched off: fresh buffers and the
+// tape Forward, never Prime — the reference a pooled session's first
+// answer is held to.
+func tapeCounterfactual(m *Model, tr *trace.Trace, set map[int]bool) CounterfactualResult {
+	s := new(CounterfactualSession)
+	s.open(m, tr)
+	s.inc = nil
+	return s.Counterfactual(set)
+}
+
+// nestedSets is the localisation loop's access pattern over tr, six
+// questions: a growing run of sets from {0}, an undo of everything, then
+// a set that shares only span 0 with the run. Span 0 in the first and last
+// sets makes a reopened session that kept its old intervention state
+// answer its first question wrong.
+func nestedSets(tr *trace.Trace) []map[int]bool {
+	n := tr.Len()
+	var sets []map[int]bool
+	cur := map[int]bool{}
+	for _, i := range []int{0, n - 1, n / 2, 1} {
+		cur[i%n] = true
+		sets = append(sets, maps.Clone(cur))
+	}
+	return append(sets, map[int]bool{}, map[int]bool{0: true, (n - 2 + n) % n: true})
+}
+
+// TestSessionPoolReuse holds recycled sessions to the tape reference: a
+// session reopened on traces of alternating size (Synthetic-256, then
+// Synthetic-24, then Synthetic-256 again) must answer exactly as fresh
+// buffers do, and a trace with errors must leave nothing in the error
+// columns of the clean trace encoded after it.
+func TestSessionPoolReuse(t *testing.T) {
+	forVariants(t, testSessionPoolReuse)
+}
+
+func testSessionPoolReuse(t *testing.T, v Variant) {
+	big := simTraces(t, synth.Synthetic(256, 13), 13, 6)
+	small := simTraces(t, synth.Synthetic(24, 13), 13, 6)
+	cfg := smallConfig(13)
+	cfg.Variant = v
+	m := NewModel(cfg)
+	if _, err := m.Train(small, TrainOptions{Epochs: 1, Seed: 13}); err != nil {
+		t.Fatal(err)
+	}
+	m.SetNormals(append(append([]*trace.Trace(nil), big...), small...))
+
+	clean := big[2]
+	spans := make([]*trace.Span, clean.Len())
+	for i, sp := range clean.Spans {
+		cp := *sp
+		cp.Error = i%3 == 0
+		spans[i] = &cp
+	}
+	faulty, err := trace.Assemble(spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := []*trace.Trace{big[0], small[0], big[1], small[1], faulty, clean, small[2], big[3]}
+
+	check := func(s *CounterfactualSession, tr *trace.Trace, k int) {
+		t.Helper()
+		for si, set := range nestedSets(tr) {
+			if got, want := s.Counterfactual(set), tapeCounterfactual(m, tr, set); got != want {
+				t.Fatalf("trace %d (%d spans) set %d: recycled session %+v != tape reference %+v",
+					k, tr.Len(), si, got, want)
+			}
+		}
+	}
+	// One session reopened in place: reuse is certain, not up to the pool.
+	var reused CounterfactualSession
+	for k, tr := range seq {
+		reused.open(m, tr)
+		if tr == clean {
+			for i := range tr.Spans {
+				if reused.enc.X[i][1] != 0 || reused.enc.XStar[i][1] != 0 {
+					t.Fatalf("span %d of the clean trace kept an error flag from the faulty one", i)
+				}
+			}
+		}
+		check(&reused, tr, k)
+	}
+	// The same sequence through the pool.
+	for k, tr := range seq {
+		s := m.NewCounterfactualSession(tr)
+		check(s, tr, k)
+		s.Close()
+	}
+}
+
+// TestSessionCloseTwice: a second Close must not hand the session to the
+// pool again, or two later sessions would share one set of buffers.
+func TestSessionCloseTwice(t *testing.T) {
+	traces := simTraces(t, synth.Synthetic(24, 15), 15, 4)
+	m := NewModel(smallConfig(15))
+	m.SetNormals(traces)
+	s := m.NewCounterfactualSession(traces[0])
+	s.Close()
+	s.Close()
+	a := m.NewCounterfactualSession(traces[1])
+	b := m.NewCounterfactualSession(traces[2])
+	defer a.Close()
+	defer b.Close()
+	if a == b {
+		t.Fatal("two open sessions share one pooled value")
+	}
+	for _, c := range []struct {
+		s  *CounterfactualSession
+		tr *trace.Trace
+	}{{a, traces[1]}, {b, traces[2]}} {
+		for si, set := range nestedSets(c.tr) {
+			if got, want := c.s.Counterfactual(set), tapeCounterfactual(m, c.tr, set); got != want {
+				t.Fatalf("set %d: %+v, tape reference %+v", si, got, want)
+			}
+		}
 	}
 }
 

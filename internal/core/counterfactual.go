@@ -28,70 +28,65 @@ type CounterfactualResult struct {
 // level.
 //
 // A single question is a fresh session asked once: the session's first
-// answer is always one full aggregation pass plus the full bottom-up
-// recompute, never the incremental kernels — which is what makes this the
-// independent reference TestCounterfactualSessionEquivalence holds a
-// long-lived session's incremental answers against.
+// answer is always the evaluator's batched pass over all n rows (Prime)
+// plus the full bottom-up recompute, never the incremental kernels —
+// which is what makes this the reference TestCounterfactualSessionEquivalence
+// holds a long-lived session's incremental answers against. That test also
+// checks the first answer itself against the tape Forward on fresh buffers.
 func (m *Model) Counterfactual(tr *trace.Trace, restored map[int]bool) CounterfactualResult {
 	s := m.NewCounterfactualSession(tr)
 	defer s.Close()
 	return s.Counterfactual(restored)
 }
 
-// counterfactualRecompute is the shared bottom-up ancestral pass of a
-// counterfactual query (Eq. 2 / Eq. 3 over recomputed child values,
-// deepest spans first) — a session's first answer, and every answer of an
-// aggregator without a row-exact kernel. The scratch slices dur/errp must
-// each have length tr.Len() and are overwritten.
-func (m *Model) counterfactualRecompute(tr *trace.Trace, restored func(int) bool,
-	normalDur, normalExcl []float64, h *tensor.Tensor, order []int, dur, errp []float64) CounterfactualResult {
-	for _, i := range order {
-		dur[i], errp[i] = m.cfNode(tr, restored, normalDur, normalExcl, h, dur, errp, i)
+// recompute is the full bottom-up ancestral pass of a counterfactual query
+// (Eq. 2 / Eq. 3 over recomputed child values, deepest spans first) over
+// the aggregation output h — a session's first answer, and every answer of
+// an aggregator without a row-exact kernel. It overwrites dur/errp.
+func (s *CounterfactualSession) recompute(h *tensor.Tensor) CounterfactualResult {
+	for _, i := range s.order {
+		s.dur[i], s.errp[i] = s.node(h, i)
 	}
-
-	root := tr.Roots()[0]
-	return CounterfactualResult{
-		RootDurationMicros: dur[root],
-		RootErrorProb:      errp[root],
-	}
+	return s.rootResult()
 }
 
-// counterfactualRecomputeDirty is the incremental form of the bottom-up
-// pass: dur/errp hold valid values from a previous pass, dirty marks the
-// nodes whose inputs may have changed (restoration toggles and parents of
-// recomputed h rows). Nodes are revisited in the same deepest-first order;
-// a node whose recomputed value is bit-identical to the cached one stops
-// the propagation, otherwise its parent is marked. dirty is cleared as a
-// side effect.
-func (m *Model) counterfactualRecomputeDirty(tr *trace.Trace, restored func(int) bool,
-	normalDur, normalExcl []float64, h *tensor.Tensor, order []int, dur, errp []float64,
-	dirty []bool) CounterfactualResult {
-	for _, i := range order {
-		if !dirty[i] {
+// recomputeDirty is the incremental form of the bottom-up pass: dur/errp
+// hold valid values from a previous pass, dirty marks the nodes whose
+// inputs may have changed (restoration toggles and parents of recomputed h
+// rows). Nodes are revisited in the same deepest-first order; a node whose
+// recomputed value is bit-identical to the cached one stops the
+// propagation, otherwise its parent is marked. dirty is cleared as a side
+// effect.
+func (s *CounterfactualSession) recomputeDirty() CounterfactualResult {
+	for _, i := range s.order {
+		if !s.dirty[i] {
 			continue
 		}
-		dirty[i] = false
-		d, e := m.cfNode(tr, restored, normalDur, normalExcl, h, dur, errp, i)
-		if d != dur[i] || e != errp[i] {
-			dur[i], errp[i] = d, e
-			if p := tr.Parent(i); p >= 0 {
-				dirty[p] = true
+		s.dirty[i] = false
+		d, e := s.node(s.hT, i)
+		if d != s.dur[i] || e != s.errp[i] {
+			s.dur[i], s.errp[i] = d, e
+			if p := s.tr.Parent(i); p >= 0 {
+				s.dirty[p] = true
 			}
 		}
 	}
+	return s.rootResult()
+}
 
-	root := tr.Roots()[0]
+func (s *CounterfactualSession) rootResult() CounterfactualResult {
+	root := s.tr.Roots()[0]
 	return CounterfactualResult{
-		RootDurationMicros: dur[root],
-		RootErrorProb:      errp[root],
+		RootDurationMicros: s.dur[root],
+		RootErrorProb:      s.errp[root],
 	}
 }
 
-// cfNode computes one node's Eq. 2 / Eq. 3 values from its children's
+// node computes one node's Eq. 2 / Eq. 3 values from its children's
 // already-recomputed dur/errp entries — the single source of the
 // counterfactual math for the full and the dirty-cone pass.
-func (m *Model) cfNode(tr *trace.Trace, restored func(int) bool,
-	normalDur, normalExcl []float64, h *tensor.Tensor, dur, errp []float64, i int) (float64, float64) {
+func (s *CounterfactualSession) node(h *tensor.Tensor, i int) (float64, float64) {
+	tr := s.tr
 	kids := tr.Children(i)
 	// Exclusive components under the intervention.
 	exclDur := float64(tr.ExclusiveDuration(i))
@@ -99,13 +94,13 @@ func (m *Model) cfNode(tr *trace.Trace, restored func(int) bool,
 	if tr.ExclusiveError(i) {
 		exclErr = 1
 	}
-	if restored(i) {
-		exclDur = normalExcl[i]
+	if s.restored[i] {
+		exclDur = s.normalExcl(i)
 		exclErr = 0
 	}
 	if len(kids) == 0 {
-		if restored(i) {
-			return normalDur[i], exclErr
+		if s.restored[i] {
+			return s.normalDur(i), exclErr
 		}
 		return math.Max(float64(tr.Spans[i].Duration()), 1), exclErr
 	}
@@ -113,16 +108,16 @@ func (m *Model) cfNode(tr *trace.Trace, restored func(int) bool,
 	total := exclDur
 	maxErr := exclErr
 	for _, j := range kids {
-		if m.cfg.PlainSum {
-			total += dur[j]
+		if s.m.cfg.PlainSum {
+			total += s.dur[j]
 		} else {
 			v := math.Pow(10, clampf(h.At(j, 1), -2, 8))
 			u := v * sigmoid(h.At(j, 0))
-			total += smoothClippedReLU(dur[j], u, v, smoothFrac*dur[j]+1)
+			total += smoothClippedReLU(s.dur[j], u, v, smoothFrac*s.dur[j]+1)
 		}
 		// Eq. 3 child terms with recomputed values.
-		propagated := errp[j] * sigmoid(h.At(j, 2))
-		dScaled := features.ScaleDuration(int64(math.Max(dur[j], 1)))
+		propagated := s.errp[j] * sigmoid(h.At(j, 2))
+		dScaled := features.ScaleDuration(int64(math.Max(s.dur[j], 1)))
 		durInduced := sigmoid(h.At(j, 3)*dScaled + h.At(j, 4))
 		if propagated > maxErr {
 			maxErr = propagated

@@ -343,12 +343,12 @@ func newArenas(workers int) []*tensor.Arena {
 	return arenas
 }
 
-// arenaPool keeps inference arenas warm across ScoreBatch calls and
-// counterfactual sessions. A fresh arena re-grows its float/int/tensor slabs
-// from nothing on every forward pass until it reaches steady state; under online
-// serving (many small batches per second) that cold-start cost recurs per
-// request. Pooled arenas arrive pre-grown, so steady-state serving allocates
-// nothing for tape storage across requests, not just within one batch.
+// arenaPool keeps inference arenas warm across ScoreBatch calls. A fresh
+// arena re-grows its float/int/tensor slabs from nothing on every forward
+// pass until it reaches steady state; under online serving (many small
+// batches per second) that cold-start cost recurs per request. Pooled
+// arenas arrive pre-grown, so steady-state serving allocates nothing for
+// tape storage across requests, not just within one batch.
 // Arenas are returned Reset (empty but with slabs retained); sync.Pool lets
 // the GC reclaim them under memory pressure.
 var arenaPool = sync.Pool{New: func() any { return tensor.NewArena() }}
@@ -749,6 +749,11 @@ const normalShrinkCount = 8
 // Operations with few samples are shrunk toward the global statistics.
 func (m *Model) Normal(opKey string) NormalStats {
 	n, ok := m.normals[opKey]
+	return m.shrunk(n, ok)
+}
+
+// shrunk is Normal's fallback and shrinkage applied to a normals-map read.
+func (m *Model) shrunk(n NormalStats, ok bool) NormalStats {
 	if !ok || n.Count == 0 {
 		return m.globalNormal
 	}
@@ -762,6 +767,30 @@ func (m *Model) Normal(opKey string) NormalStats {
 		SigmaExclusiveDuration:  w*n.SigmaExclusiveDuration + (1-w)*m.globalNormal.SigmaExclusiveDuration,
 		Count:                   n.Count,
 	}
+}
+
+// SpanNormals returns Normal(tr.Spans[i].OpKey()) for every span of tr,
+// written into dst (reused when its capacity suffices). The keys are built
+// in one reused buffer, so a warm call allocates nothing.
+func (m *Model) SpanNormals(tr *trace.Trace, dst []NormalStats) []NormalStats {
+	dst = resize(dst, tr.Len())
+	var buf [128]byte
+	key := buf[:0]
+	for i, sp := range tr.Spans {
+		key = sp.AppendOpKey(key[:0])
+		n, ok := m.normals[string(key)]
+		dst[i] = m.shrunk(n, ok)
+	}
+	return dst
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short. The contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // NormalsSize returns the number of distinct operations with statistics.

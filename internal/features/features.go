@@ -246,8 +246,8 @@ type Encoded struct {
 	xFlat, xsFlat []float64
 
 	// Tensor views over the backings, built once on first use. Encodings
-	// are immutable after Encode (bar one a counterfactual session made for
-	// itself), so the views are shared by every training epoch and scoring
+	// are immutable after Encode (bar the one a counterfactual session
+	// owns), so the views are shared by every training epoch and scoring
 	// pass over this trace.
 	tensorsOnce sync.Once
 	xT, xsT     *tensor.Tensor
@@ -262,7 +262,12 @@ type Encoded struct {
 // graph's derived indexes (sibling groups, parent-gather arrays, group
 // counts) are computed once and shared across every epoch and scoring pass.
 func (e *Encoded) Graph() *gnn.Graph {
-	e.graphOnce.Do(func() { e.graph = gnn.NewGraph(e.Parents) })
+	e.graphOnce.Do(func() {
+		if e.graph == nil {
+			e.graph = new(gnn.Graph)
+		}
+		e.graph.Reset(e.Parents)
+	})
 	return e.graph
 }
 
@@ -270,14 +275,24 @@ func (e *Encoded) Graph() *gnn.Graph {
 // contiguous encoding without copying. The tensors alias X and XStar and
 // are shared with every reader of this encoding, so they are read-only to
 // all but an encoding's sole owner: a counterfactual session intervenes
-// in place on the fresh encoding it made for itself.
+// in place on the encoding it made for itself.
 func (e *Encoded) Tensors() (x, xStar *tensor.Tensor) {
 	e.tensorsOnce.Do(func() {
 		n := len(e.X)
-		e.xT = tensor.New(e.xFlat, n, len(e.xFlat)/n)
-		e.xsT = tensor.New(e.xsFlat, n, len(e.xsFlat)/n)
+		e.xT = view(e.xT, e.xFlat, n, len(e.xFlat)/n)
+		e.xsT = view(e.xsT, e.xsFlat, n, len(e.xsFlat)/n)
 	})
 	return e.xT, e.xsT
+}
+
+// view wraps data as an [n, dim] tensor, re-pointing t when there is one.
+func view(t *tensor.Tensor, data []float64, n, dim int) *tensor.Tensor {
+	if t == nil {
+		return tensor.New(data, n, dim)
+	}
+	t.Data = data
+	t.Shape[0], t.Shape[1] = n, dim
+	return t
 }
 
 // NodeDim returns the width of the X rows.
@@ -302,40 +317,68 @@ func spanText(s *trace.Span) string {
 	return s.Service + " " + s.Name + " " + string(s.Kind)
 }
 
-// Encode produces the feature encoding of tr. Rows of X and XStar are
-// carved from two contiguous backing arrays — six allocations per trace
-// regardless of span count, and a layout Tensors can wrap without copying.
-func (enc *Encoder) Encode(tr *trace.Trace) *Encoded {
+// Encode produces the feature encoding of tr: EncodeInto with nothing to
+// reuse.
+func (enc *Encoder) Encode(tr *trace.Trace) *Encoded { return enc.EncodeInto(tr, nil) }
+
+// EncodeInto produces the feature encoding of tr in e, reusing the capacity
+// of e's backings, row slices, tensor views and graph, and returns e (a nil
+// e gets fresh ones). Rows of X and XStar are carved from two contiguous
+// backing arrays — six allocations per fresh trace regardless of span
+// count, none for a recycled e that is large enough, and a layout Tensors
+// can wrap without copying. Everything previously obtained from e is
+// invalidated, so only an encoding's sole owner may recycle it.
+func (enc *Encoder) EncodeInto(tr *trace.Trace, e *Encoded) *Encoded {
+	if e == nil {
+		e = new(Encoded)
+	}
 	n := tr.Len()
 	dim := 2 + enc.Emb.Dim()
-	e := &Encoded{
+	*e = Encoded{
 		Trace:   tr,
-		Parents: make([]int, n),
-		X:       make([][]float64, n),
-		XStar:   make([][]float64, n),
-		xFlat:   make([]float64, n*dim),
-		xsFlat:  make([]float64, n*dim),
+		Parents: resize(e.Parents, n),
+		X:       resize(e.X, n),
+		XStar:   resize(e.XStar, n),
+		xFlat:   resize(e.xFlat, n*dim),
+		xsFlat:  resize(e.xsFlat, n*dim),
+		xT:      e.xT,
+		xsT:     e.xsT,
+		graph:   e.graph,
 	}
 	for i, s := range tr.Spans {
 		e.Parents[i] = tr.Parent(i)
 		emb := enc.Emb.EmbedSpan(s)
 		x := e.xFlat[i*dim : (i+1)*dim : (i+1)*dim]
 		x[0] = ScaleDuration(s.Duration())
-		if s.Error {
-			x[1] = 1
-		}
+		x[1] = flag(s.Error)
 		copy(x[2:], emb)
 		e.X[i] = x
 
 		xs := e.xsFlat[i*dim : (i+1)*dim : (i+1)*dim]
 		xs[0] = ScaleDuration(tr.ExclusiveDuration(i))
-		if tr.ExclusiveError(i) {
-			xs[1] = 1
-		}
+		xs[1] = flag(tr.ExclusiveError(i))
 		copy(xs[2:], emb)
 		e.XStar[i] = xs
 	}
 	return e
+}
+
+// flag encodes a boolean feature. Every cell of a row is written, so a
+// recycled backing carries nothing over from its previous trace.
+func flag(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short. The contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // EncodeAll encodes a batch of traces.

@@ -32,7 +32,7 @@ type Graph struct {
 	// Derived index caches. Traces are immutable once assembled, so every
 	// per-step consumer (sibling convolutions, the aggregation layer's
 	// child-group gathers) reads these precomputed arrays instead of
-	// rebuilding maps on each forward pass. All are populated by NewGraph.
+	// rebuilding maps on each forward pass. All are populated by Reset.
 	groupCount []int // nodes per group
 	childGroup []int // per node: group ID of its children, -1 for leaves
 	// parentIdx is the gather index for ParentFeatures: node's parent row,
@@ -52,65 +52,79 @@ type Graph struct {
 // NewGraph builds a Graph from parent pointers and precomputes every
 // derived index the convolutions need. It panics on out-of-range parents
 // (cycle detection belongs to trace assembly, which runs first).
-func NewGraph(parent []int) *Graph {
+func NewGraph(parent []int) *Graph { return new(Graph).Reset(parent) }
+
+// Reset rebuilds g over new parent pointers, reusing the capacity of its
+// index arrays, and returns g — NewGraph is Reset on a zero Graph, so a
+// graph recycled across traces costs no allocation once its arrays are
+// large enough. Slices previously returned by g's accessors are
+// invalidated. It panics on out-of-range parents.
+func (g *Graph) Reset(parent []int) *Graph {
 	n := len(parent)
-	g := &Graph{Parent: append([]int(nil), parent...)}
-	g.group = make([]int, n)
-	// gidOf[p+1] is the group ID assigned to children of parent p (index 0
-	// is the root group, keyed by parent -1) — a dense slice where the old
-	// implementation paid for a map.
-	gidOf := make([]int, n+1)
-	for i := range gidOf {
-		gidOf[i] = -1
+	g.Parent = append(g.Parent[:0], parent...)
+	g.group = resize(g.group, n)
+	g.childGroup = resize(g.childGroup, n)
+	g.childGatherIdx = resize(g.childGatherIdx, n)
+	g.parentIdx = resize(g.parentIdx, n)
+	g.groupItems = resize(g.groupItems, n)
+	g.groupParent = g.groupParent[:0]
+	g.nGroups = 0
+	// Group IDs go to parents in order of first appearance; childGroup[p]
+	// doubles as the parent → group lookup while the groups are assigned.
+	for i := range g.childGroup {
+		g.childGroup[i] = -1
 	}
+	rootGroup := -1
 	for i, p := range parent {
 		if p < -1 || p >= n {
 			panic("gnn: parent index out of range")
 		}
-		gid := gidOf[p+1]
-		if gid < 0 {
-			gid = g.nGroups
+		slot := &rootGroup
+		g.parentIdx[i] = n // roots gather the sentinel row
+		if p >= 0 {
+			slot = &g.childGroup[p]
+			g.parentIdx[i] = p
+		}
+		if *slot < 0 {
+			*slot = g.nGroups
 			g.nGroups++
-			gidOf[p+1] = gid
 			g.groupParent = append(g.groupParent, p)
 		}
-		g.group[i] = gid
+		g.group[i] = *slot
 	}
-	g.groupCount = make([]int, g.nGroups)
+	for i, cg := range g.childGroup {
+		g.childGatherIdx[i] = cg
+		if cg < 0 {
+			g.childGatherIdx[i] = g.nGroups
+		}
+	}
+	g.groupCount = resize(g.groupCount, g.nGroups)
+	clear(g.groupCount)
 	for _, gid := range g.group {
 		g.groupCount[gid]++
 	}
-	g.childGroup = make([]int, n)
-	g.childGatherIdx = make([]int, n)
-	for i := range g.childGroup {
-		g.childGroup[i] = -1
-		g.childGatherIdx[i] = g.nGroups
-	}
-	for gid, p := range g.groupParent {
-		if p >= 0 {
-			g.childGroup[p] = gid
-			g.childGatherIdx[p] = gid
-		}
-	}
-	g.parentIdx = make([]int, n)
-	for i, p := range parent {
-		if p < 0 {
-			g.parentIdx[i] = n
-		} else {
-			g.parentIdx[i] = p
-		}
-	}
-	g.groupStart = make([]int, g.nGroups+1)
+	g.groupStart = resize(g.groupStart, g.nGroups+1)
+	g.groupStart[0] = 0
 	for gid, c := range g.groupCount {
 		g.groupStart[gid+1] = g.groupStart[gid] + c
 	}
-	g.groupItems = make([]int, n)
-	fill := append([]int(nil), g.groupStart[:g.nGroups]...)
+	// Fill the CSR index with groupCount as the per-group cursor; the pass
+	// counts every group back up to its size.
+	clear(g.groupCount)
 	for i, gid := range g.group {
-		g.groupItems[fill[gid]] = i
-		fill[gid]++
+		g.groupItems[g.groupStart[gid]+g.groupCount[gid]] = i
+		g.groupCount[gid]++
 	}
 	return g
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short. The contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // GroupMembers returns the node indexes of group gid in ascending order.

@@ -7,22 +7,25 @@ import (
 	"github.com/sleuth-rca/sleuth/internal/tensor"
 )
 
-// GINIncremental caches one GINSiblingConv forward over a fixed graph and
-// recomputes only the output rows whose inputs changed. The convolution is
-// row-local once the sibling-group sums are known: row j reads its
-// parent's xStar row, its own x row and its group's sum, then runs the MLP
-// on that single concatenated row. A feature edit at node j therefore
-// invalidates exactly the members of j's sibling group (they share the
-// group sum) and j's children (they read xStar[j] as the parent term) —
-// for trace graphs a handful of rows out of hundreds.
+// GINIncremental evaluates one GINSiblingConv forward over a fixed graph
+// without a tape and then recomputes only the output rows whose inputs
+// changed. The convolution is row-local once the sibling-group sums are
+// known: row j reads its parent's xStar row, its own x row and its group's
+// sum, then runs the MLP on that single concatenated row. A feature edit
+// at node j therefore invalidates exactly the members of j's sibling group
+// (they share the group sum) and j's children (they read xStar[j] as the
+// parent term) — for trace graphs a handful of rows out of hundreds.
 //
-// Bit-identity with the full Forward is structural, not approximate: group
-// sums are re-accumulated in SegmentSum's member order, row inputs are
+// Bit-identity with the tape Forward is structural, not approximate: group
+// sums are accumulated in SegmentSum's member order, row inputs are
 // assembled with the same expression shape the tensor ops evaluate, and
-// the MLP rows run the same fused kernel via nn.(*MLP).ForwardRow. The
-// core counterfactual-session equivalence test gates this end to end.
+// the MLP rows run the same fused kernel via nn.(*MLP).ForwardRow —
+// TestPrimeMatchesTapeForward gates Prime against Forward and SegmentSum,
+// and the core counterfactual-session equivalence test gates the whole
+// engine.
 //
 // A GINIncremental is bound to one graph and not safe for concurrent use.
+// ResetIncremental rebinds it to another graph, keeping its buffers.
 type GINIncremental struct {
 	c *GINSiblingConv
 	g *Graph
@@ -30,49 +33,102 @@ type GINIncremental struct {
 	groupSum []float64      // [nGroups × nodeDim] cached sibling-group sums
 	h        *tensor.Tensor // [n × outDim] cached forward output
 
-	in1      []float64 // row scratch: [parentDim | nodeDim] MLP input
-	sa, sb   []float64 // MLP ping-pong scratch
+	in       []float64 // MLP input rows [n × (parentDim+nodeDim)]; Update uses row 0
+	sa, sb   []float64 // MLP ping-pong scratch, [n × MaxWidth]
 	mark     []bool    // per-row affected flags
 	gmark    []bool    // per-group recompute flags
 	affected []int     // reused affected-row list
-	outDim   int
 }
 
-// NewIncremental creates an incremental evaluator for the convolution over
-// g, or nil when the MLP configuration has no row-exact kernel (callers
-// then fall back to full forwards).
-func (c *GINSiblingConv) NewIncremental(g *Graph) *GINIncremental {
+// ResetIncremental binds s to the convolution over g, reusing s's buffers
+// where they are large enough (a nil s gets fresh ones), and returns it —
+// or nil when the MLP configuration has no row-exact kernel (callers then
+// fall back to full forwards). Prime must run before Update.
+func (c *GINSiblingConv) ResetIncremental(s *GINIncremental, g *Graph) *GINIncremental {
 	if !c.MLP.RowCompatible() {
 		return nil
 	}
-	last := c.MLP.Layers[len(c.MLP.Layers)-1]
-	w := c.MLP.MaxWidth()
-	return &GINIncremental{
-		c:        c,
-		g:        g,
-		groupSum: make([]float64, g.nGroups*c.nodeDim),
-		in1:      make([]float64, c.parentDim+c.nodeDim),
-		sa:       make([]float64, w),
-		sb:       make([]float64, w),
-		mark:     make([]bool, g.N()),
-		gmark:    make([]bool, g.nGroups),
-		outDim:   last.Out(),
+	if s == nil {
+		s = new(GINIncremental)
+	}
+	n := g.N()
+	outDim := c.MLP.Layers[len(c.MLP.Layers)-1].Out()
+	s.c, s.g = c, g
+	s.groupSum = resize(s.groupSum, g.nGroups*c.nodeDim)
+	if s.h == nil {
+		s.h = tensor.Zeros(n, outDim)
+	} else {
+		s.h.Data = resize(s.h.Data, n*outDim)
+		s.h.Shape[0], s.h.Shape[1] = n, outDim
+	}
+	s.in = resize(s.in, n*(c.parentDim+c.nodeDim))
+	s.sa = resize(s.sa, n*c.MLP.MaxWidth())
+	s.sb = resize(s.sb, n*c.MLP.MaxWidth())
+	s.mark = resize(s.mark, n)
+	clear(s.mark)
+	s.gmark = resize(s.gmark, g.nGroups)
+	clear(s.gmark)
+	s.affected = s.affected[:0]
+	return s
+}
+
+// Prime evaluates the convolution on every row and caches the output and
+// the sibling-group sums in evaluator-owned buffers (xStar/x are read,
+// never retained). The returned tensor is the cached h — later Update
+// calls mutate its rows in place. No tape is built: the group sums
+// accumulate in SegmentSum's ascending-node order, each input row is
+// assembled by inputRow exactly as Update assembles it, and the MLP runs
+// once over all n rows through the row kernel, so h equals the tape
+// Forward bit for bit.
+func (s *GINIncremental) Prime(xStar, x *tensor.Tensor) *tensor.Tensor {
+	if xStar.Cols() != s.c.parentDim || x.Cols() != s.c.nodeDim {
+		panic("gnn: GINIncremental feature width mismatch")
+	}
+	for gid := 0; gid < s.g.nGroups; gid++ {
+		s.sumGroup(x, gid)
+	}
+	n := s.g.N()
+	w := s.c.parentDim + s.c.nodeDim
+	for r := 0; r < n; r++ {
+		s.inputRow(xStar, x, r, s.in[r*w:(r+1)*w])
+	}
+	s.c.MLP.ForwardRow(s.in, n, s.sa, s.sb, s.h.Data)
+	return s.h
+}
+
+// sumGroup re-accumulates group gid's sum from zero in member order — the
+// order SegmentSum adds a group's rows in. An in-place "-= old += new"
+// would change the fp accumulation order and break bit-identity.
+func (s *GINIncremental) sumGroup(x *tensor.Tensor, gid int) {
+	nodeDim := s.c.nodeDim
+	dst := s.groupSum[gid*nodeDim : (gid+1)*nodeDim]
+	clear(dst)
+	for _, mem := range s.g.GroupMembers(gid) {
+		src := x.Data[mem*nodeDim : (mem+1)*nodeDim]
+		for i := range dst {
+			dst[i] += src[i]
+		}
 	}
 }
 
-// Prime runs one full Forward and snapshots its output and the sibling
-// group sums into session-owned heap buffers (xStar/x may be arena views;
-// the caller resets the arena after Prime returns). The returned tensor is
-// the cached h — later Update calls mutate its rows in place.
-func (s *GINIncremental) Prime(xStar, x *tensor.Tensor) *tensor.Tensor {
-	full := s.c.Forward(s.g, xStar, x)
-	if s.h == nil {
-		s.h = tensor.Zeros(s.g.N(), s.outDim)
+// inputRow writes row r's MLP input into dst: the parent's xStar row
+// (zeros for roots — the sentinel row ParentFeatures gathers) next to the
+// aggregation term with the tape path's expression shape,
+// (x·(1+ε)) + (groupSum − x).
+func (s *GINIncremental) inputRow(xStar, x *tensor.Tensor, r int, dst []float64) {
+	parentDim, nodeDim := s.c.parentDim, s.c.nodeDim
+	if p := s.g.Parent[r]; p >= 0 {
+		copy(dst[:parentDim], xStar.Data[p*parentDim:(p+1)*parentDim])
+	} else {
+		clear(dst[:parentDim])
 	}
-	copy(s.h.Data, full.Data)
-	gs := tensor.SegmentSum(x, s.g.group, s.g.nGroups)
-	copy(s.groupSum, gs.Data)
-	return s.h
+	eps1 := s.c.Eps.Data[0] + 1
+	gid := s.g.group[r]
+	gsRow := s.groupSum[gid*nodeDim : (gid+1)*nodeDim]
+	xRow := x.Data[r*nodeDim : (r+1)*nodeDim]
+	for i := 0; i < nodeDim; i++ {
+		dst[parentDim+i] = xRow[i]*eps1 + (gsRow[i] - xRow[i])
+	}
 }
 
 // Update recomputes the h rows affected by edits to the given x/xStar rows
@@ -80,8 +136,6 @@ func (s *GINIncremental) Prime(xStar, x *tensor.Tensor) *tensor.Tensor {
 // across calls). Prime must have run first against the pre-edit features'
 // history — Update only needs the current tensors.
 func (s *GINIncremental) Update(xStar, x *tensor.Tensor, changed []int) []int {
-	nodeDim := s.c.nodeDim
-	parentDim := s.c.parentDim
 	s.affected = s.affected[:0]
 	for _, j := range changed {
 		gid := s.g.group[j]
@@ -103,52 +157,20 @@ func (s *GINIncremental) Update(xStar, x *tensor.Tensor, changed []int) []int {
 			}
 		}
 	}
-	// Re-accumulate dirtied group sums from scratch in SegmentSum's member
-	// order — an in-place "-= old += new" would change the fp accumulation
-	// order and break bit-identity.
 	for _, j := range changed {
-		gid := s.g.group[j]
-		if !s.gmark[gid] {
-			continue
-		}
-		s.gmark[gid] = false
-		dst := s.groupSum[gid*nodeDim : (gid+1)*nodeDim]
-		for i := range dst {
-			dst[i] = 0
-		}
-		for _, mem := range s.g.GroupMembers(gid) {
-			src := x.Data[mem*nodeDim : (mem+1)*nodeDim]
-			for i := range dst {
-				dst[i] += src[i]
-			}
+		if gid := s.g.group[j]; s.gmark[gid] {
+			s.gmark[gid] = false
+			s.sumGroup(x, gid)
 		}
 	}
 	sort.Ints(s.affected)
-	eps1 := s.c.Eps.Data[0] + 1
+	w := s.c.parentDim + s.c.nodeDim
+	outDim := s.h.Cols()
 	for _, r := range s.affected {
 		s.mark[r] = false
-		// Parent term: xStar row of the parent, zeros for roots — the
-		// sentinel row ParentFeatures gathers.
-		if p := s.g.Parent[r]; p >= 0 {
-			copy(s.in1[:parentDim], xStar.Data[p*parentDim:(p+1)*parentDim])
-		} else {
-			for i := 0; i < parentDim; i++ {
-				s.in1[i] = 0
-			}
-		}
-		// Aggregation term, with the full path's expression shape:
-		// (x·(1+ε)) + (groupSum − x).
-		gid := s.g.group[r]
-		gsRow := s.groupSum[gid*nodeDim : (gid+1)*nodeDim]
-		xRow := x.Data[r*nodeDim : (r+1)*nodeDim]
-		for i := 0; i < nodeDim; i++ {
-			s.in1[parentDim+i] = xRow[i]*eps1 + (gsRow[i] - xRow[i])
-		}
-		s.c.MLP.ForwardRow(s.in1, s.sa, s.sb, s.h.Data[r*s.outDim:(r+1)*s.outDim])
+		s.inputRow(xStar, x, r, s.in[:w])
+		s.c.MLP.ForwardRow(s.in[:w], 1, s.sa, s.sb, s.h.Data[r*outDim:(r+1)*outDim])
 	}
 	obs.C("gnn.incremental_rows").Add(int64(len(s.affected)))
 	return s.affected
 }
-
-// H returns the cached forward output (valid after Prime).
-func (s *GINIncremental) H() *tensor.Tensor { return s.h }

@@ -151,8 +151,8 @@ func isIdentity(act Activation) bool {
 	return act != nil && reflect.ValueOf(act).Pointer() == reflect.ValueOf(Identity).Pointer()
 }
 
-// MaxWidth returns the widest layer output — the scratch size ForwardRow
-// needs.
+// MaxWidth returns the widest layer output — ForwardRow needs m times this
+// much scratch.
 func (m *MLP) MaxWidth() int {
 	w := 0
 	for _, l := range m.Layers {
@@ -163,14 +163,15 @@ func (m *MLP) MaxWidth() int {
 	return w
 }
 
-// ForwardRow applies the MLP to a single input row without building tape
-// nodes, writing the result into out (length of the final layer's width).
-// scratchA and scratchB are caller-owned ping-pong buffers of MaxWidth()
-// elements. Each layer runs the same fused row kernel the full-matrix
-// Forward runs, so the output is bit-identical to the corresponding row of
-// Forward — the contract incremental GNN updates rely on. Callers must
-// check RowCompatible first; other activation configurations panic.
-func (m *MLP) ForwardRow(in, scratchA, scratchB, out []float64) {
+// ForwardRow applies the MLP to rows input rows (row-major in) without
+// building tape nodes, writing the result into out (rows × the final
+// layer's width). scratchA and scratchB are caller-owned ping-pong buffers
+// of at least rows·MaxWidth() elements. Each layer runs the same fused
+// kernel the full-matrix Forward runs, so every output row is
+// bit-identical to the corresponding row of Forward — the contract the
+// tape-free GNN forwards rely on. Callers must check RowCompatible first;
+// other activation configurations panic.
+func (m *MLP) ForwardRow(in []float64, rows int, scratchA, scratchB, out []float64) {
 	if !m.RowCompatible() {
 		panic("nn: ForwardRow on a non-row-compatible MLP")
 	}
@@ -178,11 +179,11 @@ func (m *MLP) ForwardRow(in, scratchA, scratchB, out []float64) {
 	bufs := [2][]float64{scratchA, scratchB}
 	for i, l := range m.Layers {
 		last := i+1 == len(m.Layers)
-		dst := bufs[i%2][:l.Out()]
+		dst := bufs[i%2][:rows*l.Out()]
 		if last {
 			dst = out
 		}
-		tensor.AddMMRowInto(dst, cur, l.W, l.B, !last)
+		tensor.AddMMRowInto(dst, cur, rows, l.W, l.B, !last)
 		cur = dst
 	}
 }

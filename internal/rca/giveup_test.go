@@ -75,7 +75,7 @@ func localizeAskingAgain(l *Localizer, tr *trace.Trace, slo float64) (Result, in
 	cands := l.Candidates(tr)
 	pruned := 0
 	if l.Opts.Prune {
-		kept, _ := l.prune(tr, cands)
+		kept, _ := l.prune(tr, l.Model.SpanNormals(tr, nil), cands)
 		pruned = len(cands) - len(kept)
 		cands = kept
 	}

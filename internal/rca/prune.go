@@ -3,6 +3,7 @@ package rca
 import (
 	"math"
 
+	"github.com/sleuth-rca/sleuth/internal/core"
 	"github.com/sleuth-rca/sleuth/internal/trace"
 )
 
@@ -76,14 +77,13 @@ func syncReachable(tr *trace.Trace) []bool {
 	return reach
 }
 
-// spanZ is the robust z-score of a span's exclusive duration against its
-// operation's normal state. The scale floors at 5% of the median (and
+// spanZ is the robust z-score of an exclusive duration of excl µs against
+// its operation's normal state. The scale floors at 5% of the median (and
 // 1 µs) so near-constant operations don't produce unbounded scores.
-func (l *Localizer) spanZ(tr *trace.Trace, i int) float64 {
-	norm := l.Model.Normal(tr.Spans[i].OpKey())
+func spanZ(excl int64, norm core.NormalStats) float64 {
 	med := norm.MedianExclusiveDuration
 	sigma := math.Max(norm.SigmaExclusiveDuration, math.Max(0.05*med, 1))
-	return (float64(tr.ExclusiveDuration(i)) - med) / sigma
+	return (float64(excl) - med) / sigma
 }
 
 // prune applies the cheap one-pass statistics ahead of the counterfactual
@@ -93,7 +93,8 @@ func (l *Localizer) spanZ(tr *trace.Trace, i int) float64 {
 // median. Everything the GNN would be asked about is kept; the candidates
 // no cheap statistic can implicate are cut before any forward pass runs.
 // Order is preserved. The returned decisions cover every input candidate.
-func (l *Localizer) prune(tr *trace.Trace, cands []candidate) ([]candidate, []PruneDecision) {
+// normals holds the per-span normal states, indexed like tr.Spans.
+func (l *Localizer) prune(tr *trace.Trace, normals []core.NormalStats, cands []candidate) ([]candidate, []PruneDecision) {
 	reach := syncReachable(tr)
 	kept := make([]candidate, 0, len(cands))
 	decisions := make([]PruneDecision, len(cands))
@@ -107,7 +108,7 @@ func (l *Localizer) prune(tr *trace.Trace, cands []candidate) ([]candidate, []Pr
 			}
 			if reach[si] {
 				reachable = true
-				if z := l.spanZ(tr, si); z > maxZ {
+				if z := spanZ(tr.ExclusiveDuration(si), normals[si]); z > maxZ {
 					maxZ = z
 				}
 			}

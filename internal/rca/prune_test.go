@@ -44,7 +44,7 @@ func TestPruneNeverCutsTrueRoot(t *testing.T) {
 			for _, c := range cands {
 				inCands[c.service] = true
 			}
-			kept, decisions := f.loc.prune(tr, cands)
+			kept, decisions := f.loc.prune(tr, f.model.SpanNormals(tr, nil), cands)
 			keptSet := map[string]bool{}
 			for _, c := range kept {
 				keptSet[c.service] = true
@@ -85,7 +85,7 @@ func TestPruneDecisionsCoverAllCandidates(t *testing.T) {
 	}
 	tr := sample.Result.Trace
 	cands := f.loc.Candidates(tr)
-	kept, decisions := f.loc.prune(tr, cands)
+	kept, decisions := f.loc.prune(tr, f.model.SpanNormals(tr, nil), cands)
 	if len(decisions) != len(cands) {
 		t.Fatalf("decisions %d != candidates %d", len(decisions), len(cands))
 	}
@@ -228,7 +228,9 @@ func TestRCASmokeEquivalence(t *testing.T) {
 
 // TestLocalizeBatchDeterministicWithPruning checks batch localisation with
 // pruning on returns identical predictions for workers 1, 2 and 8, for fewer
-// queries than workers, and the results of lone LocalizeDetailed calls.
+// queries than workers, and the results of lone LocalizeDetailed calls —
+// under -race, the check that concurrent queries never share a pooled
+// session.
 func TestLocalizeBatchDeterministicWithPruning(t *testing.T) {
 	f := newFixture(t, 15)
 	svc := f.app.ServiceAtCallDepth(1)
@@ -263,10 +265,17 @@ func TestLocalizeBatchDeterministicWithPruning(t *testing.T) {
 	if got := f.loc.LocalizeBatch(nil, nil, 8); len(got) != 0 {
 		t.Fatalf("empty batch returned %v", got)
 	}
-	// The detailed batch is the lone call, query by query.
-	for i, res := range f.loc.LocalizeDetailedBatch(qtraces, slos, 0) {
-		if want := f.loc.LocalizeDetailed(qtraces[i], slos[i]); !reflect.DeepEqual(res, want) {
-			t.Fatalf("query %d: batch %+v, lone call %+v", i, res, want)
+	// The detailed batch is the serial run of lone calls, query by query,
+	// on any number of workers sharing the session pool.
+	serial := make([]Result, len(qtraces))
+	for i, tr := range qtraces {
+		serial[i] = f.loc.LocalizeDetailed(tr, slos[i])
+	}
+	for _, workers := range []int{0, 8} {
+		for i, res := range f.loc.LocalizeDetailedBatch(qtraces, slos, workers) {
+			if !reflect.DeepEqual(res, serial[i]) {
+				t.Fatalf("workers=%d query %d: batch %+v, lone call %+v", workers, i, res, serial[i])
+			}
 		}
 	}
 }

@@ -138,6 +138,12 @@ type candidate struct {
 // Candidates are ranked by exclusive errors plus excess exclusive duration
 // relative to the model's normal state.
 func (l *Localizer) Candidates(tr *trace.Trace) []candidate {
+	return l.candidates(tr, l.Model.SpanNormals(tr, nil))
+}
+
+// candidates is Candidates over the per-span normal states normals
+// (indexed like tr.Spans), which a localisation takes from its session.
+func (l *Localizer) candidates(tr *trace.Trace, normals []core.NormalStats) []candidate {
 	byService := make(map[string]*candidate)
 	get := func(name string) *candidate {
 		c, ok := byService[name]
@@ -174,8 +180,7 @@ func (l *Localizer) Candidates(tr *trace.Trace) []candidate {
 		if tr.ExclusiveError(i) {
 			s += l.Opts.ErrScoreWeight
 		}
-		norm := l.Model.Normal(tr.Spans[i].OpKey())
-		if norm.MedianExclusiveDuration > 0 {
+		if norm := normals[i]; norm.MedianExclusiveDuration > 0 {
 			if ratio := float64(tr.ExclusiveDuration(i)) / norm.MedianExclusiveDuration; ratio > 1 {
 				s += math.Log10(ratio)
 			}
@@ -308,18 +313,30 @@ func (l *Localizer) LocalizeDetailed(tr *trace.Trace, sloMicros float64) Result 
 	}
 	obs.C("rca.localizations").Inc()
 	cfCtr := obs.C("rca.counterfactuals")
-	cands := l.Candidates(tr)
-	obs.S("rca.localize.candidates").Append(float64(len(cands)))
-	if len(cands) == 0 {
+	if tr.Len() == 0 {
+		// No spans, no candidates — and no session: an encoding needs a row.
+		obs.S("rca.localize.candidates").Append(0)
 		return Result{}
 	}
+	// One counterfactual session per localisation: encoding, graph,
+	// normals and depth order are computed once; ranking and pruning read
+	// the session's normals, and the loop below touches only the delta
+	// rows each iteration adds.
+	sess := l.Model.NewCounterfactualSession(tr)
+	defer func() {
+		obs.C("rca.counterfactual_rows_updated").Add(sess.RowsUpdated())
+		sess.Close()
+	}()
+	normals := sess.Normals()
+	cands := l.candidates(tr, normals)
+	obs.S("rca.localize.candidates").Append(float64(len(cands)))
 	// Pruning stage: cut candidates no cheap statistic can implicate
 	// before spending any GNN forward pass on them.
 	var decisions []PruneDecision
 	pruned := 0
 	if l.Opts.Prune {
 		var kept []candidate
-		kept, decisions = l.prune(tr, cands)
+		kept, decisions = l.prune(tr, normals, cands)
 		pruned = len(cands) - len(kept)
 		cands = kept
 		obs.C("rca.pruned_candidates").Add(int64(pruned))
@@ -336,14 +353,6 @@ func (l *Localizer) LocalizeDetailed(tr *trace.Trace, sloMicros float64) Result 
 	if max > len(cands) {
 		max = len(cands)
 	}
-	// One counterfactual session per localisation: encoding, graph,
-	// normals and depth order are computed once; the loop below touches
-	// only the delta rows each iteration adds.
-	sess := l.Model.NewCounterfactualSession(tr)
-	defer func() {
-		obs.C("rca.counterfactual_rows_updated").Add(sess.RowsUpdated())
-		sess.Close()
-	}()
 	spanBudget := 0
 	for k := 0; k < max; k++ {
 		spanBudget += len(cands[k].spans)

@@ -1,6 +1,7 @@
 package rca
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/sleuth-rca/sleuth/internal/chaos"
@@ -237,5 +238,14 @@ func TestPrepareRefreshesNormals(t *testing.T) {
 	}
 	if f.model.NormalsSize() != 0 {
 		t.Fatalf("Prepare(nil) left %d normals (was %d)", f.model.NormalsSize(), before)
+	}
+}
+
+// TestLocalizeEmptyTrace: a trace without spans has no candidates and must
+// not open a counterfactual session (an encoding needs at least one row).
+func TestLocalizeEmptyTrace(t *testing.T) {
+	f := newFixture(t, 18)
+	if got := f.loc.LocalizeDetailed(&trace.Trace{}, f.slo); !reflect.DeepEqual(got, Result{}) {
+		t.Fatalf("empty trace: %+v, want the zero Result", got)
 	}
 }

@@ -428,20 +428,24 @@ func AddMM(x, w, bias *Tensor) *Tensor { return addmm(opAddMM, x, w, bias) }
 // kernels.
 func AddMMReLU(x, w, bias *Tensor) *Tensor { return addmm(opAddMMReLU, x, w, bias) }
 
-// AddMMRowInto computes one row of an AddMM (optionally fused-ReLU) into a
-// caller-owned buffer without building a tape node: dst = xRow·w + bias,
-// clamped at zero when relu is set. It runs the exact kernel addmm runs
-// for that row — bias copy, then the unrolled matmulAcc with m=1, then the
-// ReLU clamp — so the result is bit-identical to the corresponding row of
-// the full-matrix op. This is the inference primitive behind incremental
-// GNN forwards, which recompute only the rows whose inputs changed.
-func AddMMRowInto(dst, xRow []float64, w, bias *Tensor, relu bool) {
+// AddMMRowInto computes m rows of an AddMM (optionally fused-ReLU) into a
+// caller-owned buffer without building a tape node: dst = x·w + bias for
+// row-major x [m,k] and dst [m,n], clamped at zero when relu is set. It is
+// the forward kernel addmm itself runs — bias copy per row, then the
+// unrolled matmulAcc, then the ReLU clamp — and matmulAcc computes each row
+// on its own, so any row of the result is bit-identical to that row of the
+// full-matrix op whatever m is. This is the inference primitive behind the
+// tape-free GNN forwards: a session's prime passes all n rows, an
+// incremental update one row at a time.
+func AddMMRowInto(dst, x []float64, m int, w, bias *Tensor, relu bool) {
 	k, n := w.Rows(), w.Cols()
-	if len(xRow) != k || len(dst) != n || bias.Numel() != n {
+	if len(x) != m*k || len(dst) != m*n || bias.Numel() != n {
 		panic("tensor: AddMMRowInto shape mismatch")
 	}
-	copy(dst, bias.Data)
-	matmulAcc(dst, xRow, w.Data, 1, k, n)
+	for i := 0; i < m; i++ {
+		copy(dst[i*n:(i+1)*n], bias.Data)
+	}
+	matmulAcc(dst, x, w.Data, m, k, n)
 	if relu {
 		for i, v := range dst {
 			if v < 0 {
@@ -461,17 +465,7 @@ func addmm(kind opKind, x, w, bias *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: addmm bias length %d for %d columns", bias.Numel(), n))
 	}
 	out := newOp3(kind, m*n, []int{m, n}, x, w, bias)
-	for i := 0; i < m; i++ {
-		copy(out.Data[i*n:(i+1)*n], bias.Data)
-	}
-	matmulAcc(out.Data, x.Data, w.Data, m, k, n)
-	if kind == opAddMMReLU {
-		for i, v := range out.Data {
-			if v < 0 {
-				out.Data[i] = 0
-			}
-		}
-	}
+	AddMMRowInto(out.Data, x.Data, m, w, bias, kind == opAddMMReLU)
 	out.i1 = k
 	return out
 }

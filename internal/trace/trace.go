@@ -92,6 +92,15 @@ func (s *Span) Valid() bool {
 // kind. Spans sharing an OpKey are instances of the same RPC.
 func (s *Span) OpKey() string { return s.Service + "\x1f" + s.Name + "\x1f" + string(s.Kind) }
 
+// AppendOpKey appends the bytes of OpKey to dst and returns the result, so
+// a lookup keyed by OpKey can reuse one buffer instead of building a
+// string per span.
+func (s *Span) AppendOpKey(dst []byte) []byte {
+	dst = append(append(dst, s.Service...), 0x1f)
+	dst = append(append(dst, s.Name...), 0x1f)
+	return append(dst, s.Kind...)
+}
+
 // Trace is an assembled trace: its spans plus the derived parent/child
 // structure. Construct with Assemble; the structural fields are indexes
 // into Spans.

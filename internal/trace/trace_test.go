@@ -348,6 +348,11 @@ func TestOpKey(t *testing.T) {
 	if a.OpKey() == c.OpKey() {
 		t.Error("different kinds should not share OpKey")
 	}
+	for _, sp := range []*Span{a, c} {
+		if got := string(sp.AppendOpKey([]byte("x"))); got != "x"+sp.OpKey() {
+			t.Errorf("AppendOpKey = %q, want %q", got, "x"+sp.OpKey())
+		}
+	}
 }
 
 // randomTree generates a random well-formed trace for property tests.
