@@ -52,12 +52,11 @@ cross-build:
 # request, one joined trace whose ring half re-ingests through the
 # collector), the watchdog alert smoke (a synthetic p99 regression must
 # fire the stock burn-rate rule, link a resolvable exemplar trace and
-# resolve after recovery), the rca-smoke gate (the
-# default-on candidate pruning must predict root-cause sets identical to
-# the unpruned loop on the fixed seed suite), bench-smoke (the
+# resolve after recovery), the rca-smoke gate (the localiser's verdicts on
+# a fixed seed suite must match a pinned golden hash), bench-smoke (the
 # benchmark module's own tests), and fuzz-smoke (five seconds of each span
-# decoder against its reflection oracle, and of the AVX2 matmul kernel
-# against the scalar one). Latency itself is gated by the
+# decoder against its reflection oracle, of the AVX2 matmul kernel against
+# the scalar one, and of the traceparent parser). Latency itself is gated by the
 # benchmark (`bash benchmark/run.sh`), not here.
 verify: fmt vet build cross-build budget race alloc obs-overhead propagation-smoke alert-smoke rca-smoke bench-smoke fuzz-smoke
 
@@ -115,12 +114,12 @@ propagation-smoke:
 alert-smoke:
 	$(GO) test -run 'TestAlertSmoke' -count=1 ./internal/obs/alert
 
-# rca-smoke is the localisation-equivalence gate: with candidate pruning
-# on (the default), predicted root-cause sets must be identical to the
-# unpruned counterfactual loop's, query by query, on the fixed seed suite
-# — pruning buys latency, never accuracy.
+# rca-smoke is the localisation golden gate: on a fixed seed suite
+# (seeds 20–22, a slowdown and a CPU+error plan, 40 requests each) the
+# localiser's root-cause sets, hashed query by query, and its count of
+# true-root hits must equal the pinned constants.
 rca-smoke:
-	$(GO) test -run 'TestRCASmokeEquivalence' -count=1 ./internal/rca
+	$(GO) test -run 'TestRCASmokeGolden' -count=1 ./internal/rca
 
 # bench-smoke runs the benchmark module's own tests (≈ 2 s): a smoke run of
 # every workload, seed repeatability, BENCHMARK.json staying in sync with
@@ -134,8 +133,12 @@ bench-smoke:
 # encoding/json oracle errors, equal spans otherwise. FuzzMatmulAcc then
 # runs five seconds of random shapes and bit patterns through both matmul
 # arms (internal/tensor/testdata/fuzz): every cell bit-equal, NaN to NaN.
+# FuzzParseTraceparent then runs five seconds of headers through
+# obs.ParseTraceparent: no panic, and every accepted context is valid and
+# round-trips through its rendering.
 # A failing input is written under testdata/fuzz; commit it with the fix.
 fuzz-smoke:
 	@for target in FuzzDecodeOTLP FuzzDecodeZipkin FuzzDecodeJaeger FuzzDecodeSpans; do \
 		$(GO) test -run=^$$ -fuzz="^$$target$$" -fuzztime=5s ./internal/otel || exit 1; done
 	$(GO) test -run=^$$ -fuzz='^FuzzMatmulAcc$$' -fuzztime=5s ./internal/tensor
+	$(GO) test -run=^$$ -fuzz='^FuzzParseTraceparent$$' -fuzztime=5s ./internal/obs

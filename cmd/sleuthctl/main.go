@@ -1,7 +1,7 @@
 // Command sleuthctl drives the Sleuth pipeline against stored traces:
 //
 //	sleuthctl train   -traces spans.jsonl -model model.gob [-epochs 5]
-//	sleuthctl rca     -traces incident.jsonl -normal spans.jsonl -model model.gob [-explain]
+//	sleuthctl rca     -traces incident.jsonl -normal spans.jsonl -model model.gob
 //	sleuthctl cluster -traces incident.jsonl
 //	sleuthctl ops     -traces spans.jsonl      # per-operation statistics
 //	sleuthctl selftrace -in selftrace.json     # replay a pipeline self-trace
@@ -195,7 +195,6 @@ func cmdRCA(args []string) error {
 	modelPath := fs.String("model", "model.gob", "trained model path")
 	selftrace := fs.String("selftrace", "", "write the pipeline self-trace (OTLP JSON) here")
 	metrics := fs.Bool("metrics", false, "print the metrics-registry snapshot after the run")
-	explain := fs.Bool("explain", false, "print the per-candidate pruning audit trail under each diagnosis")
 	_ = fs.Parse(args)
 	if *tracesPath == "" {
 		return fmt.Errorf("rca: -traces is required")
@@ -213,9 +212,6 @@ func cmdRCA(args []string) error {
 	}
 	analyzer := sleuth.NewAnalyzer(m)
 	analyzer.Tracer = tracer
-	if *explain {
-		analyzer.Localizer.Opts.Explain = true
-	}
 	if *normalPath != "" {
 		normal, err := loadTraces(*normalPath)
 		if err != nil {
@@ -246,9 +242,6 @@ func cmdRCA(args []string) error {
 		}
 		fmt.Printf("  %-12s traces=%-4d root causes: services=%v pods=%v nodes=%v\n",
 			label, len(d.TraceIDs), d.Services, d.Pods, d.Nodes)
-		if *explain {
-			renderPruning(os.Stdout, "    ", d.PrunedCandidates, d.Pruning)
-		}
 	}
 	if err := writeSelfTrace(*selftrace, tracer); err != nil {
 		return err

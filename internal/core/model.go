@@ -98,9 +98,7 @@ type NormalStats struct {
 	MedianDuration          float64 // µs
 	MedianExclusiveDuration float64 // µs
 	// SigmaExclusiveDuration is a robust spread estimate of the exclusive
-	// duration (IQR/1.349, the normal-consistent scale), in µs. Pruning
-	// uses it to turn an observed exclusive duration into a z-score
-	// without being skewed by the heavy latency tail.
+	// duration (IQR/1.349, the normal-consistent scale), in µs.
 	SigmaExclusiveDuration float64
 	Count                  int
 }

@@ -7,21 +7,30 @@ import (
 	"testing"
 )
 
-// TestParseTraceparent is the hostile-header gauntlet: a malformed or
-// adversarial traceparent must be rejected (ok == false, zero context) so
-// the middleware falls back to a fresh root trace — never a poisoned one.
-func TestParseTraceparent(t *testing.T) {
+// Canonical IDs of the traceparentCases table.
+const (
+	tpTraceID = "4bf92f3577b34da6a3ce929d0e0e4736"
+	tpSpanID  = "00f067aa0ba902b7"
+)
+
+// traceparentCase is one header of the hostile-header gauntlet: whether
+// ParseTraceparent must accept it and, if so, its sampled flag.
+type traceparentCase struct {
+	name    string
+	in      string
+	ok      bool
+	sampled bool
+}
+
+// traceparentCases is TestParseTraceparent's table and
+// FuzzParseTraceparent's seed corpus.
+func traceparentCases() []traceparentCase {
 	const (
-		tid = "4bf92f3577b34da6a3ce929d0e0e4736"
-		sid = "00f067aa0ba902b7"
+		tid = tpTraceID
+		sid = tpSpanID
 	)
 	valid := "00-" + tid + "-" + sid + "-01"
-	cases := []struct {
-		name    string
-		in      string
-		ok      bool
-		sampled bool
-	}{
+	return []traceparentCase{
 		{"valid sampled", valid, true, true},
 		{"valid unsampled", "00-" + tid + "-" + sid + "-00", true, false},
 		{"extra flag bits set", "00-" + tid + "-" + sid + "-ff", true, true},
@@ -49,7 +58,13 @@ func TestParseTraceparent(t *testing.T) {
 		{"wrong separator after trace id", "00-" + tid + "_" + sid + "-01", false, false},
 		{"wrong separator after span id", "00-" + tid + "-" + sid + "_01", false, false},
 	}
-	for _, c := range cases {
+}
+
+// TestParseTraceparent is the hostile-header gauntlet: a malformed or
+// adversarial traceparent must be rejected (ok == false, zero context) so
+// the middleware falls back to a fresh root trace — never a poisoned one.
+func TestParseTraceparent(t *testing.T) {
+	for _, c := range traceparentCases() {
 		t.Run(c.name, func(t *testing.T) {
 			sc, ok := ParseTraceparent(c.in)
 			if ok != c.ok {
@@ -61,14 +76,36 @@ func TestParseTraceparent(t *testing.T) {
 				}
 				return
 			}
-			if sc.TraceID != tid || sc.SpanID != sid {
-				t.Fatalf("parsed IDs = %q/%q, want %q/%q", sc.TraceID, sc.SpanID, tid, sid)
+			if sc.TraceID != tpTraceID || sc.SpanID != tpSpanID {
+				t.Fatalf("parsed IDs = %q/%q, want %q/%q", sc.TraceID, sc.SpanID, tpTraceID, tpSpanID)
 			}
 			if sc.Sampled != c.sampled {
 				t.Fatalf("sampled = %v, want %v", sc.Sampled, c.sampled)
 			}
 		})
 	}
+}
+
+// FuzzParseTraceparent: ParseTraceparent never panics on any header, and
+// whatever it accepts is a valid context that renders to a version-00
+// header parsing back to the same context.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, c := range traceparentCases() {
+		f.Add(c.in)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		sc, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		if !sc.Valid() {
+			t.Fatalf("ParseTraceparent(%q) accepted invalid context %+v", h, sc)
+		}
+		if back, ok := ParseTraceparent(sc.Traceparent()); !ok || back != sc {
+			t.Fatalf("ParseTraceparent(%q) = %+v, but its rendering %q parses to %+v (ok=%v)",
+				h, sc, sc.Traceparent(), back, ok)
+		}
+	})
 }
 
 func TestTraceparentRoundTrip(t *testing.T) {

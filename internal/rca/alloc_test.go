@@ -9,8 +9,8 @@ import (
 
 // TestLocalizeSteadyStateAllocs is the allocation-regression guard for the
 // localization hot path: one warm LocalizeDetailed on a fixed anomalous
-// trace — candidate ranking, pruning, counterfactual session, restoration
-// loop — must stay within a small per-query allocation budget. The budget
+// trace — candidate ranking, counterfactual session, restoration loop —
+// must stay within a small per-query allocation budget. The budget
 // is deliberately coarse (localisation legitimately allocates its session
 // buffers, candidate sets and result slices per query); the guard exists
 // to catch a lost cache or an accidental per-iteration re-encode, which
@@ -35,11 +35,11 @@ func TestLocalizeSteadyStateAllocs(t *testing.T) {
 		step()
 	}
 	avg := testing.AllocsPerRun(50, step)
-	// Budget: measured 23 allocs/query on the seed fixture (79 before
-	// sessions were pooled): the candidate map and slices, the pruning
-	// trail, the restoration map and the result. A session buffer that
-	// stops being recycled, or a per-counterfactual re-encode, blows
-	// straight through it.
+	// Budget: measured 22 allocs/query on the seed fixture (79 before
+	// sessions were pooled): the candidate map and slices, the
+	// restoration map and the result. A session buffer that stops being
+	// recycled, or a per-counterfactual re-encode, blows straight
+	// through it.
 	const budget = 48
 	if avg > budget {
 		t.Fatalf("steady-state LocalizeDetailed allocates %.0f times per query, budget %d", avg, budget)
@@ -72,9 +72,9 @@ func TestLocalizeBytesSteadyStateAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perQuery := float64(after.TotalAlloc-before.TotalAlloc) / float64(rounds*len(queries))
-	// Budget: measured 13 823 B/query (68–73 KB before sessions were
+	// Budget: measured 9 099 B/query (68–73 KB before sessions were
 	// pooled); the bound is 1.5× that.
-	const budget = 21000
+	const budget = 13650
 	if perQuery > budget {
 		t.Fatalf("warm Synthetic-256 LocalizeDetailed allocates %.0f B per query, budget %d", perQuery, budget)
 	}

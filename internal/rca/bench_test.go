@@ -71,35 +71,17 @@ func widePlan(app *synth.App) *chaos.Plan {
 	return chaos.NewPlan(app, faults...)
 }
 
-// BenchmarkLocalize measures one localisation query across app scales:
-// "unpruned" is the loop with pruning off, "pruned" the shipped default.
+// BenchmarkLocalize measures one localisation query across app scales.
 func BenchmarkLocalize(b *testing.B) {
 	for _, rpcs := range []int{64, 256} {
 		f := newFixtureSized(b, 31, rpcs)
 		queries := benchQueries(b, f, 8)
-		prunedOpts := f.loc.Opts
-		prunedOpts.Prune = true
-		unprunedOpts := f.loc.Opts
-		unprunedOpts.Prune = false
-		arms := []struct {
-			name     string
-			localize func(tr *trace.Trace) []string
-		}{
-			{"unpruned", func(tr *trace.Trace) []string {
-				return NewLocalizer(f.model, unprunedOpts).Localize(tr, f.slo)
-			}},
-			{"pruned", func(tr *trace.Trace) []string {
-				return NewLocalizer(f.model, prunedOpts).Localize(tr, f.slo)
-			}},
-		}
-		for _, arm := range arms {
-			b.Run(fmt.Sprintf("%s/Synthetic-%d", arm.name, rpcs), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					_ = arm.localize(queries[i%len(queries)])
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("Synthetic-%d", rpcs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = f.loc.Localize(queries[i%len(queries)], f.slo)
+			}
+		})
 	}
 }
 

@@ -73,12 +73,6 @@ func TestExhaustedQueryReusesFirstAnswer(t *testing.T) {
 // Result and the number of counterfactual questions it asked.
 func localizeAskingAgain(l *Localizer, tr *trace.Trace, slo float64) (Result, int) {
 	cands := l.Candidates(tr)
-	pruned := 0
-	if l.Opts.Prune {
-		kept, _ := l.prune(tr, l.Model.SpanNormals(tr, nil), cands)
-		pruned = len(cands) - len(kept)
-		cands = kept
-	}
 	sess := l.Model.NewCounterfactualSession(tr)
 	defer sess.Close()
 	restored := map[int]bool{}
@@ -92,14 +86,10 @@ func localizeAskingAgain(l *Localizer, tr *trace.Trace, slo float64) (Result, in
 		cf := sess.Counterfactual(restored)
 		questions++
 		if cf.RootDurationMicros <= slo && cf.RootErrorProb < l.Opts.ErrThreshold {
-			res := l.result(tr, used, true, cf.RootDurationMicros)
-			res.PrunedCandidates = pruned
-			return res, questions
+			return l.result(tr, used, true, cf.RootDurationMicros), questions
 		}
 	}
 	cf := sess.Counterfactual(spanSet(cands[0].spans))
 	questions++
-	res := l.result(tr, []string{cands[0].service}, false, cf.RootDurationMicros)
-	res.PrunedCandidates = pruned
-	return res, questions
+	return l.result(tr, []string{cands[0].service}, false, cf.RootDurationMicros), questions
 }

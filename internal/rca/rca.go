@@ -53,27 +53,7 @@ type Options struct {
 	// ErrScoreWeight weighs one exclusive error against a decade of
 	// excess exclusive duration in candidate ranking.
 	ErrScoreWeight float64
-	// Prune enables the adaptive candidate-pruning stage: candidates with
-	// no cheap statistical evidence (no exclusive error, no sync-reachable
-	// span PruneZ robust sigmas above its normal median) are cut before
-	// any counterfactual forward pass.
-	Prune bool
-	// PruneZ is the robust exclusive-duration z-score at or above which
-	// the duration rule keeps a candidate.
-	PruneZ float64
-	// Explain records a PruneDecision per candidate in Result.Pruning —
-	// the kept/cut audit trail behind `sleuthctl rca -explain`.
-	Explain bool
 }
-
-// defaultPruneZ is the shipped duration-rule threshold: one robust sigma
-// above the normal median. Deliberately permissive — the pruning stage
-// exists to cut bystanders (z ≈ 0, services that merely appear in the
-// trace), not to adjudicate weak evidence; anything with even mild excess
-// stays in and the counterfactual loop makes the final call. Raising the
-// threshold cuts more but risks diverging from the unpruned loop on
-// traces that only normalise once marginal candidates are restored.
-const defaultPruneZ = 1
 
 // DefaultOptions returns the shipped localiser configuration.
 func DefaultOptions() Options {
@@ -81,8 +61,6 @@ func DefaultOptions() Options {
 		MaxCandidates:  5,
 		ErrThreshold:   0.5,
 		ErrScoreWeight: 3,
-		Prune:          true,
-		PruneZ:         defaultPruneZ,
 	}
 }
 
@@ -92,9 +70,8 @@ type Localizer struct {
 	Opts  Options
 }
 
-// NewLocalizer wraps a trained model. Numeric options left at zero (or
-// below) take their DefaultOptions value one by one; the booleans are used
-// as given.
+// NewLocalizer wraps a trained model. Options left at zero (or below)
+// take their DefaultOptions value one by one.
 func NewLocalizer(m *core.Model, opts Options) *Localizer {
 	def := DefaultOptions()
 	if opts.MaxCandidates <= 0 {
@@ -105,9 +82,6 @@ func NewLocalizer(m *core.Model, opts Options) *Localizer {
 	}
 	if opts.ErrScoreWeight <= 0 {
 		opts.ErrScoreWeight = def.ErrScoreWeight
-	}
-	if opts.PruneZ <= 0 {
-		opts.PruneZ = def.PruneZ
 	}
 	return &Localizer{Model: m, Opts: opts}
 }
@@ -235,14 +209,14 @@ type Result struct {
 	// PredictedDuration is the counterfactual duration with the final
 	// restoration set applied (µs).
 	PredictedDuration float64
-	// PrunedCandidates counts candidates cut by the pruning stage before
-	// the counterfactual loop (0 when pruning is off).
+	// Deprecated: always zero; removed with the benchmark's rca.pruned_per_query row (ROADMAP item 1).
 	PrunedCandidates int
-	// Pruning is the per-candidate kept/cut audit trail — which rule
-	// fired, the statistic it evaluated and the threshold it used —
-	// recorded only when Options.Explain is set.
+	// Deprecated: always zero; removed with the benchmark's rca.pruned_per_query row (ROADMAP item 1).
 	Pruning []PruneDecision
 }
+
+// Deprecated: always zero; removed with the benchmark's rca.pruned_per_query row (ROADMAP item 1).
+type PruneDecision struct{}
 
 // Localize implements Algorithm.
 func (l *Localizer) Localize(tr *trace.Trace, sloMicros float64) []string {
@@ -319,36 +293,16 @@ func (l *Localizer) LocalizeDetailed(tr *trace.Trace, sloMicros float64) Result 
 		return Result{}
 	}
 	// One counterfactual session per localisation: encoding, graph,
-	// normals and depth order are computed once; ranking and pruning read
-	// the session's normals, and the loop below touches only the delta
-	// rows each iteration adds.
+	// normals and depth order are computed once; ranking reads the
+	// session's normals, and the loop below touches only the delta rows
+	// each iteration adds.
 	sess := l.Model.NewCounterfactualSession(tr)
 	defer func() {
 		obs.C("rca.counterfactual_rows_updated").Add(sess.RowsUpdated())
 		sess.Close()
 	}()
-	normals := sess.Normals()
-	cands := l.candidates(tr, normals)
+	cands := l.candidates(tr, sess.Normals())
 	obs.S("rca.localize.candidates").Append(float64(len(cands)))
-	// Pruning stage: cut candidates no cheap statistic can implicate
-	// before spending any GNN forward pass on them.
-	var decisions []PruneDecision
-	pruned := 0
-	if l.Opts.Prune {
-		var kept []candidate
-		kept, decisions = l.prune(tr, normals, cands)
-		pruned = len(cands) - len(kept)
-		cands = kept
-		obs.C("rca.pruned_candidates").Add(int64(pruned))
-		obs.S("rca.localize.pruned").Append(float64(pruned))
-	}
-	finish := func(res Result) Result {
-		res.PrunedCandidates = pruned
-		if l.Opts.Explain {
-			res.Pruning = decisions
-		}
-		return res
-	}
 	max := l.Opts.MaxCandidates
 	if max > len(cands) {
 		max = len(cands)
@@ -372,7 +326,7 @@ func (l *Localizer) LocalizeDetailed(tr *trace.Trace, sloMicros float64) Result 
 		}
 		if cf.RootDurationMicros <= sloMicros && cf.RootErrorProb < l.Opts.ErrThreshold {
 			obs.C("rca.normalized").Inc()
-			return finish(l.result(tr, used, true, cf.RootDurationMicros))
+			return l.result(tr, used, true, cf.RootDurationMicros)
 		}
 	}
 	if max == 0 {
@@ -384,7 +338,7 @@ func (l *Localizer) LocalizeDetailed(tr *trace.Trace, sloMicros float64) Result 
 	// would only cost precision. Its restoration set is the first
 	// question's, and an answer depends only on the set, so that answer
 	// stands without asking again.
-	return finish(l.result(tr, []string{cands[0].service}, false, top.RootDurationMicros))
+	return l.result(tr, []string{cands[0].service}, false, top.RootDurationMicros)
 }
 
 func spanSet(idx []int) map[int]bool {

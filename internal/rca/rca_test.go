@@ -1,7 +1,10 @@
 package rca
 
 import (
+	"fmt"
+	"hash/fnv"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/sleuth-rca/sleuth/internal/chaos"
@@ -247,5 +250,164 @@ func TestLocalizeEmptyTrace(t *testing.T) {
 	f := newFixture(t, 18)
 	if got := f.loc.LocalizeDetailed(&trace.Trace{}, f.slo); !reflect.DeepEqual(got, Result{}) {
 		t.Fatalf("empty trace: %+v, want the zero Result", got)
+	}
+}
+
+// rcaSmokeQueries, rcaSmokeHits and rcaSmokeHash pin TestRCASmokeGolden's
+// suite: the number of SLO-violating queries, how many verdicts name the
+// injected service, and the FNV-64a hash of every (seed, plan, id,
+// Services) verdict.
+const (
+	rcaSmokeQueries = 171
+	rcaSmokeHits    = 169
+	rcaSmokeHash    = 0x774b344f74a47282
+)
+
+// TestRCASmokeGolden is the `make verify` rca-smoke gate: on a fixed seed
+// suite (seeds 20–22; a slowdown plan and a CPU+error plan against a
+// depth-1 service; the first 40 requests of each), the localiser's
+// verdicts must hash to the pinned constant and name the injected service
+// as often as pinned. Any change to ranking, the session's answers or the
+// loop's stopping rule moves the hash; a change that moves it on purpose
+// says which verdicts moved and why, and re-pins.
+func TestRCASmokeGolden(t *testing.T) {
+	h := fnv.New64a()
+	queries, hits := 0, 0
+	for _, seed := range []uint64{20, 21, 22} {
+		f := newFixture(t, seed)
+		svc := f.app.ServiceAtCallDepth(1)
+		name := f.app.Services[svc].Name
+		plans := []*chaos.Plan{
+			slowPlan(f.app, name, 60),
+			chaos.NewPlan(f.app, chaos.Fault{
+				Type: chaos.FaultCPU, Level: chaos.LevelContainer,
+				Target: name, SlowFactor: 2, ErrorProb: 0.9,
+			}),
+		}
+		for pi, plan := range plans {
+			for id := 0; id < 40; id++ {
+				sample, err := f.sim.SimulateWithTruth(id, plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if float64(sample.Result.Duration) <= f.slo && !sample.Result.Errored {
+					continue
+				}
+				queries++
+				got := f.loc.Localize(sample.Result.Trace, f.slo)
+				fmt.Fprintf(h, "%d/%d/%d:%s\n", seed, pi, id, strings.Join(got, ","))
+				for _, s := range got {
+					if s == name {
+						hits++
+					}
+				}
+			}
+		}
+	}
+	if queries < 50 {
+		t.Fatalf("smoke suite too small: only %d anomalous queries", queries)
+	}
+	if queries != rcaSmokeQueries || hits != rcaSmokeHits || h.Sum64() != rcaSmokeHash {
+		t.Fatalf("rca-smoke: %d queries, %d true-root hits, hash %#016x; pinned %d, %d, %#016x",
+			queries, hits, h.Sum64(), rcaSmokeQueries, rcaSmokeHits, uint64(rcaSmokeHash))
+	}
+	t.Logf("rca-smoke: %d queries, verdicts as pinned, true-root hits %d", queries, hits)
+}
+
+// TestLocalizeBatchDeterministic checks batch localisation returns
+// identical predictions for workers 1, 2 and 8, for fewer queries than
+// workers, and the results of lone LocalizeDetailed calls — under -race,
+// the check that concurrent queries never share a pooled session.
+func TestLocalizeBatchDeterministic(t *testing.T) {
+	f := newFixture(t, 15)
+	svc := f.app.ServiceAtCallDepth(1)
+	name := f.app.Services[svc].Name
+	plan := slowPlan(f.app, name, 40)
+	var qtraces []*trace.Trace
+	var slos []float64
+	for id := 0; id < 16; id++ {
+		sample, err := f.sim.SimulateWithTruth(id, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qtraces = append(qtraces, sample.Result.Trace)
+		slos = append(slos, f.slo)
+	}
+	ref := f.loc.LocalizeBatch(qtraces, slos, 1)
+	for _, workers := range []int{2, 8} {
+		got := f.loc.LocalizeBatch(qtraces, slos, workers)
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("workers=%d diverged from workers=1:\n%v\nvs\n%v", workers, got, ref)
+		}
+	}
+	// Fewer queries than workers, and none at all.
+	if got := f.loc.LocalizeBatch(qtraces[:3], slos[:3], 8); !reflect.DeepEqual(got, ref[:3]) {
+		t.Fatalf("3 queries on 8 workers: %v, want %v", got, ref[:3])
+	}
+	if got := f.loc.LocalizeBatch(nil, nil, 8); len(got) != 0 {
+		t.Fatalf("empty batch returned %v", got)
+	}
+	// The detailed batch is the serial run of lone calls, query by query,
+	// on any number of workers sharing the session pool.
+	serial := make([]Result, len(qtraces))
+	for i, tr := range qtraces {
+		serial[i] = f.loc.LocalizeDetailed(tr, slos[i])
+	}
+	for _, workers := range []int{0, 8} {
+		for i, res := range f.loc.LocalizeDetailedBatch(qtraces, slos, workers) {
+			if !reflect.DeepEqual(res, serial[i]) {
+				t.Fatalf("workers=%d query %d: batch %+v, lone call %+v", workers, i, res, serial[i])
+			}
+		}
+	}
+}
+
+// TestResultDoesNotMutateCallerSlice: the services slice handed to
+// result() must come back in its original order.
+func TestResultDoesNotMutateCallerSlice(t *testing.T) {
+	f := newFixture(t, 16)
+	res, err := f.sim.Run(700, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := res[0].Trace
+	used := []string{"zeta-svc", "alpha-svc", "mid-svc"}
+	orig := append([]string(nil), used...)
+	out := f.loc.result(tr, used, true, 123)
+	if !reflect.DeepEqual(used, orig) {
+		t.Fatalf("result() mutated caller slice: %v (was %v)", used, orig)
+	}
+	for i := 1; i < len(out.Services); i++ {
+		if out.Services[i-1] > out.Services[i] {
+			t.Fatalf("Services not sorted: %v", out.Services)
+		}
+	}
+}
+
+// TestNewLocalizerMergesOptions: NewLocalizer fills zero fields from
+// DefaultOptions one by one and never rewrites what the caller set.
+func TestNewLocalizerMergesOptions(t *testing.T) {
+	def := DefaultOptions()
+	cases := []struct {
+		name     string
+		in, want Options
+	}{
+		{"zero value takes every default", Options{}, def},
+		{"max candidates only", Options{MaxCandidates: 3},
+			Options{MaxCandidates: 3, ErrThreshold: def.ErrThreshold, ErrScoreWeight: def.ErrScoreWeight}},
+		{"threshold only", Options{ErrThreshold: 0.3},
+			Options{MaxCandidates: def.MaxCandidates, ErrThreshold: 0.3, ErrScoreWeight: def.ErrScoreWeight}},
+		{"weight only", Options{ErrScoreWeight: 1},
+			Options{MaxCandidates: def.MaxCandidates, ErrThreshold: def.ErrThreshold, ErrScoreWeight: 1}},
+		{"fully specified", Options{MaxCandidates: 2, ErrThreshold: 0.7, ErrScoreWeight: 1},
+			Options{MaxCandidates: 2, ErrThreshold: 0.7, ErrScoreWeight: 1}},
+		{"defaults pass through", def, def},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := NewLocalizer(nil, c.in).Opts; got != c.want {
+				t.Fatalf("NewLocalizer(%+v).Opts = %+v, want %+v", c.in, got, c.want)
+			}
+		})
 	}
 }

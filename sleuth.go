@@ -285,12 +285,9 @@ type Diagnosis struct {
 	Services []string
 	Pods     []string
 	Nodes    []string
-	// PrunedCandidates counts candidates the localiser's pruning stage
-	// cut before the counterfactual loop for this diagnosis's query.
+	// Deprecated: always zero; removed with the benchmark's rca.pruned_per_query row (ROADMAP item 1).
 	PrunedCandidates int
-	// Pruning is the per-candidate kept/cut audit trail (rule, statistic,
-	// threshold), recorded only when the localiser's Explain option is on
-	// — the evidence behind `sleuthctl rca -explain`.
+	// Deprecated: always zero; removed with the benchmark's rca.pruned_per_query row (ROADMAP item 1).
 	Pruning []rca.PruneDecision
 }
 
@@ -369,7 +366,6 @@ func (a *Analyzer) Analyze(anomalous []*Trace) *Report {
 	for q, res := range a.Localizer.LocalizeDetailedBatch(queries, slos, 0) {
 		d := &report.Diagnoses[q]
 		d.Services, d.Pods, d.Nodes = res.Services, res.Pods, res.Nodes
-		d.PrunedCandidates, d.Pruning = res.PrunedCandidates, res.Pruning
 	}
 	report.Inferences = len(queries)
 	return report
