@@ -4,20 +4,18 @@
 //	sleuthctl rca     -traces incident.jsonl -normal spans.jsonl -model model.gob
 //	sleuthctl cluster -traces incident.jsonl
 //	sleuthctl ops     -traces spans.jsonl      # per-operation statistics
-//	sleuthctl selftrace -in selftrace.json     # replay a pipeline self-trace
-//	sleuthctl traces  -addr localhost:4318 -slowest   # list ring-resident self-traces
+//	sleuthctl traces  -addr localhost:4318 -slowest   # list ring-resident request traces
 //	sleuthctl trace   -addr localhost:4318,localhost:8500 <id>  # joined span tree
 //	sleuthctl watch   -addr localhost:4318     # live sparkline telemetry view
 //	sleuthctl alerts  -addr localhost:4318     # watchdog alert states
 //
 // Trace files are span JSONL as written by tracegen or the collector.
 //
-// train and rca accept -selftrace out.json to record Sleuth's own pipeline
-// stages as an OTLP document in the same span schema it analyzes, and
-// -metrics to print the metrics-registry snapshot after the run. A
-// self-trace replays through `sleuthctl selftrace`, which applies Sleuth's
-// own trace machinery (assembly, exclusive durations, critical path) to
-// Sleuth's own execution.
+// train and rca accept -metrics to print the metrics-registry snapshot
+// after the run: the stage timings (core.train.epoch_us,
+// cluster.pairwise_us, cluster.hdbscan_us, rca.localize_us) are its
+// histograms. trace and traces read the per-request span trees a running
+// collector or model server keeps in its trace ring.
 package main
 
 import (
@@ -34,7 +32,6 @@ import (
 	"github.com/sleuth-rca/sleuth/internal/cluster"
 	"github.com/sleuth-rca/sleuth/internal/obs"
 	"github.com/sleuth-rca/sleuth/internal/obs/alert"
-	"github.com/sleuth-rca/sleuth/internal/otel"
 	"github.com/sleuth-rca/sleuth/internal/store"
 	"github.com/sleuth-rca/sleuth/internal/trace"
 )
@@ -53,8 +50,6 @@ func main() {
 		err = cmdCluster(os.Args[2:])
 	case "ops":
 		err = cmdOps(os.Args[2:])
-	case "selftrace":
-		err = cmdSelfTrace(os.Args[2:])
 	case "trace":
 		err = cmdTrace(os.Args[2:])
 	case "traces":
@@ -73,7 +68,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: sleuthctl <train|rca|cluster|ops|selftrace|trace|traces|watch|alerts> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: sleuthctl <train|rca|cluster|ops|trace|traces|watch|alerts> [flags]")
 	os.Exit(2)
 }
 
@@ -87,23 +82,6 @@ func loadTraces(path string) ([]*trace.Trace, error) {
 		fmt.Fprintf(os.Stderr, "sleuthctl: %s: skipped %d malformed span lines\n", path, skipped)
 	}
 	return st.Traces(store.Query{}), nil
-}
-
-// writeSelfTrace exports a pipeline self-trace as an OTLP document.
-func writeSelfTrace(path string, tracer *sleuth.Tracer) error {
-	if path == "" || tracer == nil {
-		return nil
-	}
-	data, err := otel.EncodeOTLP(tracer.Spans())
-	if err != nil {
-		return fmt.Errorf("encoding self-trace: %w", err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("self-trace (%d spans) written to %s — replay with: sleuthctl selftrace -in %s\n",
-		tracer.Len(), path, path)
-	return nil
 }
 
 // dumpMetrics prints the process metrics-registry snapshot.
@@ -124,7 +102,6 @@ func cmdTrain(args []string) error {
 	batch := fs.Int("batch", 1, "mini-batch size (traces per optimizer step)")
 	workers := fs.Int("workers", 0, "gradient workers per batch (0 = GOMAXPROCS)")
 	seed := fs.Uint64("seed", 1, "training seed")
-	selftrace := fs.String("selftrace", "", "write the pipeline self-trace (OTLP JSON) here")
 	metrics := fs.Bool("metrics", false, "print the metrics-registry snapshot after the run")
 	debugAddr := fs.String("debug-addr", "", "serve /metrics and /debug/series on this address during the run (watch with: sleuthctl watch -addr <addr>)")
 	_ = fs.Parse(args)
@@ -155,13 +132,7 @@ func cmdTrain(args []string) error {
 			}
 		}()
 	}
-	var tracer *sleuth.Tracer
-	if *selftrace != "" {
-		tracer = sleuth.NewSelfTracer("")
-	}
-	collectSpan := tracer.Start("collect", nil)
 	traces, err := loadTraces(*tracesPath)
-	collectSpan.End()
 	if err != nil {
 		return err
 	}
@@ -169,7 +140,6 @@ func cmdTrain(args []string) error {
 	m, err := sleuth.Train(traces, sleuth.TrainConfig{
 		Epochs: *epochs, LearningRate: *lr,
 		BatchSize: *batch, Workers: *workers, Seed: *seed,
-		Tracer: tracer,
 	})
 	if err != nil {
 		return err
@@ -179,9 +149,6 @@ func cmdTrain(args []string) error {
 	}
 	fmt.Printf("saved model (%d parameters, %d known operations) to %s\n",
 		m.NumParams(), m.NormalsSize(), *modelPath)
-	if err := writeSelfTrace(*selftrace, tracer); err != nil {
-		return err
-	}
 	if *metrics {
 		dumpMetrics()
 	}
@@ -193,7 +160,6 @@ func cmdRCA(args []string) error {
 	tracesPath := fs.String("traces", "", "anomalous spans JSONL (required)")
 	normalPath := fs.String("normal", "", "normal spans JSONL for SLO calibration")
 	modelPath := fs.String("model", "model.gob", "trained model path")
-	selftrace := fs.String("selftrace", "", "write the pipeline self-trace (OTLP JSON) here")
 	metrics := fs.Bool("metrics", false, "print the metrics-registry snapshot after the run")
 	_ = fs.Parse(args)
 	if *tracesPath == "" {
@@ -202,16 +168,11 @@ func cmdRCA(args []string) error {
 	if *metrics {
 		obs.Enable()
 	}
-	var tracer *sleuth.Tracer
-	if *selftrace != "" {
-		tracer = sleuth.NewSelfTracer("")
-	}
 	m, err := sleuth.LoadModel(*modelPath)
 	if err != nil {
 		return err
 	}
 	analyzer := sleuth.NewAnalyzer(m)
-	analyzer.Tracer = tracer
 	if *normalPath != "" {
 		normal, err := loadTraces(*normalPath)
 		if err != nil {
@@ -220,9 +181,7 @@ func cmdRCA(args []string) error {
 		m.SetNormals(normal)
 		analyzer.SetSLOs(sleuth.SLOs(normal))
 	}
-	collectSpan := tracer.Start("collect", nil)
 	traces, err := loadTraces(*tracesPath)
-	collectSpan.End()
 	if err != nil {
 		return err
 	}
@@ -243,62 +202,8 @@ func cmdRCA(args []string) error {
 		fmt.Printf("  %-12s traces=%-4d root causes: services=%v pods=%v nodes=%v\n",
 			label, len(d.TraceIDs), d.Services, d.Pods, d.Nodes)
 	}
-	if err := writeSelfTrace(*selftrace, tracer); err != nil {
-		return err
-	}
 	if *metrics {
 		dumpMetrics()
-	}
-	return nil
-}
-
-// cmdSelfTrace replays a pipeline self-trace through Sleuth's own trace
-// machinery: the OTLP document is decoded with the same codec the
-// collector uses, assembled with the same Assemble, and reported with the
-// same exclusive-duration and critical-path analysis the RCA stage applies
-// to application traces.
-func cmdSelfTrace(args []string) error {
-	fs := flag.NewFlagSet("selftrace", flag.ExitOnError)
-	in := fs.String("in", "", "self-trace OTLP JSON written by -selftrace (required)")
-	_ = fs.Parse(args)
-	if *in == "" {
-		return fmt.Errorf("selftrace: -in is required")
-	}
-	data, err := os.ReadFile(*in)
-	if err != nil {
-		return err
-	}
-	spans, err := otel.DecodeOTLP(data)
-	if err != nil {
-		return err
-	}
-	traces, skipped := trace.AssembleAll(spans)
-	if skipped > 0 {
-		fmt.Printf("warning: %d span groups did not assemble\n", skipped)
-	}
-	for _, tr := range traces {
-		fmt.Printf("self-trace %s: %d stages, %dµs end-to-end\n",
-			tr.TraceID, tr.Len(), tr.RootDuration())
-		// Stage tree with durations; exclusive duration separates a
-		// stage's own cost from its sub-stages'.
-		var walk func(i, depth int)
-		walk = func(i, depth int) {
-			sp := tr.Spans[i]
-			fmt.Printf("  %s%-*s %10dµs  (exclusive %dµs)\n",
-				strings.Repeat("  ", depth), 28-2*depth, sp.Name,
-				sp.Duration(), tr.ExclusiveDuration(i))
-			for _, c := range tr.Children(i) {
-				walk(c, depth+1)
-			}
-		}
-		for _, r := range tr.Roots() {
-			walk(r, 0)
-		}
-		var path []string
-		for _, i := range tr.CriticalPath() {
-			path = append(path, tr.Spans[i].Name)
-		}
-		fmt.Printf("  critical path: %s\n", strings.Join(path, " → "))
 	}
 	return nil
 }

@@ -61,7 +61,7 @@ func TestPropagationSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracer := obs.NewTracer("driver", "")
+	tracer := obs.NewTracer("driver", obs.SpanContext{})
 	root := tracer.Start("smoke", nil)
 	req, err := http.NewRequest(http.MethodPost,
 		msSrv.URL+"/models/prod/latest/score", bytes.NewReader(scoreBody))

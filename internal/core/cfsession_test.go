@@ -222,28 +222,3 @@ func testCounterfactualSessionDeltaRows(t *testing.T, v Variant) {
 		t.Fatalf("rows updated = %d, want %d (one per newly restored span)", got, want)
 	}
 }
-
-// TestNormalSigma checks SetNormals computes a robust spread and that
-// shrinkage blends it like the medians.
-func TestNormalSigma(t *testing.T) {
-	app := synth.Synthetic(16, 3)
-	traces := simTraces(t, app, 3, 60)
-	m := NewModel(smallConfig(3))
-	m.SetNormals(traces)
-	anySigma := false
-	for i := range traces[0].Spans {
-		norm := m.Normal(traces[0].Spans[i].OpKey())
-		if norm.SigmaExclusiveDuration < 0 {
-			t.Fatalf("negative sigma for span %d: %+v", i, norm)
-		}
-		if norm.SigmaExclusiveDuration > 0 {
-			anySigma = true
-		}
-	}
-	if !anySigma {
-		t.Fatal("no operation has a positive exclusive-duration sigma")
-	}
-	if g := m.Normal("no-such-op"); g.SigmaExclusiveDuration != m.globalNormal.SigmaExclusiveDuration {
-		t.Fatalf("unknown op should fall back to global sigma: %+v", g)
-	}
-}

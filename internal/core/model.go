@@ -97,10 +97,7 @@ type aggregator interface {
 type NormalStats struct {
 	MedianDuration          float64 // µs
 	MedianExclusiveDuration float64 // µs
-	// SigmaExclusiveDuration is a robust spread estimate of the exclusive
-	// duration (IQR/1.349, the normal-consistent scale), in µs.
-	SigmaExclusiveDuration float64
-	Count                  int
+	Count                   int
 }
 
 // Model is the Sleuth trace model. Its parameter count is independent of
@@ -414,9 +411,6 @@ type TrainOptions struct {
 	Seed uint64
 	// Progress, if non-nil, receives (epoch, meanLoss) after each epoch.
 	Progress func(epoch int, loss float64)
-	// Tracer, if non-nil, records the training run as self-trace spans
-	// (featurize stage plus one gnn-forward-backward span per epoch).
-	Tracer *obs.Tracer
 }
 
 func (o TrainOptions) withDefaults() TrainOptions {
@@ -496,12 +490,8 @@ func (m *Model) Train(traces []*trace.Trace, opts TrainOptions) (TrainStats, err
 		arenaResets    = obs.S("core.train.epoch.arena_resets")
 	)
 	tracesCtr.Add(int64(len(traces)))
-	trainSpan := opts.Tracer.Start("train", nil)
-	defer trainSpan.End()
-	featSpan := trainSpan.Child("featurize")
 	m.SetNormals(traces)
 	encs := m.encoder.EncodeAll(traces)
-	featSpan.End()
 	opt := nn.NewAdam(m, opts.LearningRate)
 	rng := xrand.New(opts.Seed)
 
@@ -533,7 +523,6 @@ func (m *Model) Train(traces []*trace.Trace, opts TrainOptions) (TrainStats, err
 		if rateSeries != nil {
 			epochStart = time.Now()
 		}
-		epochSpan := trainSpan.Child("gnn-forward-backward")
 		order := rng.Perm(len(encs))
 		total := 0.0
 		gradSum, gradClipSum := 0.0, 0.0
@@ -594,8 +583,6 @@ func (m *Model) Train(traces []*trace.Trace, opts TrainOptions) (TrainStats, err
 		}
 		lastMean = total / float64(len(encs))
 		if math.IsNaN(lastMean) {
-			epochSpan.SetError(true)
-			epochSpan.End()
 			return TrainStats{}, fmt.Errorf("core: loss diverged at epoch %d", epoch)
 		}
 		lossGauge.Set(lastMean)
@@ -620,11 +607,6 @@ func (m *Model) Train(traces []*trace.Trace, opts TrainOptions) (TrainStats, err
 		}
 		epochsCtr.Inc()
 		epochTimer.Stop()
-		if epochSpan != nil {
-			epochSpan.Annotate("epoch", fmt.Sprintf("%d", epoch))
-			epochSpan.Annotate("mean_loss", fmt.Sprintf("%.6f", lastMean))
-			epochSpan.End()
-		}
 		if opts.Progress != nil {
 			opts.Progress(epoch, lastMean)
 		}
@@ -714,7 +696,6 @@ func (m *Model) SetNormals(traces []*trace.Trace) {
 		m.normals[key] = NormalStats{
 			MedianDuration:          stats.PercentileSorted(rd, 50),
 			MedianExclusiveDuration: stats.PercentileSorted(re, 50),
-			SigmaExclusiveDuration:  robustSigmaSorted(re),
 			Count:                   end - start,
 		}
 		start = end
@@ -724,17 +705,8 @@ func (m *Model) SetNormals(traces []*trace.Trace) {
 	m.globalNormal = NormalStats{
 		MedianDuration:          stats.PercentileSorted(durs, 50),
 		MedianExclusiveDuration: stats.PercentileSorted(excls, 50),
-		SigmaExclusiveDuration:  robustSigmaSorted(excls),
 		Count:                   total,
 	}
-}
-
-// robustSigmaSorted estimates spread from an already-sorted sample as
-// IQR/1.349 — the scale factor that makes the estimate agree with the
-// standard deviation under normality while ignoring the latency tail.
-func robustSigmaSorted(sorted []float64) float64 {
-	iqr := stats.PercentileSorted(sorted, 75) - stats.PercentileSorted(sorted, 25)
-	return iqr / 1.349
 }
 
 // normalShrinkCount is the sample count below which per-operation medians
@@ -762,7 +734,6 @@ func (m *Model) shrunk(n NormalStats, ok bool) NormalStats {
 	return NormalStats{
 		MedianDuration:          w*n.MedianDuration + (1-w)*m.globalNormal.MedianDuration,
 		MedianExclusiveDuration: w*n.MedianExclusiveDuration + (1-w)*m.globalNormal.MedianExclusiveDuration,
-		SigmaExclusiveDuration:  w*n.SigmaExclusiveDuration + (1-w)*m.globalNormal.SigmaExclusiveDuration,
 		Count:                   n.Count,
 	}
 }

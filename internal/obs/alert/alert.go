@@ -34,6 +34,7 @@ package alert
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"time"
@@ -108,13 +109,13 @@ func (d Duration) MarshalJSON() ([]byte, error) {
 	return json.Marshal(time.Duration(d).String())
 }
 
-// UnmarshalJSON accepts "5m" / "300s" / 300 / 300.5 (seconds).
+// UnmarshalJSON accepts "5m" / "300s" / 300 / 300.5 (seconds). A seconds
+// count with no int64 nanosecond count (NaN, ±Inf, overflow) is an error.
 func (d *Duration) UnmarshalJSON(b []byte) error {
 	var s string
 	if err := json.Unmarshal(b, &s); err == nil {
 		if sec, err := strconv.ParseFloat(s, 64); err == nil {
-			*d = Duration(sec * float64(time.Second))
-			return nil
+			return d.setSeconds(sec)
 		}
 		parsed, err := time.ParseDuration(s)
 		if err != nil {
@@ -127,8 +128,16 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &sec); err != nil {
 		return fmt.Errorf("alert: bad duration %s", b)
 	}
-	*d = Duration(sec * float64(time.Second))
-	return nil
+	return d.setSeconds(sec)
+}
+
+// setSeconds stores sec seconds, rejecting counts outside int64 nanoseconds.
+func (d *Duration) setSeconds(sec float64) error {
+	if ns := sec * float64(time.Second); ns >= math.MinInt64 && ns < math.MaxInt64 {
+		*d = Duration(ns)
+		return nil
+	}
+	return fmt.Errorf("alert: duration %g s out of range", sec) // NaN lands here too
 }
 
 // Rule is one declarative watchdog rule. Kind selects which field group
@@ -205,6 +214,11 @@ type Rule struct {
 func (r *Rule) Validate() error {
 	if r.Name == "" {
 		return fmt.Errorf("alert: rule with empty name")
+	}
+	for _, d := range [...]Duration{r.For, r.Window, r.ShortWindow, r.LongWindow} {
+		if d < 0 {
+			return fmt.Errorf("alert: rule %s: negative duration %s", r.Name, d.D())
+		}
 	}
 	switch r.Kind {
 	case KindThreshold:

@@ -2,6 +2,7 @@ package alert
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -139,6 +140,61 @@ func TestParseRules(t *testing.T) {
 	if _, err := ParseRules([]byte(`{{{`)); err == nil {
 		t.Error("ParseRules accepted malformed JSON")
 	}
+}
+
+// badWindows are rule-file window values with no sane duration: NaN, ±Inf
+// and overflowing seconds counts, and negative spans.
+var badWindows = []string{`"NaN"`, `"Inf"`, `1e300`, `"1e12"`, `-5`, `"-5m"`}
+
+// windowRule is a one-rule file whose threshold rule has the given window.
+func windowRule(window string) []byte {
+	return []byte(`[{"name":"a","kind":"threshold","series":"s","window":` + window + `}]`)
+}
+
+func TestParseRulesRejectsBadDurations(t *testing.T) {
+	for _, w := range badWindows {
+		if rules, err := ParseRules(windowRule(w)); err == nil {
+			t.Errorf("window %s: accepted as %d ns", w, int64(rules[0].Window))
+		}
+	}
+}
+
+// FuzzParseRules: ParseRules never panics, every rule it accepts carries
+// only non-negative durations, and every accepted set round-trips through
+// json.Marshal to a deep-equal set.
+func FuzzParseRules(f *testing.F) {
+	for _, pack := range [][]Rule{CollectorRules(), ModelServerRules(), TrainingRules()} {
+		data, err := json.Marshal(pack)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, w := range badWindows {
+		f.Add(windowRule(w))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rules, err := ParseRules(data)
+		if err != nil {
+			return
+		}
+		for _, r := range rules {
+			if r.For < 0 || r.Window < 0 || r.ShortWindow < 0 || r.LongWindow < 0 {
+				t.Fatalf("rule %q accepted with a negative duration: %+v", r.Name, r)
+			}
+		}
+		again, err := json.Marshal(rules)
+		if err != nil {
+			t.Fatalf("marshal accepted rules: %v", err)
+		}
+		back, err := ParseRules(again)
+		if err != nil {
+			t.Fatalf("re-parse of %s: %v", again, err)
+		}
+		if !reflect.DeepEqual(rules, back) {
+			t.Fatalf("round trip changed the rules:\n  %+v\n  %+v", rules, back)
+		}
+	})
 }
 
 func TestEngineRejectsDuplicateNames(t *testing.T) {

@@ -71,7 +71,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 			setup()
 			var tr *Tracer
 			if enabled {
-				tr = NewTracer("bench", "")
+				tr = NewTracer("bench", SpanContext{})
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -166,7 +166,7 @@ func TestDistributedJoin(t *testing.T) {
 	defer frontend.Close()
 
 	// Driver: its own tracer, as sleuthctl would run.
-	tracer := NewTracer("driver", "")
+	tracer := NewTracer("driver", SpanContext{})
 	root := tracer.Start("drive", nil)
 	resp, err := callTraced(root, frontend.URL+"/entry", "req-dist-1")
 	if err != nil {

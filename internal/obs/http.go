@@ -373,7 +373,7 @@ func AccessLog(component string, logger *log.Logger, next http.Handler) http.Han
 		var root *StageSpan
 		if Global() != nil && traceablePath(r.URL.Path) {
 			parent, _ := ParseTraceparentHeader(r.Header)
-			tracer = NewRequestTracer(component, parent)
+			tracer = NewTracer(component, parent)
 			root = tracer.Start(r.Method+" "+r.URL.Path, nil)
 			root.SetKind(trace.KindServer)
 			root.Annotate("request.id", id)

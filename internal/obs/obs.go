@@ -1,8 +1,9 @@
 // Package obs is Sleuth's self-observability layer: a dependency-free
 // metrics registry (sharded counters, gauges, fixed-bucket latency
-// histograms with quantile estimation), a self-tracer that records the
-// pipeline's own stages in the canonical trace.Span model, and HTTP debug
-// surfaces (/debug/metrics JSON plus net/http/pprof).
+// histograms with quantile estimation) with its time series, a per-request
+// tracer whose span trees, in the canonical trace.Span model, land in a
+// fixed-capacity trace ring, and HTTP debug surfaces (/debug/metrics JSON,
+// Prometheus /metrics, /debug/traces plus net/http/pprof).
 //
 // Instrumentation is off by default and nil-safe throughout: every metric
 // handle may be nil and every method on a nil handle is a no-op, so a
@@ -546,6 +547,30 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
 
+// metrics is the one registry walk: it runs the collectors, then returns
+// every counter, gauge and histogram, each sorted by name. Snapshot,
+// WritePrometheus and the sampler all read the registry through it.
+func (r *Registry) metrics() ([]*Counter, []*Gauge, []*Histogram) {
+	r.collect()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return sortedValues(r.counters), sortedValues(r.gauges), sortedValues(r.hists)
+}
+
+// sortedValues returns m's values in name order.
+func sortedValues[V any](m map[string]V) []V {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	out := make([]V, len(names))
+	for i, name := range names {
+		out[i] = m[name]
+	}
+	return out
+}
+
 // Snapshot captures the current value of every registered metric.
 func (r *Registry) Snapshot() Snapshot {
 	snap := Snapshot{
@@ -556,16 +581,14 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return snap
 	}
-	r.collect()
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for name, c := range r.counters {
-		snap.Counters[name] = c.Value()
+	counters, gauges, hists := r.metrics()
+	for _, c := range counters {
+		snap.Counters[c.name] = c.Value()
 	}
-	for name, g := range r.gauges {
-		snap.Gauges[name] = g.Value()
+	for _, g := range gauges {
+		snap.Gauges[g.name] = g.Value()
 	}
-	for name, h := range r.hists {
+	for _, h := range hists {
 		hs := HistogramSnapshot{
 			Count: h.Count(),
 			Sum:   h.Sum(),
@@ -585,7 +608,7 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		hs.Overflow = atomic.LoadInt64(&h.buckets[numBuckets-1])
 		hs.Exemplars = h.Exemplars()
-		snap.Histograms[name] = hs
+		snap.Histograms[h.name] = hs
 	}
 	return snap
 }

@@ -17,7 +17,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -103,25 +102,7 @@ func WritePrometheus(w io.Writer, r *Registry) {
 			(*fn)(w)
 		}
 	}()
-	r.collect()
-	r.mu.RLock()
-	counters := make([]*Counter, 0, len(r.counters))
-	for _, c := range r.counters {
-		counters = append(counters, c)
-	}
-	gauges := make([]*Gauge, 0, len(r.gauges))
-	for _, g := range r.gauges {
-		gauges = append(gauges, g)
-	}
-	hists := make([]*Histogram, 0, len(r.hists))
-	for _, h := range r.hists {
-		hists = append(hists, h)
-	}
-	r.mu.RUnlock()
-	sort.Slice(counters, func(i, j int) bool { return counters[i].name < counters[j].name })
-	sort.Slice(gauges, func(i, j int) bool { return gauges[i].name < gauges[j].name })
-	sort.Slice(hists, func(i, j int) bool { return hists[i].name < hists[j].name })
-
+	counters, gauges, hists := r.metrics()
 	for _, c := range counters {
 		n := promName(c.name) + "_total"
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",

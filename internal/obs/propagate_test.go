@@ -155,7 +155,7 @@ func TestContextPlumbing(t *testing.T) {
 		t.Fatal("empty context should carry no span")
 	}
 
-	tr := NewTracer("test", "")
+	tr := NewTracer("test", SpanContext{})
 	sp := tr.Start("op", nil)
 	ctx = ContextWithSpan(ctx, sp)
 	if SpanFrom(ctx) != sp {
@@ -178,7 +178,7 @@ func TestContextPlumbing(t *testing.T) {
 // with an explicit local parent are untouched.
 func TestRequestTracerContinuesRemoteTrace(t *testing.T) {
 	parent := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID(), Sampled: true}
-	tr := NewRequestTracer("collector", parent)
+	tr := NewTracer("collector", parent)
 	if tr.TraceID() != parent.TraceID {
 		t.Fatalf("tracer trace ID %q, want remote %q", tr.TraceID(), parent.TraceID)
 	}
@@ -196,7 +196,7 @@ func TestRequestTracerContinuesRemoteTrace(t *testing.T) {
 	}
 
 	// Invalid parent → fresh root trace, no remote link.
-	tr2 := NewRequestTracer("collector", SpanContext{})
+	tr2 := NewTracer("collector", SpanContext{})
 	root2 := tr2.Start("GET /stats", nil)
 	_ = root2
 	if got := tr2.Spans()[0].ParentID; got != "" {

@@ -1,9 +1,8 @@
-// Self-tracing: Sleuth records its own pipeline stages (simulate → collect
-// → featurize → GNN forward/backward → cluster → localize) as spans in the
-// exact model it analyzes. The resulting span tree round-trips through the
-// internal/otel codecs, so sleuthctl can replay Sleuth's own execution
-// through the same assembly/critical-path/exclusive-duration machinery it
-// applies to production traces.
+// Request tracing: AccessLog opens one Tracer per traced HTTP request, the
+// handler adds child spans through SpanFrom, and on completion the spans
+// move into the process TraceRing. The spans use the exact trace.Span
+// model Sleuth analyzes, so a ring-resident request trace round-trips
+// through the internal/otel codecs and re-ingests through the collector.
 
 package obs
 
@@ -24,10 +23,11 @@ func randIDPrefix() uint32 {
 	}
 }
 
-// Tracer records one self-trace: a tree of pipeline-stage spans sharing a
-// trace ID. A nil *Tracer is fully inert — Start returns a nil *StageSpan
-// and every method on a nil span is a no-op, so pipeline code traces
-// unconditionally and callers opt in by supplying a tracer.
+// Tracer is the in-flight span buffer of one request: a tree of spans
+// sharing a trace ID, handed to the TraceRing when the request ends. A nil
+// *Tracer is fully inert — Start returns a nil *StageSpan and every method
+// on a nil span is a no-op, so handlers trace unconditionally and only
+// traced requests pay.
 type Tracer struct {
 	mu      sync.Mutex
 	service string
@@ -47,28 +47,21 @@ type Tracer struct {
 	now func() int64
 }
 
-// NewTracer creates a self-tracer. service names the pipeline component
-// (span Service field); traceID may be empty, in which case a random W3C
-// trace ID (32 hex chars) is generated so the trace can propagate across
-// process boundaries via traceparent.
-func NewTracer(service, traceID string) *Tracer {
-	if traceID == "" {
-		traceID = NewTraceID()
-	}
-	return &Tracer{
+// NewTracer creates a request tracer recording spans under service. When
+// parent is valid (extracted from an incoming traceparent) the tracer
+// continues the remote trace and its root-level spans link under the remote
+// span. Otherwise it takes parent.TraceID, or a fresh random W3C trace ID
+// (32 hex chars) when that is empty, and starts a new root.
+func NewTracer(service string, parent SpanContext) *Tracer {
+	t := &Tracer{
 		service:  service,
-		traceID:  traceID,
+		traceID:  parent.TraceID,
 		idPrefix: randIDPrefix(),
 		now:      func() int64 { return time.Now().UnixMicro() },
 	}
-}
-
-// NewRequestTracer creates the per-request tracer used by the AccessLog
-// middleware: when parent is valid (extracted from an incoming traceparent)
-// the tracer continues the remote trace and its first root span links under
-// the remote span; otherwise it starts a fresh root trace.
-func NewRequestTracer(service string, parent SpanContext) *Tracer {
-	t := NewTracer(service, parent.TraceID)
+	if t.traceID == "" {
+		t.traceID = NewTraceID()
+	}
 	if parent.Valid() {
 		t.remoteParent = parent.SpanID
 	}
@@ -81,14 +74,6 @@ func (t *Tracer) TraceID() string {
 		return ""
 	}
 	return t.traceID
-}
-
-// Service returns the component name the tracer records spans under.
-func (t *Tracer) Service() string {
-	if t == nil {
-		return ""
-	}
-	return t.service
 }
 
 // SetClock overrides the microsecond clock (tests).
@@ -233,23 +218,4 @@ func (t *Tracer) Spans() []*trace.Span {
 		out[i] = &cp
 	}
 	return out
-}
-
-// Trace assembles the recorded spans into a trace.Trace — the self-trace
-// viewed through the same machinery Sleuth applies to application traces.
-func (t *Tracer) Trace() (*trace.Trace, error) {
-	if t == nil {
-		return nil, trace.ErrEmptyTrace
-	}
-	return trace.Assemble(t.Spans())
-}
-
-// Len returns the number of spans recorded so far.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
 }

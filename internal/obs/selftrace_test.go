@@ -1,8 +1,9 @@
 package obs_test
 
-// Black-box self-trace tests: package obs deliberately does not import the
-// wire codecs, so the OTLP round-trip check lives in an external test
-// package that pulls in internal/otel alongside obs.
+// Black-box request-tracer tests: package obs deliberately does not import
+// the wire codecs, so the OTLP round-trip check (the path a ring-resident
+// request trace takes when it re-ingests through the collector) lives in an
+// external test package that pulls in internal/otel alongside obs.
 
 import (
 	"reflect"
@@ -16,7 +17,7 @@ import (
 // pipelineTracer records a small but representative stage tree with a
 // deterministic clock: analyze → (featurize, cluster → pairwise, localize).
 func pipelineTracer() *obs.Tracer {
-	tr := obs.NewTracer("sleuth.pipeline", "selftrace-test")
+	tr := obs.NewTracer("sleuth.pipeline", obs.SpanContext{TraceID: "selftrace-test"})
 	clock := int64(1_000_000)
 	tr.SetClock(func() int64 { clock += 50; return clock })
 	root := tr.Start("analyze", nil)
@@ -62,9 +63,9 @@ func TestSelfTraceOTLPRoundTrip(t *testing.T) {
 	}
 
 	// The round-tripped spans assemble into the same tree the tracer sees.
-	want, err := tr.Trace()
+	want, err := trace.Assemble(tr.Spans())
 	if err != nil {
-		t.Fatalf("Trace(): %v", err)
+		t.Fatalf("Assemble(Spans()): %v", err)
 	}
 	got, err := trace.Assemble(decoded)
 	if err != nil {
@@ -94,9 +95,9 @@ func treeShape(tr *trace.Trace) []any {
 
 func TestSelfTraceStructure(t *testing.T) {
 	tr := pipelineTracer()
-	trc, err := tr.Trace()
+	trc, err := trace.Assemble(tr.Spans())
 	if err != nil {
-		t.Fatalf("Trace(): %v", err)
+		t.Fatalf("Assemble(Spans()): %v", err)
 	}
 	roots := trc.Roots()
 	if len(roots) != 1 {
@@ -131,7 +132,7 @@ func TestSelfTraceStructure(t *testing.T) {
 }
 
 func TestSpansClosesUnendedCopiesOnly(t *testing.T) {
-	tr := obs.NewTracer("sleuth.pipeline", "open-span")
+	tr := obs.NewTracer("sleuth.pipeline", obs.SpanContext{TraceID: "open-span"})
 	clock := int64(100)
 	tr.SetClock(func() int64 { clock += 10; return clock })
 	root := tr.Start("train", nil)
@@ -183,16 +184,16 @@ func TestNilTracerInert(t *testing.T) {
 	if got := tr.Spans(); got != nil {
 		t.Errorf("nil tracer Spans() = %v", got)
 	}
-	if tr.Len() != 0 {
-		t.Errorf("nil tracer Len() = %d", tr.Len())
+	if n := len(tr.Spans()); n != 0 {
+		t.Errorf("nil tracer holds %d spans", n)
 	}
-	if _, err := tr.Trace(); err == nil {
-		t.Error("nil tracer Trace() returned no error")
+	if _, err := trace.Assemble(tr.Spans()); err == nil {
+		t.Error("nil tracer's spans assembled without error")
 	}
 }
 
 func TestTracerGeneratedID(t *testing.T) {
-	tr := obs.NewTracer("sleuth.pipeline", "")
+	tr := obs.NewTracer("sleuth.pipeline", obs.SpanContext{})
 	sp := tr.Start("stage", nil)
 	sp.End()
 	spans := tr.Spans()

@@ -44,9 +44,6 @@ type Series struct {
 }
 
 func newSeries(name string, capacity int) *Series {
-	if capacity <= 0 {
-		capacity = DefaultSeriesCap
-	}
 	return &Series{name: name, ts: make([]int64, capacity), v: make([]float64, capacity)}
 }
 
@@ -126,32 +123,25 @@ func (s *Series) Last() (Sample, bool) {
 	return Sample{TS: s.ts[i], V: s.v[i]}, true
 }
 
+// windowCut is the Unix-nanosecond cutoff of a window ending now; window
+// ≤ 0 covers the whole ring.
+func windowCut(window time.Duration) int64 {
+	if window <= 0 {
+		return 0
+	}
+	return time.Now().Add(-window).UnixNano()
+}
+
 // Samples copies out the samples newer than now-window, oldest first.
 // window ≤ 0 returns the whole ring.
 func (s *Series) Samples(window time.Duration) []Sample {
 	if s == nil {
 		return nil
 	}
-	cut := int64(0)
-	if window > 0 {
-		cut = time.Now().Add(-window).UnixNano()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Sample, 0, s.n)
-	start := s.head - s.n
-	if start < 0 {
-		start += len(s.ts)
-	}
-	for i := 0; i < s.n; i++ {
-		j := start + i
-		if j >= len(s.ts) {
-			j -= len(s.ts)
-		}
-		if s.ts[j] >= cut {
-			out = append(out, Sample{TS: s.ts[j], V: s.v[j]})
-		}
-	}
+	out := make([]Sample, 0, s.Len())
+	s.EachSince(windowCut(window), func(ts int64, v float64) {
+		out = append(out, Sample{TS: ts, V: v})
+	})
 	return out
 }
 
@@ -173,11 +163,7 @@ type SeriesStats struct {
 // Stats summarises the samples newer than now-window without allocating.
 // window ≤ 0 covers the whole ring.
 func (s *Series) Stats(window time.Duration) SeriesStats {
-	cut := int64(0)
-	if window > 0 {
-		cut = time.Now().Add(-window).UnixNano()
-	}
-	return s.StatsSince(cut)
+	return s.StatsSince(windowCut(window))
 }
 
 // StatsSince summarises the samples with timestamps ≥ cut (Unix
@@ -187,28 +173,11 @@ func (s *Series) Stats(window time.Duration) SeriesStats {
 // of re-reading time.Now per series.
 func (s *Series) StatsSince(cut int64) SeriesStats {
 	var st SeriesStats
-	if s == nil {
-		return st
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	start := s.head - s.n
-	if start < 0 {
-		start += len(s.ts)
-	}
 	var firstTS, lastTS int64
-	for i := 0; i < s.n; i++ {
-		j := start + i
-		if j >= len(s.ts) {
-			j -= len(s.ts)
-		}
-		if s.ts[j] < cut {
-			continue
-		}
-		v := s.v[j]
+	s.EachSince(cut, func(ts int64, v float64) {
 		if st.Count == 0 {
 			st.Min, st.Max = v, v
-			st.First, firstTS = v, s.ts[j]
+			st.First, firstTS = v, ts
 		}
 		if v < st.Min {
 			st.Min = v
@@ -217,9 +186,9 @@ func (s *Series) StatsSince(cut int64) SeriesStats {
 			st.Max = v
 		}
 		st.Sum += v
-		st.Last, lastTS = v, s.ts[j]
+		st.Last, lastTS = v, ts
 		st.Count++
-	}
+	})
 	if st.Count > 0 {
 		st.Mean = st.Sum / float64(st.Count)
 		st.SpanSec = float64(lastTS-firstTS) / float64(time.Second)
@@ -260,11 +229,7 @@ func (s *Series) EachSince(cut int64, fn func(ts int64, v float64)) {
 // Series returns the named series with the default capacity, creating it on
 // first use. Series live in their own namespace beside counters, gauges and
 // histograms (the sampler writes metric history under the metric's name).
-func (r *Registry) Series(name string) *Series { return r.SeriesCap(name, DefaultSeriesCap) }
-
-// SeriesCap is Series with an explicit ring capacity for the creating call;
-// an existing series keeps its original capacity.
-func (r *Registry) SeriesCap(name string, capacity int) *Series {
+func (r *Registry) Series(name string) *Series {
 	if r == nil {
 		return nil
 	}
@@ -277,7 +242,7 @@ func (r *Registry) SeriesCap(name string, capacity int) *Series {
 	r.seriesMu.Lock()
 	defer r.seriesMu.Unlock()
 	if s = r.series[name]; s == nil {
-		s = newSeries(name, capacity)
+		s = newSeries(name, DefaultSeriesCap)
 		r.series[name] = s
 	}
 	return s
@@ -438,21 +403,7 @@ func (sp *Sampler) sample(now int64) {
 // per registry-shape change, not per tick.
 func (sp *Sampler) rebuild() {
 	r := sp.reg
-	r.mu.RLock()
-	counters := make([]*Counter, 0, len(r.counters))
-	for _, c := range r.counters {
-		counters = append(counters, c)
-	}
-	gauges := make([]*Gauge, 0, len(r.gauges))
-	for _, g := range r.gauges {
-		gauges = append(gauges, g)
-	}
-	hists := make([]*Histogram, 0, len(r.hists))
-	for _, h := range r.hists {
-		hists = append(hists, h)
-	}
-	r.mu.RUnlock()
-
+	counters, gauges, hists := r.metrics()
 	bindings := make([]samplerBinding, 0, len(counters)+len(gauges)+3*len(hists))
 	for _, c := range counters {
 		bindings = append(bindings, samplerBinding{kind: 'c', c: c, s: r.Series(c.Name())})

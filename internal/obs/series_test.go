@@ -126,12 +126,10 @@ func TestRegistrySeriesGetOrCreate(t *testing.T) {
 	if a == nil || r.Series("a") != a {
 		t.Fatal("Series() not get-or-create stable")
 	}
-	if r.SeriesCap("a", 7) != a || a.Cap() != DefaultSeriesCap {
-		t.Error("existing series did not keep its capacity")
+	if a.Cap() != DefaultSeriesCap {
+		t.Errorf("Series(a).Cap() = %d, want %d", a.Cap(), DefaultSeriesCap)
 	}
-	if got := r.SeriesCap("b", 7).Cap(); got != 7 {
-		t.Errorf("SeriesCap(b, 7).Cap() = %d", got)
-	}
+	r.Series("b")
 	if r.LookupSeries("missing") != nil {
 		t.Error("LookupSeries created a series")
 	}

@@ -24,7 +24,6 @@ import (
 	"github.com/sleuth-rca/sleuth/internal/chaos"
 	"github.com/sleuth-rca/sleuth/internal/cluster"
 	"github.com/sleuth-rca/sleuth/internal/core"
-	"github.com/sleuth-rca/sleuth/internal/obs"
 	"github.com/sleuth-rca/sleuth/internal/rca"
 	"github.com/sleuth-rca/sleuth/internal/sim"
 	"github.com/sleuth-rca/sleuth/internal/stats"
@@ -48,16 +47,7 @@ type (
 	FaultPlan = chaos.Plan
 	// Model is the trained Sleuth GNN.
 	Model = core.Model
-	// Tracer records Sleuth's own pipeline stages as spans in the
-	// canonical trace model (self-observability; see internal/obs).
-	Tracer = obs.Tracer
 )
-
-// NewSelfTracer creates a pipeline self-tracer. The recorded span tree
-// uses the same schema as application traces, so it exports through the
-// internal/otel codecs and replays through Sleuth's own analysis
-// machinery. A nil *Tracer is valid everywhere and disables self-tracing.
-func NewSelfTracer(traceID string) *Tracer { return obs.NewTracer("sleuth.pipeline", traceID) }
 
 // NewSyntheticApp generates a §5 synthetic benchmark with n RPCs.
 func NewSyntheticApp(n int, seed uint64) *App { return synth.Synthetic(n, seed) }
@@ -74,8 +64,6 @@ func NewSocialNetworkApp(seed uint64) *App { return synth.SocialNetworkLike(seed
 type World struct {
 	App *App
 	sim *sim.Simulator
-	// Tracer, if non-nil, records simulation runs as self-trace spans.
-	Tracer *Tracer
 
 	nextID int
 }
@@ -87,11 +75,8 @@ func NewWorld(app *App, seed uint64) *World {
 
 // SimulateNormal produces n fault-free traces.
 func (w *World) SimulateNormal(n int) ([]*Trace, error) {
-	span := w.Tracer.Start("simulate", nil)
-	defer span.End()
 	res, err := w.sim.Run(w.nextID, n)
 	if err != nil {
-		span.SetError(true)
 		return nil, err
 	}
 	w.nextID += n
@@ -114,14 +99,11 @@ func (w *World) SimulateIncident(plan *FaultPlan, n int, seed uint64) (*Incident
 	if plan == nil {
 		plan = chaos.GeneratePlan(w.App, chaos.DefaultPlanParams(), xrand.New(seed))
 	}
-	span := w.Tracer.Start("simulate", nil)
-	defer span.End()
 	inc := &Incident{Plan: plan}
 	for i := 0; i < n; i++ {
 		sample, err := w.sim.SimulateWithTruth(w.nextID, plan)
 		w.nextID++
 		if err != nil {
-			span.SetError(true)
 			return nil, err
 		}
 		inc.Traces = append(inc.Traces, sample.Result.Trace)
@@ -172,8 +154,6 @@ type TrainConfig struct {
 	Workers int
 	// Seed makes training reproducible.
 	Seed uint64
-	// Tracer, if non-nil, records the training run as self-trace spans.
-	Tracer *Tracer
 }
 
 // DefaultTrainConfig returns the shipped training configuration.
@@ -196,7 +176,6 @@ func Train(traces []*Trace, cfg TrainConfig) (*Model, error) {
 		BatchSize:    cfg.BatchSize,
 		Workers:      cfg.Workers,
 		Seed:         cfg.Seed,
-		Tracer:       cfg.Tracer,
 	})
 	if err != nil {
 		return nil, err
@@ -213,7 +192,6 @@ func FineTune(m *Model, traces []*Trace, cfg TrainConfig) error {
 		BatchSize:    cfg.BatchSize,
 		Workers:      cfg.Workers,
 		Seed:         cfg.Seed,
-		Tracer:       cfg.Tracer,
 	})
 	return err
 }
@@ -237,9 +215,6 @@ type Analyzer struct {
 	ClusterMinSamp   int
 	ClusterEpsilon   float64
 	MaxAncestorDepth int
-	// Tracer, if non-nil, records every Analyze run as a self-trace span
-	// tree (featurize → cluster{pairwise, hdbscan} → localize).
-	Tracer *Tracer
 }
 
 // NewAnalyzer wraps a trained model with default inference settings.
@@ -306,28 +281,14 @@ func (a *Analyzer) Analyze(anomalous []*Trace) *Report {
 	if len(anomalous) == 0 {
 		return report
 	}
-	root := a.Tracer.Start("analyze", nil)
-	defer root.End()
-	featSpan := root.Child("featurize")
 	sets := cluster.TraceSets(anomalous, a.MaxAncestorDepth)
-	featSpan.End()
-	clusterSpan := root.Child("cluster")
-	pairSpan := clusterSpan.Child("pairwise")
 	m := cluster.Pairwise(sets)
-	pairSpan.End()
-	hdbSpan := clusterSpan.Child("hdbscan")
 	labels := cluster.HDBSCAN(m, cluster.Options{
 		MinClusterSize:   a.ClusterMinSize,
 		MinSamples:       a.ClusterMinSamp,
 		SelectionEpsilon: a.ClusterEpsilon,
 	})
-	hdbSpan.End()
-	medSpan := clusterSpan.Child("medoids")
 	medoids := cluster.Medoids(m, labels)
-	medSpan.End()
-	clusterSpan.End()
-	localizeSpan := root.Child("localize")
-	defer localizeSpan.End()
 
 	members := map[int][]int{}
 	for i, l := range labels {
