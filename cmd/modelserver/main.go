@@ -1,6 +1,8 @@
 // Command modelserver runs the centralized model server of §4: an HTTP
 // registry maintaining the life cycle of trained Sleuth models — publish,
-// fetch (latest or pinned version), lineage, retire.
+// fetch (latest or pinned version), lineage, retire — and scores traces
+// with them. Score requests against one version queue behind the scoring
+// call in flight and share the next one; nothing about that is tunable.
 //
 // Usage:
 //
@@ -45,12 +47,6 @@ func main() {
 		accessLog = flag.Bool("access-log", true, "log one structured line per request")
 		sample    = flag.Duration("sample", 10*time.Second,
 			"metric sampling interval for /debug/series (0 disables)")
-		serveBatch = flag.Int("serve-batch", 0,
-			"max traces coalesced into one shared /score inference (0 = 32; 1 disables coalescing)")
-		serveWait = flag.Duration("serve-wait", 0,
-			"max time a queued /score request waits for co-batched company (0 = 2ms)")
-		predictWorkers = flag.Int("predict-workers", 0,
-			"inference workers per shared score call (0 = GOMAXPROCS)")
 		watchdog = flag.Bool("watchdog", true,
 			"run the self-watchdog alert engine over the metrics registry (needs -obs)")
 		alertRules = flag.String("alert-rules", "",
@@ -70,14 +66,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "modelserver: %v\n", err)
 		os.Exit(1)
 	}
-	server := &modelserver.Server{
-		Registry: reg,
-		Serve: modelserver.ServeConfig{
-			Batch:   *serveBatch,
-			Wait:    *serveWait,
-			Workers: *predictWorkers,
-		},
-	}
+	server := &modelserver.Server{Registry: reg}
 	if *accessLog {
 		server.AccessLog = obs.NewAccessLogger()
 	}
@@ -87,7 +76,7 @@ func main() {
 	warmed := reg.WarmCache()
 
 	// Self-watchdog: default serving pack (p99 burn rate, error-rate burn,
-	// batcher queueing, score drift) plus any operator rule file.
+	// score queueing, score drift) plus any operator rule file.
 	var engine *alert.Engine
 	if *watchdog {
 		engine = alert.New(obs.Global(), *alertTick)

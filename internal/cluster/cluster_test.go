@@ -465,19 +465,6 @@ func numClusters(labels []int) int {
 	return len(set)
 }
 
-func TestDBSCANTwoBlobs(t *testing.T) {
-	rng := xrand.New(6)
-	coords := twoBlobCoords(rng, 12)
-	coords = append(coords, 50)
-	labels := DBSCAN(lineMatrix(coords), 2.0, 3)
-	if numClusters(labels) != 2 {
-		t.Fatalf("DBSCAN clusters = %d, want 2", numClusters(labels))
-	}
-	if labels[len(labels)-1] != -1 {
-		t.Fatal("DBSCAN outlier not noise")
-	}
-}
-
 func TestMedoids(t *testing.T) {
 	// Points 0,1,2 at coords 0,1,10: medoid of the cluster {0,1,2} is 1.
 	m := lineMatrix([]float64{0, 1, 10})

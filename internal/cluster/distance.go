@@ -1,6 +1,6 @@
 // Package cluster implements the paper's trace clustering stage (§3.3):
 // the weighted-span-set trace distance metric (Eq. 1) and density-based
-// clustering (HDBSCAN, with DBSCAN as the simpler alternative), plus
+// clustering (HDBSCAN), plus
 // geometric-median representative selection. Clustering collapses the
 // flood of anomalous traces produced by one incident into a handful of
 // failure modes so the expensive GNN inference runs once per mode.

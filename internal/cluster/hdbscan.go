@@ -397,68 +397,3 @@ func labelPoints(clusters []*condensedCluster, selected map[int]bool, n int) []i
 	}
 	return labels
 }
-
-// DBSCAN is the classic density clustering named in the paper's overview
-// (§3.1); HDBSCAN supersedes it in §3.3.2 but both are provided. It
-// carries the same observability as HDBSCAN and Pairwise: a latency
-// histogram, a calls counter, and the cluster-shape series — all emitted
-// inside the timed window.
-func DBSCAN(m *Matrix, eps float64, minPts int) []int {
-	timer := obs.H("cluster.dbscan_us").Start()
-	defer timer.Stop()
-	obs.C("cluster.dbscan_calls").Inc()
-	n := m.N
-	labels := make([]int, n)
-	const (
-		unvisited = -2
-		noise     = -1
-	)
-	for i := range labels {
-		labels[i] = unvisited
-	}
-	neighbors := func(i int) []int {
-		var out []int
-		for j := 0; j < n; j++ {
-			if j != i && m.At(i, j) <= eps {
-				out = append(out, j)
-			}
-		}
-		return out
-	}
-	cluster := 0
-	for i := 0; i < n; i++ {
-		if labels[i] != unvisited {
-			continue
-		}
-		nb := neighbors(i)
-		if len(nb)+1 < minPts {
-			labels[i] = noise
-			continue
-		}
-		labels[i] = cluster
-		queue := append([]int(nil), nb...)
-		for len(queue) > 0 {
-			q := queue[0]
-			queue = queue[1:]
-			if labels[q] == noise {
-				labels[q] = cluster
-			}
-			if labels[q] != unvisited {
-				continue
-			}
-			labels[q] = cluster
-			qnb := neighbors(q)
-			if len(qnb)+1 >= minPts {
-				queue = append(queue, qnb...)
-			}
-		}
-		cluster++
-	}
-	for i := range labels {
-		if labels[i] == unvisited {
-			labels[i] = noise
-		}
-	}
-	emitClusterStats(labels)
-	return labels
-}

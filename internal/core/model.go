@@ -271,15 +271,15 @@ func (m *Model) lossOn(enc *features.Encoded, ar *tensor.Arena) *tensor.Tensor {
 // Predict runs the model on a trace and returns the predicted scaled
 // duration and error probability per span.
 func (m *Model) Predict(tr *trace.Trace) (durScaled, errProb []float64) {
-	durScaled, errProb, _ = m.scoreOn(tr, nil)
+	durScaled, errProb, _ = m.scoreOn(m.Encode(tr), nil)
 	return durScaled, errProb
 }
 
-// scoreOn scores one trace over an optional arena: the per-span
-// predictions (fresh heap copies, so callers may Reset immediately after)
-// and the Eq. 5 loss value, both from one forward pass.
-func (m *Model) scoreOn(tr *trace.Trace, ar *tensor.Arena) (durScaled, errProb []float64, loss float64) {
-	pred, l := m.forwardLoss(m.Encode(tr), ar)
+// scoreOn scores one encoded trace over an optional arena: the per-span
+// predictions (fresh heap copies, so callers may Reset and re-encode
+// immediately after) and the Eq. 5 loss value, both from one forward pass.
+func (m *Model) scoreOn(enc *features.Encoded, ar *tensor.Arena) (durScaled, errProb []float64, loss float64) {
+	pred, l := m.forwardLoss(enc, ar)
 	return append([]float64(nil), pred.durScaled.Data...),
 		append([]float64(nil), pred.errProb.Data...),
 		l.Item()
@@ -290,9 +290,9 @@ func (m *Model) scoreOn(tr *trace.Trace, ar *tensor.Arena) (durScaled, errProb [
 // ordered like the input; losses[i] equals Loss(Encode(traces[i])).Item()
 // bit-for-bit. workers ≤ 0 selects GOMAXPROCS. The forward pass only reads
 // the shared weights, so any number of scoring goroutines can share one
-// model (see tensor.Backward's concurrency contract). Worker arenas come
-// from the warm process-wide pool, so steady-state serving does not re-grow
-// tape slabs on every call.
+// model (see tensor.Backward's concurrency contract). Each worker scores
+// on a warm workspace from scorePool, so steady-state serving neither
+// re-grows tape slabs nor allocates fresh encodings on every call.
 func (m *Model) ScoreBatch(traces []*trace.Trace, workers int) (durScaled, errProb [][]float64, losses []float64) {
 	perTrace := obs.H("core.score.trace_us")
 	batchTimer := obs.H("core.score.batch_us").Start()
@@ -300,18 +300,41 @@ func (m *Model) ScoreBatch(traces []*trace.Trace, workers int) (durScaled, errPr
 	durScaled = make([][]float64, len(traces))
 	errProb = make([][]float64, len(traces))
 	losses = make([]float64, len(traces))
-	workers = resolveWorkers(len(traces), workers)
-	arenas := acquireArenas(workers)
-	parallelFor(len(traces), workers, func(w, i int) {
+	parallelFor(len(traces), resolveWorkers(len(traces), workers), func(_, i int) {
 		t := perTrace.Start()
-		ar := arenas[w]
-		durScaled[i], errProb[i], losses[i] = m.scoreOn(traces[i], ar)
-		ar.Reset()
+		ws := scorePool.Get().(*scoreWorkspace)
+		durScaled[i], errProb[i], losses[i] = ws.score(m, traces[i])
+		scorePool.Put(ws)
 		t.Stop()
 	})
-	releaseArenas(arenas)
 	batchTimer.Stop()
 	return durScaled, errProb, losses
+}
+
+// scoreWorkspace is what one scoring worker reuses from trace to trace:
+// the tape arena and the feature encoding EncodeInto refills, the way
+// counterfactual sessions recycle theirs. A trace's forward pass reads
+// nothing of the previous one — EncodeInto writes every cell and the arena
+// is Reset — so results are bit-identical to a fresh Encode on the heap.
+type scoreWorkspace struct {
+	ar  *tensor.Arena
+	enc *features.Encoded
+}
+
+// scorePool keeps scoring workspaces warm across ScoreBatch calls. Under
+// online serving (many small batches per second) a cold arena and a fresh
+// encoding per trace are the bulk of the request's allocation; sync.Pool
+// lets the GC reclaim idle workspaces under memory pressure.
+var scorePool = sync.Pool{New: func() any { return &scoreWorkspace{ar: tensor.NewArena()} }}
+
+// score encodes tr into the workspace and scores it. The workspace goes
+// back Reset and holding no trace, so a pooled one pins no request data.
+func (ws *scoreWorkspace) score(m *Model, tr *trace.Trace) (durScaled, errProb []float64, loss float64) {
+	ws.enc = m.encoder.EncodeInto(tr, ws.enc)
+	durScaled, errProb, loss = m.scoreOn(ws.enc, ws.ar)
+	ws.ar.Reset()
+	ws.enc.Trace = nil
+	return durScaled, errProb, loss
 }
 
 // resolveWorkers normalises a worker-count option: ≤ 0 selects GOMAXPROCS,
@@ -336,33 +359,6 @@ func newArenas(workers int) []*tensor.Arena {
 		arenas[w] = tensor.NewArena()
 	}
 	return arenas
-}
-
-// arenaPool keeps inference arenas warm across ScoreBatch calls. A fresh
-// arena re-grows its float/int/tensor slabs from nothing on every forward
-// pass until it reaches steady state; under online serving (many small
-// batches per second) that cold-start cost recurs per request. Pooled
-// arenas arrive pre-grown, so steady-state serving allocates nothing for
-// tape storage across requests, not just within one batch.
-// Arenas are returned Reset (empty but with slabs retained); sync.Pool lets
-// the GC reclaim them under memory pressure.
-var arenaPool = sync.Pool{New: func() any { return tensor.NewArena() }}
-
-// acquireArenas checks one warm arena per worker out of the pool.
-func acquireArenas(workers int) []*tensor.Arena {
-	arenas := make([]*tensor.Arena, workers)
-	for w := range arenas {
-		arenas[w] = arenaPool.Get().(*tensor.Arena)
-	}
-	return arenas
-}
-
-// releaseArenas returns arenas to the pool. Callers must have Reset each
-// arena (the per-trace loops do) so pooled arenas hold no live tapes.
-func releaseArenas(arenas []*tensor.Arena) {
-	for _, ar := range arenas {
-		arenaPool.Put(ar)
-	}
 }
 
 // parallelFor runs fn(w, i) for every i in [0, n) across the given number

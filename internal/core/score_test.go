@@ -7,7 +7,7 @@ import (
 )
 
 // TestScoreBatchMatchesPredictAndLoss is the batched-scoring correctness
-// contract: ScoreBatch (pooled arenas, parallel workers) must be
+// contract: ScoreBatch (pooled workspaces, parallel workers) must be
 // bit-identical, trace by trace, to solo heap scoring — Predict for the
 // per-span predictions, Loss(Encode(tr)) for the loss.
 func TestScoreBatchMatchesPredictAndLoss(t *testing.T) {

@@ -7,7 +7,6 @@ package eval
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -154,12 +153,4 @@ func (s *Series) String() string {
 		fmt.Fprintf(&b, "%12.4g  %12.4g\n", s.X[i], s.Y[i])
 	}
 	return b.String()
-}
-
-// SortStrings returns a sorted copy (tiny convenience for deterministic
-// result rendering).
-func SortStrings(xs []string) []string {
-	out := append([]string(nil), xs...)
-	sort.Strings(out)
-	return out
 }

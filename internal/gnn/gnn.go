@@ -24,10 +24,8 @@ type Graph struct {
 	Parent []int
 	// group[i] is the sibling-group ID of node i: children of the same
 	// parent share a group; all roots share a dedicated group.
-	group []int
-	// groupParent[g] is the parent node of group g, or -1 for the root group.
-	groupParent []int
-	nGroups     int
+	group   []int
+	nGroups int
 
 	// Derived index caches. Traces are immutable once assembled, so every
 	// per-step consumer (sibling convolutions, the aggregation layer's
@@ -67,7 +65,6 @@ func (g *Graph) Reset(parent []int) *Graph {
 	g.childGatherIdx = resize(g.childGatherIdx, n)
 	g.parentIdx = resize(g.parentIdx, n)
 	g.groupItems = resize(g.groupItems, n)
-	g.groupParent = g.groupParent[:0]
 	g.nGroups = 0
 	// Group IDs go to parents in order of first appearance; childGroup[p]
 	// doubles as the parent → group lookup while the groups are assigned.
@@ -88,7 +85,6 @@ func (g *Graph) Reset(parent []int) *Graph {
 		if *slot < 0 {
 			*slot = g.nGroups
 			g.nGroups++
-			g.groupParent = append(g.groupParent, p)
 		}
 		g.group[i] = *slot
 	}
@@ -142,9 +138,6 @@ func (g *Graph) NumGroups() int { return g.nGroups }
 // Groups returns the sibling-group ID of each node.
 func (g *Graph) Groups() []int { return g.group }
 
-// GroupParent returns the parent node index of each group (-1 for roots).
-func (g *Graph) GroupParent() []int { return g.groupParent }
-
 // SiblingSum returns, for every node j, the feature sum over its sibling
 // group excluding j itself: Σ_{k∈S(j)} x_k. Gradients flow through.
 func (g *Graph) SiblingSum(x *tensor.Tensor) *tensor.Tensor {
@@ -172,44 +165,13 @@ func concatRows(a, b *tensor.Tensor) *tensor.Tensor {
 	return tensor.ConcatRows(a, b)
 }
 
-// ChildGroupIndex returns, for every node i, the ID of the sibling group
-// containing i's children, or -1 when i is a leaf. This is the inverse of
-// GroupParent and lets per-group aggregates (sums or maxima over children)
-// be routed back to the parent node they describe. The slice is the
-// graph's cached copy — callers must not mutate it.
-func (g *Graph) ChildGroupIndex() []int { return g.childGroup }
-
 // GatherChildGroups gathers per-group rows of vals (shape [NumGroups, d])
 // back to the parent node of each group, substituting a constant fallback
-// row for leaves. It is GatherWithFallback over ChildGroupIndex with the
-// mapped index precomputed — the zero-allocation path of the aggregation
-// layer's per-step gathers.
+// row for leaves, over the precomputed childGatherIdx — the zero-allocation
+// path of the aggregation layer's per-step gathers.
 func (g *Graph) GatherChildGroups(vals *tensor.Tensor, fallback float64) *tensor.Tensor {
 	padded := concatRows(vals, tensor.FullIn(tensor.ArenaOf(vals), fallback, 1, vals.Cols()))
 	return tensor.IndexRows(padded, g.childGatherIdx)
-}
-
-// GatherWithFallback gathers rows of vals by idx, substituting a constant
-// fallback row wherever idx is negative. Gradients flow to the gathered
-// rows only.
-func GatherWithFallback(vals *tensor.Tensor, idx []int, fallback float64) *tensor.Tensor {
-	n := vals.Rows()
-	ar := tensor.ArenaOf(vals)
-	padded := concatRows(vals, tensor.FullIn(ar, fallback, 1, vals.Cols()))
-	var mapped []int
-	if ar != nil {
-		mapped = ar.Ints(len(idx))
-	} else {
-		mapped = make([]int, len(idx))
-	}
-	for i, v := range idx {
-		if v < 0 {
-			mapped[i] = n
-		} else {
-			mapped[i] = v
-		}
-	}
-	return tensor.IndexRows(padded, mapped)
 }
 
 // GINSiblingConv implements the aggregation of the paper's Eq. 4:

@@ -1,7 +1,10 @@
 // Package modelserver implements the centralized model server of §4: it
 // maintains the life cycle of Sleuth models — creation, storage, update,
 // inheritance (fine-tuned children recording their parent) and retirement
-// — and serves them to training and inference workers over HTTP.
+// — and serves them to training and inference workers over HTTP. Each
+// served version scores through one queue: a request that finds the model
+// idle is scored at once, and the requests that arrive meanwhile share the
+// next ScoreBatch call.
 //
 // Models are stored as versioned entries under a directory; metadata lives
 // in a JSON manifest next to the model blobs.
@@ -227,9 +230,8 @@ func (r *Registry) resolveInfo(name, versionStr string) (ModelInfo, error) {
 }
 
 // sharedModel returns the cached in-memory instance of a version, loading
-// the blob once per process. The pre-batcher serving path deserialized the
-// gob from disk on EVERY request — for a small model that load dominated
-// the forward pass it fed.
+// the blob once per process: for a small model, deserializing the gob on
+// every request would cost more than the forward pass it feeds.
 func (r *Registry) sharedModel(info ModelInfo) (*core.Model, error) {
 	key := fmt.Sprintf("%s@%d", info.Name, info.Version)
 	r.cacheMu.RLock()
@@ -342,15 +344,12 @@ type Server struct {
 	// (method, path, status, duration, request ID). The request ID is
 	// echoed in the X-Request-ID response header either way.
 	AccessLog *log.Logger
-	// Serve tunes the /score micro-batcher; the zero value selects the
-	// built-in defaults (32 traces, 2ms).
-	Serve ServeConfig
 	// Ready holds extra readiness checks served on /readyz alongside the
 	// built-in model-cache-warm check (a main adds the watchdog's
 	// ReadyCheck here).
 	Ready []obs.ReadyCheck
 
-	// batchers coalesce concurrent score requests per concrete model
+	// batchers queue concurrent score requests per concrete model
 	// version, created lazily on first score of that version.
 	batcherMu sync.Mutex
 	batchers  map[string]*batcher
@@ -401,8 +400,8 @@ func (s *Server) Handler() http.Handler {
 	return obs.AccessLog("modelserver", s.AccessLog, mux)
 }
 
-// batcherFor returns the per-version micro-batcher, creating it on first
-// use. One batcher per concrete version: requests only share an inference
+// batcherFor returns the per-version scoring queue, creating it on first
+// use. One queue per concrete version: requests only share an inference
 // call when they share a model.
 func (s *Server) batcherFor(key string, m *core.Model) *batcher {
 	s.batcherMu.Lock()
@@ -413,7 +412,7 @@ func (s *Server) batcherFor(key string, m *core.Model) *batcher {
 	if s.batchers == nil {
 		s.batchers = map[string]*batcher{}
 	}
-	b := newBatcher(m, s.Serve)
+	b := &batcher{m: m}
 	s.batchers[key] = b
 	return b
 }
@@ -539,9 +538,9 @@ type ScoreResponse struct {
 }
 
 // score runs batched inference with the requested model version: spans are
-// assembled into traces and pushed through the per-version micro-batcher,
-// which coalesces concurrent requests into shared ScoreBatch calls (one
-// forward per trace yields predictions AND loss). The model itself comes
+// assembled into traces and pushed through the per-version scoring queue,
+// where requests that arrive during a flush share the next ScoreBatch call
+// (one forward per trace yields predictions AND loss). The model itself comes
 // from the registry's in-memory cache, not a per-request gob load.
 func (s *Server) score(w http.ResponseWriter, req *http.Request, name, versionStr string) {
 	start := time.Now()
@@ -615,13 +614,23 @@ func (s *Server) score(w http.ResponseWriter, req *http.Request, name, versionSt
 	writeJSON(w, resp)
 }
 
+// bodyPool recycles /score request buffers. The body is a request's
+// largest allocation, and DecodeSpans keeps no reference to it.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // readSpans reads and decodes the {"spans":[…]} body of /score (a
-// ScoreRequest) into one buffer sized from Content-Length — a hint a client
-// can inflate, so it reserves at most 1 MiB. When it reports false it has
-// written the error response.
+// ScoreRequest) into one pooled buffer grown from Content-Length — a hint
+// a client can inflate, so it reserves at most 1 MiB. When it reports
+// false it has written the error response.
 func readSpans(w http.ResponseWriter, req *http.Request) ([]*trace.Span, bool) {
-	size := max(0, min(req.ContentLength, 1<<20))
-	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= 2<<20 { // a rare huge body goes to the GC
+			buf.Reset()
+			bodyPool.Put(buf)
+		}
+	}()
+	buf.Grow(int(max(0, min(req.ContentLength, 1<<20))) + bytes.MinRead)
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, req.Body, 256<<20))
 	var spans []*trace.Span
 	if err == nil {

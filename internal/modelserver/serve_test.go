@@ -105,15 +105,12 @@ func sameResponse(t *testing.T, tag string, got, want ScoreResponse) {
 }
 
 // TestBatchedScoreBitIdentical fires a storm of concurrent requests through
-// the micro-batcher (solo bypass off, so everything coalesces) and checks
-// every response byte-for-byte against the unbatched single-trace
-// reference: batch composition must never leak into results.
+// the scoring queue and checks every response byte-for-byte against the
+// unbatched single-trace reference: batch composition must never leak into
+// results.
 func TestBatchedScoreBitIdentical(t *testing.T) {
 	reg, m, query := servingFixture(t, 11, 24)
-	srv := httptest.NewServer((&Server{
-		Registry: reg,
-		Serve:    ServeConfig{Batch: 8, Wait: 20 * time.Millisecond, noSolo: true},
-	}).Handler())
+	srv := httptest.NewServer((&Server{Registry: reg}).Handler())
 	defer srv.Close()
 
 	// 8 concurrent clients, 3 traces each.
@@ -133,83 +130,92 @@ func TestBatchedScoreBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBatcherDeadlineFlush pins the deadline semantics: a lone queued
-// request (solo bypass off) waits cfg.Wait — not less, not unboundedly
-// more — and then flushes with reason "deadline".
-func TestBatcherDeadlineFlush(t *testing.T) {
+// TestQueueIdleRequestScoresAtOnce: a lone request on an idle model is
+// scored by exactly one ScoreBatch call of its own traces and records a
+// queue wait of 0.
+func TestQueueIdleRequestScoresAtOnce(t *testing.T) {
 	obs.Disable()
 	obs.Enable()
 	t.Cleanup(obs.Disable)
-	_, m, query := servingFixture(t, 13, 2)
+	_, m, query := servingFixture(t, 13, 3)
 
-	const wait = 40 * time.Millisecond
-	b := newBatcher(m, ServeConfig{Batch: 100, Wait: wait, noSolo: true})
-	start := time.Now()
-	durs, errs, losses := b.Score(query[:1])
-	elapsed := time.Since(start)
-	if len(durs) != 1 || len(errs) != 1 || len(losses) != 1 {
+	b := &batcher{m: m}
+	durs, errs, losses := b.Score(query)
+	if len(durs) != 3 || len(errs) != 3 || len(losses) != 3 {
 		t.Fatalf("result shape %d/%d/%d", len(durs), len(errs), len(losses))
 	}
-	if elapsed < wait {
-		t.Fatalf("flushed after %v, before the %v deadline", elapsed, wait)
+	if n := obs.H("core.score.batch_us").Count(); n != 1 {
+		t.Fatalf("ScoreBatch calls = %d, want 1", n)
 	}
-	if elapsed > wait+2*time.Second {
-		t.Fatalf("flushed after %v, way past the %v deadline", elapsed, wait)
+	size := obs.H("modelserver.batch.size")
+	if size.Count() != 1 || size.Sum() != 3 {
+		t.Fatalf("batch.size: %d observations summing to %v, want one of 3", size.Count(), size.Sum())
 	}
-	if n := obs.C("modelserver.batch.flush_deadline").Value(); n != 1 {
-		t.Fatalf("deadline flushes = %d, want 1", n)
+	wait := obs.H("modelserver.batch.queue_wait_us")
+	if wait.Count() != 1 || wait.Sum() != 0 {
+		t.Fatalf("queue_wait_us: %d observations summing to %v, want one of 0", wait.Count(), wait.Sum())
 	}
 }
 
-// TestBatcherSizeFlush: once pending traces reach Batch the flush happens
-// immediately — nowhere near the (absurdly long) deadline.
-func TestBatcherSizeFlush(t *testing.T) {
+// TestQueueGroupCommit holds one flush in progress and queues requests
+// behind it: when the flush ends they must all be scored by the next
+// ScoreBatch call, and each reply must equal the unbatched reference.
+func TestQueueGroupCommit(t *testing.T) {
 	obs.Disable()
 	obs.Enable()
 	t.Cleanup(obs.Disable)
-	_, m, query := servingFixture(t, 17, 4)
+	_, m, query := servingFixture(t, 17, 9)
 
-	b := newBatcher(m, ServeConfig{Batch: 4, Wait: time.Hour, noSolo: true})
+	b := &batcher{m: m, busy: true} // a flush in progress
+	const waiters = 4
+	slices := [waiters][]*trace.Trace{query[0:1], query[1:3], query[3:6], query[6:9]}
+	got := make([]ScoreResponse, waiters)
 	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < 4; c++ {
+	for c := range slices {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			durs, _, _ := b.Score(query[c : c+1])
-			if len(durs) != 1 {
-				t.Errorf("client %d: %d results", c, len(durs))
+			sorted := append([]*trace.Trace(nil), slices[c]...)
+			sort.Slice(sorted, func(i, j int) bool { return sorted[i].TraceID < sorted[j].TraceID })
+			durs, errs, losses := b.Score(sorted)
+			resp := ScoreResponse{Results: make([]ScoreResult, len(sorted))}
+			for i, tr := range sorted {
+				resp.Results[i] = ScoreResult{TraceID: tr.TraceID, DurScaled: durs[i], ErrProb: errs[i]}
+				resp.MeanLoss += losses[i]
 			}
+			resp.MeanLoss /= float64(len(losses))
+			got[c] = resp
 		}(c)
 	}
+	for queued := 0; queued < waiters; {
+		time.Sleep(time.Millisecond)
+		b.mu.Lock()
+		queued = len(b.pending)
+		b.mu.Unlock()
+	}
+	if n := obs.H("core.score.batch_us").Count(); n != 0 {
+		t.Fatalf("%d ScoreBatch calls while the flush was held, want 0", n)
+	}
+	b.release() // the held flush ends
 	wg.Wait()
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("size flush took %v", elapsed)
-	}
-	if n := obs.C("modelserver.batch.flush_size").Value(); n < 1 {
-		t.Fatal("no size-triggered flush recorded")
-	}
-	if n := obs.C("modelserver.batch.flush_deadline").Value() +
-		obs.C("modelserver.batch.flush_size").Value(); n < 1 {
-		t.Fatal("no flush recorded at all")
-	}
-}
 
-// TestBatcherBatchOne: with Batch 1 a queued request (solo bypass off)
-// crosses the size threshold on arrival and flushes itself — it never waits
-// for the deadline.
-func TestBatcherBatchOne(t *testing.T) {
-	obs.Disable()
-	obs.Enable()
-	t.Cleanup(obs.Disable)
-	_, m, query := servingFixture(t, 18, 1)
-
-	b := newBatcher(m, ServeConfig{Batch: 1, Wait: time.Hour, noSolo: true})
-	if durs, _, _ := b.Score(query); len(durs) != 1 {
-		t.Fatalf("%d results, want 1", len(durs))
+	if n := obs.H("core.score.batch_us").Count(); n != 1 {
+		t.Fatalf("ScoreBatch calls = %d, want 1", n)
 	}
-	if n := obs.C("modelserver.batch.flush_size").Value(); n != 1 {
-		t.Fatalf("size flushes = %d, want 1", n)
+	size := obs.H("modelserver.batch.size")
+	if size.Count() != 1 || size.Sum() != float64(len(query)) {
+		t.Fatalf("batch.size: %d observations summing to %v, want one of %d", size.Count(), size.Sum(), len(query))
+	}
+	if n := obs.H("modelserver.batch.queue_wait_us").Count(); n != waiters {
+		t.Fatalf("queue_wait_us observations = %d, want %d", n, waiters)
+	}
+	for c := range slices {
+		sameResponse(t, fmt.Sprintf("waiter %d", c), got[c], expectResponse(m, slices[c]))
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.busy || len(b.pending) != 0 {
+		t.Fatalf("queue not idle after the flush: busy=%v pending=%d", b.busy, len(b.pending))
 	}
 }
 
@@ -257,15 +263,12 @@ func TestScoreFeedsDefaultDriftRule(t *testing.T) {
 	}
 }
 
-// TestConcurrentScoreStorm hammers one server from many goroutines with
-// batching enabled — run under -race this is the serving path's
-// thread-safety proof (shared cached model, shared batcher, demux).
+// TestConcurrentScoreStorm hammers one server from many goroutines — run
+// under -race this is the serving path's thread-safety proof (shared
+// cached model, shared queue, pooled workspaces, demux).
 func TestConcurrentScoreStorm(t *testing.T) {
 	reg, m, query := servingFixture(t, 23, 16)
-	srv := httptest.NewServer((&Server{
-		Registry: reg,
-		Serve:    ServeConfig{Batch: 6, Wait: time.Millisecond},
-	}).Handler())
+	srv := httptest.NewServer((&Server{Registry: reg}).Handler())
 	defer srv.Close()
 
 	const clients, rounds = 8, 5

@@ -188,88 +188,6 @@ func (m *MLP) ForwardRow(in []float64, rows int, scratchA, scratchB, out []float
 	}
 }
 
-// LayerNorm normalises each row to zero mean and unit variance and applies
-// a learned affine transform.
-type LayerNorm struct {
-	Gamma *tensor.Tensor // [1, dim]
-	Beta  *tensor.Tensor // [1, dim]
-	name  string
-}
-
-// NewLayerNorm creates a LayerNorm over the trailing dimension.
-func NewLayerNorm(name string, dim int) *LayerNorm {
-	return &LayerNorm{
-		Gamma: tensor.Full(1, 1, dim).RequireGrad(),
-		Beta:  tensor.Zeros(1, dim).RequireGrad(),
-		name:  name,
-	}
-}
-
-// Forward normalises x row-wise. Implemented with tape ops so gradients
-// flow through the statistics.
-func (ln *LayerNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
-	n := float64(x.Cols())
-	mean := tensor.MulScalar(tensor.SumRows(x), 1/n)        // [m,1]
-	centered := tensor.Sub(x, broadcastCol(mean, x.Cols())) // [m,d]
-	varr := tensor.MulScalar(tensor.SumRows(tensor.Square(centered)), 1/n)
-	inv := invSqrt(varr) // [m,1]
-	norm := tensor.Mul(centered, broadcastCol(inv, x.Cols()))
-	return tensor.Add(tensor.Mul(norm, ln.Gamma), ln.Beta)
-}
-
-// Params implements Module.
-func (ln *LayerNorm) Params() []Param {
-	return []Param{{ln.name + ".gamma", ln.Gamma}, {ln.name + ".beta", ln.Beta}}
-}
-
-// broadcastCol repeats a [m,1] column across cols columns by gathering the
-// same row index; gradient flows back through IndexRows.
-func broadcastCol(col *tensor.Tensor, cols int) *tensor.Tensor {
-	// Build [m,cols] by matmul with a ones row.
-	ones := tensor.Full(1, 1, cols)
-	return tensor.MatMul(col, ones)
-}
-
-// invSqrt computes 1/sqrt(x + eps) elementwise via tape ops.
-func invSqrt(x *tensor.Tensor) *tensor.Tensor {
-	const eps = 1e-6
-	// (x+eps)^(-1/2) = exp(-0.5 * ln(x+eps))
-	return tensor.Exp(tensor.MulScalar(tensor.Log(tensor.AddScalar(x, eps)), -0.5))
-}
-
-// Sequential composes modules that each map a tensor to a tensor.
-type Sequential struct {
-	mods []interface {
-		Forward(*tensor.Tensor) *tensor.Tensor
-		Params() []Param
-	}
-}
-
-// NewSequential builds a Sequential from the given forward modules.
-func NewSequential(mods ...interface {
-	Forward(*tensor.Tensor) *tensor.Tensor
-	Params() []Param
-}) *Sequential {
-	return &Sequential{mods: mods}
-}
-
-// Forward applies every module in order.
-func (s *Sequential) Forward(x *tensor.Tensor) *tensor.Tensor {
-	for _, m := range s.mods {
-		x = m.Forward(x)
-	}
-	return x
-}
-
-// Params implements Module.
-func (s *Sequential) Params() []Param {
-	var ps []Param
-	for _, m := range s.mods {
-		ps = append(ps, m.Params()...)
-	}
-	return ps
-}
-
 // StateDict extracts a name → values snapshot of a module's parameters.
 func StateDict(m Module) map[string][]float64 {
 	out := make(map[string][]float64)

@@ -2,54 +2,6 @@ package nn
 
 import "math"
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update and leaves gradients untouched.
-	Step()
-	// ZeroGrad clears every parameter gradient.
-	ZeroGrad()
-	// SetLR changes the learning rate (for schedules and fine-tuning).
-	SetLR(lr float64)
-}
-
-// SGD is stochastic gradient descent with optional classical momentum.
-type SGD struct {
-	params   []Param
-	lr       float64
-	momentum float64
-	velocity [][]float64
-}
-
-// NewSGD creates an SGD optimizer over the module's parameters.
-func NewSGD(m Module, lr, momentum float64) *SGD {
-	ps := m.Params()
-	vel := make([][]float64, len(ps))
-	for i, p := range ps {
-		vel[i] = make([]float64, p.T.Numel())
-	}
-	return &SGD{params: ps, lr: lr, momentum: momentum, velocity: vel}
-}
-
-// Step implements Optimizer.
-func (o *SGD) Step() {
-	for i, p := range o.params {
-		if p.T.Grad == nil {
-			continue
-		}
-		v := o.velocity[i]
-		for j := range p.T.Data {
-			v[j] = o.momentum*v[j] + p.T.Grad[j]
-			p.T.Data[j] -= o.lr * v[j]
-		}
-	}
-}
-
-// ZeroGrad implements Optimizer.
-func (o *SGD) ZeroGrad() { zeroGrads(o.params) }
-
-// SetLR implements Optimizer.
-func (o *SGD) SetLR(lr float64) { o.lr = lr }
-
 // Adam implements the Adam optimizer with optional decoupled weight decay
 // (AdamW when decay > 0).
 type Adam struct {
@@ -82,7 +34,7 @@ func NewAdamW(mod Module, lr, decay float64) *Adam {
 	return &Adam{params: ps, lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, decay: decay, m: m, v: v}
 }
 
-// Step implements Optimizer.
+// Step applies one update and leaves gradients untouched.
 func (o *Adam) Step() {
 	o.t++
 	bc1 := 1 - math.Pow(o.beta1, float64(o.t))
@@ -107,11 +59,8 @@ func (o *Adam) Step() {
 	}
 }
 
-// ZeroGrad implements Optimizer.
+// ZeroGrad clears every parameter gradient.
 func (o *Adam) ZeroGrad() { zeroGrads(o.params) }
-
-// SetLR implements Optimizer.
-func (o *Adam) SetLR(lr float64) { o.lr = lr }
 
 func zeroGrads(ps []Param) {
 	for _, p := range ps {
@@ -144,21 +93,4 @@ func ClipGradNorm(m Module, maxNorm float64) float64 {
 		}
 	}
 	return norm
-}
-
-// CosineLR returns the learning rate at step t of a cosine decay from base
-// to floor over total steps.
-func CosineLR(base, floor float64, t, total int) float64 {
-	if total <= 0 || t >= total {
-		return floor
-	}
-	frac := float64(t) / float64(total)
-	return floor + (base-floor)*0.5*(1+math.Cos(math.Pi*frac))
-}
-
-// NoGrad runs fn and discards any gradient bookkeeping it produced on the
-// module by zeroing gradients afterwards. Convenience for evaluation loops.
-func NoGrad(m Module, fn func()) {
-	fn()
-	zeroGrads(m.Params())
 }

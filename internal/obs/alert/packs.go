@@ -52,7 +52,7 @@ func CollectorRules() []Rule {
 }
 
 // ModelServerRules watches serving: score-latency SLO burn, request
-// error-rate burn, batcher queueing and model-score drift.
+// error-rate burn, score queueing and model-score drift.
 func ModelServerRules() []Rule {
 	return []Rule{
 		{

@@ -8,7 +8,9 @@
 // exact same bucket bounds Histogram.Quantile interpolates over — the two
 // views share bucketBounds, so a scraped histogram_quantile and the
 // in-process Quantile agree up to interpolation policy (tested in
-// prom_test.go).
+// prom_test.go). Exemplars are not exposed here: the 0.0.4 text format has
+// no syntax for them, so they stay on /debug/metrics, /debug/series and
+// alerts.
 
 package obs
 
@@ -52,13 +54,6 @@ func promName(name string) string {
 // escapeHelp escapes a HELP annotation: backslash and newline.
 func escapeHelp(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-// escapeLabel escapes a label value: backslash, double quote, newline.
-func escapeLabel(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	s = strings.ReplaceAll(s, `"`, `\"`)
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
@@ -119,30 +114,13 @@ func WritePrometheus(w io.Writer, r *Registry) {
 		cum := int64(0)
 		for i := 0; i < numBuckets-1; i++ {
 			cum += atomic.LoadInt64(&h.buckets[i])
-			fmt.Fprintf(w, "%s_bucket{le=%q} %d", n, promFloat(bucketBounds[i]), cum)
-			writePromExemplar(w, h.exemplars[i].Load())
-			fmt.Fprintln(w)
+			fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", n, promFloat(bucketBounds[i]), cum)
 		}
 		cum += atomic.LoadInt64(&h.buckets[numBuckets-1])
-		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d", n, cum)
-		writePromExemplar(w, h.exemplars[numBuckets-1].Load())
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", n, cum)
 		fmt.Fprintf(w, "%s_sum %s\n", n, promFloat(h.Sum()))
 		fmt.Fprintf(w, "%s_count %d\n", n, h.Count())
 	}
-}
-
-// writePromExemplar appends an OpenMetrics exemplar annotation to a bucket
-// sample line: ` # {trace_id="…"} value timestamp`. Nothing is written for
-// buckets without an exemplar, so plain Prometheus text parsers (which
-// predate exemplar syntax) see unchanged lines wherever exemplars are off.
-func writePromExemplar(w io.Writer, e *exemplar) {
-	if e == nil {
-		return
-	}
-	fmt.Fprintf(w, " # {trace_id=\"%s\"} %s %s",
-		escapeLabel(e.traceID), promFloat(e.value),
-		strconv.FormatFloat(float64(e.ts)/1e6, 'f', 6, 64))
 }
 
 // PromHandler serves the Prometheus exposition of reg.

@@ -5,6 +5,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -28,9 +30,6 @@ func TestPromName(t *testing.T) {
 func TestPromEscaping(t *testing.T) {
 	if got := escapeHelp("a\\b\nc"); got != `a\\b\nc` {
 		t.Errorf("escapeHelp = %q", got)
-	}
-	if got := escapeLabel("a\\b\"c\nd"); got != `a\\b\"c\nd` {
-		t.Errorf("escapeLabel = %q", got)
 	}
 	if got := promFloat(math.Inf(1)); got != "+Inf" {
 		t.Errorf("promFloat(+Inf) = %q", got)
@@ -97,6 +96,44 @@ func TestWritePrometheusGolden(t *testing.T) {
 	WritePrometheus(&again, r)
 	if again.String() != got.String() {
 		t.Error("exposition not stable across renders")
+	}
+}
+
+// promSample is the whole of a 0.0.4 sample line as Sleuth writes it:
+// name, optional {label="value",…}, one space, the value — no timestamp,
+// and no OpenMetrics exemplar suffix, which 0.0.4 parsers reject.
+var promSample = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"(?:,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*")*\})? (\S+)$`)
+
+// TestWritePrometheusExemplarsStayOff renders a histogram whose buckets
+// hold exemplars and requires every sample line to parse as 0.0.4 text:
+// a traced request records an exemplar, and the scrape after it must not
+// break.
+func TestWritePrometheusExemplarsStayOff(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("modelserver.http.request_us")
+	h.ObserveExemplar(150, "4bf92f3577b34da6a3ce929d0e0e4736")
+	h.ObserveExemplar(5e8, "00f067aa0ba902b7a3ce929d0e0e4736")
+	h.Observe(3)
+
+	var b strings.Builder
+	WritePrometheus(&b, r)
+	samples := 0
+	for _, line := range strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		m := promSample.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("not a 0.0.4 sample line: %q", line)
+			continue
+		}
+		if _, err := strconv.ParseFloat(m[2], 64); err != nil {
+			t.Errorf("sample value %q of %q: %v", m[2], line, err)
+		}
+		samples++
+	}
+	if want := numBuckets + 2; samples != want {
+		t.Errorf("%d sample lines, want %d (buckets, _sum, _count)", samples, want)
 	}
 }
 

@@ -177,6 +177,31 @@ func TestDecodeMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestDecodeSpansKeepsNoInput: the model server decodes /score bodies out
+// of a recycled buffer, so spans decoded from data must not change when
+// data is overwritten afterwards.
+func TestDecodeSpansKeepsNoInput(t *testing.T) {
+	spans := richSpans(t)
+	data, err := encodeSpans(spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeSpans(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := DecodeSpans(bytes.Clone(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] = 'X'
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("decoded spans changed when their input buffer was overwritten")
+	}
+}
+
 // One well-formed span per dialect, with %s where a hostile fragment goes.
 const (
 	otlpSpanIn   = `{"resourceSpans":[{"scopeSpans":[{"spans":[{"traceId":"t","spanId":"s","startTimeUnixNano":"1000","endTimeUnixNano":"3000"%s}]}]}]}`

@@ -669,7 +669,8 @@ func (s *scanner) jaegerTag(sp *trace.Span) {
 // --- Canonical representation --------------------------------------------
 
 // DecodeSpans parses the canonical {"spans":[…]} body of the model server's
-// /score: trace.Span in its own JSON form.
+// /score: trace.Span in its own JSON form. The spans copy every string out
+// of data, so the caller may reuse data once DecodeSpans returns.
 func DecodeSpans(data []byte) ([]*trace.Span, error) {
 	s := scanner{data: data}
 	var out []*trace.Span

@@ -164,17 +164,6 @@ func NSigma(x, mean, std, n float64) bool {
 	return math.Abs(x-mean) > n*std
 }
 
-// ConfidenceInterval95 returns the approximate 95% confidence interval of
-// the mean of xs using the normal approximation (mean ± 1.96·SE).
-func ConfidenceInterval95(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	m := Mean(xs)
-	se := Std(xs) / math.Sqrt(float64(len(xs)))
-	return m - 1.96*se, m + 1.96*se
-}
-
 // ErrSingular is returned by LinearRegression when the normal equations are
 // singular (e.g. perfectly collinear regressors).
 var ErrSingular = errors.New("stats: singular design matrix")

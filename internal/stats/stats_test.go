@@ -143,24 +143,6 @@ func TestNSigma(t *testing.T) {
 	}
 }
 
-func TestConfidenceInterval95(t *testing.T) {
-	r := xrand.New(3)
-	xs := make([]float64, 10000)
-	for i := range xs {
-		xs[i] = r.Normal(50, 5)
-	}
-	lo, hi := ConfidenceInterval95(xs)
-	if lo >= hi {
-		t.Fatalf("invalid interval [%v, %v]", lo, hi)
-	}
-	if lo > 50 || hi < 50 {
-		t.Fatalf("interval [%v, %v] excludes the true mean", lo, hi)
-	}
-	if hi-lo > 1 {
-		t.Fatalf("interval [%v, %v] too wide for n=10000", lo, hi)
-	}
-}
-
 func TestLinearRegressionExact(t *testing.T) {
 	// y = 2 + 3a - b, no noise: coefficients must be recovered exactly.
 	var x [][]float64

@@ -65,12 +65,3 @@ func KLStandardNormal(mu, logvar *Tensor) *Tensor {
 	perRow := SumRows(inner)
 	return MulScalar(Mean(perRow), 0.5)
 }
-
-// L2Penalty returns λ·Σ‖p‖² over the given tensors.
-func L2Penalty(lambda float64, params ...*Tensor) *Tensor {
-	total := Scalar(0)
-	for _, p := range params {
-		total = Add(total, Sum(Square(p)))
-	}
-	return MulScalar(total, lambda)
-}

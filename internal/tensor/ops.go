@@ -153,18 +153,6 @@ func dReLU(x, _, _, _ float64) float64 {
 	}
 	return 0
 }
-func fLeakyReLU(x, slope, _ float64) float64 {
-	if x > 0 {
-		return x
-	}
-	return slope * x
-}
-func dLeakyReLU(x, _, slope, _ float64) float64 {
-	if x > 0 {
-		return 1
-	}
-	return slope
-}
 func fSigmoid(x, _, _ float64) float64    { return stableSigmoid(x) }
 func dSigmoid(_, y, _, _ float64) float64 { return y * (1 - y) }
 func fTanh(x, _, _ float64) float64       { return math.Tanh(x) }
@@ -229,11 +217,6 @@ func MulScalar(a *Tensor, c float64) *Tensor { return unaryOp(a, fMulS, dC1, c, 
 
 // ReLU returns max(a, 0) elementwise.
 func ReLU(a *Tensor) *Tensor { return unaryOp(a, fReLU, dReLU, 0, 0) }
-
-// LeakyReLU returns x for x>0 and slope*x otherwise.
-func LeakyReLU(a *Tensor, slope float64) *Tensor {
-	return unaryOp(a, fLeakyReLU, dLeakyReLU, slope, 0)
-}
 
 // Sigmoid returns 1/(1+e^-x) elementwise (numerically stable form).
 func Sigmoid(a *Tensor) *Tensor { return unaryOp(a, fSigmoid, dSigmoid, 0, 0) }
@@ -706,16 +689,5 @@ func SliceCols(a *Tensor, lo, hi int) *Tensor {
 		copy(out.Data[i*w:(i+1)*w], a.Data[i*n+lo:i*n+hi])
 	}
 	out.i1, out.i2 = lo, hi
-	return out
-}
-
-// Reshape returns a tensor copying the same data with a new shape of equal
-// element count; gradients pass through unchanged.
-func Reshape(a *Tensor, shape ...int) *Tensor {
-	if numel(shape) != len(a.Data) {
-		panic(fmt.Sprintf("tensor: reshape %v -> %v", a.Shape, shape))
-	}
-	out := newOp1(opReshape, len(a.Data), shape, a)
-	copy(out.Data, a.Data)
 	return out
 }

@@ -50,7 +50,6 @@ const (
 	opSegmentMax
 	opMax2
 	opSliceCols
-	opReshape
 	opClosure
 )
 
@@ -555,12 +554,6 @@ func (t *Tensor) backstep() {
 				dst[j] += g[j]
 			}
 		}
-	case opReshape:
-		a := t.parents[0]
-		a.ensureGrad()
-		for i, g := range t.Grad {
-			a.Grad[i] += g
-		}
 	case opClosure:
 		t.backFn()
 	default:
@@ -591,16 +584,6 @@ func SameShape(a, b *Tensor) bool {
 		}
 	}
 	return true
-}
-
-// assertFinite panics if any element is NaN or Inf; used in tests and
-// debug-mode training.
-func (t *Tensor) assertFinite(where string) {
-	for i, v := range t.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			panic(fmt.Sprintf("tensor: non-finite value %v at %d in %s", v, i, where))
-		}
-	}
 }
 
 // CheckFinite returns an error if any element of t is NaN or infinite.

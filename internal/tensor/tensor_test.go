@@ -227,7 +227,6 @@ func TestGradCheckReductionsAndShape(t *testing.T) {
 		"mean":    func() *Tensor { return Mean(Square(a)) },
 		"sumrows": func() *Tensor { return Sum(Square(SumRows(a))) },
 		"slice":   func() *Tensor { return Sum(Square(SliceCols(a, 1, 3))) },
-		"reshape": func() *Tensor { return Sum(Square(Reshape(a, 3, 4))) },
 		"concat": func() *Tensor {
 			return Sum(Square(ConcatCols(a, MulScalar(a, 2))))
 		},
@@ -319,9 +318,6 @@ func TestReLUFamilyGradCheck(t *testing.T) {
 	}
 	if err := GradCheck(func() *Tensor { return Sum(ReLU(a)) }, []*Tensor{a}, 1e-6, 1e-4); err != nil {
 		t.Errorf("relu: %v", err)
-	}
-	if err := GradCheck(func() *Tensor { return Sum(LeakyReLU(a, 0.1)) }, []*Tensor{a}, 1e-6, 1e-4); err != nil {
-		t.Errorf("leaky: %v", err)
 	}
 	if err := GradCheck(func() *Tensor { return Sum(Max2(a, MulScalar(a, -1))) }, []*Tensor{a}, 1e-6, 1e-3); err != nil {
 		t.Errorf("max2: %v", err)
@@ -420,18 +416,6 @@ func TestCheckFinite(t *testing.T) {
 	b := New([]float64{1, 2}, 2)
 	if b.CheckFinite() != nil {
 		t.Fatal("finite tensor flagged")
-	}
-}
-
-func TestL2Penalty(t *testing.T) {
-	a := New([]float64{3, 4}, 2).RequireGrad()
-	p := L2Penalty(0.5, a)
-	if p.Item() != 12.5 {
-		t.Fatalf("L2 = %v", p.Item())
-	}
-	p.Backward()
-	if a.Grad[0] != 3 || a.Grad[1] != 4 {
-		t.Fatalf("L2 grad = %v", a.Grad)
 	}
 }
 

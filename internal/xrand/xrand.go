@@ -1,7 +1,7 @@
 // Package xrand provides a deterministic, splittable pseudo-random number
 // generator together with the distribution samplers used throughout the
-// Sleuth reproduction: log-normal and Pareto service times, Bernoulli fault
-// draws, Zipf workload mixes, and weighted choices.
+// Sleuth reproduction: log-normal service times, Bernoulli fault draws,
+// Zipf workload mixes, and weighted choices.
 //
 // Determinism matters here: every experiment in the benchmark harness is
 // seeded so that tables and figures can be regenerated exactly. The
@@ -164,16 +164,6 @@ func (r *Rand) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.NormFloat64())
 }
 
-// Pareto returns a sample from a Pareto distribution with scale xm > 0 and
-// shape alpha > 0. Used for extreme-tail stressor durations.
-func (r *Rand) Pareto(xm, alpha float64) float64 {
-	u := r.Float64()
-	if u == 0 {
-		u = math.SmallestNonzeroFloat64
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // ExpFloat64 returns an exponential sample with the given rate lambda > 0.
 func (r *Rand) ExpFloat64(lambda float64) float64 {
 	u := r.Float64()
@@ -192,31 +182,6 @@ func (r *Rand) Bernoulli(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
-}
-
-// Poisson returns a Poisson sample with mean lambda (Knuth's method for
-// small lambda, normal approximation above 30 to stay O(1)).
-func (r *Rand) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 30 {
-		n := int(math.Round(r.Normal(lambda, math.Sqrt(lambda))))
-		if n < 0 {
-			n = 0
-		}
-		return n
-	}
-	l := math.Exp(-lambda)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
 }
 
 // WeightedChoice returns an index in [0, len(weights)) with probability

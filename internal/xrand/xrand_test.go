@@ -172,16 +172,6 @@ func TestLogNormalPositiveAndHeavyTailed(t *testing.T) {
 	}
 }
 
-func TestParetoBounds(t *testing.T) {
-	r := New(19)
-	for i := 0; i < 10000; i++ {
-		v := r.Pareto(2, 1.5)
-		if v < 2 {
-			t.Fatalf("Pareto sample below scale: %v", v)
-		}
-	}
-}
-
 func TestExpFloat64Mean(t *testing.T) {
 	r := New(23)
 	const n = 100000
@@ -212,24 +202,6 @@ func TestBernoulli(t *testing.T) {
 	p := float64(hits) / n
 	if math.Abs(p-0.3) > 0.01 {
 		t.Fatalf("Bernoulli(0.3) rate = %v", p)
-	}
-}
-
-func TestPoissonMean(t *testing.T) {
-	r := New(31)
-	for _, lambda := range []float64{0.5, 3, 50} {
-		const n = 50000
-		sum := 0
-		for i := 0; i < n; i++ {
-			sum += r.Poisson(lambda)
-		}
-		mean := float64(sum) / n
-		if math.Abs(mean-lambda) > lambda*0.05+0.05 {
-			t.Fatalf("Poisson(%v) mean = %v", lambda, mean)
-		}
-	}
-	if r.Poisson(0) != 0 {
-		t.Fatal("Poisson(0) != 0")
 	}
 }
 
