@@ -32,13 +32,9 @@ func main() {
 		enableObs = flag.Bool("obs", true, "enable the metrics registry and /debug endpoints")
 		accessLog = flag.Bool("access-log", false, "log one structured line per request")
 		sample    = flag.Duration("sample", 10*time.Second,
-			"metric sampling interval for /debug/series (0 disables)")
-		watchdog = flag.Bool("watchdog", true,
-			"run the self-watchdog alert engine over the metrics registry (needs -obs)")
+			"metric sampling interval for /debug/series and the watchdog (0 disables both)")
 		alertRules = flag.String("alert-rules", "",
 			"JSON watchdog rule file loaded on top of the default pack")
-		alertTick = flag.Duration("alert-tick", 15*time.Second,
-			"watchdog evaluation interval")
 
 		ingestWorkers = flag.Int("ingest-workers", defaults.Workers,
 			"concentrator/sampler/writer shards")
@@ -51,10 +47,11 @@ func main() {
 	)
 	flag.Parse()
 
+	var sampler *obs.Sampler
 	if *enableObs {
 		obs.Enable()
 		if *sample > 0 {
-			obs.StartSampler(*sample)
+			sampler = obs.StartSampler(*sample)
 		}
 	}
 	st := store.New()
@@ -73,29 +70,25 @@ func main() {
 	}
 
 	// Self-watchdog: the default collector pack plus any operator rule
-	// file, evaluated on a background tick. A disabled watchdog (or
-	// disabled obs) yields a nil engine — every call below is a no-op and
-	// the /readyz check always passes.
-	var engine *alert.Engine
-	if *watchdog {
-		engine = alert.New(obs.Global(), *alertTick)
-		if err := engine.Add(alert.CollectorRules()...); err != nil {
+	// file, evaluated at the end of every sampler sweep. Without a sampler
+	// (-obs=false or -sample 0) the engine is nil — every call below is a
+	// no-op and the /readyz check always passes.
+	engine := alert.New(sampler)
+	if err := engine.Add(alert.CollectorRules()...); err != nil {
+		fmt.Fprintf(os.Stderr, "collector: %v\n", err)
+		os.Exit(1)
+	}
+	if *alertRules != "" {
+		rules, err := alert.LoadRulesFile(*alertRules)
+		if err == nil {
+			err = engine.Add(rules...)
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "collector: %v\n", err)
 			os.Exit(1)
 		}
-		if *alertRules != "" {
-			rules, err := alert.LoadRulesFile(*alertRules)
-			if err == nil {
-				err = engine.Add(rules...)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "collector: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		engine.Register()
-		engine.Start()
 	}
+	engine.Register()
 	col.Ready = append(col.Ready, engine.ReadyCheck())
 	srv := &http.Server{Addr: *addr, Handler: col.Handler(), ReadHeaderTimeout: 10 * time.Second}
 
@@ -114,7 +107,6 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_ = srv.Shutdown(ctx)
-	engine.Stop()
 	col.Close() // drain open trace windows into the store
 	obs.StopSampler()
 	if err := st.SaveFile(*out); err != nil {

@@ -46,19 +46,16 @@ func main() {
 		enableObs = flag.Bool("obs", true, "enable the metrics registry and /debug endpoints")
 		accessLog = flag.Bool("access-log", true, "log one structured line per request")
 		sample    = flag.Duration("sample", 10*time.Second,
-			"metric sampling interval for /debug/series (0 disables)")
-		watchdog = flag.Bool("watchdog", true,
-			"run the self-watchdog alert engine over the metrics registry (needs -obs)")
+			"metric sampling interval for /debug/series and the watchdog (0 disables both)")
 		alertRules = flag.String("alert-rules", "",
 			"JSON watchdog rule file loaded on top of the default pack")
-		alertTick = flag.Duration("alert-tick", 15*time.Second,
-			"watchdog evaluation interval")
 	)
 	flag.Parse()
+	var sampler *obs.Sampler
 	if *enableObs {
 		obs.Enable()
 		if *sample > 0 {
-			obs.StartSampler(*sample)
+			sampler = obs.StartSampler(*sample)
 		}
 	}
 	reg, err := modelserver.Open(*dir)
@@ -76,27 +73,24 @@ func main() {
 	warmed := reg.WarmCache()
 
 	// Self-watchdog: default serving pack (p99 burn rate, error-rate burn,
-	// score queueing, score drift) plus any operator rule file.
-	var engine *alert.Engine
-	if *watchdog {
-		engine = alert.New(obs.Global(), *alertTick)
-		if err := engine.Add(alert.ModelServerRules()...); err != nil {
+	// score queueing) plus any operator rule file, evaluated at the end of
+	// every sampler sweep; nil (inert) without a sampler.
+	engine := alert.New(sampler)
+	if err := engine.Add(alert.ModelServerRules()...); err != nil {
+		fmt.Fprintf(os.Stderr, "modelserver: %v\n", err)
+		os.Exit(1)
+	}
+	if *alertRules != "" {
+		rules, err := alert.LoadRulesFile(*alertRules)
+		if err == nil {
+			err = engine.Add(rules...)
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "modelserver: %v\n", err)
 			os.Exit(1)
 		}
-		if *alertRules != "" {
-			rules, err := alert.LoadRulesFile(*alertRules)
-			if err == nil {
-				err = engine.Add(rules...)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "modelserver: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		engine.Register()
-		engine.Start()
 	}
+	engine.Register()
 	server.Ready = append(server.Ready, engine.ReadyCheck())
 	srv := &http.Server{
 		Addr:              *addr,

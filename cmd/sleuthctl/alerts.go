@@ -50,12 +50,8 @@ func cmdAlerts(args []string) error {
 		if *firingOnly && a.State != alert.StateFiring && a.State != alert.StatePending {
 			continue
 		}
-		extra := a.TraceID
-		if a.Kind == alert.KindDrift && (a.PSI > 0 || a.KS > 0) {
-			extra = fmt.Sprintf("psi=%.3f ks=%.3f %s", a.PSI, a.KS, a.TraceID)
-		}
 		fmt.Printf("%-34s %-9s %-8s %-10s %12.4g  %s\n",
-			a.Name, a.State, a.Severity, a.Kind, a.Value, strings.TrimSpace(extra))
+			a.Name, a.State, a.Severity, a.Kind, a.Value, a.TraceID)
 	}
 	return nil
 }

@@ -113,17 +113,14 @@ func cmdTrain(args []string) error {
 	}
 	if *debugAddr != "" {
 		obs.Enable()
-		obs.StartSampler(time.Second)
 		// Watch the run itself: the training pack (loss spike, grad-norm
-		// blowup) evaluated on a short tick, surfaced on /debug/alerts
-		// and in the `sleuthctl watch` banner.
-		engine := alert.New(obs.Global(), 5*time.Second)
+		// blowup) evaluated on every one-second sampler sweep, surfaced on
+		// /debug/alerts and in the `sleuthctl watch` banner.
+		engine := alert.New(obs.StartSampler(time.Second))
 		if err := engine.Add(alert.TrainingRules()...); err != nil {
 			return err
 		}
 		engine.Register()
-		engine.Start()
-		defer engine.Stop()
 		mux := http.NewServeMux()
 		obs.Mount(mux)
 		go func() {

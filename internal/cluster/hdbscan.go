@@ -68,7 +68,7 @@ func DefaultOptions() Options {
 // linkage dendrogram → condensed tree (min cluster size) → stability-based
 // selection with the epsilon threshold. The core-distance and MST stages
 // run on the parallel kernels of parallel.go and record per-stage
-// histograms and series (cluster.core_distances_us, cluster.mst_us);
+// histograms (cluster.core_distances_us, cluster.mst_us);
 // labels are bit-identical for any GOMAXPROCS.
 func HDBSCAN(m *Matrix, opts Options) []int {
 	timer := obs.H("cluster.hdbscan_us").Start()

@@ -56,20 +56,16 @@ func fanOut(items int, fn func(i int)) {
 	wg.Wait()
 }
 
-// stageTimer starts timing one clustering stage into both its histogram
-// (quantiles) and its same-named series (trend for `sleuthctl watch`).
-// With observability disabled the returned stop function is a no-op and
-// no clock is read.
+// stageTimer starts timing one clustering stage into its histogram (the
+// sampler projects it to <name>.p50/.p99/.count series for `sleuthctl
+// watch`). With observability disabled the returned stop function is a
+// no-op and no clock is read.
 func stageTimer(name string) func() {
 	if obs.Global() == nil {
 		return func() {}
 	}
 	start := time.Now()
-	return func() {
-		elapsed := time.Since(start)
-		obs.H(name).ObserveDuration(elapsed)
-		obs.S(name).Append(float64(elapsed.Microseconds()))
-	}
+	return func() { obs.H(name).ObserveDuration(time.Since(start)) }
 }
 
 // --- core distances --------------------------------------------------------

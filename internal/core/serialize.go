@@ -42,31 +42,53 @@ func (m *Model) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(s)
 }
 
-// Load reads a model previously written with Save.
+// Load reads a model previously written with Save. The blob is untrusted
+// (POST /models/{name} hands it straight here), so a config implying more
+// parameters than the blob carries is rejected before NewModel allocates
+// them: a few hundred bytes must not be able to ask for terabytes.
 func Load(r io.Reader) (*Model, error) {
-	var s snapshot
+	// Non-nil maps: gob sizes a nil map by the count the blob declares,
+	// but fills an existing one entry by entry, so a lying count runs out
+	// of input instead of reserving memory for it.
+	s := snapshot{Params: map[string][]float64{}, Normals: map[string]NormalStats{}}
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("core: decoding model: %w", err)
 	}
 	if s.Format != snapshotFormat {
 		return nil, fmt.Errorf("core: unknown model format %q", s.Format)
 	}
-	m := NewModel(Config{
+	cfg := Config{
 		EmbeddingDim: s.EmbeddingDim,
 		Hidden:       s.Hidden,
 		Variant:      s.Variant,
 		PlainSum:     s.PlainSum,
 		Seed:         s.Seed,
-	})
+	}
+	carried := 0
+	for _, vals := range s.Params {
+		carried += len(vals)
+	}
+	if implied := paramCount(cfg.withDefaults()); implied > float64(carried) {
+		return nil, fmt.Errorf("core: model config implies %.0f parameters, the blob carries %d", implied, carried)
+	}
+	m := NewModel(cfg)
 	if err := nn.LoadStateDict(m, s.Params); err != nil {
 		return nil, err
 	}
 	m.normals = s.Normals
-	if m.normals == nil {
-		m.normals = make(map[string]NormalStats)
-	}
 	m.globalNormal = s.GlobalNormal
 	return m, nil
+}
+
+// paramCount is the number of scalar parameters NewModel allocates for cfg
+// (defaults applied), counted in float64 so no config can overflow it.
+func paramCount(cfg Config) float64 {
+	in := 2 * (2 + float64(cfg.EmbeddingDim)) // f_Θ input: parent ∥ node features
+	h := float64(cfg.Hidden)
+	if cfg.Variant == VariantGCN {
+		return in*h + h + h*h + h + h*headDim + headDim // three linear layers
+	}
+	return 1 + in*h + h + h*headDim + headDim // ε and a two-layer MLP
 }
 
 // SaveFile writes the model to path.

@@ -607,9 +607,6 @@ func (s *Server) score(w http.ResponseWriter, req *http.Request, name, versionSt
 			total += l
 		}
 		resp.MeanLoss = total / float64(len(losses))
-		// The per-request mean loss is the model-score distribution the
-		// watchdog's drift rule watches against its frozen reference.
-		obs.S("modelserver.score.mean_loss").Append(resp.MeanLoss)
 	}
 	writeJSON(w, resp)
 }

@@ -2,6 +2,7 @@ package modelserver
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -13,7 +14,6 @@ import (
 
 	"github.com/sleuth-rca/sleuth/internal/core"
 	"github.com/sleuth-rca/sleuth/internal/obs"
-	"github.com/sleuth-rca/sleuth/internal/obs/alert"
 	"github.com/sleuth-rca/sleuth/internal/sim"
 	"github.com/sleuth-rca/sleuth/internal/synth"
 	"github.com/sleuth-rca/sleuth/internal/trace"
@@ -236,33 +236,6 @@ func TestScoreSinglePass(t *testing.T) {
 	}
 }
 
-// TestScoreFeedsDefaultDriftRule pins the one consumer of the model-score
-// distribution: every drift rule of the default model-server pack watches
-// a series a scored request appends to.
-func TestScoreFeedsDefaultDriftRule(t *testing.T) {
-	obs.Disable()
-	reg := obs.Enable()
-	t.Cleanup(obs.Disable)
-	models, _, query := servingFixture(t, 20, 4)
-	srv := httptest.NewServer((&Server{Registry: models}).Handler())
-	defer srv.Close()
-
-	scoreVia(t, srv.URL, query)
-	drift := 0
-	for _, r := range alert.ModelServerRules() {
-		if r.Kind != alert.KindDrift {
-			continue
-		}
-		drift++
-		if s := reg.LookupSeries(r.Series); s == nil || s.Len() != 1 {
-			t.Errorf("drift rule %s watches %q, which one /score request did not append to once", r.Name, r.Series)
-		}
-	}
-	if drift == 0 {
-		t.Fatal("default model-server pack has no drift rule")
-	}
-}
-
 // TestConcurrentScoreStorm hammers one server from many goroutines — run
 // under -race this is the serving path's thread-safety proof (shared
 // cached model, shared queue, pooled workspaces, demux).
@@ -285,4 +258,36 @@ func TestConcurrentScoreStorm(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+}
+
+// TestPublishOversizedConfigRejected: a blob of a few hundred bytes whose
+// config asks for a 2²⁰-wide model is refused with a 4xx — it must not
+// reach an allocation that kills the process — and the server goes on
+// scoring the model it already serves.
+func TestPublishOversizedConfigRejected(t *testing.T) {
+	reg, m, query := servingFixture(t, 24, 3)
+	srv := httptest.NewServer((&Server{Registry: reg}).Handler())
+	defer srv.Close()
+
+	// Field names are what gob matches on: this decodes as a core model
+	// snapshot with no parameters.
+	var blob bytes.Buffer
+	if err := gob.NewEncoder(&blob).Encode(struct {
+		Format               string
+		EmbeddingDim, Hidden int
+	}{"sleuth-model-v1", 1 << 20, 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/models/prod", "application/octet-stream", &blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+		t.Fatalf("publishing an oversized config: status %d, want 4xx", resp.StatusCode)
+	}
+	if got := len(reg.List()); got != 1 {
+		t.Fatalf("registry holds %d versions after the rejected publish, want 1", got)
+	}
+	sameResponse(t, "after the rejected publish", scoreVia(t, srv.URL, query), expectResponse(m, query))
 }

@@ -4,7 +4,7 @@
 // typed, stateful alerts before an operator has to notice it in a
 // dashboard.
 //
-// Three rule kinds cover the failure classes an RCA service meets in
+// Two rule kinds cover the failure classes an RCA service meets in
 // production:
 //
 //   - threshold: an aggregate of one series over one window crossed a
@@ -12,18 +12,15 @@
 //   - burn_rate: Google-SRE multi-window SLO burn — the rule fires only
 //     when BOTH a short and a long window burn error budget faster than
 //     the allowed factor, so a brief blip neither pages nor does a slow
-//     leak hide;
-//   - drift: the live distribution of a series (model scores, feature
-//     stats) moved away from a frozen reference window, measured by PSI
-//     (population stability index) and the KS statistic.
+//     leak hide.
 //
 // Rules are declarative values — loadable from JSON (the -alert-rules
 // flag) or built in Go (the default packs in packs.go) — and evaluated by
-// an Engine on a background tick. Every alert walks a pending → firing →
-// resolved state machine and, when the watched series is a histogram
-// projection (<hist>.p99 …), carries the worst exemplar trace ID out of
-// the backing histogram, so a firing alert links straight to a self-trace
-// in the ring (`sleuthctl trace`).
+// an Engine at the end of every obs.Sampler sweep. Every alert walks a
+// pending → firing → resolved state machine and, when the watched series
+// is a histogram projection (<hist>.p99 …), carries the worst exemplar
+// trace ID out of the backing histogram, so a firing alert links straight
+// to a self-trace in the ring (`sleuthctl trace`).
 //
 // Like the rest of internal/obs, the disabled path is free: a nil
 // *Engine is inert, every method on it is a nil-safe no-op, and an
@@ -49,9 +46,6 @@ const (
 	// KindBurnRate is multi-window SLO burn-rate: both the short and the
 	// long window must burn budget faster than BurnFactor.
 	KindBurnRate Kind = "burn_rate"
-	// KindDrift compares the live window distribution against a frozen
-	// reference using PSI and the KS statistic.
-	KindDrift Kind = "drift"
 )
 
 // Agg names a windowed aggregation of a series for threshold rules.
@@ -195,19 +189,6 @@ type Rule struct {
 	// BurnFactor is the budget-burn multiple both windows must exceed
 	// (default 1 = burning exactly the sustainable rate).
 	BurnFactor float64 `json:"burnFactor,omitempty"`
-
-	// --- drift fields -----------------------------------------------------
-	// RefMin is the number of samples the series needs before the
-	// reference window freezes (default 64). Until frozen the rule is
-	// inactive.
-	RefMin int `json:"refMin,omitempty"`
-	// MaxPSI fires the rule when the population stability index of the
-	// live window vs the reference exceeds it (0 disables the PSI gate;
-	// the conventional "significant shift" bound is 0.25).
-	MaxPSI float64 `json:"maxPSI,omitempty"`
-	// MaxKS fires the rule when the Kolmogorov–Smirnov statistic (max CDF
-	// gap, in [0,1]) exceeds it (0 disables the KS gate).
-	MaxKS float64 `json:"maxKS,omitempty"`
 }
 
 // Validate reports the first misconfiguration of the rule.
@@ -254,16 +235,6 @@ func (r *Rule) Validate() error {
 		if r.NumSeries == "" && r.Objective <= 0 {
 			return fmt.Errorf("alert: rule %s: value-mode burn_rate needs an objective", r.Name)
 		}
-	case KindDrift:
-		if r.Series == "" {
-			return fmt.Errorf("alert: rule %s: drift needs a series", r.Name)
-		}
-		if r.MaxPSI <= 0 && r.MaxKS <= 0 {
-			return fmt.Errorf("alert: rule %s: drift needs maxPSI or maxKS", r.Name)
-		}
-		if r.MaxKS < 0 || r.MaxKS > 1 {
-			return fmt.Errorf("alert: rule %s: maxKS must be in [0,1]", r.Name)
-		}
 	default:
 		return fmt.Errorf("alert: rule %s: unknown kind %q", r.Name, r.Kind)
 	}
@@ -276,14 +247,6 @@ func (r *Rule) burnFactor() float64 {
 		return r.BurnFactor
 	}
 	return 1
-}
-
-// refMin returns the configured reference size with its default applied.
-func (r *Rule) refMin() int {
-	if r.RefMin > 0 {
-		return r.RefMin
-	}
-	return 64
 }
 
 // resolveAfter returns the configured resolve damping with its default.

@@ -18,14 +18,15 @@ var base = time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 // at returns the Unix-nanosecond timestamp `ago` before base.
 func at(ago time.Duration) int64 { return base.Add(-ago).UnixNano() }
 
-// newEngine builds a fresh registry + engine with the given rules, failing
-// the test on any validation error.
+// newEngine builds a fresh registry, an unstarted sampler over it (tests
+// tick by hand) and an engine with the given rules, failing the test on
+// any validation error.
 func newEngine(t *testing.T, rules ...Rule) (*obs.Registry, *Engine) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	e := New(reg, time.Second)
+	e := New(obs.NewSampler(reg, time.Second))
 	if e == nil {
-		t.Fatal("New returned nil for a non-nil registry")
+		t.Fatal("New returned nil for a non-nil sampler")
 	}
 	if err := e.Add(rules...); err != nil {
 		t.Fatalf("Add: %v", err)
@@ -96,9 +97,6 @@ func TestRuleValidate(t *testing.T) {
 			ShortWindow: Duration(time.Minute), LongWindow: Duration(time.Hour)}, // num without den
 		{Name: "x", Kind: KindBurnRate, Series: "s", Target: 0.99,
 			ShortWindow: Duration(time.Minute), LongWindow: Duration(time.Hour)}, // value mode, no objective
-		{Name: "x", Kind: KindDrift},                          // no series
-		{Name: "x", Kind: KindDrift, Series: "s"},             // no gate
-		{Name: "x", Kind: KindDrift, Series: "s", MaxKS: 1.5}, // ks out of range
 	}
 	for i, r := range bad {
 		if err := r.Validate(); err == nil {
@@ -111,7 +109,6 @@ func TestRuleValidate(t *testing.T) {
 			ShortWindow: Duration(5 * time.Minute), LongWindow: Duration(time.Hour)},
 		{Name: "r", Kind: KindBurnRate, NumSeries: "n", DenSeries: "d", Target: 0.995,
 			ShortWindow: Duration(5 * time.Minute), LongWindow: Duration(time.Hour)},
-		{Name: "d", Kind: KindDrift, Series: "s", MaxPSI: 0.25},
 	}
 	for _, r := range good {
 		if err := r.Validate(); err != nil {
@@ -129,13 +126,16 @@ func TestParseRules(t *testing.T) {
 	if rules[0].Window.D() != 5*time.Minute || rules[0].For.D() != 30*time.Second {
 		t.Errorf("durations not parsed: window=%s for=%s", rules[0].Window.D(), rules[0].For.D())
 	}
-	wrapped := `{"rules":[{"name":"a","kind":"drift","series":"s","maxPSI":0.25}]}`
+	wrapped := `{"rules":[{"name":"a","kind":"burn_rate","numSeries":"n","denSeries":"d","target":0.99,"shortWindow":"5m","longWindow":"1h"}]}`
 	rules, err = ParseRules([]byte(wrapped))
-	if err != nil || len(rules) != 1 || rules[0].Kind != KindDrift {
+	if err != nil || len(rules) != 1 || rules[0].Kind != KindBurnRate {
 		t.Fatalf("ParseRules wrapped doc: %v (%+v)", err, rules)
 	}
-	if _, err := ParseRules([]byte(`[{"name":"a","kind":"nope"}]`)); err == nil {
-		t.Error("ParseRules accepted an invalid rule")
+	for _, kind := range []string{"nope", "drift"} {
+		_, err := ParseRules([]byte(`[{"name":"a","kind":"` + kind + `","series":"s"}]`))
+		if err == nil || !strings.Contains(err.Error(), "unknown kind") {
+			t.Errorf("kind %q: ParseRules error %v, want unknown kind", kind, err)
+		}
 	}
 	if _, err := ParseRules([]byte(`{{{`)); err == nil {
 		t.Error("ParseRules accepted malformed JSON")
@@ -533,17 +533,15 @@ func TestStateMachinePendingClearsToInactive(t *testing.T) {
 
 func TestNilEngineIsInert(t *testing.T) {
 	var e *Engine
-	if got := New(nil, time.Second); got != nil {
-		t.Fatal("New(nil, ...) should return a nil engine")
+	if got := New(nil); got != nil {
+		t.Fatal("New(nil) should return a nil engine")
 	}
 	if err := e.Add(Rule{Name: "x"}); err != nil {
 		t.Errorf("nil Add returned %v", err)
 	}
-	e.Start()
 	e.Tick(base)
-	e.Stop()
 	e.Register()
-	if e.Alerts() != nil || e.RuleCount() != 0 || e.Interval() != 0 {
+	if e.Alerts() != nil || e.RuleCount() != 0 {
 		t.Error("nil engine leaked state")
 	}
 	if !e.LastTick().IsZero() {
@@ -567,14 +565,19 @@ func TestNilEngineIsInert(t *testing.T) {
 func TestReadyCheckLifecycle(t *testing.T) {
 	_, e := newEngine(t, Rule{Name: "r", Kind: KindThreshold, Series: "s", Value: 1})
 	rc := e.ReadyCheck()
+	// A new engine has three sweep intervals to see its first sweep.
+	if err := rc.Check(); err != nil {
+		t.Errorf("new engine failed readiness: %v", err)
+	}
+	e.created = time.Now().Add(-time.Minute)
 	if err := rc.Check(); err == nil {
-		t.Error("never-ticked engine passed readiness")
+		t.Error("never-ticked engine passed readiness three intervals after New")
 	}
 	e.Tick(time.Now())
 	if err := rc.Check(); err != nil {
 		t.Errorf("freshly ticked engine failed readiness: %v", err)
 	}
-	// A last tick older than 3× the interval means a wedged watchdog.
+	// A last tick older than 3× the sweep interval means a wedged sampler.
 	e.lastTick.Store(time.Now().Add(-time.Minute).UnixNano())
 	if err := rc.Check(); err == nil {
 		t.Error("stalled engine passed readiness")
@@ -627,15 +630,21 @@ func TestAppendPromExposition(t *testing.T) {
 	}
 }
 
-// TestConcurrentTickVsWriters drives ticks, snapshot reads and series
+// TestConcurrentTickVsWriters drives ticks (by hand and from a running
+// sampler's sweeps, hooked while it runs), snapshot reads and series
 // writes concurrently; its value is running race-clean under `make race`.
 func TestConcurrentTickVsWriters(t *testing.T) {
-	rules := []Rule{
-		{Name: "thr", Kind: KindThreshold, Series: "s", Agg: AggMean, Op: OpGT, Value: 50},
+	reg := obs.NewRegistry()
+	sp := obs.NewSampler(reg, time.Millisecond)
+	sp.Start()
+	defer sp.Stop()
+	e := New(sp)
+	if err := e.Add(
+		Rule{Name: "thr", Kind: KindThreshold, Series: "s", Agg: AggMean, Op: OpGT, Value: 50},
 		burnRule(),
-		{Name: "drift", Kind: KindDrift, Series: "s", RefMin: 16, MaxPSI: 0.2},
+	); err != nil {
+		t.Fatal(err)
 	}
-	reg, e := newEngine(t, rules...)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for _, name := range []string{"s", "lat.p99"} {

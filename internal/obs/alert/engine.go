@@ -1,19 +1,18 @@
 // The watchdog engine: holds the rule set, evaluates every rule against
-// the obs registry on each tick, and drives the per-rule alert state
-// machine (inactive → pending → firing → resolved). Evaluation is
+// the obs registry on each sampler sweep, and drives the per-rule alert
+// state machine (inactive → pending → firing → resolved). Evaluation is
 // deterministic — Tick takes an explicit clock and derives every window
 // cutoff from it — so tests (and the verify smoke) pin timestamps instead
 // of sleeping. The steady-state tick of an enabled engine allocates
 // nothing: series/histogram handles are cached per rule, window sweeps
-// run through prebuilt closures over per-rule scratch state, and the
-// allocating work (reference freeze, exemplar attachment) happens only on
-// rare transitions.
+// run through a prebuilt closure over per-rule scratch state, and the
+// allocating work (exemplar attachment) happens only on the transition
+// into firing.
 
 package alert
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,11 +40,12 @@ const (
 )
 
 // resolvedHoldTicks is how many further clear ticks a resolved alert
-// stays visible as "resolved" before returning to inactive — 20 ticks is
-// five minutes at the default 15 s interval, long enough for an operator
-// (or `sleuthctl alerts`) to see that something fired and recovered,
-// without /debug/alerts accumulating stale resolved rows forever.
-const resolvedHoldTicks = 20
+// stays visible as "resolved" before returning to inactive — 30 ticks is
+// five minutes at the default 10 s sampler sweep, long enough for an
+// operator (or `sleuthctl alerts`) to see that something fired and
+// recovered, without /debug/alerts accumulating stale resolved rows
+// forever.
+const resolvedHoldTicks = 30
 
 // Alert is the exported snapshot of one rule's current evaluation.
 type Alert struct {
@@ -56,12 +56,8 @@ type Alert struct {
 	Component string `json:"component,omitempty"`
 	State     State  `json:"state"`
 	// Value is the rule's headline evaluation: the windowed aggregate
-	// (threshold), the short-window burn multiple (burn_rate) or the PSI
-	// (drift).
+	// (threshold) or the short-window burn multiple (burn_rate).
 	Value float64 `json:"value"`
-	// PSI and KS carry both drift statistics for drift rules.
-	PSI float64 `json:"psi,omitempty"`
-	KS  float64 `json:"ks,omitempty"`
 	// TraceID is the worst exemplar of the backing histogram, attached
 	// when the alert transitioned to firing — resolvable via
 	// /debug/traces?id= and `sleuthctl trace`.
@@ -79,7 +75,7 @@ type ruleState struct {
 	rule Rule
 
 	// Cached handles, looked up lazily until found (series are usually
-	// minted by the sampler after the engine starts).
+	// minted by the sampler after the engine is built).
 	series *obs.Series
 	num    *obs.Series
 	den    *obs.Series
@@ -101,69 +97,34 @@ type ruleState struct {
 	totShort, badShort int
 	totLong, badLong   int
 	burnFn             func(ts int64, v float64)
-
-	// drift state: the frozen reference, the freeze timestamp (live
-	// samples are those appended after it), the reusable live buffer and
-	// the PSI bin scratch.
-	ref        *reference
-	freezeTS   int64
-	live       []float64
-	psiScratch [psiBins]int
-	psi, ks    float64
-	collectFn  func(ts int64, v float64)
 }
 
-// Engine evaluates a rule set against an obs registry on a background
-// tick. A nil *Engine is inert: every method is a nil-safe no-op, so a
-// process with the watchdog disabled pays nothing.
+// Engine evaluates a rule set against an obs registry on every sweep of
+// the registry's sampler — the process has one telemetry clock, and the
+// watchdog reads the samples that sweep just wrote. A nil *Engine is
+// inert: every method is a nil-safe no-op, so a process with the
+// watchdog disabled pays nothing.
 type Engine struct {
 	reg      *obs.Registry
-	interval time.Duration
+	interval time.Duration // the sampler's sweep interval
+	created  time.Time     // ReadyCheck's reference until the first tick
 
 	mu    sync.Mutex
 	rules []*ruleState
 
 	lastTick atomic.Int64 // Unix nanoseconds of the latest completed tick
-	started  atomic.Bool
-	stop     chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
-
-	// Engine self-metrics (nil-safe when reg is nil).
-	ticks       *obs.Counter
-	transitions *obs.Counter
-	firingG     *obs.Gauge
-	pendingG    *obs.Gauge
 }
 
-// New creates an engine over reg ticking at interval (≤ 0 = 15 s). A nil
-// registry returns a nil engine — the disabled watchdog — because there
-// is nothing to watch.
-func New(reg *obs.Registry, interval time.Duration) *Engine {
-	if reg == nil {
+// New creates an engine over the sampler's registry and hooks its Tick to
+// the end of every sweep. A nil sampler returns a nil engine — the
+// disabled watchdog — because the sweep is the engine's only clock.
+func New(sp *obs.Sampler) *Engine {
+	if sp == nil {
 		return nil
 	}
-	if interval <= 0 {
-		interval = 15 * time.Second
-	}
-	return &Engine{
-		reg:         reg,
-		interval:    interval,
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
-		ticks:       reg.Counter("alert.ticks"),
-		transitions: reg.Counter("alert.transitions"),
-		firingG:     reg.Gauge("alert.firing"),
-		pendingG:    reg.Gauge("alert.pending"),
-	}
-}
-
-// Interval returns the evaluation interval (0 on a nil engine).
-func (e *Engine) Interval() time.Duration {
-	if e == nil {
-		return 0
-	}
-	return e.interval
+	e := &Engine{reg: sp.Registry(), interval: sp.Interval(), created: time.Now()}
+	sp.OnSweep(e.Tick)
+	return e
 }
 
 // Add validates and installs rules. Duplicate names are rejected so two
@@ -197,9 +158,6 @@ func (e *Engine) Add(rules ...Rule) error {
 				}
 			}
 		}
-		rs.collectFn = func(_ int64, v float64) {
-			rs.live = append(rs.live, v)
-		}
 		e.rules = append(e.rules, rs)
 	}
 	return nil
@@ -215,38 +173,6 @@ func (e *Engine) RuleCount() int {
 	return len(e.rules)
 }
 
-// Start launches the background tick loop (idempotent). The first tick
-// runs synchronously so ReadyCheck and /debug/alerts are meaningful
-// immediately after Start returns.
-func (e *Engine) Start() {
-	if e == nil || !e.started.CompareAndSwap(false, true) {
-		return
-	}
-	e.Tick(time.Now())
-	go func() {
-		defer close(e.done)
-		t := time.NewTicker(e.interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-e.stop:
-				return
-			case now := <-t.C:
-				e.Tick(now)
-			}
-		}
-	}()
-}
-
-// Stop terminates the tick loop and waits for it to exit.
-func (e *Engine) Stop() {
-	if e == nil || !e.started.Load() {
-		return
-	}
-	e.stopOnce.Do(func() { close(e.stop) })
-	<-e.done
-}
-
 // LastTick returns the wall time of the latest completed evaluation.
 func (e *Engine) LastTick() time.Time {
 	if e == nil {
@@ -259,11 +185,12 @@ func (e *Engine) LastTick() time.Time {
 	return time.Unix(0, ns)
 }
 
-// ReadyCheck adapts the engine into a readiness probe: not-ready when the
-// engine never ticked or its last tick is older than three intervals
-// (a wedged or dead watchdog must fail readiness, not hide). A nil engine
-// returns a check that always passes — a deliberately disabled watchdog
-// is not a readiness failure.
+// ReadyCheck adapts the engine into a readiness probe: not-ready once
+// three sweep intervals pass without a tick — since the last tick, or
+// since New for an engine that never ticked (a wedged or dead sampler
+// must fail readiness, not hide). A nil engine returns a check that
+// always passes — a deliberately disabled watchdog is not a readiness
+// failure.
 func (e *Engine) ReadyCheck() obs.ReadyCheck {
 	return obs.ReadyCheck{
 		Name: "watchdog",
@@ -273,28 +200,26 @@ func (e *Engine) ReadyCheck() obs.ReadyCheck {
 			}
 			last := e.LastTick()
 			if last.IsZero() {
-				return fmt.Errorf("watchdog has not ticked")
+				last = e.created
 			}
 			if age := time.Since(last); age > 3*e.interval {
-				return fmt.Errorf("watchdog stalled: last tick %s ago", age.Round(time.Millisecond))
+				return fmt.Errorf("watchdog stalled: no tick for %s", age.Round(time.Millisecond))
 			}
 			return nil
 		},
 	}
 }
 
-// Tick evaluates every rule at the given clock. All window cutoffs derive
-// from now, so evaluation over pinned-timestamp series is deterministic.
+// Tick evaluates every rule at the given clock; the sampler calls it with
+// each sweep's timestamp. All window cutoffs derive from now, so
+// evaluation over pinned-timestamp series is deterministic.
 func (e *Engine) Tick(now time.Time) {
 	if e == nil {
 		return
 	}
 	e.mu.Lock()
-	firing, pending := 0, 0
 	for _, rs := range e.rules {
-		active := e.evaluate(rs, now)
-		prev := rs.state
-		if active {
+		if e.evaluate(rs, now) {
 			rs.inactiveTicks = 0
 			if rs.state == StateInactive || rs.state == StateResolved {
 				rs.state = StatePending
@@ -323,33 +248,19 @@ func (e *Engine) Tick(now time.Time) {
 				}
 			}
 		}
-		if rs.state != prev {
-			e.transitions.Inc()
-		}
-		switch rs.state {
-		case StateFiring:
-			firing++
-		case StatePending:
-			pending++
-		}
 	}
 	e.mu.Unlock()
-	e.firingG.Set(float64(firing))
-	e.pendingG.Set(float64(pending))
-	e.ticks.Inc()
 	e.lastTick.Store(now.UnixNano())
 }
 
 // evaluate computes whether rs's condition holds at now, refreshing
-// rs.value (and drift statistics). Called under e.mu.
+// rs.value. Called under e.mu.
 func (e *Engine) evaluate(rs *ruleState, now time.Time) bool {
 	switch rs.rule.Kind {
 	case KindThreshold:
 		return e.evalThreshold(rs, now)
 	case KindBurnRate:
 		return e.evalBurnRate(rs, now)
-	case KindDrift:
-		return e.evalDrift(rs, now)
 	}
 	return false
 }
@@ -469,53 +380,6 @@ func (e *Engine) evalBurnRate(rs *ruleState, now time.Time) bool {
 	return burnShort >= f && burnLong >= f
 }
 
-func (e *Engine) evalDrift(rs *ruleState, now time.Time) bool {
-	if rs.series == nil {
-		rs.series = e.reg.LookupSeries(rs.rule.Series)
-		if rs.series == nil {
-			return false
-		}
-	}
-	if rs.ref == nil {
-		// Warm-up: freeze the reference once the series holds enough
-		// history. The one-time copy is the rule's only steady allocation.
-		if rs.series.Len() < rs.rule.refMin() {
-			return false
-		}
-		refBuf := make([]float64, 0, rs.series.Len())
-		var lastTS int64
-		rs.series.EachSince(0, func(ts int64, v float64) {
-			refBuf = append(refBuf, v)
-			if ts > lastTS {
-				lastTS = ts
-			}
-		})
-		rs.ref = freezeReference(refBuf)
-		rs.freezeTS = lastTS
-		return false
-	}
-	// Live window: samples appended after the freeze, clipped to Window.
-	cut := cutoff(now, rs.rule.Window)
-	if rs.freezeTS+1 > cut {
-		cut = rs.freezeTS + 1
-	}
-	rs.live = rs.live[:0]
-	rs.series.EachSince(cut, rs.collectFn)
-	floor := rs.rule.MinCount
-	if floor <= 0 {
-		floor = psiBins
-	}
-	if len(rs.live) < floor {
-		return false
-	}
-	rs.psi = rs.ref.psi(rs.live, &rs.psiScratch)
-	slices.Sort(rs.live)
-	rs.ks = rs.ref.ks(rs.live)
-	rs.value = rs.psi
-	return (rs.rule.MaxPSI > 0 && rs.psi > rs.rule.MaxPSI) ||
-		(rs.rule.MaxKS > 0 && rs.ks > rs.rule.MaxKS)
-}
-
 // attachExemplar resolves the worst exemplar of the histogram backing
 // the rule's series, if any, as the alert's trace link. "Worst" follows
 // the rule's operator: lower-is-worse rules (lt/le) take the smallest
@@ -568,9 +432,6 @@ func (e *Engine) Alerts() []Alert {
 			TraceID:       rs.traceID,
 			ExemplarValue: rs.exemplarValue,
 		}
-		if rs.rule.Kind == KindDrift {
-			a.PSI, a.KS = rs.psi, rs.ks
-		}
 		if !rs.pendingSince.IsZero() {
 			a.PendingSince = rs.pendingSince.UnixNano()
 		}
@@ -581,18 +442,6 @@ func (e *Engine) Alerts() []Alert {
 			a.ResolvedAt = rs.resolvedAt.UnixNano()
 		}
 		out = append(out, a)
-	}
-	return out
-}
-
-// Firing returns the currently firing alerts.
-func (e *Engine) Firing() []Alert {
-	all := e.Alerts()
-	out := all[:0]
-	for _, a := range all {
-		if a.State == StateFiring {
-			out = append(out, a)
-		}
 	}
 	return out
 }

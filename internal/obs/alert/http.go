@@ -16,7 +16,8 @@ import (
 // StatusResponse is the /debug/alerts document.
 type StatusResponse struct {
 	Enabled bool `json:"enabled"`
-	// IntervalSec is the evaluation interval in seconds.
+	// IntervalSec is the evaluation interval in seconds: the sampler's
+	// sweep interval.
 	IntervalSec float64 `json:"intervalSec,omitempty"`
 	// LastTick is the Unix-nanosecond time of the latest evaluation.
 	LastTick int64 `json:"lastTick,omitempty"`

@@ -1,5 +1,5 @@
-// Default rule packs: the watchdog rules each component ships with when
-// -watchdog is on. Names are stable identifiers (they key the alert state
+// Default rule packs: the watchdog rules each component ships with
+// whenever its sampler runs. Names are stable identifiers (they key the alert state
 // and the Prometheus ALERTS exposition); thresholds are deliberately
 // conservative defaults an operator overrides with a -alert-rules file.
 
@@ -52,7 +52,7 @@ func CollectorRules() []Rule {
 }
 
 // ModelServerRules watches serving: score-latency SLO burn, request
-// error-rate burn, score queueing and model-score drift.
+// error-rate burn and score queueing.
 func ModelServerRules() []Rule {
 	return []Rule{
 		{
@@ -94,18 +94,6 @@ func ModelServerRules() []Rule {
 			Op:        OpGT,
 			Value:     20000, // µs — queueing dominates the latency budget
 			MinCount:  3,
-			For:       Duration(1 * time.Minute),
-		},
-		{
-			Name:      "modelserver_score_drift",
-			Kind:      KindDrift,
-			Series:    "modelserver.score.mean_loss",
-			Severity:  "warning",
-			Component: "modelserver",
-			Window:    Duration(30 * time.Minute),
-			RefMin:    128,
-			MaxPSI:    0.25,
-			MaxKS:     0.30,
 			For:       Duration(1 * time.Minute),
 		},
 	}

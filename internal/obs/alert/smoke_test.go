@@ -58,7 +58,7 @@ func TestAlertSmoke(t *testing.T) {
 		p99.AppendAt(tsAgo(4*time.Minute-time.Duration(i)*30*time.Second), 250000)
 	}
 
-	e := New(reg, time.Second)
+	e := New(obs.NewSampler(reg, time.Second)) // unstarted: the test ticks by hand
 	if err := e.Add(ModelServerRules()...); err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 // propagation primitives: parsing an incoming traceparent (the hostile-
 // header-hardened path every traced request takes) and rendering one.
 func BenchmarkTracePropagation(b *testing.B) {
-	sc := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID(), Sampled: true}
+	sc := SpanContext{TraceID: NewTraceID(), SpanID: testSpanID, Sampled: true}
 	header := sc.Traceparent()
 	b.Run("parse-traceparent", func(b *testing.B) {
 		b.ReportAllocs()
@@ -138,7 +138,7 @@ func BenchmarkSeriesAppend(b *testing.B) {
 	})
 	b.Run("sampler-sweep", func(b *testing.B) {
 		r := NewRegistry()
-		registerRuntimeGauges(r)
+		r.runtime = true // the runtime-gauge refresh runs in every sweep
 		for i := 0; i < 8; i++ {
 			r.Counter("bench.c" + string(rune('a'+i))).Inc()
 			r.Gauge("bench.g" + string(rune('a'+i))).Set(1)

@@ -91,7 +91,7 @@ func TestAccessLogHostileTraceparent(t *testing.T) {
 		}
 	}
 
-	parent := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID(), Sampled: true}
+	parent := SpanContext{TraceID: NewTraceID(), SpanID: testSpanID, Sampled: true}
 	req := httptest.NewRequest(http.MethodGet, "/x", nil)
 	req.Header.Set(TraceparentHeader, parent.Traceparent())
 	rec := httptest.NewRecorder()

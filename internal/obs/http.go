@@ -69,10 +69,6 @@ type SeriesData struct {
 	Name    string      `json:"name"`
 	Samples []Sample    `json:"samples"`
 	Stats   SeriesStats `json:"stats"`
-	// Exemplars carries the backing histogram's trace-linked observations
-	// when the series is a histogram projection (<hist>.p50/.p99/.count) —
-	// the hop from a spike in a watch dashboard to the span tree behind it.
-	Exemplars []Exemplar `json:"exemplars,omitempty"`
 }
 
 // SeriesInfo is one entry of the /debug/series listing.
@@ -135,9 +131,6 @@ func SeriesHandler(reg *Registry) http.HandlerFunc {
 			data := SeriesData{Name: name, Samples: s.Samples(window), Stats: s.Stats(window)}
 			if data.Samples == nil {
 				data.Samples = []Sample{}
-			}
-			if h := reg.LookupHistogram(HistogramSeriesBase(name)); h != nil {
-				data.Exemplars = h.Exemplars()
 			}
 			resp.Series[name] = data
 		}

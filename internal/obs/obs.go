@@ -399,10 +399,10 @@ type Registry struct {
 	seriesMu sync.RWMutex
 	series   map[string]*Series
 
-	// collectors refresh derived gauges (runtime stats) right before a
-	// snapshot, exposition or sampler sweep reads the registry.
-	collectorsMu sync.Mutex
-	collectors   []func(*Registry)
+	// runtime marks the process registry (Enable): its runtime.* gauges
+	// are refreshed right before a snapshot, exposition or sampler sweep
+	// reads it.
+	runtime bool
 }
 
 // NewRegistry creates an empty registry.
@@ -415,29 +415,12 @@ func NewRegistry() *Registry {
 	}
 }
 
-// RegisterCollector installs fn to run before every Snapshot, Prometheus
-// exposition and sampler sweep — the hook that keeps pull-model gauges
-// (goroutine count, heap size) current without a background goroutine.
-func (r *Registry) RegisterCollector(fn func(*Registry)) {
-	if r == nil {
-		return
-	}
-	r.collectorsMu.Lock()
-	r.collectors = append(r.collectors, fn)
-	r.collectorsMu.Unlock()
-}
-
-// collect runs the registered collector hooks. Hooks run outside the metric
-// lock (they set gauges through the normal get-or-create path).
+// collect refreshes the runtime gauges of the process registry. It runs
+// outside the metric lock (the gauges are set through the normal
+// get-or-create path).
 func (r *Registry) collect() {
-	if r == nil {
-		return
-	}
-	r.collectorsMu.Lock()
-	fns := r.collectors
-	r.collectorsMu.Unlock()
-	for _, fn := range fns {
-		fn(r)
+	if r != nil && r.runtime {
+		refreshRuntimeGauges(r)
 	}
 }
 
@@ -547,9 +530,9 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
 
-// metrics is the one registry walk: it runs the collectors, then returns
-// every counter, gauge and histogram, each sorted by name. Snapshot,
-// WritePrometheus and the sampler all read the registry through it.
+// metrics is the one registry walk, which Snapshot, WritePrometheus and the
+// sampler all read through: it refreshes the runtime gauges, then returns
+// every counter, gauge and histogram, each sorted by name.
 func (r *Registry) metrics() ([]*Counter, []*Gauge, []*Histogram) {
 	r.collect()
 	r.mu.RLock()
@@ -621,16 +604,16 @@ var global atomic.Pointer[Registry]
 
 // Enable installs (or returns the existing) process-wide registry. Call it
 // at process start, before instrumented components fetch their handles.
-// The fresh registry gets the runtime gauges auto-registered and the
-// process trace ring is created alongside it; StartSampler adds history.
+// The fresh registry carries the runtime gauges and the process trace
+// ring is created alongside it; StartSampler adds history.
 func Enable() *Registry {
 	for {
 		if r := global.Load(); r != nil {
 			return r
 		}
 		r := NewRegistry()
+		r.runtime = true
 		if global.CompareAndSwap(nil, r) {
-			registerRuntimeGauges(r)
 			globalRing.CompareAndSwap(nil, NewTraceRing(DefaultTraceRingSize))
 			return r
 		}

@@ -9,8 +9,7 @@
 // views share bucketBounds, so a scraped histogram_quantile and the
 // in-process Quantile agree up to interpolation policy (tested in
 // prom_test.go). Exemplars are not exposed here: the 0.0.4 text format has
-// no syntax for them, so they stay on /debug/metrics, /debug/series and
-// alerts.
+// no syntax for them, so they stay on /debug/metrics and alerts.
 
 package obs
 

@@ -162,17 +162,6 @@ func NewTraceID() string {
 	return string(b[:])
 }
 
-// NewSpanID returns a random 64-bit W3C span ID (16 lowercase hex).
-func NewSpanID() string {
-	var b [16]byte
-	u := rand.Uint64()
-	if u == 0 {
-		u = 1
-	}
-	putHex64(b[:], u)
-	return string(b[:])
-}
-
 // --- Context plumbing ------------------------------------------------------
 
 // ctxKeySpan is the context key of the live stage span.

@@ -109,7 +109,7 @@ func FuzzParseTraceparent(f *testing.F) {
 }
 
 func TestTraceparentRoundTrip(t *testing.T) {
-	sc := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID(), Sampled: true}
+	sc := SpanContext{TraceID: NewTraceID(), SpanID: testSpanID, Sampled: true}
 	got, ok := ParseTraceparent(sc.Traceparent())
 	if !ok || got != sc {
 		t.Fatalf("round trip: got %+v ok=%v, want %+v", got, ok, sc)
@@ -129,7 +129,7 @@ func TestTraceparentInvalidContext(t *testing.T) {
 	for _, sc := range []SpanContext{
 		{},
 		{TraceID: "selftrace-test", SpanID: "s000001", Sampled: true},
-		{TraceID: strings.Repeat("0", 32), SpanID: NewSpanID(), Sampled: true},
+		{TraceID: strings.Repeat("0", 32), SpanID: testSpanID, Sampled: true},
 	} {
 		if tp := sc.Traceparent(); tp != "" {
 			t.Errorf("Traceparent(%+v) = %q, want empty", sc, tp)
@@ -137,14 +137,22 @@ func TestTraceparentInvalidContext(t *testing.T) {
 	}
 }
 
+// testSpanID is a fixed wire-format span ID for remote parent contexts.
+const testSpanID = "00f067aa0ba902b7"
+
+// TestNewIDsAreWireFormat: fresh trace IDs and the span IDs a tracer
+// mints are valid W3C IDs, so either can go on the wire in a traceparent.
 func TestNewIDsAreWireFormat(t *testing.T) {
+	tr := NewTracer("test", SpanContext{})
 	for i := 0; i < 100; i++ {
-		tid, sid := NewTraceID(), NewSpanID()
-		if !isLowerHex(tid, 32) || allZero(tid) {
+		if tid := NewTraceID(); !isLowerHex(tid, 32) || allZero(tid) {
 			t.Fatalf("NewTraceID() = %q, not 32 lowercase hex", tid)
 		}
-		if !isLowerHex(sid, 16) || allZero(sid) {
-			t.Fatalf("NewSpanID() = %q, not 16 lowercase hex", sid)
+		tr.Start("op", nil).End()
+	}
+	for _, sp := range tr.Spans() {
+		if !isLowerHex(sp.SpanID, 16) || allZero(sp.SpanID) {
+			t.Fatalf("tracer span ID %q, not 16 lowercase hex", sp.SpanID)
 		}
 	}
 }
@@ -177,7 +185,7 @@ func TestContextPlumbing(t *testing.T) {
 // root-level spans children of the remote span in the same trace; spans
 // with an explicit local parent are untouched.
 func TestRequestTracerContinuesRemoteTrace(t *testing.T) {
-	parent := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID(), Sampled: true}
+	parent := SpanContext{TraceID: NewTraceID(), SpanID: testSpanID, Sampled: true}
 	tr := NewTracer("collector", parent)
 	if tr.TraceID() != parent.TraceID {
 		t.Fatalf("tracer trace ID %q, want remote %q", tr.TraceID(), parent.TraceID)

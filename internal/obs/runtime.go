@@ -1,7 +1,6 @@
-// Runtime self-gauges: process vitals auto-registered on Enable and
-// refreshed lazily by a registry collector hook, so they are current in
-// every /debug/metrics snapshot, /metrics scrape and sampler sweep without
-// a dedicated polling goroutine.
+// Runtime self-gauges: process vitals of the registry Enable creates,
+// refreshed right before every /debug/metrics snapshot, /metrics scrape
+// and sampler sweep reads it, without a dedicated polling goroutine.
 
 package obs
 
@@ -13,18 +12,16 @@ import (
 // procStart anchors the uptime gauge.
 var procStart = time.Now()
 
-// registerRuntimeGauges installs the collector refreshing the runtime.*
-// gauges: goroutine count, heap bytes, GC activity and process uptime.
-func registerRuntimeGauges(r *Registry) {
-	r.RegisterCollector(func(r *Registry) {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		r.Gauge("runtime.goroutines").Set(float64(runtime.NumGoroutine()))
-		r.Gauge("runtime.heap_alloc_bytes").Set(float64(ms.HeapAlloc))
-		r.Gauge("runtime.gc_runs").Set(float64(ms.NumGC))
-		r.Gauge("runtime.gc_pause_p99_us").Set(gcPauseP99us(&ms))
-		r.Gauge("runtime.uptime_s").Set(time.Since(procStart).Seconds())
-	})
+// refreshRuntimeGauges sets the runtime.* gauges: goroutine count, heap
+// bytes, GC activity and process uptime.
+func refreshRuntimeGauges(r *Registry) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	r.Gauge("runtime.goroutines").Set(float64(runtime.NumGoroutine()))
+	r.Gauge("runtime.heap_alloc_bytes").Set(float64(ms.HeapAlloc))
+	r.Gauge("runtime.gc_runs").Set(float64(ms.NumGC))
+	r.Gauge("runtime.gc_pause_p99_us").Set(gcPauseP99us(&ms))
+	r.Gauge("runtime.uptime_s").Set(time.Since(procStart).Seconds())
 }
 
 // gcPauseP99us estimates the 99th-percentile GC pause (µs) over the

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -313,7 +314,9 @@ func HistogramSeriesBase(name string) string {
 // histogram quantile into same-named series: counters and gauges under the
 // metric name, histograms under <name>.p50 / <name>.p99 / <name>.count.
 // The steady-state sweep (no new metrics since the previous tick) allocates
-// nothing; bindings are rebuilt only when the registry shape changes.
+// nothing; bindings are rebuilt only when the registry shape changes. The
+// sweep is the process's one telemetry clock: the watchdog engine ticks at
+// the end of each (OnSweep).
 type Sampler struct {
 	reg      *Registry
 	interval time.Duration
@@ -322,6 +325,10 @@ type Sampler struct {
 
 	nc, ng, nh int
 	bindings   []samplerBinding
+
+	// onSweep runs after every sweep with the sweep's timestamp: the
+	// watchdog engine's Tick (alert.New installs it).
+	onSweep atomic.Pointer[func(time.Time)]
 }
 
 // NewSampler creates a sampler over reg. Call Start to launch it.
@@ -339,6 +346,13 @@ func NewSampler(reg *Registry, interval time.Duration) *Sampler {
 
 // Interval returns the sampling interval.
 func (sp *Sampler) Interval() time.Duration { return sp.interval }
+
+// Registry returns the registry the sampler sweeps.
+func (sp *Sampler) Registry() *Registry { return sp.reg }
+
+// OnSweep installs fn (replacing any earlier one) to run at the end of
+// every sweep, with the timestamp every sample of that sweep carries.
+func (sp *Sampler) OnSweep(fn func(now time.Time)) { sp.onSweep.Store(&fn) }
 
 // Start launches the sampling goroutine.
 func (sp *Sampler) Start() {
@@ -368,9 +382,10 @@ func (sp *Sampler) Stop() {
 	<-sp.done
 }
 
-// sample performs one sweep: refresh collector-backed gauges, rebuild the
-// bindings if metrics appeared since the last sweep, then append one sample
-// per binding, all stamped with the same timestamp.
+// sample performs one sweep: refresh the runtime gauges, rebuild the
+// bindings if metrics appeared since the last sweep, append one sample per
+// binding, all stamped with the same timestamp, then run the OnSweep hook
+// at that timestamp.
 func (sp *Sampler) sample(now int64) {
 	r := sp.reg
 	r.collect()
@@ -395,6 +410,9 @@ func (sp *Sampler) sample(now int64) {
 			v = float64(b.h.Count())
 		}
 		b.s.appendSample(now, v)
+	}
+	if fn := sp.onSweep.Load(); fn != nil {
+		(*fn)(time.Unix(0, now))
 	}
 }
 

@@ -241,7 +241,7 @@ func TestSeriesSteadyStateAllocs(t *testing.T) {
 	}
 
 	r := NewRegistry()
-	registerRuntimeGauges(r)
+	r.runtime = true // the runtime-gauge refresh runs in every sweep
 	r.Counter("c").Add(3)
 	r.Gauge("g").Set(1)
 	r.Histogram("h_us").Observe(50)

@@ -96,7 +96,6 @@ func (r *TraceRing) Add(spans []*trace.Span) {
 	defer r.mu.Unlock()
 	if slot, ok := r.byID[traceID]; ok {
 		r.mergeLocked(slot, spans)
-		C("obs.selftrace.merged").Inc()
 		return
 	}
 	e := &r.entries[r.head]

@@ -15,7 +15,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/sleuth-rca/sleuth/internal/core"
 	"github.com/sleuth-rca/sleuth/internal/obs"
@@ -272,19 +271,10 @@ func (l *Localizer) LocalizeDetailedBatch(traces []*trace.Trace, sloMicros []flo
 	return out
 }
 
-// LocalizeDetailed runs the full §3.5 loop and returns instance mappings.
-// One clock read feeds both the rca.localize_us histogram and the
-// per-query rca.localize.latency_us series.
+// LocalizeDetailed runs the full §3.5 loop and returns instance mappings,
+// timing the query into the rca.localize_us histogram.
 func (l *Localizer) LocalizeDetailed(tr *trace.Trace, sloMicros float64) Result {
-	if hist := obs.H("rca.localize_us"); hist != nil {
-		latSeries := obs.S("rca.localize.latency_us")
-		start := time.Now()
-		defer func() {
-			d := time.Since(start)
-			hist.ObserveDuration(d)
-			latSeries.Append(float64(d.Microseconds()))
-		}()
-	}
+	defer obs.H("rca.localize_us").Start().Stop()
 	obs.C("rca.localizations").Inc()
 	cfCtr := obs.C("rca.counterfactuals")
 	if tr.Len() == 0 {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -17,7 +18,7 @@ import (
 	"github.com/sleuth-rca/sleuth/internal/trace"
 )
 
-func populated(t *testing.T, n int) (*Store, *sim.Simulator) {
+func populated(t testing.TB, n int) (*Store, *sim.Simulator) {
 	t.Helper()
 	app := synth.Synthetic(16, 1)
 	s := sim.New(app, sim.DefaultOptions(1))
@@ -578,4 +579,52 @@ func TestStoreSteadyStateAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(50, func() { _ = st.Traces(Query{MinStart: starts[len(starts)-1] + 1}) }); n > 4*shards {
 		t.Fatalf("warm scan rejecting all %d traces allocates %.0f per query, want ≤ %.0f", len(all), n, 4*shards)
 	}
+}
+
+// FuzzLoadJSONL: LoadJSONL never panics on a stream, every span the store
+// holds afterwards passes (*trace.Span).Valid, and the read paths over
+// what it loaded (queries, summaries, services) do not panic either.
+func FuzzLoadJSONL(f *testing.F) {
+	f.Add([]byte(`{"traceId":"t1","spanId":"a","service":"s","name":"op","kind":"server","start":1,"end":5}
+{broken
+{"traceId":"t1","spanId":"b","parentId":"a","service":"db","name":"get","kind":"client","start":2,"end":4,"error":true}
+{"traceId":"t2","spanId":"c","service":"s","name":"op","kind":"bogus","start":2,"end":6}
+{"traceId":"t2","spanId":"d","service":"s","name":"op","kind":"server","start":6,"end":2}
+`))
+	var buf bytes.Buffer
+	src, _ := populated(f, 2)
+	if err := src.SaveJSONL(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st := NewSharded(2)
+		if _, err := st.LoadJSONL(bytes.NewReader(data)); err != nil {
+			t.Fatalf("LoadJSONL on an in-memory reader: %v", err)
+		}
+		var out bytes.Buffer
+		if err := st.SaveJSONL(&out); err != nil {
+			t.Fatal(err)
+		}
+		held := 0
+		for _, line := range bytes.Split(bytes.TrimSpace(out.Bytes()), []byte("\n")) {
+			if len(line) == 0 {
+				continue
+			}
+			var sp trace.Span
+			if err := json.Unmarshal(line, &sp); err != nil {
+				t.Fatalf("held span does not re-encode: %v", err)
+			}
+			if !sp.Valid() {
+				t.Fatalf("store holds an invalid span: %s", line)
+			}
+			held++
+		}
+		if held != st.SpanCount() {
+			t.Fatalf("SaveJSONL wrote %d spans, SpanCount says %d", held, st.SpanCount())
+		}
+		st.Traces(Query{})
+		st.OpSummaries()
+		st.Services()
+	})
 }

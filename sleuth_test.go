@@ -5,8 +5,10 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"github.com/sleuth-rca/sleuth/internal/chaos"
+	"github.com/sleuth-rca/sleuth/internal/obs"
 )
 
 // endToEnd builds the full facade pipeline once for several tests.
@@ -209,5 +211,50 @@ func TestAnalyzeEmpty(t *testing.T) {
 	report := analyzer.Analyze(nil)
 	if len(report.Diagnoses) != 0 || report.Inferences != 0 {
 		t.Fatal("empty analysis not empty")
+	}
+}
+
+// TestAnalyzeWritesOneSeriesPerMeasurement: a measurement is written once.
+// A histogram reaches the series ring through the sampler's .p50/.p99/
+// .count projections, so after one Analyze and one sweep no series may
+// carry a histogram's own name — that would be a second, direct writer of
+// the same measurement.
+func TestAnalyzeWritesOneSeriesPerMeasurement(t *testing.T) {
+	world, _, analyzer, _ := endToEnd(t, 3)
+	inc, err := world.SimulateIncident(nil, 60, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs.Disable()
+	reg := obs.Enable()
+	t.Cleanup(obs.Disable)
+	if report := analyzer.Analyze(inc.Traces); report.Inferences == 0 {
+		t.Fatal("Analyze localised nothing; the test needs the clustering and rca stages to run")
+	}
+	sp := obs.NewSampler(reg, time.Millisecond)
+	swept := make(chan struct{}, 1)
+	sp.OnSweep(func(time.Time) {
+		select {
+		case swept <- struct{}{}:
+		default:
+		}
+	})
+	sp.Start()
+	<-swept
+	sp.Stop()
+
+	hists := reg.Snapshot().Histograms
+	for _, name := range []string{"cluster.core_distances_us", "cluster.mst_us", "rca.localize_us"} {
+		if _, ok := hists[name]; !ok {
+			t.Errorf("histogram %s not recorded; the test no longer covers its stage", name)
+		}
+	}
+	for name := range hists {
+		if reg.LookupSeries(name) != nil {
+			t.Errorf("series %s has a histogram's name: the measurement has two writers", name)
+		}
+		if reg.LookupSeries(name+".count") == nil {
+			t.Errorf("histogram %s has no sampled .count series after a sweep", name)
+		}
 	}
 }
