@@ -19,18 +19,21 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# OBS_BUDGET is the most non-test lines internal/obs/... may hold.
+OBS_BUDGET := 3254
+
 # budget is the size-and-knob gate: no non-test Go file outside benchmark/
 # may mention a SLEUTH_ environment variable (flags and struct fields are the
-# only knobs), and internal/obs/... must stay within 3399 non-test lines (it
-# ships a signal only if a CLI view, a default-pack rule, a gate or a scraper
-# reads it). Prints the per-package non-test line table ROADMAP quotes.
+# only knobs), and internal/obs/... must stay within OBS_BUDGET non-test lines
+# (it ships a signal only if a CLI view, a default-pack rule, a gate or a
+# scraper reads it). Prints the per-package non-test line table ROADMAP quotes.
 budget:
 	@hits=$$(grep -rn 'SLEUTH_' --include='*.go' . | grep -v -e '^\./benchmark/' -e '^\./\.bench_build/' -e '_test\.go:'); \
 	if [ -n "$$hits" ]; then echo "SLEUTH_ in non-test Go outside benchmark/:"; echo "$$hits"; exit 1; fi
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -exec wc -l {} + | \
-	awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; all += $$1; if (d ~ /^\.\/internal\/obs/) obs += $$1 } \
+	awk -v budget=$(OBS_BUDGET) '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; all += $$1; if (d ~ /^\.\/internal\/obs/) obs += $$1 } \
 	END { for (d in n) printf "%6d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
-	printf "%6d  non-test Go outside benchmark/\n%6d  internal/obs/... (budget 3399)\n", all, obs; exit obs > 3399 }'
+	printf "%6d  non-test Go outside benchmark/\n%6d  internal/obs/... (budget %d)\n", all, obs, budget; exit obs > budget }'
 
 # cross-build keeps the non-amd64 build honest: internal/tensor carries an
 # amd64 assembly arm, and on every other architecture the scalar kernels
@@ -57,7 +60,7 @@ cross-build:
 # benchmark module's own tests), and fuzz-smoke (five seconds of each span
 # decoder against its reflection oracle, of the AVX2 matmul kernel against
 # the scalar one, of the traceparent parser, of the alert-rule parser, of
-# the model loader and of the spans JSONL loader).
+# the model loader, of the spans JSONL loader and of the /score handler).
 # Latency itself is gated by the benchmark (`bash benchmark/run.sh`), not
 # here.
 verify: fmt vet build cross-build budget race alloc obs-overhead propagation-smoke alert-smoke rca-smoke bench-smoke fuzz-smoke
@@ -147,8 +150,11 @@ bench-smoke:
 # error, and every accepted model survives Save → Load with bit-equal
 # parameters and normals. FuzzLoadJSONL then runs five seconds of streams
 # through store.LoadJSONL: no panic, and every span the store holds passes
-# trace.Span.Valid. Both cap the minimisation of a new input at 200 runs:
-# their runs are costly, and the default 60 s would spend all five seconds
+# trace.Span.Valid. FuzzScore then runs five seconds of request bodies
+# through the model server's handler on a published model: no panic, no
+# 5xx, and no result for a trace holding a span trace.Span.Valid rejects.
+# The last three cap the minimisation of a new input at 200 runs: their
+# runs are costly, and the default 60 s would spend all five seconds
 # minimising the first interesting input.
 # A failing input is written under testdata/fuzz; commit it with the fix.
 fuzz-smoke:
@@ -159,3 +165,4 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzParseRules$$' -fuzztime=5s ./internal/obs/alert
 	$(GO) test -run=^$$ -fuzz='^FuzzLoad$$' -fuzztime=5s -fuzzminimizetime=200x ./internal/core
 	$(GO) test -run=^$$ -fuzz='^FuzzLoadJSONL$$' -fuzztime=5s -fuzzminimizetime=200x ./internal/store
+	$(GO) test -run=^$$ -fuzz='^FuzzScore$$' -fuzztime=5s -fuzzminimizetime=200x ./internal/modelserver

@@ -14,7 +14,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -87,7 +86,7 @@ func main() {
 		expFlag = flag.String("exp", "all", "comma-separated experiments, or 'all'")
 		full    = flag.Bool("full", false, "paper-scale effort (slow)")
 		seed    = flag.Uint64("seed", 1, "experiment seed")
-		metrics = flag.Bool("metrics", false, "enable the obs registry and print its snapshot at exit")
+		metrics = flag.Bool("metrics", false, "enable the obs registry and print it (Prometheus text) at exit")
 	)
 	flag.Parse()
 
@@ -131,8 +130,6 @@ func main() {
 	}
 
 	if *metrics {
-		if data, err := json.MarshalIndent(obs.Global().Snapshot(), "", "  "); err == nil {
-			fmt.Printf("\nmetrics snapshot:\n%s\n", data)
-		}
+		obs.WritePrometheus(os.Stdout, obs.Global())
 	}
 }

@@ -21,7 +21,6 @@
 //	GET  /readyz                          readiness: cache warm + watchdog (JSON)
 //	GET  /metrics                         Prometheus text exposition (incl. ALERTS)
 //	GET  /debug/alerts                    watchdog alert states (JSON)
-//	GET  /debug/metrics                   metrics snapshot (JSON)
 //	GET  /debug/series                    time-series ring buffers (JSON)
 //	GET  /debug/traces                    recent request self-traces (JSON)
 //	GET  /debug/pprof/...                 runtime profiles

@@ -19,7 +19,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -84,15 +83,6 @@ func loadTraces(path string) ([]*trace.Trace, error) {
 	return st.Traces(store.Query{}), nil
 }
 
-// dumpMetrics prints the process metrics-registry snapshot.
-func dumpMetrics() {
-	data, err := json.MarshalIndent(obs.Global().Snapshot(), "", "  ")
-	if err != nil {
-		return
-	}
-	fmt.Printf("metrics snapshot:\n%s\n", data)
-}
-
 func cmdTrain(args []string) error {
 	fs := flag.NewFlagSet("train", flag.ExitOnError)
 	tracesPath := fs.String("traces", "", "training spans JSONL (required)")
@@ -102,7 +92,7 @@ func cmdTrain(args []string) error {
 	batch := fs.Int("batch", 1, "mini-batch size (traces per optimizer step)")
 	workers := fs.Int("workers", 0, "gradient workers per batch (0 = GOMAXPROCS)")
 	seed := fs.Uint64("seed", 1, "training seed")
-	metrics := fs.Bool("metrics", false, "print the metrics-registry snapshot after the run")
+	metrics := fs.Bool("metrics", false, "print the metrics registry (Prometheus text) after the run")
 	debugAddr := fs.String("debug-addr", "", "serve /metrics and /debug/series on this address during the run (watch with: sleuthctl watch -addr <addr>)")
 	_ = fs.Parse(args)
 	if *tracesPath == "" {
@@ -147,7 +137,7 @@ func cmdTrain(args []string) error {
 	fmt.Printf("saved model (%d parameters, %d known operations) to %s\n",
 		m.NumParams(), m.NormalsSize(), *modelPath)
 	if *metrics {
-		dumpMetrics()
+		obs.WritePrometheus(os.Stdout, obs.Global())
 	}
 	return nil
 }
@@ -157,7 +147,7 @@ func cmdRCA(args []string) error {
 	tracesPath := fs.String("traces", "", "anomalous spans JSONL (required)")
 	normalPath := fs.String("normal", "", "normal spans JSONL for SLO calibration")
 	modelPath := fs.String("model", "model.gob", "trained model path")
-	metrics := fs.Bool("metrics", false, "print the metrics-registry snapshot after the run")
+	metrics := fs.Bool("metrics", false, "print the metrics registry (Prometheus text) after the run")
 	_ = fs.Parse(args)
 	if *tracesPath == "" {
 		return fmt.Errorf("rca: -traces is required")
@@ -200,7 +190,7 @@ func cmdRCA(args []string) error {
 			label, len(d.TraceIDs), d.Services, d.Pods, d.Nodes)
 	}
 	if *metrics {
-		dumpMetrics()
+		obs.WritePrometheus(os.Stdout, obs.Global())
 	}
 	return nil
 }

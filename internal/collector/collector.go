@@ -13,7 +13,8 @@
 // counted in the process metrics registry (collector.decode_errors,
 // collector.spans_rejected / collector.spans_accepted) and surfaced in the
 // ingest response instead of being silently dropped. The handler also
-// exposes /debug/metrics and /debug/pprof via internal/obs.
+// exposes Prometheus /metrics, the /debug JSON surfaces and /debug/pprof via
+// internal/obs.
 package collector
 
 import (
@@ -84,7 +85,7 @@ type statsResponse struct {
 //	GET  /readyz         — readiness: queue saturation + injected checks
 //	GET  /stats          — span/trace counts + ingest pipeline counters
 //	GET  /metrics        — Prometheus text exposition
-//	GET  /debug/metrics  — metrics registry snapshot (JSON)
+//	GET  /debug/alerts   — watchdog alert states (JSON)
 //	GET  /debug/series   — time-series ring buffers (JSON)
 //	GET  /debug/traces   — recent request self-traces (JSON)
 //	GET  /debug/pprof/…  — runtime profiles

@@ -325,6 +325,16 @@ func TestMetricsAndSeriesEndpoints(t *testing.T) {
 	if len(samples) != 1 || samples[0].V != float64(len(spans)) {
 		t.Errorf("ingest series = %+v, want one sample of %d spans", samples, len(spans))
 	}
+
+	// /metrics is the registry's only serialisation.
+	resp, err = http.Get(srv.URL + "/debug/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/debug/metrics status = %d, want 404", resp.StatusCode)
+	}
 }
 
 // TestBackpressureDropsCounted: when every worker queue is full, spans are

@@ -219,7 +219,7 @@ func (p *Pipeline) Submit(spans []*trace.Span) (accepted, rejected, dropped int)
 				rejected++
 			}
 		}
-		p.spansRejected.Add(int64(rejected))
+		p.noteReject(rejected)
 		p.noteDrop(dropped)
 		return 0, rejected, dropped
 	}
@@ -232,10 +232,7 @@ func (p *Pipeline) Submit(spans []*trace.Span) (accepted, rejected, dropped int)
 		i := shardIndex(s.TraceID, n)
 		buckets[i] = append(buckets[i], s)
 	}
-	if rejected > 0 {
-		p.spansRejected.Add(int64(rejected))
-		obs.C("ingest.spans_rejected").Add(int64(rejected))
-	}
+	p.noteReject(rejected)
 	enq := time.Now()
 	for i, b := range buckets {
 		if len(b) == 0 {
@@ -248,9 +245,7 @@ func (p *Pipeline) Submit(spans []*trace.Span) (accepted, rejected, dropped int)
 			dropped += len(b)
 		}
 	}
-	if dropped > 0 {
-		p.noteDrop(dropped)
-	}
+	p.noteDrop(dropped)
 	return accepted, rejected, dropped
 }
 
@@ -266,6 +261,16 @@ func shardIndex(id string, n int) int {
 		h *= 1099511628211
 	}
 	return int(h % uint64(n))
+}
+
+// noteReject and noteDrop count rejected and dropped spans in Stats and in
+// the ingest.* counters together, so the two never disagree.
+func (p *Pipeline) noteReject(n int) {
+	if n <= 0 {
+		return
+	}
+	p.spansRejected.Add(int64(n))
+	obs.C("ingest.spans_rejected").Add(int64(n))
 }
 
 func (p *Pipeline) noteDrop(n int) {

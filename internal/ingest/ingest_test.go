@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/sleuth-rca/sleuth/internal/obs"
 	"github.com/sleuth-rca/sleuth/internal/store"
 	"github.com/sleuth-rca/sleuth/internal/testenv"
 	"github.com/sleuth-rca/sleuth/internal/trace"
@@ -250,6 +251,30 @@ func TestPipelineStopDrainsAndDropsLate(t *testing.T) {
 		t.Fatalf("post-Stop Submit = acc %d, dropped %d", acc, dropped)
 	}
 	p.Flush() // no-op after Stop, must not hang
+}
+
+// TestPipelineCountersAgreeAfterStop: Stats and the ingest.* counters count
+// the same rejects and drops, before Stop and after it.
+func TestPipelineCountersAgreeAfterStop(t *testing.T) {
+	obs.Disable()
+	reg := obs.Enable()
+	t.Cleanup(obs.Disable)
+	p := NewPipeline(store.New(), Config{Workers: 2, TraceTTL: time.Hour, BaselineRefresh: -1})
+	mixed := func(id string) []*trace.Span {
+		return append(healthyTrace(id), span(id, "bad", "", 5, 1, false))
+	}
+	p.Submit(mixed("before"))
+	p.Stop()
+	if acc, rej, drop := p.Submit(mixed("after")); acc != 0 || rej != 1 || drop != 2 {
+		t.Fatalf("post-Stop Submit = %d/%d/%d, want 0/1/2", acc, rej, drop)
+	}
+	st := p.Stats()
+	if n := reg.Counter("ingest.spans_rejected").Value(); st.SpansRejected != 2 || n != st.SpansRejected {
+		t.Errorf("SpansRejected = %d, ingest.spans_rejected = %d, want 2 and 2", st.SpansRejected, n)
+	}
+	if n := reg.Counter("ingest.spans_dropped").Value(); st.SpansDropped != 2 || n != st.SpansDropped {
+		t.Errorf("SpansDropped = %d, ingest.spans_dropped = %d, want 2 and 2", st.SpansDropped, n)
+	}
 }
 
 func TestPipelineSplitTraceAcrossBatches(t *testing.T) {

@@ -334,7 +334,7 @@ func (r *Registry) Lineage(name string, version int) ([]ModelInfo, error) {
 //	GET  /healthz                          liveness + build info (JSON)
 //	GET  /readyz                           readiness: cache warm + injected checks
 //	GET  /metrics                          Prometheus text exposition
-//	GET  /debug/metrics                    metrics registry snapshot (JSON)
+//	GET  /debug/alerts                     watchdog alert states (JSON)
 //	GET  /debug/series                     time-series ring buffers (JSON)
 //	GET  /debug/traces                     recent request self-traces (JSON)
 //	GET  /debug/pprof/...                  runtime profiles
@@ -533,7 +533,8 @@ type ScoreResponse struct {
 	// MeanLoss is the Eq. 5 reconstruction objective over the scored
 	// traces — the anomaly signal inference workers threshold on.
 	MeanLoss float64 `json:"meanLoss"`
-	// Skipped counts span groups that did not assemble into a valid trace.
+	// Skipped counts span groups that hold a span trace.Span.Valid rejects
+	// or that did not assemble into a trace; they get no result.
 	Skipped int `json:"skipped"`
 }
 

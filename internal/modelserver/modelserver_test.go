@@ -447,4 +447,14 @@ func TestHealthAndMetricsEndpoints(t *testing.T) {
 	if !strings.Contains(string(body), "modelserver_http_requests_total") {
 		t.Errorf("/metrics missing request counter:\n%s", body)
 	}
+
+	// /metrics is the registry's only serialisation.
+	resp, err = http.Get(srv.URL + "/debug/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/debug/metrics status = %d, want 404", resp.StatusCode)
+	}
 }

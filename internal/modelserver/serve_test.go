@@ -14,6 +14,7 @@ import (
 
 	"github.com/sleuth-rca/sleuth/internal/core"
 	"github.com/sleuth-rca/sleuth/internal/obs"
+	"github.com/sleuth-rca/sleuth/internal/otel"
 	"github.com/sleuth-rca/sleuth/internal/sim"
 	"github.com/sleuth-rca/sleuth/internal/synth"
 	"github.com/sleuth-rca/sleuth/internal/trace"
@@ -21,7 +22,7 @@ import (
 
 // servingFixture publishes a trained model and returns held-out query
 // traces alongside the in-memory model for computing expected outputs.
-func servingFixture(t *testing.T, seed uint64, nQuery int) (*Registry, *core.Model, []*trace.Trace) {
+func servingFixture(t testing.TB, seed uint64, nQuery int) (*Registry, *core.Model, []*trace.Trace) {
 	t.Helper()
 	reg, err := Open(t.TempDir())
 	if err != nil {
@@ -290,4 +291,113 @@ func TestPublishOversizedConfigRejected(t *testing.T) {
 		t.Fatalf("registry holds %d versions after the rejected publish, want 1", got)
 	}
 	sameResponse(t, "after the rejected publish", scoreVia(t, srv.URL, query), expectResponse(m, query))
+}
+
+// invalidSpans are three one-span traces, each holding a span
+// trace.Span.Valid rejects, as ingest and LoadJSONL do: one that ends
+// before it starts, one of an unknown kind and one without a span ID.
+func invalidSpans() []*trace.Span {
+	return []*trace.Span{
+		{TraceID: "bad-dur", SpanID: "a", Service: "frontend", Name: "GET /", Kind: trace.KindServer, Start: 9, End: 5},
+		{TraceID: "bad-kind", SpanID: "a", Service: "frontend", Name: "GET /", Kind: "bogus", Start: 1, End: 5},
+		{TraceID: "bad-id", SpanID: "", Service: "frontend", Name: "GET /", Kind: trace.KindServer, Start: 1, End: 5},
+	}
+}
+
+// scoreBody marshals spans as a /score request body.
+func scoreBody(t testing.TB, spans []*trace.Span) []byte {
+	t.Helper()
+	body, err := json.Marshal(ScoreRequest{Spans: spans})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestScoreSkipsInvalidSpans: /score validates spans like every other
+// entry point. A trace holding a span trace.Span.Valid rejects gets no
+// result and is counted in Skipped and in modelserver.score.skipped; the
+// valid traces of the same request score exactly as on their own.
+func TestScoreSkipsInvalidSpans(t *testing.T) {
+	obs.Disable()
+	obs.Enable()
+	t.Cleanup(obs.Disable)
+	reg, m, query := servingFixture(t, 25, 4)
+	srv := httptest.NewServer((&Server{Registry: reg}).Handler())
+	defer srv.Close()
+
+	// The three invalid one-span traces, plus a copy of query[0] with one
+	// span that ends before it starts.
+	spans := invalidSpans()
+	for i, sp := range query[0].Spans {
+		c := *sp
+		if i == len(query[0].Spans)-1 {
+			c.End = c.Start - 1
+		}
+		spans = append(spans, &c)
+	}
+	for _, tr := range query[1:] {
+		spans = append(spans, tr.Spans...)
+	}
+	resp, err := http.Post(srv.URL+"/models/prod/latest/score", "application/json", bytes.NewReader(scoreBody(t, spans)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("score status = %d, want 200", resp.StatusCode)
+	}
+	var got ScoreResponse
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	want := expectResponse(m, query[1:])
+	want.Skipped = 4
+	sameResponse(t, "valid traces beside invalid ones", got, want)
+	if n := obs.C("modelserver.score.skipped").Value(); n != 4 {
+		t.Errorf("modelserver.score.skipped = %d, want 4", n)
+	}
+}
+
+// FuzzScore feeds arbitrary bodies through the model server's handler on a
+// published model: no panic, no 5xx, and no result for a trace that holds
+// a span trace.Span.Valid rejects.
+func FuzzScore(f *testing.F) {
+	reg, _, query := servingFixture(f, 26, 1)
+	f.Add(scoreBody(f, query[0].Spans))
+	for _, sp := range invalidSpans() {
+		f.Add(scoreBody(f, []*trace.Span{sp}))
+	}
+	h := (&Server{Registry: reg}).Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/models/prod/latest/score", bytes.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+		if rec.Code != http.StatusOK {
+			return
+		}
+		// A 200 means the handler's DecodeSpans accepted the body; decode
+		// it again to learn which traces hold an invalid span.
+		spans, err := otel.DecodeSpans(body)
+		if err != nil {
+			t.Fatalf("200 for a body DecodeSpans rejects: %v", err)
+		}
+		invalid := map[string]bool{}
+		for _, sp := range spans {
+			if !sp.Valid() {
+				invalid[sp.TraceID] = true
+			}
+		}
+		var resp ScoreResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("200 with a body that is not a ScoreResponse: %v", err)
+		}
+		for _, r := range resp.Results {
+			if invalid[r.TraceID] {
+				t.Fatalf("trace %q holds an invalid span and was scored", r.TraceID)
+			}
+		}
+	})
 }

@@ -109,14 +109,14 @@ func TestAccessLogSkipsScrapePaths(t *testing.T) {
 	freshRegistry(t)
 	h := AccessLog("testsvc", nil,
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	for _, p := range []string{"/metrics", "/healthz", "/debug/metrics", "/debug/traces"} {
+	for _, p := range []string{"/metrics", "/healthz", "/debug/series", "/debug/traces"} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, p, nil))
 		if rec.Header().Get("X-Trace-ID") != "" {
 			t.Errorf("scrape path %s was traced", p)
 		}
 	}
-	if n := Ring().Len(); n != 0 {
+	if n := len(Ring().List()); n != 0 {
 		t.Fatalf("ring holds %d traces after scrape-only requests, want 0", n)
 	}
 }

@@ -1,7 +1,7 @@
-// HTTP debug surfaces: the /debug/metrics JSON endpoint, the /metrics
-// Prometheus exposition, the /debug/series ring-buffer history endpoint,
-// net/http/pprof wiring, health reporting with build info, and the
-// access-log middleware shared by the model server and the collector.
+// HTTP surfaces: the /metrics Prometheus exposition, the /debug/series
+// ring-buffer history endpoint, net/http/pprof wiring, health and readiness
+// reporting, and the access-log middleware shared by the model server and
+// the collector.
 
 package obs
 
@@ -23,19 +23,9 @@ import (
 	"github.com/sleuth-rca/sleuth/internal/trace"
 )
 
-// MetricsHandler serves a JSON Snapshot of reg. A nil registry serves an
-// empty snapshot (all sections present, empty objects), so the endpoint is
-// probe-safe whether or not observability is enabled.
-func MetricsHandler(reg *Registry) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, reg.Snapshot())
-	}
-}
-
 // Mount attaches the debug surface to a mux:
 //
 //	GET /metrics              Prometheus text exposition (v0.0.4)
-//	GET /debug/metrics        registry snapshot (JSON)
 //	GET /debug/series         ring-buffer time series (JSON)
 //	GET /debug/traces         recent request self-traces (JSON)
 //	GET /debug/alerts         watchdog alert states (JSON)
@@ -46,9 +36,6 @@ func MetricsHandler(reg *Registry) http.HandlerFunc {
 func Mount(mux *http.ServeMux) {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		PromHandler(Global())(w, r)
-	})
-	mux.HandleFunc("/debug/metrics", func(w http.ResponseWriter, r *http.Request) {
-		MetricsHandler(Global())(w, r)
 	})
 	mux.HandleFunc("/debug/series", func(w http.ResponseWriter, r *http.Request) {
 		SeriesHandler(Global())(w, r)
@@ -73,10 +60,7 @@ type SeriesData struct {
 
 // SeriesInfo is one entry of the /debug/series listing.
 type SeriesInfo struct {
-	Name   string  `json:"name"`
-	Len    int     `json:"len"`
-	Last   float64 `json:"last"`
-	LastTS int64   `json:"lastTs"`
+	Name string `json:"name"`
 }
 
 // SeriesListResponse is the /debug/series response without a name filter.
@@ -105,12 +89,7 @@ func SeriesHandler(reg *Registry) http.HandlerFunc {
 		if names == "" {
 			resp := SeriesListResponse{Series: []SeriesInfo{}}
 			for _, name := range reg.SeriesNames() {
-				s := reg.LookupSeries(name)
-				info := SeriesInfo{Name: name, Len: s.Len()}
-				if last, ok := s.Last(); ok {
-					info.Last, info.LastTS = last.V, last.TS
-				}
-				resp.Series = append(resp.Series, info)
+				resp.Series = append(resp.Series, SeriesInfo{Name: name})
 			}
 			WriteJSON(w, resp)
 			return
@@ -246,9 +225,7 @@ type ReadyStatus struct {
 
 // ReadyHandler serves readiness (as opposed to HealthHandler's liveness):
 // 200 when every check passes, 503 with the failing checks listed when
-// any does not. The current state is mirrored into the
-// <component>.ready gauge (1/0) so readiness history lands in the series
-// ring and is itself alertable. No checks means always ready.
+// any does not. No checks means always ready.
 func ReadyHandler(component string, checks ...ReadyCheck) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		st := ReadyStatus{Ready: true, Component: component, Checks: map[string]string{}}
@@ -263,13 +240,10 @@ func ReadyHandler(component string, checks ...ReadyCheck) http.HandlerFunc {
 				st.Checks[c.Name] = "ok"
 			}
 		}
-		ready := 1.0
 		w.Header().Set("Content-Type", "application/json")
 		if !st.Ready {
-			ready = 0
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}
-		G(component + ".ready").Set(ready)
 		WriteJSON(w, st)
 	}
 }

@@ -2,8 +2,9 @@
 // metrics registry (sharded counters, gauges, fixed-bucket latency
 // histograms with quantile estimation) with its time series, a per-request
 // tracer whose span trees, in the canonical trace.Span model, land in a
-// fixed-capacity trace ring, and HTTP debug surfaces (/debug/metrics JSON,
-// Prometheus /metrics, /debug/traces plus net/http/pprof).
+// fixed-capacity trace ring, and HTTP surfaces (Prometheus /metrics, the
+// registry's one serialisation; /debug/series, /debug/traces and
+// /debug/alerts JSON; net/http/pprof).
 //
 // Instrumentation is off by default and nil-safe throughout: every metric
 // handle may be nil and every method on a nil handle is a no-op, so a
@@ -186,12 +187,12 @@ type exemplar struct {
 // a recent observation that landed in the bucket bounded by LE.
 type Exemplar struct {
 	// LE is the inclusive upper bound of the bucket; -1 marks the unbounded
-	// overflow bucket (JSON cannot carry +Inf).
-	LE      float64 `json:"le"`
-	TraceID string  `json:"traceId"`
-	Value   float64 `json:"value"`
+	// overflow bucket.
+	LE      float64
+	TraceID string
+	Value   float64
 	// TS is the observation time in microseconds since the epoch.
-	TS int64 `json:"ts"`
+	TS int64
 }
 
 func newHistogram(name string) *Histogram {
@@ -400,8 +401,7 @@ type Registry struct {
 	series   map[string]*Series
 
 	// runtime marks the process registry (Enable): its runtime.* gauges
-	// are refreshed right before a snapshot, exposition or sampler sweep
-	// reads it.
+	// are refreshed right before an exposition or sampler sweep reads it.
 	runtime bool
 }
 
@@ -496,42 +496,8 @@ func (r *Registry) LookupHistogram(name string) *Histogram {
 	return h
 }
 
-// HistogramSnapshot is the exported state of one histogram.
-type HistogramSnapshot struct {
-	Count int64   `json:"count"`
-	Sum   float64 `json:"sum"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-	// Buckets lists only occupied buckets as {le, count} pairs; le is the
-	// inclusive upper bound (+Inf encoded as the string "+Inf" is avoided
-	// by reporting the overflow bucket with le = 0 omitted via Overflow).
-	Buckets []BucketCount `json:"buckets,omitempty"`
-	// Overflow counts observations above the largest bucket bound.
-	Overflow int64 `json:"overflow,omitempty"`
-	// Exemplars lists the latest trace-linked observation per occupied
-	// bucket (see Histogram.ObserveExemplar).
-	Exemplars []Exemplar `json:"exemplars,omitempty"`
-}
-
-// BucketCount is one occupied histogram bucket.
-type BucketCount struct {
-	LE    float64 `json:"le"` // inclusive upper bound
-	Count int64   `json:"count"`
-}
-
-// Snapshot is a point-in-time JSON-marshalable view of a registry.
-type Snapshot struct {
-	Counters   map[string]int64             `json:"counters"`
-	Gauges     map[string]float64           `json:"gauges"`
-	Histograms map[string]HistogramSnapshot `json:"histograms"`
-}
-
-// metrics is the one registry walk, which Snapshot, WritePrometheus and the
-// sampler all read through: it refreshes the runtime gauges, then returns
+// metrics is the one registry walk, which WritePrometheus and the sampler
+// both read through: it refreshes the runtime gauges, then returns
 // every counter, gauge and histogram, each sorted by name.
 func (r *Registry) metrics() ([]*Counter, []*Gauge, []*Histogram) {
 	r.collect()
@@ -552,48 +518,6 @@ func sortedValues[V any](m map[string]V) []V {
 		out[i] = m[name]
 	}
 	return out
-}
-
-// Snapshot captures the current value of every registered metric.
-func (r *Registry) Snapshot() Snapshot {
-	snap := Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]HistogramSnapshot{},
-	}
-	if r == nil {
-		return snap
-	}
-	counters, gauges, hists := r.metrics()
-	for _, c := range counters {
-		snap.Counters[c.name] = c.Value()
-	}
-	for _, g := range gauges {
-		snap.Gauges[g.name] = g.Value()
-	}
-	for _, h := range hists {
-		hs := HistogramSnapshot{
-			Count: h.Count(),
-			Sum:   h.Sum(),
-			P50:   h.Quantile(0.50),
-			P90:   h.Quantile(0.90),
-			P99:   h.Quantile(0.99),
-		}
-		if hs.Count > 0 {
-			hs.Min = math.Float64frombits(atomic.LoadUint64(&h.minBits))
-			hs.Max = math.Float64frombits(atomic.LoadUint64(&h.maxBits))
-			hs.Mean = hs.Sum / float64(hs.Count)
-		}
-		for i := 0; i < numBuckets-1; i++ {
-			if n := atomic.LoadInt64(&h.buckets[i]); n > 0 {
-				hs.Buckets = append(hs.Buckets, BucketCount{LE: bucketBounds[i], Count: n})
-			}
-		}
-		hs.Overflow = atomic.LoadInt64(&h.buckets[numBuckets-1])
-		hs.Exemplars = h.Exemplars()
-		snap.Histograms[h.name] = hs
-	}
-	return snap
 }
 
 // --- Process-wide registry ------------------------------------------------

@@ -2,8 +2,8 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net/http"
@@ -96,20 +96,15 @@ func TestHistogramBucketPlacement(t *testing.T) {
 	h.Observe(-4) // negative coerced to 0 → underflow bucket
 	h.Observe(math.NaN())
 	h.Observe(5e8) // overflow
-	snap := snapshotOne(h)
-	if snap.Overflow != 1 {
-		t.Errorf("Overflow = %d, want 1", snap.Overflow)
+	if h.Count() != 3 || h.Sum() != 5e8 {
+		t.Errorf("Count/Sum = %d/%g, want 3/5e8 (negative and NaN count as 0)", h.Count(), h.Sum())
 	}
-	if len(snap.Buckets) != 1 || snap.Buckets[0].LE != bucketBounds[0] || snap.Buckets[0].Count != 2 {
-		t.Errorf("underflow bucket = %+v, want one bucket le=%g count=2", snap.Buckets, bucketBounds[0])
+	if h.buckets[0] != 2 || h.buckets[numBuckets-1] != 1 {
+		t.Errorf("underflow/overflow buckets = %d/%d, want 2/1", h.buckets[0], h.buckets[numBuckets-1])
 	}
-}
-
-// snapshotOne snapshots a single histogram through a throwaway registry.
-func snapshotOne(h *Histogram) HistogramSnapshot {
-	r := NewRegistry()
-	r.hists[h.name] = h
-	return r.Snapshot().Histograms[h.name]
+	if got := h.Quantile(1); got != 5e8 {
+		t.Errorf("Quantile(1) = %g, want the overflow maximum 5e8", got)
+	}
 }
 
 func TestHistogramQuantileConstant(t *testing.T) {
@@ -156,12 +151,8 @@ func TestHistogramQuantileUniform(t *testing.T) {
 	if got := h.Quantile(1); got != 1000 {
 		t.Errorf("Quantile(1) = %g, want 1000", got)
 	}
-	snap := snapshotOne(h)
-	if snap.Min != 1 || snap.Max != 1000 {
-		t.Errorf("Min/Max = %g/%g, want 1/1000", snap.Min, snap.Max)
-	}
-	if want := 500.5; math.Abs(snap.Mean-want) > 1e-9 {
-		t.Errorf("Mean = %g, want %g", snap.Mean, want)
+	if mean, want := h.Sum()/float64(h.Count()), 500.5; math.Abs(mean-want) > 1e-9 {
+		t.Errorf("Sum/Count = %g, want %g", mean, want)
 	}
 }
 
@@ -195,10 +186,6 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Histogram("x") != nil {
 		t.Error("nil Registry returned non-nil handles")
 	}
-	snap := r.Snapshot()
-	if snap.Counters == nil || snap.Gauges == nil || snap.Histograms == nil {
-		t.Error("nil Registry Snapshot() missing sections")
-	}
 	Disable()
 	if C("x") != nil || G("x") != nil || H("x") != nil {
 		t.Error("disabled global returned non-nil handles")
@@ -219,7 +206,7 @@ func TestRegistryGetOrCreateConcurrent(t *testing.T) {
 				r.Histogram("hist").Observe(float64(i))
 				r.Counter(fmt.Sprintf("own.%d", g)).Inc()
 				if i%100 == 0 {
-					_ = r.Snapshot()
+					WritePrometheus(io.Discard, r)
 				}
 			}
 		}(g)
@@ -237,68 +224,21 @@ func TestRegistryGetOrCreateConcurrent(t *testing.T) {
 	}
 }
 
-func TestMetricsHandlerGolden(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("collector.spans_accepted").Add(3)
-	r.Gauge("core.train.loss").Set(2.5)
-	r.Histogram("modelserver.score_us") // registered, no observations
-	req := httptest.NewRequest(http.MethodGet, "/debug/metrics", nil)
-	rec := httptest.NewRecorder()
-	MetricsHandler(r)(rec, req)
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	want := `{
-  "counters": {
-    "collector.spans_accepted": 3
-  },
-  "gauges": {
-    "core.train.loss": 2.5
-  },
-  "histograms": {
-    "modelserver.score_us": {
-      "count": 0,
-      "sum": 0,
-      "min": 0,
-      "max": 0,
-      "mean": 0,
-      "p50": 0,
-      "p90": 0,
-      "p99": 0
-    }
-  }
-}
-`
-	if got := rec.Body.String(); got != want {
-		t.Errorf("golden mismatch:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-func TestMetricsHandlerNilRegistry(t *testing.T) {
-	rec := httptest.NewRecorder()
-	MetricsHandler(nil)(rec, httptest.NewRequest(http.MethodGet, "/debug/metrics", nil))
-	var snap Snapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-		t.Fatalf("nil-registry response is not JSON: %v", err)
-	}
-	if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
-		t.Errorf("nil-registry snapshot not empty: %+v", snap)
-	}
-}
-
 func TestMountServesMetricsAndPprof(t *testing.T) {
 	freshRegistry(t)
 	C("mounted.counter").Add(7)
 	mux := http.NewServeMux()
 	Mount(mux)
 	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/metrics", nil))
-	var snap Snapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-		t.Fatalf("decoding /debug/metrics: %v", err)
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if !strings.Contains(rec.Body.String(), "mounted_counter_total 7\n") {
+		t.Errorf("/metrics missing mounted.counter = 7:\n%s", rec.Body.String())
 	}
-	if snap.Counters["mounted.counter"] != 7 {
-		t.Errorf("mounted.counter = %d, want 7", snap.Counters["mounted.counter"])
+	// /metrics is the registry's only serialisation: no JSON dump route.
+	rec = httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/metrics", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Errorf("/debug/metrics status = %d, want 404", rec.Code)
 	}
 	rec = httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/pprof/cmdline", nil))
@@ -339,15 +279,14 @@ func TestAccessLog(t *testing.T) {
 		t.Error("no generated X-Request-ID")
 	}
 
-	snap := r.Snapshot()
-	if snap.Counters["testsvc.http.requests"] != 2 {
-		t.Errorf("requests = %d, want 2", snap.Counters["testsvc.http.requests"])
+	if n := r.Counter("testsvc.http.requests").Value(); n != 2 {
+		t.Errorf("requests = %d, want 2", n)
 	}
-	if snap.Counters["testsvc.http.status_2xx"] != 1 || snap.Counters["testsvc.http.status_4xx"] != 1 {
-		t.Errorf("status counters = %v", snap.Counters)
+	if ok, bad := r.Counter("testsvc.http.status_2xx").Value(), r.Counter("testsvc.http.status_4xx").Value(); ok != 1 || bad != 1 {
+		t.Errorf("status_2xx/status_4xx = %d/%d, want 1/1", ok, bad)
 	}
-	if snap.Histograms["testsvc.http.request_us"].Count != 2 {
-		t.Errorf("latency histogram count = %d, want 2", snap.Histograms["testsvc.http.request_us"].Count)
+	if n := r.Histogram("testsvc.http.request_us").Count(); n != 2 {
+		t.Errorf("latency histogram count = %d, want 2", n)
 	}
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

@@ -1,6 +1,6 @@
-// Prometheus text exposition (v0.0.4) of the metrics registry, so standard
-// scrape tooling can consume Sleuth's self-observability alongside the
-// JSON debug surfaces.
+// Prometheus text exposition (v0.0.4) of the metrics registry: the
+// registry's one serialisation, read by scrapers at /metrics and printed by
+// the -metrics flag of sleuthctl and benchrunner.
 //
 // Mapping: dotted metric names become underscore names (collector.spans_
 // accepted → collector_spans_accepted), counters gain the _total suffix,
@@ -9,7 +9,7 @@
 // views share bucketBounds, so a scraped histogram_quantile and the
 // in-process Quantile agree up to interpolation policy (tested in
 // prom_test.go). Exemplars are not exposed here: the 0.0.4 text format has
-// no syntax for them, so they stay on /debug/metrics and alerts.
+// no syntax for them, so they surface on firing alerts instead.
 
 package obs
 

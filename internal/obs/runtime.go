@@ -1,6 +1,6 @@
 // Runtime self-gauges: process vitals of the registry Enable creates,
-// refreshed right before every /debug/metrics snapshot, /metrics scrape
-// and sampler sweep reads it, without a dedicated polling goroutine.
+// refreshed right before every /metrics scrape and sampler sweep reads it,
+// without a dedicated polling goroutine.
 
 package obs
 

@@ -99,31 +99,6 @@ func (s *Series) Len() int {
 	return s.n
 }
 
-// Cap returns the ring capacity.
-func (s *Series) Cap() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.ts)
-}
-
-// Last returns the most recent sample, if any.
-func (s *Series) Last() (Sample, bool) {
-	if s == nil {
-		return Sample{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return Sample{}, false
-	}
-	i := s.head - 1
-	if i < 0 {
-		i += len(s.ts)
-	}
-	return Sample{TS: s.ts[i], V: s.v[i]}, true
-}
-
 // windowCut is the Unix-nanosecond cutoff of a window ending now; window
 // ≤ 0 covers the whole ring.
 func windowCut(window time.Duration) int64 {

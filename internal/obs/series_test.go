@@ -11,8 +11,8 @@ import (
 
 func TestSeriesAppendAndWrap(t *testing.T) {
 	s := newSeries("x", 4)
-	if s.Len() != 0 || s.Cap() != 4 {
-		t.Fatalf("fresh series Len/Cap = %d/%d", s.Len(), s.Cap())
+	if s.Len() != 0 || len(s.ts) != 4 {
+		t.Fatalf("fresh series Len/capacity = %d/%d", s.Len(), len(s.ts))
 	}
 	for i := 0; i < 6; i++ {
 		s.appendSample(int64(i), float64(i))
@@ -29,10 +29,6 @@ func TestSeriesAppendAndWrap(t *testing.T) {
 		if samples[i].V != want || samples[i].TS != int64(want) {
 			t.Errorf("samples[%d] = %+v, want v=ts=%g", i, samples[i], want)
 		}
-	}
-	last, ok := s.Last()
-	if !ok || last.V != 5 || last.TS != 5 {
-		t.Errorf("Last() = %+v/%v, want {5 5}/true", last, ok)
 	}
 }
 
@@ -80,11 +76,8 @@ func TestSeriesNilSafe(t *testing.T) {
 	var s *Series
 	s.Append(1)
 	s.appendSample(1, 1)
-	if s.Len() != 0 || s.Cap() != 0 || s.Name() != "" {
+	if s.Len() != 0 || s.Name() != "" {
 		t.Error("nil Series not inert")
-	}
-	if _, ok := s.Last(); ok {
-		t.Error("nil Series Last() reported a sample")
 	}
 	if s.Samples(0) != nil {
 		t.Error("nil Series Samples() non-nil")
@@ -126,8 +119,8 @@ func TestRegistrySeriesGetOrCreate(t *testing.T) {
 	if a == nil || r.Series("a") != a {
 		t.Fatal("Series() not get-or-create stable")
 	}
-	if a.Cap() != DefaultSeriesCap {
-		t.Errorf("Series(a).Cap() = %d, want %d", a.Cap(), DefaultSeriesCap)
+	if len(a.ts) != DefaultSeriesCap {
+		t.Errorf("Series(a) capacity = %d, want %d", len(a.ts), DefaultSeriesCap)
 	}
 	r.Series("b")
 	if r.LookupSeries("missing") != nil {
@@ -160,10 +153,11 @@ func TestSamplerSnapshotsMetrics(t *testing.T) {
 		if s == nil {
 			t.Fatalf("series %q not created by sampler (have %v)", c.name, r.SeriesNames())
 		}
-		if s.Len() != 2 {
-			t.Errorf("series %q has %d samples, want 2", c.name, s.Len())
+		samples := s.Samples(0)
+		if len(samples) != 2 {
+			t.Fatalf("series %q has %d samples, want 2", c.name, len(samples))
 		}
-		if last, _ := s.Last(); last.V != c.want || last.TS != 2000 {
+		if last := samples[1]; last.V != c.want || last.TS != 2000 {
 			t.Errorf("series %q last = %+v, want v=%g ts=2000", c.name, last, c.want)
 		}
 		// Every projection the sampler names maps back to its histogram;

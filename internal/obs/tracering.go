@@ -151,24 +151,6 @@ func (r *TraceRing) Get(traceID string) []*trace.Span {
 	return out
 }
 
-// Len returns the number of resident traces.
-func (r *TraceRing) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-
-// Cap returns the ring capacity.
-func (r *TraceRing) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.entries)
-}
-
 // List summarises resident traces, newest first.
 func (r *TraceRing) List() []TraceSummary {
 	return r.list(func(a, b *listRow) bool { return a.seq > b.seq })

@@ -26,8 +26,8 @@ func TestTraceRingFIFOEviction(t *testing.T) {
 	r := NewTraceRing(3)
 	for i := 0; i < 5; i++ {
 		r.Add(mkTrace(fmt.Sprintf("t%d", i), 100, i%2 == 1))
-		if want := min(i+1, 3); r.Len() != want {
-			t.Fatalf("Len() = %d after %d adds, want %d", r.Len(), i+1, want)
+		if want := min(i+1, 3); len(r.List()) != want {
+			t.Fatalf("%d resident traces after %d adds, want %d", len(r.List()), i+1, want)
 		}
 	}
 	for i, resident := range []bool{false, false, true, true, true} {
@@ -67,16 +67,16 @@ func TestTraceRingMergeAndEvict(t *testing.T) {
 	if got := len(r.Get("t1")); got != 3 {
 		t.Fatalf("merged trace has %d spans, want 3 (dedup by span ID)", got)
 	}
-	if r.Len() != 2 {
-		t.Fatalf("Len() = %d, want 2 (merge must not claim a slot)", r.Len())
+	if len(r.List()) != 2 {
+		t.Fatalf("%d resident traces, want 2 (merge must not claim a slot)", len(r.List()))
 	}
 
 	// Capacity 2: a third distinct trace evicts the oldest (t1 — it kept its
 	// original slot through the merge; t2 claimed the newer slot... eviction
 	// is slot-order, so the next Add overwrites the slot after t2's).
 	r.Add(mkTrace("t3", 100, false))
-	if r.Len() != 2 {
-		t.Fatalf("Len() = %d after eviction, want 2", r.Len())
+	if len(r.List()) != 2 {
+		t.Fatalf("%d resident traces after eviction, want 2", len(r.List()))
 	}
 	if r.Get("t1") != nil {
 		t.Fatal("oldest trace still resident after eviction")
@@ -114,7 +114,7 @@ func TestTraceRingListAndSlowest(t *testing.T) {
 func TestTraceRingNilSafe(t *testing.T) {
 	var r *TraceRing
 	r.Add(mkTrace("x", 1, false))
-	if r.Get("x") != nil || r.List() != nil || r.Slowest() != nil || r.Len() != 0 || r.Cap() != 0 {
+	if r.Get("x") != nil || r.List() != nil || r.Slowest() != nil {
 		t.Fatal("nil ring must be fully inert")
 	}
 }
@@ -188,7 +188,7 @@ func TestTraceRingConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if r.Len() != 32 {
-		t.Fatalf("Len() = %d after overfill, want capacity 32", r.Len())
+	if len(r.List()) != 32 {
+		t.Fatalf("%d resident traces after overfill, want capacity 32", len(r.List()))
 	}
 }

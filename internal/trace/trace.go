@@ -413,8 +413,9 @@ func GroupByTraceID(spans []*Span) map[string][]*Span {
 }
 
 // AssembleAll groups spans by trace ID and assembles each group, skipping
-// groups that fail validation. It returns the traces sorted by trace ID for
-// determinism, along with the number of groups skipped.
+// groups that hold a span Valid rejects or that fail assembly. It returns
+// the traces sorted by trace ID for determinism, along with the number of
+// groups skipped.
 func AssembleAll(spans []*Span) (traces []*Trace, skipped int) {
 	groups := GroupByTraceID(spans)
 	ids := make([]string, 0, len(groups))
@@ -423,7 +424,12 @@ func AssembleAll(spans []*Span) (traces []*Trace, skipped int) {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		t, err := Assemble(groups[id])
+		group := groups[id]
+		if slices.ContainsFunc(group, func(s *Span) bool { return !s.Valid() }) {
+			skipped++
+			continue
+		}
+		t, err := Assemble(group)
 		if err != nil {
 			skipped++
 			continue

@@ -328,9 +328,11 @@ func TestAssembleAll(t *testing.T) {
 		span("t1", "a", "", "s", "n", KindServer, 0, 10, false),
 		span("t2", "x", "", "s", "n", KindServer, 0, 10, false),
 		span("t2", "x", "", "s", "n", KindServer, 5, 15, false), // dup → skip t2
+		span("t3", "a", "", "s", "n", KindServer, 0, 10, false),
+		span("t3", "b", "a", "s", "n", KindClient, 9, 4, false), // ends before it starts → skip t3
 	}
 	traces, skipped := AssembleAll(mixed)
-	if len(traces) != 1 || skipped != 1 {
+	if len(traces) != 1 || skipped != 2 {
 		t.Fatalf("AssembleAll = %d traces, %d skipped", len(traces), skipped)
 	}
 	if traces[0].TraceID != "t1" {

@@ -1,9 +1,11 @@
 package sleuth
 
 import (
+	"bytes"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -243,13 +245,26 @@ func TestAnalyzeWritesOneSeriesPerMeasurement(t *testing.T) {
 	<-swept
 	sp.Stop()
 
-	hists := reg.Snapshot().Histograms
 	for _, name := range []string{"cluster.core_distances_us", "cluster.mst_us", "rca.localize_us"} {
-		if _, ok := hists[name]; !ok {
+		if reg.LookupHistogram(name) == nil {
 			t.Errorf("histogram %s not recorded; the test no longer covers its stage", name)
 		}
 	}
-	for name := range hists {
+	// Every histogram, by its registered name: the exposition's HELP line
+	// right before each "# TYPE … histogram" line carries it.
+	var prom bytes.Buffer
+	obs.WritePrometheus(&prom, reg)
+	lines := strings.Split(prom.String(), "\n")
+	var hists []string
+	for i := 1; i < len(lines); i++ {
+		if strings.HasPrefix(lines[i], "# TYPE ") && strings.HasSuffix(lines[i], " histogram") {
+			hists = append(hists, strings.Fields(lines[i-1])[3])
+		}
+	}
+	if len(hists) == 0 {
+		t.Fatal("no histogram in the exposition")
+	}
+	for _, name := range hists {
 		if reg.LookupSeries(name) != nil {
 			t.Errorf("series %s has a histogram's name: the measurement has two writers", name)
 		}
