@@ -55,8 +55,9 @@ cross-build:
 # request, one joined trace whose ring half re-ingests through the
 # collector), the watchdog alert smoke (a synthetic p99 regression must
 # fire the stock burn-rate rule, link a resolvable exemplar trace and
-# resolve after recovery), the rca-smoke gate (the localiser's verdicts on
-# a fixed seed suite must match a pinned golden hash), bench-smoke (the
+# resolve after recovery), the rca-smoke gate (the localiser's verdicts and
+# Analyze's diagnoses on fixed seed suites must match pinned golden
+# hashes), bench-smoke (the
 # benchmark module's own tests), and fuzz-smoke (five seconds of each span
 # decoder against its reflection oracle, of the AVX2 matmul kernel against
 # the scalar one, of the traceparent parser, of the alert-rule parser, of
@@ -124,9 +125,13 @@ alert-smoke:
 # rca-smoke is the localisation golden gate: on a fixed seed suite
 # (seeds 20–22, a slowdown and a CPU+error plan, 40 requests each) the
 # localiser's root-cause sets, hashed query by query, and its count of
-# true-root hits must equal the pinned constants.
+# true-root hits must equal the pinned constants; then TestAnalyzeGolden
+# holds the whole §3.3 pipeline (Analyze: distances, HDBSCAN under the
+# shipped policy, medoid localisation, report order) to its pinned hash of
+# every Diagnosis over two worlds and three incident windows.
 rca-smoke:
 	$(GO) test -run 'TestRCASmokeGolden' -count=1 ./internal/rca
+	$(GO) test -run 'TestAnalyzeGolden' -count=1 .
 
 # bench-smoke runs the benchmark module's own tests (≈ 2 s): a smoke run of
 # every workload, seed repeatability, BENCHMARK.json staying in sync with

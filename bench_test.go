@@ -113,7 +113,10 @@ func BenchmarkFig5Training(b *testing.B) {
 // 1000-trace batch versus scale, with and without trace clustering. Paper
 // shape: clustering speeds inference by the cluster-compression factor,
 // more at larger scales; Sleuth's per-query cost grows with trace size
-// only, not model size.
+// only, not model size. The shipped policy seldom clusters the evaluation's
+// ≈ 5-trace incident windows, so here the clustered column carries the
+// pipeline's overhead; `diagnose_large` (benchmark/) shows the compression
+// at production window size.
 func BenchmarkFig5Inference(b *testing.B) {
 	rows, err := fig5Results()
 	if err != nil {

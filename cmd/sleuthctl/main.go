@@ -198,10 +198,6 @@ func cmdRCA(args []string) error {
 func cmdCluster(args []string) error {
 	fs := flag.NewFlagSet("cluster", flag.ExitOnError)
 	tracesPath := fs.String("traces", "", "spans JSONL (required)")
-	minSize := fs.Int("min-cluster-size", 4, "HDBSCAN min cluster size")
-	minSamples := fs.Int("min-samples", 2, "HDBSCAN min samples")
-	eps := fs.Float64("epsilon", 0.1, "HDBSCAN selection epsilon")
-	dmax := fs.Int("dmax", cluster.DefaultMaxAncestors, "ancestor window of span identifiers")
 	timing := fs.Bool("timing", false, "print per-stage wall clock (pairwise / hdbscan / medoids)")
 	_ = fs.Parse(args)
 	if *tracesPath == "" {
@@ -212,12 +208,9 @@ func cmdCluster(args []string) error {
 		return err
 	}
 	start := time.Now()
-	sets := cluster.TraceSets(traces, *dmax)
-	m := cluster.Pairwise(sets)
+	m := cluster.Pairwise(cluster.TraceSets(traces, cluster.DefaultMaxAncestors))
 	pairwiseDone := time.Now()
-	labels := cluster.HDBSCAN(m, cluster.Options{
-		MinClusterSize: *minSize, MinSamples: *minSamples, SelectionEpsilon: *eps,
-	})
+	labels := cluster.HDBSCAN(m, cluster.DefaultOptions())
 	hdbscanDone := time.Now()
 	medoids := cluster.Medoids(m, labels)
 	if *timing {

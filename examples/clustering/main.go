@@ -77,10 +77,11 @@ func main() {
 	fmt.Printf("mean distance: same-mode %.3f, cross-mode %.3f\n", sameSum/float64(sameN), crossSum/float64(crossN))
 
 	// Cluster and inspect.
-	labels := cluster.HDBSCAN(m, cluster.Options{MinClusterSize: 4, MinSamples: 2, SelectionEpsilon: 0.05})
+	labels := cluster.HDBSCAN(m, cluster.DefaultOptions())
 	fmt.Printf("HDBSCAN: %s\n", cluster.Summary(labels))
 	medoids := cluster.Medoids(m, labels)
-	for label, idx := range medoids {
+	for label := range len(medoids) {
+		idx := medoids[label]
 		counts := map[string]int{}
 		for i, l := range labels {
 			if l == label {

@@ -410,25 +410,6 @@ func TestHDBSCANSmallInputAllNoise(t *testing.T) {
 	}
 }
 
-func TestHDBSCANSingleBlobNeedsAllowSingle(t *testing.T) {
-	rng := xrand.New(4)
-	var coords []float64
-	for i := 0; i < 20; i++ {
-		coords = append(coords, rng.Normal(0, 1))
-	}
-	m := lineMatrix(coords)
-	with := HDBSCAN(m, Options{MinClusterSize: 5, MinSamples: 3, AllowSingleCluster: true})
-	clustered := 0
-	for _, l := range with {
-		if l >= 0 {
-			clustered++
-		}
-	}
-	if clustered < 15 {
-		t.Fatalf("single-cluster mode clustered only %d/20", clustered)
-	}
-}
-
 func TestHDBSCANEpsilonMergesFineSplits(t *testing.T) {
 	rng := xrand.New(5)
 	// Two sub-blobs 2 apart (fine structure) and another blob 100 away.

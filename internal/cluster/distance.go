@@ -523,7 +523,7 @@ func Medoids(m *Matrix, labels []int) map[int]int {
 	done := stageTimer("cluster.medoids_us")
 	defer done()
 	obs.C("cluster.medoids_calls").Inc()
-	return medoids(m, labels, clusterWorkers(len(labels)))
+	return medoids(m, labels)
 }
 
 // Summary renders cluster sizes for logs.

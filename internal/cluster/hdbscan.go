@@ -43,23 +43,23 @@ func emitClusterStats(labels []int) {
 // Options configures HDBSCAN. The paper initialises min_cluster_size=10,
 // min_samples=5, cluster_selection_epsilon=1 and adjusts per batch
 // (§3.3.2). Note that with the Eq. 1 distance bounded by 1, an epsilon of
-// 1 merges everything reachable — the paper's adjustment step matters, and
-// the evaluation harness passes batch-scaled values.
+// 1 merges everything reachable; DefaultOptions is the one policy every
+// caller runs.
 type Options struct {
 	MinClusterSize int
 	MinSamples     int
 	// SelectionEpsilon stops cluster splits below this distance: clusters
 	// born of a split at distance < ε are merged into their parent.
 	SelectionEpsilon float64
-	// AllowSingleCluster permits selecting the dendrogram root (off by
-	// default, as in the reference implementation).
-	AllowSingleCluster bool
 }
 
-// DefaultOptions mirrors the paper's initial hyper-parameters, with the
-// epsilon scaled into the unit-bounded Jaccard distance space.
+// DefaultOptions is the shipped clustering policy: the one Analyze, the
+// evaluation harness and `sleuthctl cluster` run. Its epsilon lives in the
+// unit-bounded Eq. 1 distance space. The dendrogram root is never selected
+// (as in the reference implementation's default), so a batch too small to
+// split into two clusters of MinClusterSize is all noise.
 func DefaultOptions() Options {
-	return Options{MinClusterSize: 10, MinSamples: 5, SelectionEpsilon: 0.3}
+	return Options{MinClusterSize: 4, MinSamples: 2, SelectionEpsilon: 0.1}
 }
 
 // HDBSCAN clusters points given their distance matrix and returns a label
@@ -313,16 +313,15 @@ func lambdaOf(dist float64) float64 {
 
 // selectClusters performs bottom-up stability selection with the epsilon
 // rule: a cluster born from a split at distance < ε cannot be selected
-// separately from its parent.
+// separately from its parent. The root (cluster 0) is never selected, as in
+// the reference implementation's default: the walk stops above it, so its
+// children compete on their own.
 func selectClusters(clusters []*condensedCluster, opts Options) map[int]bool {
 	selected := make(map[int]bool)
-	if len(clusters) == 0 {
-		return selected
-	}
 	// Order bottom-up: children have higher indexes than parents by
 	// construction.
 	subtreeStability := make([]float64, len(clusters))
-	for i := len(clusters) - 1; i >= 0; i-- {
+	for i := len(clusters) - 1; i > 0; i-- {
 		cl := clusters[i]
 		childSum := 0.0
 		for _, c := range cl.children {
@@ -334,14 +333,8 @@ func selectClusters(clusters []*condensedCluster, opts Options) map[int]bool {
 		if cl.splitLambda > 0 {
 			splitDist = 1 / cl.splitLambda
 		}
-		rootBarred := i == 0 && !opts.AllowSingleCluster
-		preferChildren := len(cl.children) > 0 &&
-			(childSum > cl.stability || rootBarred) &&
-			(splitDist >= opts.SelectionEpsilon || rootBarred)
-		if preferChildren {
+		if len(cl.children) > 0 && childSum > cl.stability && splitDist >= opts.SelectionEpsilon {
 			subtreeStability[i] = childSum
-		} else if rootBarred {
-			subtreeStability[i] = 0 // leaf-less barred root: nothing to select
 		} else {
 			subtreeStability[i] = cl.stability
 			selected[i] = true

@@ -121,8 +121,9 @@ func kthNearest(m *Matrix, i, k int, scratch []float64) float64 {
 
 // coreDistances returns each point's distance to its k-th nearest
 // neighbour (k = minSamples, counting the point itself as distance 0).
-// Rows are independent, so they are striped across workers in contiguous
-// chunks; each worker reuses one bounded-heap scratch buffer.
+// Rows are independent, so they fan out in blocks of parallelMinPoints
+// rows; each block reuses one bounded-heap scratch buffer, and a matrix of
+// one block runs inline.
 func coreDistances(m *Matrix, minSamples int) []float64 {
 	done := stageTimer("cluster.core_distances_us")
 	defer done()
@@ -131,36 +132,13 @@ func coreDistances(m *Matrix, minSamples int) []float64 {
 	if n == 0 {
 		return out
 	}
-	k := minSamples
-	if k >= n {
-		k = n - 1
-	}
-	workers := clusterWorkers(n)
-	if workers <= 1 || n < parallelMinPoints {
+	k := min(minSamples, n-1)
+	fanOut((n+parallelMinPoints-1)/parallelMinPoints, func(b int) {
 		scratch := make([]float64, 0, k+1)
-		for i := 0; i < n; i++ {
+		for i := b * parallelMinPoints; i < min((b+1)*parallelMinPoints, n); i++ {
 			out[i] = kthNearest(m, i, k, scratch)
 		}
-		return out
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			scratch := make([]float64, 0, k+1)
-			for i := lo; i < hi; i++ {
-				out[i] = kthNearest(m, i, k, scratch)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 	return out
 }
 
@@ -319,12 +297,12 @@ const medoidChunkSize = 256
 
 // medoids is the kernel behind Medoids: per cluster, the member with the
 // minimal distance sum to all members, lowest index winning ties. Work
-// items are (cluster, member-chunk) pairs drained from a queue; each
-// item's sums iterate members in slice order — the serial order — so sums
-// are bit-identical, and the per-cluster reduction walks chunks in
-// ascending order with strict-less comparison to preserve the serial
-// tie-break.
-func medoids(m *Matrix, labels []int, workers int) map[int]int {
+// items are (cluster, member-chunk) pairs fanned out over the package's
+// worker pool (inline below parallelMinPoints points); each item's sums
+// iterate members in slice order — the serial order — so sums are
+// bit-identical, and the per-cluster reduction walks chunks in ascending
+// order with strict-less comparison to preserve the serial tie-break.
+func medoids(m *Matrix, labels []int) map[int]int {
 	members := make(map[int][]int)
 	order := make([]int, 0, 8)
 	for i, l := range labels {
@@ -340,7 +318,6 @@ func medoids(m *Matrix, labels []int, workers int) map[int]int {
 	type item struct {
 		label  int
 		lo, hi int // candidate positions within members[label]
-		slot   int
 	}
 	type result struct {
 		pos int // candidate position, -1 when unset
@@ -350,11 +327,12 @@ func medoids(m *Matrix, labels []int, workers int) map[int]int {
 	for _, l := range order {
 		idx := members[l]
 		for lo := 0; lo < len(idx); lo += medoidChunkSize {
-			items = append(items, item{label: l, lo: lo, hi: min(lo+medoidChunkSize, len(idx)), slot: len(items)})
+			items = append(items, item{label: l, lo: lo, hi: min(lo+medoidChunkSize, len(idx))})
 		}
 	}
 	results := make([]result, len(items))
-	score := func(it item) {
+	score := func(slot int) {
+		it := items[slot]
 		idx := members[it.label]
 		best, bestSum := -1, 0.0
 		for p := it.lo; p < it.hi; p++ {
@@ -367,33 +345,14 @@ func medoids(m *Matrix, labels []int, workers int) map[int]int {
 				best, bestSum = p, sum
 			}
 		}
-		results[it.slot] = result{pos: best, sum: bestSum}
+		results[slot] = result{pos: best, sum: bestSum}
 	}
-
-	if workers > len(items) {
-		workers = len(items)
-	}
-	if workers <= 1 || len(labels) < parallelMinPoints {
-		for _, it := range items {
-			score(it)
+	if len(labels) < parallelMinPoints {
+		for slot := range items {
+			score(slot)
 		}
 	} else {
-		queue := make(chan item, len(items))
-		for _, it := range items {
-			queue <- it
-		}
-		close(queue)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for it := range queue {
-					score(it)
-				}
-			}()
-		}
-		wg.Wait()
+		fanOut(len(items), score)
 	}
 
 	out := make(map[int]int, len(order))

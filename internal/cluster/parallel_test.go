@@ -218,14 +218,16 @@ func TestMedoidsParallelMatchesSerial(t *testing.T) {
 		}
 	}
 	want := medoidsRef(m, labels)
-	for _, workers := range []int{1, 2, 5, 8} {
-		got := medoids(m, labels, workers)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 5, 8} {
+		runtime.GOMAXPROCS(procs)
+		got := Medoids(m, labels)
 		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d medoids, want %d", workers, len(got), len(want))
+			t.Fatalf("GOMAXPROCS=%d: %d medoids, want %d", procs, len(got), len(want))
 		}
 		for l, idx := range want {
 			if got[l] != idx {
-				t.Fatalf("workers=%d: medoid[%d] = %d, want %d", workers, l, got[l], idx)
+				t.Fatalf("GOMAXPROCS=%d: medoid[%d] = %d, want %d", procs, l, got[l], idx)
 			}
 		}
 	}

@@ -72,7 +72,7 @@ func AblationDmax(effort Effort) ([]AblationDmaxRow, error) {
 	for i, q := range ds.Queries {
 		traces[i] = q.Trace
 	}
-	opts := clusterOptionsFor(len(ds.Queries))
+	opts := cluster.DefaultOptions()
 	var rows []AblationDmaxRow
 	for _, dmax := range []int{0, 1, 3, 5} {
 		sets := cluster.TraceSets(traces, dmax)
@@ -174,7 +174,7 @@ func AblationEpsilon(effort Effort) ([]AblationEpsilonRow, error) {
 	m := cluster.Pairwise(sets)
 	var rows []AblationEpsilonRow
 	for _, eps := range []float64{0, 0.1, 0.3, 0.6, 0.9} {
-		opts := clusterOptionsFor(len(ds.Queries))
+		opts := cluster.DefaultOptions()
 		opts.SelectionEpsilon = eps
 		labels := cluster.HDBSCAN(m, opts)
 		purity, noise := clusterPurity(ds, labels)

@@ -150,7 +150,12 @@ func TestEvaluateSleuthBeatsRules(t *testing.T) {
 	}
 }
 
-func TestClusteredEvaluateReducesInferences(t *testing.T) {
+// TestClusteredEvaluateSmallWindowsMatchEvaluate: ClusteredEvaluate runs
+// the one clustering policy Analyze runs, and that policy never selects the
+// dendrogram root, so a window shorter than two clusters of MinClusterSize
+// is all noise. Every query is then localised on its own, and the
+// clustered confusion is Evaluate's, query for query.
+func TestClusteredEvaluateSmallWindowsMatchEvaluate(t *testing.T) {
 	app := synth.Synthetic(16, 7)
 	opts := DefaultDatasetOptions(7)
 	opts.NormalTraces = 100
@@ -160,26 +165,36 @@ func TestClusteredEvaluateReducesInferences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Keep the windows shorter than two clusters of MinClusterSize.
+	policy := cluster.DefaultOptions()
+	windows := map[int]int{}
+	for _, q := range ds.Queries {
+		windows[q.PlanID]++
+	}
+	var short []Query
+	for _, q := range ds.Queries {
+		if windows[q.PlanID] < 2*policy.MinClusterSize {
+			short = append(short, q)
+		}
+	}
+	if len(short) < 15 {
+		t.Fatalf("only %d of %d queries sit in short windows; the test needs 15", len(short), len(ds.Queries))
+	}
+	ds.Queries = short
 	sleuth := buildSleuth(t, ds, 7)
 	full, _, err := Evaluate(sleuth, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ClusteredEvaluate(sleuth, ds,
-		cluster.Options{MinClusterSize: 4, MinSamples: 2, SelectionEpsilon: 0.1},
-		MetricJaccard, nil)
+	out, err := ClusteredEvaluate(sleuth, ds, policy, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("full: %s", full.String())
-	t.Logf("clustered: %s inferences=%d clusters=%d noise=%d",
-		out.Confusion.String(), out.Inferences, out.Clusters, out.Noise)
-	if out.Inferences >= len(ds.Queries) {
-		t.Fatalf("clustering did not reduce inferences: %d/%d", out.Inferences, len(ds.Queries))
+	t.Logf("full: %s; clustered: %s in %d inferences", full.String(), out.Confusion.String(), out.Inferences)
+	if out.Confusion != full {
+		t.Fatalf("clustered confusion %+v, want Evaluate's %+v", out.Confusion, full)
 	}
-	// Accuracy degradation from clustering should be bounded (paper
-	// reports 6-10%; allow slack on tiny samples).
-	if out.Confusion.F1() < full.F1()-0.35 {
-		t.Fatalf("clustering destroyed accuracy: %.2f vs %.2f", out.Confusion.F1(), full.F1())
+	if out.Inferences != len(ds.Queries) {
+		t.Fatalf("%d inferences for %d queries, want one each", out.Inferences, len(ds.Queries))
 	}
 }

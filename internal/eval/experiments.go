@@ -205,6 +205,6 @@ func BenchmarkApps(effort Effort) []BenchmarkApp {
 }
 
 // sleuthAlgorithm builds the Localizer wrapper for evaluation.
-func sleuthAlgorithm(m *core.Model) rca.Algorithm {
+func sleuthAlgorithm(m *core.Model) *rca.Localizer {
 	return rca.NewLocalizer(m, rca.DefaultOptions())
 }

@@ -84,9 +84,8 @@ func Table3(effort Effort) (*Table3Result, error) {
 		}
 		res.Cells["Sleuth-GCN"][bm.Name] = Table3Cell{F1: cGCN.F1(), ACC: cGCN.ACC()}
 
-		// Sleuth with Jaccard clustering.
-		clOpts := clusterOptionsFor(len(ds.Queries))
-		outJac, err := ClusteredEvaluate(sleuthAlgorithm(gin), ds, clOpts, MetricJaccard, nil)
+		// Sleuth with Eq. 1 clustering: the pipeline Analyze runs.
+		outJac, err := ClusteredEvaluate(sleuthAlgorithm(gin), ds, cluster.DefaultOptions(), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -102,35 +101,15 @@ func Table3(effort Effort) (*Table3Result, error) {
 		dtl.Train(ds.Normal[:trainCap])
 		queriesTraces := queryTraces(ds)
 		dists := dtl.Distances(queriesTraces)
-		outDTL, err := ClusteredEvaluate(sleuthAlgorithm(gin), ds, dtlClusterOptions(len(ds.Queries)), MetricCustom, dists)
+		dtlOpts := cluster.DefaultOptions()
+		dtlOpts.SelectionEpsilon = 0 // ε is unit-scaled for Eq. 1 only
+		outDTL, err := ClusteredEvaluate(sleuthAlgorithm(gin), ds, dtlOpts, dists)
 		if err != nil {
 			return nil, err
 		}
 		res.Cells["Sleuth-GIN+DeepTraLog"][bm.Name] = Table3Cell{F1: outDTL.Confusion.F1(), ACC: outDTL.Confusion.ACC()}
 	}
 	return res, nil
-}
-
-// clusterOptionsFor scales the paper's HDBSCAN hyper-parameters to the
-// query batch size ("adjusted according to the number and variation of the
-// traces", §3.3.2).
-func clusterOptionsFor(n int) cluster.Options {
-	switch {
-	case n < 40:
-		return cluster.Options{MinClusterSize: 3, MinSamples: 2, SelectionEpsilon: 0.05}
-	case n < 80:
-		return cluster.Options{MinClusterSize: 4, MinSamples: 2, SelectionEpsilon: 0.1}
-	default:
-		return cluster.Options{MinClusterSize: 10, MinSamples: 5, SelectionEpsilon: 0.1}
-	}
-}
-
-// dtlClusterOptions mirrors clusterOptionsFor in the unbounded Euclidean
-// embedding space (epsilon is not unit-scaled there).
-func dtlClusterOptions(n int) cluster.Options {
-	opts := clusterOptionsFor(n)
-	opts.SelectionEpsilon = 0
-	return opts
 }
 
 func queryTraces(ds *Dataset) []*trace.Trace {

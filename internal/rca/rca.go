@@ -16,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/sleuth-rca/sleuth/internal/cluster"
 	"github.com/sleuth-rca/sleuth/internal/core"
 	"github.com/sleuth-rca/sleuth/internal/obs"
 	"github.com/sleuth-rca/sleuth/internal/trace"
@@ -269,6 +270,64 @@ func (l *Localizer) LocalizeDetailedBatch(traces []*trace.Trace, sloMicros []flo
 	}
 	wg.Wait()
 	return out
+}
+
+// Group is one verdict of LocalizeClustered: the traces (indexes into its
+// batch, ascending) that share one localisation.
+type Group struct {
+	// Label is the HDBSCAN cluster label, -1 for a noise trace.
+	Label   int
+	Members []int
+	// Result localises the cluster's medoid, or the noise trace itself.
+	Result Result
+}
+
+// LocalizeClustered is the §3.3 pipeline over one batch of anomalous
+// traces: HDBSCAN over their distance matrix m (m.N == len(traces)),
+// then one LocalizeDetailedBatch over every noise trace and every
+// cluster's medoid, each medoid's result standing for its whole cluster.
+// sloMicros[i] is traces[i]'s objective. The groups come back noise first,
+// one per trace in batch order, then one per cluster by ascending label;
+// each Result is what a lone LocalizeDetailed of its query returns, so the
+// outcome is identical for any GOMAXPROCS.
+func (l *Localizer) LocalizeClustered(traces []*trace.Trace, sloMicros []float64, m *cluster.Matrix, opts cluster.Options) []Group {
+	if len(traces) != len(sloMicros) || m.N != len(traces) {
+		panic("rca: LocalizeClustered length mismatch")
+	}
+	labels := cluster.HDBSCAN(m, opts)
+	medoids := cluster.Medoids(m, labels)
+	var groups []Group
+	for i, lab := range labels {
+		if lab < 0 {
+			groups = append(groups, Group{Label: -1, Members: []int{i}})
+		}
+	}
+	// HDBSCAN labels its clusters 0 … len(medoids)-1.
+	noise := len(groups)
+	for lab := range len(medoids) {
+		groups = append(groups, Group{Label: lab})
+	}
+	for i, lab := range labels {
+		if lab >= 0 {
+			g := &groups[noise+lab]
+			g.Members = append(g.Members, i)
+		}
+	}
+	queries := make([]*trace.Trace, len(groups))
+	slos := make([]float64, len(groups))
+	for q, g := range groups {
+		i := g.Members[0]
+		if g.Label >= 0 {
+			i = medoids[g.Label]
+		}
+		queries[q], slos[q] = traces[i], sloMicros[i]
+	}
+	// The queries are independent and differ widely in cost, so they run on
+	// GOMAXPROCS workers; results come back in query order.
+	for q, res := range l.LocalizeDetailedBatch(queries, slos, 0) {
+		groups[q].Result = res
+	}
+	return groups
 }
 
 // LocalizeDetailed runs the full §3.5 loop and returns instance mappings,

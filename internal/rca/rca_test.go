@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/sleuth-rca/sleuth/internal/chaos"
+	"github.com/sleuth-rca/sleuth/internal/cluster"
 	"github.com/sleuth-rca/sleuth/internal/core"
 	"github.com/sleuth-rca/sleuth/internal/sim"
 	"github.com/sleuth-rca/sleuth/internal/stats"
@@ -411,3 +412,106 @@ func TestNewLocalizerMergesOptions(t *testing.T) {
 		})
 	}
 }
+
+// TestLocalizeClusteredPropagatesMedoidVerdicts pools the anomalous
+// traces of two fault plans into one batch and runs the §3.3 loop under
+// the shipped policy: every trace falls in exactly one group, clustering
+// saves inferences, every group's Result is a lone LocalizeDetailed of its
+// medoid (or of the noise trace itself), and the F1 of the propagated
+// verdicts stays within 0.35 of localising every trace alone.
+func TestLocalizeClusteredPropagatesMedoidVerdicts(t *testing.T) {
+	f := newFixtureSized(t, 8, 64)
+	slowName := f.app.Services[f.app.ServiceAtCallDepth(1)].Name
+	errName := f.app.Services[f.app.ServiceAtCallDepth(2)].Name
+	plans := []*chaos.Plan{
+		slowPlan(f.app, slowName, 60),
+		chaos.NewPlan(f.app, chaos.Fault{
+			Type: chaos.FaultCPU, Level: chaos.LevelContainer,
+			Target: errName, SlowFactor: 2, ErrorProb: 0.9,
+		}),
+	}
+	var traces []*trace.Trace
+	var slos []float64
+	var truth [][]string
+	for pi, plan := range plans {
+		for id := pi * 1000; id < pi*1000+80; id++ {
+			sample, err := f.sim.SimulateWithTruth(id, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sample.RootServices) == 0 || (float64(sample.Result.Duration) <= f.slo && !sample.Result.Errored) {
+				continue
+			}
+			traces = append(traces, sample.Result.Trace)
+			slos = append(slos, f.slo)
+			truth = append(truth, sample.RootServices)
+		}
+	}
+	if len(traces) < 40 {
+		t.Fatalf("only %d anomalous traces; the test needs 40", len(traces))
+	}
+	m := cluster.Pairwise(cluster.TraceSets(traces, cluster.DefaultMaxAncestors))
+	opts := cluster.DefaultOptions()
+	groups := f.loc.LocalizeClustered(traces, slos, m, opts)
+	if len(groups) >= len(traces) {
+		t.Fatalf("%d groups for %d traces: clustering saved no inference", len(groups), len(traces))
+	}
+	medoids := cluster.Medoids(m, cluster.HDBSCAN(m, opts))
+	seen := make([]int, len(traces))
+	var solo, propagated confusion
+	for gi, g := range groups {
+		if gi > 0 && g.Label < groups[gi-1].Label {
+			t.Fatalf("group %d has label %d after label %d", gi, g.Label, groups[gi-1].Label)
+		}
+		query := g.Members[0]
+		if g.Label >= 0 {
+			query = medoids[g.Label]
+		} else if len(g.Members) != 1 {
+			t.Fatalf("noise group %d has %d members", gi, len(g.Members))
+		}
+		if want := f.loc.LocalizeDetailed(traces[query], slos[query]); !reflect.DeepEqual(g.Result, want) {
+			t.Fatalf("group %d (label %d): result %+v, lone query of trace %d says %+v", gi, g.Label, g.Result, query, want)
+		}
+		isMember := false
+		for _, i := range g.Members {
+			seen[i]++
+			isMember = isMember || i == query
+			propagated.add(g.Result.Services, truth[i])
+			solo.add(f.loc.Localize(traces[i], slos[i]), truth[i])
+		}
+		if !isMember {
+			t.Fatalf("group %d: query trace %d is not a member", gi, query)
+		}
+	}
+	for i, n := range seen {
+		if n != 1 {
+			t.Fatalf("trace %d falls in %d groups, want exactly 1", i, n)
+		}
+	}
+	t.Logf("%d traces in %d groups; F1 solo %.2f, propagated %.2f", len(traces), len(groups), solo.f1(), propagated.f1())
+	if propagated.f1() < solo.f1()-0.35 {
+		t.Fatalf("propagated F1 %.2f, solo %.2f: clustering destroyed accuracy", propagated.f1(), solo.f1())
+	}
+}
+
+// confusion counts root-cause set overlap across queries (eval's §6.1.5
+// counts, which this package cannot import).
+type confusion struct{ tp, fp, fn int }
+
+func (c *confusion) add(pred, real []string) {
+	inReal := map[string]bool{}
+	for _, r := range real {
+		inReal[r] = true
+	}
+	for _, p := range pred {
+		if inReal[p] {
+			c.tp++
+			delete(inReal, p)
+		} else {
+			c.fp++
+		}
+	}
+	c.fn += len(inReal)
+}
+
+func (c *confusion) f1() float64 { return 2 * float64(c.tp) / float64(2*c.tp+c.fp+c.fn) }

@@ -219,13 +219,14 @@ type Analyzer struct {
 
 // NewAnalyzer wraps a trained model with default inference settings.
 func NewAnalyzer(m *Model) *Analyzer {
+	policy := cluster.DefaultOptions()
 	return &Analyzer{
 		Localizer:        rca.NewLocalizer(m, rca.DefaultOptions()),
 		SLO:              map[string]float64{},
 		GlobalSLO:        1_000_000,
-		ClusterMinSize:   4,
-		ClusterMinSamp:   2,
-		ClusterEpsilon:   0.1,
+		ClusterMinSize:   policy.MinClusterSize,
+		ClusterMinSamp:   policy.MinSamples,
+		ClusterEpsilon:   policy.SelectionEpsilon,
 		MaxAncestorDepth: cluster.DefaultMaxAncestors,
 	}
 }
@@ -274,61 +275,34 @@ type Report struct {
 }
 
 // Analyze runs the full pipeline over a batch of anomalous traces:
-// distance computation, HDBSCAN, medoid localisation, and propagation of
-// each medoid's diagnosis to its cluster.
+// distance computation, then rca.LocalizeClustered (HDBSCAN, medoid
+// localisation, and propagation of each medoid's diagnosis to its
+// cluster). Diagnoses come in LocalizeClustered's order: noise traces one
+// by one in batch order, then clusters by ascending label.
 func (a *Analyzer) Analyze(anomalous []*Trace) *Report {
 	report := &Report{}
 	if len(anomalous) == 0 {
 		return report
 	}
-	sets := cluster.TraceSets(anomalous, a.MaxAncestorDepth)
-	m := cluster.Pairwise(sets)
-	labels := cluster.HDBSCAN(m, cluster.Options{
+	m := cluster.Pairwise(cluster.TraceSets(anomalous, a.MaxAncestorDepth))
+	slos := make([]float64, len(anomalous))
+	for i, tr := range anomalous {
+		slos[i] = a.sloFor(tr)
+	}
+	groups := a.Localizer.LocalizeClustered(anomalous, slos, m, cluster.Options{
 		MinClusterSize:   a.ClusterMinSize,
 		MinSamples:       a.ClusterMinSamp,
 		SelectionEpsilon: a.ClusterEpsilon,
 	})
-	medoids := cluster.Medoids(m, labels)
-
-	members := map[int][]int{}
-	for i, l := range labels {
-		members[l] = append(members[l], i)
-	}
-	var clusterIDs []int
-	for l := range members {
-		clusterIDs = append(clusterIDs, l)
-	}
-	sort.Ints(clusterIDs)
-	// One query per diagnosis, in report order: noise traces (label -1 sorts
-	// first) each on their own, then every cluster's medoid.
-	var queries []*Trace
-	for _, l := range clusterIDs {
-		if l < 0 {
-			for _, i := range members[l] {
-				queries = append(queries, anomalous[i])
-				report.Diagnoses = append(report.Diagnoses, Diagnosis{ClusterID: -1, TraceIDs: []string{anomalous[i].TraceID}})
-			}
-			continue
-		}
-		queries = append(queries, anomalous[medoids[l]])
-		d := Diagnosis{ClusterID: l}
-		for _, i := range members[l] {
+	for _, g := range groups {
+		d := Diagnosis{ClusterID: g.Label, Services: g.Result.Services, Pods: g.Result.Pods, Nodes: g.Result.Nodes}
+		for _, i := range g.Members {
 			d.TraceIDs = append(d.TraceIDs, anomalous[i].TraceID)
 		}
 		sort.Strings(d.TraceIDs)
 		report.Diagnoses = append(report.Diagnoses, d)
 	}
-	slos := make([]float64, len(queries))
-	for q, tr := range queries {
-		slos[q] = a.sloFor(tr)
-	}
-	// The queries are independent and differ widely in cost, so they run on
-	// GOMAXPROCS workers; results come back in query order.
-	for q, res := range a.Localizer.LocalizeDetailedBatch(queries, slos, 0) {
-		d := &report.Diagnoses[q]
-		d.Services, d.Pods, d.Nodes = res.Services, res.Pods, res.Nodes
-	}
-	report.Inferences = len(queries)
+	report.Inferences = len(groups)
 	return report
 }
 

@@ -2,6 +2,8 @@ package sleuth
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -206,6 +208,68 @@ func TestAnalyzeDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	if k != len(noiseOrder) {
 		t.Fatalf("noise diagnoses %v are not in batch order", noiseOrder)
 	}
+}
+
+// analyzeGoldenDiagnoses, analyzeGoldenInferences and analyzeGoldenHash
+// pin TestAnalyzeGolden's suite: the number of diagnoses and GNN
+// inferences over every window, and the FNV-64a hash of every Diagnosis.
+const (
+	analyzeGoldenDiagnoses  = 63
+	analyzeGoldenInferences = 63
+	analyzeGoldenHash       = 0x173cd3b65ca843bc
+)
+
+// TestAnalyzeGolden pins Analyze end to end, as TestRCASmokeGolden pins the
+// localiser: on a fixed seed suite (two worlds, seeds 3 and 11; incidents
+// 20–22 of 60 requests each, analysed window by window and then pooled),
+// every Diagnosis — cluster label, member trace IDs, services, pods and
+// nodes, in report order — must hash to the pinned constant. Any change to
+// the distance, the HDBSCAN policy, medoid choice, the report order or the
+// localiser moves it; a change that moves it on purpose says which
+// diagnoses moved and why, and re-pins.
+func TestAnalyzeGolden(t *testing.T) {
+	h := fnv.New64a()
+	diagnoses, inferences, clustered := 0, 0, 0
+	for _, worldSeed := range []uint64{3, 11} {
+		world, _, analyzer, _ := endToEnd(t, worldSeed)
+		var windows [][]*Trace
+		var pooled []*Trace
+		for seed := uint64(20); seed < 23; seed++ {
+			inc, err := world.SimulateIncident(nil, 60, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var window []*Trace
+			for _, tr := range inc.Traces {
+				if analyzer.IsAnomalous(tr) {
+					window = append(window, tr)
+				}
+			}
+			windows = append(windows, window)
+			pooled = append(pooled, window...)
+		}
+		for w, window := range append(windows, pooled) {
+			report := analyzer.Analyze(window)
+			inferences += report.Inferences
+			for _, d := range report.Diagnoses {
+				diagnoses++
+				if d.ClusterID >= 0 {
+					clustered++
+				}
+				fmt.Fprintf(h, "%d/%d/%d:%s|%s|%s|%s\n", worldSeed, w, d.ClusterID,
+					strings.Join(d.TraceIDs, ","), strings.Join(d.Services, ","),
+					strings.Join(d.Pods, ","), strings.Join(d.Nodes, ","))
+			}
+		}
+	}
+	if clustered == 0 || clustered == diagnoses {
+		t.Fatalf("%d clustered diagnoses of %d; the suite needs both kinds", clustered, diagnoses)
+	}
+	if diagnoses != analyzeGoldenDiagnoses || inferences != analyzeGoldenInferences || h.Sum64() != analyzeGoldenHash {
+		t.Fatalf("analyze-golden: %d diagnoses, %d inferences, hash %#016x; pinned %d, %d, %#016x",
+			diagnoses, inferences, h.Sum64(), analyzeGoldenDiagnoses, analyzeGoldenInferences, uint64(analyzeGoldenHash))
+	}
+	t.Logf("analyze-golden: %d diagnoses (%d clustered), %d inferences, as pinned", diagnoses, clustered, inferences)
 }
 
 func TestAnalyzeEmpty(t *testing.T) {
