@@ -24,12 +24,19 @@ OBS_BUDGET := 3254
 
 # budget is the size-and-knob gate: no non-test Go file outside benchmark/
 # may mention a SLEUTH_ environment variable (flags and struct fields are the
-# only knobs), and internal/obs/... must stay within OBS_BUDGET non-test lines
-# (it ships a signal only if a CLI view, a default-pack rule, a gate or a
-# scraper reads it). Prints the per-package non-test line table ROADMAP quotes.
+# only knobs); no non-test Go file outside benchmark/ may use a
+# sync.WaitGroup except internal/par (the one batch fan-out, par.For),
+# internal/ingest (its long-lived shard goroutines) and
+# internal/cluster/parallel.go (Prim's per-round barrier); and
+# internal/obs/... must stay within OBS_BUDGET non-test lines (it ships a
+# signal only if a CLI view, a default-pack rule, a gate or a scraper reads
+# it). Prints the per-package non-test line table ROADMAP quotes.
 budget:
 	@hits=$$(grep -rn 'SLEUTH_' --include='*.go' . | grep -v -e '^\./benchmark/' -e '^\./\.bench_build/' -e '_test\.go:'); \
 	if [ -n "$$hits" ]; then echo "SLEUTH_ in non-test Go outside benchmark/:"; echo "$$hits"; exit 1; fi
+	@hits=$$(grep -rn 'sync\.WaitGroup' --include='*.go' . | grep -v -e '^\./benchmark/' -e '^\./\.bench_build/' -e '_test\.go:' \
+		-e '^\./internal/par/' -e '^\./internal/ingest/' -e '^\./internal/cluster/parallel\.go:'); \
+	if [ -n "$$hits" ]; then echo "sync.WaitGroup in non-test Go outside internal/par, internal/ingest and internal/cluster/parallel.go (fan out on par.For):"; echo "$$hits"; exit 1; fi
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -exec wc -l {} + | \
 	awk -v budget=$(OBS_BUDGET) '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; all += $$1; if (d ~ /^\.\/internal\/obs/) obs += $$1 } \
 	END { for (d in n) printf "%6d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); \

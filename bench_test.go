@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/sleuth-rca/sleuth/internal/eval"
+	"github.com/sleuth-rca/sleuth/internal/testenv"
 )
 
 const benchSeed = 1
@@ -222,10 +223,10 @@ func BenchmarkAblationClippedReLU(b *testing.B) {
 }
 
 // BenchmarkTrainWorkers sweeps the data-parallel training path: one
-// mini-batch configuration trained with 1, 2, 4 and 8 gradient workers.
-// Training results are bit-identical across the sweep (see
-// TestTrainWorkerCountDeterminism in internal/core); on a multi-core
-// machine throughput scales with workers until the core count is reached.
+// mini-batch configuration trained at GOMAXPROCS 1, 2, 4 and 8, which sets
+// the gradient workers. Training results are bit-identical across the
+// sweep (see TestTrainWorkerCountDeterminism in internal/core); on a
+// multi-core machine throughput scales until the core count is reached.
 func BenchmarkTrainWorkers(b *testing.B) {
 	app := NewSyntheticApp(64, benchSeed)
 	world := NewWorld(app, benchSeed)
@@ -233,12 +234,13 @@ func BenchmarkTrainWorkers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	for _, procs := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(b *testing.B) {
+			testenv.SetGOMAXPROCS(b, procs)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := Train(traces, TrainConfig{
-					Epochs: 1, BatchSize: 32, Workers: workers, Seed: benchSeed,
+					Epochs: 1, BatchSize: 32, Seed: benchSeed,
 				}); err != nil {
 					b.Fatal(err)
 				}

@@ -43,7 +43,7 @@ func main() {
 		ingestTTL = flag.Duration("ingest-ttl", defaults.TraceTTL,
 			"how long a trace window stays open after its last span")
 		ingestTailPct = flag.Float64("ingest-tail-pct", defaults.TailPercentile,
-			"OpSummaries percentile above which a root duration is a kept outlier")
+			"OpSummaries percentile above which a root duration is a kept outlier, rounded up to the median, p95 or p99")
 	)
 	flag.Parse()
 

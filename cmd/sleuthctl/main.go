@@ -71,8 +71,12 @@ func usage() {
 	os.Exit(2)
 }
 
+// loadTraces returns a spans file's traces in the order they first appear.
+// One store shard keeps that order; the default GOMAXPROCS shards would
+// interleave it by shard, and what train learns and rca reports would then
+// depend on the core count.
 func loadTraces(path string) ([]*trace.Trace, error) {
-	st := store.New()
+	st := store.NewSharded(1)
 	skipped, err := st.LoadFile(path)
 	if err != nil {
 		return nil, err
@@ -90,7 +94,6 @@ func cmdTrain(args []string) error {
 	epochs := fs.Int("epochs", 5, "training epochs")
 	lr := fs.Float64("lr", 1e-3, "learning rate")
 	batch := fs.Int("batch", 1, "mini-batch size (traces per optimizer step)")
-	workers := fs.Int("workers", 0, "gradient workers per batch (0 = GOMAXPROCS)")
 	seed := fs.Uint64("seed", 1, "training seed")
 	metrics := fs.Bool("metrics", false, "print the metrics registry (Prometheus text) after the run")
 	debugAddr := fs.String("debug-addr", "", "serve /metrics and /debug/series on this address during the run (watch with: sleuthctl watch -addr <addr>)")
@@ -126,7 +129,7 @@ func cmdTrain(args []string) error {
 	fmt.Printf("training on %d traces...\n", len(traces))
 	m, err := sleuth.Train(traces, sleuth.TrainConfig{
 		Epochs: *epochs, LearningRate: *lr,
-		BatchSize: *batch, Workers: *workers, Seed: *seed,
+		BatchSize: *batch, Seed: *seed,
 	})
 	if err != nil {
 		return err

@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"github.com/sleuth-rca/sleuth/internal/testenv"
 	"github.com/sleuth-rca/sleuth/internal/trace"
 	"github.com/sleuth-rca/sleuth/internal/xrand"
 )
@@ -214,11 +214,10 @@ func TestTraceSetsMatchReference(t *testing.T) {
 // — one, two, eight with a short last one, or one because the batch is
 // smaller than a chunk — IDs, W, Mass and the vocabulary are the reference's.
 func TestTraceSetsChunksMatchReference(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	traces := randomTraces(t, xrand.New(11), 8*minEncodeChunk+7)
 	for _, dmax := range []int{0, DefaultMaxAncestors} {
 		for _, procs := range []int{1, 2, 8, 16} {
-			runtime.GOMAXPROCS(procs)
+			testenv.SetGOMAXPROCS(t, procs)
 			for _, n := range []int{len(traces), 3} {
 				got, ref := TraceSets(traces[:n], dmax), NewInterner()
 				for k, tr := range traces[:n] {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/sleuth-rca/sleuth/internal/obs"
+	"github.com/sleuth-rca/sleuth/internal/par"
 	"github.com/sleuth-rca/sleuth/internal/trace"
 )
 
@@ -355,7 +356,7 @@ func Pairwise(sets []WeightedSet) *Matrix {
 	m := NewMatrix(n)
 	obs.S("cluster.matrix_bytes").Append(float64(m.Bytes()))
 	ix := buildPostings(sets)
-	fanOut((n+1)/2, func(i int) {
+	par.For((n+1)/2, func(_, i int) {
 		ix.fillRow(sets, i, m.row(i))
 		if mirror := n - 1 - i; mirror != i {
 			ix.fillRow(sets, mirror, m.row(mirror))
@@ -470,10 +471,10 @@ func TraceSets(traces []*trace.Trace, dmax int) []WeightedSet {
 	if len(traces) == 0 {
 		return out
 	}
-	workers := clusterWorkers(len(traces))
+	workers := par.Workers(len(traces))
 	size := max((len(traces)+workers-1)/workers, minEncodeChunk)
 	vocabs := make([]*Interner, (len(traces)+size-1)/size)
-	fanOut(len(vocabs), func(c int) {
+	par.For(len(vocabs), func(_, c int) {
 		vocabs[c] = NewInterner()
 		for i := c * size; i < min((c+1)*size, len(traces)); i++ {
 			out[i] = TraceSet(vocabs[c], traces[i], dmax)
@@ -495,7 +496,7 @@ func TraceSets(traces []*trace.Trace, dmax int) []WeightedSet {
 	// one per worker, each with its own weight scratch indexed by shared ID.
 	width, rest := in.Size(), len(traces)-size
 	block := max((rest+workers-1)/workers, 1)
-	fanOut((rest+block-1)/block, func(b int) {
+	par.For((rest+block-1)/block, func(_, b int) {
 		acc := make([]float64, width)
 		for i := size + b*block; i < min(size+(b+1)*block, len(traces)); i++ {
 			s, table := &out[i], shared[i/size]

@@ -2,59 +2,19 @@ package cluster
 
 import (
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/sleuth-rca/sleuth/internal/obs"
+	"github.com/sleuth-rca/sleuth/internal/par"
 )
 
 // Parallel clustering kernels. Every kernel here is bit-identical to its
-// serial counterpart for any worker count: work is split into fixed
-// chunks, floating-point accumulation orders match the serial scans, and
-// argmin reductions walk chunks in ascending order with strict-less
-// comparison so ties resolve to the lowest index exactly as a serial
-// left-to-right scan would.
-
-// clusterWorkers returns the worker count for a kernel with the given
-// number of independent work items: GOMAXPROCS, never more than the items
-// available.
-func clusterWorkers(items int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > items {
-		w = items
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// fanOut runs fn(0) … fn(items-1) on clusterWorkers(items) goroutines, each
-// claiming the next index from a shared counter so uneven items spread
-// evenly, and returns when all are done. With one worker it runs inline.
-func fanOut(items int, fn func(i int)) {
-	workers := clusterWorkers(items)
-	if workers <= 1 {
-		for i := 0; i < items; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < items; i = int(next.Add(1)) - 1 {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
+// serial counterpart for any GOMAXPROCS: work is split into fixed chunks
+// that fan out on par.For, floating-point accumulation orders match the
+// serial scans, and argmin reductions walk chunks in ascending order with
+// strict-less comparison so ties resolve to the lowest index exactly as a
+// serial left-to-right scan would.
 
 // stageTimer starts timing one clustering stage into its histogram (the
 // sampler projects it to <name>.p50/.p99/.count series for `sleuthctl
@@ -133,7 +93,7 @@ func coreDistances(m *Matrix, minSamples int) []float64 {
 		return out
 	}
 	k := min(minSamples, n-1)
-	fanOut((n+parallelMinPoints-1)/parallelMinPoints, func(b int) {
+	par.For((n+parallelMinPoints-1)/parallelMinPoints, func(_, b int) {
 		scratch := make([]float64, 0, k+1)
 		for i := b * parallelMinPoints; i < min((b+1)*parallelMinPoints, n); i++ {
 			out[i] = kthNearest(m, i, k, scratch)
@@ -159,11 +119,11 @@ type mstCand struct {
 // mstEdges builds the minimum spanning tree of the mutual-reachability
 // graph with Prim's algorithm. The O(n²) inner relaxation dominates
 // HDBSCAN after the core-distance fix, so above parallelMinPoints it runs
-// on the chunked worker pool of mstEdgesParallel.
+// on mstEdgesParallel's chunked workers, as many as par.Workers grants.
 func mstEdges(m *Matrix, core []float64) []edge {
 	done := stageTimer("cluster.mst_us")
 	defer done()
-	workers := clusterWorkers(m.N)
+	workers := par.Workers(m.N)
 	if workers <= 1 || m.N < parallelMinPoints {
 		return mstEdgesSerial(m, core)
 	}
@@ -216,7 +176,9 @@ func mstEdgesSerial(m *Matrix, core []float64) []edge {
 // reproduces the serial left-to-right argmin (lowest index wins ties)
 // exactly. dist values only ever come from the same mutualReach calls the
 // serial code makes, so the tree — and everything downstream — is
-// bit-identical for any worker count.
+// bit-identical for any worker count. The workers persist across rounds
+// instead of running on par.For: Prim needs one barrier per round, and a
+// par.For per round would start n × workers goroutines per window.
 func mstEdgesParallel(m *Matrix, core []float64, workers int) []edge {
 	n := m.N
 	inTree := make([]bool, n)
@@ -297,11 +259,11 @@ const medoidChunkSize = 256
 
 // medoids is the kernel behind Medoids: per cluster, the member with the
 // minimal distance sum to all members, lowest index winning ties. Work
-// items are (cluster, member-chunk) pairs fanned out over the package's
-// worker pool (inline below parallelMinPoints points); each item's sums
-// iterate members in slice order — the serial order — so sums are
-// bit-identical, and the per-cluster reduction walks chunks in ascending
-// order with strict-less comparison to preserve the serial tie-break.
+// items are (cluster, member-chunk) pairs fanned out on par.For (inline
+// below parallelMinPoints points); each item's sums iterate members in
+// slice order — the serial order — so sums are bit-identical, and the
+// per-cluster reduction walks chunks in ascending order with strict-less
+// comparison to preserve the serial tie-break.
 func medoids(m *Matrix, labels []int) map[int]int {
 	members := make(map[int][]int)
 	order := make([]int, 0, 8)
@@ -331,7 +293,7 @@ func medoids(m *Matrix, labels []int) map[int]int {
 		}
 	}
 	results := make([]result, len(items))
-	score := func(slot int) {
+	score := func(_, slot int) {
 		it := items[slot]
 		idx := members[it.label]
 		best, bestSum := -1, 0.0
@@ -349,10 +311,10 @@ func medoids(m *Matrix, labels []int) map[int]int {
 	}
 	if len(labels) < parallelMinPoints {
 		for slot := range items {
-			score(slot)
+			score(0, slot)
 		}
 	} else {
-		fanOut(len(items), score)
+		par.For(len(items), score)
 	}
 
 	out := make(map[int]int, len(order))

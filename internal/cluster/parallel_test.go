@@ -3,10 +3,10 @@ package cluster
 import (
 	"math"
 	"reflect"
-	"runtime"
 	"sort"
 	"testing"
 
+	"github.com/sleuth-rca/sleuth/internal/testenv"
 	"github.com/sleuth-rca/sleuth/internal/xrand"
 )
 
@@ -218,9 +218,8 @@ func TestMedoidsParallelMatchesSerial(t *testing.T) {
 		}
 	}
 	want := medoidsRef(m, labels)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 5, 8} {
-		runtime.GOMAXPROCS(procs)
+		testenv.SetGOMAXPROCS(t, procs)
 		got := Medoids(m, labels)
 		if len(got) != len(want) {
 			t.Fatalf("GOMAXPROCS=%d: %d medoids, want %d", procs, len(got), len(want))
@@ -258,9 +257,6 @@ func TestHDBSCANDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	traces := randomTraces(t, xrand.New(42), 300)
 	opts := Options{MinClusterSize: 10, MinSamples: 5, SelectionEpsilon: 0.05}
 
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-
 	type outcome struct {
 		sets    []WeightedSet
 		matrix  []float64
@@ -268,7 +264,7 @@ func TestHDBSCANDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		medoids map[int]int
 	}
 	run := func(procs int) outcome {
-		runtime.GOMAXPROCS(procs)
+		testenv.SetGOMAXPROCS(t, procs)
 		sets := TraceSets(traces, DefaultMaxAncestors)
 		m := Pairwise(sets)
 		labels := HDBSCAN(m, opts)

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -33,6 +32,7 @@ import (
 	"github.com/sleuth-rca/sleuth/internal/gnn"
 	"github.com/sleuth-rca/sleuth/internal/nn"
 	"github.com/sleuth-rca/sleuth/internal/obs"
+	"github.com/sleuth-rca/sleuth/internal/par"
 	"github.com/sleuth-rca/sleuth/internal/stats"
 	"github.com/sleuth-rca/sleuth/internal/tensor"
 	"github.com/sleuth-rca/sleuth/internal/trace"
@@ -288,11 +288,14 @@ func (m *Model) scoreOn(enc *features.Encoded, ar *tensor.Arena) (durScaled, err
 // ScoreBatch is the batch scoring entry point: per-span predictions AND the
 // per-trace Eq. 5 losses from a single forward pass per trace. Results are
 // ordered like the input; losses[i] equals Loss(Encode(traces[i])).Item()
-// bit-for-bit. workers ≤ 0 selects GOMAXPROCS. The forward pass only reads
+// bit-for-bit. The traces fan out on par.For; the forward pass only reads
 // the shared weights, so any number of scoring goroutines can share one
 // model (see tensor.Backward's concurrency contract). Each worker scores
 // on a warm workspace from scorePool, so steady-state serving neither
 // re-grows tape slabs nor allocates fresh encodings on every call.
+// The workers argument is deprecated and ignored — GOMAXPROCS sets the
+// core count — and stays only until the benchmark, which passes 0, drops
+// it (ROADMAP item 1).
 func (m *Model) ScoreBatch(traces []*trace.Trace, workers int) (durScaled, errProb [][]float64, losses []float64) {
 	perTrace := obs.H("core.score.trace_us")
 	batchTimer := obs.H("core.score.batch_us").Start()
@@ -300,7 +303,7 @@ func (m *Model) ScoreBatch(traces []*trace.Trace, workers int) (durScaled, errPr
 	durScaled = make([][]float64, len(traces))
 	errProb = make([][]float64, len(traces))
 	losses = make([]float64, len(traces))
-	parallelFor(len(traces), resolveWorkers(len(traces), workers), func(_, i int) {
+	par.For(len(traces), func(_, i int) {
 		t := perTrace.Start()
 		ws := scorePool.Get().(*scoreWorkspace)
 		durScaled[i], errProb[i], losses[i] = ws.score(m, traces[i])
@@ -337,55 +340,6 @@ func (ws *scoreWorkspace) score(m *Model, tr *trace.Trace) (durScaled, errProb [
 	return durScaled, errProb, loss
 }
 
-// resolveWorkers normalises a worker-count option: ≤ 0 selects GOMAXPROCS,
-// capped at n (one item per worker at most).
-func resolveWorkers(n, workers int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// newArenas builds one tape arena per worker goroutine.
-func newArenas(workers int) []*tensor.Arena {
-	arenas := make([]*tensor.Arena, workers)
-	for w := range arenas {
-		arenas[w] = tensor.NewArena()
-	}
-	return arenas
-}
-
-// parallelFor runs fn(w, i) for every i in [0, n) across the given number
-// of worker goroutines (pre-resolved via resolveWorkers). Indexes are
-// strided across workers so uneven per-item costs spread evenly; w is the
-// stable worker index, letting callers hand each goroutine private scratch
-// (arenas, buffers).
-func parallelFor(n, workers int, fn func(w, i int)) {
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += workers {
-				fn(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 // TrainOptions tunes Train and FineTune.
 type TrainOptions struct {
 	Epochs       int
@@ -394,12 +348,6 @@ type TrainOptions struct {
 	// one clip+Adam step (mini-batch SGD, §3.4). 0 selects 1 — the paper's
 	// per-trace updates.
 	BatchSize int
-	// Workers is the number of goroutines computing per-trace gradients
-	// within a batch, each on its own tape over weight-aliased model
-	// replicas. 0 selects GOMAXPROCS (capped at BatchSize). Per-trace
-	// gradients are reduced in batch order, so the trained weights are
-	// bit-identical for any worker count.
-	Workers int
 	// GradClip caps the global gradient norm of each step. 0 selects the
 	// default of 5; a negative value disables clipping.
 	GradClip float64
@@ -418,9 +366,6 @@ func (o TrainOptions) withDefaults() TrainOptions {
 	}
 	if o.BatchSize <= 0 {
 		o.BatchSize = 1
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if o.GradClip == 0 {
 		o.GradClip = 5
@@ -451,13 +396,13 @@ func (m *Model) replica() *Model {
 // Train fits the model on the traces (unsupervised reconstruction, §3.4)
 // and refreshes the normal-state statistics from the same data.
 //
-// Training is data-parallel mini-batch SGD: each batch is sharded over
-// Workers goroutines, every worker builds independent tapes over a
+// Training is data-parallel mini-batch SGD: each batch fans out on
+// par.For, every worker goroutine builds independent tapes over its own
 // weight-aliased replica, per-trace gradients are captured into per-sample
 // buffers and reduced in batch order into the master gradients, and one
 // clip+Adam step applies the mean. Because the reduction order is fixed by
 // batch position — not by worker — the final weights and losses are
-// bit-identical for any Workers value. BatchSize=1 reproduces the previous
+// bit-identical for any GOMAXPROCS. BatchSize=1 reproduces the previous
 // sequential per-trace SGD exactly.
 func (m *Model) Train(traces []*trace.Trace, opts TrainOptions) (TrainStats, error) {
 	if len(traces) == 0 {
@@ -495,17 +440,15 @@ func (m *Model) Train(traces []*trace.Trace, opts TrainOptions) (TrainStats, err
 	if batchSize > len(encs) {
 		batchSize = len(encs)
 	}
-	workers := opts.Workers
-	if workers > batchSize {
-		workers = batchSize
-	}
+	workers := par.Workers(batchSize)
 	replicas := make([]*Model, workers)
 	replicaParams := make([][]nn.Param, workers)
+	arenas := make([]*tensor.Arena, workers)
 	for w := range replicas {
 		replicas[w] = m.replica()
 		replicaParams[w] = replicas[w].Params()
+		arenas[w] = tensor.NewArena()
 	}
-	arenas := newArenas(workers)
 	buffers := make([]*nn.GradBuffer, batchSize)
 	for i := range buffers {
 		buffers[i] = nn.NewGradBuffer(m)
@@ -530,29 +473,19 @@ func (m *Model) Train(traces []*trace.Trace, opts TrainOptions) (TrainStats, err
 			}
 			batch := order[start:end]
 			batchTimer := batchHist.Start()
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					rep := replicas[w]
-					ps := replicaParams[w]
-					ar := arenas[w]
-					for bi := w; bi < len(batch); bi += workers {
-						nn.ZeroGradsOf(ps)
-						loss := rep.lossOn(encs[batch[bi]], ar)
-						loss.Backward()
-						buffers[bi].CaptureParams(ps)
-						losses[bi] = loss.Item()
-						// Everything the tape allocated for this sample —
-						// intermediates, gradients of non-leaves, the loss
-						// itself — is recycled here. Leaf (parameter)
-						// gradients live on the heap and were captured above.
-						ar.Reset()
-					}
-				}(w)
-			}
-			wg.Wait()
+			par.For(len(batch), func(w, bi int) {
+				ps, ar := replicaParams[w], arenas[w]
+				nn.ZeroGradsOf(ps)
+				loss := replicas[w].lossOn(encs[batch[bi]], ar)
+				loss.Backward()
+				buffers[bi].CaptureParams(ps)
+				losses[bi] = loss.Item()
+				// Everything the tape allocated for this sample —
+				// intermediates, gradients of non-leaves, the loss itself —
+				// is recycled here. Leaf (parameter) gradients live on the
+				// heap and were captured above.
+				ar.Reset()
+			})
 			opt.ZeroGrad()
 			nn.ReduceGradBuffers(m, buffers[:len(batch)], 1/float64(len(batch)))
 			if opts.GradClip > 0 || normGauge != nil || gradSeries != nil {

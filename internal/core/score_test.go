@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/sleuth-rca/sleuth/internal/synth"
+	"github.com/sleuth-rca/sleuth/internal/testenv"
 )
 
 // TestScoreBatchMatchesPredictAndLoss is the batched-scoring correctness
@@ -41,24 +42,27 @@ func TestScoreBatchMatchesPredictAndLoss(t *testing.T) {
 	}
 }
 
-// TestScoreBatchWorkerDeterminism asserts the worker count never changes a
-// single bit of any result — the per-trace forward passes are independent.
+// TestScoreBatchWorkerDeterminism asserts the worker count — GOMAXPROCS —
+// never changes a single bit of any result: the per-trace forward passes
+// are independent.
 func TestScoreBatchWorkerDeterminism(t *testing.T) {
 	app := synth.Synthetic(16, 32)
 	traces := simTraces(t, app, 32, 17)
 	m := NewModel(smallConfig(32))
 	m.SetNormals(traces)
 
-	baseDur, baseErr, baseLoss := m.ScoreBatch(traces, 1)
-	for _, workers := range []int{2, 3, 8} {
-		dur, errp, losses := m.ScoreBatch(traces, workers)
+	testenv.SetGOMAXPROCS(t, 1)
+	baseDur, baseErr, baseLoss := m.ScoreBatch(traces, 0)
+	for _, procs := range []int{2, 3, 8} {
+		testenv.SetGOMAXPROCS(t, procs)
+		dur, errp, losses := m.ScoreBatch(traces, 0)
 		for i := range traces {
 			if losses[i] != baseLoss[i] {
-				t.Fatalf("workers=%d trace %d: loss %v != workers=1 %v", workers, i, losses[i], baseLoss[i])
+				t.Fatalf("GOMAXPROCS=%d trace %d: loss %v != GOMAXPROCS=1 %v", procs, i, losses[i], baseLoss[i])
 			}
 			for j := range dur[i] {
 				if dur[i][j] != baseDur[i][j] || errp[i][j] != baseErr[i][j] {
-					t.Fatalf("workers=%d trace %d span %d: prediction differs from workers=1", workers, i, j)
+					t.Fatalf("GOMAXPROCS=%d trace %d span %d: prediction differs from GOMAXPROCS=1", procs, i, j)
 				}
 			}
 		}

@@ -5,6 +5,7 @@ import (
 
 	"github.com/sleuth-rca/sleuth/internal/obs"
 	"github.com/sleuth-rca/sleuth/internal/synth"
+	"github.com/sleuth-rca/sleuth/internal/testenv"
 )
 
 // TestTrainEmitsEpochSeries: with observability enabled, Train must leave
@@ -20,8 +21,9 @@ func TestTrainEmitsEpochSeries(t *testing.T) {
 	traces := simTraces(t, app, 41, 12)
 	m := NewModel(smallConfig(41))
 	const epochs = 3
+	testenv.SetGOMAXPROCS(t, 2) // two gradient workers, two arenas
 	if _, err := m.Train(traces, TrainOptions{
-		Epochs: epochs, BatchSize: 4, Workers: 2, GradClip: 1, Seed: 5,
+		Epochs: epochs, BatchSize: 4, GradClip: 1, Seed: 5,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -6,22 +6,25 @@ import (
 
 	"github.com/sleuth-rca/sleuth/internal/nn"
 	"github.com/sleuth-rca/sleuth/internal/synth"
+	"github.com/sleuth-rca/sleuth/internal/testenv"
 )
 
 // TestTrainWorkerCountDeterminism is the acceptance test of the
 // data-parallel engine: the same seed must produce bit-identical weights
-// and loss no matter how many workers computed the gradients, because
-// per-sample gradient buffers are reduced in fixed batch order.
+// and loss at GOMAXPROCS 1, 2 and 8 — however many workers computed the
+// gradients — because per-sample gradient buffers are reduced in fixed
+// batch order.
 func TestTrainWorkerCountDeterminism(t *testing.T) {
 	app := synth.Synthetic(16, 30)
 	traces := simTraces(t, app, 30, 24)
 	for _, batch := range []int{1, 4} {
 		var refLoss float64
 		var refDict map[string][]float64
-		for _, workers := range []int{1, 2, 8} {
+		for _, procs := range []int{1, 2, 8} {
+			testenv.SetGOMAXPROCS(t, procs)
 			m := NewModel(smallConfig(30))
 			st, err := m.Train(traces, TrainOptions{
-				Epochs: 2, BatchSize: batch, Workers: workers, Seed: 77,
+				Epochs: 2, BatchSize: batch, Seed: 77,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -32,15 +35,15 @@ func TestTrainWorkerCountDeterminism(t *testing.T) {
 				continue
 			}
 			if st.FinalLoss != refLoss {
-				t.Fatalf("batch=%d workers=%d: FinalLoss %v != %v",
-					batch, workers, st.FinalLoss, refLoss)
+				t.Fatalf("batch=%d GOMAXPROCS=%d: FinalLoss %v != %v",
+					batch, procs, st.FinalLoss, refLoss)
 			}
 			for name, ref := range refDict {
 				got := dict[name]
 				for i := range ref {
 					if got[i] != ref[i] {
-						t.Fatalf("batch=%d workers=%d: weight %s[%d] = %v, want %v",
-							batch, workers, name, i, got[i], ref[i])
+						t.Fatalf("batch=%d GOMAXPROCS=%d: weight %s[%d] = %v, want %v",
+							batch, procs, name, i, got[i], ref[i])
 					}
 				}
 			}
@@ -60,7 +63,8 @@ func TestBatchSizeOneMatchesLegacySGD(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := NewModel(smallConfig(31))
-	sb, err := b.Train(traces, TrainOptions{Epochs: 2, BatchSize: 1, Workers: 8, Seed: 9})
+	testenv.SetGOMAXPROCS(t, 8)
+	sb, err := b.Train(traces, TrainOptions{Epochs: 2, BatchSize: 1, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +132,7 @@ func TestBatchSizeClamped(t *testing.T) {
 }
 
 // TestMeanLossParallelDeterministic: MeanLoss is Σ ScoreBatch losses / n
-// exactly, whatever the worker count, and equals the sequential per-trace
+// exactly at GOMAXPROCS 1, 2 and 8, and equals the sequential per-trace
 // Loss reference summed in the same index order.
 func TestMeanLossParallelDeterministic(t *testing.T) {
 	app := synth.Synthetic(16, 35)
@@ -143,14 +147,15 @@ func TestMeanLossParallelDeterministic(t *testing.T) {
 	if want := total / float64(len(traces)); ref != want {
 		t.Fatalf("MeanLoss = %v, sequential reference = %v", ref, want)
 	}
-	for _, workers := range []int{1, 2, 8} {
-		_, _, losses := m.ScoreBatch(traces, workers)
+	for _, procs := range []int{1, 2, 8} {
+		testenv.SetGOMAXPROCS(t, procs)
+		_, _, losses := m.ScoreBatch(traces, 0)
 		sum := 0.0
 		for _, l := range losses {
 			sum += l
 		}
 		if got := sum / float64(len(losses)); got != ref {
-			t.Fatalf("workers=%d: mean of ScoreBatch losses %v != MeanLoss %v", workers, got, ref)
+			t.Fatalf("GOMAXPROCS=%d: mean of ScoreBatch losses %v != MeanLoss %v", procs, got, ref)
 		}
 	}
 }

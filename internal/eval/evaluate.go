@@ -11,24 +11,23 @@ import (
 
 // Evaluate runs an algorithm over the dataset's queries after calibrating
 // it on the normal corpus, returning the confusion and wall-clock spent in
-// localisation (the per-query inference cost of Figure 5b). Algorithms
-// implementing rca.BatchLocalizer (Sleuth) are driven through the parallel
-// batch path; the confusion is always accumulated in query order, so the
-// scores are identical either way.
+// localisation (the per-query inference cost of Figure 5b). Sleuth's
+// *rca.Localizer is driven through its parallel batch path; the confusion
+// is always accumulated in query order, so the scores are identical either
+// way.
 func Evaluate(algo rca.Algorithm, ds *Dataset) (Confusion, time.Duration, error) {
 	if err := algo.Prepare(ds.Normal); err != nil {
 		return Confusion{}, 0, err
 	}
 	var c Confusion
 	start := time.Now()
-	if bl, ok := algo.(rca.BatchLocalizer); ok {
+	if loc, ok := algo.(*rca.Localizer); ok {
 		slos := make([]float64, len(ds.Queries))
 		for i, q := range ds.Queries {
 			slos[i] = q.SLOMicros
 		}
-		preds := bl.LocalizeBatch(queryTraces(ds), slos, 0)
-		for i, q := range ds.Queries {
-			c.Add(preds[i], q.Truth)
+		for i, res := range loc.LocalizeDetailedBatch(queryTraces(ds), slos) {
+			c.Add(res.Services, ds.Queries[i].Truth)
 		}
 	} else {
 		for _, q := range ds.Queries {

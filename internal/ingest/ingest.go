@@ -51,7 +51,8 @@ type Config struct {
 	// sheds every healthy trace.
 	SampleRate float64
 	// TailPercentile selects the OpSummaries percentile above which a root
-	// duration marks a latency outlier (default 99).
+	// duration marks a latency outlier (default 99). It rounds up to the
+	// next aggregate the store keeps: median, P95 or P99.
 	TailPercentile float64
 	// TraceTTL is how long a trace stays open in the concentrator after
 	// its last span arrived (default 500ms). Zero and below flushes after

@@ -77,12 +77,15 @@ func TestSamplerKeepsLatencyOutliers(t *testing.T) {
 	}
 }
 
+// TestSamplerPercentileSelection: the tail percentile rounds up to the next
+// aggregate the store keeps, so the latency rule never keeps more than the
+// percentile asks for — 90 means P95, not the median.
 func TestSamplerPercentileSelection(t *testing.T) {
 	sum := []store.OpSummary{{OpKey: "svc\x1fop\x1fserver", Median: 100, P95: 500, P99: 1000}}
 	cases := []struct {
 		pct  float64
 		keep int64 // durations above this are kept
-	}{{99, 1000}, {95, 500}, {50, 100}}
+	}{{50, 100}, {90, 500}, {95, 500}, {97, 1000}, {99, 1000}}
 	for _, c := range cases {
 		s := NewSampler(-1, c.pct)
 		s.SetBaselineFromSummaries(sum)

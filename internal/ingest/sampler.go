@@ -108,8 +108,9 @@ func (s *Sampler) Keep(hasError bool, root *trace.Span, traceID string) (bool, k
 
 // SetBaselineFromSummaries replaces the latency baseline with per-operation
 // thresholds derived from live OpSummaries rows: the sampler's tail
-// percentile selects the nearest of the precomputed aggregates (≥ 99 → P99,
-// ≥ 95 → P95, otherwise the median).
+// percentile rounds up to the next aggregate the store keeps (> 95 → P99,
+// > 50 → P95, otherwise the median), so the latency rule never keeps more
+// traces than the percentile asks for.
 func (s *Sampler) SetBaselineFromSummaries(sums []store.OpSummary) {
 	bl := make(baselineMap, len(sums))
 	for _, sum := range sums {
@@ -119,9 +120,9 @@ func (s *Sampler) SetBaselineFromSummaries(sums []store.OpSummary) {
 		}
 		th := sum.Median
 		switch {
-		case s.tailPct >= 99:
+		case s.tailPct > 95:
 			th = sum.P99
-		case s.tailPct >= 95:
+		case s.tailPct > 50:
 			th = sum.P95
 		}
 		bl[opTriple{parts[0], parts[1], trace.Kind(parts[2])}] = th

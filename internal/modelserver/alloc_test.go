@@ -11,9 +11,9 @@ import (
 // sequential-traffic common case) must cost only the queue seat and
 // ScoreBatch's per-call constants — no per-request model load, no cold
 // workspace, no fresh encoding, no tape re-growth. It measures 18 on 4
-// traces over 2 workers; a workspace that stops being recycled costs six encoding
-// allocations per trace at least and trips the bound, a cold arena
-// thousands.
+// traces (AllocsPerRun runs at GOMAXPROCS 1, so the batch scores inline); a
+// workspace that stops being recycled costs six encoding allocations per
+// trace at least and trips the bound, a cold arena thousands.
 func TestServingSteadyStateAllocs(t *testing.T) {
 	if testenv.Race {
 		t.Skip("race detector instrumentation allocates")

@@ -11,14 +11,12 @@ package rca
 
 import (
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"github.com/sleuth-rca/sleuth/internal/cluster"
 	"github.com/sleuth-rca/sleuth/internal/core"
 	"github.com/sleuth-rca/sleuth/internal/obs"
+	"github.com/sleuth-rca/sleuth/internal/par"
 	"github.com/sleuth-rca/sleuth/internal/trace"
 )
 
@@ -29,17 +27,6 @@ type Algorithm interface {
 	Name() string
 	Prepare(train []*trace.Trace) error
 	Localize(tr *trace.Trace, sloMicros float64) []string
-}
-
-// BatchLocalizer is implemented by algorithms whose Localize is safe to
-// invoke concurrently (no per-query mutable state). LocalizeBatch analyses
-// many queries in parallel and returns predictions in input order, which is
-// how the evaluation harness and any batch-scoring service should drive
-// inference-heavy algorithms.
-type BatchLocalizer interface {
-	// LocalizeBatch localises traces[i] against sloMicros[i] for every i.
-	// workers ≤ 0 uses GOMAXPROCS.
-	LocalizeBatch(traces []*trace.Trace, sloMicros []float64, workers int) [][]string
 }
 
 // Options tunes the Sleuth localiser.
@@ -223,52 +210,22 @@ func (l *Localizer) Localize(tr *trace.Trace, sloMicros float64) []string {
 	return l.LocalizeDetailed(tr, sloMicros).Services
 }
 
-// LocalizeBatch implements BatchLocalizer: the Services of
-// LocalizeDetailedBatch, in input order.
-func (l *Localizer) LocalizeBatch(traces []*trace.Trace, sloMicros []float64, workers int) [][]string {
-	out := make([][]string, len(traces))
-	for i, res := range l.LocalizeDetailedBatch(traces, sloMicros, workers) {
-		out[i] = res.Services
-	}
-	return out
-}
-
 // LocalizeDetailedBatch runs LocalizeDetailed(traces[i], sloMicros[i]) for
-// every i and returns the results in input order; workers ≤ 0 uses
-// GOMAXPROCS. Localisation only reads the model (forward passes and
-// normal-state lookups), so the queries are independent and each result is
-// what a lone call returns. Workers claim the next query from a shared
-// counter rather than a fixed stride: a query that normalises at its first
+// every i on par.For and returns the results in input order. Localisation
+// only reads the model (forward passes and normal-state lookups), so the
+// queries are independent and each result is what a lone call returns.
+// par.For's shared counter suits them: a query that normalises at its first
 // question costs a tenth of one that exhausts the loop.
-func (l *Localizer) LocalizeDetailedBatch(traces []*trace.Trace, sloMicros []float64, workers int) []Result {
+func (l *Localizer) LocalizeDetailedBatch(traces []*trace.Trace, sloMicros []float64) []Result {
 	if len(traces) != len(sloMicros) {
 		panic("rca: LocalizeDetailedBatch length mismatch")
 	}
 	batchTimer := obs.H("rca.localize_batch_us").Start()
 	defer batchTimer.Stop()
 	out := make([]Result, len(traces))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, len(traces))
-	if workers <= 1 {
-		for i, tr := range traces {
-			out[i] = l.LocalizeDetailed(tr, sloMicros[i])
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(traces); i = int(next.Add(1)) - 1 {
-				out[i] = l.LocalizeDetailed(traces[i], sloMicros[i])
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(traces), func(_, i int) {
+		out[i] = l.LocalizeDetailed(traces[i], sloMicros[i])
+	})
 	return out
 }
 
@@ -322,9 +279,9 @@ func (l *Localizer) LocalizeClustered(traces []*trace.Trace, sloMicros []float64
 		}
 		queries[q], slos[q] = traces[i], sloMicros[i]
 	}
-	// The queries are independent and differ widely in cost, so they run on
-	// GOMAXPROCS workers; results come back in query order.
-	for q, res := range l.LocalizeDetailedBatch(queries, slos, 0) {
+	// The queries are independent and differ widely in cost, so they fan
+	// out; results come back in query order.
+	for q, res := range l.LocalizeDetailedBatch(queries, slos) {
 		groups[q].Result = res
 	}
 	return groups

@@ -13,6 +13,7 @@ import (
 	"github.com/sleuth-rca/sleuth/internal/sim"
 	"github.com/sleuth-rca/sleuth/internal/stats"
 	"github.com/sleuth-rca/sleuth/internal/synth"
+	"github.com/sleuth-rca/sleuth/internal/testenv"
 	"github.com/sleuth-rca/sleuth/internal/trace"
 	"github.com/sleuth-rca/sleuth/internal/xrand"
 )
@@ -315,10 +316,10 @@ func TestRCASmokeGolden(t *testing.T) {
 	t.Logf("rca-smoke: %d queries, verdicts as pinned, true-root hits %d", queries, hits)
 }
 
-// TestLocalizeBatchDeterministic checks batch localisation returns
-// identical predictions for workers 1, 2 and 8, for fewer queries than
-// workers, and the results of lone LocalizeDetailed calls — under -race,
-// the check that concurrent queries never share a pooled session.
+// TestLocalizeBatchDeterministic checks that batch localisation returns,
+// at GOMAXPROCS 1, 2 and 8, the results of lone LocalizeDetailed calls,
+// also for fewer queries than workers and for none — under -race, the
+// check that concurrent queries never share a pooled session.
 func TestLocalizeBatchDeterministic(t *testing.T) {
 	f := newFixture(t, 15)
 	svc := f.app.ServiceAtCallDepth(1)
@@ -334,31 +335,20 @@ func TestLocalizeBatchDeterministic(t *testing.T) {
 		qtraces = append(qtraces, sample.Result.Trace)
 		slos = append(slos, f.slo)
 	}
-	ref := f.loc.LocalizeBatch(qtraces, slos, 1)
-	for _, workers := range []int{2, 8} {
-		got := f.loc.LocalizeBatch(qtraces, slos, workers)
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("workers=%d diverged from workers=1:\n%v\nvs\n%v", workers, got, ref)
-		}
-	}
-	// Fewer queries than workers, and none at all.
-	if got := f.loc.LocalizeBatch(qtraces[:3], slos[:3], 8); !reflect.DeepEqual(got, ref[:3]) {
-		t.Fatalf("3 queries on 8 workers: %v, want %v", got, ref[:3])
-	}
-	if got := f.loc.LocalizeBatch(nil, nil, 8); len(got) != 0 {
-		t.Fatalf("empty batch returned %v", got)
-	}
-	// The detailed batch is the serial run of lone calls, query by query,
-	// on any number of workers sharing the session pool.
 	serial := make([]Result, len(qtraces))
 	for i, tr := range qtraces {
 		serial[i] = f.loc.LocalizeDetailed(tr, slos[i])
 	}
-	for _, workers := range []int{0, 8} {
-		for i, res := range f.loc.LocalizeDetailedBatch(qtraces, slos, workers) {
-			if !reflect.DeepEqual(res, serial[i]) {
-				t.Fatalf("workers=%d query %d: batch %+v, lone call %+v", workers, i, res, serial[i])
-			}
+	for _, procs := range []int{1, 2, 8} {
+		testenv.SetGOMAXPROCS(t, procs)
+		if got := f.loc.LocalizeDetailedBatch(qtraces, slos); !reflect.DeepEqual(got, serial) {
+			t.Fatalf("GOMAXPROCS=%d: batch diverged from lone calls:\n%+v\nvs\n%+v", procs, got, serial)
+		}
+		if got := f.loc.LocalizeDetailedBatch(qtraces[:3], slos[:3]); !reflect.DeepEqual(got, serial[:3]) {
+			t.Fatalf("GOMAXPROCS=%d, 3 queries: %+v, want %+v", procs, got, serial[:3])
+		}
+		if got := f.loc.LocalizeDetailedBatch(nil, nil); len(got) != 0 {
+			t.Fatalf("GOMAXPROCS=%d: empty batch returned %v", procs, got)
 		}
 	}
 }

@@ -20,11 +20,11 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
 	"github.com/sleuth-rca/sleuth/internal/chaos"
+	"github.com/sleuth-rca/sleuth/internal/par"
 	"github.com/sleuth-rca/sleuth/internal/synth"
 	"github.com/sleuth-rca/sleuth/internal/trace"
 	"github.com/sleuth-rca/sleuth/internal/xrand"
@@ -465,29 +465,9 @@ func (s *Simulator) RunWithInjector(firstID, n int, inj *chaos.Injector) ([]*Res
 func (s *Simulator) runParallel(firstID, n int, inj *chaos.Injector) ([]*Result, error) {
 	results := make([]*Result, n)
 	errs := make([]error, n)
-	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	next := make(chan int, n)
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i], errs[i] = s.SimulateRequest(firstID+i, inj)
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(n, func(_, i int) {
+		results[i], errs[i] = s.SimulateRequest(firstID+i, inj)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

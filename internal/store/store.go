@@ -6,7 +6,7 @@
 // persistence.
 //
 // The store is sharded by trace-ID hash (default GOMAXPROCS shards): writers touching different traces lock
-// different shards, predicate scans run one goroutine per shard, and a
+// different shards, predicate scans fan out over the shards on par.For, and a
 // Limit query stops each shard's scan as soon as it has enough matches —
 // the abnormal-trace fetch stays flat as the corpus grows instead of
 // snapshotting the whole corpus under one big lock.
@@ -29,6 +29,7 @@ import (
 	"sort"
 	"sync"
 
+	"github.com/sleuth-rca/sleuth/internal/par"
 	"github.com/sleuth-rca/sleuth/internal/stats"
 	"github.com/sleuth-rca/sleuth/internal/trace"
 )
@@ -309,19 +310,10 @@ func (s *Store) Traces(q Query) []*trace.Trace {
 	if len(q.TraceIDs) > 0 {
 		return s.tracesByID(q)
 	}
-	if len(s.shards) == 1 {
-		return s.shards[0].scan(q)
-	}
 	results := make([][]*trace.Trace, len(s.shards))
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		wg.Add(1)
-		go func(i int, sh *shard) {
-			defer wg.Done()
-			results[i] = sh.scan(q)
-		}(i, sh)
-	}
-	wg.Wait()
+	par.For(len(s.shards), func(_, i int) {
+		results[i] = s.shards[i].scan(q)
+	})
 	var out []*trace.Trace
 	for _, r := range results {
 		out = append(out, r...)

@@ -15,7 +15,8 @@ import "unsafe"
 //
 //   - An Arena belongs to exactly one goroutine at a time. Handing it to
 //     another goroutine requires a happens-before edge (the data-parallel
-//     trainer gets one from its per-batch WaitGroup barrier).
+//     trainer gets one per batch from par.For, which returns only after
+//     every worker goroutine has).
 //   - Every tensor allocated from an arena — and every tensor reachable
 //     from one through the tape — is dead after Reset(). Copy out anything
 //     that must survive (losses via Item, predictions via append) first.

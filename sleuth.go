@@ -149,9 +149,6 @@ type TrainConfig struct {
 	// BatchSize is the number of traces averaged into one optimizer step
 	// (default 1, the paper's per-trace SGD).
 	BatchSize int
-	// Workers parallelises gradient computation within a batch (default
-	// GOMAXPROCS). Training results are bit-identical for any value.
-	Workers int
 	// Seed makes training reproducible.
 	Seed uint64
 }
@@ -174,7 +171,6 @@ func Train(traces []*Trace, cfg TrainConfig) (*Model, error) {
 		Epochs:       cfg.Epochs,
 		LearningRate: cfg.LearningRate,
 		BatchSize:    cfg.BatchSize,
-		Workers:      cfg.Workers,
 		Seed:         cfg.Seed,
 	})
 	if err != nil {
@@ -190,7 +186,6 @@ func FineTune(m *Model, traces []*Trace, cfg TrainConfig) error {
 		Epochs:       cfg.Epochs,
 		LearningRate: cfg.LearningRate,
 		BatchSize:    cfg.BatchSize,
-		Workers:      cfg.Workers,
 		Seed:         cfg.Seed,
 	})
 	return err

@@ -6,13 +6,13 @@ import (
 	"hash/fnv"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/sleuth-rca/sleuth/internal/chaos"
 	"github.com/sleuth-rca/sleuth/internal/obs"
+	"github.com/sleuth-rca/sleuth/internal/testenv"
 )
 
 // endToEnd builds the full facade pipeline once for several tests.
@@ -166,10 +166,10 @@ func TestAnalyzeDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			}
 		}
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	testenv.SetGOMAXPROCS(t, 1)
 	base := analyzer.Analyze(anomalous)
 	for _, procs := range []int{2, 8} {
-		runtime.GOMAXPROCS(procs)
+		testenv.SetGOMAXPROCS(t, procs)
 		if got := analyzer.Analyze(anomalous); !reflect.DeepEqual(got, base) {
 			t.Fatalf("GOMAXPROCS=%d: report differs from GOMAXPROCS=1:\n got %+v\nwant %+v", procs, got, base)
 		}
