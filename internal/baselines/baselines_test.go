@@ -235,7 +235,7 @@ func TestDeepTraLog(t *testing.T) {
 	dtl.Train(w.train[:40])
 	// Embeddings exist and have the right width.
 	e := dtl.Embed(w.train[0])
-	if len(e) != dtl.EmbedDim {
+	if len(e) != dtlEmbedDim {
 		t.Fatalf("embedding width = %d", len(e))
 	}
 	// SVDD pulls normal traces toward the centre: the mean normal score

@@ -24,10 +24,7 @@ import (
 // root causes land close together and clustering conflates failure modes.
 type DeepTraLog struct {
 	Epochs int
-	LR     float64
 	Seed   uint64
-	// EmbedDim is the trace-embedding width.
-	EmbedDim int
 
 	net    *gnn.GatedGraphNet
 	emb    *features.Embedder
@@ -36,10 +33,15 @@ type DeepTraLog struct {
 
 // NewDeepTraLog builds the comparator with its defaults.
 func NewDeepTraLog(seed uint64) *DeepTraLog {
-	return &DeepTraLog{Epochs: 15, LR: 1e-3, Seed: seed, EmbedDim: 8}
+	return &DeepTraLog{Epochs: 15, Seed: seed}
 }
 
-const dtlNodeEmb = 8
+const (
+	dtlNodeEmb = 8
+	// dtlEmbedDim is the trace-embedding width.
+	dtlEmbedDim = 8
+	dtlLR       = 1e-3
+)
 
 // nodeFeatures encodes a trace's spans for the GGNN.
 func (d *DeepTraLog) nodeFeatures(tr *trace.Trace) *tensor.Tensor {
@@ -78,10 +80,10 @@ func parentsOf(tr *trace.Trace) []int {
 func (d *DeepTraLog) Train(traces []*trace.Trace) {
 	rng := xrand.New(d.Seed)
 	d.emb = features.NewEmbedder(dtlNodeEmb)
-	d.net = gnn.NewGatedGraphNet("dtl", 2+dtlNodeEmb, 16, 3, d.EmbedDim, rng)
+	d.net = gnn.NewGatedGraphNet("dtl", 2+dtlNodeEmb, 16, 3, dtlEmbedDim, rng)
 
 	// Centre from the untrained network (standard deep SVDD init).
-	d.center = make([]float64, d.EmbedDim)
+	d.center = make([]float64, dtlEmbedDim)
 	for _, tr := range traces {
 		e := d.Embed(tr)
 		for i, v := range e {
@@ -91,9 +93,9 @@ func (d *DeepTraLog) Train(traces []*trace.Trace) {
 	for i := range d.center {
 		d.center[i] /= float64(len(traces))
 	}
-	centerT := tensor.New(append([]float64(nil), d.center...), 1, d.EmbedDim)
+	centerT := tensor.New(append([]float64(nil), d.center...), 1, dtlEmbedDim)
 
-	opt := nn.NewAdam(d.net, d.LR)
+	opt := nn.NewAdam(d.net, dtlLR)
 	order := rng.Perm(len(traces))
 	for epoch := 0; epoch < d.Epochs; epoch++ {
 		for _, idx := range order {

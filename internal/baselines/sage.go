@@ -26,13 +26,7 @@ import (
 //   - per-node weights cannot transfer to another application (Fig. 7).
 type Sage struct {
 	Epochs int
-	LR     float64
 	Seed   uint64
-	// MaxCandidates / ErrThreshold mirror Sleuth's localisation loop.
-	MaxCandidates int
-	ErrThreshold  float64
-	// SampleCap bounds per-node training samples.
-	SampleCap int
 
 	nodes   map[string]*sageNode
 	normals map[string]sageNormal
@@ -44,12 +38,20 @@ type sageNormal struct {
 	medianExcl float64
 }
 
-// Per-node architecture constants: deliberately small — the ensemble's
-// cost comes from its count, as in the paper.
+// Per-node architecture and training constants. The architecture is
+// deliberately small — the ensemble's cost comes from its count, as in the
+// paper.
 const (
 	sageCond   = 4 // childSum, childMax, exclusive, childErr
 	sageLatent = 2
 	sageHidden = 8
+	sageLR     = 3e-3
+	// sageMaxCandidates / sageErrThreshold mirror Sleuth's localisation
+	// loop.
+	sageMaxCandidates = 5
+	sageErrThreshold  = 0.5
+	// sageSampleCap bounds per-node training samples.
+	sageSampleCap = 400
 )
 
 type sageNode struct {
@@ -71,7 +73,7 @@ func (n *sageNode) params() []nn.Param {
 
 // NewSage builds the baseline with its defaults.
 func NewSage(seed uint64) *Sage {
-	return &Sage{Epochs: 30, LR: 3e-3, Seed: seed, MaxCandidates: 5, ErrThreshold: 0.5, SampleCap: 400}
+	return &Sage{Epochs: 30, Seed: seed}
 }
 
 // Name implements rca.Algorithm.
@@ -141,7 +143,7 @@ func (s *Sage) Prepare(train []*trace.Trace) error {
 			if sp.Error {
 				target[1] = 1
 			}
-			if len(node.samples) < s.SampleCap {
+			if len(node.samples) < sageSampleCap {
 				node.samples = append(node.samples, append(cond, target...))
 			}
 			d, e := float64(sp.Duration()), float64(tr.ExclusiveDuration(i))
@@ -188,7 +190,7 @@ func (s *Sage) trainNode(node *sageNode, rng *xrand.Rand) {
 	cond := tensor.SliceCols(full, 0, sageCond).Detach()
 	target := tensor.SliceCols(full, sageCond, sageCond+2).Detach()
 	holder := paramsHolder(node.params())
-	opt := nn.NewAdam(holder, s.LR)
+	opt := nn.NewAdam(holder, sageLR)
 	noise := rng.Split("reparam")
 	for epoch := 0; epoch < s.Epochs; epoch++ {
 		h := node.enc.Forward(tensor.ConcatCols(cond, target))
@@ -364,7 +366,7 @@ func (s *Sage) Localize(tr *trace.Trace, sloMicros float64) []string {
 	if len(cands) == 0 {
 		return nil
 	}
-	max := s.MaxCandidates
+	max := sageMaxCandidates
 	if max > len(cands) {
 		max = len(cands)
 	}
@@ -376,7 +378,7 @@ func (s *Sage) Localize(tr *trace.Trace, sloMicros float64) []string {
 		}
 		used = append(used, cands[k].service)
 		d, e := s.counterfactual(tr, restored)
-		if d <= sloMicros && e < s.ErrThreshold {
+		if d <= sloMicros && e < sageErrThreshold {
 			sort.Strings(used)
 			return used
 		}

@@ -18,11 +18,8 @@ import (
 // the training data, the architectural rigidity that prevents this family
 // of models from transferring between applications.
 type TraceAnomaly struct {
-	// Sigma is the n of the n-sigma anomalous-span rule (default 3).
-	Sigma float64
-	// Epochs/LR control VAE training.
+	// Epochs controls VAE training.
 	Epochs int
-	LR     float64
 	Seed   uint64
 
 	vocab   map[string]int
@@ -35,9 +32,16 @@ type TraceAnomaly struct {
 	reconThreshold float64
 }
 
+const (
+	// taSigma is the n of the n-sigma anomalous-span rule.
+	taSigma = 3
+	// taLR is the VAE's Adam learning rate.
+	taLR = 1e-3
+)
+
 // NewTraceAnomaly builds the baseline with its defaults.
 func NewTraceAnomaly(seed uint64) *TraceAnomaly {
-	return &TraceAnomaly{Sigma: 3, Epochs: 20, LR: 1e-3, Seed: seed}
+	return &TraceAnomaly{Epochs: 20, Seed: seed}
 }
 
 // Name implements rca.Algorithm.
@@ -107,7 +111,7 @@ func (t *TraceAnomaly) Prepare(train []*trace.Trace) error {
 		rows[i] = t.vector(tr)
 	}
 	x := tensor.FromRows(rows)
-	opt := nn.NewAdam(t, t.LR)
+	opt := nn.NewAdam(t, taLR)
 	noise := rng.Split("reparam")
 	for epoch := 0; epoch < t.Epochs; epoch++ {
 		h := t.encoder.Forward(x)
@@ -168,7 +172,7 @@ func (t *TraceAnomaly) Localize(tr *trace.Trace, _ float64) []string {
 		if !ok {
 			continue
 		}
-		anomalous[i] = stats.NSigma(float64(sp.Duration()), mean, std, t.Sigma)
+		anomalous[i] = stats.NSigma(float64(sp.Duration()), mean, std, taSigma)
 	}
 	// Longest (most anomalous) root-to-leaf path by DFS.
 	bestCount := -1

@@ -189,17 +189,6 @@ func (p *Plan) resolve(app *synth.App) {
 // AffectedServices returns the service indexes fault i touches.
 func (p *Plan) AffectedServices(i int) []int { return p.affectedServices[i] }
 
-// ServicesTouched returns the union of affected service indexes.
-func (p *Plan) ServicesTouched() map[int]bool {
-	out := make(map[int]bool)
-	for i := range p.Faults {
-		for _, s := range p.affectedServices[i] {
-			out[s] = true
-		}
-	}
-	return out
-}
-
 // kernelMatches reports whether a fault type slows a kernel type.
 func kernelMatches(ft FaultType, k synth.KernelType) bool {
 	switch ft {

@@ -41,11 +41,11 @@ func TestTraceSetMergesSameIdentifier(t *testing.T) {
 	rootID := in.Intern(SpanIdentifier(tr, 0, DefaultMaxAncestors))
 	// Merged weight = (1000 + 1500)/1000 ms.
 	found := false
-	for i, id := range s.IDs {
+	for i, id := range s.ids {
 		if id != rootID {
 			found = true
-			if math.Abs(s.W[i]-2.5) > 1e-9 {
-				t.Fatalf("merged weight = %v, want 2.5", s.W[i])
+			if math.Abs(s.w[i]-2.5) > 1e-9 {
+				t.Fatalf("merged weight = %v, want 2.5", s.w[i])
 			}
 		}
 	}
@@ -182,9 +182,9 @@ func TestTraceSetsMatchReference(t *testing.T) {
 			check := func(what string, got []WeightedSet, in *Interner) {
 				for k, tr := range traces {
 					ids, w, mass := referenceTraceSet(in, tr, dmax)
-					if !reflect.DeepEqual(got[k].IDs, ids) || !reflect.DeepEqual(got[k].W, w) || got[k].Mass() != mass {
+					if !reflect.DeepEqual(got[k].ids, ids) || !reflect.DeepEqual(got[k].w, w) || got[k].Mass() != mass {
 						t.Fatalf("seed %d dmax %d %s trace %d:\n got %v %v %v\nwant %v %v %v",
-							seed, dmax, what, k, got[k].IDs, got[k].W, got[k].Mass(), ids, w, mass)
+							seed, dmax, what, k, got[k].ids, got[k].w, got[k].Mass(), ids, w, mass)
 					}
 				}
 			}
@@ -222,9 +222,9 @@ func TestTraceSetsChunksMatchReference(t *testing.T) {
 				got, ref := TraceSets(traces[:n], dmax), NewInterner()
 				for k, tr := range traces[:n] {
 					ids, w, mass := referenceTraceSet(ref, tr, dmax)
-					if !reflect.DeepEqual(got[k].IDs, ids) || !reflect.DeepEqual(got[k].W, w) || got[k].Mass() != mass || got[k].vocab != got[0].vocab {
+					if !reflect.DeepEqual(got[k].ids, ids) || !reflect.DeepEqual(got[k].w, w) || got[k].Mass() != mass || got[k].vocab != got[0].vocab {
 						t.Fatalf("dmax %d GOMAXPROCS %d, trace %d of %d:\n got %v %v %v\nwant %v %v %v",
-							dmax, procs, k, n, got[k].IDs, got[k].W, got[k].Mass(), ids, w, mass)
+							dmax, procs, k, n, got[k].ids, got[k].w, got[k].Mass(), ids, w, mass)
 					}
 				}
 				if got[0].vocab.Size() != ref.Size() {
@@ -291,15 +291,15 @@ func TestSetFromMapSortedByID(t *testing.T) {
 	in.Intern("z") // 0
 	in.Intern("a") // 1
 	s := SetFromMap(in, map[string]float64{"a": 1, "m": 2, "z": 3})
-	for i := 1; i < len(s.IDs); i++ {
-		if s.IDs[i-1] >= s.IDs[i] {
-			t.Fatalf("IDs not sorted: %v", s.IDs)
+	for i := 1; i < len(s.ids); i++ {
+		if s.ids[i-1] >= s.ids[i] {
+			t.Fatalf("IDs not sorted: %v", s.ids)
 		}
 	}
 	byID := map[int32]float64{in.Intern("a"): 1, in.Intern("m"): 2, in.Intern("z"): 3}
-	for i, id := range s.IDs {
-		if s.W[i] != byID[id] {
-			t.Fatalf("weight for id %d = %v, want %v", id, s.W[i], byID[id])
+	for i, id := range s.ids {
+		if s.w[i] != byID[id] {
+			t.Fatalf("weight for id %d = %v, want %v", id, s.w[i], byID[id])
 		}
 	}
 }

@@ -72,17 +72,16 @@ func (in *Interner) Size() int {
 // nondeterministic across runs). Sets are only comparable when built
 // against the same Interner; Distance enforces this.
 //
-// Constructors cache the set's mass (Σ weights); Distance uses the cached
-// masses both for its O(1) short-circuits and to reconstruct the union
-// term of Eq. 1 without accumulating it in the merge. Mutating W after
-// construction would make the cache stale — build a fresh set instead.
+// Only SetFromMap and TraceSet build a set. They cache its mass (Σ
+// weights); Distance uses the cached masses both for its O(1)
+// short-circuits and to reconstruct the union term of Eq. 1 without
+// accumulating it in the merge.
 type WeightedSet struct {
-	IDs []int32
-	W   []float64
+	ids []int32
+	w   []float64
 
-	mass    float64
-	hasMass bool
-	vocab   *Interner
+	mass  float64
+	vocab *Interner
 }
 
 // sum adds weights in slice order (the fixed, ID-sorted order every
@@ -121,19 +120,14 @@ func SetFromMap(in *Interner, m map[string]float64) WeightedSet {
 		outIDs[i] = ids[j]
 		w[i] = m[keys[j]]
 	}
-	return WeightedSet{IDs: outIDs, W: w, mass: sum(w), hasMass: true, vocab: in}
+	return WeightedSet{ids: outIDs, w: w, mass: sum(w), vocab: in}
 }
 
 // Len returns the number of distinct identifiers.
-func (s WeightedSet) Len() int { return len(s.IDs) }
+func (s WeightedSet) Len() int { return len(s.ids) }
 
 // Mass returns |S| = Σ weights (cached at construction).
-func (s WeightedSet) Mass() float64 {
-	if s.hasMass {
-		return s.mass
-	}
-	return sum(s.W)
-}
+func (s WeightedSet) Mass() float64 { return s.mass }
 
 // SpanIdentifier builds the §3.3.1 element identifier for span i of tr: a
 // tuple of service name, span name, kind, error status and the names of
@@ -194,7 +188,7 @@ func TraceSet(in *Interner, tr *trace.Trace, dmax int) WeightedSet {
 	for i, id := range ids {
 		w[i], in.acc[id] = in.acc[id], 0
 	}
-	return WeightedSet{IDs: ids, W: w, mass: sum(w), hasMass: true, vocab: in}
+	return WeightedSet{ids: ids, w: w, mass: sum(w), vocab: in}
 }
 
 // mixedVocabularies is the panic of comparing sets built against different
@@ -220,17 +214,12 @@ const mixedVocabularies = "cluster: Distance across sets from different Interner
 // identity Σmax = |A| + |B| − Σmin lets the merge accumulate only the
 // intersection term: non-matching elements cost a bare ID compare, and the
 // loop stops the moment either set is exhausted instead of draining the
-// other's tail. The exactness guard: both fast paths require trustworthy
-// cached masses, so sets built by hand (no constructor, hasMass unset)
-// take the classic full merge and the matrix stays exact either way.
+// other's tail.
 func Distance(a, b WeightedSet) float64 {
 	if a.vocab != b.vocab && a.vocab != nil && b.vocab != nil {
 		panic(mixedVocabularies)
 	}
-	if !a.hasMass || !b.hasMass {
-		return distanceFull(a, b)
-	}
-	la, lb := len(a.IDs), len(b.IDs)
+	la, lb := len(a.ids), len(b.ids)
 	ma, mb := a.mass, b.mass
 	switch {
 	case ma == 0 && mb == 0:
@@ -239,17 +228,17 @@ func Distance(a, b WeightedSet) float64 {
 	case ma == 0 || mb == 0:
 		// Mass bound decides: Σmin ≤ min(|A|,|B|) = 0 while Σmax > 0.
 		return 1
-	case a.IDs[la-1] < b.IDs[0] || b.IDs[lb-1] < a.IDs[0]:
+	case a.ids[la-1] < b.ids[0] || b.ids[lb-1] < a.ids[0]:
 		// Disjoint ID ranges: Σmin is exactly 0, so d = 1.
 		return 1
 	}
 	interMin := 0.0
 	i, j := 0, 0
 	for i < la && j < lb {
-		ai, bj := a.IDs[i], b.IDs[j]
+		ai, bj := a.ids[i], b.ids[j]
 		switch {
 		case ai == bj:
-			if wa, wb := a.W[i], b.W[j]; wa < wb {
+			if wa, wb := a.w[i], b.w[j]; wa < wb {
 				interMin += wa
 			} else {
 				interMin += wb
@@ -279,48 +268,6 @@ func jaccard(ma, mb, interMin float64) float64 {
 	return 0
 }
 
-// distanceFull is the reference Eq. 1 merge: both accumulators, no cached
-// masses. It backs Distance's exactness guard and the equivalence tests.
-func distanceFull(a, b WeightedSet) float64 {
-	if a.Len() == 0 && b.Len() == 0 {
-		return 0
-	}
-	interMin := 0.0
-	unionMax := 0.0
-	i, j := 0, 0
-	for i < len(a.IDs) && j < len(b.IDs) {
-		switch {
-		case a.IDs[i] == b.IDs[j]:
-			wa, wb := a.W[i], b.W[j]
-			if wa < wb {
-				interMin += wa
-				unionMax += wb
-			} else {
-				interMin += wb
-				unionMax += wa
-			}
-			i++
-			j++
-		case a.IDs[i] < b.IDs[j]:
-			unionMax += a.W[i]
-			i++
-		default:
-			unionMax += b.W[j]
-			j++
-		}
-	}
-	for ; i < len(a.IDs); i++ {
-		unionMax += a.W[i]
-	}
-	for ; j < len(b.IDs); j++ {
-		unionMax += b.W[j]
-	}
-	if unionMax == 0 {
-		return 0
-	}
-	return 1 - interMin/unionMax
-}
-
 // Pairwise computes the full distance matrix over trace sets in parallel,
 // every cell bit-identical to Distance(sets[i], sets[j]).
 //
@@ -330,9 +277,8 @@ func distanceFull(a, b WeightedSet) float64 {
 // into the packed matrix row, and a second pass over the row applies Eq. 1.
 // Cost follows matches, not |A|+|B| per pair — identifiers the two sets do
 // not share cost nothing — and degenerates to the merge's cost only when all
-// sets are identical. Sets built by hand (no cached mass) stay out of the
-// index and take Distance cell by cell; sets from different vocabularies
-// panic as Distance does.
+// sets are identical. Sets from different vocabularies panic as Distance
+// does.
 //
 // Only the upper triangle is computed and stored, so row i costs about
 // n-i-1 cells: handing out bare rows would leave the tail workers idle while
@@ -366,7 +312,7 @@ func Pairwise(sets []WeightedSet) *Matrix {
 }
 
 // postings is Pairwise's inverted index in CSR form: identifier id's entries
-// — one (set index, weight) per massed set holding id, ascending by set index
+// — one (set index, weight) per set holding id, ascending by set index
 // because sets are filed in order — end at end[id] and begin where id-1's end.
 type postings struct {
 	end []int32
@@ -384,17 +330,15 @@ func buildPostings(sets []WeightedSet) postings {
 			}
 			vocab = s.vocab
 		}
-		if k := len(s.IDs); s.hasMass && k > 0 {
+		if k := len(s.ids); k > 0 {
 			total += k
-			size = max(size, int(s.IDs[k-1])+1)
+			size = max(size, int(s.ids[k-1])+1)
 		}
 	}
 	ix := postings{end: make([]int32, size), set: make([]int32, total), w: make([]float64, total)}
 	for _, s := range sets {
-		if s.hasMass {
-			for _, id := range s.IDs {
-				ix.end[id]++
-			}
+		for _, id := range s.ids {
+			ix.end[id]++
 		}
 	}
 	run := int32(0)
@@ -404,12 +348,10 @@ func buildPostings(sets []WeightedSet) postings {
 	// end[id] is id's begin here and its fill cursor below, which leaves it
 	// one past id's last entry.
 	for i, s := range sets {
-		if s.hasMass {
-			for k, id := range s.IDs {
-				p := ix.end[id]
-				ix.set[p], ix.w[p] = int32(i), s.W[k]
-				ix.end[id] = p + 1
-			}
+		for k, id := range s.ids {
+			p := ix.end[id]
+			ix.set[p], ix.w[p] = int32(i), s.w[k]
+			ix.end[id] = p + 1
 		}
 	}
 	return ix
@@ -421,26 +363,22 @@ func buildPostings(sets []WeightedSet) postings {
 // the order Distance's merge adds them — and the sums agree bit for bit.
 func (ix postings) fillRow(sets []WeightedSet, i int, row []float64) {
 	a := sets[i]
-	if a.hasMass {
-		set, w := ix.set, ix.w
-		for k, id := range a.IDs {
-			wa := a.W[k]
-			for p := ix.end[id] - 1; ; p-- {
-				c := int(set[p]) - i - 1
-				if c < 0 {
-					break
-				}
-				// For the non-NaN weights every constructor stores, min
-				// picks the operand Distance's compare picks.
-				row[c] += min(wa, w[p])
+	set, w := ix.set, ix.w
+	for k, id := range a.ids {
+		wa := a.w[k]
+		for p := ix.end[id] - 1; ; p-- {
+			c := int(set[p]) - i - 1
+			if c < 0 {
+				break
 			}
+			// For the non-NaN weights every constructor stores, min
+			// picks the operand Distance's compare picks.
+			row[c] += min(wa, w[p])
 		}
 	}
 	for c := range row {
 		b := &sets[i+1+c]
 		switch {
-		case !a.hasMass || !b.hasMass:
-			row[c] = Distance(a, *b)
 		case a.mass == 0 && b.mass == 0:
 			row[c] = 0
 		case a.mass == 0 || b.mass == 0:
@@ -500,15 +438,15 @@ func TraceSets(traces []*trace.Trace, dmax int) []WeightedSet {
 		acc := make([]float64, width)
 		for i := size + b*block; i < min(size+(b+1)*block, len(traces)); i++ {
 			s, table := &out[i], shared[i/size]
-			for k, id := range s.IDs {
-				s.IDs[k] = table[id]
-				acc[s.IDs[k]] = s.W[k]
+			for k, id := range s.ids {
+				s.ids[k] = table[id]
+				acc[s.ids[k]] = s.w[k]
 			}
-			slices.Sort(s.IDs)
-			for k, id := range s.IDs {
-				s.W[k] = acc[id]
+			slices.Sort(s.ids)
+			for k, id := range s.ids {
+				s.w[k] = acc[id]
 			}
-			s.mass, s.vocab = sum(s.W), in
+			s.mass, s.vocab = sum(s.w), in
 		}
 	})
 	return out

@@ -85,13 +85,6 @@ func TestPairwiseMirrorSplitExact(t *testing.T) {
 		SetFromMap(in, map[string]float64{"a": 0}),
 	}
 	checkPairwiseExact(t, "edge cases", edge)
-	// A hand-built set has no cached mass: its row and column are the guarded
-	// full merge's values, the other cells are unaffected.
-	hand := WeightedSet{IDs: []int32{0, 1, 3}, W: []float64{2, 3, 0.5}}
-	for _, at := range []int{0, 3, len(edge)} {
-		mixed := append(append(append([]WeightedSet{}, edge[:at]...), hand), edge[at:]...)
-		checkPairwiseExact(t, fmt.Sprintf("hand-built set at %d", at), mixed)
-	}
 }
 
 // TestPairwiseVocabularyMismatchPanics: a batch mixing two vocabularies

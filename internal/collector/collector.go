@@ -39,8 +39,6 @@ type Collector struct {
 	// Ingest is the staged pipeline behind the HTTP receiver. Stop it (or
 	// call Close) to drain open trace windows into the store.
 	Ingest *ingest.Pipeline
-	// MaxBodyBytes bounds accepted payload sizes (default 32 MiB).
-	MaxBodyBytes int64
 	// AccessLog, if non-nil, receives one structured line per request.
 	AccessLog *log.Logger
 	// Ready holds extra readiness checks served on /readyz alongside the
@@ -48,6 +46,9 @@ type Collector struct {
 	// ReadyCheck here).
 	Ready []obs.ReadyCheck
 }
+
+// maxBodyBytes bounds accepted payload sizes.
+const maxBodyBytes = 32 << 20
 
 // readyQueueSaturation is the /readyz bound on ingest queue occupancy: a
 // collector whose queues are ≥ 90% full is shedding, not serving.
@@ -62,7 +63,7 @@ func New(st *store.Store) *Collector {
 // NewWithPipeline creates a Collector over an explicitly configured
 // pipeline. The pipeline should write into st (the /stats counts read it).
 func NewWithPipeline(st *store.Store, p *ingest.Pipeline) *Collector {
-	return &Collector{Store: st, Ingest: p, MaxBodyBytes: 32 << 20}
+	return &Collector{Store: st, Ingest: p}
 }
 
 // Close drains and stops the ingest pipeline.
@@ -140,7 +141,7 @@ func (c *Collector) ingest(proto string, decode func([]byte) ([]*trace.Span, err
 		// MaxBytesReader errors out past the limit instead of silently
 		// truncating the payload mid-span (which would surface as a
 		// nonsensical decode error and miscount the client's data).
-		body, err := readBody(w, r, c.MaxBodyBytes)
+		body, err := readBody(w, r, maxBodyBytes)
 		if err != nil {
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {

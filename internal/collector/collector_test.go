@@ -116,9 +116,10 @@ func TestDecodeErrorSeriesHasOneWriter(t *testing.T) {
 	}
 }
 
-// TestRejectsOversizedBody: a payload over MaxBodyBytes must come back as
-// 413 (not a silent truncation miscounted as a decode error) and bump the
-// collector.body_too_large counter.
+// TestRejectsOversizedBody: a payload one byte over maxBodyBytes must come
+// back as 413 (not a silent truncation miscounted as a decode error) and bump
+// the collector.body_too_large counter; one of exactly maxBodyBytes goes
+// through.
 func TestRejectsOversizedBody(t *testing.T) {
 	obs.Disable()
 	obs.Enable()
@@ -126,7 +127,6 @@ func TestRejectsOversizedBody(t *testing.T) {
 	st := store.New()
 	col := New(st)
 	t.Cleanup(col.Close)
-	col.MaxBodyBytes = 1 << 10
 	srv := httptest.NewServer(col.Handler())
 	t.Cleanup(srv.Close)
 
@@ -134,10 +134,14 @@ func TestRejectsOversizedBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pad past the limit with trailing whitespace: still valid JSON, so a
+	// Pad to the limit with trailing whitespace: still valid JSON, so a
 	// truncating implementation would report a bogus decode error instead.
-	payload = append(payload, bytes.Repeat([]byte{' '}, 2<<10)...)
-	resp := post(t, srv.URL+"/v1/traces", payload)
+	body := make([]byte, maxBodyBytes+1)
+	copy(body, payload)
+	for i := len(payload); i < len(body); i++ {
+		body[i] = ' '
+	}
+	resp := post(t, srv.URL+"/v1/traces", body)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d, want 413", resp.StatusCode)
 	}
@@ -152,12 +156,7 @@ func TestRejectsOversizedBody(t *testing.T) {
 		t.Fatal("oversized payload stored spans")
 	}
 	// At the limit exactly, the payload still goes through.
-	small, err := otel.EncodeOTLP(sampleSpans(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	col.MaxBodyBytes = int64(len(small))
-	resp = post(t, srv.URL+"/v1/traces", small)
+	resp = post(t, srv.URL+"/v1/traces", body[:maxBodyBytes])
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("at-limit payload: status = %d", resp.StatusCode)
 	}
@@ -341,9 +340,9 @@ func TestMetricsAndSeriesEndpoints(t *testing.T) {
 // dropped at the door, counted, and the client sees 429 — never a stall.
 func TestBackpressureDropsCounted(t *testing.T) {
 	st := store.New()
-	// One worker, one-slot queue, and a flush barrier nobody acknowledges:
-	// the worker stalls, the queue fills, and the next submit must drop.
-	p := ingest.NewPipeline(st, ingest.Config{Workers: 1, QueueSize: 1, TraceTTL: -1})
+	// One worker parked on a flush barrier: the worker stalls, the queue
+	// fills, and the next submit must drop.
+	p := ingest.NewPipeline(st, ingest.Config{Workers: 1, TraceTTL: -1})
 	col := NewWithPipeline(st, p)
 	t.Cleanup(col.Close)
 	srv := httptest.NewServer(col.Handler())
@@ -354,7 +353,18 @@ func TestBackpressureDropsCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	post(t, srv.URL+"/v1/traces", payload) // fills the one queue slot
+	// One batch per POST: 256 fill the ingest queue, the next drops.
+	for i := 0; i < 256; i++ {
+		resp, err := http.Post(srv.URL+"/v1/traces", "application/json", bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("fill POST %d: status = %d, want 202", i, resp.StatusCode)
+		}
+	}
 	resp := post(t, srv.URL+"/v1/traces", payload)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", resp.StatusCode)

@@ -348,14 +348,12 @@ type TrainOptions struct {
 	// one clip+Adam step (mini-batch SGD, §3.4). 0 selects 1 — the paper's
 	// per-trace updates.
 	BatchSize int
-	// GradClip caps the global gradient norm of each step. 0 selects the
-	// default of 5; a negative value disables clipping.
-	GradClip float64
 	// Seed shuffles the training order.
 	Seed uint64
-	// Progress, if non-nil, receives (epoch, meanLoss) after each epoch.
-	Progress func(epoch int, loss float64)
 }
+
+// gradClip caps the global gradient norm of each training step.
+const gradClip = 5
 
 func (o TrainOptions) withDefaults() TrainOptions {
 	if o.Epochs <= 0 {
@@ -366,9 +364,6 @@ func (o TrainOptions) withDefaults() TrainOptions {
 	}
 	if o.BatchSize <= 0 {
 		o.BatchSize = 1
-	}
-	if o.GradClip == 0 {
-		o.GradClip = 5
 	}
 	return o
 }
@@ -488,19 +483,11 @@ func (m *Model) Train(traces []*trace.Trace, opts TrainOptions) (TrainStats, err
 			})
 			opt.ZeroGrad()
 			nn.ReduceGradBuffers(m, buffers[:len(batch)], 1/float64(len(batch)))
-			if opts.GradClip > 0 || normGauge != nil || gradSeries != nil {
-				// ClipGradNorm measures (and, when enabled, clips) the
-				// global gradient norm; with clipping disabled it is called
-				// only for the telemetry.
-				norm := nn.ClipGradNorm(m, opts.GradClip)
-				normGauge.Set(norm)
-				if gradSeries != nil {
-					gradSum += norm
-					if opts.GradClip > 0 && norm > opts.GradClip {
-						norm = opts.GradClip
-					}
-					gradClipSum += norm
-				}
+			norm := nn.ClipGradNorm(m, gradClip)
+			normGauge.Set(norm)
+			if gradSeries != nil {
+				gradSum += norm
+				gradClipSum += min(norm, gradClip)
 			}
 			opt.Step()
 			for _, l := range losses[:len(batch)] {
@@ -536,9 +523,6 @@ func (m *Model) Train(traces []*trace.Trace, opts TrainOptions) (TrainStats, err
 		}
 		epochsCtr.Inc()
 		epochTimer.Stop()
-		if opts.Progress != nil {
-			opts.Progress(epoch, lastMean)
-		}
 	}
 	return TrainStats{Epochs: opts.Epochs, FinalLoss: lastMean, Traces: len(traces)}, nil
 }

@@ -11,7 +11,8 @@ import (
 // TestTrainEmitsEpochSeries: with observability enabled, Train must leave
 // one sample per epoch in each model-quality series — the loss curve, the
 // gradient-norm trajectory before and after clipping, throughput, and the
-// arena memory gauges.
+// arena memory gauges. One batch per epoch makes each epoch's clipped norm
+// exactly min(raw norm, gradClip).
 func TestTrainEmitsEpochSeries(t *testing.T) {
 	obs.Disable()
 	obs.Enable()
@@ -23,7 +24,7 @@ func TestTrainEmitsEpochSeries(t *testing.T) {
 	const epochs = 3
 	testenv.SetGOMAXPROCS(t, 2) // two gradient workers, two arenas
 	if _, err := m.Train(traces, TrainOptions{
-		Epochs: epochs, BatchSize: 4, GradClip: 1, Seed: 5,
+		Epochs: epochs, BatchSize: len(traces), Seed: 5,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +51,13 @@ func TestTrainEmitsEpochSeries(t *testing.T) {
 	if loss.Min <= 0 {
 		t.Errorf("loss series min = %g, want > 0", loss.Min)
 	}
-	grad := r.LookupSeries("core.train.epoch.grad_norm").Stats(0)
-	clipped := r.LookupSeries("core.train.epoch.grad_norm_clipped").Stats(0)
-	if clipped.Max > grad.Max+1e-12 || clipped.Max > 1+1e-12 {
-		t.Errorf("clipped norm (max %g) must be ≤ raw norm (max %g) and ≤ GradClip=1",
-			clipped.Max, grad.Max)
+	raw := r.LookupSeries("core.train.epoch.grad_norm").Samples(0)
+	clipped := r.LookupSeries("core.train.epoch.grad_norm_clipped").Samples(0)
+	for i := range min(len(raw), len(clipped)) {
+		if want := min(raw[i].V, gradClip); clipped[i].V != want {
+			t.Errorf("epoch %d: clipped norm %g, want min(raw %g, %d) = %g",
+				i, clipped[i].V, raw[i].V, gradClip, want)
+		}
 	}
 	if rate := r.LookupSeries("core.train.epoch.samples_per_sec").Stats(0); rate.Min <= 0 {
 		t.Errorf("samples_per_sec min = %g, want > 0", rate.Min)

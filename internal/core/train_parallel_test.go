@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"github.com/sleuth-rca/sleuth/internal/nn"
@@ -78,40 +77,6 @@ func TestBatchSizeOneMatchesLegacySGD(t *testing.T) {
 				t.Fatalf("weight %s[%d] differs", name, i)
 			}
 		}
-	}
-}
-
-// TestGradClipSemantics: 0 selects the default (5), negative disables.
-func TestGradClipSemantics(t *testing.T) {
-	if got := (TrainOptions{}).withDefaults().GradClip; got != 5 {
-		t.Fatalf("GradClip zero-value default = %v, want 5", got)
-	}
-	if got := (TrainOptions{GradClip: 2}).withDefaults().GradClip; got != 2 {
-		t.Fatalf("explicit GradClip rewritten to %v", got)
-	}
-	if got := (TrainOptions{GradClip: -1}).withDefaults().GradClip; got != -1 {
-		t.Fatalf("disabled GradClip rewritten to %v", got)
-	}
-	// Disabled clipping must actually train differently from a tight clip
-	// (proof the negative value reaches the loop) and still stay finite on
-	// this well-behaved corpus.
-	app := synth.Synthetic(16, 33)
-	traces := simTraces(t, app, 33, 12)
-	clipped := NewModel(smallConfig(33))
-	sc, err := clipped.Train(traces, TrainOptions{Epochs: 2, GradClip: 0.01, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	free := NewModel(smallConfig(33))
-	sf, err := free.Train(traces, TrainOptions{Epochs: 2, GradClip: -1, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(sf.FinalLoss) || math.IsInf(sf.FinalLoss, 0) {
-		t.Fatalf("unclipped training diverged: %v", sf.FinalLoss)
-	}
-	if sc.FinalLoss == sf.FinalLoss {
-		t.Fatal("tight clip and disabled clip trained identically")
 	}
 }
 

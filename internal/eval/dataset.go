@@ -57,9 +57,10 @@ type DatasetOptions struct {
 	AnomalousTrainTraces int
 	// NumQueries is the number of evaluation anomalies to collect.
 	NumQueries int
-	// SLOPercentile calibrates the per-operation SLO (default 95).
-	SLOPercentile float64
 }
+
+// sloPercentile calibrates the per-operation SLO.
+const sloPercentile = 95
 
 // DefaultDatasetOptions returns CPU-friendly sizes.
 func DefaultDatasetOptions(seed uint64) DatasetOptions {
@@ -68,16 +69,12 @@ func DefaultDatasetOptions(seed uint64) DatasetOptions {
 		NormalTraces:         240,
 		AnomalousTrainTraces: 60,
 		NumQueries:           40,
-		SLOPercentile:        95,
 	}
 }
 
 // BuildDataset simulates traffic, calibrates SLOs and collects ground-
 // truth anomaly queries for the app.
 func BuildDataset(app *synth.App, opts DatasetOptions) (*Dataset, error) {
-	if opts.SLOPercentile == 0 {
-		opts.SLOPercentile = 95
-	}
 	s := sim.New(app, sim.DefaultOptions(opts.Seed))
 	ds := &Dataset{App: app, Sim: s, SLO: map[string]float64{}}
 
@@ -98,9 +95,9 @@ func BuildDataset(app *synth.App, opts DatasetOptions) (*Dataset, error) {
 		all = append(all, float64(r.Duration))
 	}
 	for k, ds2 := range byRoot {
-		ds.SLO[k] = stats.Percentile(ds2, opts.SLOPercentile)
+		ds.SLO[k] = stats.Percentile(ds2, sloPercentile)
 	}
-	ds.GlobalSLO = stats.Percentile(all, opts.SLOPercentile)
+	ds.GlobalSLO = stats.Percentile(all, sloPercentile)
 
 	// Unlabeled incident traces for training (production data contains
 	// anomalies; the model must see tail behaviour to reconstruct it).

@@ -54,7 +54,6 @@ func (e Effort) datasetOptions(seed uint64) DatasetOptions {
 		NormalTraces:         e.NormalTraces,
 		AnomalousTrainTraces: e.AnomalousTrain,
 		NumQueries:           e.NumQueries,
-		SLOPercentile:        95,
 	}
 }
 

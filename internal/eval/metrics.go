@@ -45,15 +45,6 @@ func (c *Confusion) Add(pred, real []string) {
 	}
 }
 
-// Merge folds another confusion into this one.
-func (c *Confusion) Merge(o Confusion) {
-	c.TP += o.TP
-	c.FP += o.FP
-	c.FN += o.FN
-	c.Exact += o.Exact
-	c.Queries += o.Queries
-}
-
 // F1 returns 2TP / (2TP + FP + FN), or 0 with no predictions.
 func (c *Confusion) F1() float64 {
 	denom := 2*c.TP + c.FP + c.FN

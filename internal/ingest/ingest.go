@@ -37,15 +37,24 @@ import (
 	"github.com/sleuth-rca/sleuth/internal/trace"
 )
 
+// queueSize bounds each worker's batch queue. A full queue drops the batch
+// and counts it — backpressure sheds at the door instead of stalling
+// receivers.
+const queueSize = 256
+
+// baselineRefresh is the interval at which a pipeline with a store
+// recomputes the sampler's latency baseline from store.OpSummaries.
+const baselineRefresh = 30 * time.Second
+
+// maxOpenTraces caps concentrator memory across all shards; hitting the cap
+// force-flushes the receiving shard.
+const maxOpenTraces = 1 << 17
+
 // Config sizes the pipeline. Zero values select the defaults.
 type Config struct {
 	// Workers is the number of concentrator shards, each owned by one
 	// goroutine (default GOMAXPROCS).
 	Workers int
-	// QueueSize bounds each worker's batch queue (default 256 batches).
-	// A full queue drops the batch and counts it — backpressure sheds at
-	// the door instead of stalling receivers.
-	QueueSize int
 	// SampleRate is the keep probability for healthy traces in (0,1]
 	// (default 1 = lossless). Zero means the default; a negative rate
 	// sheds every healthy trace.
@@ -58,25 +67,15 @@ type Config struct {
 	// its last span arrived (default 500ms). Zero and below flushes after
 	// every batch (useful in tests).
 	TraceTTL time.Duration
-	// BaselineRefresh is the interval at which the sampler's latency
-	// baseline is recomputed from store.OpSummaries (default 30s; ≤ 0
-	// disables the refresher — call RefreshBaseline yourself).
-	BaselineRefresh time.Duration
-	// MaxOpenTraces caps concentrator memory across all shards; hitting
-	// the cap force-flushes the receiving shard (default 1<<17).
-	MaxOpenTraces int
 }
 
 // DefaultConfig returns the production defaults.
 func DefaultConfig() Config {
 	return Config{
-		Workers:         runtime.GOMAXPROCS(0),
-		QueueSize:       256,
-		SampleRate:      1,
-		TailPercentile:  99,
-		TraceTTL:        500 * time.Millisecond,
-		BaselineRefresh: 30 * time.Second,
-		MaxOpenTraces:   1 << 17,
+		Workers:        runtime.GOMAXPROCS(0),
+		SampleRate:     1,
+		TailPercentile: 99,
+		TraceTTL:       500 * time.Millisecond,
 	}
 }
 
@@ -85,17 +84,11 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.QueueSize <= 0 {
-		c.QueueSize = 256
-	}
 	if c.SampleRate == 0 {
 		c.SampleRate = 1
 	}
 	if c.TailPercentile <= 0 {
 		c.TailPercentile = 99
-	}
-	if c.MaxOpenTraces <= 0 {
-		c.MaxOpenTraces = 1 << 17
 	}
 	return c
 }
@@ -183,13 +176,13 @@ func NewPipeline(st *store.Store, cfg Config) *Pipeline {
 	for i := range p.shards {
 		p.shards[i] = &ingestShard{
 			p:     p,
-			queue: make(chan batchMsg, cfg.QueueSize),
+			queue: make(chan batchMsg, queueSize),
 			open:  make(map[string]*openTrace),
 		}
 		p.wg.Add(1)
 		go p.shards[i].run()
 	}
-	if cfg.BaselineRefresh > 0 && st != nil {
+	if st != nil {
 		p.wg.Add(1)
 		go p.refreshLoop()
 	}
@@ -353,7 +346,7 @@ func (p *Pipeline) RefreshBaseline() {
 
 func (p *Pipeline) refreshLoop() {
 	defer p.wg.Done()
-	ticker := time.NewTicker(p.cfg.BaselineRefresh)
+	ticker := time.NewTicker(baselineRefresh)
 	defer ticker.Stop()
 	for {
 		select {
@@ -381,11 +374,7 @@ func (p *Pipeline) QueueSaturation() float64 {
 	if p == nil || len(p.shards) == 0 {
 		return 0
 	}
-	capTotal := len(p.shards) * p.cfg.QueueSize
-	if capTotal == 0 {
-		return 0
-	}
-	return float64(p.QueueDepth()) / float64(capTotal)
+	return float64(p.QueueDepth()) / float64(len(p.shards)*queueSize)
 }
 
 // Stats snapshots the pipeline counters.
@@ -456,7 +445,7 @@ func (sh *ingestShard) absorb(spans []*trace.Span, now time.Time) {
 	for _, s := range spans {
 		ot := sh.open[s.TraceID]
 		if ot == nil {
-			if p.open.Load() >= int64(p.cfg.MaxOpenTraces) {
+			if p.open.Load() >= maxOpenTraces {
 				// Safety valve: close every window on this shard rather
 				// than growing without bound under a trace-ID flood.
 				obs.C("ingest.open_evicted").Add(int64(len(sh.open)))

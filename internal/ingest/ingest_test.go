@@ -29,11 +29,10 @@ func healthyTrace(id string) []*trace.Span {
 }
 
 // syncPipeline builds a pipeline that flushes windows after every batch
-// (TraceTTL < 0) with the background baseline refresher off.
+// (TraceTTL < 0).
 func syncPipeline(t *testing.T, st *store.Store, cfg Config) *Pipeline {
 	t.Helper()
 	cfg.TraceTTL = -1
-	cfg.BaselineRefresh = -1
 	p := NewPipeline(st, cfg)
 	t.Cleanup(p.Stop)
 	return p
@@ -198,15 +197,15 @@ func TestPipelineShedsByRate(t *testing.T) {
 
 func TestPipelineBackpressureDrops(t *testing.T) {
 	st := store.New()
-	p := syncPipeline(t, st, Config{Workers: 1, QueueSize: 2})
+	p := syncPipeline(t, st, Config{Workers: 1})
 	release := p.Block()
-	// Two batches fill the queue; the third must drop, not stall.
-	a1, _, d1 := p.Submit(healthyTrace("a"))
-	a2, _, d2 := p.Submit(healthyTrace("b"))
-	if a1 != 2 || a2 != 2 || d1 != 0 || d2 != 0 {
-		t.Fatalf("queue fill: acc=%d/%d drop=%d/%d", a1, a2, d1, d2)
+	// queueSize batches fill the queue; the next must drop, not stall.
+	for i := range queueSize {
+		if acc, _, drop := p.Submit(healthyTrace(fmt.Sprintf("fill%d", i))); acc != 2 || drop != 0 {
+			t.Fatalf("queue fill %d: acc=%d drop=%d", i, acc, drop)
+		}
 	}
-	acc, _, dropped := p.Submit(healthyTrace("c"))
+	acc, _, dropped := p.Submit(healthyTrace("over"))
 	if acc != 0 || dropped != 2 {
 		t.Fatalf("overflow Submit = acc %d, dropped %d, want 0/2", acc, dropped)
 	}
@@ -215,15 +214,15 @@ func TestPipelineBackpressureDrops(t *testing.T) {
 	}
 	release()
 	p.Flush()
-	// The two queued batches survived the pressure; the dropped one is gone.
-	if st.TraceCount() != 2 {
-		t.Fatalf("store has %d traces, want 2", st.TraceCount())
+	// The queued batches survived the pressure; the dropped one is gone.
+	if st.TraceCount() != queueSize {
+		t.Fatalf("store has %d traces, want %d", st.TraceCount(), queueSize)
 	}
 }
 
 func TestPipelineTTLExpiry(t *testing.T) {
 	st := store.New()
-	p := NewPipeline(st, Config{Workers: 1, TraceTTL: 5 * time.Millisecond, BaselineRefresh: -1})
+	p := NewPipeline(st, Config{Workers: 1, TraceTTL: 5 * time.Millisecond})
 	t.Cleanup(p.Stop)
 	p.Submit(healthyTrace("t1"))
 	// The window must close on its own via the TTL ticker — no Flush.
@@ -241,7 +240,7 @@ func TestPipelineTTLExpiry(t *testing.T) {
 
 func TestPipelineStopDrainsAndDropsLate(t *testing.T) {
 	st := store.New()
-	p := NewPipeline(st, Config{Workers: 2, TraceTTL: time.Hour, BaselineRefresh: -1})
+	p := NewPipeline(st, Config{Workers: 2, TraceTTL: time.Hour})
 	p.Submit(healthyTrace("t1"))
 	p.Stop()
 	p.Stop() // idempotent
@@ -262,7 +261,7 @@ func TestPipelineCountersAgreeAfterStop(t *testing.T) {
 	obs.Disable()
 	reg := obs.Enable()
 	t.Cleanup(obs.Disable)
-	p := NewPipeline(store.New(), Config{Workers: 2, TraceTTL: time.Hour, BaselineRefresh: -1})
+	p := NewPipeline(store.New(), Config{Workers: 2, TraceTTL: time.Hour})
 	mixed := func(id string) []*trace.Span {
 		return append(healthyTrace(id), span(id, "bad", "", 5, 1, false))
 	}
@@ -284,7 +283,7 @@ func TestPipelineSplitTraceAcrossBatches(t *testing.T) {
 	// Spans of one trace arriving in separate Submits concentrate into a
 	// single window and land as one trace.
 	st := store.New()
-	p := NewPipeline(st, Config{Workers: 4, TraceTTL: time.Hour, BaselineRefresh: -1})
+	p := NewPipeline(st, Config{Workers: 4, TraceTTL: time.Hour})
 	t.Cleanup(p.Stop)
 	spans := healthyTrace("t1")
 	p.Submit(spans[:1])
@@ -295,21 +294,36 @@ func TestPipelineSplitTraceAcrossBatches(t *testing.T) {
 	}
 }
 
+// TestPipelineMaxOpenTracesEvicts: the trace that would open window
+// maxOpenTraces+1 first force-flushes every open window of its shard, and no
+// trace is lost.
 func TestPipelineMaxOpenTracesEvicts(t *testing.T) {
+	obs.Disable()
+	reg := obs.Enable()
+	t.Cleanup(obs.Disable)
 	st := store.New()
-	p := NewPipeline(st, Config{
-		Workers: 1, TraceTTL: time.Hour, BaselineRefresh: -1, MaxOpenTraces: 8,
-	})
+	p := NewPipeline(st, Config{Workers: 1, TraceTTL: time.Hour})
 	t.Cleanup(p.Stop)
-	for i := 0; i < 32; i++ {
-		p.Submit(healthyTrace(fmt.Sprintf("t%d", i)))
+	const n, batch = maxOpenTraces + 32, 4096
+	for lo := 0; lo < n; lo += batch {
+		spans := make([]*trace.Span, 0, batch)
+		for i := lo; i < min(lo+batch, n); i++ {
+			id := fmt.Sprintf("t%d", i)
+			spans = append(spans, span(id, id+"-root", "", 0, 1000, false))
+		}
+		if acc, _, drop := p.Submit(spans); acc != len(spans) || drop != 0 {
+			t.Fatalf("Submit = acc %d, dropped %d, want %d/0", acc, drop, len(spans))
+		}
 	}
 	p.Flush()
+	if got := reg.Counter("ingest.open_evicted").Value(); got != maxOpenTraces {
+		t.Fatalf("ingest.open_evicted = %d, want %d", got, maxOpenTraces)
+	}
 	if got := p.Stats().OpenTraces; got != 0 {
 		t.Fatalf("OpenTraces = %d", got)
 	}
-	if st.TraceCount() != 32 {
-		t.Fatalf("eviction lost traces: %d/32", st.TraceCount())
+	if st.TraceCount() != n {
+		t.Fatalf("eviction lost traces: %d/%d", st.TraceCount(), n)
 	}
 }
 

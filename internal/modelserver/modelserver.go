@@ -108,26 +108,32 @@ func (r *Registry) save() error {
 
 // blobPath returns the model blob location for a version.
 func (r *Registry) blobPath(name string, version int) string {
-	return filepath.Join(r.dir, fmt.Sprintf("%s@%d.gob", sanitize(name), version))
+	return filepath.Join(r.dir, fmt.Sprintf("%s@%d.gob", name, version))
 }
 
-// sanitize keeps names filesystem-safe.
-func sanitize(name string) string {
-	return strings.Map(func(c rune) rune {
+// ErrBadName reports a model name Publish refuses.
+var ErrBadName = errors.New("modelserver: model name must be non-empty and use only A-Z a-z 0-9 - _ .")
+
+// sanitized reports whether name is non-empty and filesystem-safe as it
+// stands, so it names its own blob file and no other name shares it.
+func sanitized(name string) bool {
+	for _, c := range name {
 		switch {
 		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
 			c == '-', c == '_', c == '.':
-			return c
+		default:
+			return false
 		}
-		return '_'
-	}, name)
+	}
+	return name != ""
 }
 
 // Publish stores a new version of the named model and returns its info.
-// parent may be nil for models trained from scratch.
+// parent may be nil for models trained from scratch. A name that is not
+// sanitized fails with ErrBadName.
 func (r *Registry) Publish(name string, m *core.Model, trainedOn string, parent *ModelInfo) (ModelInfo, error) {
-	if name == "" {
-		return ModelInfo{}, errors.New("modelserver: empty model name")
+	if !sanitized(name) {
+		return ModelInfo{}, fmt.Errorf("%w: %q", ErrBadName, name)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -475,6 +481,10 @@ func (s *Server) publish(w http.ResponseWriter, req *http.Request, name string) 
 		parent = &info
 	}
 	info, err := s.Registry.Publish(name, m, req.URL.Query().Get("trainedOn"), parent)
+	if errors.Is(err, ErrBadName) {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

@@ -144,8 +144,60 @@ func TestRegistryErrors(t *testing.T) {
 }
 
 func TestSanitize(t *testing.T) {
-	if got := sanitize("prod/app v1"); got != "prod_app_v1" {
-		t.Fatalf("sanitize = %q", got)
+	for name, want := range map[string]bool{
+		"prod": true, "prod_app-v1.2": true,
+		"": false, "prod/app v1": false, "a b": false, "a@b": false, "é": false,
+	} {
+		if got := sanitized(name); got != want {
+			t.Errorf("sanitized(%q) = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestPublishRejectsCollidingNames: "a b" would share a_b's blob file, so
+// publishing it fails with 400 and a_b's manifest entry still describes the
+// model Get loads.
+func TestPublishRejectsCollidingNames(t *testing.T) {
+	reg, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer((&Server{Registry: reg}).Handler())
+	defer srv.Close()
+	publish := func(path string, m *core.Model) int {
+		t.Helper()
+		var blob bytes.Buffer
+		if err := m.Save(&blob); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+path, "application/octet-stream", &blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	small := trainedModel(t, 1)
+	big := core.NewModel(core.Config{EmbeddingDim: 8, Hidden: 32, Seed: 2})
+	if small.NumParams() == big.NumParams() {
+		t.Fatal("test models must differ in size")
+	}
+	if code := publish("/models/a_b", small); code != http.StatusOK {
+		t.Fatalf("publish a_b: status %d", code)
+	}
+	if code := publish("/models/a%20b", big); code != http.StatusBadRequest {
+		t.Fatalf("publish %q: status %d, want 400", "a b", code)
+	}
+	if _, err := reg.Publish("a b", big, "", nil); !errors.Is(err, ErrBadName) {
+		t.Fatalf("Publish(%q) err = %v, want ErrBadName", "a b", err)
+	}
+	m, info, err := reg.Get("a_b", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.NumParams() != info.Params || info.Params != small.NumParams() {
+		t.Fatalf("a_b@1 loads %d params, manifest says %d, published %d",
+			m.NumParams(), info.Params, small.NumParams())
 	}
 }
 

@@ -45,7 +45,7 @@ func CollectorRules() []Rule {
 			Window:    Duration(1 * time.Minute),
 			Agg:       AggMean,
 			Op:        OpGT,
-			Value:     192, // 75% of the default 256-slot queue
+			Value:     192, // 75% of the 256-slot queue
 			For:       Duration(1 * time.Minute),
 		},
 	}

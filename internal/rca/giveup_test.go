@@ -85,7 +85,7 @@ func localizeAskingAgain(l *Localizer, tr *trace.Trace, slo float64) (Result, in
 		used = append(used, cands[k].service)
 		cf := sess.Counterfactual(restored)
 		questions++
-		if cf.RootDurationMicros <= slo && cf.RootErrorProb < l.Opts.ErrThreshold {
+		if cf.RootDurationMicros <= slo && cf.RootErrorProb < errThreshold {
 			return l.result(tr, used, true, cf.RootDurationMicros), questions
 		}
 	}

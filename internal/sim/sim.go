@@ -21,7 +21,6 @@ package sim
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/sleuth-rca/sleuth/internal/chaos"
 	"github.com/sleuth-rca/sleuth/internal/par"
@@ -34,49 +33,35 @@ import (
 type Options struct {
 	// Seed drives all randomness; the same seed replays identical traffic.
 	Seed uint64
-	// BaseNetworkMicros is the one-way RPC transport latency.
-	BaseNetworkMicros int64
-	// InterarrivalMicros spaces request start times deterministically.
-	InterarrivalMicros int64
-	// PoissonArrivals, when true, draws exponentially distributed gaps
-	// with mean InterarrivalMicros instead of fixed spacing — the open-
-	// loop load the paper's workload generators (Locust, wrk2) produce.
-	PoissonArrivals bool
-	// AsyncEnqueueMicros is the producer-side cost of an async message.
-	AsyncEnqueueMicros int64
-	// AsyncQueueDelayMicros is the broker delay before consumption.
-	AsyncQueueDelayMicros int64
 }
 
-// DefaultOptions returns production-plausible latency constants.
+// DefaultOptions returns the options of a simulator seeded with seed.
 func DefaultOptions(seed uint64) Options {
-	return Options{
-		Seed:                  seed,
-		BaseNetworkMicros:     300,
-		InterarrivalMicros:    10_000,
-		AsyncEnqueueMicros:    200,
-		AsyncQueueDelayMicros: 1_000,
-	}
+	return Options{Seed: seed}
 }
+
+// Production-plausible latency constants, in µs.
+const (
+	// baseNetworkMicros is the one-way RPC transport latency.
+	baseNetworkMicros = 300
+	// interarrivalMicros spaces request start times.
+	interarrivalMicros = 10_000
+	// asyncEnqueueMicros is the producer-side cost of an async message.
+	asyncEnqueueMicros = 200
+	// asyncQueueDelayMicros is the broker delay before consumption.
+	asyncQueueDelayMicros = 1_000
+)
 
 // Simulator executes requests against one application.
 type Simulator struct {
-	App  *synth.App
-	Opts Options
+	App *synth.App
 
 	root *xrand.Rand
-
-	// arrivalMu guards the memoised Poisson arrival times.
-	arrivalMu sync.Mutex
-	arrivals  []int64
 }
 
 // New creates a Simulator.
 func New(app *synth.App, opts Options) *Simulator {
-	if opts.BaseNetworkMicros == 0 {
-		opts = DefaultOptions(opts.Seed)
-	}
-	return &Simulator{App: app, Opts: opts, root: xrand.New(opts.Seed)}
+	return &Simulator{App: app, root: xrand.New(opts.Seed)}
 }
 
 // reqCtx carries per-request state.
@@ -118,7 +103,7 @@ func (s *Simulator) SimulateRequest(id int, inj *chaos.Injector) (*Result, error
 		traceID:     fmt.Sprintf("%s-%08d", s.App.Name, id),
 		faultErrors: make(map[int]int),
 	}
-	start := s.arrivalTime(id)
+	start := int64(id) * interarrivalMicros
 	flow := s.App.Flows[flowIdx]
 	end, _ := s.runServer(ctx, flow.Root, "", start)
 	tr, err := trace.Assemble(ctx.spans)
@@ -132,33 +117,6 @@ func (s *Simulator) SimulateRequest(id int, inj *chaos.Injector) (*Result, error
 		Errored:   tr.HasError(),
 	}
 	return res, nil
-}
-
-// arrivalTime returns the start time of request id: fixed spacing by
-// default, or a memoised Poisson process when PoissonArrivals is set.
-// Arrival draws come from a dedicated stream, so they never perturb the
-// per-request simulation randomness.
-func (s *Simulator) arrivalTime(id int) int64 {
-	if !s.Opts.PoissonArrivals {
-		return int64(id) * s.Opts.InterarrivalMicros
-	}
-	s.arrivalMu.Lock()
-	defer s.arrivalMu.Unlock()
-	if len(s.arrivals) == 0 {
-		s.arrivals = append(s.arrivals, 0)
-	}
-	// Each gap is a pure function of the seed and its index, so arrival
-	// times are deterministic regardless of access order; the memo holds
-	// the prefix sums.
-	for len(s.arrivals) <= id {
-		idx := len(s.arrivals)
-		gap := int64(s.root.Split(fmt.Sprintf("arrival-%d", idx)).ExpFloat64(1.0 / float64(s.Opts.InterarrivalMicros)))
-		if gap < 1 {
-			gap = 1
-		}
-		s.arrivals = append(s.arrivals, s.arrivals[idx-1]+gap)
-	}
-	return s.arrivals[id]
 }
 
 // runServer executes the server side of a call: local kernels interleaved
@@ -233,7 +191,7 @@ func (s *Simulator) runClient(ctx *reqCtx, c *synth.Call, parentSpanID string, c
 
 	netLat, netErrProb, netFaults := ctx.inj.NetworkPenalty(rpc.Service)
 	netU := ctx.rng.Float64() // drawn unconditionally for replay alignment
-	oneWay := s.Opts.BaseNetworkMicros + netLat/2
+	oneWay := baseNetworkMicros + netLat/2
 
 	serverStart := clientStart + oneWay
 	serverEnd, serverErr := s.runServer(ctx, c, clientSpanID, serverStart)
@@ -275,7 +233,7 @@ func (s *Simulator) runClient(ctx *reqCtx, c *synth.Call, parentSpanID string, c
 func (s *Simulator) runAsync(ctx *reqCtx, c *synth.Call, parentSpanID string, callerSvc *synth.Service, t int64) int64 {
 	rpc := s.App.RPCs[c.RPC]
 	producerID := ctx.newSpanID()
-	enqueue := s.Opts.AsyncEnqueueMicros + int64(ctx.rng.ExpFloat64(1.0/200))
+	enqueue := asyncEnqueueMicros + int64(ctx.rng.ExpFloat64(1.0/200))
 	ctx.spans = append(ctx.spans, &trace.Span{
 		TraceID:  ctx.traceID,
 		SpanID:   producerID,
@@ -288,7 +246,7 @@ func (s *Simulator) runAsync(ctx *reqCtx, c *synth.Call, parentSpanID string, ca
 		Pod:      callerSvc.Pod,
 		Node:     callerSvc.Node,
 	})
-	delay := s.Opts.AsyncQueueDelayMicros + int64(ctx.rng.ExpFloat64(1.0/1000))
+	delay := asyncQueueDelayMicros + int64(ctx.rng.ExpFloat64(1.0/1000))
 	// The consumer executes the call's server side with consumer kind: we
 	// reuse runServer and rewrite the emitted span's kind.
 	before := len(ctx.spans)

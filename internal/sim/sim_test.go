@@ -407,74 +407,3 @@ func BenchmarkSimulateRequest1024(b *testing.B) {
 		}
 	}
 }
-
-func TestPoissonArrivals(t *testing.T) {
-	app := synth.Synthetic(16, 14)
-	opts := DefaultOptions(14)
-	opts.PoissonArrivals = true
-	s := New(app, opts)
-	// Arrival times are strictly increasing and deterministic.
-	var prev int64 = -1
-	var starts []int64
-	for id := 0; id < 50; id++ {
-		res, err := s.SimulateRequest(id, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		start := res.Trace.Spans[res.Trace.Roots()[0]].Start
-		if start <= prev {
-			t.Fatalf("arrivals not increasing at %d: %d <= %d", id, start, prev)
-		}
-		prev = start
-		starts = append(starts, start)
-	}
-	// Replay gives identical times.
-	s2 := New(app, opts)
-	for id := 0; id < 50; id++ {
-		res, err := s2.SimulateRequest(id, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := res.Trace.Spans[res.Trace.Roots()[0]].Start; got != starts[id] {
-			t.Fatalf("arrival %d not deterministic: %d vs %d", id, got, starts[id])
-		}
-	}
-	// Gaps vary (exponential), unlike the fixed-spacing default.
-	gapSet := map[int64]bool{}
-	for i := 1; i < len(starts); i++ {
-		gapSet[starts[i]-starts[i-1]] = true
-	}
-	if len(gapSet) < 10 {
-		t.Fatalf("only %d distinct gaps — arrivals look fixed", len(gapSet))
-	}
-	// Mean gap in the right ballpark of InterarrivalMicros.
-	mean := float64(starts[len(starts)-1]-starts[0]) / float64(len(starts)-1)
-	if mean < float64(opts.InterarrivalMicros)/3 || mean > float64(opts.InterarrivalMicros)*3 {
-		t.Fatalf("mean gap %v far from %d", mean, opts.InterarrivalMicros)
-	}
-}
-
-func TestPoissonArrivalsRandomAccess(t *testing.T) {
-	app := synth.Synthetic(16, 15)
-	opts := DefaultOptions(15)
-	opts.PoissonArrivals = true
-	// Accessing out of order yields the same times as sequential access.
-	a := New(app, opts)
-	resLate, err := a.SimulateRequest(20, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := New(app, opts)
-	for id := 0; id <= 20; id++ {
-		if _, err := b.SimulateRequest(id, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	resSeq, err := b.SimulateRequest(20, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resLate.Trace.Spans[0].Start != resSeq.Trace.Spans[0].Start {
-		t.Fatal("arrival times depend on access order")
-	}
-}

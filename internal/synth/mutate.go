@@ -133,9 +133,9 @@ func (a *App) AddService(name string, level int, seed uint64) int {
 	a.RPCs = append(a.RPCs, &RPC{ID: rpcID, Service: svcIdx, Name: "Handle" + name})
 	call := &Call{
 		RPC:           rpcID,
-		TimeoutMicros: 2_000_000,
-		ErrorProb:     0.0015,
-		Work:          []Kernel{{Type: KernelCPU, Mu: 7.2, Sigma: 0.8}},
+		TimeoutMicros: timeoutMicros,
+		ErrorProb:     baseErrorProb,
+		Work:          []Kernel{{Type: KernelCPU, Mu: workMu, Sigma: workSigma}},
 	}
 	a.insertCallAtDepth(call, level-1, rng)
 	return svcIdx
@@ -162,9 +162,9 @@ func (a *App) AddChains(k, chainLen int, seed uint64) []int {
 			a.RPCs = append(a.RPCs, &RPC{ID: rpcID, Service: svcIdx, Name: "Process" + name})
 			call := &Call{
 				RPC:           rpcID,
-				TimeoutMicros: 2_000_000,
-				ErrorProb:     0.0015,
-				Work:          []Kernel{{Type: KernelCPU, Mu: 7.0, Sigma: 0.8}},
+				TimeoutMicros: timeoutMicros,
+				ErrorProb:     baseErrorProb,
+				Work:          []Kernel{{Type: KernelCPU, Mu: 7.0, Sigma: workSigma}},
 			}
 			if prev == nil {
 				a.insertCallAtDepth(call, midDepth, rng)

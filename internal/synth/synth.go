@@ -125,27 +125,29 @@ type Params struct {
 	// contains (presets use it to hit the Table-1 max-span figures of
 	// apps whose biggest API does not touch every RPC).
 	MaxFlowCalls int
-	// ClusterNodes is the number of nodes services are spread over.
-	ClusterNodes int
-	// AsyncProb is the probability a non-root call is asynchronous.
-	AsyncProb float64
-	// ParallelBias in [0,1]: 1 packs all children of a call into one
-	// parallel stage, 0 makes them fully sequential.
-	ParallelBias float64
-	// WorkMu/WorkSigma parameterise the base log-normal of local kernels
-	// (µ in ln-µs). The defaults yield the heavy-tailed span-duration CDF
-	// of the paper's Figure 3.
-	WorkMu    float64
-	WorkSigma float64
-	// TimeoutMicros is the child-call timeout (0 disables).
-	TimeoutMicros int64
-	// BaseErrorProb is the per-call intrinsic failure probability.
-	BaseErrorProb float64
 	// Seed drives every random decision.
 	Seed uint64
-	// Vocabulary overrides the name vocabulary (nil = default).
-	Vocabulary *Vocabulary
 }
+
+// The generator's fixed shape.
+const (
+	// clusterNodes is the number of nodes services are spread over.
+	clusterNodes = 20
+	// asyncProb is the probability a non-root call is asynchronous.
+	asyncProb = 0.08
+	// parallelBias in [0,1]: 1 packs all children of a call into one
+	// parallel stage, 0 makes them fully sequential.
+	parallelBias = 0.5
+	// workMu/workSigma parameterise the base log-normal of local kernels
+	// (µ in ln-µs; e^7.2 ≈ 1.3ms). They yield the heavy-tailed
+	// span-duration CDF of the paper's Figure 3.
+	workMu    = 7.2
+	workSigma = 0.8
+	// timeoutMicros is the child-call timeout.
+	timeoutMicros = 2_000_000
+	// baseErrorProb is the per-call intrinsic failure probability.
+	baseErrorProb = 0.0015
+)
 
 // withDefaults fills zero-valued fields with sensible defaults.
 func (p Params) withDefaults() Params {
@@ -160,30 +162,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.NumFlows <= 0 {
 		p.NumFlows = 4
-	}
-	if p.ClusterNodes <= 0 {
-		p.ClusterNodes = 20
-	}
-	if p.AsyncProb == 0 {
-		p.AsyncProb = 0.08
-	}
-	if p.ParallelBias == 0 {
-		p.ParallelBias = 0.5
-	}
-	if p.WorkMu == 0 {
-		p.WorkMu = 7.2 // e^7.2 ≈ 1.3ms
-	}
-	if p.WorkSigma == 0 {
-		p.WorkSigma = 0.8
-	}
-	if p.TimeoutMicros == 0 {
-		p.TimeoutMicros = 2_000_000
-	}
-	if p.BaseErrorProb == 0 {
-		p.BaseErrorProb = 0.0015
-	}
-	if p.Vocabulary == nil {
-		p.Vocabulary = DefaultVocabulary()
 	}
 	return p
 }
@@ -203,7 +181,7 @@ func Generate(params Params) *App {
 	app := &App{Name: p.Name, Seed: p.Seed}
 
 	// Cluster nodes.
-	for i := 0; i < p.ClusterNodes; i++ {
+	for i := 0; i < clusterNodes; i++ {
 		app.Nodes = append(app.Nodes, fmt.Sprintf("node-%02d", i))
 	}
 
@@ -212,7 +190,8 @@ func Generate(params Params) *App {
 	// tiers are thin and storage tiers wide.
 	tiers := tierAssignment(p.NumServices, rng.Split("tiers"))
 	nameRng := rng.Split("names")
-	svcNames := p.Vocabulary.ServiceNames(p.NumServices, nameRng)
+	vocab := DefaultVocabulary()
+	svcNames := vocab.ServiceNames(p.NumServices, nameRng)
 	for i := 0; i < p.NumServices; i++ {
 		app.Services = append(app.Services, &Service{
 			Name: svcNames[i],
@@ -255,7 +234,7 @@ func Generate(params Params) *App {
 		app.RPCs = append(app.RPCs, &RPC{
 			ID:      i,
 			Service: svcOf[i],
-			Name:    p.Vocabulary.OperationName(app.Services[svcOf[i]].Name, i, nameRng),
+			Name:    vocab.OperationName(app.Services[svcOf[i]].Name, i, nameRng),
 		})
 	}
 
@@ -385,7 +364,7 @@ func buildFlow(app *App, p Params, name string, rpcIDs []int, rng *xrand.Rand) *
 	calls := make([]*Call, len(ids))
 	depth := make([]int, len(ids))
 	for i, id := range ids {
-		calls[i] = &Call{RPC: id, TimeoutMicros: p.TimeoutMicros, ErrorProb: p.BaseErrorProb}
+		calls[i] = &Call{RPC: id, TimeoutMicros: timeoutMicros, ErrorProb: baseErrorProb}
 	}
 	// Attach each subsequent call under an earlier one whose depth leaves
 	// room, preferring recent shallow parents (produces Alibaba-like wide
@@ -412,17 +391,17 @@ func buildFlow(app *App, p Params, name string, rpcIDs []int, rng *xrand.Rand) *
 		parent := rng.WeightedChoice(weights)
 		kids[parent] = append(kids[parent], calls[i])
 		depth[i] = depth[parent] + 1
-		calls[i].Async = rng.Bernoulli(p.AsyncProb)
+		calls[i].Async = rng.Bernoulli(asyncProb)
 	}
 	// Partition children into execution stages and attach local kernels.
 	for i, c := range calls {
-		c.Stages = stageChildren(kids[i], p.ParallelBias, rng)
+		c.Stages = stageChildren(kids[i], parallelBias, rng)
 		c.Work = make([]Kernel, len(c.Stages)+1)
 		for w := range c.Work {
 			c.Work[w] = Kernel{
 				Type:  AllKernelTypes[rng.Intn(len(AllKernelTypes))],
-				Mu:    p.WorkMu + rng.Normal(0, 0.5),
-				Sigma: p.WorkSigma * (0.7 + 0.6*rng.Float64()),
+				Mu:    workMu + rng.Normal(0, 0.5),
+				Sigma: workSigma * (0.7 + 0.6*rng.Float64()),
 			}
 		}
 		// Leaf-tier calls skew shorter (caches) but with heavier tails.

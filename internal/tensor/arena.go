@@ -228,26 +228,6 @@ func FullIn(a *Arena, v float64, shape ...int) *Tensor {
 	return t
 }
 
-// FromRowsIn builds a matrix copying rows into arena storage (heap when a
-// is nil). It panics on ragged input, mirroring FromRows.
-func FromRowsIn(a *Arena, rows [][]float64) *Tensor {
-	if a == nil {
-		return FromRows(rows)
-	}
-	if len(rows) == 0 {
-		panic("tensor: FromRowsIn with no rows")
-	}
-	c := len(rows[0])
-	t := NewIn(a, len(rows), c)
-	for i, r := range rows {
-		if len(r) != c {
-			panic("tensor: ragged rows")
-		}
-		copy(t.Data[i*c:(i+1)*c], r)
-	}
-	return t
-}
-
 // ArenaOf returns the arena governing t, or nil for heap tensors. Callers
 // building auxiliary tensors inside an op pipeline (sentinel rows, fallback
 // rows) use it to keep those allocations on the same tape arena.

@@ -1,7 +1,7 @@
 // Package xrand provides a deterministic, splittable pseudo-random number
 // generator together with the distribution samplers used throughout the
-// Sleuth reproduction: log-normal service times, Bernoulli fault draws,
-// Zipf workload mixes, and weighted choices.
+// Sleuth reproduction: log-normal service times, Bernoulli fault draws
+// and weighted choices.
 //
 // Determinism matters here: every experiment in the benchmark harness is
 // seeded so that tables and figures can be regenerated exactly. The
@@ -211,42 +211,4 @@ func (r *Rand) WeightedChoice(weights []float64) int {
 		}
 	}
 	return len(weights) - 1
-}
-
-// Zipf holds precomputed state for Zipf-distributed ranks in [0, n).
-type Zipf struct {
-	cdf []float64
-	r   *Rand
-}
-
-// NewZipf builds a Zipf sampler over n ranks with exponent s > 0.
-func (r *Rand) NewZipf(n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("xrand: NewZipf with non-positive n")
-	}
-	cdf := make([]float64, n)
-	acc := 0.0
-	for i := 0; i < n; i++ {
-		acc += 1 / math.Pow(float64(i+1), s)
-		cdf[i] = acc
-	}
-	for i := range cdf {
-		cdf[i] /= acc
-	}
-	return &Zipf{cdf: cdf, r: r}
-}
-
-// Next returns the next Zipf-distributed rank.
-func (z *Zipf) Next() int {
-	u := z.r.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

@@ -233,23 +233,6 @@ func TestWeightedChoiceAllZero(t *testing.T) {
 	}
 }
 
-func TestZipfSkew(t *testing.T) {
-	r := New(43)
-	z := r.NewZipf(100, 1.2)
-	counts := make([]int, 100)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		v := z.Next()
-		if v < 0 || v >= 100 {
-			t.Fatalf("Zipf out of range: %d", v)
-		}
-		counts[v]++
-	}
-	if counts[0] <= counts[50]*5 {
-		t.Fatalf("Zipf not skewed: rank0=%d rank50=%d", counts[0], counts[50])
-	}
-}
-
 func TestShuffle(t *testing.T) {
 	r := New(47)
 	v := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
