@@ -6,6 +6,7 @@ import (
 
 	"github.com/sleuth-rca/sleuth/internal/features"
 	"github.com/sleuth-rca/sleuth/internal/nn"
+	"github.com/sleuth-rca/sleuth/internal/rca"
 	"github.com/sleuth-rca/sleuth/internal/stats"
 	"github.com/sleuth-rca/sleuth/internal/tensor"
 	"github.com/sleuth-rca/sleuth/internal/trace"
@@ -46,10 +47,6 @@ const (
 	sageLatent = 2
 	sageHidden = 8
 	sageLR     = 3e-3
-	// sageMaxCandidates / sageErrThreshold mirror Sleuth's localisation
-	// loop.
-	sageMaxCandidates = 5
-	sageErrThreshold  = 0.5
 	// sageSampleCap bounds per-node training samples.
 	sageSampleCap = 400
 )
@@ -366,10 +363,8 @@ func (s *Sage) Localize(tr *trace.Trace, sloMicros float64) []string {
 	if len(cands) == 0 {
 		return nil
 	}
-	max := sageMaxCandidates
-	if max > len(cands) {
-		max = len(cands)
-	}
+	// The restoration loop runs Sleuth's localisation policy.
+	max := min(rca.DefaultOptions().MaxCandidates, len(cands))
 	restored := map[int]bool{}
 	var used []string
 	for k := 0; k < max; k++ {
@@ -378,7 +373,7 @@ func (s *Sage) Localize(tr *trace.Trace, sloMicros float64) []string {
 		}
 		used = append(used, cands[k].service)
 		d, e := s.counterfactual(tr, restored)
-		if d <= sloMicros && e < sageErrThreshold {
+		if d <= sloMicros && e < rca.ErrThreshold {
 			sort.Strings(used)
 			return used
 		}

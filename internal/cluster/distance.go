@@ -11,7 +11,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/sleuth-rca/sleuth/internal/obs"
@@ -28,12 +27,12 @@ const DefaultMaxAncestors = 3
 // it stores IDs instead of strings, so the Distance merge compares ints and
 // each identifier string is stored exactly once regardless of how many
 // traces contain it. IDs are assigned in first-intern order, so a fixed
-// trace order yields a fixed vocabulary. Safe for concurrent use.
+// trace order yields a fixed vocabulary. An Interner is not safe for
+// concurrent use: TraceSets gives each of its parallel chunks its own.
 type Interner struct {
-	mu  sync.Mutex
 	ids map[string]int32
 
-	// TraceSet's scratch, reused across traces under mu: the identifier
+	// TraceSet's scratch, reused across traces: the identifier
 	// being built, a weight accumulator indexed by ID (all zero between
 	// traces) and the IDs the current trace has touched.
 	buf     []byte
@@ -48,20 +47,16 @@ func NewInterner() *Interner {
 
 // Intern returns the ID for s, assigning the next free ID on first sight.
 func (in *Interner) Intern(s string) int32 {
-	in.mu.Lock()
 	id, ok := in.ids[s]
 	if !ok {
 		id = int32(len(in.ids))
 		in.ids[s] = id
 	}
-	in.mu.Unlock()
 	return id
 }
 
 // Size returns the number of distinct interned identifiers.
 func (in *Interner) Size() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	return len(in.ids)
 }
 
@@ -162,8 +157,6 @@ func appendIdentifier(buf []byte, tr *trace.Trace, i, dmax int) []byte {
 // numerically friendly range. Only the two result slices and the map key of
 // an identifier new to the vocabulary are allocated.
 func TraceSet(in *Interner, tr *trace.Trace, dmax int) WeightedSet {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	in.touched = in.touched[:0]
 	for i, sp := range tr.Spans {
 		in.buf = appendIdentifier(in.buf[:0], tr, i, dmax)
@@ -459,8 +452,8 @@ func TraceSets(traces []*trace.Trace, dmax int) []WeightedSet {
 // tie-breaking as a serial scan (lowest member index wins), so the result
 // is identical for any worker count.
 func Medoids(m *Matrix, labels []int) map[int]int {
-	done := stageTimer("cluster.medoids_us")
-	defer done()
+	timer := obs.H("cluster.medoids_us").Start()
+	defer timer.Stop()
 	obs.C("cluster.medoids_calls").Inc()
 	return medoids(m, labels)
 }

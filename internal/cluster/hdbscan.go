@@ -66,10 +66,10 @@ func DefaultOptions() Options {
 // per point; -1 marks noise. The implementation follows the standard
 // pipeline: core distances → mutual reachability → MST (Prim) → single-
 // linkage dendrogram → condensed tree (min cluster size) → stability-based
-// selection with the epsilon threshold. The core-distance and MST stages
-// run on the parallel kernels of parallel.go and record per-stage
-// histograms (cluster.core_distances_us, cluster.mst_us);
-// labels are bit-identical for any GOMAXPROCS.
+// selection with the epsilon threshold. Core distances fan out on
+// par.For and Prim runs serially (parallel.go); both record per-stage
+// histograms (cluster.core_distances_us, cluster.mst_us), and labels are
+// bit-identical for any GOMAXPROCS.
 func HDBSCAN(m *Matrix, opts Options) []int {
 	timer := obs.H("cluster.hdbscan_us").Start()
 	defer timer.Stop()

@@ -6,11 +6,10 @@ import (
 )
 
 // BenchmarkHDBSCAN measures the full clustering pipeline — core distances
-// (bounded-heap selection), parallel Prim MST, condense, stability
-// selection — plus medoid election, at the incident sizes the scale-out
-// work targets. Compare against BenchmarkHDBSCANSerialBaseline for the
-// speedup over the pre-PR serial implementation; labels are identical
-// (TestHDBSCANMatchesSerialReference).
+// (bounded-heap selection on par.For), serial Prim MST, condense,
+// stability selection — plus medoid election, at the incident sizes the
+// scale-out work targets. Compare against BenchmarkHDBSCANSerialBaseline;
+// labels are identical (TestHDBSCANMatchesSerialReference).
 func BenchmarkHDBSCAN(b *testing.B) {
 	for _, n := range []int{512, 2048} {
 		sets := randomSets(n, uint64(n))
@@ -26,8 +25,9 @@ func BenchmarkHDBSCAN(b *testing.B) {
 	}
 }
 
-// BenchmarkHDBSCANSerialBaseline is the pre-PR pipeline: full-sort core
-// distances (O(n² log n)), serial Prim, serial medoids.
+// BenchmarkHDBSCANSerialBaseline runs the serial references. Prim is the
+// same serial scan HDBSCAN ships, so the two differ only in full-sort core
+// distances (O(n² log n)) and serial medoids.
 func BenchmarkHDBSCANSerialBaseline(b *testing.B) {
 	for _, n := range []int{512, 2048} {
 		sets := randomSets(n, uint64(n))

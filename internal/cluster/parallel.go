@@ -2,31 +2,20 @@ package cluster
 
 import (
 	"math"
-	"sync"
-	"time"
 
 	"github.com/sleuth-rca/sleuth/internal/obs"
 	"github.com/sleuth-rca/sleuth/internal/par"
 )
 
-// Parallel clustering kernels. Every kernel here is bit-identical to its
-// serial counterpart for any GOMAXPROCS: work is split into fixed chunks
-// that fan out on par.For, floating-point accumulation orders match the
+// HDBSCAN's stage kernels. Core distances and medoids fan out on par.For
+// and are bit-identical to their serial scans for any GOMAXPROCS: work is
+// split into fixed chunks, floating-point accumulation orders match the
 // serial scans, and argmin reductions walk chunks in ascending order with
 // strict-less comparison so ties resolve to the lowest index exactly as a
-// serial left-to-right scan would.
-
-// stageTimer starts timing one clustering stage into its histogram (the
-// sampler projects it to <name>.p50/.p99/.count series for `sleuthctl
-// watch`). With observability disabled the returned stop function is a
-// no-op and no clock is read.
-func stageTimer(name string) func() {
-	if obs.Global() == nil {
-		return func() {}
-	}
-	start := time.Now()
-	return func() { obs.H(name).ObserveDuration(time.Since(start)) }
-}
+// serial left-to-right scan would. Prim runs serially. Each stage times
+// itself into a histogram (cluster.core_distances_us, cluster.mst_us,
+// cluster.medoids_us) that the sampler projects to <name>.p50/.p99/.count
+// series for `sleuthctl watch`.
 
 // --- core distances --------------------------------------------------------
 
@@ -85,8 +74,8 @@ func kthNearest(m *Matrix, i, k int, scratch []float64) float64 {
 // rows; each block reuses one bounded-heap scratch buffer, and a matrix of
 // one block runs inline.
 func coreDistances(m *Matrix, minSamples int) []float64 {
-	done := stageTimer("cluster.core_distances_us")
-	defer done()
+	timer := obs.H("cluster.core_distances_us").Start()
+	defer timer.Stop()
 	n := m.N
 	out := make([]float64, n)
 	if n == 0 {
@@ -102,35 +91,24 @@ func coreDistances(m *Matrix, minSamples int) []float64 {
 	return out
 }
 
-// parallelMinPoints gates the parallel kernels: below this size the
-// per-round coordination costs more than the arithmetic it spreads.
+// parallelMinPoints is the number of core-distance rows in one par.For
+// work item, and the matrix size below which medoids score inline instead
+// of fanning out.
 const parallelMinPoints = 128
 
 // --- minimum spanning tree -------------------------------------------------
 
-// mstCand is one worker's candidate for the next tree vertex. Padded to a
-// cache line so adjacent workers' once-per-round writes do not false-share.
-type mstCand struct {
-	idx  int
-	dist float64
-	_    [48]byte
-}
-
 // mstEdges builds the minimum spanning tree of the mutual-reachability
-// graph with Prim's algorithm. The O(n²) inner relaxation dominates
-// HDBSCAN after the core-distance fix, so above parallelMinPoints it runs
-// on mstEdgesParallel's chunked workers, as many as par.Workers grants.
+// graph with mstEdgesSerial's Prim and times it into cluster.mst_us.
 func mstEdges(m *Matrix, core []float64) []edge {
-	done := stageTimer("cluster.mst_us")
-	defer done()
-	workers := par.Workers(m.N)
-	if workers <= 1 || m.N < parallelMinPoints {
-		return mstEdgesSerial(m, core)
-	}
-	return mstEdgesParallel(m, core, workers)
+	timer := obs.H("cluster.mst_us").Start()
+	defer timer.Stop()
+	return mstEdgesSerial(m, core)
 }
 
-// mstEdgesSerial is the reference O(n²) Prim implementation.
+// mstEdgesSerial is Prim's O(n²) scan. It does not fan out: each of its
+// n rounds is one O(n) relaxation and argmin, too short to pay for a
+// barrier per round (DESIGN §10).
 func mstEdgesSerial(m *Matrix, core []float64) []edge {
 	n := m.N
 	inTree := make([]bool, n)
@@ -163,88 +141,6 @@ func mstEdgesSerial(m *Matrix, core []float64) []edge {
 				from[i] = best
 			}
 		}
-	}
-	sortEdges(edges)
-	return edges
-}
-
-// mstEdgesParallel runs Prim with the relaxation and argmin scans fused
-// into one pass per round, striped over persistent workers: each round,
-// worker w relaxes its fixed chunk against the vertex added last round and
-// reports the chunk's nearest non-tree vertex; the coordinator reduces the
-// candidates in ascending chunk order with strict-less comparison, which
-// reproduces the serial left-to-right argmin (lowest index wins ties)
-// exactly. dist values only ever come from the same mutualReach calls the
-// serial code makes, so the tree — and everything downstream — is
-// bit-identical for any worker count. The workers persist across rounds
-// instead of running on par.For: Prim needs one barrier per round, and a
-// par.For per round would start n × workers goroutines per window.
-func mstEdgesParallel(m *Matrix, core []float64, workers int) []edge {
-	n := m.N
-	inTree := make([]bool, n)
-	dist := make([]float64, n)
-	from := make([]int, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[0] = 0
-	from[0] = -1
-
-	cands := make([]mstCand, workers)
-	starts := make([]chan int, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		starts[w] = make(chan int, 1)
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		go func(w, lo, hi int) {
-			for best := range starts[w] {
-				bi := -1
-				bd := math.Inf(1)
-				for i := lo; i < hi; i++ {
-					if inTree[i] {
-						continue
-					}
-					if best >= 0 {
-						if mr := mutualReach(m, core, best, i); mr < dist[i] {
-							dist[i] = mr
-							from[i] = best
-						}
-					}
-					if bi < 0 || dist[i] < bd {
-						bi, bd = i, dist[i]
-					}
-				}
-				cands[w].idx, cands[w].dist = bi, bd
-				wg.Done()
-			}
-		}(w, lo, hi)
-	}
-
-	edges := make([]edge, 0, n-1)
-	last := -1 // no relaxation before the first pick (dist[0] = 0 seeds it)
-	for iter := 0; iter < n; iter++ {
-		wg.Add(workers)
-		for w := range starts {
-			starts[w] <- last
-		}
-		wg.Wait()
-		best := -1
-		bd := math.Inf(1)
-		for w := range cands {
-			if c := &cands[w]; c.idx >= 0 && (best < 0 || c.dist < bd) {
-				best, bd = c.idx, c.dist
-			}
-		}
-		inTree[best] = true
-		if from[best] >= 0 {
-			edges = append(edges, edge{a: from[best], b: best, w: dist[best]})
-		}
-		last = best
-	}
-	for w := range starts {
-		close(starts[w])
 	}
 	sortEdges(edges)
 	return edges

@@ -56,10 +56,11 @@ func medoidsRef(m *Matrix, labels []int) map[int]int {
 	return out
 }
 
-// hdbscanSerialReference replicates the pre-PR pipeline end to end:
-// full-sort core distances, serial Prim, and the shared dendrogram /
-// condense / select stages. Equivalence with HDBSCAN proves the parallel
-// kernels change nothing about the labelling.
+// hdbscanSerialReference replicates the pipeline end to end with the
+// serial references: full-sort core distances, the shipped serial Prim,
+// and the shared dendrogram / condense / select stages. Equivalence with
+// HDBSCAN proves the bounded-heap, par.For core distances change nothing
+// about the labelling.
 func hdbscanSerialReference(m *Matrix, opts Options) []int {
 	n := m.N
 	labels := make([]int, n)
@@ -125,25 +126,6 @@ func TestCoreDistancesMatchesSortReference(t *testing.T) {
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("n=%d k=%d: core[%d] = %v, want %v", n, k, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestMSTParallelMatchesSerial(t *testing.T) {
-	for _, n := range []int{2, 37, 200} {
-		m := testMatrix(n, uint64(90+n))
-		core := coreDistancesSortRef(m, 5)
-		want := mstEdgesSerial(m, core)
-		for _, workers := range []int{2, 3, 8} {
-			got := mstEdgesParallel(m, core, workers)
-			if len(got) != len(want) {
-				t.Fatalf("n=%d workers=%d: %d edges, want %d", n, workers, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d workers=%d: edge %d = %+v, want %+v", n, workers, i, got[i], want[i])
 				}
 			}
 		}
@@ -233,8 +215,8 @@ func TestMedoidsParallelMatchesSerial(t *testing.T) {
 }
 
 func TestHDBSCANMatchesSerialReference(t *testing.T) {
-	// The full parallel pipeline against the pre-PR serial pipeline:
-	// labels must be identical, including above the parallel threshold.
+	// The shipped pipeline against the serial-reference pipeline: labels
+	// must be identical, including above parallelMinPoints.
 	for _, n := range []int{30, 200} {
 		m := testMatrix(n, uint64(3000+n))
 		opts := Options{MinClusterSize: 8, MinSamples: 4, SelectionEpsilon: 0.05}
@@ -252,7 +234,7 @@ func TestHDBSCANMatchesSerialReference(t *testing.T) {
 // the scale-out engine: a seeded batch of traces must produce bit-identical
 // weighted sets, distance matrices, labels, and medoids at GOMAXPROCS 1, 2
 // and 8 — the serial fallback and every parallel split (encoding chunks,
-// matrix rows, MST stripes, medoid chunks) agree exactly.
+// matrix rows, core-distance blocks, medoid chunks) agree exactly.
 func TestHDBSCANDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	traces := randomTraces(t, xrand.New(42), 300)
 	opts := Options{MinClusterSize: 10, MinSamples: 5, SelectionEpsilon: 0.05}

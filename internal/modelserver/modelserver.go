@@ -74,7 +74,9 @@ type Registry struct {
 // manifestFile is the registry metadata file name.
 const manifestFile = "manifest.json"
 
-// Open creates or opens a registry rooted at dir.
+// Open creates or opens a registry rooted at dir. A manifest entry whose
+// key is not sanitized, or whose versions carry another Name, fails with
+// ErrBadName.
 func Open(dir string) (*Registry, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -89,6 +91,18 @@ func Open(dir string) (*Registry, error) {
 	}
 	if err := json.Unmarshal(data, &r.manifest); err != nil {
 		return nil, fmt.Errorf("modelserver: corrupt manifest: %w", err)
+	}
+	// Publish files each name's blobs under that name, so a key it would
+	// refuse, or an entry filed under another name, has no blob Get can
+	// load (and a key like ../x points outside dir).
+	for name, versions := range r.manifest {
+		ok := sanitized(name)
+		for _, v := range versions {
+			ok = ok && v.Name == name
+		}
+		if !ok {
+			return nil, fmt.Errorf("%w: manifest entry %q; republish it under a valid name", ErrBadName, name)
+		}
 	}
 	return r, nil
 }

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -150,6 +152,27 @@ func TestSanitize(t *testing.T) {
 	} {
 		if got := sanitized(name); got != want {
 			t.Errorf("sanitized(%q) = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestOpenRejectsUnsafeManifestNames: a manifest key Publish would refuse
+// ("a b", written by an older Publish that mapped it to a_b's blob, or a
+// hand-edited "../x" whose blob path leaves the registry), or an entry whose
+// Name is not its key, fails Open instead of failing later in Get.
+func TestOpenRejectsUnsafeManifestNames(t *testing.T) {
+	for _, manifest := range []string{
+		`{"a b": [{"name": "a b", "version": 1}]}`,
+		`{"../x": [{"name": "../x", "version": 1}]}`,
+		`{"prod": [{"name": "other", "version": 1}]}`,
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, manifestFile), []byte(manifest), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(dir)
+		if !errors.Is(err, ErrBadName) || !strings.Contains(err.Error(), "republish") {
+			t.Fatalf("Open(%s) = %v, want ErrBadName asking to republish", manifest, err)
 		}
 	}
 }

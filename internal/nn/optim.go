@@ -70,9 +70,7 @@ func zeroGrads(ps []Param) {
 
 // ClipGradNorm scales all gradients so their global L2 norm does not exceed
 // maxNorm, returning the pre-clip norm. Stabilises GNN training on traces
-// with extreme-tail durations. maxNorm ≤ 0 disables clipping: the norm is
-// still measured and returned, but gradients are left untouched (a
-// non-positive threshold would otherwise zero or flip them).
+// with extreme-tail durations. maxNorm must be positive.
 func ClipGradNorm(m Module, maxNorm float64) float64 {
 	total := 0.0
 	for _, p := range m.Params() {
@@ -81,10 +79,7 @@ func ClipGradNorm(m Module, maxNorm float64) float64 {
 		}
 	}
 	norm := math.Sqrt(total)
-	if maxNorm <= 0 {
-		return norm
-	}
-	if norm > maxNorm && norm > 0 {
+	if norm > maxNorm {
 		scale := maxNorm / norm
 		for _, p := range m.Params() {
 			for i := range p.T.Grad {

@@ -42,9 +42,9 @@ func DefaultOptions() Options {
 }
 
 const (
-	// errThreshold is the predicted error probability above which the
+	// ErrThreshold is the predicted error probability above which the
 	// counterfactual trace still counts as failing.
-	errThreshold = 0.5
+	ErrThreshold = 0.5
 	// errScoreWeight weighs one exclusive error against a decade of
 	// excess exclusive duration in candidate ranking.
 	errScoreWeight = 3
@@ -322,7 +322,7 @@ func (l *Localizer) LocalizeDetailed(tr *trace.Trace, sloMicros float64) Result 
 		if k == 0 {
 			top = cf
 		}
-		if cf.RootDurationMicros <= sloMicros && cf.RootErrorProb < errThreshold {
+		if cf.RootDurationMicros <= sloMicros && cf.RootErrorProb < ErrThreshold {
 			obs.C("rca.normalized").Inc()
 			return l.result(tr, used, true, cf.RootDurationMicros)
 		}
