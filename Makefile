@@ -65,8 +65,8 @@ cross-build:
 # Analyze's diagnoses on fixed seed suites must match pinned golden
 # hashes), bench-smoke (the
 # benchmark module's own tests), and fuzz-smoke (five seconds of each span
-# decoder against its reflection oracle, of the AVX2 matmul kernel against
-# the scalar one, of the traceparent parser, of the alert-rule parser, of
+# decoder against its reflection oracle, of the AVX2 matmul and AddMin
+# kernels against the scalar ones, of the traceparent parser, of the alert-rule parser, of
 # the model loader, of the spans JSONL loader and of the /score handler).
 # Latency itself is gated by the benchmark (`bash benchmark/run.sh`), not
 # here.
@@ -93,8 +93,9 @@ verify: fmt vet build cross-build budget race alloc obs-overhead propagation-smo
 # must cost that plus a constant, trace assembly must cost a constant
 # number of allocations whatever the span count, a warm store window fetch
 # must allocate for the traces it returns and not for the spans it holds,
-# and encoding a trace against a warm clustering vocabulary must cost its
-# two result slices. These tests auto-skip under -race, so `make race`
+# encoding a trace against a warm clustering vocabulary must cost its
+# two result slices, and a window of traces encoded before must cost
+# TraceSets less than one allocation per trace. These tests auto-skip under -race, so `make race`
 # alone would never exercise them.
 alloc:
 	$(GO) test -run 'SteadyStateAllocs' -count=1 ./internal/tensor ./internal/core ./internal/obs ./internal/obs/alert ./internal/cluster ./internal/ingest ./internal/modelserver ./internal/rca ./internal/otel ./internal/collector ./internal/trace ./internal/store
@@ -151,7 +152,9 @@ bench-smoke:
 # encoding/json oracle errors, equal spans otherwise. FuzzMatmulAcc then
 # runs five seconds of random shapes and bit patterns through both matmul
 # arms (internal/tensor/testdata/fuzz): every cell bit-equal, NaN to NaN.
-# FuzzParseTraceparent then runs five seconds of headers through
+# FuzzAddMin then runs five seconds of bit patterns through both arms of
+# AddMin, the Pairwise dense-column kernel: every cell bit-equal, NaN to
+# NaN. FuzzParseTraceparent then runs five seconds of headers through
 # obs.ParseTraceparent: no panic, and every accepted context is valid and
 # round-trips through its rendering. FuzzParseRules then runs five seconds
 # of rule files through alert.ParseRules: no panic, every accepted rule has
@@ -172,6 +175,7 @@ fuzz-smoke:
 	@for target in FuzzDecodeOTLP FuzzDecodeZipkin FuzzDecodeJaeger FuzzDecodeSpans; do \
 		$(GO) test -run=^$$ -fuzz="^$$target$$" -fuzztime=5s ./internal/otel || exit 1; done
 	$(GO) test -run=^$$ -fuzz='^FuzzMatmulAcc$$' -fuzztime=5s ./internal/tensor
+	$(GO) test -run=^$$ -fuzz='^FuzzAddMin$$' -fuzztime=5s ./internal/tensor
 	$(GO) test -run=^$$ -fuzz='^FuzzParseTraceparent$$' -fuzztime=5s ./internal/obs
 	$(GO) test -run=^$$ -fuzz='^FuzzParseRules$$' -fuzztime=5s ./internal/obs/alert
 	$(GO) test -run=^$$ -fuzz='^FuzzLoad$$' -fuzztime=5s -fuzzminimizetime=200x ./internal/core

@@ -13,8 +13,9 @@ import (
 // incident scale these run billions of times per batch, and any per-call
 // allocation would put the GC back on the clustering critical path. Encoding
 // a trace against a vocabulary that already holds its identifiers costs the
-// two result slices, not a string per span, and a whole distance matrix costs
-// a constant number of allocations.
+// two result slices, not a string per span, a window of traces encoded
+// before costs less than one allocation per trace, and a whole distance
+// matrix costs a constant number of allocations.
 func TestClusterSteadyStateAllocs(t *testing.T) {
 	if testenv.Race {
 		t.Skip("race detector instrumentation allocates")
@@ -24,8 +25,8 @@ func TestClusterSteadyStateAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { _ = Distance(a, b) }); n != 0 {
 		t.Fatalf("Distance allocates %.1f per call, want 0", n)
 	}
-	// Pairwise allocates its index (three arrays), the matrix and a few
-	// words of bookkeeping: a count that does not grow with n, so nothing
+	// Pairwise allocates its index (at most four arrays), the matrix and a
+	// few words of bookkeeping: a count that does not grow with n, so nothing
 	// per row or per pair. (AllocsPerRun measures on one core; every further
 	// worker adds its goroutine.)
 	for _, n := range []int{64, 256} {
@@ -47,5 +48,15 @@ func TestClusterSteadyStateAllocs(t *testing.T) {
 	TraceSet(in, tr, DefaultMaxAncestors)
 	if n := testing.AllocsPerRun(200, func() { _ = TraceSet(in, tr, DefaultMaxAncestors) }); n > 3 {
 		t.Fatalf("TraceSet on a warm interner allocates %.1f per %d-span trace, want ≤ 3", n, tr.Len())
+	}
+	// A window whose traces are all encoded already gathers their codes:
+	// its sets are cut from two blocks, so the count stays below one per
+	// trace (one per span would be some twenty times that).
+	for _, n := range []int{64, 256} {
+		window := randomTraces(t, xrand.New(uint64(n)), n)
+		TraceSets(window, DefaultMaxAncestors)
+		if allocs := testing.AllocsPerRun(20, func() { _ = TraceSets(window, DefaultMaxAncestors) }); allocs > float64(n) {
+			t.Fatalf("TraceSets on a warm %d-trace window allocates %.1f times, want ≤ 1 per trace", n, allocs)
+		}
 	}
 }

@@ -210,11 +210,11 @@ func TestTraceSetsMatchReference(t *testing.T) {
 	}
 }
 
-// TestTraceSetsChunksMatchReference: however many chunks TraceSets encodes in
-// — one, two, eight with a short last one, or one because the batch is
-// smaller than a chunk — IDs, W, Mass and the vocabulary are the reference's.
-func TestTraceSetsChunksMatchReference(t *testing.T) {
-	traces := randomTraces(t, xrand.New(11), 8*minEncodeChunk+7)
+// TestTraceSetsWorkersMatchReference: however many workers TraceSets encodes
+// and gathers on, and whether the batch is large or smaller than the worker
+// count, IDs, W, Mass and the vocabulary are the reference's.
+func TestTraceSetsWorkersMatchReference(t *testing.T) {
+	traces := randomTraces(t, xrand.New(11), 519)
 	for _, dmax := range []int{0, DefaultMaxAncestors} {
 		for _, procs := range []int{1, 2, 8, 16} {
 			testenv.SetGOMAXPROCS(t, procs)

@@ -15,6 +15,7 @@ import (
 
 	"github.com/sleuth-rca/sleuth/internal/obs"
 	"github.com/sleuth-rca/sleuth/internal/par"
+	"github.com/sleuth-rca/sleuth/internal/tensor"
 	"github.com/sleuth-rca/sleuth/internal/trace"
 )
 
@@ -28,13 +29,16 @@ const DefaultMaxAncestors = 3
 // each identifier string is stored exactly once regardless of how many
 // traces contain it. IDs are assigned in first-intern order, so a fixed
 // trace order yields a fixed vocabulary. An Interner is not safe for
-// concurrent use: TraceSets gives each of its parallel chunks its own.
+// concurrent use: TraceSets gives every window a vocabulary of its own, and
+// every worker that encodes a trace missing from the cache a private
+// scratch Interner.
 type Interner struct {
-	ids map[string]int32
+	ids   map[string]int32
+	names []string // names[id] is the identifier id stands for
 
-	// TraceSet's scratch, reused across traces: the identifier
-	// being built, a weight accumulator indexed by ID (all zero between
-	// traces) and the IDs the current trace has touched.
+	// tally's scratch, reused across traces: the identifier being built, a
+	// weight accumulator indexed by ID (all zero between traces) and the
+	// IDs the current trace has touched, in first-span order.
 	buf     []byte
 	acc     []float64
 	touched []int32
@@ -49,15 +53,16 @@ func NewInterner() *Interner {
 func (in *Interner) Intern(s string) int32 {
 	id, ok := in.ids[s]
 	if !ok {
-		id = int32(len(in.ids))
+		id = int32(len(in.names))
 		in.ids[s] = id
+		in.names = append(in.names, s)
 	}
 	return id
 }
 
 // Size returns the number of distinct interned identifiers.
 func (in *Interner) Size() int {
-	return len(in.ids)
+	return len(in.names)
 }
 
 // WeightedSet is the weighted span-set encoding of one trace: interned
@@ -157,13 +162,27 @@ func appendIdentifier(buf []byte, tr *trace.Trace, i, dmax int) []byte {
 // numerically friendly range. Only the two result slices and the map key of
 // an identifier new to the vocabulary are allocated.
 func TraceSet(in *Interner, tr *trace.Trace, dmax int) WeightedSet {
+	in.tally(tr, dmax)
+	slices.Sort(in.touched)
+	ids := slices.Clone(in.touched)
+	w := make([]float64, len(ids))
+	for i, id := range ids {
+		w[i], in.acc[id] = in.acc[id], 0
+	}
+	return WeightedSet{ids: ids, w: w, mass: sum(w), vocab: in}
+}
+
+// tally is TraceSet's per-span work: it interns every span's identifier and
+// adds the span's weight to acc at its ID, in span order, leaving the IDs
+// the trace touched in touched in first-span order. The caller reads acc at
+// those IDs and zeroes it again.
+func (in *Interner) tally(tr *trace.Trace, dmax int) {
 	in.touched = in.touched[:0]
 	for i, sp := range tr.Spans {
 		in.buf = appendIdentifier(in.buf[:0], tr, i, dmax)
 		id, ok := in.ids[string(in.buf)]
 		if !ok {
-			id = int32(len(in.ids))
-			in.ids[string(in.buf)] = id
+			id = in.Intern(string(in.buf))
 		}
 		for int(id) >= len(in.acc) {
 			in.acc = append(in.acc, 0)
@@ -175,13 +194,6 @@ func TraceSet(in *Interner, tr *trace.Trace, dmax int) WeightedSet {
 		}
 		in.acc[id] += max(float64(sp.Duration())/1000.0, 0.001)
 	}
-	slices.Sort(in.touched)
-	ids := slices.Clone(in.touched)
-	w := make([]float64, len(ids))
-	for i, id := range ids {
-		w[i], in.acc[id] = in.acc[id], 0
-	}
-	return WeightedSet{ids: ids, w: w, mass: sum(w), vocab: in}
 }
 
 // mixedVocabularies is the panic of comparing sets built against different
@@ -264,14 +276,15 @@ func jaccard(ma, mb, interMin float64) float64 {
 // Pairwise computes the full distance matrix over trace sets in parallel,
 // every cell bit-identical to Distance(sets[i], sets[j]).
 //
-// It does not merge pairs. One inverted index over the batch (buildPostings)
-// lists, per identifier, the sets that hold it; row i then visits only the
+// It does not merge pairs. One index over the batch (buildPostings) lists,
+// per identifier, the sets that hold it; row i then visits only the
 // (identifier, j) matches it has with later sets, accumulating Σmin straight
 // into the packed matrix row, and a second pass over the row applies Eq. 1.
 // Cost follows matches, not |A|+|B| per pair — identifiers the two sets do
 // not share cost nothing — and degenerates to the merge's cost only when all
-// sets are identical. Sets from different vocabularies panic as Distance
-// does.
+// sets are identical. Identifiers common enough to carry most matches are
+// laid out as dense columns instead, which a row adds four cells at a time
+// (tensor.AddMin). Sets from different vocabularies panic as Distance does.
 //
 // Only the upper triangle is computed and stored, so row i costs about
 // n-i-1 cells: handing out bare rows would leave the tail workers idle while
@@ -304,18 +317,31 @@ func Pairwise(sets []WeightedSet) *Matrix {
 	return m
 }
 
-// postings is Pairwise's inverted index in CSR form: identifier id's entries
-// — one (set index, weight) per set holding id, ascending by set index
-// because sets are filed in order — end at end[id] and begin where id-1's end.
+// buildPostings lays out as a dense column every identifier that at least
+// 1/denseShare of the batch's sets hold. In BenchmarkPairwise's batch of
+// 480 Synthetic-256 traces, the 382 of 1 217 identifiers a quarter of the
+// sets hold carry 7.2 M of the 7.6 M (identifier, pair) matches; a
+// threshold of an eighth was no faster, and a sixteenth was slower.
+const denseShare = 4
+
+// postings is Pairwise's index over the batch. An identifier that at least
+// 1/denseShare of the sets hold, with no weight below zero (nor NaN), is a
+// dense column: col[id] = k ≥ 0, and cols[k*n+j] is set j's weight, 0 where
+// set j lacks it. Every other identifier has col[id] = -1 and a posting
+// list in CSR form: its entries — one (set index, weight) per set holding
+// it, ascending by set index because sets are filed in order — end at
+// end[id].
 type postings struct {
-	end []int32
-	set []int32
-	w   []float64
+	end  []int32
+	set  []int32
+	w    []float64
+	col  []int32
+	cols []float64
 }
 
 func buildPostings(sets []WeightedSet) postings {
 	var vocab *Interner
-	total, size := 0, 0
+	size := 0
 	for _, s := range sets {
 		if s.vocab != nil {
 			if vocab != nil && s.vocab != vocab {
@@ -324,24 +350,44 @@ func buildPostings(sets []WeightedSet) postings {
 			vocab = s.vocab
 		}
 		if k := len(s.ids); k > 0 {
-			total += k
 			size = max(size, int(s.ids[k-1])+1)
 		}
 	}
-	ix := postings{end: make([]int32, size), set: make([]int32, total), w: make([]float64, total)}
+	n := len(sets)
+	byID := make([]int32, 2*size)
+	ix := postings{end: byID[:size], col: byID[size:]}
+	// Count every identifier's sets into end, and mark in col (-1) the
+	// identifiers holding a weight a dense column cannot take.
 	for _, s := range sets {
-		for _, id := range s.ids {
+		for k, id := range s.ids {
 			ix.end[id]++
+			if !(s.w[k] >= 0) {
+				ix.col[id] = -1
+			}
 		}
 	}
-	run := int32(0)
+	dense, total := int32(0), int32(0)
 	for id, c := range ix.end {
-		ix.end[id], run = run, run+c
+		if ix.col[id] == 0 && int(c)*denseShare >= n {
+			ix.col[id], ix.end[id] = dense, 0
+			dense++
+			continue
+		}
+		ix.col[id] = -1
+		ix.end[id], total = total, total+c
 	}
-	// end[id] is id's begin here and its fill cursor below, which leaves it
-	// one past id's last entry.
+	ix.set, ix.w = make([]int32, total), make([]float64, total)
+	if dense > 0 {
+		ix.cols = make([]float64, int(dense)*n)
+	}
+	// end[id] is a sparse id's begin here and its fill cursor below, which
+	// leaves it one past id's last entry.
 	for i, s := range sets {
 		for k, id := range s.ids {
+			if d := ix.col[id]; d >= 0 {
+				ix.cols[int(d)*n+i] = s.w[k]
+				continue
+			}
 			p := ix.end[id]
 			ix.set[p], ix.w[p] = int32(i), s.w[k]
 			ix.end[id] = p + 1
@@ -351,21 +397,33 @@ func buildPostings(sets []WeightedSet) postings {
 }
 
 // fillRow computes cells (i, i+1..n-1) into row, which arrives zeroed. Set i
-// is walked in ascending ID order and each posting list back from its end to
-// set i's own entry, so a cell receives its min terms in ascending ID order —
-// the order Distance's merge adds them — and the sums agree bit for bit.
+// is walked in ascending ID order, a dense identifier adding its column to
+// the whole row and a sparse one walking its posting list back from its end
+// to set i's own entry, so a cell receives its min terms in ascending ID
+// order — the order Distance's merge adds them — and the sums agree bit for
+// bit.
 func (ix postings) fillRow(sets []WeightedSet, i int, row []float64) {
-	a := sets[i]
+	a, n := sets[i], len(sets)
 	set, w := ix.set, ix.w
 	for k, id := range a.ids {
 		wa := a.w[k]
+		if d := int(ix.col[id]); d >= 0 {
+			// AddMin picks with Distance's compare, wa < v ? wa : v. wa
+			// is one of the column's weights, so wa ≥ 0, and a cell whose
+			// set lacks the identifier adds +0, which leaves every sum
+			// unchanged: a sum that starts at +0 is never −0.
+			tensor.AddMin(row, ix.cols[d*n+i+1:(d+1)*n], wa)
+			continue
+		}
 		for p := ix.end[id] - 1; ; p-- {
 			c := int(set[p]) - i - 1
 			if c < 0 {
 				break
 			}
-			// For the non-NaN weights every constructor stores, min
-			// picks the operand Distance's compare picks.
+			// min differs from Distance's compare only on NaN and on two
+			// zeros. Either zero leaves the sum's bits alone, and a NaN
+			// weight makes its set's mass NaN, for which Eq. 1 is 0
+			// whatever Σmin is.
 			row[c] += min(wa, w[p])
 		}
 	}
@@ -376,73 +434,16 @@ func (ix postings) fillRow(sets []WeightedSet, i int, row []float64) {
 			row[c] = 0
 		case a.mass == 0 || b.mass == 0:
 			row[c] = 1
+		case !(a.mass+b.mass > 0) && (a.ids[len(a.ids)-1] < b.ids[0] || b.ids[len(b.ids)-1] < a.ids[0]):
+			// Distance's disjoint-range shortcut. Elsewhere a pair that
+			// shares no identifier gets the same 1 from Eq. 1, whose
+			// union is then ma + mb; only a union that is not positive
+			// (negative or NaN weights) would give 0 instead.
+			row[c] = 1
 		default:
 			row[c] = jaccard(a.mass, b.mass, row[c])
 		}
 	}
-}
-
-// minEncodeChunk is the fewest traces TraceSets gives a chunk. Every chunk
-// builds most of the batch's vocabulary over again, which a smaller chunk
-// does not win back: two chunks of 32 Synthetic-256 traces encode no faster
-// than one of 64, two of 16 a quarter slower than one of 32.
-const minEncodeChunk = 64
-
-// TraceSets encodes every trace with the given ancestor window against one
-// vocabulary built for the batch, in parallel chunks of consecutive traces,
-// with the IDs, weights and masses a serial TraceSet loop over one Interner
-// produces. The first chunk is that loop's own prefix and encodes against the
-// shared Interner; the others encode against private vocabularies, whose IDs
-// are their first-seen order. They then hand their identifiers to the shared
-// Interner in chunk order and local ID order — the order the serial loop
-// would have met the new ones — and each of their traces is renumbered,
-// re-sorted by shared ID (weights follow) and its mass summed in that order.
-func TraceSets(traces []*trace.Trace, dmax int) []WeightedSet {
-	out := make([]WeightedSet, len(traces))
-	if len(traces) == 0 {
-		return out
-	}
-	workers := par.Workers(len(traces))
-	size := max((len(traces)+workers-1)/workers, minEncodeChunk)
-	vocabs := make([]*Interner, (len(traces)+size-1)/size)
-	par.For(len(vocabs), func(_, c int) {
-		vocabs[c] = NewInterner()
-		for i := c * size; i < min((c+1)*size, len(traces)); i++ {
-			out[i] = TraceSet(vocabs[c], traces[i], dmax)
-		}
-	})
-	in := vocabs[0]
-	shared := make([][]int32, len(vocabs))
-	for c := 1; c < len(vocabs); c++ {
-		names := make([]string, len(vocabs[c].ids))
-		for s, id := range vocabs[c].ids {
-			names[id] = s
-		}
-		shared[c] = make([]int32, len(names))
-		for id, s := range names {
-			shared[c][id] = in.Intern(s)
-		}
-	}
-	// The first chunk's traces are final; the rest are renumbered in blocks,
-	// one per worker, each with its own weight scratch indexed by shared ID.
-	width, rest := in.Size(), len(traces)-size
-	block := max((rest+workers-1)/workers, 1)
-	par.For((rest+block-1)/block, func(_, b int) {
-		acc := make([]float64, width)
-		for i := size + b*block; i < min(size+(b+1)*block, len(traces)); i++ {
-			s, table := &out[i], shared[i/size]
-			for k, id := range s.ids {
-				s.ids[k] = table[id]
-				acc[s.ids[k]] = s.w[k]
-			}
-			slices.Sort(s.ids)
-			for k, id := range s.ids {
-				s.w[k] = acc[id]
-			}
-			s.mass, s.vocab = sum(s.w), in
-		}
-	})
-	return out
 }
 
 // Medoids returns, for every cluster label (≥ 0), the index of its

@@ -1,6 +1,6 @@
 package tensor
 
-// useAVX2 selects the AVX2 arms of matmulAcc and matmulTNAcc. It is set
+// useAVX2 selects the AVX2 arms of matmulAcc, matmulTNAcc and AddMin. It is set
 // once, from CPUID and XGETBV, when the package initialises; the package's
 // own tests flip it to compare the two arms.
 var useAVX2 = hasAVX2()
@@ -34,6 +34,12 @@ func matmulRowAVX2(dst, a, b []float64)
 //
 //go:noescape
 func matmulTNRowAVX2(dst, a, g []float64)
+
+// addMinAVX2 is AddMin's AVX2 arm: dst[i] += a < x[i] ? a : x[i] for
+// i < len(dst), with len(x) ≥ len(dst).
+//
+//go:noescape
+func addMinAVX2(dst, x []float64, a float64)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

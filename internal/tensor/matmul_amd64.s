@@ -289,6 +289,70 @@ doneTN:
 	VZEROUPPER
 	RET
 
+// func addMinAVX2(dst, x []float64, a float64)
+//
+// dst[i] += a < x[i] ? a : x[i] for i < len(dst). VMINPD with a as its
+// first operand returns the second (x[i]) unless a < x[i] — on NaN and
+// on two zeros as well — which is the scalar arm's compare, and each cell
+// then takes one VADDPD, so the arms agree bit for bit (NaN payloads
+// aside).
+//
+// Registers: DI dst, SI x, CX len(dst)*8, R9 (len&^15)*8, R10 (len&^3)*8,
+// AX i*8; Y4 a broadcast.
+TEXT ·addMinAVX2(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ x_base+24(FP), SI
+	VBROADCASTSD a+48(FP), Y4
+	MOVQ CX, R9
+	ANDQ $-16, R9
+	SHLQ $3, R9
+	MOVQ CX, R10
+	ANDQ $-4, R10
+	SHLQ $3, R10
+	SHLQ $3, CX
+	XORQ AX, AX
+
+min16:
+	CMPQ AX, R9
+	JGE  min4
+	VMINPD  0(SI)(AX*1), Y4, Y0
+	VMINPD  32(SI)(AX*1), Y4, Y1
+	VMINPD  64(SI)(AX*1), Y4, Y2
+	VMINPD  96(SI)(AX*1), Y4, Y3
+	VADDPD  0(DI)(AX*1), Y0, Y0
+	VADDPD  32(DI)(AX*1), Y1, Y1
+	VADDPD  64(DI)(AX*1), Y2, Y2
+	VADDPD  96(DI)(AX*1), Y3, Y3
+	VMOVUPD Y0, 0(DI)(AX*1)
+	VMOVUPD Y1, 32(DI)(AX*1)
+	VMOVUPD Y2, 64(DI)(AX*1)
+	VMOVUPD Y3, 96(DI)(AX*1)
+	ADDQ    $128, AX
+	JMP     min16
+
+min4:
+	CMPQ AX, R10
+	JGE  min1
+	VMINPD  0(SI)(AX*1), Y4, Y0
+	VADDPD  0(DI)(AX*1), Y0, Y0
+	VMOVUPD Y0, 0(DI)(AX*1)
+	ADDQ    $32, AX
+	JMP     min4
+
+min1:
+	CMPQ AX, CX
+	JGE  doneMin
+	VMINSD (SI)(AX*1), X4, X0
+	VADDSD (DI)(AX*1), X0, X0
+	VMOVSD X0, (DI)(AX*1)
+	ADDQ   $8, AX
+	JMP    min1
+
+doneMin:
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

@@ -168,6 +168,80 @@ func FuzzMatmulAcc(f *testing.F) {
 	})
 }
 
+// diffAddMin runs AddMin on both arms from the same inputs and reports the
+// first cell that differs.
+func diffAddMin(t testing.TB, dst, x []float64, a float64) {
+	t.Helper()
+	want := append([]float64(nil), dst...)
+	withScalar(func() { AddMin(want, x, a) })
+	got := append([]float64(nil), dst...)
+	AddMin(got, x, a)
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("AddMin len %d a=%v: cell %d = %v (%#x), scalar %v (%#x); dst %v x %v",
+				len(dst), a, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]), dst[i], x[i])
+		}
+	}
+}
+
+// TestAddMinAVX2MatchesScalar: every special as a and in every cell, at the
+// lengths that exercise each loop of the AVX2 arm (0–9: the one-cell tail
+// alone, one four-wide chunk and the tail) and at longer ones that reach the
+// sixteen-wide loop.
+func TestAddMinAVX2MatchesScalar(t *testing.T) {
+	requireAVX2(t)
+	r := xrand.New(31)
+	var lengths []int
+	for n := 0; n <= 9; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 15, 16, 17, 35, 480)
+	as := append(append([]float64(nil), specials...), 0.5, 2, 1e-310)
+	for _, n := range lengths {
+		for _, a := range as {
+			for _, share := range []float64{0, 0.3, 1} {
+				dst := make([]float64, n)
+				x := make([]float64, n+r.Intn(3))
+				fillMixed(r, dst, share)
+				fillMixed(r, x, share)
+				diffAddMin(t, dst, x, a)
+			}
+		}
+	}
+	// Every (a, x, dst) triple of specials in one cell.
+	for _, a := range specials {
+		for _, x := range specials {
+			for _, d := range specials {
+				diffAddMin(t, []float64{d}, []float64{x}, a)
+				diffAddMin(t, []float64{d, d, d, d, d}, []float64{x, x, x, x, x}, a)
+			}
+		}
+	}
+}
+
+// FuzzAddMin decodes the fuzz bytes as float64s (any bit pattern): the first
+// is a, and the rest are split between dst and x, the first byte picking the
+// split.
+func FuzzAddMin(f *testing.F) {
+	requireAVX2(f)
+	f.Add([]byte{2})
+	f.Add(append([]byte{1}, floatBytes(0.5, 0, math.Copysign(0, -1), math.NaN(), 1)...))
+	f.Add(append([]byte{5}, floatBytes(math.NaN(), 1, 2, 3, 4, 5, math.Inf(1), 5e-324, -1, math.Copysign(0, -1), 0)...))
+	f.Add(append([]byte{9}, floatBytes(math.Copysign(0, -1), 0, 0, 0, 0, 0, 0, 0, 0, 0, math.Copysign(0, -1), 1e-310, -0.25, math.Inf(-1), 7, 8, 9, 10, 11)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 9 {
+			return
+		}
+		var vals []float64
+		for p := 1; p+8 <= len(data); p += 8 {
+			vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(data[p:])))
+		}
+		a, rest := vals[0], vals[1:]
+		n := min(int(data[0]), len(rest)/2)
+		diffAddMin(t, rest[:n], rest[n:], a)
+	})
+}
+
 func floatBytes(xs ...float64) []byte {
 	out := make([]byte, 0, 8*len(xs))
 	for _, x := range xs {

@@ -278,6 +278,31 @@ func matmulAcc(dst, a, b []float64, m, k, n int) {
 	}
 }
 
+// AddMin adds a < x[i] ? a : x[i] to dst[i] for every i < len(dst); x must
+// be at least as long. The compare is the one the weighted Jaccard merge
+// makes for its Σmin term (it picks x[i] on NaN and on two zeros), and each
+// cell takes one addition, so the AVX2 arm (VMINPD with a as its first
+// operand, then VADDPD) gives the scalar loop's bits.
+func AddMin(dst, x []float64, a float64) {
+	x = x[:len(dst)]
+	if useAVX2 {
+		addMinAVX2(dst, x, a)
+		return
+	}
+	addMinScalar(dst, x, a)
+}
+
+// addMinScalar is AddMin's scalar arm; len(x) == len(dst).
+func addMinScalar(dst, x []float64, a float64) {
+	for i, v := range x {
+		if a < v {
+			dst[i] += a
+		} else {
+			dst[i] += v
+		}
+	}
+}
+
 // matmulAccScalar is the row-streaming saxpy behind matmulAcc. The
 // k-dimension is unrolled four ways: each pass over an output row streams
 // four b rows and adds (((a0·b0 + a1·b1) + a2·b2) + a3·b3) to each cell,

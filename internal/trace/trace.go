@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // Kind is the span kind from the OpenTelemetry tracing specification.
@@ -103,7 +104,8 @@ func (s *Span) AppendOpKey(dst []byte) []byte {
 
 // Trace is an assembled trace: its spans plus the derived parent/child
 // structure. Construct with Assemble; the structural fields are indexes
-// into Spans.
+// into Spans. An assembled trace's spans must not be modified: the
+// structure and the value Memo keeps are derived from them once.
 type Trace struct {
 	TraceID string
 	Spans   []*Span
@@ -119,6 +121,12 @@ type Trace struct {
 
 	exclusiveDur []int64
 	exclusiveErr []bool
+
+	// memo is the value Memo computes, once.
+	memo struct {
+		once sync.Once
+		v    any
+	}
 }
 
 // Assembly errors.
@@ -285,6 +293,16 @@ func (t *Trace) computeExclusiveErrors() {
 		}
 		t.exclusiveErr[i] = !childErr
 	}
+}
+
+// Memo returns the value compute derives from the trace: the first call
+// runs compute, at most once per trace however many goroutines ask, and
+// every call returns its result. The value lives exactly as long as the
+// trace. A trace has one such slot, and its one user is the clustering
+// encoder, which keeps the trace's span-set codes there.
+func (t *Trace) Memo(compute func() any) any {
+	t.memo.once.Do(func() { t.memo.v = compute() })
+	return t.memo.v
 }
 
 // Len returns the number of spans.
