@@ -33,7 +33,7 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 	i := 0
 	step := func() {
 		nn.ZeroGradsOf(ps)
-		loss := m.lossOn(encs[i%len(encs)], ar)
+		_, loss := m.forwardLoss(encs[i%len(encs)], ar)
 		loss.Backward()
 		buf.CaptureParams(ps)
 		_ = loss.Item()
@@ -51,8 +51,9 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 }
 
 // TestPredictSteadyStateAllocs bounds the per-trace allocation count of the
-// scoring kernel. The step encodes the trace afresh and scoreOn copies the
-// two result rows out, so the bound is a small constant independent of span count —
+// scoring kernel. The step runs a scoring workspace's score with its
+// encoding dropped, so it encodes the trace afresh and copies the two
+// result rows out; the bound is a small constant independent of span count —
 // not zero, but nowhere near the per-op tape allocations the arena
 // eliminated.
 func TestPredictSteadyStateAllocs(t *testing.T) {
@@ -63,11 +64,11 @@ func TestPredictSteadyStateAllocs(t *testing.T) {
 	traces := simTraces(t, app, 22, 4)
 	m := NewModel(smallConfig(22))
 	m.SetNormals(traces)
-	ar := tensor.NewArena()
+	ws := &scoreWorkspace{ar: tensor.NewArena()}
 	i := 0
 	step := func() {
-		_, _, _ = m.scoreOn(m.Encode(traces[i%len(traces)]), ar)
-		ar.Reset()
+		ws.enc = nil
+		_, _, _ = ws.score(m, traces[i%len(traces)])
 		i++
 	}
 	for j := 0; j < len(traces)+1; j++ {

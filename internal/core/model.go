@@ -258,38 +258,11 @@ func (m *Model) forwardLoss(enc *features.Encoded, ar *tensor.Arena) (prediction
 	return pred, tensor.Add(tensor.MSE(pred.durScaled, dTarget), tensor.BCE(pred.errProb, eTarget))
 }
 
-// Loss computes the Eq. 5 objective for one trace.
-func (m *Model) Loss(enc *features.Encoded) *tensor.Tensor { return m.lossOn(enc, nil) }
-
-// lossOn is Loss with the whole tape drawn from ar (nil = heap). Callers
-// owning an arena must copy the loss value out (Item) before Reset.
-func (m *Model) lossOn(enc *features.Encoded, ar *tensor.Arena) *tensor.Tensor {
-	_, loss := m.forwardLoss(enc, ar)
-	return loss
-}
-
-// Predict runs the model on a trace and returns the predicted scaled
-// duration and error probability per span.
-func (m *Model) Predict(tr *trace.Trace) (durScaled, errProb []float64) {
-	durScaled, errProb, _ = m.scoreOn(m.Encode(tr), nil)
-	return durScaled, errProb
-}
-
-// scoreOn scores one encoded trace over an optional arena: the per-span
-// predictions (fresh heap copies, so callers may Reset and re-encode
-// immediately after) and the Eq. 5 loss value, both from one forward pass.
-func (m *Model) scoreOn(enc *features.Encoded, ar *tensor.Arena) (durScaled, errProb []float64, loss float64) {
-	pred, l := m.forwardLoss(enc, ar)
-	return append([]float64(nil), pred.durScaled.Data...),
-		append([]float64(nil), pred.errProb.Data...),
-		l.Item()
-}
-
 // ScoreBatch is the batch scoring entry point: per-span predictions AND the
 // per-trace Eq. 5 losses from a single forward pass per trace. Results are
-// ordered like the input; losses[i] equals Loss(Encode(traces[i])).Item()
-// bit-for-bit. The traces fan out on par.For; the forward pass only reads
-// the shared weights, so any number of scoring goroutines can share one
+// ordered like the input and bit-equal to a solo forwardLoss on the heap.
+// The traces fan out on par.For; the forward pass only reads the shared
+// weights, so any number of scoring goroutines can share one
 // model (see tensor.Backward's concurrency contract). Each worker scores
 // on a warm workspace from scorePool, so steady-state serving neither
 // re-grows tape slabs nor allocates fresh encodings on every call.
@@ -330,11 +303,16 @@ type scoreWorkspace struct {
 // lets the GC reclaim idle workspaces under memory pressure.
 var scorePool = sync.Pool{New: func() any { return &scoreWorkspace{ar: tensor.NewArena()} }}
 
-// score encodes tr into the workspace and scores it. The workspace goes
-// back Reset and holding no trace, so a pooled one pins no request data.
+// score encodes tr into the workspace and scores it: the per-span
+// predictions (heap copies, so the arena can be Reset at once) and the
+// Eq. 5 loss value, both from one forward pass. The workspace goes back
+// Reset and holding no trace, so a pooled one pins no request data.
 func (ws *scoreWorkspace) score(m *Model, tr *trace.Trace) (durScaled, errProb []float64, loss float64) {
 	ws.enc = m.encoder.EncodeInto(tr, ws.enc)
-	durScaled, errProb, loss = m.scoreOn(ws.enc, ws.ar)
+	pred, l := m.forwardLoss(ws.enc, ws.ar)
+	durScaled = append([]float64(nil), pred.durScaled.Data...)
+	errProb = append([]float64(nil), pred.errProb.Data...)
+	loss = l.Item()
 	ws.ar.Reset()
 	ws.enc.Trace = nil
 	return durScaled, errProb, loss
@@ -471,7 +449,7 @@ func (m *Model) Train(traces []*trace.Trace, opts TrainOptions) (TrainStats, err
 			par.For(len(batch), func(w, bi int) {
 				ps, ar := replicaParams[w], arenas[w]
 				nn.ZeroGradsOf(ps)
-				loss := replicas[w].lossOn(encs[batch[bi]], ar)
+				_, loss := replicas[w].forwardLoss(encs[batch[bi]], ar)
 				loss.Backward()
 				buffers[bi].CaptureParams(ps)
 				losses[bi] = loss.Item()
@@ -677,18 +655,3 @@ func resize[T any](s []T, n int) []T {
 
 // NormalsSize returns the number of distinct operations with statistics.
 func (m *Model) NormalsSize() int { return len(m.normals) }
-
-// MeanLoss evaluates the Eq. 5 objective over traces without training:
-// the ScoreBatch losses summed in trace order, so the result is
-// deterministic regardless of scheduling.
-func (m *Model) MeanLoss(traces []*trace.Trace) float64 {
-	if len(traces) == 0 {
-		return 0
-	}
-	_, _, losses := m.ScoreBatch(traces, 0)
-	total := 0.0
-	for _, l := range losses {
-		total += l
-	}
-	return total / float64(len(traces))
-}

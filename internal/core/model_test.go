@@ -22,6 +22,23 @@ func simTraces(t testing.TB, app *synth.App, seed uint64, n int) []*trace.Trace 
 	return sim.Traces(results)
 }
 
+// predict scores one trace on its own: ScoreBatch over a one-trace batch.
+func predict(m *Model, tr *trace.Trace) (durScaled, errProb []float64) {
+	d, e, _ := m.ScoreBatch([]*trace.Trace{tr}, 0)
+	return d[0], e[0]
+}
+
+// meanLoss is the Eq. 5 objective over traces without training: the
+// ScoreBatch losses summed in trace order.
+func meanLoss(m *Model, traces []*trace.Trace) float64 {
+	_, _, losses := m.ScoreBatch(traces, 0)
+	total := 0.0
+	for _, l := range losses {
+		total += l
+	}
+	return total / float64(len(traces))
+}
+
 func smallConfig(seed uint64) Config {
 	return Config{EmbeddingDim: 8, Hidden: 24, Seed: seed}
 }
@@ -30,7 +47,7 @@ func TestTrainReducesLoss(t *testing.T) {
 	app := synth.Synthetic(16, 1)
 	traces := simTraces(t, app, 1, 60)
 	m := NewModel(smallConfig(1))
-	before := m.MeanLoss(traces)
+	before := meanLoss(m, traces)
 	stats, err := m.Train(traces, TrainOptions{Epochs: 4, LearningRate: 3e-3, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +75,7 @@ func TestPredictShapesAndFinite(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := traces[0]
-	dur, errp := m.Predict(tr)
+	dur, errp := predict(m, tr)
 	if len(dur) != tr.Len() || len(errp) != tr.Len() {
 		t.Fatalf("prediction sizes %d/%d for %d spans", len(dur), len(errp), tr.Len())
 	}
@@ -80,7 +97,7 @@ func TestLeafPredictionsExact(t *testing.T) {
 	m := NewModel(smallConfig(3))
 	m.SetNormals(traces)
 	tr := traces[0]
-	dur, _ := m.Predict(tr)
+	dur, _ := predict(m, tr)
 	enc := m.Encode(tr)
 	for i := range tr.Spans {
 		if len(tr.Children(i)) != 0 {
@@ -227,8 +244,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if back.NumParams() != m.NumParams() {
 		t.Fatal("param count changed")
 	}
-	d1, e1 := m.Predict(traces[0])
-	d2, e2 := back.Predict(traces[0])
+	d1, e1 := predict(m, traces[0])
+	d2, e2 := predict(back, traces[0])
 	for i := range d1 {
 		if d1[i] != d2[i] || e1[i] != e2[i] {
 			t.Fatal("loaded model predicts differently")
@@ -253,8 +270,8 @@ func TestCloneIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := m.Clone()
-	d1, _ := m.Predict(traces[0])
-	d2, _ := c.Predict(traces[0])
+	d1, _ := predict(m, traces[0])
+	d2, _ := predict(c, traces[0])
 	for i := range d1 {
 		if d1[i] != d2[i] {
 			t.Fatal("clone predicts differently")
@@ -264,7 +281,7 @@ func TestCloneIndependent(t *testing.T) {
 	if _, err := c.FineTune(traces[:10], TrainOptions{Epochs: 1, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
-	d3, _ := m.Predict(traces[0])
+	d3, _ := predict(m, traces[0])
 	for i := range d1 {
 		if d1[i] != d3[i] {
 			t.Fatal("fine-tuning a clone mutated the original")
@@ -285,7 +302,7 @@ func TestTransferAcrossApps(t *testing.T) {
 	}
 	// Zero-shot: only normals come from the new app.
 	m.SetNormals(tracesB)
-	dur, errp := m.Predict(tracesB[0])
+	dur, errp := predict(m, tracesB[0])
 	if len(dur) != tracesB[0].Len() {
 		t.Fatal("prediction size mismatch on transfer")
 	}
@@ -300,7 +317,7 @@ func TestGCNVariantTrains(t *testing.T) {
 	app := synth.Synthetic(16, 11)
 	traces := simTraces(t, app, 11, 30)
 	m := NewModel(Config{EmbeddingDim: 8, Hidden: 24, Variant: VariantGCN, Seed: 11})
-	before := m.MeanLoss(traces)
+	before := meanLoss(m, traces)
 	st, err := m.Train(traces, TrainOptions{Epochs: 3, LearningRate: 3e-3, Seed: 9})
 	if err != nil {
 		t.Fatal(err)

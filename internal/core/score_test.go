@@ -7,11 +7,11 @@ import (
 	"github.com/sleuth-rca/sleuth/internal/testenv"
 )
 
-// TestScoreBatchMatchesPredictAndLoss is the batched-scoring correctness
+// TestScoreBatchMatchesForwardLoss is the batched-scoring correctness
 // contract: ScoreBatch (pooled workspaces, parallel workers) must be
-// bit-identical, trace by trace, to solo heap scoring — Predict for the
-// per-span predictions, Loss(Encode(tr)) for the loss.
-func TestScoreBatchMatchesPredictAndLoss(t *testing.T) {
+// bit-identical, trace by trace, to a solo forwardLoss(Encode(tr)) on the
+// heap — its two prediction heads and its loss.
+func TestScoreBatchMatchesForwardLoss(t *testing.T) {
 	app := synth.Synthetic(16, 31)
 	traces := simTraces(t, app, 31, 24)
 	m := NewModel(smallConfig(31))
@@ -23,21 +23,21 @@ func TestScoreBatchMatchesPredictAndLoss(t *testing.T) {
 		t.Fatalf("result lengths %d/%d/%d, want %d", len(gotDur), len(gotErr), len(losses), len(traces))
 	}
 	for i, tr := range traces {
-		wantDur, wantErr := m.Predict(tr)
+		pred, loss := m.forwardLoss(m.Encode(tr), nil)
+		wantDur, wantErr := pred.durScaled.Data, pred.errProb.Data
 		if len(gotDur[i]) != tr.Len() || len(wantDur) != tr.Len() {
 			t.Fatalf("trace %d: %d/%d durations for %d spans", i, len(gotDur[i]), len(wantDur), tr.Len())
 		}
 		for j := range wantDur {
 			if gotDur[i][j] != wantDur[j] {
-				t.Fatalf("trace %d span %d: durScaled %v != Predict %v", i, j, gotDur[i][j], wantDur[j])
+				t.Fatalf("trace %d span %d: durScaled %v != solo %v", i, j, gotDur[i][j], wantDur[j])
 			}
 			if gotErr[i][j] != wantErr[j] {
-				t.Fatalf("trace %d span %d: errProb %v != Predict %v", i, j, gotErr[i][j], wantErr[j])
+				t.Fatalf("trace %d span %d: errProb %v != solo %v", i, j, gotErr[i][j], wantErr[j])
 			}
 		}
-		want := m.Loss(m.Encode(tr)).Item()
-		if losses[i] != want {
-			t.Fatalf("trace %d: loss %v != Loss %v", i, losses[i], want)
+		if want := loss.Item(); losses[i] != want {
+			t.Fatalf("trace %d: loss %v != solo %v", i, losses[i], want)
 		}
 	}
 }

@@ -86,7 +86,7 @@ func TestBatchSizeClamped(t *testing.T) {
 	app := synth.Synthetic(16, 34)
 	traces := simTraces(t, app, 34, 6)
 	m := NewModel(smallConfig(34))
-	before := m.MeanLoss(traces)
+	before := meanLoss(m, traces)
 	st, err := m.Train(traces, TrainOptions{Epochs: 6, BatchSize: 64, LearningRate: 3e-3, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -96,31 +96,24 @@ func TestBatchSizeClamped(t *testing.T) {
 	}
 }
 
-// TestMeanLossParallelDeterministic: MeanLoss is Σ ScoreBatch losses / n
-// exactly at GOMAXPROCS 1, 2 and 8, and equals the sequential per-trace
-// Loss reference summed in the same index order.
+// TestMeanLossParallelDeterministic: the mean of the ScoreBatch losses is
+// the same at GOMAXPROCS 1, 2 and 8, and equals the sequential per-trace
+// heap forwardLoss reference summed in the same index order.
 func TestMeanLossParallelDeterministic(t *testing.T) {
 	app := synth.Synthetic(16, 35)
 	traces := simTraces(t, app, 35, 10)
 	m := NewModel(smallConfig(35))
 	m.SetNormals(traces)
-	ref := m.MeanLoss(traces)
 	total := 0.0
 	for _, tr := range traces {
-		total += m.Loss(m.Encode(tr)).Item()
+		_, loss := m.forwardLoss(m.Encode(tr), nil)
+		total += loss.Item()
 	}
-	if want := total / float64(len(traces)); ref != want {
-		t.Fatalf("MeanLoss = %v, sequential reference = %v", ref, want)
-	}
+	ref := total / float64(len(traces))
 	for _, procs := range []int{1, 2, 8} {
 		testenv.SetGOMAXPROCS(t, procs)
-		_, _, losses := m.ScoreBatch(traces, 0)
-		sum := 0.0
-		for _, l := range losses {
-			sum += l
-		}
-		if got := sum / float64(len(losses)); got != ref {
-			t.Fatalf("GOMAXPROCS=%d: mean of ScoreBatch losses %v != MeanLoss %v", procs, got, ref)
+		if got := meanLoss(m, traces); got != ref {
+			t.Fatalf("GOMAXPROCS=%d: mean of ScoreBatch losses %v != sequential reference %v", procs, got, ref)
 		}
 	}
 }

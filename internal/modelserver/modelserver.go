@@ -624,8 +624,8 @@ func (s *Server) score(w http.ResponseWriter, req *http.Request, name, versionSt
 		resp.Results[i] = ScoreResult{TraceID: tr.TraceID, DurScaled: durs[i], ErrProb: errs[i]}
 	}
 	// The request's MeanLoss is the mean of its own traces' losses, summed
-	// in the same sorted-by-TraceID order MeanLoss would walk — identical
-	// bytes, one forward pass fewer.
+	// in sorted-by-TraceID order, so it does not depend on how the queue
+	// batched the request.
 	if len(losses) > 0 {
 		total := 0.0
 		for _, l := range losses {

@@ -16,6 +16,7 @@ import (
 	"github.com/sleuth-rca/sleuth/internal/obs"
 	"github.com/sleuth-rca/sleuth/internal/sim"
 	"github.com/sleuth-rca/sleuth/internal/synth"
+	"github.com/sleuth-rca/sleuth/internal/trace"
 )
 
 func trainedModel(t *testing.T, seed uint64) *core.Model {
@@ -381,7 +382,8 @@ func TestHTTPScore(t *testing.T) {
 		if !ok {
 			t.Fatalf("trace %s missing from response", tr.TraceID)
 		}
-		dur, errp := m.Predict(tr)
+		durs, errs, _ := m.ScoreBatch([]*trace.Trace{tr}, 0)
+		dur, errp := durs[0], errs[0]
 		if len(r.DurScaled) != len(dur) {
 			t.Fatalf("trace %s: %d predictions, want %d", tr.TraceID, len(r.DurScaled), len(dur))
 		}

@@ -74,11 +74,15 @@ func expectResponse(m *core.Model, traces []*trace.Trace) ScoreResponse {
 	sorted := append([]*trace.Trace(nil), traces...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].TraceID < sorted[j].TraceID })
 	resp := ScoreResponse{Results: make([]ScoreResult, len(sorted))}
+	total := 0.0
 	for i, tr := range sorted {
-		dur, errp := m.Predict(tr)
-		resp.Results[i] = ScoreResult{TraceID: tr.TraceID, DurScaled: dur, ErrProb: errp}
+		dur, errp, losses := m.ScoreBatch([]*trace.Trace{tr}, 0)
+		resp.Results[i] = ScoreResult{TraceID: tr.TraceID, DurScaled: dur[0], ErrProb: errp[0]}
+		total += losses[0]
 	}
-	resp.MeanLoss = m.MeanLoss(sorted)
+	if len(sorted) > 0 {
+		resp.MeanLoss = total / float64(len(sorted))
+	}
 	return resp
 }
 

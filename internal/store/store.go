@@ -1,21 +1,19 @@
 // Package store implements the distributed trace storage engine of §4 at
-// single-process scale: append-oriented span storage with trace/service/
-// time indexes, predicate queries with parallel scans, derived per-
-// operation statistics (the computations the paper offloads to SQL
-// operators — exclusive durations, medians, percentiles), and JSONL
+// single-process scale: append-oriented span storage indexed by trace ID,
+// three reads — a root-start time window, a list of trace IDs, or every
+// trace — per-operation latency and error aggregates, and JSONL
 // persistence.
 //
-// The store is sharded by trace-ID hash (default GOMAXPROCS shards): writers touching different traces lock
-// different shards, predicate scans fan out over the shards on par.For, and a
-// Limit query stops each shard's scan as soon as it has enough matches —
-// the abnormal-trace fetch stays flat as the corpus grows instead of
-// snapshotting the whole corpus under one big lock.
+// The store is sharded by trace-ID hash (GOMAXPROCS shards by default):
+// writers touching different traces lock different shards, and window and
+// all-trace scans fan out over the shards on par.For.
 //
 // Derived columns are computed store-side once per trace version: the first
 // query that reaches a trace assembles it (tree structure, exclusive
-// durations, the predicate row) and memoises the result; every later query
-// reads the memo, and the next write to that trace drops it. Nothing is
-// assembled at write time, so traces nobody reads cost one small entry.
+// durations, the root start a window reads) and memoises the result; every
+// later query reads the memo, and the next write to that trace drops it.
+// Nothing is assembled at write time, so traces nobody reads cost one small
+// entry.
 package store
 
 import (
@@ -35,16 +33,13 @@ import (
 )
 
 // shard is one lock domain of the store: the traces whose ID hashes here,
-// with their own insertion order and service index.
+// in their own insertion order.
 type shard struct {
 	mu sync.RWMutex
 
 	// stored traces by ID, insertion-ordered trace list.
 	byTrace map[string]*entry
 	order   []string
-
-	// service index: service name → trace IDs containing it.
-	byService map[string]map[string]struct{}
 
 	spanCount int
 }
@@ -57,19 +52,11 @@ type entry struct {
 }
 
 // memo is the immutable assembled form of one version of a trace plus the
-// row a query's predicates read; tr is nil when that version fails assembly
+// root start a window reads; tr is nil when that version fails assembly
 // (duplicate span ID, parent cycle), which no query can then match.
 type memo struct {
-	tr                 *trace.Trace
-	rootStart, rootDur int64
-	hasError           bool
-}
-
-func newShard() *shard {
-	return &shard{
-		byTrace:   make(map[string]*entry),
-		byService: make(map[string]map[string]struct{}),
-	}
+	tr        *trace.Trace
+	rootStart int64
 }
 
 // Store is a thread-safe sharded trace store.
@@ -77,11 +64,8 @@ type Store struct {
 	shards []*shard
 }
 
-// DefaultShards returns the shard count used by New: GOMAXPROCS.
-func DefaultShards() int { return runtime.GOMAXPROCS(0) }
-
-// New creates an empty Store with DefaultShards shards.
-func New() *Store { return NewSharded(DefaultShards()) }
+// New creates an empty Store with GOMAXPROCS shards.
+func New() *Store { return NewSharded(runtime.GOMAXPROCS(0)) }
 
 // NewSharded creates an empty Store with n shards (n < 1 is treated as 1).
 func NewSharded(n int) *Store {
@@ -90,7 +74,7 @@ func NewSharded(n int) *Store {
 	}
 	s := &Store{shards: make([]*shard, n)}
 	for i := range s.shards {
-		s.shards[i] = newShard()
+		s.shards[i] = &shard{byTrace: make(map[string]*entry)}
 	}
 	return s
 }
@@ -125,12 +109,6 @@ func (sh *shard) add(spans []*trace.Span) {
 			sh.order = append(sh.order, sp.TraceID)
 		}
 		e.spans, e.memo = append(e.spans, sp), nil
-		set, ok := sh.byService[sp.Service]
-		if !ok {
-			set = make(map[string]struct{})
-			sh.byService[sp.Service] = set
-		}
-		set[sp.TraceID] = struct{}{}
 		sh.spanCount++
 	}
 }
@@ -196,20 +174,13 @@ func (s *Store) TraceCount() int {
 	return total
 }
 
-// Query filters traces. Zero values mean "no constraint".
+// Query selects traces. Zero values mean "no constraint", so Query{} reads
+// every trace.
 type Query struct {
 	// TraceIDs restricts to specific traces (duplicates are ignored).
 	TraceIDs []string
-	// Service restricts to traces touching the service (index-accelerated).
-	Service string
 	// MinStart/MaxStart bound the root span start time (µs).
 	MinStart, MaxStart int64
-	// OnlyErrors keeps traces containing at least one error span.
-	OnlyErrors bool
-	// MinRootDuration keeps traces at least this slow end-to-end (µs).
-	MinRootDuration int64
-	// Limit caps the number of returned traces (0 = unlimited).
-	Limit int
 }
 
 // match returns trace id if it satisfies q, nil otherwise. A trace with no
@@ -219,11 +190,6 @@ type Query struct {
 func (sh *shard) match(id string, q Query) *trace.Trace {
 	sh.mu.RLock()
 	e := sh.byTrace[id]
-	if e != nil && q.Service != "" {
-		if _, touches := sh.byService[q.Service][id]; !touches {
-			e = nil
-		}
-	}
 	if e == nil {
 		sh.mu.RUnlock()
 		return nil
@@ -237,8 +203,7 @@ func (sh *shard) match(id string, q Query) *trace.Trace {
 	if m == nil {
 		m = &memo{}
 		if tr, err := trace.Assemble(spans); err == nil {
-			root := tr.Spans[tr.Roots()[0]]
-			*m = memo{tr, root.Start, root.Duration(), tr.HasError()}
+			*m = memo{tr, tr.Spans[tr.Roots()[0]].Start}
 		}
 		sh.mu.Lock()
 		if len(e.spans) == len(spans) {
@@ -248,58 +213,31 @@ func (sh *shard) match(id string, q Query) *trace.Trace {
 	}
 	if m.tr == nil ||
 		(q.MinStart != 0 && m.rootStart < q.MinStart) ||
-		(q.MaxStart != 0 && m.rootStart > q.MaxStart) ||
-		(q.OnlyErrors && !m.hasError) ||
-		(q.MinRootDuration != 0 && m.rootDur < q.MinRootDuration) {
+		(q.MaxStart != 0 && m.rootStart > q.MaxStart) {
 		return nil
 	}
 	return m.tr
 }
 
-// candidates snapshots the shard's candidate trace IDs for a query: the
-// service index when the query names a service, insertion order otherwise.
-// Only the ID list is copied — traces are looked up one at a time during the
-// scan, so a Limit query touches only as many as it inspects.
-func (sh *shard) candidates(q Query) []string {
-	sh.mu.RLock()
-	var ids []string
-	if q.Service != "" {
-		set := sh.byService[q.Service]
-		if len(set) > 0 {
-			ids = make([]string, 0, len(set))
-			for id := range set {
-				ids = append(ids, id)
-			}
-		}
-	} else if len(sh.order) > 0 {
-		ids = append([]string(nil), sh.order...)
-	}
-	sh.mu.RUnlock()
-	if q.Service != "" {
-		sort.Strings(ids)
-	}
-	return ids
-}
-
-// scan filters this shard's candidates, stopping as soon as q.Limit matches
-// are found.
+// scan returns this shard's traces that satisfy q, in insertion order. Only
+// the ID list is copied under the lock; traces are looked up one at a time.
 func (sh *shard) scan(q Query) []*trace.Trace {
+	sh.mu.RLock()
+	ids := append([]string(nil), sh.order...)
+	sh.mu.RUnlock()
 	var out []*trace.Trace
-	for _, id := range sh.candidates(q) {
+	for _, id := range ids {
 		if tr := sh.match(id, q); tr != nil {
 			out = append(out, tr)
-			if q.Limit > 0 && len(out) >= q.Limit {
-				break
-			}
 		}
 	}
 	return out
 }
 
-// Traces runs a query. Traces whose spans fail assembly are skipped. Shards
-// are scanned in parallel; each shard's scan exits early once it alone could
-// satisfy q.Limit, so small limits touch a small prefix of the corpus
-// instead of snapshotting it.
+// Traces runs a query. Traces whose spans fail assembly are skipped. An
+// explicit-ID query answers in request order; any other query scans the
+// shards in parallel and returns each shard's matches in insertion order,
+// shard by shard.
 //
 // The returned traces are the store's memoised assemblies, shared with
 // every other query that matches them: callers must treat a trace, its
@@ -317,10 +255,6 @@ func (s *Store) Traces(q Query) []*trace.Trace {
 	var out []*trace.Trace
 	for _, r := range results {
 		out = append(out, r...)
-		if q.Limit > 0 && len(out) >= q.Limit {
-			out = out[:q.Limit]
-			break
-		}
 	}
 	return out
 }
@@ -337,41 +271,42 @@ func (s *Store) tracesByID(q Query) []*trace.Trace {
 		seen[id] = struct{}{}
 		if tr := s.shardFor(id).match(id, q); tr != nil {
 			out = append(out, tr)
-			if q.Limit > 0 && len(out) >= q.Limit {
-				break
-			}
 		}
 	}
 	return out
 }
 
-// OpSummary is a derived per-operation statistics row (the "SQL-offloaded"
-// aggregate the RCA pipeline consumes for normal states and thresholds).
+// OpSummary is one operation's latency and error aggregate over the stored
+// spans: the tail sampler's latency baseline and the `sleuthctl ops` table.
 type OpSummary struct {
-	OpKey  string
-	Count  int
-	Median float64
-	P95    float64
-	P99    float64
-	// MedianExclusive is the median exclusive duration.
-	MedianExclusive float64
-	ErrorRate       float64
+	OpKey     string
+	Count     int
+	Median    float64
+	P95       float64
+	P99       float64
+	ErrorRate float64
 }
 
-// OpSummaries computes per-operation aggregates over the whole store.
+// OpSummaries computes per-operation aggregates over every stored span,
+// those of traces that fail assembly included. It reads the spans as
+// stored and assembles nothing: each shard's span pointers are copied
+// under its read lock and aggregated outside it.
 func (s *Store) OpSummaries() []OpSummary {
-	traces := s.Traces(Query{})
+	var spans []*trace.Span
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		for _, id := range sh.order {
+			spans = append(spans, sh.byTrace[id].spans...)
+		}
+		sh.mu.RUnlock()
+	}
 	durs := map[string][]float64{}
-	excl := map[string][]float64{}
 	errs := map[string]int{}
-	for _, tr := range traces {
-		for i, sp := range tr.Spans {
-			k := sp.OpKey()
-			durs[k] = append(durs[k], float64(sp.Duration()))
-			excl[k] = append(excl[k], float64(tr.ExclusiveDuration(i)))
-			if sp.Error {
-				errs[k]++
-			}
+	for _, sp := range spans {
+		k := sp.OpKey()
+		durs[k] = append(durs[k], float64(sp.Duration()))
+		if sp.Error {
+			errs[k]++
 		}
 	}
 	keys := make([]string, 0, len(durs))
@@ -382,14 +317,14 @@ func (s *Store) OpSummaries() []OpSummary {
 	out := make([]OpSummary, 0, len(keys))
 	for _, k := range keys {
 		ds := durs[k]
+		sort.Float64s(ds)
 		out = append(out, OpSummary{
-			OpKey:           k,
-			Count:           len(ds),
-			Median:          stats.Percentile(ds, 50),
-			P95:             stats.Percentile(ds, 95),
-			P99:             stats.Percentile(ds, 99),
-			MedianExclusive: stats.Percentile(excl[k], 50),
-			ErrorRate:       float64(errs[k]) / float64(len(ds)),
+			OpKey:     k,
+			Count:     len(ds),
+			Median:    stats.PercentileSorted(ds, 50),
+			P95:       stats.PercentileSorted(ds, 95),
+			P99:       stats.PercentileSorted(ds, 99),
+			ErrorRate: float64(errs[k]) / float64(len(ds)),
 		})
 	}
 	return out
@@ -474,22 +409,4 @@ func (s *Store) LoadFile(path string) (skipped int, err error) {
 	}
 	defer f.Close()
 	return s.LoadJSONL(f)
-}
-
-// Services returns the sorted service names present in the store.
-func (s *Store) Services() []string {
-	set := make(map[string]struct{})
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for svc := range sh.byService {
-			set[svc] = struct{}{}
-		}
-		sh.mu.RUnlock()
-	}
-	out := make([]string, 0, len(set))
-	for svc := range set {
-		out = append(out, svc)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/sleuth-rca/sleuth/internal/chaos"
 	"github.com/sleuth-rca/sleuth/internal/sim"
 	"github.com/sleuth-rca/sleuth/internal/synth"
 	"github.com/sleuth-rca/sleuth/internal/testenv"
@@ -27,7 +26,8 @@ func populated(t testing.TB, n int) (*Store, *sim.Simulator) {
 		t.Fatal(err)
 	}
 	// Multiple shards even on one-core test boxes, so the sharded paths
-	// (partitioned adds, parallel scans, limit merge) are always exercised.
+	// (partitioned adds, parallel scans, shard-by-shard merge) are always
+	// exercised.
 	st := NewSharded(4)
 	for _, r := range results {
 		st.AddTrace(r.Trace)
@@ -43,9 +43,6 @@ func TestAddAndCounts(t *testing.T) {
 	if st.SpanCount() < 60 {
 		t.Fatalf("SpanCount = %d", st.SpanCount())
 	}
-	if len(st.Services()) == 0 {
-		t.Fatal("no services indexed")
-	}
 }
 
 func TestQueryAll(t *testing.T) {
@@ -53,13 +50,6 @@ func TestQueryAll(t *testing.T) {
 	traces := st.Traces(Query{})
 	if len(traces) != 25 {
 		t.Fatalf("query-all returned %d", len(traces))
-	}
-}
-
-func TestQueryLimit(t *testing.T) {
-	st, _ := populated(t, 25)
-	if got := len(st.Traces(Query{Limit: 7})); got != 7 {
-		t.Fatalf("limit query returned %d", got)
 	}
 }
 
@@ -72,47 +62,6 @@ func TestQueryByTraceID(t *testing.T) {
 	}
 	if got := st.Traces(Query{TraceIDs: []string{"missing"}}); len(got) != 0 {
 		t.Fatal("missing ID returned traces")
-	}
-}
-
-func TestQueryByService(t *testing.T) {
-	st, _ := populated(t, 30)
-	svc := st.Services()[0]
-	got := st.Traces(Query{Service: svc})
-	if len(got) == 0 {
-		t.Fatal("service query empty")
-	}
-	for _, tr := range got {
-		found := false
-		for _, s := range tr.Services() {
-			if s == svc {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("trace %s lacks service %s", tr.TraceID, svc)
-		}
-	}
-}
-
-// TestQueryByIDHonoursService: the service predicate applies to an
-// explicit-ID query too, not only to a scan.
-func TestQueryByIDHonoursService(t *testing.T) {
-	st := NewSharded(4)
-	st.AddSpans([]*trace.Span{
-		mkSpan("t1", "a", "", "front", 0, 10),
-		mkSpan("t1", "b", "a", "cart", 1, 5),
-		mkSpan("t2", "a", "", "front", 0, 10),
-	})
-	ids := []string{"t1", "t2"}
-	if got := traceIDs(st.Traces(Query{TraceIDs: ids, Service: "cart"})); !reflect.DeepEqual(got, []string{"t1"}) {
-		t.Fatalf("by-ID query for service cart = %v, want [t1]", got)
-	}
-	if got := traceIDs(st.Traces(Query{TraceIDs: ids, Service: "front"})); !reflect.DeepEqual(got, ids) {
-		t.Fatalf("by-ID query for service front = %v, want %v", got, ids)
-	}
-	if got := st.Traces(Query{TraceIDs: ids, Service: "absent"}); len(got) != 0 {
-		t.Fatalf("by-ID query for an unknown service returned %v", traceIDs(got))
 	}
 }
 
@@ -131,36 +80,6 @@ func TestQueryTimeRange(t *testing.T) {
 	}
 }
 
-func TestQueryErrorsAndSlow(t *testing.T) {
-	app := synth.Synthetic(16, 2)
-	s := sim.New(app, sim.DefaultOptions(2))
-	svc := app.ServiceAtCallDepth(1)
-	plan := chaos.NewPlan(app, chaos.Fault{
-		Type: chaos.FaultCPU, Level: chaos.LevelContainer,
-		Target: app.Services[svc].Name, SlowFactor: 40, ErrorProb: 0.5,
-	})
-	results, err := s.RunWithInjector(0, 40, chaos.NewInjector(app, plan))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := New()
-	for _, r := range results {
-		st.AddTrace(r.Trace)
-	}
-	errTraces := st.Traces(Query{OnlyErrors: true})
-	for _, tr := range errTraces {
-		if !tr.HasError() {
-			t.Fatal("error query returned clean trace")
-		}
-	}
-	slow := st.Traces(Query{MinRootDuration: 100_000})
-	for _, tr := range slow {
-		if tr.RootDuration() < 100_000 {
-			t.Fatal("slow query returned fast trace")
-		}
-	}
-}
-
 func TestOpSummaries(t *testing.T) {
 	st, _ := populated(t, 40)
 	sums := st.OpSummaries()
@@ -174,25 +93,21 @@ func TestOpSummaries(t *testing.T) {
 		if s.P95 < s.Median || s.P99 < s.P95 {
 			t.Fatalf("percentiles not ordered: %+v", s)
 		}
-		if s.MedianExclusive > s.Median {
-			t.Fatalf("exclusive median exceeds duration median: %+v", s)
-		}
 		if s.ErrorRate < 0 || s.ErrorRate > 1 {
 			t.Fatalf("error rate out of range: %+v", s)
 		}
 	}
 }
 
-// TestOpSummariesColdWarmLate: the aggregate reads the memoised traces, so
-// its rows must not depend on whether the memo is cold, warm or was just
-// dropped by a late span.
+// TestOpSummariesColdWarmLate: the aggregate's rows must not depend on
+// whether the memo is cold, warm or was just dropped by a late span.
 func TestOpSummariesColdWarmLate(t *testing.T) {
 	st, _ := populated(t, 40)
 	cold := st.OpSummaries()
 	if warm := st.OpSummaries(); !reflect.DeepEqual(cold, warm) {
 		t.Fatal("warm OpSummaries differ from cold")
 	}
-	root := st.Traces(Query{Limit: 1})[0]
+	root := st.Traces(Query{})[0]
 	rs := root.Spans[root.Roots()[0]]
 	late := mkSpan(root.TraceID, "late-span", rs.SpanID, "late-svc", rs.Start+1, rs.Start+2)
 	st.AddSpans([]*trace.Span{late})
@@ -206,6 +121,29 @@ func TestOpSummariesColdWarmLate(t *testing.T) {
 	}
 	if len(got) != len(cold)+1 {
 		t.Fatalf("late span's operation missing: %d rows, want %d", len(got), len(cold)+1)
+	}
+}
+
+// TestOpSummariesAssembleNothing: the aggregate reads the stored spans, so it
+// leaves every memo as it found it, and it counts the spans of a trace that
+// fails assembly as SpanCount and SaveJSONL do.
+func TestOpSummariesAssembleNothing(t *testing.T) {
+	st, _ := populated(t, 20)
+	st.AddSpans([]*trace.Span{mkSpan("bad", "x", "", "front", 0, 10), mkSpan("bad", "x", "", "front", 1, 5)})
+	sums := st.OpSummaries()
+	for _, sh := range st.shards {
+		for id, e := range sh.byTrace {
+			if e.memo != nil {
+				t.Fatalf("OpSummaries assembled %s", id)
+			}
+		}
+	}
+	total := 0
+	for _, s := range sums {
+		total += s.Count
+	}
+	if total != st.SpanCount() {
+		t.Fatalf("OpSummaries counted %d spans, the store holds %d", total, st.SpanCount())
 	}
 }
 
@@ -347,17 +285,14 @@ func TestShardEquivalence(t *testing.T) {
 		t.Fatalf("counts diverge: %d/%d vs %d/%d",
 			single.SpanCount(), single.TraceCount(), sharded.SpanCount(), sharded.TraceCount())
 	}
-	svc := single.Services()[0]
 	all := single.Traces(Query{})
 	mid := all[30].Spans[all[30].Roots()[0]].Start
 	queries := []Query{
 		{},
-		{Service: svc},
-		{OnlyErrors: true},
-		{MinRootDuration: 50_000},
 		{MinStart: mid},
 		{MaxStart: mid},
 		{TraceIDs: traceIDs(all[:7])},
+		{TraceIDs: traceIDs(all[25:40]), MaxStart: mid},
 	}
 	for qi, q := range queries {
 		a, b := traceIDs(single.Traces(q)), traceIDs(sharded.Traces(q))
@@ -366,15 +301,6 @@ func TestShardEquivalence(t *testing.T) {
 		if strings.Join(a, ",") != strings.Join(b, ",") {
 			t.Fatalf("query %d: single=%v sharded=%v", qi, a, b)
 		}
-	}
-	// Limit queries return exactly Limit traces on both layouts.
-	for _, limit := range []int{1, 5, 59} {
-		if got := len(sharded.Traces(Query{Limit: limit})); got != limit {
-			t.Fatalf("sharded Limit=%d returned %d", limit, got)
-		}
-	}
-	if strings.Join(single.Services(), ",") != strings.Join(sharded.Services(), ",") {
-		t.Fatal("service sets diverge")
 	}
 }
 
@@ -392,7 +318,7 @@ func TestConcurrentAccess(t *testing.T) {
 					return
 				}
 				st.AddTrace(res.Trace)
-				_ = st.Traces(Query{Limit: 5})
+				_ = st.Traces(Query{})
 				_ = st.SpanCount()
 			}
 		}(g)
@@ -427,8 +353,8 @@ func TestLateSpanNewVersion(t *testing.T) {
 	if after.ExclusiveDuration(0) != 40 || after.ExclusiveDuration(2) != 40 {
 		t.Fatalf("after: exclusive(root)=%d exclusive(b)=%d, want 40 / 40", after.ExclusiveDuration(0), after.ExclusiveDuration(2))
 	}
-	if got := st.Traces(Query{Service: "db"}); len(got) != 1 || got[0] != after {
-		t.Fatal("service query does not see the late span's service")
+	if got := st.Traces(Query{TraceIDs: []string{"t"}}); len(got) != 1 || got[0] != after {
+		t.Fatal("by-ID query does not return the new version's memo")
 	}
 	if before.Len() != 2 || len(before.Children(0)) != 1 || before.ExclusiveDuration(0) != 80 {
 		t.Fatal("the trace returned before the write changed")
@@ -445,7 +371,7 @@ func TestFailedAssemblyMemoised(t *testing.T) {
 		mkSpan("good", "r", "", "front", 0, 10),
 	})
 	e := st.shards[0].byTrace["bad"]
-	queries := []Query{{}, {Service: "front"}, {TraceIDs: []string{"bad", "good"}}, {MaxStart: 5}}
+	queries := []Query{{}, {TraceIDs: []string{"bad", "good"}}, {MaxStart: 5}}
 	var failed *memo
 	for round := 0; round < 2; round++ {
 		for qi, q := range queries {
@@ -583,7 +509,7 @@ func TestStoreSteadyStateAllocs(t *testing.T) {
 
 // FuzzLoadJSONL: LoadJSONL never panics on a stream, every span the store
 // holds afterwards passes (*trace.Span).Valid, and the read paths over
-// what it loaded (queries, summaries, services) do not panic either.
+// what it loaded (queries, summaries) do not panic either.
 func FuzzLoadJSONL(f *testing.F) {
 	f.Add([]byte(`{"traceId":"t1","spanId":"a","service":"s","name":"op","kind":"server","start":1,"end":5}
 {broken
@@ -625,6 +551,5 @@ func FuzzLoadJSONL(f *testing.F) {
 		}
 		st.Traces(Query{})
 		st.OpSummaries()
-		st.Services()
 	})
 }

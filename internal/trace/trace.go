@@ -333,17 +333,6 @@ func (t *Trace) MaxDepth() int {
 	return max + 1
 }
 
-// MaxOutDegree returns the largest number of children of any span.
-func (t *Trace) MaxOutDegree() int {
-	max := 0
-	for _, c := range t.children {
-		if len(c) > max {
-			max = len(c)
-		}
-	}
-	return max
-}
-
 // ExclusiveDuration returns the exclusive duration of span i (µs).
 func (t *Trace) ExclusiveDuration(i int) int64 { return t.exclusiveDur[i] }
 

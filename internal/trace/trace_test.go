@@ -52,9 +52,6 @@ func TestAssembleFigure2Structure(t *testing.T) {
 	if tr.MaxDepth() != 2 {
 		t.Fatalf("MaxDepth = %d", tr.MaxDepth())
 	}
-	if tr.MaxOutDegree() != 2 {
-		t.Fatalf("MaxOutDegree = %d", tr.MaxOutDegree())
-	}
 	if tr.RootDuration() != 100 {
 		t.Fatalf("RootDuration = %d", tr.RootDuration())
 	}

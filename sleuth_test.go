@@ -97,10 +97,10 @@ func TestFacadeModelPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, _ := model.Predict(normal[0])
-	d2, _ := back.Predict(normal[0])
-	for i := range d1 {
-		if d1[i] != d2[i] {
+	d1, _, _ := model.ScoreBatch(normal[:1], 0)
+	d2, _, _ := back.ScoreBatch(normal[:1], 0)
+	for i := range d1[0] {
+		if d1[0][i] != d2[0][i] {
 			t.Fatal("loaded model differs")
 		}
 	}
@@ -117,8 +117,8 @@ func TestFacadeFineTune(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The fine-tuned model predicts on the new app without panics.
-	d, e := model.Predict(fresh[0])
-	if len(d) != fresh[0].Len() || len(e) != fresh[0].Len() {
+	d, e, _ := model.ScoreBatch(fresh[:1], 0)
+	if len(d[0]) != fresh[0].Len() || len(e[0]) != fresh[0].Len() {
 		t.Fatal("prediction sizes wrong after fine-tune")
 	}
 }
