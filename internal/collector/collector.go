@@ -4,11 +4,13 @@
 // pipeline (internal/ingest) in front of the storage engine — the
 // single-process equivalent of the paper's OpenTelemetry collector cluster.
 //
-// The handler is the pipeline's receiver stage: it bounds the body with
+// The handler is the pipeline's receiver stage: it reads the body through
+// otel.ReadBody, the pooled reader /score shares, bounded by
 // http.MaxBytesReader (oversized payloads get a 413 and a
 // collector.body_too_large count instead of silent truncation), decodes and
 // validates synchronously so clients see accept/reject/drop counts in the
-// response, then hands the spans to the concentrator/sampler/writer stages.
+// response, gives the buffer back (the spans copy what they keep out of
+// it), then hands the spans to the concentrator/sampler/writer stages.
 // Whole-payload decode failures and individually malformed spans are
 // counted in the process metrics registry (collector.decode_errors,
 // collector.spans_rejected / collector.spans_accepted) and surfaced in the
@@ -18,7 +20,6 @@
 package collector
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -141,7 +142,7 @@ func (c *Collector) ingest(proto string, decode func([]byte) ([]*trace.Span, err
 		// MaxBytesReader errors out past the limit instead of silently
 		// truncating the payload mid-span (which would surface as a
 		// nonsensical decode error and miscount the client's data).
-		body, err := readBody(w, r, maxBodyBytes)
+		body, err := otel.ReadBody(w, r, maxBodyBytes)
 		if err != nil {
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
@@ -159,11 +160,12 @@ func (c *Collector) ingest(proto string, decode func([]byte) ([]*trace.Span, err
 		// are formatted only when there is a span to carry them.
 		dsp := obs.SpanFrom(r.Context()).Child(decodeStage)
 		dt := obs.H("ingest.decode_us").Start()
-		spans, err := decode(body)
+		spans, err := decode(body.Bytes())
 		dt.Stop()
 		if dsp != nil {
-			dsp.Annotate("http.body_bytes", strconv.Itoa(len(body)))
+			dsp.Annotate("http.body_bytes", strconv.Itoa(len(body.Bytes())))
 		}
+		body.Release()
 		dsp.End()
 		if err != nil {
 			dsp.SetError(true)
@@ -196,15 +198,4 @@ func (c *Collector) ingest(proto string, decode func([]byte) ([]*trace.Span, err
 		}
 		fmt.Fprintf(w, `{"accepted":%d,"rejected":%d,"dropped":%d}`+"\n", accepted, rejected, dropped)
 	}
-}
-
-// readBody reads a request body of at most limit bytes (past it the error
-// is an *http.MaxBytesError) into one buffer sized from Content-Length. The
-// header is a hint, absent on a chunked body and free for a client to
-// inflate, so it reserves at most 1 MiB; a larger body grows the buffer.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	size := max(0, min(r.ContentLength, limit, 1<<20))
-	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
-	return buf.Bytes(), err
 }

@@ -11,7 +11,6 @@
 package modelserver
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -636,27 +635,16 @@ func (s *Server) score(w http.ResponseWriter, req *http.Request, name, versionSt
 	writeJSON(w, resp)
 }
 
-// bodyPool recycles /score request buffers. The body is a request's
-// largest allocation, and DecodeSpans keeps no reference to it.
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// readSpans reads and decodes the {"spans":[…]} body of /score (a
-// ScoreRequest) into one pooled buffer grown from Content-Length — a hint
-// a client can inflate, so it reserves at most 1 MiB. When it reports
-// false it has written the error response.
+// readSpans reads the {"spans":[…]} body of /score (a ScoreRequest)
+// through the pooled otel.ReadBody — the body is a request's largest
+// allocation, and DecodeSpans keeps no reference to it — and decodes it.
+// When it reports false it has written the error response.
 func readSpans(w http.ResponseWriter, req *http.Request) ([]*trace.Span, bool) {
-	buf := bodyPool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= 2<<20 { // a rare huge body goes to the GC
-			buf.Reset()
-			bodyPool.Put(buf)
-		}
-	}()
-	buf.Grow(int(max(0, min(req.ContentLength, 1<<20))) + bytes.MinRead)
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, req.Body, 256<<20))
+	body, err := otel.ReadBody(w, req, 256<<20)
 	var spans []*trace.Span
 	if err == nil {
-		spans, err = otel.DecodeSpans(buf.Bytes())
+		spans, err = otel.DecodeSpans(body.Bytes())
+		body.Release()
 	}
 	var tooLarge *http.MaxBytesError
 	switch {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode"
@@ -177,28 +178,31 @@ func TestDecodeMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestDecodeSpansKeepsNoInput: the model server decodes /score bodies out
-// of a recycled buffer, so spans decoded from data must not change when
-// data is overwritten afterwards.
+// TestDecodeSpansKeepsNoInput: the collector and the model server decode
+// every body out of a recycled buffer (ReadBody), so spans decoded from
+// data, in any dialect, must not change when data is overwritten
+// afterwards.
 func TestDecodeSpansKeepsNoInput(t *testing.T) {
 	spans := richSpans(t)
-	data, err := encodeSpans(spans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeSpans(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := DecodeSpans(bytes.Clone(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range data {
-		data[i] = 'X'
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("decoded spans changed when their input buffer was overwritten")
+	for _, d := range dialects {
+		data, err := d.encode(spans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := d.decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := d.decode(bytes.Clone(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range data {
+			data[i] = 'X'
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: decoded spans changed when their input buffer was overwritten", d.name)
+		}
 	}
 }
 
@@ -244,6 +248,9 @@ func TestDecodeHostileInput(t *testing.T) {
 			func(sp *trace.Span) bool { return sp.Name == "\ufffd|\ufffd|\ufffdx" }},
 		{"invalid UTF-8 becomes U+FFFD", ",\"name\":\"a\xff\xc3(b\"", false, func(sp *trace.Span) bool { return sp.Name == "a\ufffd\ufffd(b" }},
 		{"case-folded key", `,"NAME":"folded"`, false, func(sp *trace.Span) bool { return sp.Name == "folded" }},
+		{"keys differing only in case", `,"TraceId":"T","SPANID":"S"`, false, nil},
+		{"duplicate keys of mixed case, last wins", `,"traceId":"a","TRACEID":"b","TraceId":"c","spanId":"x","SPANID":"y"`, false,
+			func(sp *trace.Span) bool { return sp.TraceID == "c" }},
 		{"key folded beyond ASCII", `,"ſpanid":"x"` /* U+017F, long s */, false, nil},
 		{"escaped key", `,"n\u0061me":"escaped"`, false, func(sp *trace.Span) bool { return sp.Name == "escaped" }},
 		{"number in a string field", `,"name":7`, true, nil},
@@ -304,6 +311,25 @@ func TestDecodeHostileInput(t *testing.T) {
 		{"deep arrays where the spans go", "zipkin", strings.Repeat("[", 10_001) + strings.Repeat("]", 10_001), true, nil},
 
 		{"float in an integer field", "otlp", splice(otlpSpanIn, `,"kind":2.0`), true, nil},
+		{"exponent kind", "otlp", splice(otlpSpanIn, `,"kind":1e3`), true, nil},
+		{"negative kind", "otlp", splice(otlpSpanIn, `,"kind":-1`), false, func(s []*trace.Span) bool { return s[0].Kind == trace.KindInternal }},
+		{"overflowing kind", "otlp", splice(otlpSpanIn, `,"kind":9223372036854775808`), true, nil},
+		{"float status code", "otlp", splice(otlpSpanIn, `,"status":{"code":2.0}`), true, nil},
+		{"exponent status code", "otlp", splice(otlpSpanIn, `,"status":{"code":1e3}`), true, nil},
+		{"negative status code", "otlp", splice(otlpSpanIn, `,"status":{"code":-1}`), false, func(s []*trace.Span) bool { return !s[0].Error }},
+		{"overflowing status code", "otlp", splice(otlpSpanIn, `,"status":{"code":9223372036854775808}`), true, nil},
+		{"leading zeros in a time", "otlp", splice(otlpSpanIn, `,"startTimeUnixNano":"007000"`), false, func(s []*trace.Span) bool { return s[0].Start == 7 }},
+		{"plus sign in a time", "otlp", splice(otlpSpanIn, `,"endTimeUnixNano":"+5000"`), false, func(s []*trace.Span) bool { return s[0].End == 5 }},
+		{"minus zero time", "otlp", splice(otlpSpanIn, `,"startTimeUnixNano":"-0"`), false, func(s []*trace.Span) bool { return s[0].Start == 0 }},
+		{"19-digit time", "otlp", splice(otlpSpanIn, `,"endTimeUnixNano":"9223372036854775807"`), false,
+			func(s []*trace.Span) bool { return s[0].End == 9223372036854775 }},
+		{"19-digit time past int64", "otlp", splice(otlpSpanIn, `,"endTimeUnixNano":"9999999999999999999"`), true, nil},
+		{"20-digit time", "otlp", splice(otlpSpanIn, `,"endTimeUnixNano":"10000000000000000000"`), true, nil},
+		{"empty time", "otlp", splice(otlpSpanIn, `,"endTimeUnixNano":""`), true, nil},
+		{"19-digit integer", "zipkin", splice(zipkinSpanIn, `,"timestamp":-9223372036854775807,"duration":9223372036854775807`), false, nil},
+		{"20-digit integer", "zipkin", splice(zipkinSpanIn, `,"timestamp":12345678901234567890`), true, nil},
+		{"minus zero integer", "jaeger", splice(jaegerSpanIn, `,"startTime":-0`), false, func(s []*trace.Span) bool { return s[0].Start == 0 }},
+		{"float integer", "spans", splice(spansSpanIn, `,"end":2.0`), true, nil},
 		{"exponent in an integer field", "zipkin", splice(zipkinSpanIn, `,"duration":1e3`), true, nil},
 		{"overflowing integer", "jaeger", splice(jaegerSpanIn, `,"duration":9223372036854775808`), true, nil},
 		{"smallest integer", "spans", splice(spansSpanIn, `,"start":-9223372036854775808`), false, nil},
@@ -404,9 +430,12 @@ func benchPayload(tb testing.TB) []*trace.Span {
 	return spans
 }
 
-// TestDecodeSteadyStateAllocs: a span costs its own allocation, its span and
-// parent IDs, and an amortised share of the result slice and the interning
-// table; every other string is shared within the payload.
+// TestDecodeSteadyStateAllocs: a span costs its own allocation, one string
+// holding its span and parent IDs, and an amortised share of the result
+// slice and the strings it interns; every other string is shared within
+// the payload, and the interning table itself is pooled. It measures
+// 2.33–2.39 on every dialect (3.34–3.41 with the IDs apart and a table
+// per call).
 func TestDecodeSteadyStateAllocs(t *testing.T) {
 	if testenv.Race {
 		t.Skip("race detector instrumentation allocates")
@@ -422,8 +451,37 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}) / float64(len(spans))
-		if perSpan > 4 {
-			t.Errorf("%s: %.2f allocs/span, want <= 4", d.name, perSpan)
+		if perSpan > 2.5 {
+			t.Errorf("%s: %.2f allocs/span, want <= 2.5", d.name, perSpan)
+		}
+	}
+}
+
+// TestPooledTableCap: a scratch goes back to the pool emptied, so no
+// string or span outlives its call through it, and one whose interning
+// table grew past maxPooled does not go back at all, so a hostile body's
+// table goes to the GC with its request.
+func TestPooledTableCap(t *testing.T) {
+	s := newScanner(nil)
+	s.intern([]byte("kept for one call"))
+	s.spans = append(s.spans, &trace.Span{})
+	small := s.scratch
+	s.release()
+	if len(small.strs) != 0 || len(small.spans) != 0 {
+		t.Fatalf("a released scratch holds %d strings and %d spans", len(small.strs), len(small.spans))
+	}
+	s = newScanner(nil)
+	for i := 0; i <= maxPooled; i++ {
+		s.intern([]byte(strconv.Itoa(i)))
+	}
+	big := s.scratch
+	s.release()
+	if len(big.strs) != maxPooled+1 {
+		t.Fatalf("a table past the cap was cleared (%d entries left): it went back to the pool", len(big.strs))
+	}
+	for i := 0; i < 8; i++ {
+		if scratches.Get().(*scratch) == big {
+			t.Fatal("the pool handed out a table grown past its cap")
 		}
 	}
 }

@@ -24,7 +24,9 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"github.com/sleuth-rca/sleuth/internal/par"
@@ -290,41 +292,73 @@ type OpSummary struct {
 // OpSummaries computes per-operation aggregates over every stored span,
 // those of traces that fail assembly included. It reads the spans as
 // stored and assembles nothing: each shard's span pointers are copied
-// under its read lock and aggregated outside it.
+// under its read lock and aggregated outside it. Spans are grouped on
+// their (service, name, kind) fields, so a call builds one OpKey per
+// operation, not per span, and its allocations grow with the operations.
 func (s *Store) OpSummaries() []OpSummary {
 	var spans []*trace.Span
 	for _, sh := range s.shards {
 		sh.mu.RLock()
+		spans = slices.Grow(spans, sh.spanCount)
 		for _, id := range sh.order {
 			spans = append(spans, sh.byTrace[id].spans...)
 		}
 		sh.mu.RUnlock()
 	}
-	durs := map[string][]float64{}
-	errs := map[string]int{}
-	for _, sp := range spans {
-		k := sp.OpKey()
-		durs[k] = append(durs[k], float64(sp.Duration()))
+	type op struct {
+		service, name string
+		kind          trace.Kind
+	}
+	type agg struct {
+		key             string
+		count, errs, at int // at: the next free slot of the op's run of durs
+	}
+	// Two operations whose fields join to one OpKey (a \x1f inside a name)
+	// share a row, as they share a key.
+	index, byKey := map[op]int{}, map[string]int{}
+	var aggs []agg
+	ops := make([]int, len(spans)) // span → its agg
+	for i, sp := range spans {
+		k := op{sp.Service, sp.Name, sp.Kind}
+		j, ok := index[k]
+		if !ok {
+			key := sp.OpKey()
+			if j, ok = byKey[key]; !ok {
+				j = len(aggs)
+				byKey[key] = j
+				aggs = append(aggs, agg{key: key})
+			}
+			index[k] = j
+		}
+		ops[i] = j
+		aggs[j].count++
 		if sp.Error {
-			errs[k]++
+			aggs[j].errs++
 		}
 	}
-	keys := make([]string, 0, len(durs))
-	for k := range durs {
-		keys = append(keys, k)
+	// One durations array, each op's run of it sized by its count.
+	at := 0
+	for j := range aggs {
+		aggs[j].at, at = at, at+aggs[j].count
 	}
-	sort.Strings(keys)
-	out := make([]OpSummary, 0, len(keys))
-	for _, k := range keys {
-		ds := durs[k]
+	durs := make([]float64, len(spans))
+	for i, sp := range spans {
+		a := &aggs[ops[i]]
+		durs[a.at] = float64(sp.Duration())
+		a.at++
+	}
+	slices.SortFunc(aggs, func(a, b agg) int { return strings.Compare(a.key, b.key) })
+	out := make([]OpSummary, 0, len(aggs))
+	for _, a := range aggs {
+		ds := durs[a.at-a.count : a.at]
 		sort.Float64s(ds)
 		out = append(out, OpSummary{
-			OpKey:     k,
-			Count:     len(ds),
+			OpKey:     a.key,
+			Count:     a.count,
 			Median:    stats.PercentileSorted(ds, 50),
 			P95:       stats.PercentileSorted(ds, 95),
 			P99:       stats.PercentileSorted(ds, 99),
-			ErrorRate: float64(errs[k]) / float64(len(ds)),
+			ErrorRate: float64(a.errs) / float64(a.count),
 		})
 	}
 	return out

@@ -507,6 +507,27 @@ func TestStoreSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestOpSummariesSteadyStateAllocs gates the baseline refresh (`make
+// alloc`): a call's allocations grow with the operations it reports, not
+// with the spans it reads. Each operation costs its OpKey and a share of
+// the two index maps; the rest is a handful of slices. It measures 60 for
+// 34 operations over 2 192 spans; an OpKey built per span costs one
+// allocation per span on its own.
+func TestOpSummariesSteadyStateAllocs(t *testing.T) {
+	if testenv.Race {
+		t.Skip("race detector instrumentation allocates")
+	}
+	st, _ := populated(t, 200)
+	ops, spans := len(st.OpSummaries()), st.SpanCount()
+	if spans < 10*ops {
+		t.Fatalf("%d spans over %d operations: too few spans to tell the two apart", spans, ops)
+	}
+	n := testing.AllocsPerRun(20, func() { _ = st.OpSummaries() })
+	if budget := float64(2*ops + 16); n > budget {
+		t.Fatalf("OpSummaries over %d spans of %d operations allocates %.0f per call, want ≤ %.0f", spans, ops, n, budget)
+	}
+}
+
 // FuzzLoadJSONL: LoadJSONL never panics on a stream, every span the store
 // holds afterwards passes (*trace.Span).Valid, and the read paths over
 // what it loaded (queries, summaries) do not panic either.
