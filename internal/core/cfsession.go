@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"github.com/sleuth-rca/sleuth/internal/features"
@@ -48,11 +49,19 @@ type CounterfactualSession struct {
 	x, xStar *tensor.Tensor
 	pristine []float64
 
-	normal    []NormalStats // per span, looked up once at open
-	order     []int         // depth order, deepest first
-	depthPos  []int         // counting-pass cursor per depth
-	restored  []bool        // current intervention state per span
-	dur, errp []float64     // recompute scratch
+	normal        []NormalStats // per span, looked up once at open
+	order         []int         // depth order, deepest first
+	depthPos      []int         // counting-pass cursor per depth
+	restored      []bool        // current intervention state per span
+	restoredSpans []int         // the spans restored now, in no order
+	dur, errp     []float64     // recompute scratch
+
+	// terms caches, per span, what its parent's Eq. 2 / Eq. 3 pass reads
+	// of it: the h-only inputs (refilled only for h rows that changed) and
+	// the child terms built from them and the span's dur/errp (refreshed
+	// when either changed — stale marks the spans due).
+	terms []spanTerms
+	stale []bool
 
 	// inc is the row-incremental GIN evaluator (nil for aggregators
 	// without a row-exact kernel, which fall back to full forwards on ar).
@@ -100,8 +109,12 @@ func (s *CounterfactualSession) open(m *Model, tr *trace.Trace) {
 	s.depthOrder()
 	s.restored = resize(s.restored, n)
 	clear(s.restored)
+	s.restoredSpans = s.restoredSpans[:0]
 	s.dur = resize(s.dur, n)
 	s.errp = resize(s.errp, n)
+	s.terms = resize(s.terms, n)
+	s.stale = resize(s.stale, n)
+	clear(s.stale)
 	s.dirty = resize(s.dirty, n)
 	clear(s.dirty)
 	s.changed = s.changed[:0]
@@ -146,19 +159,33 @@ func (s *CounterfactualSession) Normals() []NormalStats { return s.normal }
 // session's trace. Only rows whose restoration state changed since the
 // previous call are touched: newly restored rows are intervened to the
 // normal state, rows no longer in the set are undone from the pristine
-// encoding. restored is read, never retained.
+// encoding. The toggles are found from restored's entries and the spans
+// restored before, with no lookup per untouched span. restored is read,
+// never retained.
 func (s *CounterfactualSession) Counterfactual(restored map[int]bool) CounterfactualResult {
 	n := s.tr.Len()
 	s.changed = s.changed[:0]
-	for i := 0; i < n; i++ {
-		want := restored[i]
-		if want == s.restored[i] {
-			continue
+	for i, want := range restored {
+		if want && i >= 0 && i < n && !s.restored[i] {
+			s.changed = append(s.changed, i)
 		}
+	}
+	kept := s.restoredSpans[:0]
+	for _, i := range s.restoredSpans {
+		if restored[i] {
+			kept = append(kept, i)
+		} else {
+			s.changed = append(s.changed, i)
+		}
+	}
+	s.restoredSpans = kept
+	slices.Sort(s.changed)
+	for _, i := range s.changed {
+		want := !s.restored[i]
 		s.restored[i] = want
 		s.rowsUpdated++
-		s.changed = append(s.changed, i)
 		if want {
+			s.restoredSpans = append(s.restoredSpans, i)
 			s.x.Set(i, 0, features.ScaleDuration(int64(s.normalDur(i))))
 			s.x.Set(i, 1, 0)
 			s.xStar.Set(i, 0, features.ScaleDuration(int64(s.normalExcl(i))))
@@ -182,19 +209,23 @@ func (s *CounterfactualSession) Counterfactual(restored map[int]bool) Counterfac
 	}
 	if !s.primed {
 		// First query: one batched tape-free pass fills the h and group-sum
-		// caches and a full bottom-up pass fills dur/errp for every node.
+		// caches and a full bottom-up pass fills dur/errp and the terms of
+		// every node.
 		s.hT = s.inc.Prime(s.xStar, s.x)
 		s.primed = true
 		return s.recompute(s.hT)
 	}
-	// Incremental query: recompute only the h rows whose inputs changed,
-	// then revisit the dirty cone — toggled spans plus parents of changed
-	// h rows — letting bit-identical recomputations stop the propagation.
+	// Incremental query: recompute only the h rows whose inputs changed and
+	// refill their terms, then revisit the dirty cone — toggled spans plus
+	// parents of changed h rows — letting bit-identical recomputations stop
+	// the propagation.
 	affected := s.inc.Update(s.xStar, s.x, s.changed)
 	for _, i := range s.changed {
 		s.dirty[i] = true
 	}
 	for _, r := range affected {
+		s.fillTerms(s.hT, r)
+		s.stale[r] = true
 		if p := s.tr.Parent(r); p >= 0 {
 			s.dirty[p] = true
 		}

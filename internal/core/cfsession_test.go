@@ -6,6 +6,7 @@ import (
 
 	"github.com/sleuth-rca/sleuth/internal/synth"
 	"github.com/sleuth-rca/sleuth/internal/trace"
+	"github.com/sleuth-rca/sleuth/internal/xrand"
 )
 
 // forVariants runs fn against both aggregators: GIN answers through the
@@ -24,6 +25,64 @@ func forVariants(t *testing.T, fn func(t *testing.T, v Variant)) {
 // recomputation — on the same inputs.
 func TestCounterfactualSessionEquivalence(t *testing.T) {
 	forVariants(t, testCounterfactualSessionEquivalence)
+	t.Run("shipped-Synthetic-256", testShippedSessionEquivalence)
+}
+
+// testShippedSessionEquivalence runs the gate at the shipped model shape
+// (Config{}: embedding 32, hidden 64, so the GIN rows are the 68→64→5
+// kernels) over Synthetic-256 traces, one of them with error spans, and
+// with restoration sets that grow, shrink and regrow: an undo changes h
+// rows and the dur/errp of spans the previous questions left alone, so
+// every cached per-span term the session keeps must be refreshed with
+// them.
+func testShippedSessionEquivalence(t *testing.T) {
+	app := synth.Synthetic(256, 11)
+	traces := simTraces(t, app, 11, 10)
+	m := NewModel(Config{Seed: 11})
+	if _, err := m.Train(traces, TrainOptions{Epochs: 1, Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	m.SetNormals(traces)
+	spans := make([]*trace.Span, traces[0].Len())
+	for i, sp := range traces[0].Spans {
+		cp := *sp
+		cp.Error = i%7 == 3
+		spans[i] = &cp
+	}
+	faulty, err := trace.Assemble(spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := xrand.New(11)
+	for ti, tr := range append([]*trace.Trace{faulty}, traces[1:5]...) {
+		n := tr.Len()
+		pick := make([]int, 6)
+		for i := range pick {
+			pick[i] = r.Intn(n)
+		}
+		set := func(idx ...int) map[int]bool {
+			out := map[int]bool{}
+			for _, i := range idx {
+				out[pick[i]] = true
+			}
+			return out
+		}
+		sets := []map[int]bool{
+			set(0), set(0, 1), set(0, 1, 2), set(0, 1, 2, 3),
+			set(0), set(0, 4), set(0, 4, 5, 1), set(), set(2, 3), set(0, 1, 2, 3, 4, 5),
+		}
+		s := m.NewCounterfactualSession(tr)
+		for si, set := range sets {
+			got := s.Counterfactual(set)
+			if want := m.Counterfactual(tr, set); got != want {
+				t.Fatalf("trace %d set %d: session %+v != fresh %+v", ti, si, got, want)
+			}
+			if ref := tapeCounterfactual(m, tr, set); got != ref {
+				t.Fatalf("trace %d set %d: session %+v != tape reference %+v", ti, si, got, ref)
+			}
+		}
+		s.Close()
+	}
 }
 
 func testCounterfactualSessionEquivalence(t *testing.T, v Variant) {

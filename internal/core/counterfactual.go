@@ -42,33 +42,42 @@ func (m *Model) Counterfactual(tr *trace.Trace, restored map[int]bool) Counterfa
 // recompute is the full bottom-up ancestral pass of a counterfactual query
 // (Eq. 2 / Eq. 3 over recomputed child values, deepest spans first) over
 // the aggregation output h — a session's first answer, and every answer of
-// an aggregator without a row-exact kernel. It overwrites dur/errp.
+// an aggregator without a row-exact kernel. It overwrites dur/errp and
+// every span's terms.
 func (s *CounterfactualSession) recompute(h *tensor.Tensor) CounterfactualResult {
 	for _, i := range s.order {
-		s.dur[i], s.errp[i] = s.node(h, i)
+		s.dur[i], s.errp[i] = s.node(i)
+		s.fillTerms(h, i)
+		s.childTerms(h, i)
 	}
 	return s.rootResult()
 }
 
 // recomputeDirty is the incremental form of the bottom-up pass: dur/errp
-// hold valid values from a previous pass, dirty marks the nodes whose
-// inputs may have changed (restoration toggles and parents of recomputed h
-// rows). Nodes are revisited in the same deepest-first order; a node whose
-// recomputed value is bit-identical to the cached one stops the
-// propagation, otherwise its parent is marked. dirty is cleared as a side
-// effect.
+// and the terms hold valid values from a previous pass, except that dirty
+// marks the nodes whose inputs may have changed (restoration toggles and
+// parents of recomputed h rows) and stale the spans whose child terms are
+// due (their h row changed). Nodes are revisited in the same deepest-first
+// order, so a child's terms are fresh before its parent combines them; a
+// node whose recomputed value is bit-identical to the cached one stops the
+// propagation, otherwise its terms go stale and its parent is marked.
+// dirty and stale are cleared as a side effect.
 func (s *CounterfactualSession) recomputeDirty() CounterfactualResult {
 	for _, i := range s.order {
-		if !s.dirty[i] {
-			continue
-		}
-		s.dirty[i] = false
-		d, e := s.node(s.hT, i)
-		if d != s.dur[i] || e != s.errp[i] {
-			s.dur[i], s.errp[i] = d, e
-			if p := s.tr.Parent(i); p >= 0 {
-				s.dirty[p] = true
+		if s.dirty[i] {
+			s.dirty[i] = false
+			d, e := s.node(i)
+			if d != s.dur[i] || e != s.errp[i] {
+				s.dur[i], s.errp[i] = d, e
+				s.stale[i] = true
+				if p := s.tr.Parent(i); p >= 0 {
+					s.dirty[p] = true
+				}
 			}
+		}
+		if s.stale[i] {
+			s.stale[i] = false
+			s.childTerms(s.hT, i)
 		}
 	}
 	return s.rootResult()
@@ -82,10 +91,47 @@ func (s *CounterfactualSession) rootResult() CounterfactualResult {
 	}
 }
 
+// spanTerms is what a span contributes to its parent's Eq. 2 / Eq. 3:
+// the h-only inputs v = 10^clamp(h₁), u = v·σ(h₀) and σ(h₂), and the child
+// terms built from them and the span's recomputed duration and error —
+// its Eq. 2 summand and both Eq. 3 candidates. The candidates are kept
+// apart, not as their max, so the parent compares them in the same
+// sequence (and with the same NaN behaviour) as an uncached pass.
+type spanTerms struct {
+	v, u, sig2                  float64
+	eq2, propagated, durInduced float64
+}
+
+// fillTerms computes span j's h-only inputs from its h row.
+func (s *CounterfactualSession) fillTerms(h *tensor.Tensor, j int) {
+	t := &s.terms[j]
+	if !s.m.cfg.PlainSum {
+		t.v = math.Pow(10, clampf(h.At(j, 1), -2, 8))
+		t.u = t.v * sigmoid(h.At(j, 0))
+	}
+	t.sig2 = sigmoid(h.At(j, 2))
+}
+
+// childTerms computes span j's child terms from its h-only inputs, its h
+// row and its current dur/errp.
+func (s *CounterfactualSession) childTerms(h *tensor.Tensor, j int) {
+	t := &s.terms[j]
+	d := s.dur[j]
+	if s.m.cfg.PlainSum {
+		t.eq2 = d
+	} else {
+		t.eq2 = smoothClippedReLU(d, t.u, t.v, smoothFrac*d+1)
+	}
+	t.propagated = s.errp[j] * t.sig2
+	dScaled := features.ScaleDuration(int64(math.Max(d, 1)))
+	t.durInduced = sigmoid(h.At(j, 3)*dScaled + h.At(j, 4))
+}
+
 // node computes one node's Eq. 2 / Eq. 3 values from its children's
-// already-recomputed dur/errp entries — the single source of the
-// counterfactual math for the full and the dirty-cone pass.
-func (s *CounterfactualSession) node(h *tensor.Tensor, i int) (float64, float64) {
+// cached terms — the single source of the counterfactual combination for
+// the full and the dirty-cone pass; fillTerms and childTerms hold the
+// per-child math.
+func (s *CounterfactualSession) node(i int) (float64, float64) {
 	tr := s.tr
 	kids := tr.Children(i)
 	// Exclusive components under the intervention.
@@ -104,26 +150,18 @@ func (s *CounterfactualSession) node(h *tensor.Tensor, i int) (float64, float64)
 		}
 		return math.Max(float64(tr.Spans[i].Duration()), 1), exclErr
 	}
-	// Eq. 2 over recomputed child durations.
+	// Eq. 2 over recomputed child durations, Eq. 3 over the child terms
+	// with recomputed values.
 	total := exclDur
 	maxErr := exclErr
 	for _, j := range kids {
-		if s.m.cfg.PlainSum {
-			total += s.dur[j]
-		} else {
-			v := math.Pow(10, clampf(h.At(j, 1), -2, 8))
-			u := v * sigmoid(h.At(j, 0))
-			total += smoothClippedReLU(s.dur[j], u, v, smoothFrac*s.dur[j]+1)
+		t := &s.terms[j]
+		total += t.eq2
+		if t.propagated > maxErr {
+			maxErr = t.propagated
 		}
-		// Eq. 3 child terms with recomputed values.
-		propagated := s.errp[j] * sigmoid(h.At(j, 2))
-		dScaled := features.ScaleDuration(int64(math.Max(s.dur[j], 1)))
-		durInduced := sigmoid(h.At(j, 3)*dScaled + h.At(j, 4))
-		if propagated > maxErr {
-			maxErr = propagated
-		}
-		if durInduced > maxErr {
-			maxErr = durInduced
+		if t.durInduced > maxErr {
+			maxErr = t.durInduced
 		}
 	}
 	return math.Max(total, 1), maxErr

@@ -33,8 +33,9 @@ type GINIncremental struct {
 	groupSum []float64      // [nGroups × nodeDim] cached sibling-group sums
 	h        *tensor.Tensor // [n × outDim] cached forward output
 
-	in       []float64 // MLP input rows [n × (parentDim+nodeDim)]; Update uses row 0
+	in       []float64 // MLP input rows [n × (parentDim+nodeDim)]
 	sa, sb   []float64 // MLP ping-pong scratch, [n × MaxWidth]
+	out      []float64 // Update's MLP output rows [n × outDim], scattered into h
 	mark     []bool    // per-row affected flags
 	gmark    []bool    // per-group recompute flags
 	affected []int     // reused affected-row list
@@ -64,6 +65,7 @@ func (c *GINSiblingConv) ResetIncremental(s *GINIncremental, g *Graph) *GINIncre
 	s.in = resize(s.in, n*(c.parentDim+c.nodeDim))
 	s.sa = resize(s.sa, n*c.MLP.MaxWidth())
 	s.sb = resize(s.sb, n*c.MLP.MaxWidth())
+	s.out = resize(s.out, n*outDim)
 	s.mark = resize(s.mark, n)
 	clear(s.mark)
 	s.gmark = resize(s.gmark, g.nGroups)
@@ -133,8 +135,10 @@ func (s *GINIncremental) inputRow(xStar, x *tensor.Tensor, r int, dst []float64)
 
 // Update recomputes the h rows affected by edits to the given x/xStar rows
 // and returns the affected row indexes (ascending; the slice is reused
-// across calls). Prime must have run first against the pre-edit features'
-// history — Update only needs the current tensors.
+// across calls). The affected rows' inputs are gathered and run through
+// the MLP in one ForwardRow call, then scattered into h. Prime must have
+// run first against the pre-edit features' history — Update only needs
+// the current tensors.
 func (s *GINIncremental) Update(xStar, x *tensor.Tensor, changed []int) []int {
 	s.affected = s.affected[:0]
 	for _, j := range changed {
@@ -166,10 +170,16 @@ func (s *GINIncremental) Update(xStar, x *tensor.Tensor, changed []int) []int {
 	sort.Ints(s.affected)
 	w := s.c.parentDim + s.c.nodeDim
 	outDim := s.h.Cols()
-	for _, r := range s.affected {
+	rows := len(s.affected)
+	for a, r := range s.affected {
 		s.mark[r] = false
-		s.inputRow(xStar, x, r, s.in[:w])
-		s.c.MLP.ForwardRow(s.in[:w], 1, s.sa, s.sb, s.h.Data[r*outDim:(r+1)*outDim])
+		s.inputRow(xStar, x, r, s.in[a*w:(a+1)*w])
+	}
+	// One kernel call over the gathered rows; each row is computed on its
+	// own, so batching them changes no bit.
+	s.c.MLP.ForwardRow(s.in[:rows*w], rows, s.sa, s.sb, s.out[:rows*outDim])
+	for a, r := range s.affected {
+		copy(s.h.Data[r*outDim:(r+1)*outDim], s.out[a*outDim:(a+1)*outDim])
 	}
 	obs.C("gnn.incremental_rows").Add(int64(len(s.affected)))
 	return s.affected

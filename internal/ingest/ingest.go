@@ -217,18 +217,40 @@ func (p *Pipeline) Submit(spans []*trace.Span) (accepted, rejected, dropped int)
 		p.noteDrop(dropped)
 		return 0, rejected, dropped
 	}
-	buckets := make([][]*trace.Span, n)
-	for _, s := range spans {
+	// Count each shard's valid spans, then cut every shard's bucket from
+	// one backing slice: two allocations per call, whatever the shard
+	// count. shard holds each span's shard index, −1 for an invalid span,
+	// followed by the n per-shard counts (then fill cursors).
+	shard := make([]int32, len(spans)+n)
+	count := shard[len(spans):]
+	for j, s := range spans {
 		if !s.Valid() {
 			rejected++
+			shard[j] = -1
 			continue
 		}
 		i := shardIndex(s.TraceID, n)
-		buckets[i] = append(buckets[i], s)
+		shard[j] = int32(i)
+		count[i]++
 	}
 	p.noteReject(rejected)
+	backing := make([]*trace.Span, len(spans)-rejected)
+	var start int32
+	for i, c := range count {
+		count[i] = start
+		start += c
+	}
+	for j, s := range spans {
+		if i := shard[j]; i >= 0 {
+			backing[count[i]] = s
+			count[i]++
+		}
+	}
 	enq := time.Now()
-	for i, b := range buckets {
+	start = 0
+	for i, end := range count {
+		b := backing[start:end:end]
+		start = end
 		if len(b) == 0 {
 			continue
 		}

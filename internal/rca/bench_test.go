@@ -1,10 +1,10 @@
 package rca
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/sleuth-rca/sleuth/internal/chaos"
+	"github.com/sleuth-rca/sleuth/internal/core"
 	"github.com/sleuth-rca/sleuth/internal/synth"
 	"github.com/sleuth-rca/sleuth/internal/trace"
 	"github.com/sleuth-rca/sleuth/internal/xrand"
@@ -71,12 +71,23 @@ func widePlan(app *synth.App) *chaos.Plan {
 	return chaos.NewPlan(app, faults...)
 }
 
-// BenchmarkLocalize measures one localisation query across app scales.
+// BenchmarkLocalize measures one localisation query across app scales
+// with the small test model, and at Synthetic-256 with the shipped model
+// shape (core.Config{}: embedding 32, hidden 64), whose GIN layers are
+// the 68→64→5 kernels a deployed localizer runs.
 func BenchmarkLocalize(b *testing.B) {
-	for _, rpcs := range []int{64, 256} {
-		f := newFixtureSized(b, 31, rpcs)
+	for _, arm := range []struct {
+		name string
+		rpcs int
+		cfg  *core.Config
+	}{
+		{"Synthetic-64", 64, nil},
+		{"Synthetic-256", 256, nil},
+		{"Synthetic-256-shipped", 256, &core.Config{Seed: 31}},
+	} {
+		f := benchFixture(b, 31, arm.rpcs, arm.cfg)
 		queries := benchQueries(b, f, 8)
-		b.Run(fmt.Sprintf("Synthetic-%d", rpcs), func(b *testing.B) {
+		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				_ = f.loc.Localize(queries[i%len(queries)], f.slo)
@@ -85,39 +96,56 @@ func BenchmarkLocalize(b *testing.B) {
 	}
 }
 
+// benchFixture is newFixtureSized, or newFixtureConfig when cfg is set.
+func benchFixture(b *testing.B, seed uint64, rpcs int, cfg *core.Config) *fixture {
+	if cfg == nil {
+		return newFixtureSized(b, seed, rpcs)
+	}
+	return newFixtureConfig(b, seed, rpcs, *cfg)
+}
+
 // BenchmarkCounterfactualSession isolates the engine cost: a 6-iteration
 // nested restoration sequence per op, one session for the sequence vs a
-// fresh session per question.
+// fresh session per question, with the small test model and (the
+// "shipped/" arms) the shipped model shape.
 func BenchmarkCounterfactualSession(b *testing.B) {
-	f := newFixtureSized(b, 32, 256)
-	queries := benchQueries(b, f, 2)
-	tr := queries[0]
-	sets := make([]map[int]bool, 0, 6)
-	cur := map[int]bool{}
-	for i := 0; i < 6 && i < tr.Len(); i++ {
-		cur[i] = true
-		cp := make(map[int]bool, len(cur))
-		for k, v := range cur {
-			cp[k] = v
+	for _, arm := range []struct {
+		prefix string
+		cfg    *core.Config
+	}{
+		{"", nil},
+		{"shipped/", &core.Config{Seed: 32}},
+	} {
+		f := benchFixture(b, 32, 256, arm.cfg)
+		queries := benchQueries(b, f, 2)
+		tr := queries[0]
+		sets := make([]map[int]bool, 0, 6)
+		cur := map[int]bool{}
+		for i := 0; i < 6 && i < tr.Len(); i++ {
+			cur[i] = true
+			cp := make(map[int]bool, len(cur))
+			for k, v := range cur {
+				cp[k] = v
+			}
+			sets = append(sets, cp)
 		}
-		sets = append(sets, cp)
+		b.Run(arm.prefix+"fresh-session-per-question", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, set := range sets {
+					_ = f.model.Counterfactual(tr, set)
+				}
+			}
+		})
+		b.Run(arm.prefix+"session", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := f.model.NewCounterfactualSession(tr)
+				for _, set := range sets {
+					_ = s.Counterfactual(set)
+				}
+				s.Close()
+			}
+		})
 	}
-	b.Run("fresh-session-per-question", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, set := range sets {
-				_ = f.model.Counterfactual(tr, set)
-			}
-		}
-	})
-	b.Run("session", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := f.model.NewCounterfactualSession(tr)
-			for _, set := range sets {
-				_ = s.Counterfactual(set)
-			}
-			s.Close()
-		}
-	})
 }

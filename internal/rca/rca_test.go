@@ -33,8 +33,15 @@ func newFixture(t testing.TB, seed uint64) *fixture {
 }
 
 // newFixtureSized builds the fixture against a synthetic app of the given
-// RPC count (benchmarks sweep the app scale).
+// RPC count (benchmarks sweep the app scale) with a small model.
 func newFixtureSized(t testing.TB, seed uint64, rpcs int) *fixture {
+	t.Helper()
+	return newFixtureConfig(t, seed, rpcs, core.Config{EmbeddingDim: 8, Hidden: 24, Seed: seed})
+}
+
+// newFixtureConfig builds the fixture with the given model configuration;
+// core.Config{} is the shipped shape (embedding 32, hidden 64).
+func newFixtureConfig(t testing.TB, seed uint64, rpcs int, cfg core.Config) *fixture {
 	t.Helper()
 	app := synth.Synthetic(rpcs, seed)
 	s := sim.New(app, sim.DefaultOptions(seed))
@@ -53,7 +60,7 @@ func newFixtureSized(t testing.TB, seed uint64, rpcs int) *fixture {
 		}
 		mixed = append(mixed, sim.Traces(res)...)
 	}
-	m := core.NewModel(core.Config{EmbeddingDim: 8, Hidden: 24, Seed: seed})
+	m := core.NewModel(cfg)
 	if _, err := m.Train(mixed, core.TrainOptions{Epochs: 3, LearningRate: 3e-3, Seed: seed}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 package tensor
 
-// useAVX2 selects the AVX2 arms of matmulAcc, matmulTNAcc and AddMin. It is set
-// once, from CPUID and XGETBV, when the package initialises; the package's
-// own tests flip it to compare the two arms.
+// useAVX2 selects the AVX2 arms of matmulAcc, AddMMRowInto, matmulTNAcc and
+// AddMin. It is set once, from CPUID and XGETBV, when the package
+// initialises; the package's own tests flip it to compare the two arms.
 var useAVX2 = hasAVX2()
 
 // hasAVX2 reports whether the CPU implements AVX2 and the OS saves the YMM
@@ -23,11 +23,14 @@ func hasAVX2() bool {
 	return ebx&(1<<5) != 0
 }
 
-// matmulRowAVX2 is one row of matmulAcc: dst [n] += a [k] · b [k,n], with
-// n = len(dst), k = len(a) and len(b) ≥ k*n.
+// matmulRowAVX2 is one row of matmulAcc and AddMMRowInto:
+// dst [n] = max(floor, init [n] + a [k] · b [k,n]), with n = len(dst),
+// k = len(a), len(init) ≥ n and len(b) ≥ k*n. init may be dst itself. The
+// max is VMAXPD with floor as the first source, which returns the sum
+// unless floor is greater: a floor of 0 is the scalar ReLU, −Inf none.
 //
 //go:noescape
-func matmulRowAVX2(dst, a, b []float64)
+func matmulRowAVX2(dst, init, a, b []float64, floor float64)
 
 // matmulTNRowAVX2 is one row i of matmulTNAcc: dst [k,n] += a[i]ᵀ · g[i],
 // with a = a[i] [k], g = g[i] [n] and len(dst) ≥ k*n.

@@ -1,16 +1,26 @@
 #include "textflag.h"
 
-// AVX2 arms of matmulAcc and matmulTNAcc. Every output cell is computed
-// with the scalar kernel's exact expression order — one VMULPD per
-// product and one VADDPD per sum, never a fused multiply-add — so the
+// AVX2 arms of matmulAcc, AddMMRowInto and matmulTNAcc. Every output cell
+// is computed with the scalar kernel's exact expression order — one VMULPD
+// per product and one VADDPD per sum, never a fused multiply-add — so the
 // results are bit-identical to the Go loops (NaN payloads aside).
+//
+// matmulRowAVX2 is one kernel for both row forms: it starts each strip's
+// accumulators from an init row (the bias for AddMMRowInto, the dst row
+// itself for a plain accumulate) and passes every result through
+// VMAXPD with a floor as the first source before the store. VMAXPD
+// returns its second source unless the first is greater — on NaN and on
+// two zeros as well — so a floor of 0 is exactly the scalar ReLU rule
+// "if v < 0 { v = 0 }" (−0 and NaN stay), and a floor of −Inf returns
+// every value unchanged. The ReLU costs one instruction per four cells
+// and no branch.
 //
 // Registers in matmulRowAVX2:
 //   DI dst row, SI a row, DX b, R8 n*8 (one b row in bytes),
 //   R9 (k&^3)*8, R10 k*8, R11 l*8 (k offset), R12 &b[l][j], R13 &b[l+2][j],
-//   BX j*8 (column offset), CX strip end, AX scratch;
-//   Y0-Y3 the dst strip, Y4-Y7 a[l..l+3] broadcast, Y8-Y13 products and
-//   partial sums, Y14 zero.
+//   BX j*8 (column offset), CX strip end then the init row, AX scratch;
+//   Y0-Y3 the dst strip, Y4-Y7 a[l..l+3] broadcast, Y8-Y11 products and
+//   partial sums, Y13 the floor broadcast, Y14 zero.
 
 // CHUNK adds (((a0*b0 + a1*b1) + a2*b2) + a3*b3) to acc for the four
 // columns at byte offset off of the strip.
@@ -42,13 +52,14 @@
 	JPS do; \
 	JEQ skip
 
-// func matmulRowAVX2(dst, a, b []float64)
-TEXT ·matmulRowAVX2(SB), NOSPLIT, $0-72
+// func matmulRowAVX2(dst, init, a, b []float64, floor float64)
+TEXT ·matmulRowAVX2(SB), NOSPLIT, $0-104
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), R8
-	MOVQ a_base+24(FP), SI
-	MOVQ a_len+32(FP), R10
-	MOVQ b_base+48(FP), DX
+	MOVQ a_base+48(FP), SI
+	MOVQ a_len+56(FP), R10
+	MOVQ b_base+72(FP), DX
+	VBROADCASTSD floor+96(FP), Y13
 	SHLQ $3, R8
 	MOVQ R10, R9
 	ANDQ $-4, R9
@@ -61,10 +72,11 @@ strip16:
 	LEAQ 128(BX), CX
 	CMPQ CX, R8
 	JGT  strip4
-	VMOVUPD 0(DI)(BX*1), Y0
-	VMOVUPD 32(DI)(BX*1), Y1
-	VMOVUPD 64(DI)(BX*1), Y2
-	VMOVUPD 96(DI)(BX*1), Y3
+	MOVQ init_base+24(FP), CX
+	VMOVUPD 0(CX)(BX*1), Y0
+	VMOVUPD 32(CX)(BX*1), Y1
+	VMOVUPD 64(CX)(BX*1), Y2
+	VMOVUPD 96(CX)(BX*1), Y3
 	LEAQ (DX)(BX*1), R12
 	XORQ R11, R11
 
@@ -79,8 +91,8 @@ chunk16:
 	LEAQ (R12)(R8*2), R13
 	CHUNK(0, Y0, Y8, Y9)
 	CHUNK(32, Y1, Y10, Y11)
-	CHUNK(64, Y2, Y12, Y13)
-	CHUNK(96, Y3, Y8, Y9)
+	CHUNK(64, Y2, Y8, Y9)
+	CHUNK(96, Y3, Y10, Y11)
 
 skip16:
 	ADDQ $32, R11
@@ -106,6 +118,10 @@ next16:
 	JMP  tail16
 
 store16:
+	VMAXPD  Y0, Y13, Y0
+	VMAXPD  Y1, Y13, Y1
+	VMAXPD  Y2, Y13, Y2
+	VMAXPD  Y3, Y13, Y3
 	VMOVUPD Y0, 0(DI)(BX*1)
 	VMOVUPD Y1, 32(DI)(BX*1)
 	VMOVUPD Y2, 64(DI)(BX*1)
@@ -117,7 +133,8 @@ strip4:
 	LEAQ 32(BX), CX
 	CMPQ CX, R8
 	JGT  strip1
-	VMOVUPD 0(DI)(BX*1), Y0
+	MOVQ init_base+24(FP), CX
+	VMOVUPD 0(CX)(BX*1), Y0
 	LEAQ (DX)(BX*1), R12
 	XORQ R11, R11
 
@@ -153,6 +170,7 @@ next4:
 	JMP  tail4
 
 store4:
+	VMAXPD  Y0, Y13, Y0
 	VMOVUPD Y0, 0(DI)(BX*1)
 	ADDQ    $32, BX
 	JMP     strip4
@@ -162,7 +180,8 @@ store4:
 strip1:
 	CMPQ BX, R8
 	JGE  done
-	VMOVSD (DI)(BX*1), X0
+	MOVQ init_base+24(FP), CX
+	VMOVSD (CX)(BX*1), X0
 	LEAQ (DX)(BX*1), R12
 	XORQ R11, R11
 
@@ -205,6 +224,7 @@ next1:
 	JMP  tail1
 
 store1:
+	VMAXSD X0, X13, X0
 	VMOVSD X0, (DI)(BX*1)
 	ADDQ   $8, BX
 	JMP    strip1

@@ -5,7 +5,9 @@ package tensor
 // useAVX2 is false off amd64: the scalar kernels are the only arm.
 var useAVX2 = false
 
-func matmulRowAVX2(dst, a, b []float64) { panic("tensor: no AVX2 kernel on this architecture") }
+func matmulRowAVX2(dst, init, a, b []float64, floor float64) {
+	panic("tensor: no AVX2 kernel on this architecture")
+}
 
 func matmulTNRowAVX2(dst, a, g []float64) { panic("tensor: no AVX2 kernel on this architecture") }
 

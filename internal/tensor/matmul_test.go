@@ -8,8 +8,8 @@ import (
 	"github.com/sleuth-rca/sleuth/internal/xrand"
 )
 
-// The AVX2 arms of matmulAcc and matmulTNAcc must reproduce the scalar
-// arms bit for bit. The one allowance is NaN: x86 propagates the payload of
+// The AVX2 arms of matmulAcc, AddMMRowInto and matmulTNAcc must reproduce
+// the scalar arms bit for bit. The one allowance is NaN: x86 propagates the payload of
 // the first NaN operand, and commuting an addition changes which one that
 // is, so any two NaNs count as equal.
 
@@ -70,11 +70,13 @@ func fillMixed(r *xrand.Rand, xs []float64, specialShare float64) {
 	}
 }
 
-// diffArms runs both kernels on both arms from the same inputs and reports
-// the first cell that differs. len(b) ≥ max(k*n, m*n): matmulAcc reads b as
-// [k,n] and matmulTNAcc reads its first m*n values as g [m,n].
-func diffArms(t testing.TB, a, b, dst []float64, m, k, n int) {
+// diffArms runs every row kernel on both arms from the same inputs and
+// reports the first cell that differs. len(b) ≥ max(k*n, m*n): matmulAcc
+// and AddMMRowInto read b as [k,n], matmulTNAcc reads its first m*n values
+// as g [m,n]; bias [n] is AddMMRowInto's.
+func diffArms(t testing.TB, a, b, dst, bias []float64, m, k, n int) {
 	t.Helper()
+	diffAddMM(t, a, b[:k*n], bias, m, k, n)
 	want := append([]float64(nil), dst...)
 	withScalar(func() { matmulAcc(want, a, b, m, k, n) })
 	got := append([]float64(nil), dst...)
@@ -100,6 +102,33 @@ func diffArms(t testing.TB, a, b, dst []float64, m, k, n int) {
 	}
 }
 
+// diffAddMM runs AddMMRowInto on both arms, with the ReLU off and on, and
+// reports the first cell that differs: the AVX2 arm starts its
+// accumulators from the bias and floors them before the store, the scalar
+// arm copies the bias, accumulates and clamps. The two outputs start out
+// different, so an arm that read dst would show. The tensors are built
+// by hand because New refuses the zero dimensions the shape table reaches.
+func diffAddMM(t testing.TB, x, w, bias []float64, m, k, n int) {
+	t.Helper()
+	wt := &Tensor{Data: w, Shape: []int{k, n}}
+	bt := &Tensor{Data: bias, Shape: []int{n}}
+	for _, relu := range []bool{false, true} {
+		want := make([]float64, m*n)
+		withScalar(func() { AddMMRowInto(want, x, m, wt, bt, relu) })
+		got := make([]float64, m*n)
+		for i := range got {
+			got[i] = 7.5
+		}
+		AddMMRowInto(got, x, m, wt, bt, relu)
+		for i := range want {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("AddMMRowInto relu=%v m=%d k=%d n=%d: cell (%d,%d) = %v (%#x), scalar %v (%#x)",
+					relu, m, k, n, i/n, i%n, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+}
+
 func TestMatmulAVX2MatchesScalar(t *testing.T) {
 	requireAVX2(t)
 	r := xrand.New(29)
@@ -107,10 +136,12 @@ func TestMatmulAVX2MatchesScalar(t *testing.T) {
 		a := make([]float64, m*k)
 		b := make([]float64, max(k*n, m*n))
 		dst := make([]float64, m*n)
+		bias := make([]float64, n)
 		fillMixed(r, a, share)
 		fillMixed(r, b, share)
 		fillMixed(r, dst, share)
-		diffArms(t, a, b, dst, m, k, n)
+		fillMixed(r, bias, share)
+		diffArms(t, a, b, dst, bias, m, k, n)
 	}
 	dims := []int{0, 1, 3, 4, 5, 7, 16, 17, 64, 68, 213}
 	for _, m := range []int{0, 1, 3, 5, 64} {
@@ -126,18 +157,40 @@ func TestMatmulAVX2MatchesScalar(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		check(r.Intn(9), r.Intn(80), r.Intn(80), []float64{0, 0.02, 0.3}[trial%3])
 	}
+	// Outputs that land on the floor's edge cases: every (bias, a, b)
+	// triple of specials as one product, so cells come out −0, +0, NaN,
+	// ±Inf, subnormal and negative subnormal, at the widths that reach the
+	// sixteen-, four- and one-column strips, with the ReLU off and on. An
+	// a of ±0 skips the product, so the cell is the bias row itself.
+	for _, n := range []int{1, 4, 5, 16, 21} {
+		bias, a, b := make([]float64, n), make([]float64, 1), make([]float64, n)
+		for _, bv := range specials {
+			for _, av := range specials {
+				for _, wv := range specials {
+					for j := range n {
+						bias[j], b[j] = bv, wv
+					}
+					a[0] = av
+					diffAddMM(t, a, b, bias, 1, 1, n)
+				}
+			}
+		}
+	}
 }
 
 // FuzzMatmulAcc decodes a shape and the operands from the fuzz bytes: the
 // first three bytes pick m, k and n, every following eight bytes are one
-// float64 (any bit pattern), and the operands are filled from that stream in
-// turn, wrapping around when it runs out.
+// float64 (any bit pattern), and the operands (a, b, dst, then the bias)
+// are filled from that stream in turn, wrapping around when it runs out.
+// Every row kernel runs on both arms, AddMMRowInto with the ReLU off and
+// on.
 func FuzzMatmulAcc(f *testing.F) {
 	requireAVX2(f)
 	f.Add([]byte{1, 5, 3, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f})
 	f.Add([]byte{2, 4, 4})
 	f.Add(append([]byte{3, 7, 9}, floatBytes(1, 0, math.Copysign(0, -1), 0, math.Inf(1), math.NaN(), 5e-324, -2.5)...))
 	f.Add(append([]byte{1, 68, 64}, floatBytes(0.5, -1.25, 3, 0, 0, 0, 0, 7)...))
+	f.Add(append([]byte{2, 1, 5}, floatBytes(math.Copysign(0, -1), -1e-310, math.Inf(-1), 0x1p-1060, math.NaN(), -3)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -161,10 +214,12 @@ func FuzzMatmulAcc(f *testing.F) {
 		a := make([]float64, m*k)
 		b := make([]float64, max(k*n, m*n))
 		dst := make([]float64, m*n)
+		bias := make([]float64, n)
 		fill(a)
 		fill(b)
 		fill(dst)
-		diffArms(t, a, b, dst, m, k, n)
+		fill(bias)
+		diffArms(t, a, b, dst, bias, m, k, n)
 	})
 }
 
@@ -252,22 +307,30 @@ func floatBytes(xs ...float64) []byte {
 
 // BenchmarkMatmulAcc times both arms on the model's dense shapes: the
 // 213×68→64 first GIN layer over a Synthetic-256 trace, the one-row
-// incremental update of that layer, and the 64→64 hidden layer.
+// incremental update of that layer, and the 64→5 head. The "relu" arms run
+// the first layer as AddMMRowInto does in the GNN forwards: bias init and
+// ReLU fused into the AVX2 row kernel, bias copy and clamp loop around the
+// scalar one.
 func BenchmarkMatmulAcc(b *testing.B) {
 	r := xrand.New(1)
 	for _, sh := range []struct {
 		name    string
 		m, k, n int
+		relu    bool
 	}{
-		{"213x68x64", 213, 68, 64},
-		{"1x68x64", 1, 68, 64},
-		{"213x64x64", 213, 64, 64},
+		{"213x68x64", 213, 68, 64, false},
+		{"1x68x64", 1, 68, 64, false},
+		{"213x64x5", 213, 64, 5, false},
+		{"213x68x64-bias-relu", 213, 68, 64, true},
 	} {
 		a := make([]float64, sh.m*sh.k)
 		w := make([]float64, sh.k*sh.n)
 		dst := make([]float64, sh.m*sh.n)
+		bias := make([]float64, sh.n)
 		fillMixed(r, a, 0)
 		fillMixed(r, w, 0)
+		fillMixed(r, bias, 0)
+		wt, bt := New(w, sh.k, sh.n), New(bias, sh.n)
 		for _, arm := range []string{"scalar", "avx2"} {
 			b.Run(sh.name+"/"+arm, func(b *testing.B) {
 				if arm == "avx2" {
@@ -277,7 +340,11 @@ func BenchmarkMatmulAcc(b *testing.B) {
 					defer func() { useAVX2 = true }()
 				}
 				for i := 0; i < b.N; i++ {
-					matmulAcc(dst, a, w, sh.m, sh.k, sh.n)
+					if sh.relu {
+						AddMMRowInto(dst, a, sh.m, wt, bt, true)
+					} else {
+						matmulAcc(dst, a, w, sh.m, sh.k, sh.n)
+					}
 				}
 			})
 		}

@@ -274,9 +274,15 @@ func matmulAcc(dst, a, b []float64, m, k, n int) {
 	}
 	b = b[:k*n]
 	for i := 0; i < m; i++ {
-		matmulRowAVX2(dst[i*n:(i+1)*n], a[i*k:(i+1)*k], b)
+		drow := dst[i*n : (i+1)*n]
+		matmulRowAVX2(drow, drow, a[i*k:(i+1)*k], b, noFloor)
 	}
 }
+
+// noFloor is the AVX2 row kernel's floor for a plain accumulate: VMAXPD
+// with −Inf as its first source returns every value, NaN and −0 included,
+// unchanged.
+var noFloor = math.Inf(-1)
 
 // AddMin adds a < x[i] ? a : x[i] to dst[i] for every i < len(dst); x must
 // be at least as long. The compare is the one the weighted Jaccard merge
@@ -439,21 +445,37 @@ func AddMMReLU(x, w, bias *Tensor) *Tensor { return addmm(opAddMMReLU, x, w, bia
 // AddMMRowInto computes m rows of an AddMM (optionally fused-ReLU) into a
 // caller-owned buffer without building a tape node: dst = x·w + bias for
 // row-major x [m,k] and dst [m,n], clamped at zero when relu is set. It is
-// the forward kernel addmm itself runs — bias copy per row, then the
-// unrolled matmulAcc, then the ReLU clamp — and matmulAcc computes each row
-// on its own, so any row of the result is bit-identical to that row of the
+// the forward kernel addmm itself runs, and every row is computed on its
+// own, so any row of the result is bit-identical to that row of the
 // full-matrix op whatever m is. This is the inference primitive behind the
 // tape-free GNN forwards: a session's prime passes all n rows, an
-// incremental update one row at a time.
+// incremental update the rows its edits touched.
+//
+// The AVX2 arm is one fused pass per row: the accumulators start from the
+// bias, and the ReLU is applied before the store (VMAXPD with a zero
+// floor), so no bias copy and no clamp loop over dst follow. The scalar arm
+// copies the bias, accumulates with matmulAccScalar and clamps — the same
+// cells in the same order, so the arms agree bit for bit.
 func AddMMRowInto(dst, x []float64, m int, w, bias *Tensor, relu bool) {
 	k, n := w.Rows(), w.Cols()
 	if len(x) != m*k || len(dst) != m*n || bias.Numel() != n {
 		panic("tensor: AddMMRowInto shape mismatch")
 	}
+	if useAVX2 && k > 0 && n > 0 {
+		floor := noFloor
+		if relu {
+			floor = 0
+		}
+		wd := w.Data[:k*n]
+		for i := 0; i < m; i++ {
+			matmulRowAVX2(dst[i*n:(i+1)*n], bias.Data, x[i*k:(i+1)*k], wd, floor)
+		}
+		return
+	}
 	for i := 0; i < m; i++ {
 		copy(dst[i*n:(i+1)*n], bias.Data)
 	}
-	matmulAcc(dst, x, w.Data, m, k, n)
+	matmulAccScalar(dst, x, w.Data, m, k, n)
 	if relu {
 		for i, v := range dst {
 			if v < 0 {
