@@ -24,7 +24,7 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # OBS_BUDGET is the most non-test lines internal/obs/... may hold.
-OBS_BUDGET := 3254
+OBS_BUDGET := 3241
 
 # budget is the size-and-knob gate: no non-test Go file outside benchmark/
 # may mention a SLEUTH_ environment variable (flags and struct fields are the
@@ -83,10 +83,11 @@ verify: fmt vet build cross-build budget race alloc obs-overhead propagation-smo
 # packed-matrix access) must not allocate per call and a whole Pairwise
 # call must cost the same few allocations at any n, the ingest tail
 # sampler's per-trace verdict must allocate nothing, a warm ScoreBatch
-# and a warm serving request through the scoring queue must cost only
-# their result slices and worker constants (the pooled scoring workspaces
-# bring their tape arena and encoding back; 48 on 8 traces and 32 on 4
-# traces), the watchdog tick — disabled AND enabled steady state —
+# must cost only its result slices and worker constants (the pooled
+# scoring workspaces bring their tape arena and encoding back; 48 on 8
+# traces), a warm 4-trace POST through the /score handler with obs
+# disabled must stay within 192 (body read, decode, assembly, ScoreBatch
+# and the JSON reply), the watchdog tick — disabled AND enabled steady state —
 # must allocate nothing, a warm counterfactual session (open, six
 # questions, close) must allocate nothing but a pool drop's share, a warm
 # localisation query must stay within 48 allocations and, on the

@@ -1,8 +1,8 @@
 // Command modelserver runs the centralized model server of §4: an HTTP
 // registry maintaining the life cycle of trained Sleuth models — publish,
 // fetch (latest or pinned version), lineage, retire — and scores traces
-// with them. Score requests against one version queue behind the scoring
-// call in flight and share the next one; nothing about that is tunable.
+// with them. Each score request runs its own traces through one
+// ScoreBatch call on its handler goroutine; nothing about that is tunable.
 //
 // Usage:
 //
@@ -71,8 +71,8 @@ func main() {
 	// first score request would hit the in-memory cache.
 	warmed := reg.WarmCache()
 
-	// Self-watchdog: default serving pack (p99 burn rate, error-rate burn,
-	// score queueing) plus any operator rule file, evaluated at the end of
+	// Self-watchdog: default serving pack (p99 burn rate, error-rate burn)
+	// plus any operator rule file, evaluated at the end of
 	// every sampler sweep; nil (inert) without a sampler.
 	engine := alert.New(sampler)
 	if err := engine.Add(alert.ModelServerRules()...); err != nil {

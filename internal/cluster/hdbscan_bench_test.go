@@ -26,8 +26,8 @@ func BenchmarkHDBSCAN(b *testing.B) {
 }
 
 // BenchmarkHDBSCANSerialBaseline runs the serial references. Prim is the
-// same serial scan HDBSCAN ships, so the two differ only in full-sort core
-// distances (O(n² log n)) and serial medoids.
+// same serial scan HDBSCAN ships, and so is the medoid scan, so the two
+// differ only in full-sort core distances (O(n² log n)).
 func BenchmarkHDBSCANSerialBaseline(b *testing.B) {
 	for _, n := range []int{512, 2048} {
 		sets := randomSets(n, uint64(n))

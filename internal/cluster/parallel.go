@@ -7,15 +7,12 @@ import (
 	"github.com/sleuth-rca/sleuth/internal/par"
 )
 
-// HDBSCAN's stage kernels. Core distances and medoids fan out on par.For
-// and are bit-identical to their serial scans for any GOMAXPROCS: work is
-// split into fixed chunks, floating-point accumulation orders match the
-// serial scans, and argmin reductions walk chunks in ascending order with
-// strict-less comparison so ties resolve to the lowest index exactly as a
-// serial left-to-right scan would. Prim runs serially. Each stage times
-// itself into a histogram (cluster.core_distances_us, cluster.mst_us,
-// cluster.medoids_us) that the sampler projects to <name>.p50/.p99/.count
-// series for `sleuthctl watch`.
+// HDBSCAN's stage kernels. Core distances fan out on par.For in fixed
+// blocks of rows, each row an independent order statistic, so they are
+// bit-identical to the serial scan for any GOMAXPROCS. Prim and medoids
+// run serially. Each stage times itself into a histogram
+// (cluster.core_distances_us, cluster.mst_us, cluster.medoids_us) that the
+// sampler projects to <name>.p50/.p99/.count series for `sleuthctl watch`.
 
 // --- core distances --------------------------------------------------------
 
@@ -92,8 +89,7 @@ func coreDistances(m *Matrix, minSamples int) []float64 {
 }
 
 // parallelMinPoints is the number of core-distance rows in one par.For
-// work item, and the matrix size below which medoids score inline instead
-// of fanning out.
+// work item.
 const parallelMinPoints = 128
 
 // --- minimum spanning tree -------------------------------------------------
@@ -148,83 +144,30 @@ func mstEdgesSerial(m *Matrix, core []float64) []edge {
 
 // --- medoids ---------------------------------------------------------------
 
-// medoidChunkSize bounds one medoid work item: a chunk of candidate
-// members scored against the whole cluster. Small clusters are one item;
-// large ones fan out across workers without a separate code path.
-const medoidChunkSize = 256
-
 // medoids is the kernel behind Medoids: per cluster, the member with the
-// minimal distance sum to all members, lowest index winning ties. Work
-// items are (cluster, member-chunk) pairs fanned out on par.For (inline
-// below parallelMinPoints points); each item's sums iterate members in
-// slice order — the serial order — so sums are bit-identical, and the
-// per-cluster reduction walks chunks in ascending order with strict-less
-// comparison to preserve the serial tie-break.
+// minimal distance sum to all members, lowest index winning ties. It scans
+// serially: at the window sizes a diagnosis clusters (hundreds of traces)
+// a fan-out costs about what it saves.
 func medoids(m *Matrix, labels []int) map[int]int {
 	members := make(map[int][]int)
-	order := make([]int, 0, 8)
 	for i, l := range labels {
-		if l < 0 {
-			continue
-		}
-		if _, seen := members[l]; !seen {
-			order = append(order, l)
-		}
-		members[l] = append(members[l], i)
-	}
-
-	type item struct {
-		label  int
-		lo, hi int // candidate positions within members[label]
-	}
-	type result struct {
-		pos int // candidate position, -1 when unset
-		sum float64
-	}
-	var items []item
-	for _, l := range order {
-		idx := members[l]
-		for lo := 0; lo < len(idx); lo += medoidChunkSize {
-			items = append(items, item{label: l, lo: lo, hi: min(lo+medoidChunkSize, len(idx))})
+		if l >= 0 {
+			members[l] = append(members[l], i)
 		}
 	}
-	results := make([]result, len(items))
-	score := func(_, slot int) {
-		it := items[slot]
-		idx := members[it.label]
+	out := make(map[int]int, len(members))
+	for l, idx := range members {
 		best, bestSum := -1, 0.0
-		for p := it.lo; p < it.hi; p++ {
-			i := idx[p]
+		for _, i := range idx {
 			sum := 0.0
 			for _, j := range idx {
 				sum += m.At(i, j)
 			}
 			if best < 0 || sum < bestSum {
-				best, bestSum = p, sum
+				best, bestSum = i, sum
 			}
 		}
-		results[slot] = result{pos: best, sum: bestSum}
-	}
-	if len(labels) < parallelMinPoints {
-		for slot := range items {
-			score(0, slot)
-		}
-	} else {
-		par.For(len(items), score)
-	}
-
-	out := make(map[int]int, len(order))
-	slot := 0
-	for _, l := range order {
-		idx := members[l]
-		best, bestSum := -1, 0.0
-		for lo := 0; lo < len(idx); lo += medoidChunkSize {
-			if r := results[slot]; r.pos >= 0 && (best < 0 || r.sum < bestSum) {
-				best, bestSum = r.pos, r.sum
-			}
-			slot++
-		}
-		out[l] = idx[best]
+		out[l] = best
 	}
 	return out
 }

@@ -181,8 +181,8 @@ func TestMSTTotalWeightIsMinimal(t *testing.T) {
 }
 
 func TestMedoidsParallelMatchesSerial(t *testing.T) {
-	// One oversized cluster (> medoidChunkSize members) forces the
-	// member-chunked fan-out; noise and small clusters ride along.
+	// One large cluster, noise and small clusters, at several GOMAXPROCS:
+	// the medoids must match the serial reference whatever the core count.
 	n := 600
 	m := testMatrix(n, 8)
 	rng := xrand.New(9)
@@ -190,7 +190,7 @@ func TestMedoidsParallelMatchesSerial(t *testing.T) {
 	for i := range labels {
 		switch {
 		case i < 320:
-			labels[i] = 0 // two chunks of candidates
+			labels[i] = 0
 		case i < 340:
 			labels[i] = 1
 		case rng.Float64() < 0.1:
@@ -234,7 +234,7 @@ func TestHDBSCANMatchesSerialReference(t *testing.T) {
 // the scale-out engine: a seeded batch of traces must produce bit-identical
 // weighted sets, distance matrices, labels, and medoids at GOMAXPROCS 1, 2
 // and 8 — the serial fallback and every parallel split (encoding chunks,
-// matrix rows, core-distance blocks, medoid chunks) agree exactly.
+// matrix rows, core-distance blocks) agree exactly.
 func TestHDBSCANDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	traces := randomTraces(t, xrand.New(42), 300)
 	opts := Options{MinClusterSize: 10, MinSamples: 5, SelectionEpsilon: 0.05}

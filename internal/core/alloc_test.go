@@ -80,8 +80,8 @@ func TestPredictSteadyStateAllocs(t *testing.T) {
 }
 
 // TestServeSteadyStateAllocs is the online-serving allocation gate: a warm
-// ScoreBatch call over a small request-sized batch — the shape the /score
-// queue flushes continuously — must stay within a small constant per call.
+// ScoreBatch call over a small request-sized batch — the call each /score
+// request makes — must stay within a small constant per call.
 // The pooled scoring workspaces arrive with their tape arena and encoding
 // grown, so the only per-call heap traffic is the three result slices and
 // the two prediction copies per trace: 23 on 8 traces (AllocsPerRun runs

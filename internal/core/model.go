@@ -260,7 +260,9 @@ func (m *Model) forwardLoss(enc *features.Encoded, ar *tensor.Arena) (prediction
 
 // ScoreBatch is the batch scoring entry point: per-span predictions AND the
 // per-trace Eq. 5 losses from a single forward pass per trace. Results are
-// ordered like the input and bit-equal to a solo forwardLoss on the heap.
+// ordered like the input and bit-equal to a solo forwardLoss on the heap,
+// so a trace scores the same whatever batch it is in. The model server's
+// /score handler makes one call per request, on its own goroutine.
 // The traces fan out on par.For; the forward pass only reads the shared
 // weights, so any number of scoring goroutines can share one
 // model (see tensor.Backward's concurrency contract). Each worker scores

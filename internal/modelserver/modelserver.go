@@ -1,10 +1,10 @@
 // Package modelserver implements the centralized model server of §4: it
 // maintains the life cycle of Sleuth models — creation, storage, update,
 // inheritance (fine-tuned children recording their parent) and retirement
-// — and serves them to training and inference workers over HTTP. Each
-// served version scores through one queue: a request that finds the model
-// idle is scored at once, and the requests that arrive meanwhile share the
-// next ScoreBatch call.
+// — and serves them to training and inference workers over HTTP. A score
+// request runs its traces through one ScoreBatch call on its own handler
+// goroutine: the per-trace forward passes are independent, and ScoreBatch
+// already fans them out over the CPUs.
 //
 // Models are stored as versioned entries under a directory; metadata lives
 // in a JSON manifest next to the model blobs.
@@ -183,6 +183,9 @@ func (r *Registry) Publish(name string, m *core.Model, trainedOn string, parent 
 // ErrNotFound reports a missing model or version.
 var ErrNotFound = errors.New("modelserver: model not found")
 
+// errBadVersion reports a version that is neither "latest" nor a number.
+var errBadVersion = errors.New("modelserver: bad version")
+
 // Get loads a specific version.
 func (r *Registry) Get(name string, version int) (*core.Model, ModelInfo, error) {
 	r.mu.RLock()
@@ -191,31 +194,21 @@ func (r *Registry) Get(name string, version int) (*core.Model, ModelInfo, error)
 	if !ok {
 		return nil, ModelInfo{}, ErrNotFound
 	}
-	m, err := core.LoadFile(r.blobPath(name, info.Version))
-	if err != nil {
-		return nil, ModelInfo{}, err
-	}
-	return m, info, nil
+	return r.load(info)
 }
 
 // Latest loads the newest non-retired version of the named model.
 func (r *Registry) Latest(name string) (*core.Model, ModelInfo, error) {
-	r.mu.RLock()
-	versions := r.manifest[name]
-	var info ModelInfo
-	found := false
-	for i := len(versions) - 1; i >= 0; i-- {
-		if !versions[i].Retired {
-			info = versions[i]
-			found = true
-			break
-		}
+	info, err := r.resolveInfo(name, "latest")
+	if err != nil {
+		return nil, ModelInfo{}, err
 	}
-	r.mu.RUnlock()
-	if !found {
-		return nil, ModelInfo{}, ErrNotFound
-	}
-	m, err := core.LoadFile(r.blobPath(name, info.Version))
+	return r.load(info)
+}
+
+// load reads a version's blob from disk, bypassing the serving cache.
+func (r *Registry) load(info ModelInfo) (*core.Model, ModelInfo, error) {
+	m, err := core.LoadFile(r.blobPath(info.Name, info.Version))
 	if err != nil {
 		return nil, ModelInfo{}, err
 	}
@@ -239,7 +232,7 @@ func (r *Registry) resolveInfo(name, versionStr string) (ModelInfo, error) {
 	}
 	v, err := strconv.Atoi(versionStr)
 	if err != nil {
-		return ModelInfo{}, fmt.Errorf("modelserver: bad version %q", versionStr)
+		return ModelInfo{}, fmt.Errorf("%w %q", errBadVersion, versionStr)
 	}
 	info, ok := r.find(name, v)
 	if !ok {
@@ -367,11 +360,6 @@ type Server struct {
 	// built-in model-cache-warm check (a main adds the watchdog's
 	// ReadyCheck here).
 	Ready []obs.ReadyCheck
-
-	// batchers queue concurrent score requests per concrete model
-	// version, created lazily on first score of that version.
-	batcherMu sync.Mutex
-	batchers  map[string]*batcher
 }
 
 // WarmCache preloads the latest non-retired version of every model into
@@ -417,23 +405,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/readyz", obs.ReadyHandler("modelserver", checks...))
 	obs.Mount(mux)
 	return obs.AccessLog("modelserver", s.AccessLog, mux)
-}
-
-// batcherFor returns the per-version scoring queue, creating it on first
-// use. One queue per concrete version: requests only share an inference
-// call when they share a model.
-func (s *Server) batcherFor(key string, m *core.Model) *batcher {
-	s.batcherMu.Lock()
-	defer s.batcherMu.Unlock()
-	if b, ok := s.batchers[key]; ok {
-		return b
-	}
-	if s.batchers == nil {
-		s.batchers = map[string]*batcher{}
-	}
-	b := &batcher{m: m}
-	s.batchers[key] = b
-	return b
 }
 
 func (s *Server) handleList(w http.ResponseWriter, req *http.Request) {
@@ -505,33 +476,34 @@ func (s *Server) publish(w http.ResponseWriter, req *http.Request, name string) 
 	writeJSON(w, info)
 }
 
+// fetch serves a version's blob as read from disk, not the serving cache.
 func (s *Server) fetch(w http.ResponseWriter, name, versionStr string) {
-	var (
-		m   *core.Model
-		err error
-	)
-	if versionStr == "latest" {
-		m, _, err = s.Registry.Latest(name)
-	} else {
-		v, perr := strconv.Atoi(versionStr)
-		if perr != nil {
-			http.Error(w, "bad version", http.StatusBadRequest)
-			return
-		}
-		m, _, err = s.Registry.Get(name, v)
-	}
-	if errors.Is(err, ErrNotFound) {
-		http.Error(w, "not found", http.StatusNotFound)
-		return
+	info, err := s.Registry.resolveInfo(name, versionStr)
+	var m *core.Model
+	if err == nil {
+		m, _, err = s.Registry.load(info)
 	}
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		refError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	if err := m.Save(w); err != nil {
 		// Headers already sent; nothing more to do.
 		return
+	}
+}
+
+// refError replies to a failed model lookup or load: 404 for a missing
+// version, 400 for a bad version string, 500 otherwise.
+func refError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, ErrNotFound):
+		http.Error(w, "not found", http.StatusNotFound)
+	case errors.Is(err, errBadVersion):
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	default:
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
 
@@ -562,8 +534,7 @@ type ScoreResponse struct {
 }
 
 // score runs batched inference with the requested model version: spans are
-// assembled into traces and pushed through the per-version scoring queue,
-// where requests that arrive during a flush share the next ScoreBatch call
+// assembled into traces and scored by one ScoreBatch call on this goroutine
 // (one forward per trace yields predictions AND loss). The model itself comes
 // from the registry's in-memory cache, not a per-request gob load.
 func (s *Server) score(w http.ResponseWriter, req *http.Request, name, versionStr string) {
@@ -589,16 +560,8 @@ func (s *Server) score(w http.ResponseWriter, req *http.Request, name, versionSt
 		lsp.SetError(true)
 	}
 	lsp.End()
-	if errors.Is(err, ErrNotFound) {
-		http.Error(w, "not found", http.StatusNotFound)
-		return
-	}
 	if err != nil {
-		status := http.StatusInternalServerError
-		if strings.Contains(err.Error(), "bad version") {
-			status = http.StatusBadRequest
-		}
-		http.Error(w, err.Error(), status)
+		refError(w, err)
 		return
 	}
 	spans, ok := readSpans(w, req)
@@ -615,16 +578,14 @@ func (s *Server) score(w http.ResponseWriter, req *http.Request, name, versionSt
 	sort.Slice(traces, func(i, j int) bool { return traces[i].TraceID < traces[j].TraceID })
 	resp := ScoreResponse{Results: make([]ScoreResult, len(traces)), Skipped: skipped}
 	ssp := reqSpan.Child("model.score")
-	b := s.batcherFor(fmt.Sprintf("%s@%d", info.Name, info.Version), m)
-	durs, errs, losses := b.Score(traces)
+	durs, errs, losses := m.ScoreBatch(traces, 0)
 	ssp.Annotate("traces", strconv.Itoa(len(traces)))
 	ssp.End()
 	for i, tr := range traces {
 		resp.Results[i] = ScoreResult{TraceID: tr.TraceID, DurScaled: durs[i], ErrProb: errs[i]}
 	}
-	// The request's MeanLoss is the mean of its own traces' losses, summed
-	// in sorted-by-TraceID order, so it does not depend on how the queue
-	// batched the request.
+	// MeanLoss is the mean of the request's trace losses, summed in
+	// sorted-by-TraceID order.
 	if len(losses) > 0 {
 		total := 0.0
 		for _, l := range losses {

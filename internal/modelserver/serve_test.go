@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/sleuth-rca/sleuth/internal/core"
 	"github.com/sleuth-rca/sleuth/internal/obs"
@@ -110,7 +110,7 @@ func sameResponse(t *testing.T, tag string, got, want ScoreResponse) {
 }
 
 // TestBatchedScoreBitIdentical fires a storm of concurrent requests through
-// the scoring queue and checks every response byte-for-byte against the
+// the handler and checks every response byte-for-byte against the
 // unbatched single-trace reference: batch composition must never leak into
 // results.
 func TestBatchedScoreBitIdentical(t *testing.T) {
@@ -135,92 +135,48 @@ func TestBatchedScoreBitIdentical(t *testing.T) {
 	}
 }
 
-// TestQueueIdleRequestScoresAtOnce: a lone request on an idle model is
-// scored by exactly one ScoreBatch call of its own traces and records a
-// queue wait of 0.
-func TestQueueIdleRequestScoresAtOnce(t *testing.T) {
-	obs.Disable()
-	obs.Enable()
-	t.Cleanup(obs.Disable)
-	_, m, query := servingFixture(t, 13, 3)
-
-	b := &batcher{m: m}
-	durs, errs, losses := b.Score(query)
-	if len(durs) != 3 || len(errs) != 3 || len(losses) != 3 {
-		t.Fatalf("result shape %d/%d/%d", len(durs), len(errs), len(losses))
+// TestScoreOneCallPerRequest: overlapping requests each get a ScoreBatch
+// call of their own — N requests, N calls, every trace scored once — and
+// each reply equals the solo reference. Nothing merges concurrent requests.
+// It runs on two Ps at least: on one, a handler scores to the end before
+// the next runs, and requests a server would merge seldom overlap.
+func TestScoreOneCallPerRequest(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}
-	if n := obs.H("core.score.batch_us").Count(); n != 1 {
-		t.Fatalf("ScoreBatch calls = %d, want 1", n)
-	}
-	size := obs.H("modelserver.batch.size")
-	if size.Count() != 1 || size.Sum() != 3 {
-		t.Fatalf("batch.size: %d observations summing to %v, want one of 3", size.Count(), size.Sum())
-	}
-	wait := obs.H("modelserver.batch.queue_wait_us")
-	if wait.Count() != 1 || wait.Sum() != 0 {
-		t.Fatalf("queue_wait_us: %d observations summing to %v, want one of 0", wait.Count(), wait.Sum())
-	}
-}
-
-// TestQueueGroupCommit holds one flush in progress and queues requests
-// behind it: when the flush ends they must all be scored by the next
-// ScoreBatch call, and each reply must equal the unbatched reference.
-func TestQueueGroupCommit(t *testing.T) {
-	obs.Disable()
-	obs.Enable()
-	t.Cleanup(obs.Disable)
-	_, m, query := servingFixture(t, 17, 9)
-
-	b := &batcher{m: m, busy: true} // a flush in progress
-	const waiters = 4
-	slices := [waiters][]*trace.Trace{query[0:1], query[1:3], query[3:6], query[6:9]}
-	got := make([]ScoreResponse, waiters)
-	var wg sync.WaitGroup
+	reg, m, query := servingFixture(t, 17, 24)
+	const clients, rounds = 8, 10
+	slices := make([][]*trace.Trace, clients)
+	wants := make([]ScoreResponse, clients)
 	for c := range slices {
+		slices[c] = query[c*3 : c*3+3]
+		wants[c] = expectResponse(m, slices[c])
+	}
+	srv := httptest.NewServer((&Server{Registry: reg}).Handler())
+	defer srv.Close()
+	obs.Disable()
+	obs.Enable()
+	t.Cleanup(obs.Disable)
+
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			sorted := append([]*trace.Trace(nil), slices[c]...)
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i].TraceID < sorted[j].TraceID })
-			durs, errs, losses := b.Score(sorted)
-			resp := ScoreResponse{Results: make([]ScoreResult, len(sorted))}
-			for i, tr := range sorted {
-				resp.Results[i] = ScoreResult{TraceID: tr.TraceID, DurScaled: durs[i], ErrProb: errs[i]}
-				resp.MeanLoss += losses[i]
+			<-start
+			for r := 0; r < rounds; r++ {
+				sameResponse(t, fmt.Sprintf("client %d round %d", c, r), scoreVia(t, srv.URL, slices[c]), wants[c])
 			}
-			resp.MeanLoss /= float64(len(losses))
-			got[c] = resp
 		}(c)
 	}
-	for queued := 0; queued < waiters; {
-		time.Sleep(time.Millisecond)
-		b.mu.Lock()
-		queued = len(b.pending)
-		b.mu.Unlock()
-	}
-	if n := obs.H("core.score.batch_us").Count(); n != 0 {
-		t.Fatalf("%d ScoreBatch calls while the flush was held, want 0", n)
-	}
-	b.release() // the held flush ends
+	close(start)
 	wg.Wait()
-
-	if n := obs.H("core.score.batch_us").Count(); n != 1 {
-		t.Fatalf("ScoreBatch calls = %d, want 1", n)
+	if n := obs.H("core.score.batch_us").Count(); n != clients*rounds {
+		t.Fatalf("ScoreBatch calls = %d, want one per request (%d)", n, clients*rounds)
 	}
-	size := obs.H("modelserver.batch.size")
-	if size.Count() != 1 || size.Sum() != float64(len(query)) {
-		t.Fatalf("batch.size: %d observations summing to %v, want one of %d", size.Count(), size.Sum(), len(query))
-	}
-	if n := obs.H("modelserver.batch.queue_wait_us").Count(); n != waiters {
-		t.Fatalf("queue_wait_us observations = %d, want %d", n, waiters)
-	}
-	for c := range slices {
-		sameResponse(t, fmt.Sprintf("waiter %d", c), got[c], expectResponse(m, slices[c]))
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.busy || len(b.pending) != 0 {
-		t.Fatalf("queue not idle after the flush: busy=%v pending=%d", b.busy, len(b.pending))
+	if got, want := obs.C("core.score.traces").Value(), int64(clients*rounds*3); got != want {
+		t.Fatalf("core.score.traces = %d, want %d", got, want)
 	}
 }
 
@@ -243,7 +199,7 @@ func TestScoreSinglePass(t *testing.T) {
 
 // TestConcurrentScoreStorm hammers one server from many goroutines — run
 // under -race this is the serving path's thread-safety proof (shared
-// cached model, shared queue, pooled workspaces, demux).
+// cached model, pooled workspaces).
 func TestConcurrentScoreStorm(t *testing.T) {
 	reg, m, query := servingFixture(t, 23, 16)
 	srv := httptest.NewServer((&Server{Registry: reg}).Handler())

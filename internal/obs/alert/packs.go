@@ -51,8 +51,8 @@ func CollectorRules() []Rule {
 	}
 }
 
-// ModelServerRules watches serving: score-latency SLO burn, request
-// error-rate burn and score queueing.
+// ModelServerRules watches serving: score-latency SLO burn and request
+// error-rate burn.
 func ModelServerRules() []Rule {
 	return []Rule{
 		{
@@ -82,19 +82,6 @@ func ModelServerRules() []Rule {
 			LongWindow:  Duration(1 * time.Hour),
 			BurnFactor:  2,
 			MinCount:    3,
-		},
-		{
-			Name:      "modelserver_batch_queue_wait",
-			Kind:      KindThreshold,
-			Series:    "modelserver.batch.queue_wait_us.p99",
-			Severity:  "warning",
-			Component: "modelserver",
-			Window:    Duration(5 * time.Minute),
-			Agg:       AggMean,
-			Op:        OpGT,
-			Value:     20000, // µs — queueing dominates the latency budget
-			MinCount:  3,
-			For:       Duration(1 * time.Minute),
 		},
 	}
 }
