@@ -48,10 +48,19 @@ budget:
 # cross-build keeps the non-amd64 build honest: internal/tensor carries an
 # amd64 assembly arm, and on every other architecture the scalar kernels
 # must build and vet on their own (`make vet` runs asmdecl on the amd64
-# .s files).
+# .s files). It then reads the arm64 assembly of internal/gnn and
+# internal/core: the scalar passes that must equal the tape bit for bit
+# (incremental.go, counterfactual.go, score.go) may hold no fused
+# multiply-add. arm64 fuses a*b+c into one rounding where the tape rounds
+# the product on its own; writing the product as float64(a*b) stops it.
+# amd64 never fuses, so no test there can see this. The build cache
+# replays the -S output, so the step is cheap.
 cross-build:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/gnn ./internal/core 2>&1) || { echo "$$asm"; exit 1; }; \
+	hits=$$(echo "$$asm" | grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b' | grep -E '/(incremental|counterfactual|score)\.go:[0-9]+\)'); \
+	if [ -n "$$hits" ]; then echo "fused multiply-add in a tape-exact scalar pass (round the product with float64(a*b)):"; echo "$$hits"; exit 1; fi
 
 # verify is the pre-merge gate: static checks, a clean build, the arm64
 # cross-build, the budget gate, the full suite under the race detector
@@ -84,7 +93,7 @@ verify: fmt vet build cross-build budget race alloc obs-overhead propagation-smo
 # call must cost the same few allocations at any n, the ingest tail
 # sampler's per-trace verdict must allocate nothing, a warm ScoreBatch
 # must cost only its result slices and worker constants (the pooled
-# scoring workspaces bring their tape arena and encoding back; 48 on 8
+# scoring workspaces bring their encoding and row evaluator back; 48 on 8
 # traces), a warm 4-trace POST through the /score handler with obs
 # disabled must stay within 192 (body read, decode, assembly, ScoreBatch
 # and the JSON reply), the watchdog tick — disabled AND enabled steady state —

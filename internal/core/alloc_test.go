@@ -52,10 +52,9 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 
 // TestPredictSteadyStateAllocs bounds the per-trace allocation count of the
 // scoring kernel. The step runs a scoring workspace's score with its
-// encoding dropped, so it encodes the trace afresh and copies the two
-// result rows out; the bound is a small constant independent of span count —
-// not zero, but nowhere near the per-op tape allocations the arena
-// eliminated.
+// encoding dropped, so it encodes the trace afresh and allocates the two
+// result rows; the bound is a small constant independent of span count —
+// not zero, but nowhere near one allocation per tape op.
 func TestPredictSteadyStateAllocs(t *testing.T) {
 	if testenv.Race {
 		t.Skip("race detector instrumentation allocates")
@@ -64,7 +63,7 @@ func TestPredictSteadyStateAllocs(t *testing.T) {
 	traces := simTraces(t, app, 22, 4)
 	m := NewModel(smallConfig(22))
 	m.SetNormals(traces)
-	ws := &scoreWorkspace{ar: tensor.NewArena()}
+	ws := new(scoreWorkspace)
 	i := 0
 	step := func() {
 		ws.enc = nil
@@ -82,12 +81,12 @@ func TestPredictSteadyStateAllocs(t *testing.T) {
 // TestServeSteadyStateAllocs is the online-serving allocation gate: a warm
 // ScoreBatch call over a small request-sized batch — the call each /score
 // request makes — must stay within a small constant per call.
-// The pooled scoring workspaces arrive with their tape arena and encoding
-// grown, so the only per-call heap traffic is the three result slices and
-// the two prediction copies per trace: 23 on 8 traces (AllocsPerRun runs
-// at GOMAXPROCS 1, so par.For scores inline; the bound leaves room for
-// worker goroutines). A workspace that stops being recycled costs six
-// encoding allocations per trace at least, and a cold arena thousands.
+// The pooled scoring workspaces arrive with their encoding, row evaluator
+// and per-span slots grown, so the only per-call heap traffic is the three
+// result slices and the two prediction rows per trace: 23 on 8 traces
+// (AllocsPerRun runs at GOMAXPROCS 1, so par.For scores inline; the bound
+// leaves room for worker goroutines). A workspace that stops being
+// recycled costs six encoding allocations per trace at least.
 func TestServeSteadyStateAllocs(t *testing.T) {
 	if testenv.Race {
 		t.Skip("race detector instrumentation allocates")

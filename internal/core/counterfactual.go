@@ -113,18 +113,20 @@ func (s *CounterfactualSession) fillTerms(h *tensor.Tensor, j int) {
 }
 
 // childTerms computes span j's child terms from its h-only inputs, its h
-// row and its current dur/errp.
+// row and its current dur/errp. A product that feeds a sum is rounded on
+// its own by a float64 conversion, as the tape's separate ops round it, so
+// no architecture fuses the two into one FMA.
 func (s *CounterfactualSession) childTerms(h *tensor.Tensor, j int) {
 	t := &s.terms[j]
 	d := s.dur[j]
 	if s.m.cfg.PlainSum {
 		t.eq2 = d
 	} else {
-		t.eq2 = smoothClippedReLU(d, t.u, t.v, smoothFrac*d+1)
+		t.eq2 = smoothClippedReLU(d, t.u, t.v, float64(smoothFrac*d)+1)
 	}
 	t.propagated = s.errp[j] * t.sig2
 	dScaled := features.ScaleDuration(int64(math.Max(d, 1)))
-	t.durInduced = sigmoid(h.At(j, 3)*dScaled + h.At(j, 4))
+	t.durInduced = sigmoid(float64(h.At(j, 3)*dScaled) + h.At(j, 4))
 }
 
 // node computes one node's Eq. 2 / Eq. 3 values from its children's

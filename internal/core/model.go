@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/sleuth-rca/sleuth/internal/features"
@@ -246,78 +245,17 @@ func inputs(enc *features.Encoded, ar *tensor.Arena) (x, xStar *tensor.Tensor) {
 	return x, xStar
 }
 
-// forwardLoss is the one inference kernel: a single forward pass over enc
-// plus the Eq. 5 loss built on the same tape, all drawn from ar (nil =
-// heap). Training backpropagates through the returned loss; scoring reads
-// the predictions and the loss value off it.
+// forwardLoss is the tape kernel: a single forward pass over enc plus the
+// Eq. 5 loss built on the same tape, all drawn from ar (nil = heap). Train
+// backpropagates through the returned loss; ScoreBatch reads predictions
+// and loss off it only for an aggregator without a row kernel (GCN), and
+// it is the reference the row scoring pass is held to bit for bit.
 func (m *Model) forwardLoss(enc *features.Encoded, ar *tensor.Arena) (prediction, *tensor.Tensor) {
 	x, xStar := inputs(enc, ar)
 	pred := m.forward(enc, x, xStar)
 	dTarget := tensor.SliceCols(x, 0, 1)
 	eTarget := tensor.SliceCols(x, 1, 2)
 	return pred, tensor.Add(tensor.MSE(pred.durScaled, dTarget), tensor.BCE(pred.errProb, eTarget))
-}
-
-// ScoreBatch is the batch scoring entry point: per-span predictions AND the
-// per-trace Eq. 5 losses from a single forward pass per trace. Results are
-// ordered like the input and bit-equal to a solo forwardLoss on the heap,
-// so a trace scores the same whatever batch it is in. The model server's
-// /score handler makes one call per request, on its own goroutine.
-// The traces fan out on par.For; the forward pass only reads the shared
-// weights, so any number of scoring goroutines can share one
-// model (see tensor.Backward's concurrency contract). Each worker scores
-// on a warm workspace from scorePool, so steady-state serving neither
-// re-grows tape slabs nor allocates fresh encodings on every call.
-// The workers argument is deprecated and ignored — GOMAXPROCS sets the
-// core count — and stays only until the benchmark, which passes 0, drops
-// it (ROADMAP item 1).
-func (m *Model) ScoreBatch(traces []*trace.Trace, workers int) (durScaled, errProb [][]float64, losses []float64) {
-	perTrace := obs.H("core.score.trace_us")
-	batchTimer := obs.H("core.score.batch_us").Start()
-	obs.C("core.score.traces").Add(int64(len(traces)))
-	durScaled = make([][]float64, len(traces))
-	errProb = make([][]float64, len(traces))
-	losses = make([]float64, len(traces))
-	par.For(len(traces), func(_, i int) {
-		t := perTrace.Start()
-		ws := scorePool.Get().(*scoreWorkspace)
-		durScaled[i], errProb[i], losses[i] = ws.score(m, traces[i])
-		scorePool.Put(ws)
-		t.Stop()
-	})
-	batchTimer.Stop()
-	return durScaled, errProb, losses
-}
-
-// scoreWorkspace is what one scoring worker reuses from trace to trace:
-// the tape arena and the feature encoding EncodeInto refills, the way
-// counterfactual sessions recycle theirs. A trace's forward pass reads
-// nothing of the previous one — EncodeInto writes every cell and the arena
-// is Reset — so results are bit-identical to a fresh Encode on the heap.
-type scoreWorkspace struct {
-	ar  *tensor.Arena
-	enc *features.Encoded
-}
-
-// scorePool keeps scoring workspaces warm across ScoreBatch calls. Under
-// online serving (many small batches per second) a cold arena and a fresh
-// encoding per trace are the bulk of the request's allocation; sync.Pool
-// lets the GC reclaim idle workspaces under memory pressure.
-var scorePool = sync.Pool{New: func() any { return &scoreWorkspace{ar: tensor.NewArena()} }}
-
-// score encodes tr into the workspace and scores it: the per-span
-// predictions (heap copies, so the arena can be Reset at once) and the
-// Eq. 5 loss value, both from one forward pass. The workspace goes back
-// Reset and holding no trace, so a pooled one pins no request data.
-func (ws *scoreWorkspace) score(m *Model, tr *trace.Trace) (durScaled, errProb []float64, loss float64) {
-	ws.enc = m.encoder.EncodeInto(tr, ws.enc)
-	pred, l := m.forwardLoss(ws.enc, ws.ar)
-	durScaled = append([]float64(nil), pred.durScaled.Data...)
-	errProb = append([]float64(nil), pred.errProb.Data...)
-	loss = l.Item()
-	ws.ar.Reset()
-	ws.enc.Trace = nil
-	return durScaled, errProb, loss
 }
 
 // TrainOptions tunes Train and FineTune.

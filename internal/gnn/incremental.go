@@ -116,7 +116,9 @@ func (s *GINIncremental) sumGroup(x *tensor.Tensor, gid int) {
 // inputRow writes row r's MLP input into dst: the parent's xStar row
 // (zeros for roots — the sentinel row ParentFeatures gathers) next to the
 // aggregation term with the tape path's expression shape,
-// (x·(1+ε)) + (groupSum − x).
+// (x·(1+ε)) + (groupSum − x). The product is rounded on its own, as the
+// tape's separate Mul rounds it: without the float64 conversion arm64
+// fuses it and the sum into one FMA.
 func (s *GINIncremental) inputRow(xStar, x *tensor.Tensor, r int, dst []float64) {
 	parentDim, nodeDim := s.c.parentDim, s.c.nodeDim
 	if p := s.g.Parent[r]; p >= 0 {
@@ -129,7 +131,7 @@ func (s *GINIncremental) inputRow(xStar, x *tensor.Tensor, r int, dst []float64)
 	gsRow := s.groupSum[gid*nodeDim : (gid+1)*nodeDim]
 	xRow := x.Data[r*nodeDim : (r+1)*nodeDim]
 	for i := 0; i < nodeDim; i++ {
-		dst[parentDim+i] = xRow[i]*eps1 + (gsRow[i] - xRow[i])
+		dst[parentDim+i] = float64(xRow[i]*eps1) + (gsRow[i] - xRow[i])
 	}
 }
 

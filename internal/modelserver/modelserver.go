@@ -186,17 +186,6 @@ var ErrNotFound = errors.New("modelserver: model not found")
 // errBadVersion reports a version that is neither "latest" nor a number.
 var errBadVersion = errors.New("modelserver: bad version")
 
-// Get loads a specific version.
-func (r *Registry) Get(name string, version int) (*core.Model, ModelInfo, error) {
-	r.mu.RLock()
-	info, ok := r.find(name, version)
-	r.mu.RUnlock()
-	if !ok {
-		return nil, ModelInfo{}, ErrNotFound
-	}
-	return r.load(info)
-}
-
 // Latest loads the newest non-retired version of the named model.
 func (r *Registry) Latest(name string) (*core.Model, ModelInfo, error) {
 	info, err := r.resolveInfo(name, "latest")

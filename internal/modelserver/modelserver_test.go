@@ -34,6 +34,16 @@ func trainedModel(t *testing.T, seed uint64) *core.Model {
 	return m
 }
 
+// getVersion loads one version ("3" or "latest") from disk the way the
+// serving path resolves it: the manifest first, then the blob.
+func getVersion(reg *Registry, name, version string) (*core.Model, ModelInfo, error) {
+	info, err := reg.resolveInfo(name, version)
+	if err != nil {
+		return nil, ModelInfo{}, err
+	}
+	return reg.load(info)
+}
+
 func TestRegistryPublishGetLatest(t *testing.T) {
 	reg, err := Open(t.TempDir())
 	if err != nil {
@@ -61,7 +71,7 @@ func TestRegistryPublishGetLatest(t *testing.T) {
 	if got.Version != 2 {
 		t.Fatalf("latest = v%d", got.Version)
 	}
-	loaded, _, err := reg.Get("prod", 1)
+	loaded, _, err := getVersion(reg, "prod", "1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +145,8 @@ func TestRegistryErrors(t *testing.T) {
 	if _, err := reg.Publish("", trainedModel(t, 4), "", nil); err == nil {
 		t.Fatal("empty name accepted")
 	}
-	if _, _, err := reg.Get("missing", 1); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get missing err = %v", err)
+	if _, _, err := getVersion(reg, "missing", "1"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("missing version err = %v", err)
 	}
 	if _, _, err := reg.Latest("missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Latest missing err = %v", err)
@@ -160,7 +170,7 @@ func TestSanitize(t *testing.T) {
 // TestOpenRejectsUnsafeManifestNames: a manifest key Publish would refuse
 // ("a b", written by an older Publish that mapped it to a_b's blob, or a
 // hand-edited "../x" whose blob path leaves the registry), or an entry whose
-// Name is not its key, fails Open instead of failing later in Get.
+// Name is not its key, fails Open instead of failing later on a load.
 func TestOpenRejectsUnsafeManifestNames(t *testing.T) {
 	for _, manifest := range []string{
 		`{"a b": [{"name": "a b", "version": 1}]}`,
@@ -180,7 +190,7 @@ func TestOpenRejectsUnsafeManifestNames(t *testing.T) {
 
 // TestPublishRejectsCollidingNames: "a b" would share a_b's blob file, so
 // publishing it fails with 400 and a_b's manifest entry still describes the
-// model Get loads.
+// model a load of a_b@1 returns.
 func TestPublishRejectsCollidingNames(t *testing.T) {
 	reg, err := Open(t.TempDir())
 	if err != nil {
@@ -215,7 +225,7 @@ func TestPublishRejectsCollidingNames(t *testing.T) {
 	if _, err := reg.Publish("a b", big, "", nil); !errors.Is(err, ErrBadName) {
 		t.Fatalf("Publish(%q) err = %v, want ErrBadName", "a b", err)
 	}
-	m, info, err := reg.Get("a_b", 1)
+	m, info, err := getVersion(reg, "a_b", "1")
 	if err != nil {
 		t.Fatal(err)
 	}
