@@ -11,7 +11,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"github.com/sleuth-rca/sleuth/internal/obs"
 	"github.com/sleuth-rca/sleuth/internal/par"
@@ -294,19 +293,7 @@ func Pairwise(sets []WeightedSet) *Matrix {
 	n := len(sets)
 	timer := obs.H("cluster.pairwise_us").Start()
 	defer timer.Stop()
-	obs.C("cluster.pairwise_calls").Inc()
-	distances := int64(n) * int64(n-1) / 2
-	obs.C("cluster.distances").Add(distances)
-	if rateSeries := obs.S("cluster.pairwise.distances_per_sec"); rateSeries != nil && distances > 0 {
-		start := time.Now()
-		defer func() {
-			if sec := time.Since(start).Seconds(); sec > 0 {
-				rateSeries.Append(float64(distances) / sec)
-			}
-		}()
-	}
 	m := NewMatrix(n)
-	obs.S("cluster.matrix_bytes").Append(float64(m.Bytes()))
 	ix := buildPostings(sets)
 	par.For((n+1)/2, func(_, i int) {
 		ix.fillRow(sets, i, m.row(i))
@@ -455,7 +442,6 @@ func (ix postings) fillRow(sets []WeightedSet, i int, row []float64) {
 func Medoids(m *Matrix, labels []int) map[int]int {
 	timer := obs.H("cluster.medoids_us").Start()
 	defer timer.Stop()
-	obs.C("cluster.medoids_calls").Inc()
 	return medoids(m, labels)
 }
 

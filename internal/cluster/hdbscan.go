@@ -7,39 +7,6 @@ import (
 	"github.com/sleuth-rca/sleuth/internal/obs"
 )
 
-// emitClusterStats records the shape of a clustering outcome as time
-// series: cluster count, noise points, and mean/max cluster size. No-op
-// when observability is disabled.
-func emitClusterStats(labels []int) {
-	if obs.Global() == nil {
-		return
-	}
-	counts := make(map[int]int)
-	noise := 0
-	for _, l := range labels {
-		if l < 0 {
-			noise++
-			continue
-		}
-		counts[l]++
-	}
-	total, max := 0, 0
-	for _, c := range counts {
-		total += c
-		if c > max {
-			max = c
-		}
-	}
-	mean := 0.0
-	if len(counts) > 0 {
-		mean = float64(total) / float64(len(counts))
-	}
-	obs.S("cluster.clusters").Append(float64(len(counts)))
-	obs.S("cluster.noise_points").Append(float64(noise))
-	obs.S("cluster.mean_size").Append(mean)
-	obs.S("cluster.max_size").Append(float64(max))
-}
-
 // Options configures HDBSCAN. The paper initialises min_cluster_size=10,
 // min_samples=5, cluster_selection_epsilon=1 and adjusts per batch
 // (§3.3.2). Note that with the Eq. 1 distance bounded by 1, an epsilon of
@@ -73,7 +40,6 @@ func DefaultOptions() Options {
 func HDBSCAN(m *Matrix, opts Options) []int {
 	timer := obs.H("cluster.hdbscan_us").Start()
 	defer timer.Stop()
-	obs.C("cluster.hdbscan_calls").Inc()
 	// A cluster needs at least two members and core distances at least
 	// one neighbour.
 	opts.MinClusterSize = max(opts.MinClusterSize, 2)
@@ -85,18 +51,13 @@ func HDBSCAN(m *Matrix, opts Options) []int {
 		for i := range labels {
 			labels[i] = -1
 		}
-		if n != 0 {
-			emitClusterStats(labels)
-		}
 		return labels
 	}
 	edges := mstEdges(m, coreDistances(m, opts.MinSamples))
 	dendro := singleLinkage(edges, n)
 	condensed := condense(dendro, n, opts.MinClusterSize)
 	selected := selectClusters(condensed, opts)
-	labels := labelPoints(condensed, selected, n)
-	emitClusterStats(labels)
-	return labels
+	return labelPoints(condensed, selected, n)
 }
 
 type edge struct {

@@ -126,19 +126,15 @@ func (c *Collector) Handler() http.Handler {
 }
 
 // ingest builds a POST handler around a decoder — the receiver stage of
-// the pipeline. Metric names carrying the protocol are precomputed here,
-// outside the request path, so the per-request cost stays at handle
-// lookups.
+// the pipeline. The self-trace stage name carrying the protocol is built
+// here, outside the request path.
 func (c *Collector) ingest(proto string, decode func([]byte) ([]*trace.Span, error)) http.HandlerFunc {
-	protoDecodeErrors := "collector.decode_errors." + proto
-	protoSpansAccepted := "collector.spans_accepted." + proto
 	decodeStage := "decode." + proto
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		obs.C("collector.ingest_requests").Inc()
 		// MaxBytesReader errors out past the limit instead of silently
 		// truncating the payload mid-span (which would surface as a
 		// nonsensical decode error and miscount the client's data).
@@ -146,13 +142,11 @@ func (c *Collector) ingest(proto string, decode func([]byte) ([]*trace.Span, err
 		if err != nil {
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
-				obs.C("collector.body_too_large").Inc()
 				w.Header().Set("Content-Type", "application/json")
 				w.WriteHeader(http.StatusRequestEntityTooLarge)
 				fmt.Fprintf(w, `{"accepted":0,"error":"body exceeds %d bytes"}`+"\n", tooLarge.Limit)
 				return
 			}
-			obs.C("collector.read_errors").Inc()
 			http.Error(w, "read error", http.StatusBadRequest)
 			return
 		}
@@ -173,7 +167,6 @@ func (c *Collector) ingest(proto string, decode func([]byte) ([]*trace.Span, err
 			// the count is surfaced in the response body alongside the
 			// error so lossy clients can see drops, not just 400s.
 			obs.C("collector.decode_errors").Inc()
-			obs.C(protoDecodeErrors).Inc()
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusBadRequest)
 			fmt.Fprintf(w, `{"accepted":0,"decodeErrors":1,"error":%q}`+"\n", err.Error())
@@ -185,10 +178,6 @@ func (c *Collector) ingest(proto string, decode func([]byte) ([]*trace.Span, err
 			ssp.Annotate("spans.accepted", strconv.Itoa(accepted))
 		}
 		ssp.End()
-		obs.C("collector.spans_accepted").Add(int64(accepted))
-		obs.C(protoSpansAccepted).Add(int64(accepted))
-		obs.C("collector.spans_rejected").Add(int64(rejected))
-		obs.S("collector.ingest.spans").Append(float64(accepted))
 		w.Header().Set("Content-Type", "application/json")
 		if dropped > 0 && accepted == 0 {
 			// Every span hit a full queue: tell the client to back off.

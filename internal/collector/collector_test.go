@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/sleuth-rca/sleuth/internal/ingest"
 	"github.com/sleuth-rca/sleuth/internal/obs"
@@ -96,8 +97,8 @@ func TestRejectsBadPayload(t *testing.T) {
 
 // TestDecodeErrorSeriesHasOneWriter: the sampler binds every counter to the
 // same-named series, so the handler must not also append per-event 1s under
-// collector.decode_errors.<proto> — with no sampler running the series stays
-// empty while the counter counts.
+// collector.decode_errors — with no sampler running the series stays empty
+// while the counter counts.
 func TestDecodeErrorSeriesHasOneWriter(t *testing.T) {
 	obs.Disable()
 	obs.Enable()
@@ -108,18 +109,17 @@ func TestDecodeErrorSeriesHasOneWriter(t *testing.T) {
 			t.Fatalf("status = %d, want 400", resp.StatusCode)
 		}
 	}
-	if got := obs.C("collector.decode_errors.otlp").Value(); got != 2 {
-		t.Fatalf("decode_errors.otlp counter = %d, want 2", got)
+	if got := obs.C("collector.decode_errors").Value(); got != 2 {
+		t.Fatalf("decode_errors counter = %d, want 2", got)
 	}
-	if n := obs.Global().LookupSeries("collector.decode_errors.otlp").Len(); n != 0 {
-		t.Fatalf("decode_errors.otlp series holds %d samples with no sampler running, want 0", n)
+	if n := obs.Global().LookupSeries("collector.decode_errors").Len(); n != 0 {
+		t.Fatalf("decode_errors series holds %d samples with no sampler running, want 0", n)
 	}
 }
 
 // TestRejectsOversizedBody: a payload one byte over maxBodyBytes must come
-// back as 413 (not a silent truncation miscounted as a decode error) and bump
-// the collector.body_too_large counter; one of exactly maxBodyBytes goes
-// through.
+// back as 413, not as a silent truncation miscounted as a decode error; one
+// of exactly maxBodyBytes goes through.
 func TestRejectsOversizedBody(t *testing.T) {
 	obs.Disable()
 	obs.Enable()
@@ -144,9 +144,6 @@ func TestRejectsOversizedBody(t *testing.T) {
 	resp := post(t, srv.URL+"/v1/traces", body)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d, want 413", resp.StatusCode)
-	}
-	if got := obs.C("collector.body_too_large").Value(); got != 1 {
-		t.Fatalf("body_too_large = %d, want 1", got)
 	}
 	if got := obs.C("collector.decode_errors").Value(); got != 0 {
 		t.Fatalf("oversized body miscounted as %d decode errors", got)
@@ -271,8 +268,9 @@ func TestHealthAndStats(t *testing.T) {
 }
 
 // TestMetricsAndSeriesEndpoints: with observability enabled, an ingest must
-// surface in the Prometheus exposition (global and per-protocol counters)
-// and in the ingest-rate series behind /debug/series.
+// surface in the Prometheus exposition (the decode-error counter, the decode
+// and flush timers, the access log's counter and histogram) and, once the
+// sampler sweeps, in the decode-error series behind /debug/series.
 func TestMetricsAndSeriesEndpoints(t *testing.T) {
 	obs.Disable()
 	obs.Enable()
@@ -298,11 +296,10 @@ func TestMetricsAndSeriesEndpoints(t *testing.T) {
 	}
 	text := string(body)
 	for _, want := range []string{
-		"collector_spans_accepted_total",
-		"collector_spans_accepted_otlp_total",
-		"collector_decode_errors_otlp_total 1",
-		"ingest_traces_kept_total 1",
-		"ingest_spans_written_total",
+		"collector_decode_errors_total 1",
+		"# TYPE ingest_decode_us histogram",
+		"# TYPE ingest_flush_us histogram",
+		"collector_http_requests_total 2",
 		"# TYPE collector_http_request_us histogram",
 	} {
 		if !strings.Contains(text, want) {
@@ -310,7 +307,14 @@ func TestMetricsAndSeriesEndpoints(t *testing.T) {
 		}
 	}
 
-	resp, err = http.Get(srv.URL + "/debug/series?name=collector.ingest.spans")
+	sp := obs.NewSampler(obs.Global(), time.Millisecond)
+	sp.Start()
+	deadline := time.Now().Add(2 * time.Second)
+	for obs.Global().LookupSeries("collector.decode_errors").Len() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	sp.Stop()
+	resp, err = http.Get(srv.URL + "/debug/series?name=collector.decode_errors")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,9 +324,9 @@ func TestMetricsAndSeriesEndpoints(t *testing.T) {
 	if err := json.Unmarshal(body, &q); err != nil {
 		t.Fatalf("/debug/series not JSON: %v", err)
 	}
-	samples := q.Series["collector.ingest.spans"].Samples
-	if len(samples) != 1 || samples[0].V != float64(len(spans)) {
-		t.Errorf("ingest series = %+v, want one sample of %d spans", samples, len(spans))
+	samples := q.Series["collector.decode_errors"].Samples
+	if len(samples) == 0 || samples[0].V != 1 {
+		t.Errorf("decode_errors series = %+v, want samples of 1", samples)
 	}
 
 	// /metrics is the registry's only serialisation.

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"github.com/sleuth-rca/sleuth/internal/features"
 	"github.com/sleuth-rca/sleuth/internal/gnn"
@@ -322,28 +321,10 @@ func (m *Model) Train(traces []*trace.Trace, opts TrainOptions) (TrainStats, err
 		return TrainStats{}, errors.New("core: no training traces")
 	}
 	opts = opts.withDefaults()
-	// Metric handles are fetched once per Train call; with observability
-	// disabled (the default) every handle is nil and each use below costs a
-	// nil check — see BenchmarkObsOverhead in internal/obs.
-	var (
-		epochsCtr  = obs.C("core.train.epochs")
-		batchesCtr = obs.C("core.train.batches")
-		tracesCtr  = obs.C("core.train.traces")
-		lossGauge  = obs.G("core.train.loss")
-		normGauge  = obs.G("core.train.grad_norm")
-		epochHist  = obs.H("core.train.epoch_us")
-		batchHist  = obs.H("core.train.batch_us")
-		// Per-epoch time series for model-quality telemetry: loss curve,
-		// gradient-norm trajectory before/after clipping, throughput and
-		// arena memory. All nil (free) when observability is off.
-		lossSeries     = obs.S("core.train.epoch.loss")
-		gradSeries     = obs.S("core.train.epoch.grad_norm")
-		gradClipSeries = obs.S("core.train.epoch.grad_norm_clipped")
-		rateSeries     = obs.S("core.train.epoch.samples_per_sec")
-		arenaBytes     = obs.S("core.train.epoch.arena_bytes")
-		arenaResets    = obs.S("core.train.epoch.arena_resets")
-	)
-	tracesCtr.Add(int64(len(traces)))
+	// The per-epoch loss and gradient-norm series the training pack's rules
+	// read; both nil (each use a nil check) when observability is off.
+	lossSeries := obs.S("core.train.epoch.loss")
+	gradSeries := obs.S("core.train.epoch.grad_norm")
 	m.SetNormals(traces)
 	encs := m.encoder.EncodeAll(traces)
 	opt := nn.NewAdam(m, opts.LearningRate)
@@ -370,14 +351,9 @@ func (m *Model) Train(traces []*trace.Trace, opts TrainOptions) (TrainStats, err
 
 	var lastMean float64
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
-		epochTimer := epochHist.Start()
-		var epochStart time.Time
-		if rateSeries != nil {
-			epochStart = time.Now()
-		}
 		order := rng.Perm(len(encs))
 		total := 0.0
-		gradSum, gradClipSum := 0.0, 0.0
+		gradSum := 0.0
 		nBatches := 0
 		for start := 0; start < len(order); start += batchSize {
 			end := start + batchSize
@@ -385,7 +361,6 @@ func (m *Model) Train(traces []*trace.Trace, opts TrainOptions) (TrainStats, err
 				end = len(order)
 			}
 			batch := order[start:end]
-			batchTimer := batchHist.Start()
 			par.For(len(batch), func(w, bi int) {
 				ps, ar := replicaParams[w], arenas[w]
 				nn.ZeroGradsOf(ps)
@@ -401,46 +376,19 @@ func (m *Model) Train(traces []*trace.Trace, opts TrainOptions) (TrainStats, err
 			})
 			opt.ZeroGrad()
 			nn.ReduceGradBuffers(m, buffers[:len(batch)], 1/float64(len(batch)))
-			norm := nn.ClipGradNorm(m, gradClip)
-			normGauge.Set(norm)
-			if gradSeries != nil {
-				gradSum += norm
-				gradClipSum += min(norm, gradClip)
-			}
+			gradSum += nn.ClipGradNorm(m, gradClip)
 			opt.Step()
 			for _, l := range losses[:len(batch)] {
 				total += l
 			}
-			batchTimer.Stop()
-			batchesCtr.Inc()
 			nBatches++
 		}
 		lastMean = total / float64(len(encs))
 		if math.IsNaN(lastMean) {
 			return TrainStats{}, fmt.Errorf("core: loss diverged at epoch %d", epoch)
 		}
-		lossGauge.Set(lastMean)
 		lossSeries.Append(lastMean)
-		if gradSeries != nil && nBatches > 0 {
-			gradSeries.Append(gradSum / float64(nBatches))
-			gradClipSeries.Append(gradClipSum / float64(nBatches))
-		}
-		if rateSeries != nil {
-			if sec := time.Since(epochStart).Seconds(); sec > 0 {
-				rateSeries.Append(float64(len(encs)) / sec)
-			}
-		}
-		if arenaBytes != nil {
-			var retained, recycles int64
-			for _, ar := range arenas {
-				retained += int64(ar.Bytes())
-				recycles += ar.Resets()
-			}
-			arenaBytes.Append(float64(retained))
-			arenaResets.Append(float64(recycles))
-		}
-		epochsCtr.Inc()
-		epochTimer.Stop()
+		gradSeries.Append(gradSum / float64(nBatches))
 	}
 	return TrainStats{Epochs: opts.Epochs, FinalLoss: lastMean, Traces: len(traces)}, nil
 }

@@ -25,18 +25,15 @@ import (
 // core count — and stays only until the benchmark, which passes 0, drops
 // it (ROADMAP item 1).
 func (m *Model) ScoreBatch(traces []*trace.Trace, workers int) (durScaled, errProb [][]float64, losses []float64) {
-	perTrace := obs.H("core.score.trace_us")
 	batchTimer := obs.H("core.score.batch_us").Start()
 	obs.C("core.score.traces").Add(int64(len(traces)))
 	durScaled = make([][]float64, len(traces))
 	errProb = make([][]float64, len(traces))
 	losses = make([]float64, len(traces))
 	par.For(len(traces), func(_, i int) {
-		t := perTrace.Start()
 		ws := scorePool.Get().(*scoreWorkspace)
 		durScaled[i], errProb[i], losses[i] = ws.score(m, traces[i])
 		scorePool.Put(ws)
-		t.Stop()
 	})
 	batchTimer.Stop()
 	return durScaled, errProb, losses

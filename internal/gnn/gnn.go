@@ -11,7 +11,6 @@ package gnn
 
 import (
 	"github.com/sleuth-rca/sleuth/internal/nn"
-	"github.com/sleuth-rca/sleuth/internal/obs"
 	"github.com/sleuth-rca/sleuth/internal/tensor"
 	"github.com/sleuth-rca/sleuth/internal/xrand"
 )
@@ -205,8 +204,6 @@ func (c *GINSiblingConv) Forward(g *Graph, xStar, x *tensor.Tensor) *tensor.Tens
 	if xStar.Cols() != c.parentDim || x.Cols() != c.nodeDim {
 		panic("gnn: GINSiblingConv feature width mismatch")
 	}
-	obs.C("gnn.forwards").Inc()
-	obs.C("gnn.forward_nodes").Add(int64(g.N()))
 	parentX := g.ParentFeatures(xStar) // [n, parentDim]
 	// (1+ε)·x_j — ε is a heap parameter, so the intermediate is placed on
 	// x's arena explicitly; inheriting would leave a per-step heap op.
@@ -249,8 +246,6 @@ func (c *GCNSiblingConv) Forward(g *Graph, xStar, x *tensor.Tensor) *tensor.Tens
 	if xStar.Cols() != c.parentDim || x.Cols() != c.nodeDim {
 		panic("gnn: GCNSiblingConv feature width mismatch")
 	}
-	obs.C("gnn.forwards").Inc()
-	obs.C("gnn.forward_nodes").Add(int64(g.N()))
 	mean := c.groupMean(g, x)
 	h := c.L1.ForwardReLU(tensor.ConcatCols(g.ParentFeatures(xStar), mean))
 	// Second aggregation round over the same sibling structure.

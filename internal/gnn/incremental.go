@@ -3,7 +3,6 @@ package gnn
 import (
 	"sort"
 
-	"github.com/sleuth-rca/sleuth/internal/obs"
 	"github.com/sleuth-rca/sleuth/internal/tensor"
 )
 
@@ -183,6 +182,5 @@ func (s *GINIncremental) Update(xStar, x *tensor.Tensor, changed []int) []int {
 	for a, r := range s.affected {
 		copy(s.h.Data[r*outDim:(r+1)*outDim], s.out[a*outDim:(a+1)*outDim])
 	}
-	obs.C("gnn.incremental_rows").Add(int64(len(s.affected)))
 	return s.affected
 }

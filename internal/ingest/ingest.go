@@ -21,9 +21,10 @@
 // closes. Kept traces are written to the store in batches; shed traces
 // are counted and dropped before they ever touch the store.
 //
-// Every stage is self-observing through internal/obs: per-stage
-// drop/occupancy counters, queue-wait and flush latency histograms, and a
-// per-sweep written-spans series, all visible in `sleuthctl watch`.
+// Stats counts every stage. Through internal/obs the pipeline records only
+// what an alert rule or the layer budget reads: the drop counter, the
+// queue-depth gauge and the flush timer, plus the safety valve's eviction
+// count, which Stats does not show.
 package ingest
 
 import (
@@ -98,7 +99,6 @@ func (c Config) withDefaults() Config {
 // parks the worker after its ack until hold closes — the Block test hook.
 type batchMsg struct {
 	spans []*trace.Span
-	enq   time.Time
 	flush chan<- struct{}
 	hold  <-chan struct{}
 }
@@ -213,7 +213,7 @@ func (p *Pipeline) Submit(spans []*trace.Span) (accepted, rejected, dropped int)
 				rejected++
 			}
 		}
-		p.noteReject(rejected)
+		p.spansRejected.Add(int64(rejected))
 		p.noteDrop(dropped)
 		return 0, rejected, dropped
 	}
@@ -233,7 +233,7 @@ func (p *Pipeline) Submit(spans []*trace.Span) (accepted, rejected, dropped int)
 		shard[j] = int32(i)
 		count[i]++
 	}
-	p.noteReject(rejected)
+	p.spansRejected.Add(int64(rejected))
 	backing := make([]*trace.Span, len(spans)-rejected)
 	var start int32
 	for i, c := range count {
@@ -246,7 +246,6 @@ func (p *Pipeline) Submit(spans []*trace.Span) (accepted, rejected, dropped int)
 			count[i]++
 		}
 	}
-	enq := time.Now()
 	start = 0
 	for i, end := range count {
 		b := backing[start:end:end]
@@ -255,7 +254,7 @@ func (p *Pipeline) Submit(spans []*trace.Span) (accepted, rejected, dropped int)
 			continue
 		}
 		select {
-		case p.shards[i].queue <- batchMsg{spans: b, enq: enq}:
+		case p.shards[i].queue <- batchMsg{spans: b}:
 			accepted += len(b)
 		default:
 			dropped += len(b)
@@ -279,16 +278,8 @@ func shardIndex(id string, n int) int {
 	return int(h % uint64(n))
 }
 
-// noteReject and noteDrop count rejected and dropped spans in Stats and in
-// the ingest.* counters together, so the two never disagree.
-func (p *Pipeline) noteReject(n int) {
-	if n <= 0 {
-		return
-	}
-	p.spansRejected.Add(int64(n))
-	obs.C("ingest.spans_rejected").Add(int64(n))
-}
-
+// noteDrop counts dropped spans in Stats and in the ingest.spans_dropped
+// counter together, so the two never disagree.
 func (p *Pipeline) noteDrop(n int) {
 	if n <= 0 {
 		return
@@ -360,10 +351,7 @@ func (p *Pipeline) RefreshBaseline() {
 	if p.store == nil {
 		return
 	}
-	t := obs.H("ingest.baseline_refresh_us").Start()
 	p.sampler.SetBaselineFromSummaries(p.store.OpSummaries())
-	t.Stop()
-	obs.G("ingest.baseline_ops").Set(float64(p.sampler.BaselineSize()))
 }
 
 func (p *Pipeline) refreshLoop() {
@@ -442,7 +430,6 @@ func (sh *ingestShard) run() {
 			}
 			now := time.Now()
 			if len(m.spans) > 0 {
-				obs.H("ingest.queue_wait_us").ObserveDuration(now.Sub(m.enq))
 				sh.absorb(m.spans, now)
 			}
 			if m.flush != nil {
@@ -539,13 +526,5 @@ func (sh *ingestShard) flush(now time.Time, all bool) {
 	p.spansWritten.Add(written)
 	p.spansShed.Add(shedSpans)
 	t.Stop()
-	obs.C("ingest.traces_kept").Add(kept)
-	obs.C("ingest.traces_shed").Add(shed)
-	obs.C("ingest.traces_kept_error").Add(keptErr)
-	obs.C("ingest.traces_kept_latency").Add(keptLat)
-	obs.C("ingest.spans_written").Add(written)
-	obs.C("ingest.spans_shed").Add(shedSpans)
-	obs.S("ingest.written.spans").Append(float64(written))
-	obs.G("ingest.open_traces").Set(float64(p.open.Load()))
 	obs.G("ingest.queue_depth").Set(float64(p.QueueDepth()))
 }

@@ -239,16 +239,13 @@ func (r *Registry) sharedModel(info ModelInfo) (*core.Model, error) {
 	m, ok := r.cache[key]
 	r.cacheMu.RUnlock()
 	if ok {
-		obs.C("modelserver.cache.hits").Inc()
 		return m, nil
 	}
 	r.cacheMu.Lock()
 	defer r.cacheMu.Unlock()
 	if m, ok := r.cache[key]; ok {
-		obs.C("modelserver.cache.hits").Inc()
 		return m, nil
 	}
-	obs.C("modelserver.cache.misses").Inc()
 	m, err := core.LoadFile(r.blobPath(info.Name, info.Version))
 	if err != nil {
 		return nil, err
@@ -430,7 +427,6 @@ func (s *Server) publish(w http.ResponseWriter, req *http.Request, name string) 
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			obs.C("modelserver.body_too_large").Inc()
 			http.Error(w, "model exceeds size limit", http.StatusRequestEntityTooLarge)
 			return
 		}
@@ -536,7 +532,6 @@ func (s *Server) score(w http.ResponseWriter, req *http.Request, name, versionSt
 			float64(time.Since(start))/float64(time.Microsecond),
 			obs.TraceIDFrom(req.Context()))
 	}()
-	obs.C("modelserver.score.requests").Inc()
 	reqSpan := obs.SpanFrom(req.Context())
 	lsp := reqSpan.Child("model.load")
 	lsp.Annotate("model.ref", name+"@"+versionStr)
@@ -561,9 +556,6 @@ func (s *Server) score(w http.ResponseWriter, req *http.Request, name, versionSt
 	traces, skipped := trace.AssembleAll(spans)
 	asp.Annotate("traces", strconv.Itoa(len(traces)))
 	asp.End()
-	obs.C("modelserver.score.spans").Add(int64(len(spans)))
-	obs.C("modelserver.score.traces").Add(int64(len(traces)))
-	obs.C("modelserver.score.skipped").Add(int64(skipped))
 	sort.Slice(traces, func(i, j int) bool { return traces[i].TraceID < traces[j].TraceID })
 	resp := ScoreResponse{Results: make([]ScoreResult, len(traces)), Skipped: skipped}
 	ssp := reqSpan.Child("model.score")
@@ -599,7 +591,6 @@ func readSpans(w http.ResponseWriter, req *http.Request) ([]*trace.Span, bool) {
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooLarge):
-		obs.C("modelserver.body_too_large").Inc()
 		http.Error(w, "score request exceeds size limit", http.StatusRequestEntityTooLarge)
 	case err != nil:
 		http.Error(w, "bad score request: "+err.Error(), http.StatusBadRequest)

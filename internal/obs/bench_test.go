@@ -138,7 +138,6 @@ func BenchmarkSeriesAppend(b *testing.B) {
 	})
 	b.Run("sampler-sweep", func(b *testing.B) {
 		r := NewRegistry()
-		r.runtime = true // the runtime-gauge refresh runs in every sweep
 		for i := 0; i < 8; i++ {
 			r.Counter("bench.c" + string(rune('a'+i))).Inc()
 			r.Gauge("bench.g" + string(rune('a'+i))).Set(1)

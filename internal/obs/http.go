@@ -157,6 +157,9 @@ func serveAlerts(w http.ResponseWriter, r *http.Request) {
 
 // --- Health ----------------------------------------------------------------
 
+// procStart anchors the reported uptime.
+var procStart = time.Now()
+
 // Version is the build version string reported by health endpoints; a
 // release build can override it via -ldflags "-X .../obs.Version=v1.2.3".
 var Version = "dev"
@@ -314,20 +317,18 @@ func traceablePath(p string) bool {
 //     /debug/traces, exemplars and alert trace links resolve it;
 //   - one structured log line per request — method, path, status, duration,
 //     request ID and trace ID — when logger is non-nil;
-//   - request counters (<component>.http.requests, per-status-class
-//     <component>.http.status_Nxx) and a latency histogram
-//     (<component>.http.request_us) in the process registry, with the trace
-//     ID recorded as the histogram bucket's exemplar.
+//   - the request and server-error counters (<component>.http.requests,
+//     <component>.http.status_5xx) the error-rate rule divides, and a
+//     latency histogram (<component>.http.request_us) in the process
+//     registry, with the trace ID recorded as the histogram bucket's
+//     exemplar.
 func AccessLog(component string, logger *log.Logger, next http.Handler) http.Handler {
 	// Metric names are built once per middleware, not per request: handles
 	// are still resolved per request (the registry may be enabled later), but
 	// a disabled process formats nothing.
 	requests := component + ".http.requests"
+	status5xx := component + ".http.status_5xx"
 	requestUS := component + ".http.request_us"
-	var statusClass [6]string // [1]..[5]: <component>.http.status_Nxx
-	for i := 1; i < len(statusClass); i++ {
-		statusClass[i] = fmt.Sprintf("%s.http.status_%dxx", component, i)
-	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		id := r.Header.Get(RequestIDHeader)
@@ -356,10 +357,8 @@ func AccessLog(component string, logger *log.Logger, next http.Handler) http.Han
 		}
 		dur := time.Since(start)
 		C(requests).Inc()
-		if class := status / 100; class >= 1 && class < len(statusClass) {
-			C(statusClass[class]).Inc()
-		} else {
-			C(fmt.Sprintf("%s.http.status_%dxx", component, class)).Inc()
+		if status/100 == 5 {
+			C(status5xx).Inc()
 		}
 		if tracer != nil {
 			root.Annotate("http.status", strconv.Itoa(status))

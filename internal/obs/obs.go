@@ -102,20 +102,6 @@ func (g *Gauge) Set(v float64) {
 	atomic.StoreUint64(&g.bits, math.Float64bits(v))
 }
 
-// Add shifts the current value by delta.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := atomic.LoadUint64(&g.bits)
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if atomic.CompareAndSwapUint64(&g.bits, old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -399,10 +385,6 @@ type Registry struct {
 	// sampler can create series while holding no metric locks (see series.go).
 	seriesMu sync.RWMutex
 	series   map[string]*Series
-
-	// runtime marks the process registry (Enable): its runtime.* gauges
-	// are refreshed right before an exposition or sampler sweep reads it.
-	runtime bool
 }
 
 // NewRegistry creates an empty registry.
@@ -412,15 +394,6 @@ func NewRegistry() *Registry {
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 		series:   map[string]*Series{},
-	}
-}
-
-// collect refreshes the runtime gauges of the process registry. It runs
-// outside the metric lock (the gauges are set through the normal
-// get-or-create path).
-func (r *Registry) collect() {
-	if r != nil && r.runtime {
-		refreshRuntimeGauges(r)
 	}
 }
 
@@ -497,10 +470,9 @@ func (r *Registry) LookupHistogram(name string) *Histogram {
 }
 
 // metrics is the one registry walk, which WritePrometheus and the sampler
-// both read through: it refreshes the runtime gauges, then returns
-// every counter, gauge and histogram, each sorted by name.
+// both read through: every counter, gauge and histogram, each sorted by
+// name.
 func (r *Registry) metrics() ([]*Counter, []*Gauge, []*Histogram) {
-	r.collect()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return sortedValues(r.counters), sortedValues(r.gauges), sortedValues(r.hists)
@@ -528,15 +500,14 @@ var global atomic.Pointer[Registry]
 
 // Enable installs (or returns the existing) process-wide registry. Call it
 // at process start, before instrumented components fetch their handles.
-// The fresh registry carries the runtime gauges and the process trace
-// ring is created alongside it; StartSampler adds history.
+// The process trace ring is created alongside the fresh registry;
+// StartSampler adds history.
 func Enable() *Registry {
 	for {
 		if r := global.Load(); r != nil {
 			return r
 		}
 		r := NewRegistry()
-		r.runtime = true
 		if global.CompareAndSwap(nil, r) {
 			globalRing.CompareAndSwap(nil, NewTraceRing(DefaultTraceRingSize))
 			return r

@@ -357,13 +357,11 @@ func (sp *Sampler) Stop() {
 	<-sp.done
 }
 
-// sample performs one sweep: refresh the runtime gauges, rebuild the
-// bindings if metrics appeared since the last sweep, append one sample per
-// binding, all stamped with the same timestamp, then run the OnSweep hook
-// at that timestamp.
+// sample performs one sweep: rebuild the bindings if metrics appeared
+// since the last sweep, append one sample per binding, all stamped with
+// the same timestamp, then run the OnSweep hook at that timestamp.
 func (sp *Sampler) sample(now int64) {
 	r := sp.reg
-	r.collect()
 	r.mu.RLock()
 	nc, ng, nh := len(r.counters), len(r.gauges), len(r.hists)
 	r.mu.RUnlock()

@@ -223,7 +223,7 @@ func TestGlobalSamplerLifecycle(t *testing.T) {
 
 // TestSeriesSteadyStateAllocs is the alloc-regression guard of the
 // telemetry hot paths: ring appends and the sampler's steady-state sweep
-// (including the runtime-gauge collector) must not allocate.
+// must not allocate.
 func TestSeriesSteadyStateAllocs(t *testing.T) {
 	if testenv.Race {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -235,7 +235,6 @@ func TestSeriesSteadyStateAllocs(t *testing.T) {
 	}
 
 	r := NewRegistry()
-	r.runtime = true // the runtime-gauge refresh runs in every sweep
 	r.Counter("c").Add(3)
 	r.Gauge("g").Set(1)
 	r.Histogram("h_us").Observe(50)

@@ -212,8 +212,6 @@ func (l *Localizer) LocalizeDetailedBatch(traces []*trace.Trace, sloMicros []flo
 	if len(traces) != len(sloMicros) {
 		panic("rca: LocalizeDetailedBatch length mismatch")
 	}
-	batchTimer := obs.H("rca.localize_batch_us").Start()
-	defer batchTimer.Stop()
 	out := make([]Result, len(traces))
 	par.For(len(traces), func(_, i int) {
 		out[i] = l.LocalizeDetailed(traces[i], sloMicros[i])
@@ -283,11 +281,9 @@ func (l *Localizer) LocalizeClustered(traces []*trace.Trace, sloMicros []float64
 // timing the query into the rca.localize_us histogram.
 func (l *Localizer) LocalizeDetailed(tr *trace.Trace, sloMicros float64) Result {
 	defer obs.H("rca.localize_us").Start().Stop()
-	obs.C("rca.localizations").Inc()
 	cfCtr := obs.C("rca.counterfactuals")
 	if tr.Len() == 0 {
 		// No spans, no candidates — and no session: an encoding needs a row.
-		obs.S("rca.localize.candidates").Append(0)
 		return Result{}
 	}
 	// One counterfactual session per localisation: encoding, graph,
@@ -295,12 +291,8 @@ func (l *Localizer) LocalizeDetailed(tr *trace.Trace, sloMicros float64) Result 
 	// session's normals, and the loop below touches only the delta rows
 	// each iteration adds.
 	sess := l.Model.NewCounterfactualSession(tr)
-	defer func() {
-		obs.C("rca.counterfactual_rows_updated").Add(sess.RowsUpdated())
-		sess.Close()
-	}()
+	defer sess.Close()
 	cands := l.candidates(tr, sess.Normals())
-	obs.S("rca.localize.candidates").Append(float64(len(cands)))
 	max := l.Opts.MaxCandidates
 	if max > len(cands) {
 		max = len(cands)
@@ -323,7 +315,6 @@ func (l *Localizer) LocalizeDetailed(tr *trace.Trace, sloMicros float64) Result 
 			top = cf
 		}
 		if cf.RootDurationMicros <= sloMicros && cf.RootErrorProb < ErrThreshold {
-			obs.C("rca.normalized").Inc()
 			return l.result(tr, used, true, cf.RootDurationMicros)
 		}
 	}

@@ -1,7 +1,5 @@
 package tensor
 
-import "unsafe"
-
 // This file implements the memory-recycling allocation layer of the
 // autodiff engine (DESIGN.md §8). A define-by-run tape produces a burst of
 // short-lived allocations on every training step — result buffers, Tensor
@@ -63,10 +61,6 @@ type Arena struct {
 	// Reusable scratch for Backward's topological sort.
 	order []*Tensor
 	stack []topoFrame
-
-	// resets counts Reset calls since creation; telemetry reads it to
-	// report recycling cadence alongside retained bytes.
-	resets int64
 }
 
 // NewArena creates an empty arena. Chunks are allocated lazily on first
@@ -244,7 +238,6 @@ func ArenaOf(t *Tensor) *Arena {
 // tensors drawn from the arena — including views and gradients of
 // non-leaf tensors — are invalid after Reset.
 func (a *Arena) Reset() {
-	a.resets++
 	a.fi, a.foff = 0, 0
 	a.ti, a.toff = 0, 0
 	a.ii, a.ioff = 0, 0
@@ -273,30 +266,5 @@ func (a *Arena) Footprint() int {
 		n += len(a.bigFree[class]) << class
 		n += len(a.bigUsed[class]) << class
 	}
-	return n
-}
-
-// Resets reports how many times the arena has been recycled. Zero for a
-// nil arena.
-func (a *Arena) Resets() int64 {
-	if a == nil {
-		return 0
-	}
-	return a.resets
-}
-
-// Bytes reports the total heap bytes retained by the arena across every
-// chunk pool: float chunks and oversized buffers, Tensor-header slabs, int
-// and pointer slices. Zero for a nil arena. Exposed for the training
-// loop's memory telemetry.
-func (a *Arena) Bytes() int {
-	if a == nil {
-		return 0
-	}
-	const tensorSize = int(unsafe.Sizeof(Tensor{}))
-	n := a.Footprint() * 8
-	n += len(a.tensors) * chunkTensors * tensorSize
-	n += len(a.ints) * chunkInts * 8
-	n += len(a.ptrs) * chunkPtrs * 8
 	return n
 }
