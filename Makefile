@@ -81,7 +81,8 @@ cross-build:
 # benchmark module's own tests), and fuzz-smoke (five seconds of each span
 # decoder against its reflection oracle, of the AVX2 matmul and AddMin
 # kernels against the scalar ones, of the traceparent parser, of the alert-rule parser, of
-# the model loader, of the spans JSONL loader and of the /score handler).
+# the model loader, of the spans JSONL loader, of the /score handler and of
+# trace assembly against its reference).
 # Latency itself is gated by the benchmark (`bash benchmark/run.sh`), not
 # here.
 verify: fmt vet build cross-build budget race alloc obs-overhead propagation-smoke alert-smoke rca-smoke bench-smoke fuzz-smoke
@@ -96,7 +97,7 @@ verify: fmt vet build cross-build budget race alloc obs-overhead propagation-smo
 # must cost only its result slices and worker constants (the pooled
 # scoring workspaces bring their encoding and row evaluator back; 48 on 8
 # traces), a warm 4-trace POST through the /score handler with obs
-# disabled must stay within 192 (body read, decode, assembly, ScoreBatch
+# disabled must stay within 140 (body read, decode, assembly, ScoreBatch
 # and the JSON reply), the watchdog tick — disabled AND enabled steady state —
 # must allocate nothing, a warm counterfactual session (open, six
 # questions, close) must allocate nothing but a pool drop's share, a warm
@@ -110,8 +111,9 @@ verify: fmt vet build cross-build budget race alloc obs-overhead propagation-smo
 # collector POST with obs disabled must cost the decoder's allocations
 # plus a constant and allocate fewer bytes than the body it carries
 # (TestIngestBodySteadyStateAllocs: the body is read into a pooled
-# buffer), trace assembly must cost a constant
-# number of allocations whatever the span count, a warm store window fetch
+# buffer), trace assembly must cost at most 5 allocations whatever the
+# span count and a span-ID index grown past its cap must not go back to
+# the pool (TestPooledTableCap in internal/trace), a warm store window fetch
 # must allocate for the traces it returns and not for the spans it holds,
 # OpSummaries must allocate per operation and not per span
 # (TestOpSummariesSteadyStateAllocs), encoding a trace against a warm
@@ -189,9 +191,14 @@ bench-smoke:
 # trace.Span.Valid. FuzzScore then runs five seconds of request bodies
 # through the model server's handler on a published model: no panic, no
 # 5xx, and no result for a trace holding a span trace.Span.Valid rejects.
-# The last three cap the minimisation of a new input at 200 runs: their
-# runs are costly, and the default 60 s would spend all five seconds
-# minimising the first interesting input.
+# FuzzAssemble then runs five seconds of span lists (duplicate IDs,
+# orphans, self-parents, cycles, mixed trace IDs, equal starts, spans
+# Valid rejects) through trace.Assemble and trace.AssembleAll against the
+# reference assembly in the package's tests: equal traces, error kinds
+# and skip counts (internal/trace/testdata/fuzz).
+# The last four cap the minimisation of a new input at 200 runs: the
+# default 60 s would spend all five seconds minimising the first
+# interesting input.
 # A failing input is written under testdata/fuzz; commit it with the fix.
 fuzz-smoke:
 	@for target in FuzzDecodeOTLP FuzzDecodeZipkin FuzzDecodeJaeger FuzzDecodeSpans; do \
@@ -203,3 +210,4 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzLoad$$' -fuzztime=5s -fuzzminimizetime=200x ./internal/core
 	$(GO) test -run=^$$ -fuzz='^FuzzLoadJSONL$$' -fuzztime=5s -fuzzminimizetime=200x ./internal/store
 	$(GO) test -run=^$$ -fuzz='^FuzzScore$$' -fuzztime=5s -fuzzminimizetime=200x ./internal/modelserver
+	$(GO) test -run=^$$ -fuzz='^FuzzAssemble$$' -fuzztime=5s -fuzzminimizetime=200x ./internal/trace

@@ -56,8 +56,8 @@ func TestSamplerKeepsLatencyOutliers(t *testing.T) {
 	s.SetBaselineFromSummaries([]store.OpSummary{
 		{OpKey: "svc\x1fop\x1fserver", Median: 100, P95: 500, P99: 1000},
 	})
-	if s.BaselineSize() != 1 {
-		t.Fatalf("baseline size = %d", s.BaselineSize())
+	if s.baselineSize() != 1 {
+		t.Fatalf("baseline size = %d", s.baselineSize())
 	}
 	slow := span("t1", "a", "", 0, 5000, false) // 5000 > P99 of 1000
 	keep, reason := s.Keep(false, slow, "t1")
@@ -332,7 +332,7 @@ func TestRefreshBaselineFromStore(t *testing.T) {
 	st.AddSpans([]*trace.Span{span("seed", "a", "", 0, 1000, false)})
 	p := syncPipeline(t, st, Config{Workers: 1, SampleRate: -1, TailPercentile: 99})
 	p.RefreshBaseline()
-	if p.Sampler().BaselineSize() == 0 {
+	if p.Sampler().baselineSize() == 0 {
 		t.Fatal("baseline empty after refresh")
 	}
 	// A root far above the seeded op's P99 is kept even though rate sheds.

@@ -130,8 +130,8 @@ func (s *Sampler) SetBaselineFromSummaries(sums []store.OpSummary) {
 	s.baseline.Store(&bl)
 }
 
-// BaselineSize returns the number of operations in the current baseline.
-func (s *Sampler) BaselineSize() int {
+// baselineSize returns the number of operations in the current baseline.
+func (s *Sampler) baselineSize() int {
 	if bl := s.baseline.Load(); bl != nil {
 		return len(*bl)
 	}

@@ -15,10 +15,10 @@ import (
 // a warm 4-trace POST through the /score handler with obs disabled — body
 // read, decode, assembly, ScoreBatch and the JSON reply, plus the test's
 // own recorder and request — must cost no per-request model load, no cold
-// workspace, no fresh encoding and no tape re-growth. It measures 177 on 4
+// workspace, no fresh encoding and no tape re-growth. It measures 131 on 4
 // traces of 20 spans (AllocsPerRun runs at GOMAXPROCS 1, so the batch
 // scores inline); an encoding that stops being recycled costs six
-// allocations per trace at least and trips the bound (261), a cold arena
+// allocations per trace at least and trips the bound (215), a cold arena
 // thousands.
 func TestServingSteadyStateAllocs(t *testing.T) {
 	if testenv.Race {
@@ -48,7 +48,7 @@ func TestServingSteadyStateAllocs(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("score status %d", status)
 	}
-	if avg > 192 {
-		t.Fatalf("steady-state serving allocates %.1f times per request, want <= 192", avg)
+	if avg > 140 {
+		t.Fatalf("steady-state serving allocates %.1f times per request, want <= 140", avg)
 	}
 }

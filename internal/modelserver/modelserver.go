@@ -556,7 +556,6 @@ func (s *Server) score(w http.ResponseWriter, req *http.Request, name, versionSt
 	traces, skipped := trace.AssembleAll(spans)
 	asp.Annotate("traces", strconv.Itoa(len(traces)))
 	asp.End()
-	sort.Slice(traces, func(i, j int) bool { return traces[i].TraceID < traces[j].TraceID })
 	resp := ScoreResponse{Results: make([]ScoreResult, len(traces)), Skipped: skipped}
 	ssp := reqSpan.Child("model.score")
 	durs, errs, losses := m.ScoreBatch(traces, 0)
@@ -565,8 +564,8 @@ func (s *Server) score(w http.ResponseWriter, req *http.Request, name, versionSt
 	for i, tr := range traces {
 		resp.Results[i] = ScoreResult{TraceID: tr.TraceID, DurScaled: durs[i], ErrProb: errs[i]}
 	}
-	// MeanLoss is the mean of the request's trace losses, summed in
-	// sorted-by-TraceID order.
+	// MeanLoss is the mean of the request's trace losses, summed in the
+	// sorted-by-TraceID order AssembleAll returns.
 	if len(losses) > 0 {
 		total := 0.0
 		for _, l := range losses {

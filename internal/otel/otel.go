@@ -520,7 +520,10 @@ type jaegerProcess struct {
 // EncodeJaeger renders spans grouped by trace as a Jaeger-style document,
 // the traces in the order their first spans appear.
 func EncodeJaeger(spans []*trace.Span) ([]byte, error) {
-	groups := trace.GroupByTraceID(spans)
+	groups := make(map[string][]*trace.Span)
+	for _, s := range spans {
+		groups[s.TraceID] = append(groups[s.TraceID], s)
+	}
 	var doc jaegerDoc
 	for _, first := range spans {
 		tid := first.TraceID

@@ -258,9 +258,9 @@ func (a *Arena) Reset() {
 	a.stack = a.stack[:0]
 }
 
-// Footprint reports the total float64 capacity retained by the arena, in
-// elements. Exposed for tests and capacity diagnostics.
-func (a *Arena) Footprint() int {
+// footprint reports the total float64 capacity retained by the arena, in
+// elements.
+func (a *Arena) footprint() int {
 	n := len(a.floats) * chunkFloats
 	for class := range a.bigFree {
 		n += len(a.bigFree[class]) << class

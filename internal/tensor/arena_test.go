@@ -160,12 +160,12 @@ func TestArenaReusesOversizedBuffers(t *testing.T) {
 	}
 	run()
 	ar.Reset()
-	base := ar.Footprint()
+	base := ar.footprint()
 	for i := 0; i < 5; i++ {
 		run()
 		ar.Reset()
 	}
-	if got := ar.Footprint(); got != base {
+	if got := ar.footprint(); got != base {
 		t.Fatalf("footprint grew across cycles: %d -> %d", base, got)
 	}
 }

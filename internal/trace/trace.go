@@ -15,8 +15,11 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"math/bits"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -110,14 +113,16 @@ type Trace struct {
 	TraceID string
 	Spans   []*Span
 
-	// parent[i] is the index of span i's parent, or -1 for a root.
-	parent []int
-	// children[i] lists the child indexes of span i, ordered by start time.
-	children [][]int
-	// roots lists indexes of spans without a (present) parent.
-	roots []int
-	// depth[i] is the distance from span i to its root (root = 0).
-	depth []int
+	// parent, depth, childAt, kids and roots are capped views into one
+	// block of 4n+1 ints for a trace of n spans, r of them roots:
+	//
+	//	parent (n) | depth (n) | childAt (n+1) | kids (n-r) | roots (r)
+	//
+	// parent[i] is the index of span i's parent, or -1 for a root;
+	// depth[i] is the distance from span i to its root (root = 0); span
+	// i's children, ordered by start time, are kids[childAt[i]:childAt[i+1]];
+	// roots lists the spans without a (present) parent.
+	parent, depth, childAt, kids, roots []int
 
 	exclusiveDur []int64
 	exclusiveErr []bool
@@ -137,12 +142,24 @@ var (
 	ErrCycle       = errors.New("trace: parent cycle")
 )
 
+// spanOrder is the order of an assembled trace's spans: by start time,
+// then by span ID.
+func spanOrder(a, b *Span) int {
+	if c := cmp.Compare(a.Start, b.Start); c != 0 {
+		return c
+	}
+	return strings.Compare(a.SpanID, b.SpanID)
+}
+
 // Assemble builds a Trace from a span list. Spans may arrive in any order.
 // Orphan spans (parent ID referencing a missing span) are treated as roots,
 // mirroring collector behaviour under partial data loss. The span slice is
-// retained and sorted in place by start time.
+// retained and sorted in place by start time (left as it is when already
+// in order). A trace costs four allocations whatever its size: the struct,
+// the int block its structure lives in and the two exclusive columns.
 func Assemble(spans []*Span) (*Trace, error) {
-	if len(spans) == 0 {
+	n := len(spans)
+	if n == 0 {
 		return nil, ErrEmptyTrace
 	}
 	tid := spans[0].TraceID
@@ -151,148 +168,172 @@ func Assemble(spans []*Span) (*Trace, error) {
 			return nil, fmt.Errorf("%w: %q and %q", ErrMixedTraces, tid, s.TraceID)
 		}
 	}
-	slices.SortStableFunc(spans, func(a, b *Span) int {
-		if c := cmp.Compare(a.Start, b.Start); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.SpanID, b.SpanID)
-	})
-	idx := make(map[string]int, len(spans))
+	if !slices.IsSortedFunc(spans, spanOrder) {
+		slices.SortStableFunc(spans, spanOrder)
+	}
+	x := getIndex(n)
+	defer x.put()
 	for i, s := range spans {
-		if _, dup := idx[s.SpanID]; dup {
+		j, slot := x.lookup(spans, s.SpanID)
+		if j >= 0 {
 			return nil, fmt.Errorf("%w: %q", ErrDupSpanID, s.SpanID)
 		}
-		idx[s.SpanID] = i
+		x.slots[slot] = int32(i + 1)
 	}
+	block := make([]int, 4*n+1)
 	t := &Trace{
-		TraceID:  tid,
-		Spans:    spans,
-		parent:   make([]int, len(spans)),
-		children: make([][]int, len(spans)),
-		depth:    make([]int, len(spans)),
+		TraceID: tid,
+		Spans:   spans,
+		parent:  block[:n:n],
+		depth:   block[n : 2*n : 2*n],
+		childAt: block[2*n : 3*n+1 : 3*n+1],
 	}
-	// Count pass, then fill pass: every child list is cut, at its final
-	// capacity, from one backing array, so the appends never allocate.
-	counts := make([]int, len(spans))
+	// Parent pass: resolve each parent and count its children one slot
+	// ahead, so the prefix sum turns the counts into offsets.
 	nroots := 0
 	for i, s := range spans {
 		p := -1
 		if s.ParentID != "" {
-			if pi, ok := idx[s.ParentID]; ok {
-				p = pi
-			}
+			p, _ = x.lookup(spans, s.ParentID)
 		}
 		if p == i {
 			return nil, fmt.Errorf("%w: span %q is its own parent", ErrCycle, s.SpanID)
 		}
 		t.parent[i] = p
 		if p >= 0 {
-			counts[p]++
+			t.childAt[p+1]++
 		} else {
 			nroots++
 		}
 	}
-	t.roots = make([]int, 0, nroots)
-	backing := make([]int, len(spans)-nroots)
-	for i, n := range counts {
-		if n > 0 {
-			t.children[i], backing = backing[:0:n], backing[n:]
-		}
+	for i := 1; i <= n; i++ {
+		t.childAt[i] += t.childAt[i-1]
 	}
+	rest := block[3*n+1:]
+	t.kids, t.roots = rest[:n-nroots:n-nroots], rest[n-nroots:n-nroots]
+	// Fill pass in index order, so every child list is in start order;
+	// depth, not yet computed, serves as each parent's write cursor.
+	copy(t.depth, t.childAt[:n])
 	for i, p := range t.parent {
 		if p >= 0 {
-			t.children[p] = append(t.children[p], i)
+			t.kids[t.depth[p]] = i
+			t.depth[p]++
 		} else {
 			t.roots = append(t.roots, i)
 		}
 	}
-	if err := t.computeDepths(); err != nil {
+	if err := t.computeDepths(x); err != nil {
 		return nil, err
 	}
-	t.computeExclusiveDurations()
-	t.computeExclusiveErrors()
+	t.computeExclusive()
 	return t, nil
 }
 
-// computeDepths fills depth via BFS from the roots and detects cycles
-// (spans unreachable from any root imply a parent cycle).
-func (t *Trace) computeDepths() error {
-	visited := make([]bool, len(t.Spans))
-	queue := make([]int, 0, len(t.Spans))
-	for _, r := range t.roots {
-		visited[r] = true
-		t.depth[r] = 0
-		queue = append(queue, r)
+// computeDepths fills depth via BFS from the roots on the index's queue.
+// Every span sits in exactly one child list or among the roots, so the
+// BFS reaches each span at most once; a span it never reaches (depth
+// left at -1) lies on a parent cycle.
+func (t *Trace) computeDepths(x *index) error {
+	for i := range t.depth {
+		t.depth[i] = -1
 	}
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		for _, c := range t.children[i] {
-			if visited[c] {
-				return fmt.Errorf("%w: span %q reached twice", ErrCycle, t.Spans[c].SpanID)
-			}
-			visited[c] = true
-			t.depth[c] = t.depth[i] + 1
+	queue := append(x.queue[:0], t.roots...)
+	for _, r := range t.roots {
+		t.depth[r] = 0
+	}
+	for head := 0; head < len(queue); head++ {
+		for _, c := range t.Children(queue[head]) {
+			t.depth[c] = t.depth[queue[head]] + 1
 			queue = append(queue, c)
 		}
 	}
-	for i, v := range visited {
-		if !v {
-			return fmt.Errorf("%w: span %q unreachable from any root", ErrCycle, t.Spans[i].SpanID)
-		}
+	x.queue = queue
+	if i := slices.Index(t.depth, -1); i >= 0 {
+		return fmt.Errorf("%w: span %q unreachable from any root", ErrCycle, t.Spans[i].SpanID)
 	}
 	return nil
 }
 
-// computeExclusiveDurations derives, for every span, the total time during
-// which the span is running but none of its children are — the paper's
-// "exclusive duration" (§3.2.2). For the Figure-2 trace: parent P gets
-// (t1-t0)+(t5-t4), child A gets (t3-t1), child B gets (t4-t2).
-func (t *Trace) computeExclusiveDurations() {
+// computeExclusive fills both exclusive columns in one pass over the
+// child lists. The exclusive duration (§3.2.2) is the total time during
+// which a span is running but none of its children are: for the Figure-2
+// trace, parent P gets (t1-t0)+(t5-t4), child A gets (t3-t1), child B
+// gets (t4-t2). An erroring span with no erroring children has an
+// exclusive error: its error cannot be attributed to a failing child.
+func (t *Trace) computeExclusive() {
 	t.exclusiveDur = make([]int64, len(t.Spans))
+	t.exclusiveErr = make([]bool, len(t.Spans))
 	for i, s := range t.Spans {
-		kids := t.children[i]
+		kids := t.Children(i)
 		if len(kids) == 0 {
 			t.exclusiveDur[i] = s.Duration()
+			t.exclusiveErr[i] = s.Error
 			continue
 		}
 		// Children are ordered by start time, so once a child is counted
 		// everything a later child covers before its end is counted already:
 		// clip each child to the parent window and to that running end.
-		covered, end := int64(0), s.Start
+		covered, end, childErr := int64(0), s.Start, false
 		for _, c := range kids {
 			cs := t.Spans[c]
 			if lo, hi := max(cs.Start, end), min(cs.End, s.End); hi > lo {
 				covered += hi - lo
 				end = hi
 			}
+			childErr = childErr || cs.Error
 		}
-		excl := s.Duration() - covered
-		if excl < 0 {
-			excl = 0
-		}
-		t.exclusiveDur[i] = excl
+		t.exclusiveDur[i] = max(s.Duration()-covered, 0)
+		t.exclusiveErr[i] = s.Error && !childErr
 	}
 }
 
-// computeExclusiveErrors marks spans whose error cannot be attributed to a
-// failing child: an erroring span with no erroring children has an
-// exclusive error (§3.2.2).
-func (t *Trace) computeExclusiveErrors() {
-	t.exclusiveErr = make([]bool, len(t.Spans))
-	for i, s := range t.Spans {
-		if !s.Error {
-			continue
-		}
-		childErr := false
-		for _, c := range t.children[i] {
-			if t.Spans[c].Error {
-				childErr = true
-				break
-			}
-		}
-		t.exclusiveErr[i] = !childErr
+// index is Assemble's pooled scratch: the BFS queue and an open-addressing
+// table from span ID to span index, whose slots hold index+1 (0 is empty)
+// and compare IDs through the spans. It holds no pointer, so nothing
+// outlives its call through the pool.
+type index struct {
+	slots []int32
+	queue []int
+}
+
+// maxPooled is the most spans an index may be sized for and still go
+// back to the pool: a rare huge trace's table goes to the GC with it.
+const maxPooled = 4096
+
+var (
+	indexes = sync.Pool{New: func() any { return new(index) }}
+	idSeed  = maphash.MakeSeed()
+)
+
+// getIndex returns an empty pooled index for n spans, its table a power
+// of two of at least 2n slots so that probes stay short.
+func getIndex(n int) *index {
+	x := indexes.Get().(*index)
+	size := max(8, 1<<bits.Len(uint(2*n-1)))
+	x.slots = slices.Grow(x.slots[:0], size)[:size]
+	clear(x.slots)
+	x.queue = slices.Grow(x.queue[:0], n)
+	return x
+}
+
+// put returns x to the pool unless it was sized past maxPooled spans.
+func (x *index) put() {
+	if cap(x.queue) <= maxPooled {
+		indexes.Put(x)
 	}
+}
+
+// lookup returns the index of the span with ID id, or -1, and the slot
+// its probe ended at: the one holding it, or the empty one to add it in.
+func (x *index) lookup(spans []*Span, id string) (int, uint64) {
+	mask := uint64(len(x.slots) - 1)
+	h := maphash.String(idSeed, id) & mask
+	for ; x.slots[h] != 0; h = (h + 1) & mask {
+		if j := int(x.slots[h] - 1); spans[j].SpanID == id {
+			return j, h
+		}
+	}
+	return -1, h
 }
 
 // Memo returns the value compute derives from the trace: the first call
@@ -313,7 +354,10 @@ func (t *Trace) Parent(i int) int { return t.parent[i] }
 
 // Children returns the child indexes of span i (ordered by start time).
 // The returned slice must not be modified.
-func (t *Trace) Children(i int) []int { return t.children[i] }
+func (t *Trace) Children(i int) []int {
+	lo, hi := t.childAt[i], t.childAt[i+1]
+	return t.kids[lo:hi:hi]
+}
 
 // Roots returns the indexes of the root spans.
 func (t *Trace) Roots() []int { return t.roots }
@@ -379,7 +423,7 @@ func (t *Trace) CriticalPath() []int {
 	for {
 		path = append(path, i)
 		best, bestEnd := -1, int64(-1)
-		for _, c := range t.children[i] {
+		for _, c := range t.Children(i) {
 			cs := t.Spans[c]
 			if !cs.Kind.Synchronous() {
 				continue
@@ -409,29 +453,34 @@ func (t *Trace) Services() []string {
 	return out
 }
 
-// GroupByTraceID partitions a flat span list by trace ID, preserving the
-// relative order of spans within each trace.
-func GroupByTraceID(spans []*Span) map[string][]*Span {
-	out := make(map[string][]*Span)
-	for _, s := range spans {
-		out[s.TraceID] = append(out[s.TraceID], s)
-	}
-	return out
-}
-
 // AssembleAll groups spans by trace ID and assembles each group, skipping
 // groups that hold a span Valid rejects or that fail assembly. It returns
 // the traces sorted by trace ID for determinism, along with the number of
-// groups skipped.
+// groups skipped. It sorts one copy of spans on (trace ID, start, span
+// ID), so each group is a run already in Assemble's order; the traces'
+// Spans are capped views into that copy.
 func AssembleAll(spans []*Span) (traces []*Trace, skipped int) {
-	groups := GroupByTraceID(spans)
-	ids := make([]string, 0, len(groups))
-	for id := range groups {
-		ids = append(ids, id)
+	sorted := slices.Clone(spans)
+	slices.SortFunc(sorted, func(a, b *Span) int {
+		if c := strings.Compare(a.TraceID, b.TraceID); c != 0 {
+			return c
+		}
+		return spanOrder(a, b)
+	})
+	groups := 0
+	for i, s := range sorted {
+		if i == 0 || s.TraceID != sorted[i-1].TraceID {
+			groups++
+		}
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		group := groups[id]
+	traces = make([]*Trace, 0, groups)
+	for len(sorted) > 0 {
+		n := 1
+		for n < len(sorted) && sorted[n].TraceID == sorted[0].TraceID {
+			n++
+		}
+		group := sorted[:n:n]
+		sorted = sorted[n:]
 		if slices.ContainsFunc(group, func(s *Span) bool { return !s.Valid() }) {
 			skipped++
 			continue
