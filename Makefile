@@ -176,7 +176,8 @@ bench-smoke:
 # encoding/json oracle errors, equal spans otherwise. FuzzMatmulAcc then
 # runs five seconds of random shapes and bit patterns through both matmul
 # arms (internal/tensor/testdata/fuzz): every cell bit-equal, NaN to NaN.
-# FuzzAddMin then runs five seconds of bit patterns through both arms of
+# FuzzMatmulNT then does the same for both arms of matmulNTAcc, the
+# backward dX kernel. FuzzAddMin then runs five seconds of bit patterns through both arms of
 # AddMin, the Pairwise dense-column kernel: every cell bit-equal, NaN to
 # NaN. FuzzParseTraceparent then runs five seconds of headers through
 # obs.ParseTraceparent: no panic, and every accepted context is valid and
@@ -204,6 +205,7 @@ fuzz-smoke:
 	@for target in FuzzDecodeOTLP FuzzDecodeZipkin FuzzDecodeJaeger FuzzDecodeSpans; do \
 		$(GO) test -run=^$$ -fuzz="^$$target$$" -fuzztime=5s ./internal/otel || exit 1; done
 	$(GO) test -run=^$$ -fuzz='^FuzzMatmulAcc$$' -fuzztime=5s ./internal/tensor
+	$(GO) test -run=^$$ -fuzz='^FuzzMatmulNT$$' -fuzztime=5s ./internal/tensor
 	$(GO) test -run=^$$ -fuzz='^FuzzAddMin$$' -fuzztime=5s ./internal/tensor
 	$(GO) test -run=^$$ -fuzz='^FuzzParseTraceparent$$' -fuzztime=5s ./internal/obs
 	$(GO) test -run=^$$ -fuzz='^FuzzParseRules$$' -fuzztime=5s ./internal/obs/alert

@@ -128,15 +128,16 @@ func randomTraces(t *testing.T, r *xrand.Rand, n int) []*trace.Trace {
 	return out
 }
 
-// referenceIdentifier joins the §3.3.1 tuple from the Ancestors slice.
+// referenceIdentifier joins the §3.3.1 tuple: the span's own fields, then
+// the names of up to dmax ancestors, nearest first.
 func referenceIdentifier(tr *trace.Trace, i, dmax int) string {
 	sp := tr.Spans[i]
 	parts := []string{sp.Service, sp.Name, string(sp.Kind), "0"}
 	if sp.Error {
 		parts[3] = "1"
 	}
-	for _, a := range tr.Ancestors(i, dmax) {
-		parts = append(parts, tr.Spans[a].Name)
+	for p, d := tr.Parent(i), 0; p >= 0 && d < dmax; p, d = tr.Parent(p), d+1 {
+		parts = append(parts, tr.Spans[p].Name)
 	}
 	return strings.Join(parts, "\x1f")
 }

@@ -21,6 +21,7 @@ package sim
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"github.com/sleuth-rca/sleuth/internal/chaos"
 	"github.com/sleuth-rca/sleuth/internal/par"
@@ -77,7 +78,19 @@ type reqCtx struct {
 
 func (c *reqCtx) newSpanID() string {
 	c.nextID++
-	return fmt.Sprintf("s%04x", c.nextID)
+	return spanID(c.nextID)
+}
+
+// spanID formats a non-negative id as fmt.Sprintf("s%04x", id) does: "s"
+// and the id's lower-case hex digits, zero-padded to four, in one
+// allocation.
+func spanID(id int) string {
+	var buf [24]byte
+	b := append(buf[:0], 's')
+	for w := 0x1000; w > 1 && id < w; w >>= 4 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendUint(b, uint64(id), 16))
 }
 
 // Result of simulating one request.

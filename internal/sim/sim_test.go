@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/sleuth-rca/sleuth/internal/chaos"
@@ -404,6 +405,17 @@ func BenchmarkSimulateRequest1024(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := s.SimulateRequest(i, nil); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestSpanIDMatchesSprintf pins spanID to the fmt.Sprintf("s%04x", id) it
+// replaces, on every id from 0 to 2²⁰: through the padded widths and across
+// the 0xffff → 0x10000 step where the zero padding ends.
+func TestSpanIDMatchesSprintf(t *testing.T) {
+	for id := 0; id <= 1<<20; id++ {
+		if got, want := spanID(id), fmt.Sprintf("s%04x", id); got != want {
+			t.Fatalf("spanID(%d) = %q, want %q", id, got, want)
 		}
 	}
 }

@@ -1,8 +1,9 @@
 package tensor
 
-// useAVX2 selects the AVX2 arms of matmulAcc, AddMMRowInto, matmulTNAcc and
-// AddMin. It is set once, from CPUID and XGETBV, when the package
-// initialises; the package's own tests flip it to compare the two arms.
+// useAVX2 selects the AVX2 arms of matmulAcc, AddMMRowInto, matmulNTAcc,
+// matmulTNAcc and AddMin. It is set once, from CPUID and XGETBV, when the
+// package initialises; the package's own tests flip it to compare the two
+// arms.
 var useAVX2 = hasAVX2()
 
 // hasAVX2 reports whether the CPU implements AVX2 and the OS saves the YMM
@@ -37,6 +38,13 @@ func matmulRowAVX2(dst, init, a, b []float64, floor float64)
 //
 //go:noescape
 func matmulTNRowAVX2(dst, a, g []float64)
+
+// matmulNTRowAVX2 is one row i of matmulNTAcc: dst [k] += g[i] · bT, with
+// k = len(dst), g = g[i] [n], n = len(g) and bT = bᵀ [n,k],
+// len(bT) ≥ n*k.
+//
+//go:noescape
+func matmulNTRowAVX2(dst, g, bT []float64)
 
 // addMinAVX2 is AddMin's AVX2 arm: dst[i] += a < x[i] ? a : x[i] for
 // i < len(dst), with len(x) ≥ len(dst).

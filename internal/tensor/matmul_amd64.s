@@ -1,9 +1,18 @@
 #include "textflag.h"
 
-// AVX2 arms of matmulAcc, AddMMRowInto and matmulTNAcc. Every output cell
-// is computed with the scalar kernel's exact expression order — one VMULPD
-// per product and one VADDPD per sum, never a fused multiply-add — so the
-// results are bit-identical to the Go loops (NaN payloads aside).
+// AVX2 arms of matmulAcc, AddMMRowInto, matmulNTAcc and matmulTNAcc. Every
+// output cell is computed with the scalar kernel's exact expression order —
+// one VMULPD per product and one VADDPD per sum, never a fused
+// multiply-add — so the results are bit-identical to the Go loops (NaN
+// payloads aside).
+//
+// matmulNTRowAVX2, the backward dX = dY·Wᵀ, keeps the scalar dot
+// product's two running sums per cell (even and odd terms, each from +0)
+// and vectorises across output columns instead of along the dot product:
+// its caller transposes W once per call into arena scratch, so the kernel
+// streams rows of Wᵀ in the same 16-, 4- and 1-column strips as
+// matmulRowAVX2. It has no zero-skip: a zero times an infinity must give
+// the scalar kernel's NaN.
 //
 // matmulRowAVX2 is one kernel for both row forms: it starts each strip's
 // accumulators from an init row (the bias for AddMMRowInto, the dst row
@@ -306,6 +315,174 @@ nextTN:
 	JMP  rowTN
 
 doneTN:
+	VZEROUPPER
+	RET
+
+// func matmulNTRowAVX2(dst, g, bT []float64)
+//
+// One row of matmulNTAcc: dst[l] += s0 + s1 for l < k = len(dst), where
+// s0 sums g[j]·bT[j][l] over even j and s1 over odd j, both from +0 in
+// ascending j, and an odd n's last term (j = n−1, even) goes to s0. That
+// is the scalar kernel's dot product per cell, vectorised across l on the
+// transpose bT [n,k] of b: a 16-column strip keeps its four s0 and four
+// s1 vectors in Y0–Y3 and Y4–Y7 over all of n, then 4-column strips,
+// then single columns with the scalar forms. There is no zero-skip: 0·Inf
+// must stay NaN as the scalar product makes it.
+//
+// Registers: DI dst row, SI g row, DX bT, R8 k*8 (one bT row in bytes),
+// R9 (n&^1)*8, R10 n*8, R11 j*8, R12 &bT[j][l], R13 &bT[j+1][l],
+// BX l*8 (column offset), CX strip end; Y8 g[j] broadcast, Y9 g[j+1]
+// broadcast, Y10-Y13 products.
+
+// NTTERM adds g·bT[off] to acc for the four columns at byte offset off of
+// the bT row at r.
+#define NTTERM(r, off, g, acc, t) \
+	VMULPD off(r), g, t; \
+	VADDPD t, acc, acc
+
+TEXT ·matmulNTRowAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), R8
+	MOVQ g_base+24(FP), SI
+	MOVQ g_len+32(FP), R10
+	MOVQ bT_base+48(FP), DX
+	MOVQ R10, R9
+	ANDQ $-2, R9
+	SHLQ $3, R9
+	SHLQ $3, R10
+	SHLQ $3, R8
+	XORQ BX, BX
+
+strip16NT:
+	LEAQ 128(BX), CX
+	CMPQ CX, R8
+	JGT  strip4NT
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	LEAQ (DX)(BX*1), R12
+	XORQ R11, R11
+
+pair16NT:
+	CMPQ R11, R9
+	JGE  odd16NT
+	VBROADCASTSD 0(SI)(R11*1), Y8
+	VBROADCASTSD 8(SI)(R11*1), Y9
+	LEAQ (R12)(R8*1), R13
+	NTTERM(R12, 0, Y8, Y0, Y10)
+	NTTERM(R12, 32, Y8, Y1, Y11)
+	NTTERM(R12, 64, Y8, Y2, Y12)
+	NTTERM(R12, 96, Y8, Y3, Y13)
+	NTTERM(R13, 0, Y9, Y4, Y10)
+	NTTERM(R13, 32, Y9, Y5, Y11)
+	NTTERM(R13, 64, Y9, Y6, Y12)
+	NTTERM(R13, 96, Y9, Y7, Y13)
+	ADDQ $16, R11
+	LEAQ (R12)(R8*2), R12
+	JMP  pair16NT
+
+odd16NT:
+	CMPQ R11, R10
+	JGE  store16NT
+	VBROADCASTSD 0(SI)(R11*1), Y8
+	NTTERM(R12, 0, Y8, Y0, Y10)
+	NTTERM(R12, 32, Y8, Y1, Y11)
+	NTTERM(R12, 64, Y8, Y2, Y12)
+	NTTERM(R12, 96, Y8, Y3, Y13)
+
+store16NT:
+	VADDPD  Y4, Y0, Y0
+	VADDPD  Y5, Y1, Y1
+	VADDPD  Y6, Y2, Y2
+	VADDPD  Y7, Y3, Y3
+	VADDPD  0(DI)(BX*1), Y0, Y0
+	VADDPD  32(DI)(BX*1), Y1, Y1
+	VADDPD  64(DI)(BX*1), Y2, Y2
+	VADDPD  96(DI)(BX*1), Y3, Y3
+	VMOVUPD Y0, 0(DI)(BX*1)
+	VMOVUPD Y1, 32(DI)(BX*1)
+	VMOVUPD Y2, 64(DI)(BX*1)
+	VMOVUPD Y3, 96(DI)(BX*1)
+	ADDQ    $128, BX
+	JMP     strip16NT
+
+strip4NT:
+	LEAQ 32(BX), CX
+	CMPQ CX, R8
+	JGT  strip1NT
+	VXORPD Y0, Y0, Y0
+	VXORPD Y4, Y4, Y4
+	LEAQ (DX)(BX*1), R12
+	XORQ R11, R11
+
+pair4NT:
+	CMPQ R11, R9
+	JGE  odd4NT
+	VBROADCASTSD 0(SI)(R11*1), Y8
+	VBROADCASTSD 8(SI)(R11*1), Y9
+	NTTERM(R12, 0, Y8, Y0, Y10)
+	VMULPD 0(R12)(R8*1), Y9, Y11
+	VADDPD Y11, Y4, Y4
+	ADDQ $16, R11
+	LEAQ (R12)(R8*2), R12
+	JMP  pair4NT
+
+odd4NT:
+	CMPQ R11, R10
+	JGE  store4NT
+	VBROADCASTSD 0(SI)(R11*1), Y8
+	NTTERM(R12, 0, Y8, Y0, Y10)
+
+store4NT:
+	VADDPD  Y4, Y0, Y0
+	VADDPD  0(DI)(BX*1), Y0, Y0
+	VMOVUPD Y0, 0(DI)(BX*1)
+	ADDQ    $32, BX
+	JMP     strip4NT
+
+	// Columns past the last multiple of four, one at a time with the
+	// scalar forms of the same instructions.
+strip1NT:
+	CMPQ BX, R8
+	JGE  doneNT
+	VXORPD X0, X0, X0
+	VXORPD X4, X4, X4
+	LEAQ (DX)(BX*1), R12
+	XORQ R11, R11
+
+pair1NT:
+	CMPQ R11, R9
+	JGE  odd1NT
+	VMOVSD 0(SI)(R11*1), X8
+	VMOVSD 8(SI)(R11*1), X9
+	VMULSD 0(R12), X8, X10
+	VADDSD X10, X0, X0
+	VMULSD 0(R12)(R8*1), X9, X11
+	VADDSD X11, X4, X4
+	ADDQ   $16, R11
+	LEAQ   (R12)(R8*2), R12
+	JMP    pair1NT
+
+odd1NT:
+	CMPQ   R11, R10
+	JGE    store1NT
+	VMOVSD 0(SI)(R11*1), X8
+	VMULSD 0(R12), X8, X10
+	VADDSD X10, X0, X0
+
+store1NT:
+	VADDSD X4, X0, X0
+	VADDSD (DI)(BX*1), X0, X0
+	VMOVSD X0, (DI)(BX*1)
+	ADDQ   $8, BX
+	JMP    strip1NT
+
+doneNT:
 	VZEROUPPER
 	RET
 

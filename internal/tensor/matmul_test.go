@@ -8,10 +8,10 @@ import (
 	"github.com/sleuth-rca/sleuth/internal/xrand"
 )
 
-// The AVX2 arms of matmulAcc, AddMMRowInto and matmulTNAcc must reproduce
-// the scalar arms bit for bit. The one allowance is NaN: x86 propagates the payload of
-// the first NaN operand, and commuting an addition changes which one that
-// is, so any two NaNs count as equal.
+// The AVX2 arms of matmulAcc, AddMMRowInto, matmulNTAcc and matmulTNAcc
+// must reproduce the scalar arms bit for bit. The one allowance is NaN: x86
+// propagates the payload of the first NaN operand, and commuting an
+// addition changes which one that is, so any two NaNs count as equal.
 
 func requireAVX2(t testing.TB) {
 	t.Helper()
@@ -223,6 +223,138 @@ func FuzzMatmulAcc(f *testing.F) {
 	})
 }
 
+// diffNT runs matmulNTAcc on both arms from the same inputs, g [m,n],
+// b [k,n] and dst [m,k], and reports the first cell that differs. The
+// AVX2 arm draws its transpose scratch from ar (the heap when nil).
+func diffNT(t testing.TB, g, b, dst []float64, m, n, k int, ar *Arena) {
+	t.Helper()
+	want := append([]float64(nil), dst...)
+	withScalar(func() { matmulNTAcc(want, g, b, m, n, k, nil) })
+	got := append([]float64(nil), dst...)
+	matmulNTAcc(got, g, b, m, n, k, ar)
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("matmulNTAcc m=%d n=%d k=%d: cell (%d,%d) = %v (%#x), scalar %v (%#x)",
+				m, n, k, i/k, i%k, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestMatmulNTAVX2MatchesScalar: the backward dX kernel on both arms, at
+// the model's two dX shapes (the first GIN layer, 213×64→68, and the head,
+// 213×5→64), at every (m, n, k) of a table whose n reaches the odd tail
+// and whose k reaches the 16-, 4- and 1-column strips, and at random
+// shapes, always accumulating into a dst that is not zero.
+func TestMatmulNTAVX2MatchesScalar(t *testing.T) {
+	requireAVX2(t)
+	r := xrand.New(37)
+	ar := NewArena()
+	check := func(m, n, k int, share float64) {
+		g := make([]float64, m*n)
+		b := make([]float64, k*n)
+		dst := make([]float64, m*k)
+		fillMixed(r, g, share)
+		fillMixed(r, b, share)
+		fillMixed(r, dst, share)
+		for i := range dst {
+			if dst[i] == 0 && r.Float64() < 0.7 {
+				dst[i] = r.Normal(0, 1)
+			}
+		}
+		diffNT(t, g, b, dst, m, n, k, ar)
+		ar.Reset()
+	}
+	for _, share := range []float64{0, 0.05, 0.5} {
+		check(213, 64, 68, share)
+		check(213, 5, 64, share)
+	}
+	for _, m := range []int{0, 1, 7} {
+		for _, n := range []int{0, 1, 2, 3, 5, 16, 64} {
+			for _, k := range []int{0, 1, 3, 4, 5, 16, 17, 20, 21, 68} {
+				for _, share := range []float64{0, 0.05, 0.5} {
+					check(m, n, k, share)
+				}
+			}
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		check(r.Intn(9), r.Intn(80), r.Intn(80), []float64{0, 0.02, 0.3}[trial%3])
+	}
+	// Every (dst, g, b) triple of specials as one product (n = 1) and as
+	// the odd term after a pair of ones (n = 3), at the widths that reach
+	// each strip: cells land on −0 + +0, 0·Inf, Inf − Inf and overflow.
+	for _, n := range []int{1, 3} {
+		for _, k := range []int{1, 4, 5, 16, 21} {
+			g, b, dst := make([]float64, n), make([]float64, k*n), make([]float64, k)
+			for _, dv := range specials {
+				for _, gv := range specials {
+					for _, bv := range specials {
+						for j := range g {
+							g[j] = 1
+						}
+						g[n-1] = gv
+						for l := range k {
+							dst[l] = dv
+							for j := range n {
+								b[l*n+j] = 1
+							}
+							b[l*n+n-1] = bv
+						}
+						diffNT(t, g, b, dst, 1, n, k, nil)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzMatmulNT decodes a shape and the operands from the fuzz bytes as
+// FuzzMatmulAcc does: the first three bytes pick m, n and k, every
+// following eight bytes are one float64 (any bit pattern), and g, b and
+// dst are filled from that stream in turn, wrapping around when it runs
+// out. matmulNTAcc runs on both arms.
+func FuzzMatmulNT(f *testing.F) {
+	requireAVX2(f)
+	f.Add([]byte{1, 3, 2})
+	f.Add(append([]byte{2, 5, 3}, floatBytes(math.NaN(), 1, math.Inf(1), 0, math.Inf(-1), -2.5, 3)...))
+	f.Add(append([]byte{1, 1, 1}, floatBytes(0, math.Inf(1), 1)...))
+	f.Add(append([]byte{3, 7, 17}, floatBytes(math.Copysign(0, -1), 0, math.Copysign(0, -1), 5e-324, -5e-324, 0x1p-1060, 0x1p-1022, 1)...))
+	f.Add(append([]byte{1, 64, 68}, floatBytes(0.5, -1.25, 3, 0, math.MaxFloat64, 2, 0, 7)...))
+	f.Add(append([]byte{4, 5, 64}, floatBytes(1e308, 1e308, -1e308, math.Copysign(0, -1), 1e-300)...))
+	// Sums that round differently if a term moves between s0 and s1 (odd
+	// n, 1e16 + 1 + 1) or if dst is added before s0 + s1 (1e16 + 1 + 1).
+	f.Add(append([]byte{1, 3, 5}, floatBytes(1, 1, 1, 1e16, 1, 1)...))
+	f.Add(append([]byte{1, 2, 5}, floatBytes(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1e16, 1e16, 1e16, 1e16, 1e16)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		m, n, k := int(data[0]%9), int(data[1]%72), int(data[2]%72)
+		var vals []float64
+		for p := 3; p+8 <= len(data); p += 8 {
+			vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(data[p:])))
+		}
+		next := 0
+		fill := func(xs []float64) {
+			for i := range xs {
+				if len(vals) == 0 {
+					xs[i] = float64(i%5) - 2
+					continue
+				}
+				xs[i] = vals[next%len(vals)]
+				next++
+			}
+		}
+		g := make([]float64, m*n)
+		b := make([]float64, k*n)
+		dst := make([]float64, m*k)
+		fill(g)
+		fill(b)
+		fill(dst)
+		diffNT(t, g, b, dst, m, n, k, nil)
+	})
+}
+
 // diffAddMin runs AddMin on both arms from the same inputs and reports the
 // first cell that differs.
 func diffAddMin(t testing.TB, dst, x []float64, a float64) {
@@ -305,23 +437,29 @@ func floatBytes(xs ...float64) []byte {
 	return out
 }
 
-// BenchmarkMatmulAcc times both arms on the model's dense shapes: the
-// 213×68→64 first GIN layer over a Synthetic-256 trace, the one-row
-// incremental update of that layer, and the 64→5 head. The "relu" arms run
-// the first layer as AddMMRowInto does in the GNN forwards: bias init and
-// ReLU fused into the AVX2 row kernel, bias copy and clamp loop around the
-// scalar one.
+// BenchmarkMatmulAcc times both arms on the model's dense shapes, named
+// m×k×n with k the contracted dimension: the 213×68→64 first GIN layer over
+// a Synthetic-256 trace, the one-row incremental update of that layer, and
+// the 64→5 head. The "relu" arms run the first layer as AddMMRowInto does
+// in the GNN forwards: bias init and ReLU fused into the AVX2 row kernel,
+// bias copy and clamp loop around the scalar one. The "nt" arms are the
+// backward dX = dY·Wᵀ of the first layer (213×64→68) and of the head
+// (213×5→64), matmulNTAcc with its transpose scratch from an arena as in
+// training.
 func BenchmarkMatmulAcc(b *testing.B) {
 	r := xrand.New(1)
+	ar := NewArena()
 	for _, sh := range []struct {
-		name    string
-		m, k, n int
-		relu    bool
+		name     string
+		m, k, n  int
+		relu, nt bool
 	}{
-		{"213x68x64", 213, 68, 64, false},
-		{"1x68x64", 1, 68, 64, false},
-		{"213x64x5", 213, 64, 5, false},
-		{"213x68x64-bias-relu", 213, 68, 64, true},
+		{"213x68x64", 213, 68, 64, false, false},
+		{"1x68x64", 1, 68, 64, false, false},
+		{"213x64x5", 213, 64, 5, false, false},
+		{"213x68x64-bias-relu", 213, 68, 64, true, false},
+		{"213x64x68-nt", 213, 64, 68, false, true},
+		{"213x5x64-nt", 213, 5, 64, false, true},
 	} {
 		a := make([]float64, sh.m*sh.k)
 		w := make([]float64, sh.k*sh.n)
@@ -340,9 +478,13 @@ func BenchmarkMatmulAcc(b *testing.B) {
 					defer func() { useAVX2 = true }()
 				}
 				for i := 0; i < b.N; i++ {
-					if sh.relu {
+					switch {
+					case sh.nt:
+						matmulNTAcc(dst, a, w, sh.m, sh.k, sh.n, ar)
+						ar.Reset()
+					case sh.relu:
 						AddMMRowInto(dst, a, sh.m, wt, bt, true)
-					} else {
+					default:
 						matmulAcc(dst, a, w, sh.m, sh.k, sh.n)
 					}
 				}

@@ -349,9 +349,27 @@ func matmulAccScalar(dst, a, b []float64, m, k, n int) {
 
 // matmulNTAcc accumulates dst += g·bᵀ for g [m,n], b [k,n], dst [m,k] —
 // the dA term of matmul backward. Each output cell is a dot product over
-// n, computed with two running sums to expose instruction-level
-// parallelism.
-func matmulNTAcc(dst, g, b []float64, m, n, k int) {
+// n with two running sums, s0 over even and s1 over odd j, and ends as
+// dst + (s0 + s1). The AVX2 arm computes the same sums vectorised across
+// output columns, on a transpose of b it writes into scratch from ar (the
+// heap when ar is nil), so every cell keeps the scalar arm's bits.
+func matmulNTAcc(dst, g, b []float64, m, n, k int, ar *Arena) {
+	if !useAVX2 || k == 0 || n == 0 {
+		matmulNTAccScalar(dst, g, b, m, n, k)
+		return
+	}
+	bT := floatsIn(ar, k*n)
+	for l := 0; l < k; l++ {
+		for j, v := range b[l*n : (l+1)*n] {
+			bT[j*k+l] = v
+		}
+	}
+	for i := 0; i < m; i++ {
+		matmulNTRowAVX2(dst[i*k:(i+1)*k], g[i*n:(i+1)*n], bT)
+	}
+}
+
+func matmulNTAccScalar(dst, g, b []float64, m, n, k int) {
 	for i := 0; i < m; i++ {
 		grow := g[i*n : (i+1)*n]
 		drow := dst[i*k : (i+1)*k]
@@ -422,7 +440,7 @@ func (t *Tensor) backMatMul() {
 	k := t.i1
 	if a.requiresGrad {
 		a.ensureGrad()
-		matmulNTAcc(a.Grad, t.Grad, b.Data, m, n, k)
+		matmulNTAcc(a.Grad, t.Grad, b.Data, m, n, k, t.arena)
 	}
 	if b.requiresGrad {
 		b.ensureGrad()
@@ -508,12 +526,7 @@ func (t *Tensor) backAddMM() {
 	if t.kind == opAddMMReLU {
 		// Mask once: cells clipped by the ReLU pass no gradient. out > 0
 		// exactly when the pre-activation was positive.
-		var mg []float64
-		if t.arena != nil {
-			mg = t.arena.Floats(len(g))
-		} else {
-			mg = make([]float64, len(g))
-		}
+		mg := floatsIn(t.arena, len(g))
 		for i, v := range t.Data {
 			if v > 0 {
 				mg[i] = g[i]
@@ -523,7 +536,7 @@ func (t *Tensor) backAddMM() {
 	}
 	if x.requiresGrad {
 		x.ensureGrad()
-		matmulNTAcc(x.Grad, g, w.Data, m, n, k)
+		matmulNTAcc(x.Grad, g, w.Data, m, n, k, t.arena)
 	}
 	if w.requiresGrad {
 		w.ensureGrad()

@@ -197,11 +197,7 @@ func (t *Tensor) RequiresGrad() bool { return t.requiresGrad }
 // arena when it has one, so non-leaf gradients recycle with the tape.
 func (t *Tensor) ensureGrad() {
 	if t.Grad == nil {
-		if t.arena != nil {
-			t.Grad = t.arena.Floats(len(t.Data))
-		} else {
-			t.Grad = make([]float64, len(t.Data))
-		}
+		t.Grad = floatsIn(t.arena, len(t.Data))
 	}
 }
 
@@ -231,6 +227,14 @@ func (t *Tensor) Detach() *Tensor {
 func (t *Tensor) Clone() *Tensor {
 	d := append([]float64(nil), t.Data...)
 	return New(d, t.Shape...)
+}
+
+// floatsIn returns n zeroed floats from ar, or from the heap when ar is nil.
+func floatsIn(ar *Arena, n int) []float64 {
+	if ar == nil {
+		return make([]float64, n)
+	}
+	return ar.Floats(n)
 }
 
 // resultIn allocates a result tensor with a zeroed data buffer of n

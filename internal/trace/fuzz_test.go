@@ -114,13 +114,6 @@ func sameTrace(t *testing.T, got *Trace, want *refTrace) {
 			t.Fatalf("span %d: exclusive %d/%v, want %d/%v", i,
 				got.ExclusiveDuration(i), got.ExclusiveError(i), want.exclusiveDur[i], want.exclusiveErr[i])
 		}
-		var anc []int
-		for p := want.parent[i]; p >= 0; p = want.parent[p] {
-			anc = append(anc, p)
-		}
-		if a := got.Ancestors(i, len(want.Spans)); !slices.Equal(a, anc) {
-			t.Fatalf("span %d: ancestors %v, want %v", i, a, anc)
-		}
 		maxDepth = max(maxDepth, want.depth[i]+1)
 	}
 	if got.MaxDepth() != maxDepth || got.RootDuration() != want.Spans[want.roots[0]].Duration() {

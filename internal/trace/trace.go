@@ -402,15 +402,6 @@ func (t *Trace) HasError() bool {
 	return false
 }
 
-// Ancestors returns up to max ancestor indexes of span i, nearest first.
-func (t *Trace) Ancestors(i, max int) []int {
-	var out []int
-	for p := t.parent[i]; p >= 0 && len(out) < max; p = t.parent[p] {
-		out = append(out, p)
-	}
-	return out
-}
-
 // CriticalPath returns span indexes on the latency-critical path from the
 // first root: at each level it descends into the child whose end time is
 // the latest among synchronous children overlapping the tail of the parent.
